@@ -6,274 +6,44 @@ moment and tail formulations, supremum bounds for several process
 families (sub-gaussian, martingale, mixed-tail, empirical, squares,
 second-order chaos), restricted-isometry diagnostics for subsampled
 unitary matrices, and seeded Monte Carlo validators for all of the above.
+
+Each module's ``__all__`` is its public interface; the package re-exports
+their union.
 """
 
-from .bounds import (
-    L2_INCREMENT_COEFF,
-    MixedTailMetrics,
-    azuma_uniform_bound,
-    chaos_supremum_bound,
-    empirical_process_bound,
-    gaussian_process_bound,
-    hanson_wright_tail,
-    kmr_parameters,
-    mixed_tail_supremum_bound,
-    psi_alpha_supremum_bound,
-    squares_default_parameters,
-    squares_l2_increment_tail,
-    squares_supremum_bound,
+from . import (
+    bounds,
+    chaining,
+    conversions,
+    errors,
+    metric,
+    orlicz,
+    processes,
+    registry,
+    results,
+    rip,
+    schatten,
+    serialize,
+    validation,
 )
-from .chaining import (
-    GAMMA_EXACT_CAP,
-    AdmissibleSequence,
-    GammaEstimate,
-    admissible_partitions,
-    admissible_sets,
-    functional_value,
-    gamma_exact,
-    gamma_greedy,
-    gamma_prime,
-    greedy_admissible_sequence,
-    level_capacity,
-    merge_partitions,
-    truncation_level,
-)
-from .conversions import (
-    BernsteinParams,
-    bernstein_tail,
-    lp_from_tail,
-    lp_tail_integral_bound,
-    moments_to_tails,
-    moments_to_tails_mixed,
-    small_set_cap,
-    small_set_moment_bound,
-    tails_to_moments,
-    tails_to_moments_mixed,
-    union_bound_constant,
-    union_bound_probability,
-)
-from .errors import (
-    CapacityError,
-    ChainboundsError,
-    ConvergenceError,
-    DomainError,
-    MetricValidationError,
-    MissingConstantError,
-    ModelError,
-    UnsupportedFamilyError,
-)
-from .metric import (
-    EXACT_COVER_CAP,
-    CoveringProfile,
-    CoverResult,
-    EntropyIntegral,
-    FiniteMetricSpace,
-    build_metric_space,
-    covering_number,
-    covering_profile,
-    entropy_integral,
-    space_from_points,
-)
-from .orlicz import (
-    OrliczNorm,
-    psi_alpha,
-    psi_norm_analytic,
-    psi_norm_empirical,
-    psi_product_bound,
-    psi_tail_envelope,
-)
-from .processes import (
-    ProcessModel,
-    RowDistribution,
-    SupremumSample,
-    canonical_metric,
-    empirical_model,
-    empirical_parameters,
-    exact_chaos_distribution,
-    exact_empirical_distribution,
-    exact_martingale_distribution,
-    gaussian_model,
-    martingale_model,
-    mixed_metrics,
-    replication_rng,
-    sign_patterns,
-    simulate_chaos,
-    simulate_empirical,
-    simulate_gaussian,
-    simulate_martingale_family,
-    simulate_squares,
-    simulate_squares_increment,
-    squares_model,
-)
-from .registry import DEFAULT_REGISTRY, ConstantRegistry
-from .results import (
-    DegenerateEnvelope,
-    MinEnvelope,
-    MomentBound,
-    PowerEnvelope,
-    TailBound,
-)
-from .rip import (
-    BosSystem,
-    RipInstance,
-    RipReport,
-    build_dft,
-    check_bos,
-    estimate_failure_probability,
-    restricted_isometry_constant,
-    sample_complexity,
-    sample_selectors,
-    subsample,
-    subsampled_instance,
-)
-from .schatten import SchattenRadii, matrix_set_space, schatten_norm, schatten_radii
-from .serialize import (
-    canonical_json,
-    jsonify,
-    config_hash,
-    load_json,
-    load_samples,
-    matrix_from_json,
-    matrix_to_json,
-    space_from_json,
-    space_to_json,
-    write_csv,
-    write_json,
-)
-from .validation import (
-    MomentEstimate,
-    ValidationReport,
-    check_symmetrization_decoupling,
-    estimate_moments,
-    exceedance_lower_bound,
-    exceedance_upper_bound,
-    validate_bound,
-)
+from .bounds import *  # noqa: F401,F403
+from .chaining import *  # noqa: F401,F403
+from .conversions import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .metric import *  # noqa: F401,F403
+from .orlicz import *  # noqa: F401,F403
+from .processes import *  # noqa: F401,F403
+from .registry import *  # noqa: F401,F403
+from .results import *  # noqa: F401,F403
+from .rip import *  # noqa: F401,F403
+from .schatten import *  # noqa: F401,F403
+from .serialize import *  # noqa: F401,F403
+from .validation import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdmissibleSequence",
-    "BernsteinParams",
-    "BosSystem",
-    "CapacityError",
-    "ChainboundsError",
-    "ConstantRegistry",
-    "ConvergenceError",
-    "CoverResult",
-    "CoveringProfile",
-    "DEFAULT_REGISTRY",
-    "DegenerateEnvelope",
-    "DomainError",
-    "EXACT_COVER_CAP",
-    "EntropyIntegral",
-    "FiniteMetricSpace",
-    "GAMMA_EXACT_CAP",
-    "GammaEstimate",
-    "L2_INCREMENT_COEFF",
-    "MetricValidationError",
-    "MinEnvelope",
-    "MissingConstantError",
-    "MixedTailMetrics",
-    "ModelError",
-    "MomentBound",
-    "MomentEstimate",
-    "OrliczNorm",
-    "PowerEnvelope",
-    "ProcessModel",
-    "RipInstance",
-    "RipReport",
-    "RowDistribution",
-    "SchattenRadii",
-    "SupremumSample",
-    "TailBound",
-    "UnsupportedFamilyError",
-    "ValidationReport",
-    "admissible_partitions",
-    "admissible_sets",
-    "azuma_uniform_bound",
-    "bernstein_tail",
-    "build_dft",
-    "build_metric_space",
-    "canonical_json",
-    "canonical_metric",
-    "chaos_supremum_bound",
-    "check_bos",
-    "check_symmetrization_decoupling",
-    "config_hash",
-    "jsonify",
-    "covering_number",
-    "covering_profile",
-    "empirical_model",
-    "empirical_parameters",
-    "empirical_process_bound",
-    "entropy_integral",
-    "estimate_failure_probability",
-    "estimate_moments",
-    "exact_chaos_distribution",
-    "exact_empirical_distribution",
-    "exact_martingale_distribution",
-    "exceedance_lower_bound",
-    "exceedance_upper_bound",
-    "functional_value",
-    "gamma_exact",
-    "gamma_greedy",
-    "gamma_prime",
-    "gaussian_model",
-    "gaussian_process_bound",
-    "greedy_admissible_sequence",
-    "hanson_wright_tail",
-    "kmr_parameters",
-    "level_capacity",
-    "load_json",
-    "load_samples",
-    "lp_from_tail",
-    "lp_tail_integral_bound",
-    "martingale_model",
-    "matrix_from_json",
-    "matrix_set_space",
-    "matrix_to_json",
-    "merge_partitions",
-    "mixed_metrics",
-    "mixed_tail_supremum_bound",
-    "moments_to_tails",
-    "moments_to_tails_mixed",
-    "psi_alpha",
-    "psi_alpha_supremum_bound",
-    "psi_norm_analytic",
-    "psi_norm_empirical",
-    "psi_product_bound",
-    "psi_tail_envelope",
-    "replication_rng",
-    "restricted_isometry_constant",
-    "sample_complexity",
-    "sample_selectors",
-    "schatten_norm",
-    "schatten_radii",
-    "sign_patterns",
-    "simulate_chaos",
-    "simulate_empirical",
-    "simulate_gaussian",
-    "simulate_martingale_family",
-    "simulate_squares",
-    "simulate_squares_increment",
-    "small_set_cap",
-    "small_set_moment_bound",
-    "space_from_json",
-    "space_from_points",
-    "space_to_json",
-    "squares_default_parameters",
-    "squares_l2_increment_tail",
-    "squares_model",
-    "squares_supremum_bound",
-    "subsample",
-    "subsampled_instance",
-    "tails_to_moments",
-    "tails_to_moments_mixed",
-    "truncation_level",
-    "union_bound_constant",
-    "union_bound_probability",
-    "validate_bound",
-    "write_csv",
-    "write_json",
-]
+_MODULES = (
+    bounds, chaining, conversions, errors, metric, orlicz, processes,
+    registry, results, rip, schatten, serialize, validation,
+)
+__all__ = sorted(name for module in _MODULES for name in module.__all__)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chaining import GammaEstimate
-from .errors import DomainError
+from .errors import DomainError, check_int, check_real
 from .metric import FiniteMetricSpace
 from .orlicz import OrliczNorm
 from .registry import DEFAULT_REGISTRY, ConstantRegistry
@@ -41,6 +41,7 @@ __all__ = [
     "hanson_wright_tail",
     "kmr_parameters",
     "chaos_supremum_bound",
+    "L2_INCREMENT_COEFF",
 ]
 
 # Coefficient of the L2(mu_m) increment tail (exact, not fitted).
@@ -53,7 +54,8 @@ def _pick_form(p, u) -> str:
     return "moment" if p is not None else "tail"
 
 
-def _check_gamma(gamma: GammaEstimate, alpha: float, p: float, role: str) -> float:
+def _gamma_value(gamma: GammaEstimate, alpha: float, p: float, role: str) -> float:
+    """The functional's value, once its alpha and order match the bound's."""
     if not math.isclose(gamma.alpha, alpha):
         raise DomainError(
             f"{role} expects an alpha = {alpha:g} functional, got alpha = {gamma.alpha:g}"
@@ -63,16 +65,8 @@ def _check_gamma(gamma: GammaEstimate, alpha: float, p: float, role: str) -> flo
             f"{role} expects the order-{p:g} functional, got p = {gamma.p:g}; "
             "recompute the estimate at the requested order"
         )
-    if not (math.isfinite(gamma.value) and gamma.value >= 0):
-        raise DomainError(f"{role} functional value must be finite, got {gamma.value}")
+    check_real(f"{role} functional value", gamma.value, 0.0)
     return gamma.value
-
-
-def _nonneg(label: str, v: float) -> float:
-    v = float(v)
-    if not (math.isfinite(v) and v >= 0):
-        raise DomainError(f"{label} must be finite and >= 0, got {v}")
-    return v
 
 
 def psi_alpha_supremum_bound(
@@ -101,27 +95,27 @@ def psi_alpha_supremum_bound(
     form = _pick_form(p, u)
     C, c_fitted = registry.chaining_C(alpha)
     if form == "moment":
-        gval = _check_gamma(gamma, alpha, p, "moment form")
+        gval = _gamma_value(gamma, alpha, p, "moment form")
         fitted = c_fitted
         constants = {f"C_{alpha:g}": C}
         if sup_term is None:
             if diam is None:
                 raise DomainError("moment form needs either sup_term or diam")
             D, d_fitted = registry.chaining_D(alpha)
-            sup_term = D * _nonneg("diam", diam) * p ** (1.0 / alpha)
+            sup_term = D * check_real("diam", diam, 0.0) * p ** (1.0 / alpha)
             fitted = fitted or d_fitted
             constants[f"D_{alpha:g}"] = D
         return MomentBound(
             p=float(p),
             decomposition=(
                 ("chaining", C * gval),
-                ("small-set", 2.0 * _nonneg("sup_term", sup_term)),
+                ("small-set", 2.0 * check_real("sup_term", sup_term, 0.0)),
             ),
             constants=constants,
             fitted=fitted,
             name="psi-alpha-supremum",
         )
-    gval = _check_gamma(gamma, alpha, 1.0, "tail form")
+    gval = _gamma_value(gamma, alpha, 1.0, "tail form")
     if diam is None:
         raise DomainError("tail form needs the index-set diameter")
     D, d_fitted = registry.chaining_D(alpha)
@@ -129,7 +123,7 @@ def psi_alpha_supremum_bound(
         factor=math.exp(1.0 / alpha),
         const=C * gval,
         sqrt_coeff=0.0,
-        linear=D * _nonneg("diam", diam),
+        linear=D * check_real("diam", diam, 0.0),
         envelope=PowerEnvelope(prefactor=1.0, rate=1.0 / alpha, power=alpha),
         u_min=1.0,
         constants={f"C_{alpha:g}": C, f"D_{alpha:g}": D},
@@ -159,11 +153,11 @@ def gaussian_process_bound(
     form = _pick_form(p, u)
     C, c_fitted = registry.chaining_C(2.0)
     D, d_fitted = registry.chaining_D(2.0)
-    sigma = _nonneg("sigma", sigma)
+    sigma = check_real("sigma", sigma, 0.0)
     constants = {"C_2": C, "D_2": D}
     fitted = c_fitted or d_fitted
     if form == "moment":
-        gval = _check_gamma(gamma2, 2.0, p, "moment form")
+        gval = _gamma_value(gamma2, 2.0, p, "moment form")
         return MomentBound(
             p=float(p),
             decomposition=(
@@ -174,7 +168,7 @@ def gaussian_process_bound(
             fitted=fitted,
             name="gaussian-supremum",
         )
-    gval = _check_gamma(gamma2, 2.0, 1.0, "tail form")
+    gval = _gamma_value(gamma2, 2.0, 1.0, "tail form")
     bound = TailBound(
         factor=math.sqrt(math.e),
         const=C * gval,
@@ -204,14 +198,14 @@ def azuma_uniform_bound(
         P(sup_t |X_{t,n} - X_{t,0}| >= sqrt(e)(C_2 gamma_2 + D_2 diam u))
             <= exp(-u^2 / 2).
     """
-    gval = _check_gamma(gamma2, 2.0, 1.0, "uniform martingale bound")
+    gval = _gamma_value(gamma2, 2.0, 1.0, "uniform martingale bound")
     C, c_fitted = registry.chaining_C(2.0)
     D, d_fitted = registry.chaining_D(2.0)
     bound = TailBound(
         factor=math.sqrt(math.e),
         const=C * gval,
         sqrt_coeff=0.0,
-        linear=D * _nonneg("diam", diam),
+        linear=D * check_real("diam", diam, 0.0),
         envelope=PowerEnvelope(prefactor=1.0, rate=0.5, power=2.0),
         u_min=1.0,
         constants={"C_2": C, "D_2": D},
@@ -270,8 +264,8 @@ def mixed_tail_supremum_bound(
             + c (sqrt(u) diam2 + u diam1)) <= exp(-u).
     """
     form = _pick_form(p, u)
-    g2 = _check_gamma(gamma2, 2.0, 1.0, "mixed-tail subgaussian part")
-    g1 = _check_gamma(gamma1, 1.0, 1.0, "mixed-tail subexponential part")
+    g2 = _gamma_value(gamma2, 2.0, 1.0, "mixed-tail subgaussian part")
+    g1 = _gamma_value(gamma1, 1.0, 1.0, "mixed-tail subexponential part")
     C, _ = registry.require("mixed_C")
     if form == "moment":
         if sup_term is None:
@@ -283,7 +277,7 @@ def mixed_tail_supremum_bound(
             decomposition=(
                 ("chaining-d2", C * g2),
                 ("chaining-d1", C * g1),
-                ("small-set", 2.0 * _nonneg("sup_term", sup_term)),
+                ("small-set", 2.0 * check_real("sup_term", sup_term, 0.0)),
             ),
             constants={"mixed_C": C},
             fitted=True,
@@ -298,8 +292,8 @@ def mixed_tail_supremum_bound(
     bound = TailBound(
         factor=1.0,
         const=C * (g2 + g1),
-        sqrt_coeff=c * _nonneg("diam2", diam2),
-        linear=c * _nonneg("diam1", diam1),
+        sqrt_coeff=c * check_real("diam2", diam2, 0.0),
+        linear=c * check_real("diam1", diam1, 0.0),
         envelope=PowerEnvelope(prefactor=1.0, rate=1.0, power=1.0),
         u_min=1.0,
         constants={"mixed_C": C, "mixed_c": c},
@@ -334,12 +328,11 @@ def empirical_process_bound(
                    + c (sigma sqrt(u)/sqrt(m) + K u/m), envelope exp(-u), u >= 1.
     """
     form = _pick_form(p, u)
-    g2 = _check_gamma(gamma2, 2.0, 1.0, "empirical-process subgaussian part")
-    g1 = _check_gamma(gamma1, 1.0, 1.0, "empirical-process subexponential part")
-    sigma = _nonneg("sigma", sigma)
-    K = _nonneg("K", K)
-    if int(m) != m or m < 1:
-        raise DomainError(f"sample count m must be an integer >= 1, got {m}")
+    g2 = _gamma_value(gamma2, 2.0, 1.0, "empirical-process subgaussian part")
+    g1 = _gamma_value(gamma1, 1.0, 1.0, "empirical-process subexponential part")
+    sigma = check_real("sigma", sigma, 0.0)
+    K = check_real("K", K, 0.0)
+    check_int("sample count m", m, 1)
     m = float(m)
     rm = math.sqrt(m)
     C, _ = registry.require("empirical_C")
@@ -412,16 +405,15 @@ def squares_supremum_bound(
                    + c (sqrt(u) sigma/sqrt(m) + u K/m), envelope exp(-u), u >= 1.
     """
     form = _pick_form(p, u)
-    radius = _nonneg("radius", radius)
-    sigma = _nonneg("sigma", sigma)
-    K = _nonneg("K", K)
-    if int(m) != m or m < 1:
-        raise DomainError(f"sample count m must be an integer >= 1, got {m}")
+    radius = check_real("radius", radius, 0.0)
+    sigma = check_real("sigma", sigma, 0.0)
+    K = check_real("K", K, 0.0)
+    check_int("sample count m", m, 1)
     m = float(m)
     rm = math.sqrt(m)
     C, _ = registry.require("squares_C")
     if form == "moment":
-        gval = _check_gamma(gamma2p, 2.0, p, "squares moment form")
+        gval = _gamma_value(gamma2p, 2.0, p, "squares moment form")
         return MomentBound(
             p=float(p),
             decomposition=(
@@ -434,7 +426,7 @@ def squares_supremum_bound(
             fitted=True,
             name="squares-supremum",
         )
-    gval = _check_gamma(gamma2p, 2.0, 1.0, "squares tail form")
+    gval = _gamma_value(gamma2p, 2.0, 1.0, "squares tail form")
     c, _ = registry.require("squares_c")
     bound = TailBound(
         factor=1.0,
@@ -461,9 +453,8 @@ def squares_l2_increment_tail(
             <= 2 exp(-m u^2).
     The coefficient 2(1+sqrt(2)) is exact, not fitted.
     """
-    psi2_distance = _nonneg("psi2_distance", psi2_distance)
-    if int(m) != m or m < 1:
-        raise DomainError(f"sample count m must be an integer >= 1, got {m}")
+    psi2_distance = check_real("psi2_distance", psi2_distance, 0.0)
+    check_int("sample count m", m, 1)
     bound = TailBound(
         factor=1.0,
         const=0.0,
@@ -496,9 +487,7 @@ def hanson_wright_tail(
     s2 = schatten_norm(B, 2)
     sinf = schatten_norm(B, math.inf)
     if c_fit is not None:
-        c = float(c_fit)
-        if not (c > 0 and math.isfinite(c)):
-            raise DomainError(f"fitted rate c must be positive and finite, got {c}")
+        c = check_real("fitted rate c", c_fit, 0.0, strict=True)
     else:
         c, _ = registry.require("hanson_wright_c")
     if s2 == 0.0:
@@ -530,7 +519,7 @@ def kmr_parameters(radii: SchattenRadii) -> dict:
     """
     if radii.gamma2_dinf is None:
         raise DomainError("radii lack a gamma_2 estimate; recompute with gamma_mode != 'none'")
-    g = _check_gamma(radii.gamma2_dinf, 2.0, 1.0, "comparison parameters")
+    g = _gamma_value(radii.gamma2_dinf, 2.0, 1.0, "comparison parameters")
     return {
         "E": g**2 + radii.delta_2 * g,
         "V": radii.delta_inf * (radii.delta_2 + g),
@@ -567,7 +556,7 @@ def chaos_supremum_bound(
     scale = xi_psi2.value**2
     C, _ = registry.require("chaos_C")
     if form == "moment":
-        g = _check_gamma(radii.gamma2_dinf, 2.0, p, "chaos moment form")
+        g = _gamma_value(radii.gamma2_dinf, 2.0, p, "chaos moment form")
         return MomentBound(
             p=float(p),
             decomposition=(
@@ -580,7 +569,7 @@ def chaos_supremum_bound(
             fitted=True,
             name="chaos-supremum",
         )
-    g = _check_gamma(radii.gamma2_dinf, 2.0, 1.0, "chaos tail form")
+    g = _gamma_value(radii.gamma2_dinf, 2.0, 1.0, "chaos tail form")
     c, _ = registry.require("chaos_c")
     bound = TailBound(
         factor=1.0,

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, MetricValidationError
-from .metric import FiniteMetricSpace
+from .errors import CapacityError, DomainError, MetricValidationError, check_real
+from .metric import FiniteMetricSpace, farthest_point_order
 
 __all__ = [
     "AdmissibleSequence",
@@ -43,22 +43,21 @@ __all__ = [
 GAMMA_EXACT_CAP = 6
 
 
+def _doubly_exponential(l: int) -> int:
+    """2^(2^l), saturated at 2^64, which exceeds any feasible finite index set."""
+    return 1 << 64 if l >= 6 else 1 << (1 << l)
+
+
 def level_capacity(n: int) -> int:
     """Cardinality cap at level n: 1 at level 0, else 2^(2^n)."""
     if n < 0:
         raise DomainError(f"level must be nonnegative, got {n}")
-    if n == 0:
-        return 1
-    if n >= 6:
-        return 1 << 64  # effectively unbounded for finite spaces here
-    return 1 << (1 << n)
+    return 1 if n == 0 else _doubly_exponential(n)
 
 
 def truncation_level(p: float) -> int:
     """l = floor(log2 p); the order-p functional sums levels n >= l."""
-    if p < 1:
-        raise DomainError(f"order p must be >= 1, got {p}")
-    return int(math.floor(math.log2(p)))
+    return int(math.floor(math.log2(check_real("order p", p, 1.0))))
 
 
 @dataclass(frozen=True)
@@ -93,7 +92,7 @@ class AdmissibleSequence:
         return all(self.space.subset_diameter(cell) == 0.0 for cell in self.levels[-1])
 
 
-def _check_space(space: FiniteMetricSpace, seq: AdmissibleSequence) -> None:
+def _require_same_space(space: FiniteMetricSpace, seq: AdmissibleSequence) -> None:
     if seq.space is not space and not (
         seq.space.labels == space.labels and np.array_equal(seq.space.dist, space.dist)
     ):
@@ -196,9 +195,8 @@ def functional_value(
     Returns inf when the final stored level does not reduce every point to
     distance zero (the repeated tail would diverge).
     """
-    if alpha <= 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
-    _check_space(space, seq)
+    check_real("alpha", alpha, 0.0, strict=True)
+    _require_same_space(space, seq)
     l = truncation_level(p)
     if not seq.covers_space():
         return math.inf
@@ -222,26 +220,18 @@ def greedy_admissible_sequence(
 ) -> AdmissibleSequence:
     """Farthest-point set sequence started at the Chebyshev center.
 
-    Level n grows the previous level by repeated farthest-point insertion
-    (ties to the lowest index) until its cardinality cap or until every point
-    is at distance zero; the construction itself does not depend on alpha or
-    p, which only weight the resulting functional.
+    Level n holds the first 2^(2^n) points of the farthest-point traversal
+    (ties to the lowest index), and the sequence ends at the first level
+    holding the whole traversal, where every point is at distance zero.  The
+    construction does not depend on alpha or p, which only weight the
+    resulting functional.
     """
-    if alpha <= 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
+    check_real("alpha", alpha, 0.0, strict=True)
     truncation_level(p)  # validates p
-    current = [space.chebyshev_center()]
-    dmin = space.dist[current[0]].copy()
-    levels = [tuple(current)]
-    n = 0
-    while dmin.max() > 0.0:
-        n += 1
-        cap = min(level_capacity(n), space.size)
-        while len(current) < cap and dmin.max() > 0.0:
-            nxt = int(np.argmax(dmin))
-            current.append(nxt)
-            dmin = np.minimum(dmin, space.dist[nxt])
-        levels.append(tuple(sorted(current)))
+    order = farthest_point_order(space)[0].tolist()
+    levels = [order[:1]]
+    while len(levels[-1]) < len(order):
+        levels.append(order[:level_capacity(len(levels))])
     return admissible_sets(space, levels)
 
 
@@ -271,8 +261,7 @@ def gamma_exact(
     Levels from the first n with 2^(2^n) >= |T| onward are fixed to the whole
     space (free and optimal), so only levels l..n*-1 are enumerated.
     """
-    if alpha <= 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
+    check_real("alpha", alpha, 0.0, strict=True)
     n = space.size
     if n > exact_cap:
         raise CapacityError(
@@ -359,8 +348,7 @@ def gamma_prime(
     cells the singleton partition finishes the chain at zero cost.  Greedy
     mode repeatedly splits the widest cell by farthest-pair seeding.
     """
-    if alpha <= 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
+    check_real("alpha", alpha, 0.0, strict=True)
     n = space.size
     singletons = tuple((i,) for i in range(n))
     trivial = (tuple(range(n)),)
@@ -474,7 +462,7 @@ def merge_partitions(
     """
     if first.kind != "partition" or second.kind != "partition":
         raise DomainError("merge_partitions expects two partition sequences")
-    _check_space(first.space, second)
+    _require_same_space(first.space, second)
     space = first.space
     depth = max(first.depth, second.depth) + 1
     levels = [(tuple(range(space.size)),)]

@@ -39,10 +39,11 @@ from .chaining import (
     gamma_prime,
     truncation_level,
 )
-from .errors import ChainboundsError, DomainError
+from .errors import ChainboundsError, DomainError, check_int
 from .metric import covering_number, covering_profile, entropy_integral
 from .orlicz import OrliczNorm, psi_norm_analytic, psi_norm_empirical
 from .processes import (
+    SEED_MAX,
     RowDistribution,
     empirical_model,
     gaussian_model,
@@ -84,13 +85,6 @@ def _out_dir(args) -> str:
     return out
 
 
-def _threads(args) -> int:
-    t = getattr(args, "threads", 1)
-    if t < 1:
-        raise DomainError(f"--threads must be >= 1, got {t}")
-    return t
-
-
 def _registry(args, inline=None) -> ConstantRegistry:
     reg = DEFAULT_REGISTRY
     if getattr(args, "fit", None):
@@ -107,7 +101,6 @@ def _emit(args, stem: str, config: dict, payload: dict, rows=None, fields=GRID_F
         "command": stem,
         "config": config,
         "config_hash": h,
-        "threads": _threads(args),
         **payload,
     }
     base = os.path.join(_out_dir(args), f"{stem}-{h[:12]}")
@@ -134,7 +127,7 @@ def _parse_float_list(text: str, name: str) -> list[float]:
 def _require_seed(seed) -> int:
     if seed is None:
         raise DomainError("a --seed (or config seed) is mandatory for stochastic commands")
-    return int(seed)
+    return check_int("seed", seed, 0, SEED_MAX)
 
 
 # ---------------------------------------------------------------- gamma
@@ -195,10 +188,7 @@ def _cmd_cover(args) -> int:
     if args.radius is None and not args.profile and args.entropy_alpha is None:
         raise DomainError("cover needs --radius, --profile, or --entropy-alpha")
     if args.radius is not None:
-        mode = args.mode
-        if mode == "auto":
-            mode = "exact" if space.size <= 20 else "greedy"
-        res = covering_number(space, args.radius, mode=mode)
+        res = covering_number(space, args.radius, mode=args.mode)
         payload["cover"] = {
             "radius": res.radius,
             "count": res.count,
@@ -278,7 +268,7 @@ def _pick_pu(params: dict) -> dict:
     return {k: params[k] for k in ("p", "u") if k in params}
 
 
-def _radii_param(params: dict, reg: ConstantRegistry):
+def _radii_param(params: dict):
     mats = [matrix_from_json(m) for m in params["matrices"]]
     return schatten_radii(
         mats, gamma_mode=params.get("gamma_mode", "auto"), p=float(params.get("gamma_p", 1.0))
@@ -393,13 +383,13 @@ def _build_bound(name: str, params: dict, reg: ConstantRegistry):
         )
     if name == "chaos":
         return chaos_supremum_bound(
-            _radii_param(params, reg),
+            _radii_param(params),
             _orlicz_param(params["xi_psi2"], "xi_psi2"),
             registry=reg,
             **_pick_pu(params),
         )
     if name == "kmr":
-        radii = _radii_param(params, reg)
+        radii = _radii_param(params)
         return {**kmr_parameters(radii), "fitted": False}
     raise DomainError(f"unknown bound name {name!r}")
 
@@ -501,9 +491,8 @@ def _cmd_simulate(args) -> int:
     if not isinstance(config, dict):
         raise DomainError("simulate config must be a JSON object")
     seed = _require_seed(args.seed if args.seed is not None else config.get("seed"))
-    reps = int(args.reps if args.reps is not None else config.get("reps", 0))
-    if reps < 1:
-        raise DomainError("simulate needs reps >= 1 (config or --reps)")
+    reps = args.reps if args.reps is not None else config.get("reps", 0)
+    reps = check_int("reps (config or --reps)", reps, 1)
     reg = _registry(args, inline=config.get("fit"))
     sample = _run_model(config["model"], reps, seed)
     payload: dict = {
@@ -690,8 +679,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="output directory (default $%s or .)" % OUTPUT_DIR_ENV)
-    common.add_argument("--threads", type=int, default=1,
-                        help="parallelism cap; recorded in artifacts (evaluation is sequential)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gamma", parents=[common], help="chaining functional of a metric space")
@@ -760,7 +747,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_rip_args(args) -> None:
+def _require_rip_args(args) -> None:
     need = {
         "exact": ("m",),
         "curve": ("delta", "m_list"),
@@ -779,7 +766,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         if args.command == "rip":
-            _check_rip_args(args)
+            _require_rip_args(args)
         return args.func(args)
     except ChainboundsError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .chaining import _doubly_exponential, truncation_level
+from .errors import DomainError, check_int, check_real
 from .registry import DEFAULT_REGISTRY, ConstantRegistry
 from .results import MomentBound, PowerEnvelope, TailBound
 
@@ -28,6 +29,7 @@ __all__ = [
     "union_bound_probability",
     "lp_tail_integral_bound",
     "lp_from_tail",
+    "small_set_cap",
     "BernsteinParams",
     "bernstein_tail",
 ]
@@ -35,20 +37,6 @@ __all__ = [
 _LOG2 = math.log(2.0)
 # exp(1/(2e)): the p^(1/(2p)) <= e^(1/(2e)) envelope used by the Stirling steps.
 _STIRLING_PREF = math.exp(1.0 / (2.0 * math.e))
-
-
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not (0.0 < alpha < math.inf):
-        raise DomainError(f"alpha must lie in (0, inf), got {alpha}")
-    return alpha
-
-
-def _check_p(p: float) -> float:
-    p = float(p)
-    if not (p >= 1.0 and math.isfinite(p)):
-        raise DomainError(f"moment order p must be finite and >= 1, got {p}")
-    return p
 
 
 def moments_to_tails(a: float, b: float, alpha: float, u: float | None = None) -> TailBound:
@@ -61,17 +49,15 @@ def moments_to_tails(a: float, b: float, alpha: float, u: float | None = None) -
 
     Passing ``u`` eagerly validates it against the u >= 1 domain.
     """
-    alpha = _check_alpha(alpha)
-    if not (a > 0 and math.isfinite(a)):
-        raise DomainError(f"moment scale a must be positive and finite, got {a}")
-    if not (b >= 0 and math.isfinite(b)):
-        raise DomainError(f"moment offset b must be >= 0 and finite, got {b}")
+    alpha = check_real("alpha", alpha, 0.0, strict=True)
+    a = check_real("moment scale a", a, 0.0, strict=True)
+    b = check_real("moment offset b", b, 0.0)
     factor = math.exp(1.0 / alpha)
     bound = TailBound(
         factor=factor,
-        const=float(b),
+        const=b,
         sqrt_coeff=0.0,
-        linear=float(a),
+        linear=a,
         envelope=PowerEnvelope(prefactor=1.0, rate=1.0 / alpha, power=alpha),
         u_min=1.0,
         constants={"threshold_factor": factor},
@@ -92,14 +78,14 @@ def moments_to_tails_mixed(
 
         P(|X| >= e * (a1*u + a2*sqrt(u) + a3)) <= exp(-u)   (u >= 1).
     """
-    for label, v in (("a1", a1), ("a2", a2), ("a3", a3)):
-        if not (v >= 0 and math.isfinite(v)):
-            raise DomainError(f"coefficient {label} must be >= 0 and finite, got {v}")
+    a1 = check_real("coefficient a1", a1, 0.0)
+    a2 = check_real("coefficient a2", a2, 0.0)
+    a3 = check_real("coefficient a3", a3, 0.0)
     bound = TailBound(
         factor=math.e,
-        const=float(a3),
-        sqrt_coeff=float(a2),
-        linear=float(a1),
+        const=a3,
+        sqrt_coeff=a2,
+        linear=a1,
         envelope=PowerEnvelope(prefactor=1.0, rate=1.0, power=1.0),
         u_min=1.0,
         constants={"threshold_factor": math.e},
@@ -118,12 +104,10 @@ def tails_to_moments(a: float, b: float, alpha: float, p: float) -> MomentBound:
 
         (E|X|^p)^(1/p) <= e^(1/2e) * a * (sqrt(2*pi/alpha) * e^(alpha/12) * b)^(1/p) * p^(1/alpha).
     """
-    alpha = _check_alpha(alpha)
-    p = _check_p(p)
-    if not (a >= 0 and math.isfinite(a)):
-        raise DomainError(f"tail scale a must be >= 0 and finite, got {a}")
-    if not (b >= 0 and math.isfinite(b)):
-        raise DomainError(f"tail prefactor b must be >= 0 and finite, got {b}")
+    alpha = check_real("alpha", alpha, 0.0, strict=True)
+    p = check_real("moment order p", p, 1.0)
+    check_real("tail scale a", a, 0.0)
+    check_real("tail prefactor b", b, 0.0)
     inner = math.sqrt(2.0 * math.pi / alpha) * math.exp(alpha / 12.0) * b
     value = _STIRLING_PREF * a * inner ** (1.0 / p) * p ** (1.0 / alpha)
     return MomentBound(
@@ -143,10 +127,9 @@ def tails_to_moments_mixed(a1: float, a2: float, p: float) -> MomentBound:
         (E|X|^p)^(1/p) <= a1 * 2 e^(1/2e) (sqrt(2 pi) e^(1/12p))^(1/p) e^(-1) * p
                         + a2 * 2 (2e)^(-1/2) e^(1/2e) (sqrt(pi) e^(1/6p))^(1/p) * sqrt(p).
     """
-    p = _check_p(p)
-    for label, v in (("a1", a1), ("a2", a2)):
-        if not (v >= 0 and math.isfinite(v)):
-            raise DomainError(f"coefficient {label} must be >= 0 and finite, got {v}")
+    p = check_real("moment order p", p, 1.0)
+    check_real("coefficient a1", a1, 0.0)
+    check_real("coefficient a2", a2, 0.0)
     linear_term = (
         a1
         * 2.0
@@ -173,11 +156,7 @@ def tails_to_moments_mixed(a1: float, a2: float, p: float) -> MomentBound:
 
 def small_set_cap(p: float) -> int:
     """2^(2^l) with l = floor(log2 p): the set size a doubled max controls."""
-    p = _check_p(p)
-    l = int(math.floor(math.log2(p)))
-    if l >= 6:  # 2^64 already exceeds any feasible finite index set
-        return 1 << 64
-    return 1 << (1 << l)
+    return _doubly_exponential(truncation_level(p))
 
 
 def small_set_moment_bound(
@@ -188,7 +167,7 @@ def small_set_moment_bound(
     Valid whenever the set size is at most 2^(2^l), l = floor(log2 p);
     then (E sup_t |X_t|^p)^(1/p) <= 2 * sup_t (E|X_t|^p)^(1/p).
     """
-    p = _check_p(p)
+    p = check_real("moment order p", p, 1.0)
     vals = np.asarray(individual_bounds, dtype=float)
     if vals.size == 0:
         raise DomainError("individual_bounds must be nonempty")
@@ -197,9 +176,8 @@ def small_set_moment_bound(
     size = int(set_size) if set_size is not None else int(vals.size)
     cap = small_set_cap(p)
     if size > cap:
-        l = int(math.floor(math.log2(p)))
         raise DomainError(
-            f"set size {size} exceeds the order-{p:g} cap 2^(2^{l}) = {cap}"
+            f"set size {size} exceeds the order-{p:g} cap 2^(2^{truncation_level(p)}) = {cap}"
         )
     value = 2.0 * float(vals.max())
     return MomentBound(
@@ -217,7 +195,7 @@ def union_bound_constant(alpha: float = 2.0, tol: float = 1e-18) -> float:
     geometric series converges extremely fast; the value (about 5.83) is
     independent of alpha and is below the crude ceiling 16.
     """
-    _check_alpha(alpha)
+    check_real("alpha", alpha, 0.0, strict=True)
     rate = 2.0 * (_LOG2 - 1.0) + 0.5
     total = 0.0
     for n in range(128):
@@ -240,8 +218,8 @@ def union_bound_probability(
     levels above the truncation index.  The returned value is an upper
     bound and may exceed 1 (vacuous) for small u with the default c = 16.
     """
-    alpha = _check_alpha(alpha)
-    p = _check_p(p)
+    alpha = check_real("alpha", alpha, 0.0, strict=True)
+    p = check_real("moment order p", p, 1.0)
     u_min = 2.0 ** (1.0 / alpha)
     if u < u_min:
         raise DomainError(
@@ -257,16 +235,20 @@ def lp_tail_integral_bound(alpha: float, p: float) -> float:
     Equals (sqrt(2 pi)/2) * 2^(p/alpha) * (2/alpha)^(p/alpha + 1/2) * sqrt(p);
     evaluated in log space (may overflow to inf for extreme p/alpha).
     """
-    alpha = _check_alpha(alpha)
-    p = _check_p(p)
-    log_j = (
+    alpha = check_real("alpha", alpha, 0.0, strict=True)
+    log_j = _log_j(alpha, check_real("moment order p", p, 1.0))
+    return math.exp(log_j) if log_j < 700.0 else math.inf
+
+
+def _log_j(alpha: float, p: float) -> float:
+    """log of lp_tail_integral_bound(alpha, p), for validated alpha and p."""
+    return (
         0.5 * math.log(2.0 * math.pi)
         - _LOG2
         + (p / alpha) * _LOG2
         + (p / alpha + 0.5) * math.log(2.0 / alpha)
         + 0.5 * math.log(p)
     )
-    return math.exp(log_j) if log_j < 700.0 else math.inf
 
 
 def lp_from_tail(
@@ -282,21 +264,12 @@ def lp_from_tail(
     with J = lp_tail_integral_bound(alpha, p).  Evaluated in log space so
     large p does not overflow the intermediate u_star^p.
     """
-    alpha = _check_alpha(alpha)
-    p = _check_p(p)
-    if not (gamma >= 0 and math.isfinite(gamma)):
-        raise DomainError(f"scale gamma must be >= 0 and finite, got {gamma}")
-    if not (c > 0 and math.isfinite(c)):
-        raise DomainError(f"prefactor c must be positive and finite, got {c}")
-    if not (u_star > 0 and math.isfinite(u_star)):
-        raise DomainError(f"onset u_star must be positive and finite, got {u_star}")
-    log_j = (
-        0.5 * math.log(2.0 * math.pi)
-        - _LOG2
-        + (p / alpha) * _LOG2
-        + (p / alpha + 0.5) * math.log(2.0 / alpha)
-        + 0.5 * math.log(p)
-    )
+    alpha = check_real("alpha", alpha, 0.0, strict=True)
+    p = check_real("moment order p", p, 1.0)
+    check_real("scale gamma", gamma, 0.0)
+    check_real("prefactor c", c, 0.0, strict=True)
+    check_real("onset u_star", u_star, 0.0, strict=True)
+    log_j = _log_j(alpha, p)
     log_sum = np.logaddexp(math.log(c) + log_j, p * math.log(u_star))
     value = gamma * math.exp(log_sum / p)
     return MomentBound(
@@ -324,16 +297,11 @@ class BernsteinParams:
     kappa: float | None = None
 
     def __post_init__(self):
-        if int(self.m) != self.m or self.m < 1:
-            raise DomainError(f"sample count m must be an integer >= 1, got {self.m}")
-        for label, v in (
-            ("sigma", self.sigma),
-            ("K", self.K),
-            ("nu", self.nu),
-            ("kappa", self.kappa),
-        ):
-            if v is not None and (not math.isfinite(v) or v < 0):
-                raise DomainError(f"parameter {label} must be finite and >= 0, got {v}")
+        check_int("sample count m", self.m, 1)
+        for label in ("sigma", "K", "nu", "kappa"):
+            v = getattr(self, label)
+            if v is not None:
+                check_real(f"parameter {label}", v, 0.0)
         if self.nu is not None and self.kappa is not None and self.nu > self.kappa * (1 + 1e-12):
             raise DomainError(
                 f"psi_1 quadratic mean nu = {self.nu} cannot exceed the max kappa = {self.kappa}"

@@ -1,8 +1,12 @@
 """Shared exception types.
 
 Every rejection carries a message naming the offending entry, so callers can
-surface validation failures without re-deriving them.
+surface validation failures without re-deriving them.  The two argument
+validators below are shared by every module that takes a count, a seed, an
+order or a scale.
 """
+
+import math
 
 __all__ = [
     "ChainboundsError",
@@ -46,3 +50,29 @@ class ModelError(ChainboundsError):
 
 class MissingConstantError(ChainboundsError):
     """A bound requires a fitted constant that was not supplied."""
+
+
+def check_int(name: str, v, low: int, high: int | None = None) -> int:
+    """v as an int; DomainError unless it is an integer in [low, high].
+
+    Integral floats are accepted; bools, NaN and infinities are not.
+    """
+    try:
+        integral = not isinstance(v, bool) and int(v) == v
+    except (ValueError, OverflowError):  # NaN, infinities, non-numeric strings
+        integral = False
+    if not integral:
+        raise DomainError(f"{name} must be an integer, got {v!r}")
+    v = int(v)
+    if v < low or (high is not None and v > high):
+        hi = "" if high is None else f" and <= {high}"
+        raise DomainError(f"{name} must be >= {low}{hi}, got {v}")
+    return v
+
+
+def check_real(name: str, v, low: float, strict: bool = False) -> float:
+    """v as a float; DomainError unless it is finite and >= low (> low if strict)."""
+    if not (math.isfinite(v) and (v > low if strict else v >= low)):
+        op = ">" if strict else ">="
+        raise DomainError(f"{name} must be finite and {op} {low:g}, got {v!r}")
+    return float(v)

@@ -5,7 +5,10 @@ distance matrix that has a zero diagonal and satisfies the triangle
 inequality.  Zero off-diagonal distances are allowed (semi-metric), which is
 what canonical metrics of perfectly correlated processes produce.
 
-Covering numbers count closed balls centered at points of the space.  The
+Covering numbers count closed balls centered at points of the space.  Every
+greedy answer (covers, covering profiles, and through them entropy
+integrals and greedy admissible sequences) is read off one farthest-point
+traversal (Gonzalez, 1985), computed once per space.  The
 entropy integral integrates (log N(T,d,u))^(1/alpha) over u; since N is a
 step function whose jumps happen at pairwise distances, the integral is a
 finite sum over consecutive breakpoints and is computed exactly.
@@ -13,13 +16,12 @@ finite sum over consecutive breakpoints and is computed exactly.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, MetricValidationError
+from .errors import CapacityError, DomainError, MetricValidationError, check_real
 
 __all__ = [
     "FiniteMetricSpace",
@@ -206,15 +208,38 @@ def _ball_masks(space: FiniteMetricSpace, u: float) -> list[int]:
     return masks
 
 
-def _greedy_cover(space: FiniteMetricSpace, u: float) -> list[int]:
-    """Farthest-point traversal started at the Chebyshev center."""
-    centers = [space.chebyshev_center()]
-    dmin = space.dist[centers[0]].copy()
-    while dmin.max() > u:
+def farthest_point_order(space: FiniteMetricSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Farthest-point traversal started at the Chebyshev center.
+
+    order[0] is the Chebyshev center and order[k] the point farthest from
+    order[:k] (ties to the lowest index); radii[k] = max_t d(t, order[:k+1])
+    is the covering radius of the first k+1 centers.  The traversal stops
+    once that radius is 0, so radii is nonincreasing and ends at 0.
+    """
+    nxt = space.chebyshev_center()
+    order = [nxt]
+    dmin = space.dist[nxt].copy()
+    radii = [dmin.max()]
+    while radii[-1] > 0.0:
         nxt = int(np.argmax(dmin))  # first maximum = lowest index tie-break
-        centers.append(nxt)
+        order.append(nxt)
         dmin = np.minimum(dmin, space.dist[nxt])
-    return centers
+        radii.append(dmin.max())
+    return np.array(order), np.array(radii)
+
+
+def _greedy_counts(radii: np.ndarray, us) -> np.ndarray:
+    """Per radius u, the first k with radii[k-1] <= u: the greedy cover size."""
+    ascending = radii[::-1]
+    return radii.size - np.searchsorted(ascending, us, side="right") + 1
+
+
+def _resolve_mode(mode: str, size: int, exact_cap: int) -> str:
+    if mode not in ("exact", "greedy", "auto"):
+        raise DomainError(f"unknown covering mode {mode!r}")
+    if mode == "auto":
+        return "exact" if size <= exact_cap else "greedy"
+    return mode
 
 
 def _exact_cover(masks: list[int], n: int) -> list[int]:
@@ -280,16 +305,19 @@ def covering_number(
     """Smallest (or greedy) number of closed radius-u balls covering the space.
 
     Ball centers are points of the space.  Exact mode runs a set-cover search
-    and requires size <= exact_cap; greedy mode runs farthest-point traversal
-    and its count is always >= the exact one.
+    and requires size <= exact_cap; greedy mode stops the farthest-point
+    traversal at radius u, and its count is always >= the exact one.  Auto
+    mode is exact up to exact_cap points and greedy above.  u = inf is one
+    ball; a NaN radius is rejected.
     """
-    if u < 0:
+    if not u >= 0:
         raise DomainError(f"radius must be nonnegative, got {u}")
+    mode = _resolve_mode(mode, space.size, exact_cap)
     if mode == "greedy":
-        centers = _greedy_cover(space, u)
-        return CoverResult(radius=float(u), count=len(centers), centers=tuple(sorted(centers)), mode="greedy")
-    if mode != "exact":
-        raise DomainError(f"unknown covering mode {mode!r}")
+        order, radii = farthest_point_order(space)
+        k = int(_greedy_counts(radii, u))
+        return CoverResult(radius=float(u), count=k, centers=tuple(sorted(order[:k].tolist())),
+                           mode="greedy")
     if space.size > exact_cap:
         raise CapacityError(
             f"exact covering capped at {exact_cap} points, space has {space.size}; "
@@ -311,20 +339,34 @@ def covering_profile(
     mode: str = "exact",
     exact_cap: int = EXACT_COVER_CAP,
 ) -> CoveringProfile:
-    """Covering numbers at every breakpoint radius (exact step function)."""
-    use_greedy = mode == "greedy" or (mode == "auto" and space.size > exact_cap)
-    if mode not in ("exact", "greedy", "auto"):
-        raise DomainError(f"unknown covering mode {mode!r}")
-    actual = "greedy" if use_greedy else "exact"
-    radii, counts, centers = [], [], []
-    for u in _breakpoints(space):
-        res = covering_number(space, float(u), mode=actual, exact_cap=exact_cap)
-        radii.append(float(u))
-        counts.append(res.count)
-        centers.append(res.centers)
-        if res.count == 1:
-            break
-    return CoveringProfile(tuple(radii), tuple(counts), tuple(centers), actual)
+    """Covering numbers at every breakpoint radius (exact step function).
+
+    The profile stops at the first breakpoint covered by one ball.  Greedy
+    counts are looked up in a single farthest-point traversal.
+    """
+    mode = _resolve_mode(mode, space.size, exact_cap)
+    breakpoints = _breakpoints(space)
+    if mode == "exact":
+        radii, counts, centers = [], [], []
+        for u in breakpoints:
+            res = covering_number(space, float(u), mode="exact", exact_cap=exact_cap)
+            radii.append(float(u))
+            counts.append(res.count)
+            centers.append(res.centers)
+            if res.count == 1:
+                break
+        return CoveringProfile(tuple(radii), tuple(counts), tuple(centers), mode)
+    order, traversal_radii = farthest_point_order(space)
+    all_counts = _greedy_counts(traversal_radii, breakpoints)
+    stop = int(np.argmax(all_counts == 1)) + 1  # the largest breakpoint needs one ball
+    counts = tuple(int(k) for k in all_counts[:stop])
+    prefix = {k: tuple(sorted(order[:k].tolist())) for k in set(counts)}
+    return CoveringProfile(
+        tuple(float(u) for u in breakpoints[:stop]),
+        counts,
+        tuple(prefix[k] for k in counts),
+        mode,
+    )
 
 
 @dataclass(frozen=True)
@@ -349,8 +391,7 @@ def entropy_integral(
     finite.  Above the exact-cover cap the greedy profile is used and flagged
     in the result mode.
     """
-    if alpha <= 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
+    alpha = check_real("alpha", alpha, 0.0, strict=True)
     prof = covering_profile(space, mode=mode, exact_cap=exact_cap)
     radii = list(prof.radii)
     counts = list(prof.counts)

@@ -24,7 +24,6 @@ __all__ = [
     "psi_norm_empirical",
     "psi_product_bound",
     "psi_tail_envelope",
-    "LOG2",
 ]
 
 LOG2 = math.log(2.0)

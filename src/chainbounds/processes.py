@@ -21,7 +21,13 @@ import numpy as np
 from scipy import optimize, special, stats
 
 from .bounds import MixedTailMetrics
-from .errors import CapacityError, DomainError, ModelError, UnsupportedFamilyError
+from .errors import (
+    CapacityError,
+    DomainError,
+    ModelError,
+    UnsupportedFamilyError,
+    check_int,
+)
 from .metric import FiniteMetricSpace, build_metric_space
 from .orlicz import LOG2, OrliczNorm
 from .schatten import _matrix_stack
@@ -54,18 +60,7 @@ SIGN_ENUM_CAP = 10
 MODEL_KINDS = ("gaussian", "martingale-family", "empirical", "squares", "chaos")
 _ROW_FAMILIES = ("rademacher", "gaussian", "uniform", "constant")
 _EIG_TOL = 1e-10
-
-
-def _check_count(name: str, v) -> int:
-    if isinstance(v, bool) or int(v) != v or v < 1:
-        raise DomainError(f"{name} must be an integer >= 1, got {v!r}")
-    return int(v)
-
-
-def _check_seed(seed) -> int:
-    if isinstance(seed, bool) or int(seed) != seed or not 0 <= seed < 2**64:
-        raise DomainError(f"seed must be an integer in [0, 2^64), got {seed!r}")
-    return int(seed)
+SEED_MAX = 2**64 - 1  # Philox keys are 64-bit
 
 
 def replication_rng(seed: int, rep: int) -> np.random.Generator:
@@ -378,7 +373,7 @@ def _require_kind(model: ProcessModel, kind: str):
 def simulate_gaussian(model: ProcessModel, reps: int, seed: int, base_point=0) -> SupremumSample:
     """sup_t |X_t - X_t0| draws (or raw sup_t |X_t| when base_point is None)."""
     _require_kind(model, "gaussian")
-    reps, seed = _check_count("reps", reps), _check_seed(seed)
+    reps, seed = check_int("reps", reps, 1), check_int("seed", seed, 0, SEED_MAX)
     w, V = np.linalg.eigh(model.covariance)
     if w.min() < -_EIG_TOL:
         raise ModelError(
@@ -405,7 +400,7 @@ def simulate_gaussian(model: ProcessModel, reps: int, seed: int, base_point=0) -
 def simulate_martingale_family(model: ProcessModel, reps: int, seed: int) -> SupremumSample:
     """sup_t |X_{t,n} - X_{t,0}| for the shared-driver coefficient family."""
     _require_kind(model, "martingale-family")
-    reps, seed = _check_count("reps", reps), _check_seed(seed)
+    reps, seed = check_int("reps", reps, 1), check_int("seed", seed, 0, SEED_MAX)
     c = model.coefficients
     excess = np.abs(c) - model.step_bounds
     if np.any(excess > 1e-12):
@@ -422,8 +417,8 @@ def simulate_martingale_family(model: ProcessModel, reps: int, seed: int) -> Sup
     return SupremumSample(replications=reps, seed=seed, values=vals, base_point=None)
 
 
-def _check_m(model: ProcessModel, m: int) -> int:
-    m = _check_count("m", m)
+def _summand_count(model: ProcessModel, m: int) -> int:
+    m = check_int("m", m, 1)
     if m != model.coefficients.shape[1]:
         raise DomainError(
             f"m = {m} disagrees with the model's {model.coefficients.shape[1]} summands"
@@ -434,8 +429,8 @@ def _check_m(model: ProcessModel, m: int) -> int:
 def simulate_empirical(model: ProcessModel, m: int, reps: int, seed: int) -> SupremumSample:
     """sup_t |(1/m) sum_i (X_{t_i} - E X_{t_i})| draws."""
     _require_kind(model, "empirical")
-    m = _check_m(model, m)
-    reps, seed = _check_count("reps", reps), _check_seed(seed)
+    m = _summand_count(model, m)
+    reps, seed = check_int("reps", reps, 1), check_int("seed", seed, 0, SEED_MAX)
     mu = model.base.mean()
     c = model.coefficients
     vals = np.empty(reps)
@@ -452,8 +447,8 @@ def simulate_squares(model: ProcessModel, m: int, reps: int, seed: int) -> Supre
     sup_t ||X_t||_{L2(mu_m)} used to check the empirical-L2 radius bound.
     """
     _require_kind(model, "squares")
-    m = _check_m(model, m)
-    reps, seed = _check_count("reps", reps), _check_seed(seed)
+    m = _summand_count(model, m)
+    reps, seed = check_int("reps", reps, 1), check_int("seed", seed, 0, SEED_MAX)
     s2 = model.base.second_moment()
     c2 = model.coefficients**2
     vals = np.empty(reps)
@@ -477,8 +472,8 @@ def simulate_squares_increment(
 ) -> SupremumSample:
     """||X_t - X_s||_{L2(mu_m)} draws for one pair of index points."""
     _require_kind(model, "squares")
-    m = _check_m(model, m)
-    reps, seed = _check_count("reps", reps), _check_seed(seed)
+    m = _summand_count(model, m)
+    reps, seed = check_int("reps", reps, 1), check_int("seed", seed, 0, SEED_MAX)
     i, j = _resolve_point(model.labels, s), _resolve_point(model.labels, t)
     dc = model.coefficients[j] - model.coefficients[i]
     vals = np.empty(reps)
@@ -508,7 +503,7 @@ def simulate_chaos(
     returns sup_A |xi . (A^H A) xi'| instead (the bilinear comparison term).
     """
     stack, s2 = _chaos_inputs(matrices, xi)
-    reps, seed = _check_count("reps", reps), _check_seed(seed)
+    reps, seed = check_int("reps", reps, 1), check_int("seed", seed, 0, SEED_MAX)
     n = stack.shape[2]
     vals = np.empty(reps)
     if decoupled:
@@ -529,7 +524,7 @@ def simulate_chaos(
 
 def sign_patterns(n: int) -> np.ndarray:
     """All 2^n sign vectors in {-1, +1}^n, n <= 10."""
-    n = _check_count("n", n)
+    n = check_int("n", n, 1)
     if n > SIGN_ENUM_CAP:
         raise CapacityError(f"exhaustive sign enumeration capped at n = {SIGN_ENUM_CAP}, got {n}")
     bits = (np.arange(1 << n)[:, None] >> np.arange(n)[None, :]) & 1

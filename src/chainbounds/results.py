@@ -116,7 +116,7 @@ class TailBound:
             if v < 0 or not math.isfinite(v):
                 raise DomainError(f"threshold coefficient {label} must be finite and >= 0, got {v}")
 
-    def _check_u(self, u) -> np.ndarray:
+    def _valid_u(self, u) -> np.ndarray:
         arr = np.asarray(u, dtype=float)
         if np.any(arr < self.u_min):
             raise DomainError(
@@ -125,12 +125,12 @@ class TailBound:
         return arr
 
     def threshold(self, u) -> float | np.ndarray:
-        arr = self._check_u(u)
+        arr = self._valid_u(u)
         out = self.factor * (self.const + self.sqrt_coeff * np.sqrt(arr) + self.linear * arr)
         return float(out) if arr.ndim == 0 else out
 
     def probability(self, u) -> float | np.ndarray:
-        self._check_u(u)
+        self._valid_u(u)
         return self.envelope.probability(u)
 
     def to_dict(self) -> dict:

@@ -16,8 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ConvergenceError, DomainError, ModelError
-from .processes import replication_rng
+from .errors import (
+    CapacityError,
+    ConvergenceError,
+    DomainError,
+    ModelError,
+    check_int,
+    check_real,
+)
+from .processes import SEED_MAX, replication_rng
 from .validation import exceedance_lower_bound, exceedance_upper_bound
 
 __all__ = [
@@ -41,24 +48,14 @@ COMPLEXITY_CAP = 1 << 60
 _BATCH = 4096
 
 
-def _check_int(name: str, v, low: int, high: int | None = None) -> int:
-    if isinstance(v, bool) or int(v) != v:
-        raise DomainError(f"{name} must be an integer, got {v!r}")
-    v = int(v)
-    if v < low or (high is not None and v > high):
-        hi = "" if high is None else f" and <= {high}"
-        raise DomainError(f"{name} must be >= {low}{hi}, got {v}")
-    return v
-
-
 def build_dft(N: int) -> np.ndarray:
     """The N x N unitary discrete Fourier matrix (unimodular entries / sqrt(N))."""
-    N = _check_int("N", N, 1)
+    N = check_int("N", N, 1)
     k = np.arange(N)
     return np.exp(2j * np.pi * np.outer(k, k) / N) / math.sqrt(N)
 
 
-def _check_unitary(U) -> np.ndarray:
+def _as_unitary(U) -> np.ndarray:
     U = np.asarray(U, dtype=complex)
     if U.ndim != 2 or U.shape[0] != U.shape[1] or U.size == 0:
         raise DomainError(f"U must be a nonempty square matrix, got shape {U.shape}")
@@ -70,8 +67,9 @@ def _check_unitary(U) -> np.ndarray:
 
 def sample_selectors(N: int, m: int, seed: int, rep: int = 0) -> np.ndarray:
     """Indices kept by independent Bernoulli(m/N) selectors (E|I| = m)."""
-    N = _check_int("N", N, 1)
-    m = _check_int("m", m, 0, N)
+    N = check_int("N", N, 1)
+    m = check_int("m", m, 0, N)
+    seed = check_int("seed", seed, 0, SEED_MAX)
     keep = replication_rng(seed, rep).random(N) < m / N
     return np.flatnonzero(keep)
 
@@ -82,7 +80,7 @@ def subsample(U, I, m: int) -> np.ndarray:
     if U.ndim != 2:
         raise DomainError("U must be a matrix")
     N = U.shape[0]
-    m = _check_int("m", m, 1)
+    m = check_int("m", m, 1)
     I = np.asarray(I, dtype=int)
     if I.size and (I.min() < 0 or I.max() >= N):
         raise DomainError(f"selector indices must lie in [0, {N})")
@@ -124,7 +122,7 @@ def restricted_isometry_constant(
     if A.ndim != 2 or A.shape[1] == 0:
         raise DomainError(f"A must be a matrix with at least one column, got shape {A.shape}")
     N = A.shape[1]
-    s = _check_int("s", s, 1, N)
+    s = check_int("s", s, 1, N)
     n_supports = math.comb(N, s)
     if n_supports > enumeration_cap:
         raise CapacityError(
@@ -192,9 +190,10 @@ def subsampled_instance(U, m: int, seed: int, K: float | None = None, rep: int =
     K defaults to the attained sqrt(N) * max |U_kl|; an explicit smaller K is
     rejected because the flatness premise would be false.
     """
-    U = _check_unitary(U)
+    U = _as_unitary(U)
     N = U.shape[0]
-    m = _check_int("m", m, 1, N)
+    m = check_int("m", m, 1, N)
+    seed = check_int("seed", seed, 0, SEED_MAX)
     attained = math.sqrt(N) * float(np.abs(U).max())
     if K is None:
         K = attained
@@ -221,11 +220,10 @@ def sample_complexity(
     monotone in m beyond its crossing point; the minimum is located by
     doubling followed by integer bisection, capped at 2^60.
     """
-    s = _check_int("s", s, 1)
-    N = _check_int("N", N, 1)
+    s = check_int("s", s, 1)
+    N = check_int("N", N, 1)
     for name, v in (("K", K), ("d1_fit", d1_fit), ("d2_fit", d2_fit), ("delta", delta)):
-        if not (v > 0 and math.isfinite(v)):
-            raise DomainError(f"{name} must be positive and finite, got {v}")
+        check_real(name, v, 0.0, strict=True)
     if not 0.0 < eta <= 1.0:
         raise DomainError(f"eta must lie in (0, 1], got {eta}")
     lead = s * K**2 / delta**2
@@ -270,12 +268,12 @@ def estimate_failure_probability(
     (delta = 0 therefore estimates 1).  Returns the exceedance fraction with
     one-sided Clopper-Pearson bounds and the mean realized row count.
     """
-    U = build_dft(N) if U is None else _check_unitary(U)
+    U = build_dft(N) if U is None else _as_unitary(U)
     N = U.shape[0]
-    m = _check_int("m", m, 1, N)
-    reps = _check_int("reps", reps, 1)
-    if not (delta >= 0 and math.isfinite(delta)):
-        raise DomainError(f"delta must be finite and >= 0, got {delta}")
+    m = check_int("m", m, 1, N)
+    reps = check_int("reps", reps, 1)
+    seed = check_int("seed", seed, 0, SEED_MAX)
+    check_real("delta", delta, 0.0)
     failures = 0
     realized = 0
     for rep in range(reps):
@@ -312,8 +310,8 @@ class BosSystem:
 
     def sample_matrix(self, m: int, seed: int, rep: int = 0) -> np.ndarray:
         """m iid weighted row draws scaled by 1/sqrt(m)."""
-        m = _check_int("m", m, 1)
-        rng = replication_rng(seed, rep)
+        m = check_int("m", m, 1)
+        rng = replication_rng(check_int("seed", seed, 0, SEED_MAX), rep)
         idx = rng.choice(self.rows.shape[0], size=m, p=self.weights)
         return self.rows[idx] / math.sqrt(m)
 
@@ -336,8 +334,8 @@ def check_bos(rows, K: float, weights=None, test_vectors: int = 8, seed: int = 0
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (n,) or np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
             raise DomainError("weights must be a probability vector over the rows")
-    if not (K > 0 and math.isfinite(K)):
-        raise DomainError(f"K must be positive and finite, got {K}")
+    check_real("K", K, 0.0, strict=True)
+    seed = check_int("seed", seed, 0, SEED_MAX)
     flat = float(np.abs(rows).max())
     if flat > K + 1e-12:
         raise ModelError(f"row sup-norm {flat:.12g} exceeds the declared bound K = {K:g}")

@@ -9,13 +9,12 @@ dominates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
 
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, check_real
 from .processes import SIGN_ENUM_CAP, SupremumSample, sign_patterns
 from .results import MomentBound, TailBound
 from .schatten import _matrix_stack
@@ -67,9 +66,7 @@ def estimate_moments(
     values = sample.values
     if values.size == 0:
         raise DomainError("cannot estimate moments from an empty sample")
-    p_list = [float(p) for p in np.atleast_1d(p_list)]
-    if any(p < 1 or not math.isfinite(p) for p in p_list):
-        raise DomainError("moment orders must be finite and >= 1")
+    p_list = [check_real("moment order p", p, 1.0) for p in np.atleast_1d(p_list)]
     if not 0.5 < confidence < 1.0:
         raise DomainError(f"confidence must lie in (0.5, 1), got {confidence}")
     rng = _bootstrap_rng(sample.seed)
@@ -153,8 +150,11 @@ def validate_bound(
     if isinstance(bound, TailBound):
         if u_grid is None:
             raise DomainError("tail-bound validation needs a u_grid")
+        u_grid = np.atleast_1d(np.asarray(u_grid, dtype=float))
+        if u_grid.size == 0:
+            raise DomainError("tail-bound validation needs a nonempty u_grid")
         rows = []
-        for u in np.atleast_1d(np.asarray(u_grid, dtype=float)):
+        for u in u_grid:
             thr = bound.threshold(u)
             env = float(bound.probability(u))
             k = int(np.count_nonzero(values >= thr))
@@ -241,9 +241,7 @@ def check_symmetrization_decoupling(
         raise CapacityError(f"instance dimension {n} exceeds n_small = {n_small}")
     if not 0.0 < selector_prob < 1.0:
         raise DomainError(f"selector_prob must lie in (0, 1), got {selector_prob}")
-    p_list = [float(p) for p in p_list]
-    if any(p < 1 for p in p_list):
-        raise DomainError("moment orders must be >= 1")
+    p_list = [check_real("moment order p", p, 1.0) for p in p_list]
 
     grams = np.einsum("kmi,kmj->kij", stack.conj(), stack)
     signs = sign_patterns(n)

@@ -62,7 +62,6 @@ def test_gamma_triangle(tmp_path, triangle, capsys):
     assert data["value"] == pytest.approx(1.0)
     assert data["mode"] == "exact"
     assert data["witness"]["kind"] == "set"
-    assert data["threads"] >= 1
     assert "config" in data and len(data["config_hash"]) == 64
 
 
@@ -359,3 +358,53 @@ def test_chaos_command(tmp_path, capsys):
     assert data["radii"]["delta_inf"] == pytest.approx(1.0)
     assert {"E", "V", "U"} <= set(data["comparison_parameters"])
     assert data["seed"] == 4
+
+
+def test_reports_carry_no_threads_field_and_the_flag_is_gone(tmp_path, triangle, capsys):
+    code, _, _ = run(["gamma", "--space", str(triangle), "--alpha", "2", "--out", str(tmp_path)],
+                     capsys)
+    assert code == 0
+    assert "threads" not in load_json(artifact(tmp_path, "gamma"))
+    code, _, err = run(["gamma", "--space", str(triangle), "--alpha", "2", "--threads", "2",
+                        "--out", str(tmp_path)], capsys)
+    assert code == 2 and "--threads" in err
+
+
+@pytest.mark.parametrize("mode", ["auto", "exact", "greedy"])
+def test_cover_nan_radius_exits_two(tmp_path, triangle, capsys, mode):
+    code, _, err = run(["cover", "--space", str(triangle), "--radius", "nan", "--mode", mode,
+                        "--out", str(tmp_path)], capsys)
+    assert code == 2 and "error:" in err
+    assert not list(tmp_path.glob("cover-*.json"))
+
+
+@pytest.mark.parametrize(
+    "extra, named",
+    [(["--p", "inf"], "order p"), (["--p", "nan"], "order p"), (["--alpha", "nan"], "alpha"),
+     (["--alpha", "inf"], "alpha"), (["--alpha", "nan", "--mode", "greedy"], "alpha"),
+     (["--alpha", "inf", "--functional", "gamma-prime"], "alpha")],
+)
+def test_gamma_non_finite_order_or_alpha_exits_two(tmp_path, triangle, capsys, extra, named):
+    argv = ["gamma", "--space", str(triangle), "--alpha", "2", "--out", str(tmp_path)] + extra
+    code, _, err = run(argv, capsys)
+    assert code == 2 and f"error: {named}" in err
+    assert not list(tmp_path.glob("gamma-*.json"))
+
+
+def test_simulate_empty_u_grid_exits_two(tmp_path, capsys):
+    cfg = gaussian_sim_config(tmp_path, u_grid=())
+    code, _, err = run(["simulate", "--config", str(cfg), "--out", str(tmp_path)], capsys)
+    assert code == 2 and "u_grid" in err
+    assert not list(tmp_path.glob("simulate-*.json"))
+
+
+@pytest.mark.parametrize("field, value", [("reps", math.inf), ("reps", 10.5), ("reps", 0),
+                                          ("seed", math.inf), ("seed", 1.5), ("seed", -1)])
+def test_simulate_non_integer_reps_or_seed_exits_two(tmp_path, capsys, field, value):
+    cfg = json.loads(gaussian_sim_config(tmp_path).read_text())
+    cfg[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))  # json writes inf as Infinity, which json.load reads back
+    code, _, err = run(["simulate", "--config", str(path), "--out", str(tmp_path)], capsys)
+    assert code == 2 and f"error: {field}" in err
+    assert not list(tmp_path.glob("simulate-*.json"))

@@ -1,0 +1,37 @@
+"""The shared argument validators."""
+
+import math
+
+import numpy as np
+import pytest
+
+from chainbounds import DomainError
+from chainbounds.errors import check_int, check_real
+
+
+def test_check_int_accepts_integral_values():
+    assert check_int("n", 3, 1) == 3
+    assert check_int("n", 3.0, 1) == 3
+    assert check_int("n", np.int64(7), 0, 7) == 7
+    assert type(check_int("n", np.int64(7), 0)) is int
+
+
+@pytest.mark.parametrize("v", [True, 2.5, math.nan, math.inf, -math.inf, "3", 0, 9])
+def test_check_int_rejects(v):
+    with pytest.raises(DomainError):
+        check_int("n", v, 1, 8)
+
+
+def test_check_real_bounds():
+    assert check_real("p", 1, 1.0) == 1.0
+    assert check_real("alpha", np.float64(0.5), 0.0, strict=True) == 0.5
+    with pytest.raises(DomainError):
+        check_real("alpha", 0.0, 0.0, strict=True)
+    with pytest.raises(DomainError):
+        check_real("p", 0.99, 1.0)
+
+
+@pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+def test_check_real_rejects_non_finite(v):
+    with pytest.raises(DomainError):
+        check_real("x", v, 0.0)

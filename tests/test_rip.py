@@ -325,3 +325,23 @@ def test_subsampled_delta_bounded_by_gram_norm(seed, N, m):
     full = float(np.abs(np.linalg.eigvalsh(inst.U_I.conj().T @ inst.U_I) - 1).max())
     s = min(2, N)
     assert inst.delta(s).delta_s <= full + 1e-10
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
+def test_seeds_are_checked_like_the_simulators(seed):
+    U = build_dft(8)
+    system = check_bos(math.sqrt(8) * U, K=1.0)
+    calls = [
+        lambda: sample_selectors(8, 4, seed),
+        lambda: subsampled_instance(U, 4, seed),
+        lambda: estimate_failure_probability(8, 4, 1, 0.5, 2, seed),
+        lambda: system.sample_matrix(4, seed),
+        lambda: check_bos(math.sqrt(8) * U, K=1.0, seed=seed),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()
+
+
+def test_largest_seed_is_accepted():
+    assert sample_selectors(8, 4, 2**64 - 1).size <= 8

@@ -158,6 +158,12 @@ def test_validate_tail_violated():
     assert report.rows[0]["empirical"] == 1.0
 
 
+def test_validate_tail_rejects_an_empty_grid():
+    bound = bernstein_tail(BernsteinParams(sigma=1.0, K=1.0, m=1))
+    with pytest.raises(DomainError):
+        validate_bound(_sample(np.zeros(100)), bound, u_grid=[])
+
+
 def test_validate_tail_inconclusive():
     bound = bernstein_tail(BernsteinParams(sigma=1.0, K=1.0, m=1))
     # zero exceedances in a sample too small to certify 2e^-10
