@@ -39,7 +39,7 @@ from .chaining import (
     gamma_prime,
     truncation_level,
 )
-from .errors import ChainboundsError, DomainError, check_int
+from .errors import ChainboundsError, DomainError, check_int, check_real
 from .metric import covering_number, covering_profile, entropy_integral
 from .orlicz import OrliczNorm, psi_norm_analytic, psi_norm_empirical
 from .processes import (
@@ -134,6 +134,8 @@ def _require_seed(seed) -> int:
 
 
 def _cmd_gamma(args) -> int:
+    # gamma_prime ignores p, but p enters the config hash of every report.
+    check_real("order p", args.p, 1.0)
     space = space_from_json(load_json(args.space))
     mode = args.mode
     if mode == "auto":

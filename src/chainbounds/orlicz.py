@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, UnsupportedFamilyError
+from .errors import ConvergenceError, DomainError, UnsupportedFamilyError, check_real
 
 __all__ = [
     "psi_alpha",
@@ -31,8 +31,7 @@ LOG2 = math.log(2.0)
 
 def psi_alpha(x, alpha: float):
     """exp(x^alpha) - 1 for x >= 0, with overflow saturating to inf."""
-    if alpha <= 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
+    check_real("alpha", alpha, 0.0, strict=True)
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0):
         raise DomainError("psi_alpha is defined for nonnegative arguments")
@@ -53,8 +52,7 @@ class OrliczNorm:
     sample_count: int | None = None
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise DomainError(f"alpha must be positive, got {self.alpha}")
+        check_real("alpha", self.alpha, 0.0, strict=True)
         if self.value < 0 or not math.isfinite(self.value):
             raise DomainError(f"norm value must be finite and nonnegative, got {self.value}")
 
@@ -73,8 +71,7 @@ def psi_norm_analytic(family: str, parameter: float, alpha: float) -> OrliczNorm
     sigma * sqrt(8/3); "bounded" with range [-b, b] is upper-bounded by the
     constant case.
     """
-    if alpha <= 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
+    check_real("alpha", alpha, 0.0, strict=True)
     if parameter < 0:
         raise DomainError(f"family parameter must be nonnegative, got {parameter}")
     if family in ("constant", "symmetric-sign", "bounded"):
@@ -107,8 +104,7 @@ def psi_norm_empirical(
     end of the final bracket, so the defining condition holds at the reported
     value and fails below value * (1 - tol).
     """
-    if alpha <= 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
+    check_real("alpha", alpha, 0.0, strict=True)
     if tol <= 0:
         raise DomainError(f"tolerance must be positive, got {tol}")
     arr = np.asarray(samples)

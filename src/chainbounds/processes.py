@@ -1,9 +1,15 @@
 """Process models and seeded simulators for supremum samples.
 
-Every stochastic routine draws one counter-based RNG stream per replication
-(Philox keyed by the seed, counter word 2 = replication index), so results
-are bit-identical for a given (seed, config) regardless of execution order,
-and replications could be farmed out concurrently without changing output.
+Every simulator shares one stream contract.  Replications come in blocks of
+BLOCK = 1024: replication r is row r mod BLOCK of block r // BLOCK, and block
+b is drawn from replication_rng(seed, b), a counter-based Philox stream keyed
+by the seed with counter word 2 = b (Salmon et al., "Parallel Random Numbers:
+As Easy as 1, 2, 3", SC'11).  Every block is drawn and evaluated in full and
+the final block keeps only the rows it needs, so results are bit-identical
+for a given (seed, config), the sample of R replications is a prefix of the
+sample of R' > R, and blocks could be farmed out concurrently without
+changing output.  Each supremum statistic is evaluated on a whole block at
+once.
 
 Models are deliberately small: index points are rows of a coefficient
 matrix applied to a shared standardized driver (Rademacher signs, standard
@@ -61,11 +67,31 @@ MODEL_KINDS = ("gaussian", "martingale-family", "empirical", "squares", "chaos")
 _ROW_FAMILIES = ("rademacher", "gaussian", "uniform", "constant")
 _EIG_TOL = 1e-10
 SEED_MAX = 2**64 - 1  # Philox keys are 64-bit
+BLOCK = 1024  # replications per stream; bounds the size of each block's temporaries
 
 
 def replication_rng(seed: int, rep: int) -> np.random.Generator:
-    """The dedicated stream for one replication (order-independent)."""
+    """The Philox stream with counter word 2 = rep (order-independent).
+
+    The simulators draw block rep from it; the RIP estimators draw
+    replication rep from it.
+    """
     return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, rep, 0]))
+
+
+def _simulate(reps: int, seed: int, draw, stat) -> np.ndarray:
+    """Supremum values of reps replications, drawn block by block.
+
+    draw(rng) returns the BLOCK driver rows of a block, shape (BLOCK, dim).
+    stat maps them to one value per row, or to a (c, BLOCK) stack (a tuple of
+    c such arrays) when companions ride along.  The final block keeps only
+    the rows it needs.  The result is (reps,), or (c, reps) with companions.
+    """
+    parts = []
+    for b, start in enumerate(range(0, reps, BLOCK)):
+        z = draw(replication_rng(seed, b))
+        parts.append(np.asarray(stat(z))[..., : reps - start])
+    return np.concatenate(parts, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -107,7 +133,7 @@ class RowDistribution:
             return self.scale**2 / 3.0
         return self.scale**2
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
         if self.name == "rademacher":
             return self.scale * (2.0 * rng.integers(0, 2, size) - 1.0)
         if self.name == "gaussian":
@@ -382,13 +408,12 @@ def simulate_gaussian(model: ProcessModel, reps: int, seed: int, base_point=0) -
     L = V * np.sqrt(np.clip(w, 0.0, None))
     n = model.size
     idx = None if base_point is None else _resolve_point(model.labels, base_point)
-    vals = np.empty(reps)
-    for r in range(reps):
-        x = L @ replication_rng(seed, r).standard_normal(n)
-        if idx is None:
-            vals[r] = np.abs(x).max()
-        else:
-            vals[r] = np.abs(x - x[idx]).max()
+
+    def stat(z):
+        x = z @ L.T
+        return np.abs(x if idx is None else x - x[:, idx, None]).max(axis=1)
+
+    vals = _simulate(reps, seed, lambda rng: rng.standard_normal((BLOCK, n)), stat)
     return SupremumSample(
         replications=reps,
         seed=seed,
@@ -410,10 +435,12 @@ def simulate_martingale_family(model: ProcessModel, reps: int, seed: int) -> Sup
             f"bound ({abs(c[t, k]):g} > {model.step_bounds[t, k]:g})"
         )
     n_steps = c.shape[1]
-    vals = np.empty(reps)
-    for r in range(reps):
-        eps = 2.0 * replication_rng(seed, r).integers(0, 2, n_steps) - 1.0
-        vals[r] = np.abs(c @ eps).max()
+    vals = _simulate(
+        reps,
+        seed,
+        lambda rng: 2.0 * rng.integers(0, 2, (BLOCK, n_steps)) - 1.0,
+        lambda eps: np.abs(eps @ c.T).max(axis=1),
+    )
     return SupremumSample(replications=reps, seed=seed, values=vals, base_point=None)
 
 
@@ -433,10 +460,12 @@ def simulate_empirical(model: ProcessModel, m: int, reps: int, seed: int) -> Sup
     reps, seed = check_int("reps", reps, 1), check_int("seed", seed, 0, SEED_MAX)
     mu = model.base.mean()
     c = model.coefficients
-    vals = np.empty(reps)
-    for r in range(reps):
-        z = model.base.sample(replication_rng(seed, r), m)
-        vals[r] = np.abs(c @ (z - mu)).max() / m
+    vals = _simulate(
+        reps,
+        seed,
+        lambda rng: model.base.sample(rng, (BLOCK, m)),
+        lambda z: np.abs((z - mu) @ c.T).max(axis=1) / m,
+    )
     return SupremumSample(replications=reps, seed=seed, values=vals, base_point=None)
 
 
@@ -451,13 +480,15 @@ def simulate_squares(model: ProcessModel, m: int, reps: int, seed: int) -> Supre
     reps, seed = check_int("reps", reps, 1), check_int("seed", seed, 0, SEED_MAX)
     s2 = model.base.second_moment()
     c2 = model.coefficients**2
-    vals = np.empty(reps)
-    sup_l2 = np.empty(reps)
-    for r in range(reps):
-        z = model.base.sample(replication_rng(seed, r), m)
-        sq = c2 * (z**2)[None, :]
-        vals[r] = np.abs(sq.mean(axis=1) - s2 * c2.mean(axis=1)).max()
-        sup_l2[r] = math.sqrt(sq.mean(axis=1).max())
+
+    def stat(z):
+        sq_mean = (z**2) @ c2.T / m  # (BLOCK, points): sum_i c2[t, i] z_i^2 / m
+        return (
+            np.abs(sq_mean - s2 * c2.mean(axis=1)).max(axis=1),
+            np.sqrt(sq_mean.max(axis=1)),
+        )
+
+    vals, sup_l2 = _simulate(reps, seed, lambda rng: model.base.sample(rng, (BLOCK, m)), stat)
     return SupremumSample(
         replications=reps,
         seed=seed,
@@ -476,10 +507,12 @@ def simulate_squares_increment(
     reps, seed = check_int("reps", reps, 1), check_int("seed", seed, 0, SEED_MAX)
     i, j = _resolve_point(model.labels, s), _resolve_point(model.labels, t)
     dc = model.coefficients[j] - model.coefficients[i]
-    vals = np.empty(reps)
-    for r in range(reps):
-        z = model.base.sample(replication_rng(seed, r), m)
-        vals[r] = math.sqrt(((dc * z) ** 2).mean())
+    vals = _simulate(
+        reps,
+        seed,
+        lambda rng: model.base.sample(rng, (BLOCK, m)),
+        lambda z: np.sqrt(((dc * z) ** 2).mean(axis=1)),
+    )
     return SupremumSample(
         replications=reps, seed=seed, values=vals, base_point=model.labels[i]
     )
@@ -505,20 +538,24 @@ def simulate_chaos(
     stack, s2 = _chaos_inputs(matrices, xi)
     reps, seed = check_int("reps", reps, 1), check_int("seed", seed, 0, SEED_MAX)
     n = stack.shape[2]
-    vals = np.empty(reps)
     if decoupled:
         grams = np.einsum("kmi,kmj->kij", stack.conj(), stack)
-        for r in range(reps):
-            rng = replication_rng(seed, r)
-            x, y = xi.sample(rng, n), xi.sample(rng, n)
-            vals[r] = np.abs(np.einsum("i,kij,j->k", x, grams, y)).max()
+
+        def stat(xy):
+            x, y = xy[:, :n], xy[:, n:]
+            # (x @ grams)[k, r, j] = sum_i x_ri G_kij
+            return np.abs(((x @ grams) * y).sum(axis=2)).max(axis=0)
+
+        vals = _simulate(reps, seed, lambda rng: xi.sample(rng, (BLOCK, 2 * n)), stat)
     else:
         fro2 = np.abs(stack).reshape(stack.shape[0], -1) ** 2
         means = s2 * fro2.sum(axis=1)
-        for r in range(reps):
-            x = xi.sample(replication_rng(seed, r), n)
-            q = (np.abs(np.einsum("kmn,n->km", stack, x)) ** 2).sum(axis=1)
-            vals[r] = np.abs(q - means).max()
+
+        def stat(x):
+            q = (np.abs(np.einsum("kmn,rn->rkm", stack, x)) ** 2).sum(axis=2)
+            return np.abs(q - means).max(axis=1)
+
+        vals = _simulate(reps, seed, lambda rng: xi.sample(rng, (BLOCK, n)), stat)
     return SupremumSample(replications=reps, seed=seed, values=vals, base_point=None)
 
 

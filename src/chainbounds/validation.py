@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .errors import CapacityError, DomainError, check_real
+from .errors import CapacityError, DomainError, check_int, check_real
 from .processes import SIGN_ENUM_CAP, SupremumSample, sign_patterns
 from .results import MomentBound, TailBound
 from .schatten import _matrix_stack
@@ -34,7 +34,7 @@ CONFIDENCE = 0.99
 
 
 def _bootstrap_rng(seed: int) -> np.random.Generator:
-    # Counter word 3 keeps this stream disjoint from the per-replication
+    # Counter word 3 keeps this stream disjoint from the simulators' block
     # streams, which use counter word 2.
     return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, 1]))
 
@@ -52,10 +52,6 @@ class MomentEstimate:
             raise DomainError("bootstrap interval must contain the point estimate")
 
 
-def _lp_mean(values: np.ndarray, p: float) -> float:
-    return float(np.mean(values**p) ** (1.0 / p))
-
-
 def estimate_moments(
     sample: SupremumSample,
     p_list,
@@ -71,26 +67,33 @@ def estimate_moments(
         raise DomainError(f"confidence must lie in (0.5, 1), got {confidence}")
     rng = _bootstrap_rng(sample.seed)
     n = values.size
+    # Powers of values / max (max taken as 1 for an all-zero sample) stay in
+    # [0, 1], so a large p cannot overflow; the roots are scaled back by max.
+    top = float(values.max()) or 1.0
+    columns = np.stack([(values / top) ** p for p in p_list])  # one contiguous row per p
     boot = np.empty((resamples, len(p_list)))
-    powered = np.stack([values**p for p in p_list], axis=1)
     for b in range(resamples):
         idx = rng.integers(0, n, n)
-        boot[b] = powered[idx].mean(axis=0)
+        boot[b] = columns.take(idx, axis=1).mean(axis=1)
     lo, hi = 100.0 * (1.0 - confidence), 100.0 * confidence
     out = []
     for j, p in enumerate(p_list):
-        root = boot[:, j] ** (1.0 / p)
-        est = _lp_mean(values, p)
+        root = top * boot[:, j] ** (1.0 / p)
+        est = top * float(columns[j].mean()) ** (1.0 / p)
         ci_low = min(float(np.percentile(root, lo)), est)
         ci_high = max(float(np.percentile(root, hi)), est)
         out.append(MomentEstimate(p, est, ci_low, ci_high, resamples))
     return out
 
 
+def _exceedance_counts(k, n) -> tuple[int, int]:
+    n = check_int("trial count n", n, 1)
+    return check_int("exceedance count k", k, 0, n), n
+
+
 def exceedance_upper_bound(k: int, n: int, confidence: float = CONFIDENCE) -> float:
     """One-sided Clopper-Pearson upper bound for k exceedances in n trials."""
-    if not 0 <= k <= n or n < 1:
-        raise DomainError(f"need 0 <= k <= n with n >= 1, got k={k}, n={n}")
+    k, n = _exceedance_counts(k, n)
     if k == n:
         return 1.0
     return float(stats.beta.ppf(confidence, k + 1, n - k))
@@ -98,8 +101,7 @@ def exceedance_upper_bound(k: int, n: int, confidence: float = CONFIDENCE) -> fl
 
 def exceedance_lower_bound(k: int, n: int, confidence: float = CONFIDENCE) -> float:
     """One-sided Clopper-Pearson lower bound for k exceedances in n trials."""
-    if not 0 <= k <= n or n < 1:
-        raise DomainError(f"need 0 <= k <= n with n >= 1, got k={k}, n={n}")
+    k, n = _exceedance_counts(k, n)
     if k == 0:
         return 0.0
     return float(stats.beta.ppf(1.0 - confidence, k, n - k + 1))

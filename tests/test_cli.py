@@ -151,6 +151,14 @@ def test_orlicz_family(tmp_path, capsys):
     assert data["value"] == pytest.approx(1.5 * math.sqrt(8.0 / 3.0))
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf", "0"])
+def test_orlicz_bad_alpha_exits_two(tmp_path, capsys, alpha):
+    argv = ["orlicz", "--family", "gaussian", "--alpha", alpha, "--out", str(tmp_path)]
+    code, _, err = run(argv, capsys)
+    assert code == 2 and "error: alpha" in err
+    assert not list(tmp_path.glob("orlicz-*.json"))
+
+
 def test_simulate_tail_dominated(tmp_path, capsys):
     cfg = gaussian_sim_config(tmp_path)
     code, out, _ = run(["simulate", "--config", str(cfg), "--out", str(tmp_path)], capsys)
@@ -382,7 +390,9 @@ def test_cover_nan_radius_exits_two(tmp_path, triangle, capsys, mode):
     "extra, named",
     [(["--p", "inf"], "order p"), (["--p", "nan"], "order p"), (["--alpha", "nan"], "alpha"),
      (["--alpha", "inf"], "alpha"), (["--alpha", "nan", "--mode", "greedy"], "alpha"),
-     (["--alpha", "inf", "--functional", "gamma-prime"], "alpha")],
+     (["--alpha", "inf", "--functional", "gamma-prime"], "alpha"),
+     (["--p", "inf", "--functional", "gamma-prime"], "order p"),
+     (["--p", "nan", "--functional", "gamma-prime"], "order p")],
 )
 def test_gamma_non_finite_order_or_alpha_exits_two(tmp_path, triangle, capsys, extra, named):
     argv = ["gamma", "--space", str(triangle), "--alpha", "2", "--out", str(tmp_path)] + extra

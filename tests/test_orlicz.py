@@ -167,3 +167,15 @@ def test_tail_envelope_dominates_gaussian_tail():
     for u in np.linspace(0.5, 6.0, 12):
         truth = 2.0 * normal.sf(u)
         assert psi_tail_envelope(n, float(u)) >= truth - 1e-15
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.0, -1.0])
+def test_non_positive_or_non_finite_alpha_rejected(alpha):
+    with pytest.raises(DomainError, match="alpha"):
+        psi_alpha(1.0, alpha)
+    with pytest.raises(DomainError, match="alpha"):
+        OrliczNorm(alpha, 1.0, "analytic")
+    with pytest.raises(DomainError, match="alpha"):
+        psi_norm_analytic("constant", 1.0, alpha)
+    with pytest.raises(DomainError, match="alpha"):
+        psi_norm_empirical([1.0, 2.0], alpha)

@@ -32,7 +32,7 @@ from chainbounds import (
     simulate_squares_increment,
     squares_model,
 )
-from chainbounds.processes import SupremumSample
+from chainbounds.processes import BLOCK, SupremumSample
 
 LOG2 = math.log(2.0)
 
@@ -365,3 +365,122 @@ def test_seed_rejected_out_of_range():
         simulate_gaussian(model, 3, -1)
     with pytest.raises(DomainError):
         simulate_gaussian(model, 0, 1)
+
+
+# ---------------------------------------------------------- stream contract
+#
+# Replication r is row r mod BLOCK of block r // BLOCK, and block b is drawn
+# from replication_rng(seed, b).  Each case below names a simulator, the
+# driver rows one block draws, and the old one-replication-at-a-time
+# statistic as the reference for the vectorized one.
+
+_RNG = np.random.default_rng(2024)
+_FACTOR = _RNG.normal(size=(5, 3))
+_COV = _FACTOR @ _FACTOR.T  # rank 3: a singular covariance
+_W, _V = np.linalg.eigh(_COV)
+_L = _V * np.sqrt(np.clip(_W, 0.0, None))  # the factor the simulator draws with
+_COEF = _RNG.normal(size=(4, 6))
+_MATS = [_RNG.normal(size=(2, 3)) + 1j * _RNG.normal(size=(2, 3)), _RNG.normal(size=(2, 3))]
+_STACK = np.stack(_MATS)
+_GRAMS = np.einsum("kmi,kmj->kij", _STACK.conj(), _STACK)
+_FRO2 = (np.abs(_STACK).reshape(2, -1) ** 2).sum(axis=1)
+_UNIFORM = RowDistribution("uniform", scale=1.5)
+_GAUSS = RowDistribution("gaussian", scale=0.7)
+_SIGNS = RowDistribution("rademacher")
+_C2 = _COEF**2
+
+
+def _sup_squares(z):
+    sq = _C2 * (z**2)[None, :]
+    centered = np.abs(sq.mean(axis=1) - _GAUSS.second_moment() * _C2.mean(axis=1)).max()
+    return centered, math.sqrt(sq.mean(axis=1).max())
+
+
+def _sup_decoupled(xy):
+    x, y = xy[:3], xy[3:]
+    return np.abs(np.einsum("i,kij,j->k", x, _GRAMS, y)).max()
+
+
+def _sup_plain(x):
+    q = (np.abs(np.einsum("kmn,n->km", _STACK, x)) ** 2).sum(axis=1)
+    return np.abs(q - _FRO2).max()
+
+
+# name -> (simulate(reps, seed), draw(rng, k), per-row reference statistic)
+STREAM_CASES = {
+    "gaussian": (
+        lambda r, s: simulate_gaussian(gaussian_model(_COV), r, s, base_point=2),
+        lambda rng, k: rng.standard_normal((k, 5)),
+        lambda z: np.abs(_L @ z - (_L @ z)[2]).max(),
+    ),
+    "gaussian-raw": (
+        lambda r, s: simulate_gaussian(gaussian_model(_COV), r, s, base_point=None),
+        lambda rng, k: rng.standard_normal((k, 5)),
+        lambda z: np.abs(_L @ z).max(),
+    ),
+    "martingale": (
+        lambda r, s: simulate_martingale_family(martingale_model(_COEF), r, s),
+        lambda rng, k: 2.0 * rng.integers(0, 2, (k, 6)) - 1.0,
+        lambda eps: np.abs(_COEF @ eps).max(),
+    ),
+    "empirical": (
+        lambda r, s: simulate_empirical(empirical_model(_COEF, _UNIFORM), 6, r, s),
+        lambda rng, k: _UNIFORM.sample(rng, (k, 6)),
+        lambda z: np.abs(_COEF @ z).max() / 6,
+    ),
+    "squares": (
+        lambda r, s: simulate_squares(squares_model(_COEF, _GAUSS), 6, r, s),
+        lambda rng, k: _GAUSS.sample(rng, (k, 6)),
+        _sup_squares,
+    ),
+    "squares-increment": (
+        lambda r, s: simulate_squares_increment(squares_model(_COEF, _UNIFORM), 1, 3, 6, r, s),
+        lambda rng, k: _UNIFORM.sample(rng, (k, 6)),
+        lambda z: math.sqrt((((_COEF[3] - _COEF[1]) * z) ** 2).mean()),
+    ),
+    "chaos": (
+        lambda r, s: simulate_chaos(_MATS, _SIGNS, r, s),
+        lambda rng, k: _SIGNS.sample(rng, (k, 3)),
+        _sup_plain,
+    ),
+    "chaos-decoupled": (
+        lambda r, s: simulate_chaos(_MATS, _SIGNS, r, s, decoupled=True),
+        lambda rng, k: _SIGNS.sample(rng, (k, 6)),
+        _sup_decoupled,
+    ),
+}
+
+
+def _columns(sample):
+    """The values plus every companion, one row each."""
+    return np.stack([sample.values, *(sample.companions[k] for k in sorted(sample.companions))])
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_CASES))
+def test_simulator_matches_per_row_reference_on_block_draws(name):
+    simulate, draw, reference = STREAM_CASES[name]
+    reps, seed = 2 * BLOCK + 3, 77
+    rows = np.concatenate(
+        [draw(replication_rng(seed, b), min(BLOCK, reps - b * BLOCK)) for b in range(3)]
+    )
+    expected = np.array([np.atleast_1d(reference(row)) for row in rows]).T
+    np.testing.assert_allclose(_columns(simulate(reps, seed)), expected, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_CASES))
+def test_simulator_is_deterministic_and_prefix_stable(name):
+    simulate = STREAM_CASES[name][0]
+    full = _columns(simulate(3 * BLOCK, 5))
+    np.testing.assert_array_equal(_columns(simulate(3 * BLOCK, 5)), full)
+    for reps in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3):
+        np.testing.assert_array_equal(_columns(simulate(reps, 5)), full[:, :reps])
+    assert not np.array_equal(_columns(simulate(3 * BLOCK, 6)), full)
+
+
+def test_block_draw_is_a_prefix_of_a_full_block():
+    # The simulators draw the final block in full and keep the rows they
+    # need; those rows are the same as a draw of only those rows.
+    for draw in (STREAM_CASES[k][1] for k in STREAM_CASES):
+        np.testing.assert_array_equal(
+            draw(replication_rng(3, 0), 7), draw(replication_rng(3, 0), BLOCK)[:7]
+        )

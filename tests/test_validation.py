@@ -1,6 +1,7 @@
 """Confidence machinery: exceedance intervals, bootstrap moments, verdicts."""
 
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -23,8 +24,10 @@ from chainbounds import (
     estimate_moments,
     exceedance_lower_bound,
     exceedance_upper_bound,
+    replication_rng,
     validate_bound,
 )
+from chainbounds.validation import _bootstrap_rng
 
 
 def _sample(values, seed=0):
@@ -69,6 +72,11 @@ def test_exceedance_rejects_bad_counts():
         exceedance_upper_bound(11, 10)
     with pytest.raises(DomainError):
         exceedance_lower_bound(0, 0)
+    for k, n in ((1.5, 10), (1, 10.5), (math.nan, 10), (True, 10)):
+        with pytest.raises(DomainError):
+            exceedance_upper_bound(k, n)
+        with pytest.raises(DomainError):
+            exceedance_lower_bound(k, n)
 
 
 @given(st.integers(0, 40), st.integers(0, 40))
@@ -125,6 +133,21 @@ def test_estimate_moments_input_validation():
         estimate_moments(_sample([1.0]), [2.0], confidence=0.4)
     with pytest.raises(DomainError):
         estimate_moments(_sample([]), [2.0])
+
+
+def test_estimate_moments_high_order_does_not_overflow():
+    # 20**400 overflows a double; the exact root comes from Decimal arithmetic.
+    vals = np.linspace(0.4, 20.0, 50)
+    est, = estimate_moments(_sample(vals, seed=3), [400.0])
+    exact = (sum(Decimal(float(v)) ** 400 for v in vals) / 50) ** (Decimal(1) / 400)
+    assert est.estimate == pytest.approx(float(exact), rel=1e-12)
+    assert est.ci_low <= est.estimate <= est.ci_high <= 20.0
+
+
+def test_bootstrap_stream_differs_from_block_streams():
+    draws = _bootstrap_rng(5).integers(0, 2**63, 8)
+    for b in range(3):
+        assert not np.array_equal(draws, replication_rng(5, b).integers(0, 2**63, 8))
 
 
 def test_moment_estimate_interval_must_contain_estimate():
