@@ -245,9 +245,16 @@ def gamma_greedy(
                          value=val, mode="greedy", sequence=seq)
 
 
-def _subsets_up_to(indices, max_size: int):
+def _distance_table(space: FiniteMetricSpace, max_size: int) -> tuple[list, np.ndarray]:
+    """Subsets of up to max_size points, by size then lexicographically, and
+    the (subsets, n) table of d(t, S) for every point t."""
+    n = space.size
+    subsets, rows = [], []
     for k in range(1, max_size + 1):
-        yield from itertools.combinations(indices, k)
+        combos = list(itertools.combinations(range(n), k))
+        subsets.extend(combos)
+        rows.append(space.dist[:, np.array(combos)].min(axis=2).T)
+    return subsets, np.concatenate(rows)
 
 
 def gamma_exact(
@@ -259,7 +266,10 @@ def gamma_exact(
     """Exact order-p functional by exhaustive admissible-sequence search.
 
     Levels from the first n with 2^(2^n) >= |T| onward are fixed to the whole
-    space (free and optimal), so only levels l..n*-1 are enumerated.
+    space (free and optimal), so only levels l..n*-1 are enumerated.  Each
+    free level gets one weighted table of d(t, S) over its candidate sets S;
+    the last level's table is summed by broadcasting against every choice at
+    the earlier levels, and the first minimum in product order wins.
     """
     check_real("alpha", alpha, 0.0, strict=True)
     n = space.size
@@ -281,29 +291,26 @@ def gamma_exact(
         return GammaEstimate(alpha=float(alpha), p=float(p), l=l, value=0.0,
                              mode="exact", sequence=seq)
 
-    choices_per_level = []
+    choices, tables = [], []
     for lvl in free_levels:
-        cap = min(level_capacity(lvl), n)
-        choices = list(_subsets_up_to(all_points, cap))
-        choices_per_level.append(choices)
-
-    # distance of every point to every candidate subset, per level
-    dists_per_level = [
-        {sub: space.point_to_set(sub) for sub in choices}
-        for choices in choices_per_level
-    ]
-    weights = [2.0 ** (lvl / alpha) for lvl in free_levels]
+        subsets, table = _distance_table(space, min(level_capacity(lvl), n))
+        choices.append(subsets)
+        tables.append(2.0 ** (lvl / alpha) * table)
 
     best_val = math.inf
     best_combo = None
-    for combo in itertools.product(*choices_per_level):
-        acc = np.zeros(n)
-        for w, sub, table in zip(weights, combo, dists_per_level):
-            acc += w * table[sub]
-        val = float(acc.max())
-        if val < best_val:
-            best_val = val
-            best_combo = combo
+    for head in itertools.product(*(range(len(c)) for c in choices[:-1])):
+        acc = tables[-1]
+        if head:
+            partial = tables[0][head[0]]
+            for table, i in zip(tables[1:], head[1:]):
+                partial = partial + table[i]
+            acc = partial + acc
+        vals = acc.max(axis=1)
+        last = int(np.argmin(vals))  # first minimum
+        if vals[last] < best_val:
+            best_val = float(vals[last])
+            best_combo = [c[i] for c, i in zip(choices, head + (last,))]
     # levels below l never enter the sum; a singleton keeps them admissible
     levels = [best_combo[0][:1]] * l
     levels.extend(best_combo)
@@ -345,7 +352,9 @@ def gamma_prime(
     """Partition-sequence functional sup_t sum_n 2^(n/alpha) diam(A_n(t)).
 
     Exact mode enumerates refining chains; as soon as a level may hold |T|
-    cells the singleton partition finishes the chain at zero cost.  Greedy
+    cells the singleton partition finishes the chain at zero cost.  Each
+    level's candidate partitions are evaluated as one array of per-point
+    cell diameters, read from a per-call table of cell diameters.  Greedy
     mode repeatedly splits the widest cell by farthest-pair seeding.
     """
     check_real("alpha", alpha, 0.0, strict=True)
@@ -394,58 +403,59 @@ def gamma_prime(
 
     best_val = math.inf
     best_chain: list | None = None
+    cell_diameters: dict[tuple[int, ...], float] = {}
 
-    def diam_vec(partition) -> np.ndarray:
-        out = np.empty(n)
-        for cell in partition:
-            dval = space.subset_diameter(cell)
-            for i in cell:
-                out[i] = dval
-        return out
+    def diam_rows(partitions) -> np.ndarray:
+        """(partitions, n): the diameter of each point's cell."""
+        rows = []
+        for partition in partitions:
+            row = [0.0] * n
+            for cell in partition:
+                dval = cell_diameters.get(cell)
+                if dval is None:
+                    dval = cell_diameters[cell] = space.subset_diameter(cell)
+                for i in cell:
+                    row[i] = dval
+            rows.append(row)
+        return np.array(rows)
 
-    def rec(level: int, current, acc: np.ndarray, chain: list) -> None:
+    def settle(level: int, chain: list, acc: np.ndarray, val: float, width: float) -> None:
+        """Finish or extend a chain ending at `level`; val = acc.max() and
+        width is the widest cell of its last partition."""
         nonlocal best_val, best_chain
-        if float(acc.max()) >= best_val:
+        if val >= best_val:
             return
-        if all(space.subset_diameter(c) == 0 for c in current):
-            if float(acc.max()) < best_val:
-                best_val = float(acc.max())
-                best_chain = list(chain)
-            return
-        nxt_cap = min(level_capacity(level + 1), n)
-        if nxt_cap >= n:
+        if width == 0.0:
+            best_val, best_chain = val, chain
+        elif level_capacity(level + 1) >= n:
             # singletons are admissible and free from here on
-            total = acc  # remaining contributions are zero
-            if float(total.max()) < best_val:
-                best_val = float(total.max())
-                best_chain = chain + [singletons]
-            return
-        w = 2.0 ** ((level + 1) / alpha)
-        seen = set()
-        for refined in _refining_partitions(space, current, nxt_cap):
-            if refined in seen:
-                continue
-            seen.add(refined)
-            rec(level + 1, refined, acc + w * diam_vec(refined), chain + [refined])
+            best_val, best_chain = val, chain + [singletons]
+        else:
+            refined = list(_refining_partitions(chain[-1], level_capacity(level + 1)))
+            diams = diam_rows(refined)
+            accs = acc + 2.0 ** ((level + 1) / alpha) * diams
+            for part, row, v, wdt in zip(refined, accs, accs.max(axis=1).tolist(),
+                                         diams.max(axis=1).tolist()):
+                settle(level + 1, chain + [part], row, v, wdt)
 
-    acc0 = diam_vec(trivial)  # 2^0 weight
-    rec(0, trivial, acc0, [trivial])
+    acc0 = diam_rows([trivial])[0]  # 2^0 weight
+    settle(0, [trivial], acc0, float(acc0.max()), float(acc0.max()))
     seq = admissible_partitions(space, best_chain)
     return GammaEstimate(alpha=float(alpha), p=1.0, l=0, value=best_val,
                          mode="exact", sequence=seq)
 
 
-def _refining_partitions(space: FiniteMetricSpace, coarse, max_blocks: int):
-    """All partitions refining `coarse` with at most max_blocks blocks."""
-    per_cell_options = []
-    for cell in coarse:
-        per_cell_options.append(
-            [list(part) for part in _partitions_up_to(cell, len(cell))]
-        )
+def _refining_partitions(coarse, max_blocks: int):
+    """All partitions refining `coarse` with at most max_blocks blocks.
+
+    Each is yielded once: the cells of `coarse` are disjoint and each
+    cell's partitions are distinct.
+    """
+    per_cell_options = [list(_partitions_up_to(cell, len(cell))) for cell in coarse]
     for combo in itertools.product(*per_cell_options):
         blocks: list[tuple[int, ...]] = []
         for part in combo:
-            blocks.extend(tuple(b) for b in part)
+            blocks.extend(part)
         if len(blocks) <= max_blocks:
             yield tuple(sorted(blocks))
 

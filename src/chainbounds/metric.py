@@ -90,7 +90,7 @@ class FiniteMetricSpace:
         idx = np.asarray(list(indices), dtype=int)
         if idx.size <= 1:
             return 0.0
-        return float(self.dist[np.ix_(idx, idx)].max())
+        return float(self.dist[idx[:, None], idx].max())
 
     def point_to_set(self, subset) -> np.ndarray:
         """d(t, S) for every point t, S given by indices."""
@@ -110,7 +110,11 @@ def build_metric_space(dist, labels=None) -> FiniteMetricSpace:
     Rejects non-square input, negative entries, a nonzero diagonal, asymmetry,
     and triangle-inequality violations, naming the offending entry or triple.
     """
-    d = np.array(dist, dtype=float)
+    return _validated(np.array(dist, dtype=float), labels, certified=False)
+
+
+def _validated(d: np.ndarray, labels, certified: bool) -> FiniteMetricSpace:
+    """Run every check on d, skipping the triangle pass when certified."""
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise MetricValidationError(f"distance matrix must be square, got shape {d.shape}")
     n = d.shape[0]
@@ -132,18 +136,8 @@ def build_metric_space(dist, labels=None) -> FiniteMetricSpace:
         raise MetricValidationError(
             f"asymmetric pair d[{i},{j}] = {d[i, j]} vs d[{j},{i}] = {d[j, i]}"
         )
-    # Triangle inequality with a relative slack for distances assembled from
-    # floating-point coordinates.
-    tol = _TRIANGLE_RTOL * max(1.0, float(d.max()))
-    for j in range(n):
-        # d[i,k] <= d[i,j] + d[j,k] for all i,k; check one intermediate at a time
-        viol = d - (d[:, j:j + 1] + d[j:j + 1, :])
-        if viol.max() > tol:
-            i, k = (int(x) for x in np.argwhere(viol == viol.max())[0])
-            raise MetricValidationError(
-                f"triangle violation d[{i},{k}] = {d[i, k]} > "
-                f"d[{i},{j}] + d[{j},{k}] = {d[i, j] + d[j, k]} (triple {i},{j},{k})"
-            )
+    if not certified:
+        _check_triangle(d)
     if labels is None:
         labels = tuple(range(n))
     else:
@@ -156,24 +150,80 @@ def build_metric_space(dist, labels=None) -> FiniteMetricSpace:
     return FiniteMetricSpace(labels=labels, dist=d)
 
 
+def _check_triangle(d: np.ndarray) -> None:
+    """The O(n^3) triangle pass, with a relative slack for rounded distances."""
+    tol = _TRIANGLE_RTOL * max(1.0, float(d.max()))
+    viol = np.empty_like(d)  # reused: one n x n buffer instead of two per intermediate
+    for j in range(d.shape[0]):
+        # d[i,k] <= d[i,j] + d[j,k] for all i,k; check one intermediate at a time
+        np.add(d[:, j:j + 1], d[j:j + 1, :], out=viol)
+        np.subtract(d, viol, out=viol)
+        if viol.max() > tol:
+            i, k = (int(x) for x in np.argwhere(viol == viol.max())[0])
+            raise MetricValidationError(
+                f"triangle violation d[{i},{k}] = {d[i, k]} > "
+                f"d[{i},{j}] + d[{j},{k}] = {d[i, j] + d[j, k]} (triple {i},{j},{k})"
+            )
+
+
+def _norm_certifies_triangle(dim: int, max_dist: float) -> bool:
+    """True when rounding cannot make lp distances fail the triangle pass.
+
+    Exact l1, l2 and linf distances satisfy the triangle inequality exactly.
+    A computed distance takes at most dim + 3 roundings (a difference, its
+    square, dim - 1 additions, a square root), so it is within
+    gamma_k * dist + tiny of the exact one, with k = dim + 3,
+    gamma_k = k*u / (1 - k*u) (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 3-4) and tiny = sqrt(dim * 2^-1074) for squares that
+    underflow.  A triple's computed violation d_ik - (d_ij + d_jk) is then
+    at most 3 * gamma_k * D + 3 * tiny, plus u * (d_ij + d_jk) for rounding
+    the sum, where D bounds the exact distances.  When that is within the
+    pass's tolerance, the pass cannot fail and is skipped.
+    """
+    u = 2.0 ** -53
+    k = dim + 3
+    if k * u >= 0.5:
+        return False
+    gamma = k * u / (1.0 - k * u)
+    tiny = math.sqrt(dim * 2.0 ** -1074)
+    exact_max = (max_dist + tiny) / (1.0 - gamma)
+    slack = 3.0 * gamma * exact_max + 3.0 * tiny + 2.0 * u * max_dist
+    return slack <= _TRIANGLE_RTOL * max(1.0, max_dist)
+
+
+# Coordinates differenced at once: bounds the (rows, n, d) temporary.
+_BLOCK_ELEMENTS = 1 << 18
+
+
 def space_from_points(points, norm: str = "l2", labels=None) -> FiniteMetricSpace:
-    """Build a space from a point cloud under an lp norm ("l1", "l2", "linf")."""
+    """Build a space from a point cloud under an lp norm ("l1", "l2", "linf").
+
+    Distances are computed a block of rows at a time.  Every check of
+    :func:`build_metric_space` runs except the O(n^3) triangle pass, which
+    is skipped when the rounding-error certificate shows it cannot fail.
+    """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise MetricValidationError(f"points must be a 2-d array, got shape {pts.shape}")
-    diff = pts[:, None, :] - pts[None, :, :]
-    if norm == "l2":
-        d = np.sqrt((diff ** 2).sum(axis=2))
-    elif norm == "l1":
-        d = np.abs(diff).sum(axis=2)
-    elif norm == "linf":
-        d = np.abs(diff).max(axis=2)
-    else:
+    if norm not in ("l1", "l2", "linf"):
         raise MetricValidationError(f"unknown norm {norm!r} (expected l1, l2, or linf)")
+    n, dim = pts.shape
+    d = np.empty((n, n))
+    rows = max(1, _BLOCK_ELEMENTS // max(1, n * dim))
+    for start in range(0, n, rows):
+        diff = pts[start:start + rows, None, :] - pts[None, :, :]
+        if norm == "l2":
+            d[start:start + rows] = np.sqrt((diff ** 2).sum(axis=2))
+        elif norm == "l1":
+            d[start:start + rows] = np.abs(diff).sum(axis=2)
+        else:
+            d[start:start + rows] = np.abs(diff).max(axis=2)
     # exact symmetry despite floating point
     d = np.maximum(d, d.T)
     np.fill_diagonal(d, 0.0)
-    return build_metric_space(d, labels=labels)
+    # a non-finite maximum fails the certificate or the finiteness check
+    certified = n > 0 and _norm_certifies_triangle(dim, float(d.max()))
+    return _validated(d, labels, certified)
 
 
 @dataclass(frozen=True)

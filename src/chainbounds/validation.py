@@ -63,6 +63,7 @@ def estimate_moments(
     if values.size == 0:
         raise DomainError("cannot estimate moments from an empty sample")
     p_list = [check_real("moment order p", p, 1.0) for p in np.atleast_1d(p_list)]
+    resamples = check_int("resamples", resamples, 1)
     if not 0.5 < confidence < 1.0:
         raise DomainError(f"confidence must lie in (0.5, 1), got {confidence}")
     rng = _bootstrap_rng(sample.seed)

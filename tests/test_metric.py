@@ -1,6 +1,7 @@
 """Finite metric spaces, covering numbers, and the entropy integral."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from chainbounds import (
     covering_number,
     covering_profile,
     entropy_integral,
+    space_from_json,
     space_from_points,
 )
+from chainbounds import metric
 
 TRI = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
 
@@ -152,3 +155,91 @@ def test_entropy_integral_scales_linearly():
 def test_entropy_integral_singleton_is_zero():
     sp = build_metric_space([[0.0]])
     assert entropy_integral(sp, 2.0).value == 0.0
+
+
+# ---------------------------------------------------------------------------
+# norm-induced spaces: blocked distances and the triangle certificate
+
+
+def unchunked_distances(pts, norm):
+    """The one-shot (n, n, d) formula that blocked construction replaces."""
+    diff = pts[:, None, :] - pts[None, :, :]
+    if norm == "l2":
+        d = np.sqrt((diff ** 2).sum(axis=2))
+    elif norm == "l1":
+        d = np.abs(diff).sum(axis=2)
+    else:
+        d = np.abs(diff).max(axis=2)
+    d = np.maximum(d, d.T)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+@st.composite
+def point_clouds(draw):
+    """1-40 points at scales 1e-150..1e150; integer grids give ties and duplicates."""
+    n = draw(st.integers(1, 40))
+    dim = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        pts = rng.integers(-2, 3, size=(n, dim)).astype(float)
+    else:
+        pts = rng.normal(size=(n, dim))
+    if n > 1 and draw(st.booleans()):
+        pts[-1] = pts[0]  # a duplicate point: a semi-metric zero
+    return pts * 10.0 ** draw(st.integers(-150, 150))
+
+
+@given(point_clouds(), st.sampled_from(["l1", "l2", "linf"]), st.integers(1, 64))
+@settings(max_examples=200, deadline=None)
+def test_norm_spaces_are_bitwise_and_pass_the_full_triangle_pass(pts, norm, block):
+    # small blocks make construction run over many row blocks
+    with mock.patch.object(metric, "_BLOCK_ELEMENTS", block):
+        space = space_from_points(pts, norm=norm)
+    ref = unchunked_distances(pts, norm)
+    assert np.array_equal(space.dist.view(np.int64), ref.view(np.int64))
+    assert metric._norm_certifies_triangle(pts.shape[1], float(ref.max()))
+    metric._check_triangle(space.dist)  # the skipped pass would have passed
+
+
+def test_certificate_declines_dimensions_too_large_to_certify():
+    for max_dist in (0.0, 1e-300, 1.0, 1e300):
+        assert metric._norm_certifies_triangle(100, max_dist)
+        assert not metric._norm_certifies_triangle(2**52, max_dist)
+    # the tolerance is relative from distance 1 up and absolute below it
+    for max_dist in (1.0, 1e300):
+        assert not metric._norm_certifies_triangle(10**7, max_dist)
+    assert metric._norm_certifies_triangle(10**7, 1e-3)
+
+
+def _count_triangle_passes(monkeypatch) -> list:
+    calls = []
+    real = metric._check_triangle
+
+    def counted(d):
+        calls.append(d.shape[0])
+        real(d)
+
+    monkeypatch.setattr(metric, "_check_triangle", counted)
+    return calls
+
+
+def test_triangle_pass_skipped_for_certified_norm_spaces(monkeypatch):
+    calls = _count_triangle_passes(monkeypatch)
+    rng = np.random.default_rng(12)
+    for dim in (1, 8, 100):
+        for norm in ("l1", "l2", "linf"):
+            space_from_points(rng.normal(size=(30, dim)), norm=norm)
+    space_from_json({"points": rng.normal(size=(5, 3)).tolist(), "norm": "l1"})
+    assert calls == []
+
+
+def test_triangle_pass_runs_for_user_dist_and_uncertified_spaces(monkeypatch):
+    calls = _count_triangle_passes(monkeypatch)
+    dist = space_from_points(np.random.default_rng(13).normal(size=(6, 2))).dist
+    build_metric_space(dist)
+    space_from_json({"dist": dist.tolist()})
+    assert calls == [6, 6]
+    monkeypatch.setattr(metric, "_norm_certifies_triangle", lambda dim, max_dist: False)
+    space_from_points(np.zeros((4, 2)))
+    assert calls == [6, 6, 4]

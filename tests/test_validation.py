@@ -135,6 +135,12 @@ def test_estimate_moments_input_validation():
         estimate_moments(_sample([]), [2.0])
 
 
+@pytest.mark.parametrize("resamples", [0, -2, 1.5, True])
+def test_estimate_moments_rejects_bad_resample_counts(resamples):
+    with pytest.raises(DomainError, match="resamples"):
+        estimate_moments(_sample([1.0, 2.0, 3.0]), [2.0], resamples=resamples)
+
+
 def test_estimate_moments_high_order_does_not_overflow():
     # 20**400 overflows a double; the exact root comes from Decimal arithmetic.
     vals = np.linspace(0.4, 20.0, 50)
