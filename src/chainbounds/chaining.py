@@ -370,8 +370,8 @@ def gamma_prime(
             lvl += 1
             cap = min(level_capacity(lvl), n)
             cells = [list(c) for c in current]
+            widths = [space.subset_diameter(c) for c in cells]  # kept in step with cells
             while len(cells) < cap:
-                widths = [space.subset_diameter(c) for c in cells]
                 w = max(widths)
                 if w == 0:
                     break
@@ -383,10 +383,11 @@ def gamma_prime(
                 seed_a, seed_b = cell[a], cell[b]
                 if seed_a > seed_b:
                     seed_a, seed_b = seed_b, seed_a
-                left = [i for i in cell
-                        if space.dist[i, seed_a] <= space.dist[i, seed_b]]
-                right = [i for i in cell if i not in left]
+                near_a = space.dist[cell, seed_a] <= space.dist[cell, seed_b]
+                left = [i for i, k in zip(cell, near_a) if k]
+                right = [i for i, k in zip(cell, near_a) if not k]
                 cells[ci:ci + 1] = [left, right]
+                widths[ci:ci + 1] = [space.subset_diameter(left), space.subset_diameter(right)]
             current = tuple(sorted(tuple(sorted(c)) for c in cells))
             levels.append(current)
         seq = admissible_partitions(space, levels)

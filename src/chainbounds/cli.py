@@ -198,6 +198,7 @@ def _cmd_cover(args) -> int:
             "mode": res.mode,
         }
         print(f"N(T, d, {res.radius:g}) = {res.count} [{res.mode}]")
+    prof = None
     if args.profile:
         prof = covering_profile(space, mode=args.mode)
         rows = [
@@ -208,7 +209,8 @@ def _cmd_cover(args) -> int:
         for r, c in zip(prof.radii, prof.counts):
             print(f"radius {r:.6g}: count {c}")
     if args.entropy_alpha is not None:
-        ent = entropy_integral(space, args.entropy_alpha, mode=args.mode)
+        # integrates the profile above, if any, instead of computing it again
+        ent = entropy_integral(space, args.entropy_alpha, mode=args.mode, profile=prof)
         payload["entropy_integral"] = {"alpha": ent.alpha, "value": ent.value, "mode": ent.mode}
         print(f"entropy integral (alpha={ent.alpha:g}) = {ent.value:.12g}")
     _emit(args, "cover", config, payload, rows=rows)
@@ -589,7 +591,8 @@ def _cmd_rip(args) -> int:
         _emit(args, "rip-exact", config, payload)
         return 0
     # curve
-    m_list = [int(v) for v in _parse_float_list(args.m_list, "--m-list")]
+    m_list = [check_int("--m-list entry", v, 1)
+              for v in _parse_float_list(args.m_list, "--m-list")]
     config = {
         "action": "curve", "N": args.N, "s": args.s, "delta": args.delta,
         "m_list": m_list, "reps": args.reps, "seed": seed,

@@ -1,9 +1,9 @@
 """Shared exception types.
 
 Every rejection carries a message naming the offending entry, so callers can
-surface validation failures without re-deriving them.  The two argument
+surface validation failures without re-deriving them.  The argument
 validators below are shared by every module that takes a count, a seed, an
-order or a scale.
+order, a scale or a confidence level.
 """
 
 import math
@@ -76,3 +76,10 @@ def check_real(name: str, v, low: float, strict: bool = False) -> float:
         op = ">" if strict else ">="
         raise DomainError(f"{name} must be finite and {op} {low:g}, got {v!r}")
     return float(v)
+
+
+def check_confidence(confidence) -> float:
+    """confidence as a float; DomainError unless it lies in (0.5, 1)."""
+    if not 0.5 < confidence < 1.0:  # False for NaN
+        raise DomainError(f"confidence must lie in (0.5, 1), got {confidence}")
+    return float(confidence)

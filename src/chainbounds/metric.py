@@ -434,15 +434,18 @@ def entropy_integral(
     alpha: float,
     mode: str = "auto",
     exact_cap: int = EXACT_COVER_CAP,
+    profile: CoveringProfile | None = None,
 ) -> EntropyIntegral:
     """Integrate (log N(T,d,u))^(1/alpha) du exactly over the breakpoints.
 
     The integrand vanishes for u >= the Chebyshev radius, so the sum is
     finite.  Above the exact-cover cap the greedy profile is used and flagged
-    in the result mode.
+    in the result mode.  A caller that already holds
+    covering_profile(space, mode, exact_cap) passes it as profile, and it is
+    integrated instead of being computed again.
     """
     alpha = check_real("alpha", alpha, 0.0, strict=True)
-    prof = covering_profile(space, mode=mode, exact_cap=exact_cap)
+    prof = covering_profile(space, mode=mode, exact_cap=exact_cap) if profile is None else profile
     radii = list(prof.radii)
     counts = list(prof.counts)
     total = 0.0

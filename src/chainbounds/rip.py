@@ -6,10 +6,21 @@ and the expected Gram matrix is the identity.  Restricted isometry
 constants are computed exactly by enumerating size-s supports and taking
 extreme eigenvalues of the s x s Grams; sample-complexity thresholds invert
 the fitted sufficiency condition by integer bisection.
+
+One kernel serves the exact constant and the Monte Carlo: the N x N Gram is
+formed once per matrix (once per replication, with the selectors as a 0/1
+row weight on the rescaled unitary), the s x s blocks of a cached table of
+supports are gathered from it, and LAPACK eigvalsh runs on stacks of at most
+_BATCH of them.  Unselected rows add exact zeros and the unitary is rescaled
+before the sums, so each delta_s is bit for bit that of the enumeration over
+the rescaled selected rows alone.  This holds up to 8192 rows, numpy's einsum
+buffer; beyond it numpy sums in buffer-sized pieces laid out by operand shape,
+and the last bits may differ.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -21,6 +32,7 @@ from .errors import (
     ConvergenceError,
     DomainError,
     ModelError,
+    check_confidence,
     check_int,
     check_real,
 )
@@ -59,6 +71,8 @@ def _as_unitary(U) -> np.ndarray:
     U = np.asarray(U, dtype=complex)
     if U.ndim != 2 or U.shape[0] != U.shape[1] or U.size == 0:
         raise DomainError(f"U must be a nonempty square matrix, got shape {U.shape}")
+    if not np.isfinite(U).all():
+        raise DomainError("U must have finite entries")
     residual = np.abs(U.conj().T @ U - np.eye(U.shape[0])).max()
     if residual > UNITARY_TOL:
         raise DomainError(f"U is not unitary (max |U*U - I| = {residual:.3e})")
@@ -70,8 +84,12 @@ def sample_selectors(N: int, m: int, seed: int, rep: int = 0) -> np.ndarray:
     N = check_int("N", N, 1)
     m = check_int("m", m, 0, N)
     seed = check_int("seed", seed, 0, SEED_MAX)
-    keep = replication_rng(seed, rep).random(N) < m / N
-    return np.flatnonzero(keep)
+    return np.flatnonzero(_selector_mask(N, m, seed, rep))
+
+
+def _selector_mask(N: int, m: int, seed: int, rep: int) -> np.ndarray:
+    """Replication rep's Bernoulli(m/N) keep mask over the N rows."""
+    return replication_rng(seed, rep).random(N) < m / N
 
 
 def subsample(U, I, m: int) -> np.ndarray:
@@ -107,6 +125,54 @@ class RipReport:
             )
 
 
+def _check_enumeration(N: int, s: int, enumeration_cap: int) -> None:
+    n_supports = math.comb(N, s)
+    if n_supports > enumeration_cap:
+        raise CapacityError(
+            f"C({N},{s}) = {n_supports} supports exceeds the enumeration cap "
+            f"{enumeration_cap}; use Monte Carlo sampling over supports instead"
+        )
+
+
+@functools.lru_cache(maxsize=4)
+def _supports(N: int, s: int) -> np.ndarray:
+    """Read-only (C(N, s), s) table of the size-s supports in lexicographic order."""
+    flat = itertools.chain.from_iterable(itertools.combinations(range(N), s))
+    table = np.fromiter(flat, dtype=np.intp, count=math.comb(N, s) * s).reshape(-1, s)
+    table.flags.writeable = False
+    return table
+
+
+def _grams(weights: np.ndarray, A: np.ndarray, s: int) -> np.ndarray:
+    """(R, N, N) Grams sum_i weights[r, i] conj(A[i, k]) A[i, l] of the columns of A.
+
+    With 0/1 weights each entry is the same sequential sum as over the kept
+    rows alone.  Size-1 supports read only the diagonal, so for s = 1 the
+    squared column norms are broadcast instead of forming N x N Grams.
+    """
+    R, N = weights.shape[0], A.shape[1]
+    if s == 1:
+        norms = np.einsum("ri,ik,ik->rk", weights, A.conj(), A)
+        return np.broadcast_to(norms[:, None, :], (R, N, N))
+    return np.einsum("ri,ik,il->rkl", weights, A.conj(), A)
+
+
+def _support_deltas(grams: np.ndarray, supports: np.ndarray) -> np.ndarray:
+    """(R, C) values max(lambda_max - 1, 1 - lambda_min) of every support's s x s Gram.
+
+    Each eigvalsh call sees at most _BATCH matrices (R of them per support),
+    so the gathered stack stays bounded whatever the table size.
+    """
+    R = grams.shape[0]
+    out = np.empty((R, supports.shape[0]))
+    step = max(1, _BATCH // R)
+    for lo in range(0, supports.shape[0], step):
+        S = supports[lo:lo + step]
+        w = np.linalg.eigvalsh(grams[:, S[:, :, None], S[:, None, :]])
+        out[:, lo:lo + step] = np.maximum(w[..., -1] - 1.0, 1.0 - w[..., 0])
+    return out
+
+
 def restricted_isometry_constant(
     A, s: int, enumeration_cap: int = ENUMERATION_CAP
 ) -> RipReport:
@@ -121,30 +187,16 @@ def restricted_isometry_constant(
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[1] == 0:
         raise DomainError(f"A must be a matrix with at least one column, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise DomainError("A must have finite entries")
     N = A.shape[1]
     s = check_int("s", s, 1, N)
-    n_supports = math.comb(N, s)
-    if n_supports > enumeration_cap:
-        raise CapacityError(
-            f"C({N},{s}) = {n_supports} supports exceeds the enumeration cap "
-            f"{enumeration_cap}; use Monte Carlo sampling over supports instead"
-        )
-    best_delta = -1.0
-    best_support = None
-    combos = itertools.combinations(range(N), s)
-    while True:
-        chunk = list(itertools.islice(combos, _BATCH))
-        if not chunk:
-            break
-        supports = np.array(chunk, dtype=int)
-        cols = A[:, supports]  # (rows, batch, s)
-        grams = np.einsum("rbi,rbj->bij", cols.conj(), cols)
-        w = np.linalg.eigvalsh(grams)
-        deltas = np.maximum(w[:, -1] - 1.0, 1.0 - w[:, 0])
-        k = int(np.argmax(deltas))
-        if deltas[k] > best_delta:
-            best_delta = float(deltas[k])
-            best_support = tuple(int(i) for i in supports[k])
+    _check_enumeration(N, s, enumeration_cap)
+    supports = _supports(N, s)
+    deltas = _support_deltas(_grams(np.ones((1, A.shape[0])), A, s), supports)[0]
+    k = int(np.argmax(deltas))  # the first maximum: lexicographically-first support
+    best_delta = float(deltas[k])
+    best_support = tuple(int(i) for i in supports[k])
     cols = A[:, best_support]
     gram = cols.conj().T @ cols
     w, V = np.linalg.eigh(gram)
@@ -274,14 +326,23 @@ def estimate_failure_probability(
     reps = check_int("reps", reps, 1)
     seed = check_int("seed", seed, 0, SEED_MAX)
     check_real("delta", delta, 0.0)
+    s = check_int("s", s, 1, N)
+    _check_enumeration(N, s, enumeration_cap)
+    check_confidence(confidence)
+    supports = _supports(N, s)
+    A = math.sqrt(N / m) * U  # scaled before the sums, as subsample() does
+    # Replications go through the kernel in chunks of at most _BATCH support
+    # Grams (one replication when the table is larger), so memory does not
+    # grow with reps.
+    chunk = max(1, _BATCH // supports.shape[0])
     failures = 0
     realized = 0
-    for rep in range(reps):
-        I = sample_selectors(N, m, seed, rep)
-        realized += I.size
-        report = restricted_isometry_constant(subsample(U, I, m), s, enumeration_cap)
-        if report.delta_s >= delta:
-            failures += 1
+    for lo in range(0, reps, chunk):
+        keep = np.array([_selector_mask(N, m, seed, rep)
+                         for rep in range(lo, min(lo + chunk, reps))])
+        realized += int(keep.sum())
+        worst = _support_deltas(_grams(keep, A, s), supports).max(axis=1)
+        failures += int(np.count_nonzero(worst >= delta))
     return {
         "N": N,
         "m": m,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .errors import CapacityError, DomainError, check_int, check_real
+from .errors import CapacityError, DomainError, check_confidence, check_int, check_real
 from .processes import SIGN_ENUM_CAP, SupremumSample, sign_patterns
 from .results import MomentBound, TailBound
 from .schatten import _matrix_stack
@@ -64,8 +64,7 @@ def estimate_moments(
         raise DomainError("cannot estimate moments from an empty sample")
     p_list = [check_real("moment order p", p, 1.0) for p in np.atleast_1d(p_list)]
     resamples = check_int("resamples", resamples, 1)
-    if not 0.5 < confidence < 1.0:
-        raise DomainError(f"confidence must lie in (0.5, 1), got {confidence}")
+    confidence = check_confidence(confidence)
     rng = _bootstrap_rng(sample.seed)
     n = values.size
     # Powers of values / max (max taken as 1 for an all-zero sample) stay in
@@ -95,6 +94,7 @@ def _exceedance_counts(k, n) -> tuple[int, int]:
 def exceedance_upper_bound(k: int, n: int, confidence: float = CONFIDENCE) -> float:
     """One-sided Clopper-Pearson upper bound for k exceedances in n trials."""
     k, n = _exceedance_counts(k, n)
+    confidence = check_confidence(confidence)
     if k == n:
         return 1.0
     return float(stats.beta.ppf(confidence, k + 1, n - k))
@@ -103,6 +103,7 @@ def exceedance_upper_bound(k: int, n: int, confidence: float = CONFIDENCE) -> fl
 def exceedance_lower_bound(k: int, n: int, confidence: float = CONFIDENCE) -> float:
     """One-sided Clopper-Pearson lower bound for k exceedances in n trials."""
     k, n = _exceedance_counts(k, n)
+    confidence = check_confidence(confidence)
     if k == 0:
         return 0.0
     return float(stats.beta.ppf(1.0 - confidence, k, n - k + 1))

@@ -210,3 +210,52 @@ def test_gamma_estimate_records_witness():
     est = gamma_exact(TRIANGLE, 2.0)
     assert est.sequence is not None
     assert functional_value(TRIANGLE, est.sequence, 2.0) == pytest.approx(est.value)
+
+
+def reference_greedy_prime_levels(space):
+    """The greedy gamma_prime loop that re-measured every cell before each split."""
+    levels = [current := (tuple(range(space.size)),)]
+    lvl = 0
+    while any(space.subset_diameter(c) > 0 for c in current):
+        lvl += 1
+        cap = min(level_capacity(lvl), space.size)
+        cells = [list(c) for c in current]
+        while len(cells) < cap:
+            widths = [space.subset_diameter(c) for c in cells]
+            w = max(widths)
+            if w == 0:
+                break
+            ci = widths.index(w)
+            cell = cells[ci]
+            d = space.dist[np.ix_(cell, cell)]
+            a, b = np.unravel_index(int(np.argmax(d)), d.shape)
+            seed_a, seed_b = sorted((cell[a], cell[b]))
+            left = [i for i in cell if space.dist[i, seed_a] <= space.dist[i, seed_b]]
+            right = [i for i in cell if i not in left]
+            cells[ci:ci + 1] = [left, right]
+        current = tuple(sorted(tuple(sorted(c)) for c in cells))
+        levels.append(current)
+    return tuple(levels)
+
+
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.sampled_from(["l1", "l2", "grid"]))
+@settings(max_examples=40, deadline=None)
+def test_greedy_gamma_prime_partitions_match_the_remeasuring_loop(n, seed, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "grid":  # many equal widths and equidistant points: ties everywhere
+        sp = space_from_points(rng.integers(0, 3, size=(n, 2)).astype(float), norm="l1")
+    else:
+        sp = space_from_points(rng.normal(size=(n, 3)), norm=kind)
+    est = gamma_prime(sp, 2.0, mode="greedy")
+    assert est.sequence.levels == reference_greedy_prime_levels(sp)
+
+
+def test_greedy_gamma_prime_measures_each_cell_once(monkeypatch):
+    sp = space_from_points(np.random.default_rng(1).normal(size=(200, 3)))
+    calls = []
+    diameter = type(sp).subset_diameter
+    monkeypatch.setattr(type(sp), "subset_diameter",
+                        lambda self, c: calls.append(1) or diameter(self, c))
+    gamma_prime(sp, 2.0, mode="greedy")
+    # the re-measuring loop made about 20,500 calls here
+    assert len(calls) < 3 * 200 * 4

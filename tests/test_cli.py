@@ -348,6 +348,38 @@ def test_rip_curve(tmp_path, capsys):
     assert csvs
 
 
+@pytest.mark.parametrize("m_list", ["2.5,4", "4,nan", "4,inf", "0,4"])
+def test_rip_curve_non_integer_m_exits_two(tmp_path, capsys, m_list):
+    code, _, err = run(["rip", "curve", "--N", "8", "--s", "1", "--delta", "0.5", "--m-list",
+                        m_list, "--reps", "5", "--seed", "1", "--out", str(tmp_path)], capsys)
+    assert code == 2 and "error: --m-list entry" in err
+    assert not list(tmp_path.glob("rip-curve-*"))
+
+
+@pytest.mark.parametrize("flags", [["--profile"], ["--entropy-alpha", "2"],
+                                   ["--profile", "--entropy-alpha", "2"]])
+@pytest.mark.parametrize("mode", ["exact", "greedy"])
+def test_cover_computes_one_profile_per_command(tmp_path, capsys, monkeypatch, flags, mode):
+    import chainbounds.cli as cli
+    import chainbounds.metric as metric
+
+    calls = []
+    profile = metric.covering_profile
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("mode"))
+        return profile(*args, **kwargs)
+
+    monkeypatch.setattr(metric, "covering_profile", counted)
+    monkeypatch.setattr(cli, "covering_profile", counted)
+    space = tmp_path / "cloud.json"
+    points = np.random.default_rng(3).normal(size=(9, 2)).tolist()
+    space.write_text(json.dumps({"points": points, "norm": "l2"}))
+    code, _, _ = run(["cover", "--space", str(space), "--mode", mode, "--out", str(tmp_path)]
+                     + flags, capsys)
+    assert code == 0 and calls == [mode]
+
+
 def test_rip_missing_required_args(tmp_path, capsys):
     code, _, err = run(["rip", "curve", "--N", "8", "--s", "2", "--out", str(tmp_path)], capsys)
     assert code == 2

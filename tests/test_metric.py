@@ -144,6 +144,18 @@ def test_entropy_integral_two_points():
     assert ent1.value == pytest.approx(math.log(2.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("mode", ["exact", "greedy"])
+def test_entropy_integral_of_a_given_profile_is_the_same(mode):
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 9, 15):
+        sp = random_point_space(rng, n)
+        prof = covering_profile(sp, mode=mode)
+        for alpha in (1.0, 2.0):
+            fresh = entropy_integral(sp, alpha, mode=mode)
+            assert entropy_integral(sp, alpha, mode=mode, profile=prof) == fresh
+            assert fresh.profile == prof
+
+
 def test_entropy_integral_scales_linearly():
     rng = np.random.default_rng(8)
     pts = rng.normal(size=(7, 2))

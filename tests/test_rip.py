@@ -24,6 +24,7 @@ from chainbounds import (
     subsample,
     subsampled_instance,
 )
+from chainbounds import rip
 
 
 def test_dft_two_by_two_exact():
@@ -345,3 +346,157 @@ def test_seeds_are_checked_like_the_simulators(seed):
 
 def test_largest_seed_is_accepted():
     assert sample_selectors(8, 4, 2**64 - 1).size <= 8
+
+
+# ---------------------------------------------------------------------------
+# the batched kernel against the per-support, per-replication loops it replaced
+
+
+def reference_delta(A, s, batch=4096):
+    """The chunked enumeration: one einsum over the selected columns per chunk."""
+    A = np.asarray(A, dtype=complex)
+    best_delta, best_support = -1.0, None
+    combos = itertools.combinations(range(A.shape[1]), s)
+    while True:
+        chunk = list(itertools.islice(combos, batch))
+        if not chunk:
+            break
+        supports = np.array(chunk, dtype=int)
+        cols = A[:, supports]
+        w = np.linalg.eigvalsh(np.einsum("rbi,rbj->bij", cols.conj(), cols))
+        deltas = np.maximum(w[:, -1] - 1.0, 1.0 - w[:, 0])
+        k = int(np.argmax(deltas))
+        if deltas[k] > best_delta:
+            best_delta, best_support = float(deltas[k]), tuple(int(i) for i in supports[k])
+    return best_delta, best_support
+
+
+def reference_replication_deltas(N, m, s, reps, seed, U=None):
+    """One exact constant per replication of the rescaled selected rows."""
+    U = build_dft(N) if U is None else U
+    draws = [sample_selectors(N, m, seed, rep) for rep in range(reps)]
+    deltas = [reference_delta(subsample(U, I, m), s)[0] for I in draws]
+    return np.array(deltas), sum(I.size for I in draws)
+
+
+def batched_replication_deltas(N, m, s, reps, seed, U=None):
+    U = build_dft(N) if U is None else U
+    keep = np.array([rip._selector_mask(N, m, seed, rep) for rep in range(reps)])
+    A = math.sqrt(N / m) * U
+    return rip._support_deltas(rip._grams(keep, A, s), rip._supports(N, s)).max(axis=1)
+
+
+def assert_same_estimate(N, m, s, reps, seed, U=None):
+    ref, realized = reference_replication_deltas(N, m, s, reps, seed, U)
+    np.testing.assert_array_equal(batched_replication_deltas(N, m, s, reps, seed, U), ref)
+    # thresholds at realized values make every tie count
+    for delta in (0.0, 0.5, float(ref[0]), float(np.median(ref))):
+        got = estimate_failure_probability(N, m, s, delta, reps, seed, U=U)
+        assert got["failures"] == int(np.count_nonzero(ref >= delta))
+        assert got["mean_realized_rows"] == realized / reps
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 24), st.integers(1, 3), st.integers(1, 24), st.integers(0, 2**64 - 1),
+       st.integers(1, 6))
+def test_batched_monte_carlo_matches_per_replication_loop(N, s, m, seed, reps):
+    assert_same_estimate(N, min(m, N), min(s, N), reps, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 12), st.integers(1, 24), st.integers(1, 3), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.1, 0.5, 1.0]))
+def test_batched_constant_matches_chunked_enumeration(rows, N, s, seed, scale):
+    rng = np.random.default_rng(seed)
+    A = scale * (rng.normal(size=(rows, N)) + 1j * rng.normal(size=(rows, N)))
+    s = min(s, N)
+    report = restricted_isometry_constant(A, s)
+    assert (report.delta_s, report.witness_support) == reference_delta(A, s)
+
+
+@pytest.mark.parametrize("A", [np.zeros((0, 5)), np.zeros((3, 4)), np.ones((2, 6)) / 2])
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_batched_constant_on_degenerate_matrices(A, s):
+    report = restricted_isometry_constant(A, s)
+    assert (report.delta_s, report.witness_support) == reference_delta(A, s)
+
+
+@pytest.mark.parametrize("N, m, seed", [(8, 4, 0), (8, 2, 1), (8, 2, 4), (12, 4, 3), (16, 8, 2)])
+def test_s1_ties_count_like_the_loop(N, m, seed):
+    # delta_1 = ||I|/m - 1| lands on 0.5 up to rounding, so the failure count
+    # at delta = 0.5 follows the last bit of every column sum
+    assert_same_estimate(N, m, 1, 100, seed)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_support_chunk_boundaries(monkeypatch, offset):
+    # C(8, 2) = 28 supports; _BATCH one below, at and above the table size
+    monkeypatch.setattr(rip, "_BATCH", 28 + offset)
+    A = np.random.default_rng(5).normal(size=(6, 8))
+    assert restricted_isometry_constant(A, 2).witness_support == reference_delta(A, 2)[1]
+    assert restricted_isometry_constant(A, 2).delta_s == reference_delta(A, 2)[0]
+    assert_same_estimate(8, 4, 2, 5, 11)
+
+
+@pytest.mark.parametrize("batch, reps", [(56, 1), (56, 2), (56, 3), (84, 5), (84, 6), (84, 7)])
+def test_replication_chunk_boundaries(monkeypatch, batch, reps):
+    # _BATCH // 28 replications per chunk: 2 or 3, with reps around it
+    monkeypatch.setattr(rip, "_BATCH", batch)
+    assert_same_estimate(8, 3, 2, reps, 4)
+
+
+def test_failure_probability_rejects_before_any_draw(monkeypatch):
+    draws = []
+    monkeypatch.setattr(rip, "replication_rng", lambda *a: draws.append(a))
+    with pytest.raises(CapacityError):
+        estimate_failure_probability(N=30, m=10, s=15, delta=0.5, reps=3, seed=0)
+    with pytest.raises(CapacityError):
+        estimate_failure_probability(N=8, m=4, s=2, delta=0.5, reps=3, seed=0, enumeration_cap=27)
+    with pytest.raises(DomainError):
+        estimate_failure_probability(N=8, m=4, s=9, delta=0.5, reps=3, seed=0)
+    for confidence in (1.5, float("nan"), -0.1, 0.5, 1.0):
+        with pytest.raises(DomainError):
+            estimate_failure_probability(N=8, m=4, s=2, delta=0.5, reps=3, seed=0,
+                                         confidence=confidence)
+    assert draws == []
+
+
+def test_support_table_is_cached_and_read_only():
+    table = rip._supports(7, 3)
+    assert rip._supports(7, 3) is table
+    assert table.dtype == np.intp and table.shape == (math.comb(7, 3), 3)
+    assert [tuple(row) for row in table.tolist()] == list(itertools.combinations(range(7), 3))
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 6
+
+
+def test_failure_probability_has_no_replication_loop_beyond_the_draws(monkeypatch):
+    # one kernel call per chunk of _BATCH // C(N, s) replications
+    calls = []
+    kernel = rip._support_deltas
+    monkeypatch.setattr(rip, "_support_deltas", lambda g, S: calls.append(len(g)) or kernel(g, S))
+    estimate_failure_probability(N=16, m=8, s=2, delta=0.5, reps=200, seed=1)
+    assert calls == [34] * 5 + [30]
+
+
+def test_batched_constant_matches_up_to_the_einsum_buffer():
+    # 8192 rows, numpy's einsum buffer: the documented reach of bit-equality
+    A = np.random.default_rng(8).normal(size=(8192, 6)) / 90.0
+    for s in (1, 2, 3):
+        report = restricted_isometry_constant(A, s)
+        assert (report.delta_s, report.witness_support) == reference_delta(A, s)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entries_are_rejected(bad):
+    A = np.ones((2, 3))
+    A[1, 2] = bad
+    with pytest.raises(DomainError, match="finite"):
+        restricted_isometry_constant(A, 1)
+    U = build_dft(4)
+    U[0, 0] = bad
+    with pytest.raises(DomainError, match="finite"):
+        estimate_failure_probability(4, 2, 1, 0.5, 3, 0, U=U)
+    with pytest.raises(DomainError, match="finite"):
+        subsampled_instance(U, 2, 0)

@@ -161,6 +161,32 @@ def test_moment_estimate_interval_must_contain_estimate():
         MomentEstimate(p=2.0, estimate=1.0, ci_low=1.2, ci_high=1.4, resamples=10)
 
 
+BAD_CONFIDENCES = [1.5, float("nan"), -0.1, 0.5, 1.0, float("inf")]
+
+
+@pytest.mark.parametrize("confidence", BAD_CONFIDENCES)
+def test_confidence_outside_half_to_one_is_rejected_everywhere(confidence):
+    # the one rule of estimate_moments, for every entry point
+    for k in (0, 3, 10):
+        with pytest.raises(DomainError, match="confidence"):
+            exceedance_upper_bound(k, 10, confidence)
+        with pytest.raises(DomainError, match="confidence"):
+            exceedance_lower_bound(k, 10, confidence)
+    with pytest.raises(DomainError, match="confidence"):
+        estimate_moments(_sample([1.0, 2.0]), [2.0], confidence=confidence)
+    bound = bernstein_tail(BernsteinParams(sigma=1.0, K=1.0, m=1))
+    with pytest.raises(DomainError, match="confidence"):
+        validate_bound(_sample(np.zeros(100)), bound, u_grid=[1.0], confidence=confidence)
+    moment = MomentBound(p=2.0, decomposition=(("all", 2.0),))
+    with pytest.raises(DomainError, match="confidence"):
+        validate_bound(_sample(np.ones(100)), moment, confidence=confidence)
+
+
+def test_confidence_inside_half_to_one_is_accepted():
+    assert exceedance_upper_bound(0, 10, 0.51) < exceedance_upper_bound(0, 10, 0.999)
+    assert exceedance_lower_bound(10, 10, 0.51) > exceedance_lower_bound(10, 10, 0.999)
+
+
 # ---------------------------------------------------------------------------
 # validate_bound verdicts
 
