@@ -11,7 +11,6 @@ re-running a config reproduces the files byte for byte.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -39,8 +38,8 @@ from .chaining import (
     gamma_prime,
     truncation_level,
 )
-from .errors import ChainboundsError, DomainError, check_int, check_real
-from .metric import covering_number, covering_profile, entropy_integral
+from .errors import DomainError, check_int, check_real
+from .metric import _resolve_mode, covering_number, covering_profile, entropy_integral
 from .orlicz import OrliczNorm, psi_norm_analytic, psi_norm_empirical
 from .processes import (
     SEED_MAX,
@@ -77,6 +76,7 @@ from .validation import estimate_moments, validate_bound
 
 OUTPUT_DIR_ENV = "CHAINBOUNDS_OUTPUT_DIR"
 GRID_FIELDS = ("u", "threshold", "envelope", "empirical", "ci_upper", "verdict")
+CURVE_FIELDS = ("m", "estimate", "ci_lower", "ci_upper", "failures", "reps", "mean_realized_rows")
 
 
 def _out_dir(args) -> str:
@@ -137,9 +137,7 @@ def _cmd_gamma(args) -> int:
     # gamma_prime ignores p, but p enters the config hash of every report.
     check_real("order p", args.p, 1.0)
     space = space_from_json(load_json(args.space))
-    mode = args.mode
-    if mode == "auto":
-        mode = "exact" if space.size <= GAMMA_EXACT_CAP else "greedy"
+    mode = _resolve_mode(args.mode, space.size, GAMMA_EXACT_CAP)
     if args.functional == "gamma-prime":
         est = gamma_prime(space, args.alpha, mode=mode)
     elif mode == "exact":
@@ -201,10 +199,8 @@ def _cmd_cover(args) -> int:
     prof = None
     if args.profile:
         prof = covering_profile(space, mode=args.mode)
-        rows = [
-            {"u": r, "threshold": c, "envelope": "", "empirical": "", "ci_upper": "", "verdict": ""}
-            for r, c in zip(prof.radii, prof.counts)
-        ]
+        # written under GRID_FIELDS: u = radius, threshold = count, the rest blank
+        rows = [{"u": r, "threshold": c} for r, c in zip(prof.radii, prof.counts)]
         payload["profile"] = {"radii": prof.radii, "counts": prof.counts, "mode": prof.mode}
         for r, c in zip(prof.radii, prof.counts):
             print(f"radius {r:.6g}: count {c}")
@@ -445,19 +441,22 @@ def _cmd_bound(args) -> int:
 # ---------------------------------------------------------------- simulate
 
 
-def _model_from_config(spec: dict):
+def _run_model(spec: dict, reps: int, seed: int):
+    """Build the configured model and simulate it."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise DomainError('model config must be an object with a "kind"')
     kind = spec["kind"]
     labels = spec.get("labels")
     if kind == "gaussian":
-        return gaussian_model(np.asarray(spec["covariance"], dtype=float), labels=labels)
+        model = gaussian_model(np.asarray(spec["covariance"], dtype=float), labels=labels)
+        return simulate_gaussian(model, reps, seed, base_point=spec.get("base_point", 0))
     if kind == "martingale-family":
-        return martingale_model(
+        model = martingale_model(
             np.asarray(spec["coefficients"], dtype=float),
             labels=labels,
             step_bounds=spec.get("step_bounds"),
         )
+        return simulate_martingale_family(model, reps, seed)
     if kind in ("empirical", "squares"):
         base_spec = spec.get("base", {})
         base = RowDistribution(
@@ -465,13 +464,13 @@ def _model_from_config(spec: dict):
             scale=float(base_spec.get("scale", 1.0)),
             mean_known=bool(base_spec.get("mean_known", True)),
         )
-        builder = empirical_model if kind == "empirical" else squares_model
-        return builder(np.asarray(spec["coefficients"], dtype=float), base, labels=labels)
-    raise DomainError(f"unknown model kind {kind!r} in simulate config")
-
-
-def _run_model(spec: dict, reps: int, seed: int):
-    kind = spec["kind"]
+        builder, simulate = (
+            (empirical_model, simulate_empirical)
+            if kind == "empirical"
+            else (squares_model, simulate_squares)
+        )
+        model = builder(np.asarray(spec["coefficients"], dtype=float), base, labels=labels)
+        return simulate(model, spec.get("m", model.coefficients.shape[1]), reps, seed)
     if kind == "chaos":
         mats = [matrix_from_json(m) for m in spec["matrices"]]
         xi_spec = spec.get("xi", {})
@@ -479,15 +478,28 @@ def _run_model(spec: dict, reps: int, seed: int):
             name=xi_spec.get("name", "rademacher"), scale=float(xi_spec.get("scale", 1.0))
         )
         return simulate_chaos(mats, xi, reps, seed, decoupled=bool(spec.get("decoupled", False)))
-    model = _model_from_config(spec)
-    if kind == "gaussian":
-        return simulate_gaussian(model, reps, seed, base_point=spec.get("base_point", 0))
-    if kind == "martingale-family":
-        return simulate_martingale_family(model, reps, seed)
-    m = int(spec.get("m", model.coefficients.shape[1]))
-    if kind == "empirical":
-        return simulate_empirical(model, m, reps, seed)
-    return simulate_squares(model, m, reps, seed)
+    raise DomainError(f"unknown model kind {kind!r} in simulate config")
+
+
+def _record_validation(report, payload: dict) -> tuple[list, int]:
+    """Print a report's rows, record its verdict in payload, return (rows, exit code).
+
+    A moment row has no tail envelope; its rows entry carries None there.
+    """
+    rows = [dict(r) for r in report.rows]
+    for r in rows:
+        if not math.isfinite(r["envelope"]):
+            r["envelope"] = None
+        point = f"u={r['u']:g}" if "u" in r else f"p={r['p']:g}"
+        env = "" if r["envelope"] is None else f"envelope={r['envelope']:.6g} "
+        print(
+            f"{point} threshold={r['threshold']:.6g} {env}"
+            f"empirical={r['empirical']:.6g} ci_upper={r['ci_upper']:.6g} {r['verdict']}"
+        )
+    payload["bound"] = report.bound.to_dict()
+    payload["verdict"] = report.verdict
+    payload["paper_confirmed"] = report.paper_confirmed
+    return rows, int(report.verdict == "violated")
 
 
 def _cmd_simulate(args) -> int:
@@ -519,24 +531,8 @@ def _cmd_simulate(args) -> int:
         u_grid = config.get("u_grid")
         if isinstance(bound, TailBound) and u_grid is None:
             raise DomainError("tail-bound validation needs a u_grid in the config")
-        report = validate_bound(sample, bound, u_grid=u_grid)
-        rows = [dict(r) for r in report.rows]
-        for r in rows:
-            if not math.isfinite(r["envelope"]):
-                r["envelope"] = None  # moment rows have no tail envelope
-            point = f"u={r['u']:g}" if "u" in r else f"p={r['p']:g}"
-            env = "" if r["envelope"] is None else f"envelope={r['envelope']:.6g} "
-            print(
-                f"{point} threshold={r['threshold']:.6g} {env}"
-                f"empirical={r['empirical']:.6g} ci_upper={r['ci_upper']:.6g} {r['verdict']}"
-            )
-        payload["bound"] = bound.to_dict()
-        payload["verdict"] = report.verdict
-        payload["paper_confirmed"] = report.paper_confirmed
+        rows, code = _record_validation(validate_bound(sample, bound, u_grid=u_grid), payload)
         payload["rows"] = rows
-        rows = [{k: r.get(k, "") for k in GRID_FIELDS} for r in rows]
-        if report.verdict == "violated":
-            code = 1
     else:
         p_list = config.get("p_list", [1.0])
         ests = estimate_moments(sample, p_list)
@@ -600,26 +596,13 @@ def _cmd_rip(args) -> int:
     rows = []
     for m in m_list:
         est = estimate_failure_probability(args.N, m, args.s, args.delta, args.reps, seed)
-        rows.append(
-            {
-                "m": m,
-                "estimate": est["estimate"],
-                "ci_lower": est["ci_lower"],
-                "ci_upper": est["ci_upper"],
-                "failures": est["failures"],
-                "reps": est["reps"],
-                "mean_realized_rows": est["mean_realized_rows"],
-            }
-        )
+        rows.append({k: est[k] for k in CURVE_FIELDS})
         print(
             f"m={m}: P(delta_{args.s} >= {args.delta:g}) ~ {est['estimate']:.4f} "
             f"[{est['ci_lower']:.4f}, {est['ci_upper']:.4f}]"
         )
     payload = {"seed": seed, "curve": rows}
-    _emit(
-        args, "rip-curve", config, payload, rows=rows,
-        fields=("m", "estimate", "ci_lower", "ci_upper", "failures", "reps", "mean_realized_rows"),
-    )
+    _emit(args, "rip-curve", config, payload, rows=rows, fields=CURVE_FIELDS)
     return 0
 
 
@@ -658,18 +641,7 @@ def _cmd_chaos(args) -> int:
     if args.u_grid is not None:
         u_grid = _parse_float_list(args.u_grid, "--u-grid")
         bound = chaos_supremum_bound(radii, xi.psi_norm(2), u=min(u_grid), registry=reg)
-        report = validate_bound(sample, bound, u_grid=u_grid)
-        rows = [dict(r) for r in report.rows]
-        for r in rows:
-            print(
-                f"u={r['u']:g} threshold={r['threshold']:.6g} envelope={r['envelope']:.6g} "
-                f"empirical={r['empirical']:.6g} ci_upper={r['ci_upper']:.6g} {r['verdict']}"
-            )
-        payload["bound"] = bound.to_dict()
-        payload["verdict"] = report.verdict
-        payload["paper_confirmed"] = report.paper_confirmed
-        if report.verdict == "violated":
-            code = 1
+        rows, code = _record_validation(validate_bound(sample, bound, u_grid=u_grid), payload)
     _emit(args, "chaos", config, payload, rows=rows)
     return code
 
@@ -773,16 +745,10 @@ def main(argv=None) -> int:
         if args.command == "rip":
             _require_rip_args(args)
         return args.func(args)
-    except ChainboundsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except KeyError as exc:
         print(f"error: missing config field {exc}", file=sys.stderr)
         return 2
-    except (TypeError, ValueError) as exc:
+    except (OSError, TypeError, ValueError) as exc:  # ChainboundsError and JSONDecodeError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

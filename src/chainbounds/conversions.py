@@ -173,7 +173,7 @@ def small_set_moment_bound(
         raise DomainError("individual_bounds must be nonempty")
     if np.any(~np.isfinite(vals)) or np.any(vals < 0):
         raise DomainError("individual moment bounds must be finite and >= 0")
-    size = int(set_size) if set_size is not None else int(vals.size)
+    size = check_int("set_size", set_size, 1) if set_size is not None else int(vals.size)
     cap = small_set_cap(p)
     if size > cap:
         raise DomainError(
@@ -221,7 +221,7 @@ def union_bound_probability(
     alpha = check_real("alpha", alpha, 0.0, strict=True)
     p = check_real("moment order p", p, 1.0)
     u_min = 2.0 ** (1.0 / alpha)
-    if u < u_min:
+    if not u >= u_min:  # NaN fails too
         raise DomainError(
             f"union bound requires u >= 2^(1/alpha) = {u_min:.6g}, got {u}"
         )

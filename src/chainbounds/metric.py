@@ -285,8 +285,9 @@ def _greedy_counts(radii: np.ndarray, us) -> np.ndarray:
 
 
 def _resolve_mode(mode: str, size: int, exact_cap: int) -> str:
+    """The one auto rule: exact up to exact_cap points, greedy above."""
     if mode not in ("exact", "greedy", "auto"):
-        raise DomainError(f"unknown covering mode {mode!r}")
+        raise DomainError(f"unknown mode {mode!r}; expected exact, greedy or auto")
     if mode == "auto":
         return "exact" if size <= exact_cap else "greedy"
     return mode
@@ -379,9 +380,7 @@ def covering_number(
 
 def _breakpoints(space: FiniteMetricSpace) -> np.ndarray:
     """Radii where the covering number can change: 0 plus distinct distances."""
-    iu = np.triu_indices(space.size, k=1)
-    vals = np.unique(np.concatenate(([0.0], space.dist[iu]))) if space.size > 1 else np.array([0.0])
-    return vals
+    return np.concatenate(([0.0], space.positive_distances()))
 
 
 def covering_profile(

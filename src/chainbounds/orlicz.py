@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, UnsupportedFamilyError, check_real
+from .errors import ConvergenceError, DomainError, UnsupportedFamilyError, check_int, check_real
 
 __all__ = [
     "psi_alpha",
@@ -105,8 +105,8 @@ def psi_norm_empirical(
     value and fails below value * (1 - tol).
     """
     check_real("alpha", alpha, 0.0, strict=True)
-    if tol <= 0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
+    tol = check_real("tolerance", tol, 0.0, strict=True)
+    max_iter = check_int("max_iter", max_iter, 1)
     arr = np.asarray(samples)
     if arr.size == 0:
         raise DomainError("cannot take an Orlicz norm of an empty sample")

@@ -1,6 +1,9 @@
 """Process models and seeded simulators for supremum samples.
 
-Every simulator shares one stream contract.  Replications come in blocks of
+Every simulator checks its model and then hands a driver draw and a
+supremum statistic to one entry, _simulate, which checks reps and seed,
+draws the blocks and assembles the SupremumSample.  So every simulator
+shares one stream contract.  Replications come in blocks of
 BLOCK = 1024: replication r is row r mod BLOCK of block r // BLOCK, and block
 b is drawn from replication_rng(seed, b), a counter-based Philox stream keyed
 by the seed with counter word 2 = b (Salmon et al., "Parallel Random Numbers:
@@ -79,19 +82,27 @@ def replication_rng(seed: int, rep: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, rep, 0]))
 
 
-def _simulate(reps: int, seed: int, draw, stat) -> np.ndarray:
-    """Supremum values of reps replications, drawn block by block.
+def _simulate(reps: int, seed: int, draw, stat, *, base_point=None, companions=()):
+    """The SupremumSample of reps replications: checks reps and seed, draws by block.
 
     draw(rng) returns the BLOCK driver rows of a block, shape (BLOCK, dim).
-    stat maps them to one value per row, or to a (c, BLOCK) stack (a tuple of
-    c such arrays) when companions ride along.  The final block keeps only
-    the rows it needs.  The result is (reps,), or (c, reps) with companions.
+    stat maps them to one supremum value per row, or to a tuple of such
+    arrays, the supremum first and then one per name in companions.  The
+    final block keeps only the rows it needs.
     """
+    reps, seed = check_int("reps", reps, 1), check_int("seed", seed, 0, SEED_MAX)
     parts = []
     for b, start in enumerate(range(0, reps, BLOCK)):
         z = draw(replication_rng(seed, b))
         parts.append(np.asarray(stat(z))[..., : reps - start])
-    return np.concatenate(parts, axis=-1)
+    values, *rest = np.concatenate(parts, axis=-1).reshape(1 + len(companions), reps)
+    return SupremumSample(
+        replications=reps,
+        seed=seed,
+        values=values,
+        base_point=base_point,
+        companions=dict(zip(companions, rest)),
+    )
 
 
 @dataclass(frozen=True)
@@ -217,8 +228,12 @@ class ProcessModel:
         return np.abs(self.coefficients) * self.base.psi_norm(alpha).value
 
 
-def _default_labels(n: int) -> tuple:
-    return tuple(f"t{i}" for i in range(n))
+def _labels(labels, n: int, what: str) -> tuple:
+    """labels as a tuple (t0, t1, ... by default); one per row of what."""
+    labels = tuple(f"t{i}" for i in range(n)) if labels is None else tuple(labels)
+    if len(labels) != n:
+        raise ModelError(f"label count must match {what}")
+    return labels
 
 
 def _coeff_matrix(coefficients, what: str) -> np.ndarray:
@@ -244,9 +259,7 @@ def gaussian_model(covariance, labels=None) -> ProcessModel:
         raise ModelError(
             f"covariance is not positive semidefinite (min eigenvalue {w.min():.3e})"
         )
-    labels = _default_labels(cov.shape[0]) if labels is None else tuple(labels)
-    if len(labels) != cov.shape[0]:
-        raise ModelError("label count must match covariance size")
+    labels = _labels(labels, cov.shape[0], "covariance size")
     return ProcessModel(kind="gaussian", labels=labels, covariance=_freeze(cov))
 
 
@@ -264,9 +277,7 @@ def martingale_model(coefficients, labels=None, step_bounds=None) -> ProcessMode
         b = np.asarray(step_bounds, dtype=float)
         if b.shape != c.shape or not np.all(np.isfinite(b)) or np.any(b < 0):
             raise ModelError("step_bounds must be finite, nonnegative, and match coefficients")
-    labels = _default_labels(c.shape[0]) if labels is None else tuple(labels)
-    if len(labels) != c.shape[0]:
-        raise ModelError("label count must match coefficient rows")
+    labels = _labels(labels, c.shape[0], "coefficient rows")
     return ProcessModel(
         kind="martingale-family", labels=labels, coefficients=_freeze(c), step_bounds=_freeze(b)
     )
@@ -276,9 +287,7 @@ def _summand_model(kind: str, coefficients, base: RowDistribution, labels) -> Pr
     c = _coeff_matrix(coefficients, "coefficients")
     if not isinstance(base, RowDistribution):
         raise ModelError("base must be a RowDistribution")
-    labels = _default_labels(c.shape[0]) if labels is None else tuple(labels)
-    if len(labels) != c.shape[0]:
-        raise ModelError("label count must match coefficient rows")
+    labels = _labels(labels, c.shape[0], "coefficient rows")
     return ProcessModel(kind=kind, labels=labels, coefficients=_freeze(c), base=base)
 
 
@@ -399,7 +408,6 @@ def _require_kind(model: ProcessModel, kind: str):
 def simulate_gaussian(model: ProcessModel, reps: int, seed: int, base_point=0) -> SupremumSample:
     """sup_t |X_t - X_t0| draws (or raw sup_t |X_t| when base_point is None)."""
     _require_kind(model, "gaussian")
-    reps, seed = check_int("reps", reps, 1), check_int("seed", seed, 0, SEED_MAX)
     w, V = np.linalg.eigh(model.covariance)
     if w.min() < -_EIG_TOL:
         raise ModelError(
@@ -413,11 +421,11 @@ def simulate_gaussian(model: ProcessModel, reps: int, seed: int, base_point=0) -
         x = z @ L.T
         return np.abs(x if idx is None else x - x[:, idx, None]).max(axis=1)
 
-    vals = _simulate(reps, seed, lambda rng: rng.standard_normal((BLOCK, n)), stat)
-    return SupremumSample(
-        replications=reps,
-        seed=seed,
-        values=vals,
+    return _simulate(
+        reps,
+        seed,
+        lambda rng: rng.standard_normal((BLOCK, n)),
+        stat,
         base_point=None if idx is None else model.labels[idx],
     )
 
@@ -425,7 +433,6 @@ def simulate_gaussian(model: ProcessModel, reps: int, seed: int, base_point=0) -
 def simulate_martingale_family(model: ProcessModel, reps: int, seed: int) -> SupremumSample:
     """sup_t |X_{t,n} - X_{t,0}| for the shared-driver coefficient family."""
     _require_kind(model, "martingale-family")
-    reps, seed = check_int("reps", reps, 1), check_int("seed", seed, 0, SEED_MAX)
     c = model.coefficients
     excess = np.abs(c) - model.step_bounds
     if np.any(excess > 1e-12):
@@ -435,16 +442,16 @@ def simulate_martingale_family(model: ProcessModel, reps: int, seed: int) -> Sup
             f"bound ({abs(c[t, k]):g} > {model.step_bounds[t, k]:g})"
         )
     n_steps = c.shape[1]
-    vals = _simulate(
+    return _simulate(
         reps,
         seed,
         lambda rng: 2.0 * rng.integers(0, 2, (BLOCK, n_steps)) - 1.0,
         lambda eps: np.abs(eps @ c.T).max(axis=1),
     )
-    return SupremumSample(replications=reps, seed=seed, values=vals, base_point=None)
 
 
-def _summand_count(model: ProcessModel, m: int) -> int:
+def _summand_count(model: ProcessModel, kind: str, m: int) -> int:
+    _require_kind(model, kind)
     m = check_int("m", m, 1)
     if m != model.coefficients.shape[1]:
         raise DomainError(
@@ -455,18 +462,15 @@ def _summand_count(model: ProcessModel, m: int) -> int:
 
 def simulate_empirical(model: ProcessModel, m: int, reps: int, seed: int) -> SupremumSample:
     """sup_t |(1/m) sum_i (X_{t_i} - E X_{t_i})| draws."""
-    _require_kind(model, "empirical")
-    m = _summand_count(model, m)
-    reps, seed = check_int("reps", reps, 1), check_int("seed", seed, 0, SEED_MAX)
+    m = _summand_count(model, "empirical", m)
     mu = model.base.mean()
     c = model.coefficients
-    vals = _simulate(
+    return _simulate(
         reps,
         seed,
         lambda rng: model.base.sample(rng, (BLOCK, m)),
         lambda z: np.abs((z - mu) @ c.T).max(axis=1) / m,
     )
-    return SupremumSample(replications=reps, seed=seed, values=vals, base_point=None)
 
 
 def simulate_squares(model: ProcessModel, m: int, reps: int, seed: int) -> SupremumSample:
@@ -475,9 +479,7 @@ def simulate_squares(model: ProcessModel, m: int, reps: int, seed: int) -> Supre
     Also records, per replication, the companion "sup_l2_norm" =
     sup_t ||X_t||_{L2(mu_m)} used to check the empirical-L2 radius bound.
     """
-    _require_kind(model, "squares")
-    m = _summand_count(model, m)
-    reps, seed = check_int("reps", reps, 1), check_int("seed", seed, 0, SEED_MAX)
+    m = _summand_count(model, "squares", m)
     s2 = model.base.second_moment()
     c2 = model.coefficients**2
 
@@ -488,13 +490,12 @@ def simulate_squares(model: ProcessModel, m: int, reps: int, seed: int) -> Supre
             np.sqrt(sq_mean.max(axis=1)),
         )
 
-    vals, sup_l2 = _simulate(reps, seed, lambda rng: model.base.sample(rng, (BLOCK, m)), stat)
-    return SupremumSample(
-        replications=reps,
-        seed=seed,
-        values=vals,
-        base_point=None,
-        companions={"sup_l2_norm": sup_l2},
+    return _simulate(
+        reps,
+        seed,
+        lambda rng: model.base.sample(rng, (BLOCK, m)),
+        stat,
+        companions=("sup_l2_norm",),
     )
 
 
@@ -502,19 +503,15 @@ def simulate_squares_increment(
     model: ProcessModel, s, t, m: int, reps: int, seed: int
 ) -> SupremumSample:
     """||X_t - X_s||_{L2(mu_m)} draws for one pair of index points."""
-    _require_kind(model, "squares")
-    m = _summand_count(model, m)
-    reps, seed = check_int("reps", reps, 1), check_int("seed", seed, 0, SEED_MAX)
+    m = _summand_count(model, "squares", m)
     i, j = _resolve_point(model.labels, s), _resolve_point(model.labels, t)
     dc = model.coefficients[j] - model.coefficients[i]
-    vals = _simulate(
+    return _simulate(
         reps,
         seed,
         lambda rng: model.base.sample(rng, (BLOCK, m)),
         lambda z: np.sqrt(((dc * z) ** 2).mean(axis=1)),
-    )
-    return SupremumSample(
-        replications=reps, seed=seed, values=vals, base_point=model.labels[i]
+        base_point=model.labels[i],
     )
 
 
@@ -536,7 +533,6 @@ def simulate_chaos(
     returns sup_A |xi . (A^H A) xi'| instead (the bilinear comparison term).
     """
     stack, s2 = _chaos_inputs(matrices, xi)
-    reps, seed = check_int("reps", reps, 1), check_int("seed", seed, 0, SEED_MAX)
     n = stack.shape[2]
     if decoupled:
         grams = np.einsum("kmi,kmj->kij", stack.conj(), stack)
@@ -546,17 +542,15 @@ def simulate_chaos(
             # (x @ grams)[k, r, j] = sum_i x_ri G_kij
             return np.abs(((x @ grams) * y).sum(axis=2)).max(axis=0)
 
-        vals = _simulate(reps, seed, lambda rng: xi.sample(rng, (BLOCK, 2 * n)), stat)
-    else:
-        fro2 = np.abs(stack).reshape(stack.shape[0], -1) ** 2
-        means = s2 * fro2.sum(axis=1)
+        return _simulate(reps, seed, lambda rng: xi.sample(rng, (BLOCK, 2 * n)), stat)
+    fro2 = np.abs(stack).reshape(stack.shape[0], -1) ** 2
+    means = s2 * fro2.sum(axis=1)
 
-        def stat(x):
-            q = (np.abs(np.einsum("kmn,rn->rkm", stack, x)) ** 2).sum(axis=2)
-            return np.abs(q - means).max(axis=1)
+    def stat(x):
+        q = (np.abs(np.einsum("kmn,rn->rkm", stack, x)) ** 2).sum(axis=2)
+        return np.abs(q - means).max(axis=1)
 
-        vals = _simulate(reps, seed, lambda rng: xi.sample(rng, (BLOCK, n)), stat)
-    return SupremumSample(replications=reps, seed=seed, values=vals, base_point=None)
+    return _simulate(reps, seed, lambda rng: xi.sample(rng, (BLOCK, n)), stat)
 
 
 def sign_patterns(n: int) -> np.ndarray:

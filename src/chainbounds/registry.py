@@ -55,27 +55,22 @@ class ConstantRegistry:
             raise DomainError("constants file must hold a JSON object of name -> value")
         return cls(fitted={str(k): float(v) for k, v in data.items()})
 
-    def chaining_C(self, alpha: float) -> tuple[float, bool]:
-        key = f"C_{alpha:g}"
+    def _chaining(self, name: str, defaults: dict, alpha: float) -> tuple[float, bool]:
+        key = f"{name}_{alpha:g}"
         if key in self.fitted:
             return float(self.fitted[key]), True
-        if float(alpha) in _DEFAULT_C:
-            return _DEFAULT_C[float(alpha)], False
+        if float(alpha) in defaults:
+            return defaults[float(alpha)], False
         raise MissingConstantError(
-            f"no derived chaining constant C for alpha = {alpha:g}; "
+            f"no derived chaining constant {name} for alpha = {alpha:g}; "
             f"supply a fitted override named {key!r}"
         )
 
+    def chaining_C(self, alpha: float) -> tuple[float, bool]:
+        return self._chaining("C", _DEFAULT_C, alpha)
+
     def chaining_D(self, alpha: float) -> tuple[float, bool]:
-        key = f"D_{alpha:g}"
-        if key in self.fitted:
-            return float(self.fitted[key]), True
-        if float(alpha) in _DEFAULT_D:
-            return _DEFAULT_D[float(alpha)], False
-        raise MissingConstantError(
-            f"no derived chaining constant D for alpha = {alpha:g}; "
-            f"supply a fitted override named {key!r}"
-        )
+        return self._chaining("D", _DEFAULT_D, alpha)
 
     def union_c(self) -> tuple[float, bool]:
         if "union_c" in self.fitted:

@@ -118,7 +118,7 @@ class TailBound:
 
     def _valid_u(self, u) -> np.ndarray:
         arr = np.asarray(u, dtype=float)
-        if np.any(arr < self.u_min):
+        if not np.all(arr >= self.u_min):  # NaN fails too
             raise DomainError(
                 f"{self.name or 'bound'} is valid for u >= {self.u_min}, got {arr.min()}"
             )

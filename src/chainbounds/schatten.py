@@ -15,7 +15,7 @@ import numpy as np
 
 from .chaining import GAMMA_EXACT_CAP, GammaEstimate, gamma_exact, gamma_greedy
 from .errors import DomainError
-from .metric import FiniteMetricSpace, build_metric_space
+from .metric import FiniteMetricSpace, _resolve_mode, build_metric_space
 
 __all__ = ["schatten_norm", "SchattenRadii", "matrix_set_space", "schatten_radii"]
 
@@ -114,15 +114,7 @@ def schatten_radii(matrices, gamma_mode: str = "auto", p: float = 1.0) -> Schatt
     dinf = float(svals.max(axis=1).max()) if svals.size else 0.0
     if gamma_mode == "none":
         return SchattenRadii(delta_2=d2, delta_4=d4, delta_inf=dinf)
+    gamma_mode = _resolve_mode(gamma_mode, stack.shape[0], GAMMA_EXACT_CAP)
     space = matrix_set_space(matrices)
-    if gamma_mode == "auto":
-        gamma_mode = "exact" if space.size <= GAMMA_EXACT_CAP else "greedy"
-    if gamma_mode == "exact":
-        est = gamma_exact(space, alpha=2.0, p=p)
-    elif gamma_mode == "greedy":
-        est = gamma_greedy(space, alpha=2.0, p=p)
-    else:
-        raise DomainError(
-            f"unknown gamma_mode {gamma_mode!r}; use exact|greedy|auto|none"
-        )
+    est = (gamma_exact if gamma_mode == "exact" else gamma_greedy)(space, alpha=2.0, p=p)
     return SchattenRadii(delta_2=d2, delta_4=d4, delta_inf=dinf, gamma2_dinf=est, space=space)

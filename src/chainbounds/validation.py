@@ -15,7 +15,7 @@ import numpy as np
 from scipy import stats
 
 from .errors import CapacityError, DomainError, check_confidence, check_int, check_real
-from .processes import SIGN_ENUM_CAP, SupremumSample, sign_patterns
+from .processes import SIGN_ENUM_CAP, SupremumSample, exact_chaos_distribution, sign_patterns
 from .results import MomentBound, TailBound
 from .schatten import _matrix_stack
 
@@ -86,15 +86,14 @@ def estimate_moments(
     return out
 
 
-def _exceedance_counts(k, n) -> tuple[int, int]:
+def _exceedance_args(k, n, confidence) -> tuple[int, int, float]:
     n = check_int("trial count n", n, 1)
-    return check_int("exceedance count k", k, 0, n), n
+    return check_int("exceedance count k", k, 0, n), n, check_confidence(confidence)
 
 
 def exceedance_upper_bound(k: int, n: int, confidence: float = CONFIDENCE) -> float:
     """One-sided Clopper-Pearson upper bound for k exceedances in n trials."""
-    k, n = _exceedance_counts(k, n)
-    confidence = check_confidence(confidence)
+    k, n, confidence = _exceedance_args(k, n, confidence)
     if k == n:
         return 1.0
     return float(stats.beta.ppf(confidence, k + 1, n - k))
@@ -102,8 +101,7 @@ def exceedance_upper_bound(k: int, n: int, confidence: float = CONFIDENCE) -> fl
 
 def exceedance_lower_bound(k: int, n: int, confidence: float = CONFIDENCE) -> float:
     """One-sided Clopper-Pearson lower bound for k exceedances in n trials."""
-    k, n = _exceedance_counts(k, n)
-    confidence = check_confidence(confidence)
+    k, n, confidence = _exceedance_args(k, n, confidence)
     if k == 0:
         return 0.0
     return float(stats.beta.ppf(1.0 - confidence, k, n - k + 1))
@@ -125,9 +123,18 @@ class ValidationReport:
             raise DomainError("a fitted bound can never be paper-confirmed")
 
 
-def _overall(verdicts) -> str:
-    verdicts = list(verdicts)
-    if any(v == "violated" for v in verdicts):
+def _verdict(low: float, high: float, limit: float) -> str:
+    """[low, high] against limit: dominated if high <= limit, violated if low > limit."""
+    if high <= limit:
+        return "dominated"
+    if low > limit:
+        return "violated"
+    return "inconclusive"
+
+
+def _overall(rows) -> str:
+    verdicts = [r["verdict"] for r in rows]
+    if "violated" in verdicts:
         return "violated"
     if all(v == "dominated" for v in verdicts):
         return "dominated"
@@ -164,12 +171,6 @@ def validate_bound(
             k = int(np.count_nonzero(values >= thr))
             upper = exceedance_upper_bound(k, n, confidence)
             lower = exceedance_lower_bound(k, n, confidence)
-            if upper <= env:
-                verdict = "dominated"
-            elif lower > env:
-                verdict = "violated"
-            else:
-                verdict = "inconclusive"
             rows.append(
                 {
                     "u": float(u),
@@ -177,18 +178,11 @@ def validate_bound(
                     "envelope": env,
                     "empirical": k / n,
                     "ci_upper": upper,
-                    "verdict": verdict,
+                    "verdict": _verdict(lower, upper, env),
                 }
             )
-        overall = _overall(r["verdict"] for r in rows)
     elif isinstance(bound, MomentBound):
         (est,) = estimate_moments(sample, [bound.p], resamples, confidence)
-        if est.ci_high <= bound.value:
-            verdict = "dominated"
-        elif est.ci_low > bound.value:
-            verdict = "violated"
-        else:
-            verdict = "inconclusive"
         rows = [
             {
                 "p": bound.p,
@@ -196,12 +190,12 @@ def validate_bound(
                 "envelope": float("nan"),
                 "empirical": est.estimate,
                 "ci_upper": est.ci_high,
-                "verdict": verdict,
+                "verdict": _verdict(est.ci_low, est.ci_high, bound.value),
             }
         ]
-        overall = verdict
     else:
         raise DomainError(f"cannot validate object of type {type(bound).__name__}")
+    overall = _overall(rows)
     return ValidationReport(
         bound=bound,
         rows=tuple(rows),
@@ -253,8 +247,7 @@ def check_symmetrization_decoupling(
     quad = np.einsum("ai,kij,aj->ka", signs, grams, signs).real
     traces = np.einsum("kii->k", grams).real
     offdiag_sup = np.abs(quad - traces[:, None]).max(axis=0)
-    bilinear = np.abs(np.einsum("ai,kij,bj->kab", signs, grams, signs))
-    bilinear_sup = bilinear.max(axis=0).ravel()
+    bilinear_sup = exact_chaos_distribution(stack, decoupled=True)
     decoupling = []
     for p in p_list:
         lhs = _lp_of_mean(offdiag_sup**p, None, p)

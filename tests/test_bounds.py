@@ -348,3 +348,13 @@ def test_fitted_flag_propagates_from_registry():
     b = gaussian_process_bound(gamma(1.0), sigma=1.0, u=1.0, registry=reg)
     assert b.fitted  # C was overridden, so the result is flagged
     assert b.threshold(1.0) == pytest.approx(SQRT_E * (50.0 + 9.0))
+
+
+def test_chaining_constants_share_one_lookup():
+    reg = DEFAULT_REGISTRY.with_fitted(C_1=10.0, D_3=2.0)
+    assert reg.chaining_C(2.0) == (86.0, False) and reg.chaining_D(2.0) == (9.0, False)
+    assert reg.chaining_C(1.0) == (10.0, True) and reg.chaining_D(3.0) == (2.0, True)
+    with pytest.raises(MissingConstantError, match="constant D for alpha = 1; .* named 'D_1'"):
+        reg.chaining_D(1.0)
+    with pytest.raises(MissingConstantError, match="constant C for alpha = 3; .* named 'C_3'"):
+        reg.chaining_C(3.0)

@@ -433,6 +433,21 @@ def test_gamma_non_finite_order_or_alpha_exits_two(tmp_path, triangle, capsys, e
     assert not list(tmp_path.glob("gamma-*.json"))
 
 
+@pytest.mark.parametrize("kind", ["empirical", "squares"])
+def test_simulate_non_integer_summand_count_exits_two(tmp_path, capsys, kind):
+    cfg = {"model": {"kind": kind, "coefficients": [[1.0, 0.5], [0.5, 1.0]], "m": 2.5},
+           "reps": 20, "seed": 3}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(cfg))
+    code, _, err = run(["simulate", "--config", str(path), "--out", str(tmp_path)], capsys)
+    assert code == 2 and "error: m must be an integer" in err
+    assert not list(tmp_path.glob("simulate-*.json"))
+    cfg["model"]["m"] = 2.0  # an integral value is the summand count
+    path.write_text(json.dumps(cfg))
+    code, _, _ = run(["simulate", "--config", str(path), "--out", str(tmp_path)], capsys)
+    assert code == 0
+
+
 def test_simulate_empty_u_grid_exits_two(tmp_path, capsys):
     cfg = gaussian_sim_config(tmp_path, u_grid=())
     code, _, err = run(["simulate", "--config", str(cfg), "--out", str(tmp_path)], capsys)

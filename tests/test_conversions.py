@@ -125,6 +125,10 @@ def test_small_set_cap_and_bound():
     assert small_set_moment_bound([1.0], 2.0, set_size=4).value == 2.0
     with pytest.raises(DomainError):
         small_set_moment_bound([1.0], 2.0, set_size=5)
+    for bad in (-3, 0, 2.9, float("nan")):
+        with pytest.raises(DomainError, match="set_size"):
+            small_set_moment_bound([1.0, 2.0], 2.0, set_size=bad)
+    assert small_set_moment_bound([1.0, 2.0], 2.0, set_size=3.0).value == 4.0
 
 
 def test_union_bound_constant_frozen():
@@ -141,6 +145,8 @@ def test_union_bound_probability():
     assert p == pytest.approx(c * math.exp(-4.0 * 4.0 / 4.0))
     with pytest.raises(DomainError):
         union_bound_probability(2.0, 1.0, 4.0)  # below 2^(1/alpha)
+    with pytest.raises(DomainError, match="union bound requires u"):
+        union_bound_probability(2.0, float("nan"), 1.0)
 
 
 def test_lp_tail_integral_bound_frozen():

@@ -91,6 +91,27 @@ def test_covering_exact_cap_enforced():
         covering_number(sp, 0.5, mode="exact", exact_cap=10)
 
 
+@pytest.mark.parametrize("call", [covering_number, covering_profile])
+def test_unknown_cover_mode_gets_the_generic_message(call):
+    sp = random_point_space(np.random.default_rng(3), 5)
+    args = (sp, 0.5) if call is covering_number else (sp,)
+    with pytest.raises(Exception, match="unknown mode 'bogus'; expected exact, greedy or auto"):
+        call(*args, mode="bogus")
+
+
+@pytest.mark.parametrize("n, duplicates", [(1, 0), (2, 1), (6, 0), (6, 3), (12, 2)])
+def test_breakpoints_are_zero_plus_the_distinct_positive_distances(n, duplicates):
+    rng = np.random.default_rng(n + duplicates)
+    pts = np.round(rng.normal(size=(n, 2)), 1)
+    pts[:duplicates] = pts[-1]  # repeated points put zeros off the diagonal
+    sp = space_from_points(pts)
+    iu = np.triu_indices(n, k=1)
+    old = np.unique(np.concatenate(([0.0], sp.dist[iu]))) if n > 1 else np.array([0.0])
+    new = metric._breakpoints(sp)
+    assert new.dtype == old.dtype
+    np.testing.assert_array_equal(new, old)
+
+
 def test_covering_centers_cover():
     rng = np.random.default_rng(11)
     sp = random_point_space(rng, 12)

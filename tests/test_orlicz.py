@@ -77,6 +77,18 @@ def test_empirical_defining_inequality():
     assert np.mean(np.expm1(data / (n.value * (1 - 1e-6)))) > 1.0
 
 
+@pytest.mark.parametrize(
+    "kwargs, named",
+    [({"tol": float("nan")}, "tolerance"), ({"tol": 0.0}, "tolerance"),
+     ({"tol": -1e-6}, "tolerance"), ({"tol": float("inf")}, "tolerance"),
+     ({"max_iter": 0}, "max_iter"), ({"max_iter": 2.5}, "max_iter")],
+)
+def test_empirical_rejects_bad_tolerance_or_iteration_budget(kwargs, named):
+    data = np.random.default_rng(0).normal(size=1000)
+    with pytest.raises(DomainError, match=named):
+        psi_norm_empirical(data, 2.0, **kwargs)
+
+
 def test_empirical_gaussian_consistency():
     # Large-sample empirical norm should approach sigma*sqrt(8/3).
     rng = np.random.default_rng(7)

@@ -32,7 +32,8 @@ from chainbounds import (
     simulate_squares_increment,
     squares_model,
 )
-from chainbounds.processes import BLOCK, SupremumSample
+from chainbounds import processes
+from chainbounds.processes import BLOCK, SEED_MAX, SupremumSample
 
 LOG2 = math.log(2.0)
 
@@ -484,3 +485,29 @@ def test_block_draw_is_a_prefix_of_a_full_block():
         np.testing.assert_array_equal(
             draw(replication_rng(3, 0), 7), draw(replication_rng(3, 0), BLOCK)[:7]
         )
+
+
+@pytest.mark.parametrize(
+    "reps, seed, named",
+    [(10.5, 1, "reps"), (0, 1, "reps"), (math.inf, 1, "reps"), (True, 1, "reps"),
+     (5, -1, "seed"), (5, SEED_MAX + 1, "seed"), (5, 1.5, "seed")],
+)
+@pytest.mark.parametrize("name", sorted(STREAM_CASES))
+def test_simulator_rejects_reps_and_seed_before_any_draw(monkeypatch, name, reps, seed, named):
+    calls = []
+    real = processes.replication_rng
+    monkeypatch.setattr(processes, "replication_rng", lambda s, b: calls.append(b) or real(s, b))
+    simulate = STREAM_CASES[name][0]
+    with pytest.raises(DomainError, match=f"^{named} must be"):
+        simulate(reps, seed)
+    assert calls == []
+    simulate(BLOCK + 1, 1)  # the counter sees the draws of a valid call
+    assert calls == [0, 1]
+
+
+def test_a_bad_model_is_reported_before_a_bad_replication_count():
+    bad_steps = martingale_model([[1.0, 2.0]], step_bounds=[[1.0, 1.0]])
+    with pytest.raises(ModelError, match="exceeds its declared sup-norm bound"):
+        simulate_martingale_family(bad_steps, 0, 1)
+    with pytest.raises(DomainError, match="unknown index point"):
+        simulate_gaussian(gaussian_model(np.eye(2)), 0, 1, base_point="nowhere")

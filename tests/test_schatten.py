@@ -78,7 +78,7 @@ def test_radii_gamma_modes():
     skipped = schatten_radii(mats, gamma_mode="none")
     assert greedy.gamma2_dinf.value >= exact.gamma2_dinf.value - 1e-12
     assert skipped.gamma2_dinf is None
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="unknown mode 'bogus'; expected exact, greedy or auto"):
         schatten_radii(mats, gamma_mode="bogus")
 
 

@@ -12,6 +12,7 @@ from scipy import stats
 from chainbounds import (
     CapacityError,
     DomainError,
+    GammaEstimate,
     MomentBound,
     MomentEstimate,
     PowerEnvelope,
@@ -24,10 +25,13 @@ from chainbounds import (
     estimate_moments,
     exceedance_lower_bound,
     exceedance_upper_bound,
+    gaussian_process_bound,
     replication_rng,
+    sign_patterns,
+    truncation_level,
     validate_bound,
 )
-from chainbounds.validation import _bootstrap_rng
+from chainbounds.validation import _bootstrap_rng, _verdict
 
 
 def _sample(values, seed=0):
@@ -291,6 +295,34 @@ def test_tail_bound_direct_construction_roundtrip():
     assert report.verdict == "inconclusive"
 
 
+@pytest.mark.parametrize(
+    "low, high, limit, verdict",
+    [(0.1, 0.2, 0.2, "dominated"), (0.1, 0.2, 0.3, "dominated"), (0.2, 0.3, 0.2, "inconclusive"),
+     (0.1, 0.3, 0.2, "inconclusive"), (0.3, 0.4, 0.2, "violated")],
+)
+def test_one_verdict_rule_for_tail_and_moment_rows(low, high, limit, verdict):
+    # ends on the limit count for the bound: high == limit dominates, low == limit is no violation
+    assert _verdict(low, high, limit) == verdict
+
+
+def test_a_nan_u_gets_no_verdict():
+    bound = bernstein_tail(BernsteinParams(sigma=1.0, K=1.0, m=1))
+    nan = float("nan")
+    for u in (nan, [1.0, nan], np.array([nan, 2.0])):
+        with pytest.raises(DomainError, match="valid for u"):
+            bound.threshold(u)
+        with pytest.raises(DomainError, match="valid for u"):
+            bound.probability(u)
+    with pytest.raises(DomainError, match="valid for u"):
+        validate_bound(_sample(np.zeros(100)), bound, u_grid=[nan])
+    with pytest.raises(DomainError, match="valid for u"):
+        validate_bound(_sample(np.zeros(100)), bound, u_grid=[1.0, nan])
+    gamma = GammaEstimate(alpha=2.0, p=1.0, l=truncation_level(1.0), value=1.0, mode="exact",
+                          sequence=None)
+    with pytest.raises(DomainError, match="valid for u"):
+        gaussian_process_bound(gamma, sigma=1.0, u=nan)
+
+
 # ---------------------------------------------------------------------------
 # exhaustive symmetrization / decoupling checks
 
@@ -343,3 +375,21 @@ def test_decoupling_holds_on_random_families(seed):
     rng = np.random.default_rng(seed)
     mats = [rng.normal(size=(2, 3)) for _ in range(2)]
     assert check_symmetrization_decoupling(mats, n_small=3)["holds"]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_decoupling_rhs_is_the_exact_decoupled_chaos_law(seed, complex_entries):
+    # The bilinear side comes from exact_chaos_distribution(decoupled=True);
+    # it must equal the sup over all sign-pattern pairs written out here.
+    rng = np.random.default_rng(seed)
+    mats = [rng.normal(size=(2, 3)) + (1j * rng.normal(size=(2, 3)) if complex_entries else 0)
+            for _ in range(3)]
+    stack = np.stack([np.asarray(a, dtype=complex) for a in mats])
+    grams = np.einsum("kmi,kmj->kij", stack.conj(), stack)
+    signs = sign_patterns(3)
+    bilinear_sup = np.abs(np.einsum("ai,kij,bj->kab", signs, grams, signs)).max(axis=0).ravel()
+    out = check_symmetrization_decoupling(mats, n_small=3)
+    for row in out["decoupling"]:
+        p = row["p"]
+        assert row["rhs"] == 4.0 * (bilinear_sup**p).mean() ** (1.0 / p)
