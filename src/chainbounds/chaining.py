@@ -215,9 +215,7 @@ def functional_value(
     return float(per_point.max())
 
 
-def greedy_admissible_sequence(
-    space: FiniteMetricSpace, alpha: float = 2.0, p: float = 1.0
-) -> AdmissibleSequence:
+def greedy_admissible_sequence(space: FiniteMetricSpace) -> AdmissibleSequence:
     """Farthest-point set sequence started at the Chebyshev center.
 
     Level n holds the first 2^(2^n) points of the farthest-point traversal
@@ -226,8 +224,6 @@ def greedy_admissible_sequence(
     construction does not depend on alpha or p, which only weight the
     resulting functional.
     """
-    check_real("alpha", alpha, 0.0, strict=True)
-    truncation_level(p)  # validates p
     order = farthest_point_order(space)[0].tolist()
     levels = [order[:1]]
     while len(levels[-1]) < len(order):
@@ -238,8 +234,8 @@ def greedy_admissible_sequence(
 def gamma_greedy(
     space: FiniteMetricSpace, alpha: float, p: float = 1.0
 ) -> GammaEstimate:
-    """Upper estimate of gamma from the greedy sequence."""
-    seq = greedy_admissible_sequence(space, alpha, p)
+    """Upper estimate of gamma from the greedy sequence (functional_value checks alpha, p)."""
+    seq = greedy_admissible_sequence(space)
     val = functional_value(space, seq, alpha, p)
     return GammaEstimate(alpha=float(alpha), p=float(p), l=truncation_level(p),
                          value=val, mode="greedy", sequence=seq)

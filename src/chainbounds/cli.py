@@ -85,13 +85,16 @@ def _out_dir(args) -> str:
     return out
 
 
-def _registry(args, inline=None) -> ConstantRegistry:
+def _registry(args, inline=None) -> tuple[ConstantRegistry, dict | None]:
+    """Default constants overridden by a --fit file, then by inline values;
+    and the "fit" entry of the hashed config: the constants used when --fit is
+    given, not its path, so different fits never share an artifact name."""
     reg = DEFAULT_REGISTRY
-    if getattr(args, "fit", None):
+    if args.fit:
         reg = ConstantRegistry.from_json(args.fit)
     if inline:
         reg = reg.with_fitted(**{str(k): float(v) for k, v in inline.items()})
-    return reg
+    return reg, (dict(reg.fitted) if args.fit else None)
 
 
 def _emit(args, stem: str, config: dict, payload: dict, rows=None, fields=GRID_FIELDS):
@@ -431,9 +434,9 @@ def _cmd_bound(args) -> int:
     params = load_json(args.params) if args.params else {}
     if not isinstance(params, dict):
         raise DomainError("--params file must hold a JSON object")
-    reg = _registry(args)
+    reg, fit = _registry(args)
     result = _build_bound(args.name, params, reg)
-    config = {"name": args.name, "params": params, "fit": args.fit}
+    config = {"name": args.name, "params": params, "fit": fit}
     _emit(args, "bound", config, _bound_payload(result, params, reg))
     return 0
 
@@ -509,7 +512,7 @@ def _cmd_simulate(args) -> int:
     seed = _require_seed(args.seed if args.seed is not None else config.get("seed"))
     reps = args.reps if args.reps is not None else config.get("reps", 0)
     reps = check_int("reps (config or --reps)", reps, 1)
-    reg = _registry(args, inline=config.get("fit"))
+    reg, fit = _registry(args, inline=config.get("fit"))
     sample = _run_model(config["model"], reps, seed)
     payload: dict = {
         "seed": seed,
@@ -542,8 +545,10 @@ def _cmd_simulate(args) -> int:
         ]
         for e in ests:
             print(f"p={e.p:g} estimate={e.estimate:.6g} ci=[{e.ci_low:.6g}, {e.ci_high:.6g}]")
-    _emit(args, "simulate", {"config_file": args.config, **config, "seed": seed, "reps": reps},
-          payload, rows=rows)
+    hashed = {"config_file": args.config, **config, "seed": seed, "reps": reps}
+    if fit is not None:
+        hashed["fit"] = fit
+    _emit(args, "simulate", hashed, payload, rows=rows)
     return code
 
 
@@ -615,10 +620,10 @@ def _cmd_chaos(args) -> int:
     xi = RowDistribution(name=args.xi, scale=args.scale)
     radii = schatten_radii(mats, gamma_mode="auto")
     sample = simulate_chaos(mats, xi, args.reps, seed, decoupled=args.decoupled)
-    reg = _registry(args)
+    reg, fit = _registry(args)
     config = {
         "matrices": args.matrices, "xi": args.xi, "scale": args.scale, "reps": args.reps,
-        "seed": seed, "decoupled": args.decoupled, "u_grid": args.u_grid, "fit": args.fit,
+        "seed": seed, "decoupled": args.decoupled, "u_grid": args.u_grid, "fit": fit,
     }
     payload: dict = {
         "seed": seed,
@@ -724,6 +729,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: parsing keeps no state between main() calls.
+_PARSER = build_parser()
+
+
 def _require_rip_args(args) -> None:
     need = {
         "exact": ("m",),
@@ -736,9 +745,8 @@ def _require_rip_args(args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -188,20 +188,19 @@ def small_set_moment_bound(
     )
 
 
-def union_bound_constant(alpha: float = 2.0, tol: float = 1e-18) -> float:
+def union_bound_constant() -> float:
     """Partial sum 2 * sum_n exp(2^n * (2*(ln 2 - 1) + 1/2)) to convergence.
 
     The exponent rate 2*(ln 2 - 1) + 1/2 is negative, so the doubly
     geometric series converges extremely fast; the value (about 5.83) is
     independent of alpha and is below the crude ceiling 16.
     """
-    check_real("alpha", alpha, 0.0, strict=True)
     rate = 2.0 * (_LOG2 - 1.0) + 0.5
     total = 0.0
     for n in range(128):
         term = math.exp(rate * 2.0**n)
         total += term
-        if term < tol:
+        if term < 1e-18:  # far below one ulp of the total
             break
     return 2.0 * total
 

@@ -119,7 +119,7 @@ def psi_norm_empirical(
     if top == 0.0:
         return OrliczNorm(alpha, 0.0, "empirical", sample_count=arr.size)
     # The all-mass-at-max constant case is always feasible.
-    hi = top / LOG2 ** (1.0 / alpha)
+    hi = psi_norm_analytic("constant", top, alpha).value
     lo = hi / 2.0
     guard = 0
     while _mean_psi(arr, lo, alpha) <= 1.0:

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
-from scipy import optimize, special, stats
 
 from .bounds import MixedTailMetrics
 from .errors import (
@@ -38,7 +37,7 @@ from .errors import (
     check_int,
 )
 from .metric import FiniteMetricSpace, build_metric_space
-from .orlicz import LOG2, OrliczNorm
+from .orlicz import OrliczNorm, psi_norm_analytic
 from .schatten import _matrix_stack
 
 __all__ = [
@@ -69,6 +68,15 @@ SIGN_ENUM_CAP = 10
 MODEL_KINDS = ("gaussian", "martingale-family", "empirical", "squares", "chaos")
 _ROW_FAMILIES = ("rademacher", "gaussian", "uniform", "constant")
 _EIG_TOL = 1e-10
+# Unit-scale psi-norm roots with no closed form, stored as the brentq roots of
+# their defining equations (bracket [0.3, 30] for t, [1e-8, 10] for r,
+# xtol=1e-13, rtol=1e-14); the tests solve them again and compare bit for bit.
+# Gaussian psi_1 norm t: E exp(|g|/t) = 2 exp(1/(2t^2)) Phi(1/t) = 2.
+GAUSSIAN_PSI1_T = 1.3724949919103473
+# U ~ Uniform[0, 1], psi_1 norm 1/r: E exp(r U) = (exp(r) - 1)/r = 2.
+UNIFORM_PSI1_R = 1.2564312086261697
+# U ~ Uniform[0, 1], psi_2 norm 1/r: E exp(r^2 U^2) = sqrt(pi) erfi(r) / (2r) = 2.
+UNIFORM_PSI2_R = 1.294150272770753
 SEED_MAX = 2**64 - 1  # Philox keys are 64-bit
 BLOCK = 1024  # replications per stream; bounds the size of each block's temporaries
 
@@ -159,29 +167,16 @@ class RowDistribution:
             raise UnsupportedFamilyError(
                 f"exact row psi-norms are implemented for alpha in {{1, 2}}, got {alpha}"
             )
-        s = abs(self.scale)
-        if s == 0.0:
-            return OrliczNorm(alpha, 0.0, "analytic")
+        s = abs(self.scale)  # s = 0 gives 0 in every formula below
         if self.name in ("rademacher", "constant"):
             # |X| is the constant s.
-            return OrliczNorm(alpha, s / LOG2 ** (1.0 / alpha), "analytic")
+            return psi_norm_analytic("constant", s, alpha)
         if self.name == "gaussian":
             if alpha == 2:
-                # E exp(g^2/t^2) = (1 - 2/t^2)^(-1/2) = 2  =>  t = sqrt(8/3).
-                return OrliczNorm(2.0, s * math.sqrt(8.0 / 3.0), "analytic")
-            # E exp(|g|/t) = 2 exp(1/(2t^2)) Phi(1/t) = 2.
-            f = lambda t: 0.5 / t**2 + stats.norm.logcdf(1.0 / t)
-            t = optimize.brentq(f, 0.3, 30.0, xtol=1e-13, rtol=1e-14)
-            return OrliczNorm(1.0, s * t, "analytic")
+                return psi_norm_analytic("gaussian", s, alpha)
+            return OrliczNorm(1.0, s * GAUSSIAN_PSI1_T, "analytic")
         # uniform on [-s, s]; |X|/s ~ U[0,1].
-        if alpha == 1:
-            # E exp(r U) = (exp(r) - 1)/r = 2 at r = s/t.
-            g = lambda r: math.expm1(r) / r - 2.0
-            r = optimize.brentq(g, 1e-8, 10.0, xtol=1e-13, rtol=1e-14)
-        else:
-            # E exp(r^2 U^2) = sqrt(pi) erfi(r) / (2r) = 2 at r = s/t.
-            g = lambda r: math.sqrt(math.pi) * special.erfi(r) / (2.0 * r) - 2.0
-            r = optimize.brentq(g, 1e-8, 10.0, xtol=1e-13, rtol=1e-14)
+        r = UNIFORM_PSI1_R if alpha == 1 else UNIFORM_PSI2_R
         return OrliczNorm(float(alpha), s / r, "analytic")
 
 

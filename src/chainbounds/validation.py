@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import CapacityError, DomainError, check_confidence, check_int, check_real
 from .processes import SIGN_ENUM_CAP, SupremumSample, exact_chaos_distribution, sign_patterns
@@ -96,7 +96,7 @@ def exceedance_upper_bound(k: int, n: int, confidence: float = CONFIDENCE) -> fl
     k, n, confidence = _exceedance_args(k, n, confidence)
     if k == n:
         return 1.0
-    return float(stats.beta.ppf(confidence, k + 1, n - k))
+    return float(special.betaincinv(k + 1, n - k, confidence))
 
 
 def exceedance_lower_bound(k: int, n: int, confidence: float = CONFIDENCE) -> float:
@@ -104,7 +104,7 @@ def exceedance_lower_bound(k: int, n: int, confidence: float = CONFIDENCE) -> fl
     k, n, confidence = _exceedance_args(k, n, confidence)
     if k == 0:
         return 0.0
-    return float(stats.beta.ppf(1.0 - confidence, k, n - k + 1))
+    return float(special.betaincinv(k, n - k + 1, 1.0 - confidence))
 
 
 @dataclass(frozen=True)

@@ -132,10 +132,29 @@ def test_gamma_scaling():
 
 def test_greedy_sequence_is_admissible_and_covers():
     sp = random_space(7, 23)
-    seq = greedy_admissible_sequence(sp, 2.0)
+    seq = greedy_admissible_sequence(sp)
     assert seq.covers_space()
     for n, lvl in enumerate(seq.levels):
         assert len(lvl) <= level_capacity(n)
+
+
+@pytest.mark.parametrize(
+    "alpha, p, message",
+    [
+        (math.nan, 1.0, "alpha must be finite and > 0, got nan"),
+        (0.0, 1.0, "alpha must be finite and > 0, got 0.0"),
+        (-1.0, 1.0, "alpha must be finite and > 0, got -1.0"),
+        (2.0, 0.5, "order p must be finite and >= 1, got 0.5"),
+        (2.0, math.nan, "order p must be finite and >= 1, got nan"),
+        (math.nan, 0.5, "alpha must be finite and > 0, got nan"),
+    ],
+)
+def test_gamma_greedy_rejects_bad_alpha_and_p(alpha, p, message):
+    # The greedy sequence takes no alpha or p; gamma_greedy still checks
+    # both, alpha first.
+    with pytest.raises(DomainError) as exc:
+        gamma_greedy(TRIANGLE, alpha, p)
+    assert str(exc.value) == message
 
 
 @given(st.integers(2, 6), st.integers(0, 10_000))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -465,3 +466,72 @@ def test_simulate_non_integer_reps_or_seed_exits_two(tmp_path, capsys, field, va
     code, _, err = run(["simulate", "--config", str(path), "--out", str(tmp_path)], capsys)
     assert code == 2 and f"error: {field}" in err
     assert not list(tmp_path.glob("simulate-*.json"))
+
+
+def test_main_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    # The parser is built once per process; the same argv (default --reps
+    # included) must give the same bytes and exit code after a different
+    # command and after failing ones.
+    monkeypatch.chdir(tmp_path)
+    argv = ["rip", "curve", "--N", "8", "--s", "2", "--delta", "0.5", "--m-list", "3,4",
+            "--seed", "1", "--out", "out"]
+
+    def outcome():
+        code, out, err = run(argv, capsys)
+        files = {p.name: p.read_bytes() for p in sorted((tmp_path / "out").iterdir())}
+        shutil.rmtree(tmp_path / "out")
+        return code, out, err, files
+
+    first = outcome()
+    assert first[0] == 0 and len(first[3]) == 2
+    assert run(["rip", "exact", "--N", "8", "--m", "4", "--s", "2", "--seed", "3",
+                "--out", "other"], capsys)[0] == 0
+    assert outcome() == first
+    assert run(["rip", "curve", "--N", "8", "--s", "2", "--reps", "5", "--out", "other"],
+               capsys)[0] == 2
+    assert run(["rip", "curve", "--N", "x", "--s", "2"], capsys)[0] == 2
+    assert outcome() == first
+
+
+def test_fit_constants_not_fit_path_name_the_artifact(tmp_path, capsys):
+    # Two runs with different fitted constants under one --fit path used to
+    # share a config hash, so the second overwrote the first.
+    sim = gaussian_sim_config(tmp_path, u_grid=(1.0,))
+    mats = tmp_path / "mats.json"
+    mats.write_text(json.dumps([[[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]]]))
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"alpha": 2, "u": 2, "p": 1}))
+    fit = tmp_path / "fit.json"
+    commands = {  # argv, then the constants and exit code of each run
+        "simulate": (["simulate", "--config", str(sim)],
+                     [({"C_2": 50.0}, 0), ({"C_2": 1e-6, "D_2": 1e-6}, 1)]),
+        "chaos": (["chaos", "--matrices", str(mats), "--reps", "50", "--seed", "4",
+                   "--u-grid", "1,2"],
+                  [({"chaos_C": 10.0, "chaos_c": 10.0}, 0), ({"chaos_C": 0.2, "chaos_c": 0.2}, 0)]),
+        "bound": (["bound", "union-probability", "--params", str(params)],
+                  [({"union_c": 10.0}, 0), ({"union_c": 3.0}, 0)]),
+    }
+    for stem, (argv, runs) in commands.items():
+        out = tmp_path / stem
+        for constants, code in runs:
+            fit.write_text(json.dumps(constants))
+            assert run(argv + ["--fit", str(fit), "--out", str(out)], capsys)[0] == code
+        reports = [load_json(p) for p in sorted(out.glob(f"{stem}-*.json"))]
+        assert len(reports) == 2, stem
+        assert sorted(json.dumps(r["config"]["fit"], sort_keys=True) for r in reports) == sorted(
+            json.dumps(c, sort_keys=True) for c, _ in runs
+        )
+        if stem == "simulate":
+            assert sorted(r["verdict"] for r in reports) == ["dominated", "violated"]
+        assert len({r["config_hash"] for r in reports}) == 2
+
+
+def test_runs_without_fit_hash_no_fit_entry(tmp_path, capsys):
+    sim = gaussian_sim_config(tmp_path, fit={"C_2": 50.0})
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"alpha": 2}))
+    assert run(["simulate", "--config", str(sim), "--out", str(tmp_path)], capsys)[0] == 0
+    assert load_json(artifact(tmp_path, "simulate"))["config"]["fit"] == {"C_2": 50.0}
+    assert run(["bound", "union-constant", "--params", str(params), "--out", str(tmp_path)],
+               capsys)[0] == 0
+    assert load_json(artifact(tmp_path, "bound"))["config"]["fit"] is None

@@ -84,6 +84,43 @@ def test_row_distribution_psi_norms_frozen():
     )
 
 
+def _brentq_roots():
+    """The three unit-scale roots solved with brentq from the equations,
+    brackets and tolerances stated beside the constants in processes.py."""
+    from scipy import optimize, special, stats
+
+    t = optimize.brentq(lambda t: 0.5 / t**2 + stats.norm.logcdf(1.0 / t),
+                        0.3, 30.0, xtol=1e-13, rtol=1e-14)
+    r1 = optimize.brentq(lambda r: math.expm1(r) / r - 2.0,
+                         1e-8, 10.0, xtol=1e-13, rtol=1e-14)
+    r2 = optimize.brentq(lambda r: math.sqrt(math.pi) * special.erfi(r) / (2.0 * r) - 2.0,
+                         1e-8, 10.0, xtol=1e-13, rtol=1e-14)
+    return t, r1, r2
+
+
+def test_stored_psi_norm_roots_equal_their_brentq_solves():
+    t, r1, r2 = _brentq_roots()
+    assert processes.GAUSSIAN_PSI1_T == t
+    assert processes.UNIFORM_PSI1_R == r1
+    assert processes.UNIFORM_PSI2_R == r2
+
+
+@pytest.mark.parametrize("scale", [1.0, -2.5, 0.3, 1e-12, 7e8, 0.0])
+def test_psi_norm_bit_equal_to_solved_reference(scale):
+    t, r1, r2 = _brentq_roots()
+    s = abs(scale)
+    reference = {
+        ("rademacher", 1): s / LOG2, ("rademacher", 2): s / LOG2**0.5,
+        ("constant", 1): s / LOG2, ("constant", 2): s / LOG2**0.5,
+        ("gaussian", 1): s * t, ("gaussian", 2): s * math.sqrt(8.0 / 3.0),
+        ("uniform", 1): s / r1, ("uniform", 2): s / r2,
+    }
+    for (name, alpha), value in reference.items():
+        norm = RowDistribution(name, scale=scale).psi_norm(alpha)
+        assert norm.value == value, (name, alpha)
+        assert (norm.alpha, norm.source) == (alpha, "analytic")
+
+
 def test_psi_norm_scales_with_parameter():
     base = RowDistribution("gaussian").psi_norm(2).value
     assert RowDistribution("gaussian", scale=2.5).psi_norm(2).value == pytest.approx(

@@ -18,6 +18,7 @@ from chainbounds import (
     covering_number,
     covering_profile,
     entropy_integral,
+    gamma_greedy,
     greedy_admissible_sequence,
     space_from_points,
 )
@@ -106,8 +107,9 @@ def test_greedy_outputs_match_the_per_radius_loop(space):
         assert res.centers == reference_cover(dist, u)
         assert res.count == len(res.centers)
 
+    assert greedy_admissible_sequence(space).levels == reference_sequence(dist)
     for alpha, p in ((2.0, 1.0), (1.0, 4.0)):
-        seq = greedy_admissible_sequence(space, alpha, p)
+        seq = gamma_greedy(space, alpha, p).sequence
         assert seq.levels == reference_sequence(dist)
 
 

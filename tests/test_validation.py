@@ -57,6 +57,17 @@ def test_exceedance_interior_values():
     assert exceedance_lower_bound(3, 50) == pytest.approx(0.008860761445872545)
 
 
+def test_exceedance_bounds_bit_equal_to_beta_ppf():
+    # The bounds are betaincinv; stats.beta.ppf is the reference quantile.
+    for n in (1, 2, 5, 50, 1000, 20000, 100000):
+        for k in sorted({0, 1, n // 3, n // 2, n - 1, n} & set(range(n + 1))):
+            for c in (0.9, 0.95, 0.99, 0.999):
+                upper = 1.0 if k == n else float(stats.beta.ppf(c, k + 1, n - k))
+                lower = 0.0 if k == 0 else float(stats.beta.ppf(1.0 - c, k, n - k + 1))
+                assert exceedance_upper_bound(k, n, c) == upper, (k, n, c)
+                assert exceedance_lower_bound(k, n, c) == lower, (k, n, c)
+
+
 def test_exceedance_defining_identities():
     # The one-sided bounds are exact binomial inversions:
     #   P(Binom(n, upper) <= k) = 1 - confidence

@@ -7,7 +7,9 @@ the same standard output and the same exit code: a tail bound that is
 dominated, a moment bound, a violated tail bound (exit 1) and a chaos grid
 whose middle row is violated (exit 1).  The commands run in a fresh
 directory with relative paths, so the config hashes do not depend on where
-the test runs.
+the test runs.  Since a hashed config holds the --fit file's constants
+instead of its path, the chaos case's config, config hash, "wrote" lines and
+CSV header were recorded again; its rows, numbers and verdicts were not.
 """
 
 import json
@@ -342,8 +344,8 @@ GOLDEN = json.loads(r"""
    "u=1 threshold=1.58008 envelope=0.367879 empirical=0.255 ci_upper=0.309248 dominated",
    "u=2 threshold=2.36185 envelope=0.135335 empirical=0.255 ci_upper=0.309248 violated",
    "u=3 threshold=3.08221 envelope=0.0497871 empirical=0 ci_upper=0.0114469 dominated",
-   "wrote out/chaos-bf1a18e62dc8.json",
-   "wrote out/chaos-bf1a18e62dc8.csv"
+   "wrote out/chaos-2b8bbd192233.json",
+   "wrote out/chaos-2b8bbd192233.csv"
   ],
   "report": {
    "bound": {
@@ -363,7 +365,7 @@ GOLDEN = json.loads(r"""
    "comparison_parameters": {"E": 5.891164814542394, "U": 1.7945098662706633, "V": 4.752764426005975},
    "config": {
     "decoupled": false,
-    "fit": "fit.json",
+    "fit": {"chaos_C": 0.05, "chaos_c": 0.2},
     "matrices": "mats.json",
     "reps": 400,
     "scale": 1.0,
@@ -371,7 +373,7 @@ GOLDEN = json.loads(r"""
     "u_grid": "1,2,3",
     "xi": "rademacher"
    },
-   "config_hash": "bf1a18e62dc845e28680d8446745bb2bc5263915758467c66ff12a7aa7f2bdae",
+   "config_hash": "2b8bbd192233b64b228e94d6e1d3aed95ae4c2d4057a4d38fc97499f83c9610b",
    "paper_confirmed": false,
    "radii": {
     "delta_2": 1.8874586088176875,
@@ -392,7 +394,7 @@ GOLDEN = json.loads(r"""
    "verdict": "violated"
   },
   "csv": [
-   "# config_hash: bf1a18e62dc845e28680d8446745bb2bc5263915758467c66ff12a7aa7f2bdae",
+   "# config_hash: 2b8bbd192233b64b228e94d6e1d3aed95ae4c2d4057a4d38fc97499f83c9610b",
    "u,threshold,envelope,empirical,ci_upper,verdict",
    "1.0,1.580075878362953,0.36787944117144233,0.255,0.30924804106848885,dominated",
    "2.0,2.3618535617397542,0.1353352832366127,0.255,0.30924804106848885,violated",
