@@ -34,6 +34,7 @@ __all__ = [
     "entropy_integral",
     "EntropyIntegral",
     "EXACT_COVER_CAP",
+    "MAX_POINTS",
 ]
 
 # Exact set-cover search is feasible well beyond this, but the default keeps
@@ -41,6 +42,10 @@ __all__ = [
 EXACT_COVER_CAP = 20
 
 _TRIANGLE_RTOL = 1e-9
+
+# Memory budget for one n x n float64 array: 200 MB, reached at 5000 points.
+_ARRAY_BUDGET_BYTES = 200_000_000
+MAX_POINTS = math.isqrt(_ARRAY_BUDGET_BYTES // 8)
 
 
 @dataclass(frozen=True)
@@ -107,10 +112,34 @@ class FiniteMetricSpace:
 def build_metric_space(dist, labels=None) -> FiniteMetricSpace:
     """Validate a distance matrix and wrap it as a FiniteMetricSpace.
 
-    Rejects non-square input, negative entries, a nonzero diagonal, asymmetry,
-    and triangle-inequality violations, naming the offending entry or triple.
+    Rejects complex or other non-real input, non-square input, more than
+    MAX_POINTS points, non-finite or negative entries, a nonzero diagonal,
+    asymmetry, and triangle-inequality violations, naming the offending
+    entry or triple.  The triangle inequality is settled by an O(n^2)
+    nearest-neighbour certificate and an exact check of the pairs it leaves
+    suspect; the O(n^3) full pass runs only to report a violation.
     """
-    return _validated(np.array(dist, dtype=float), labels, certified=False)
+    return _validated(np.array(_real(dist, "distances"), dtype=float), labels, certified=False)
+
+
+def _real(values, what: str) -> np.ndarray:
+    """values as an array; MetricValidationError for complex or other non-real dtypes.
+
+    Object arrays pass: the float cast converts their entries one at a time
+    and refuses complex ones.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biufO":
+        raise MetricValidationError(f"{what} must be real numbers, got dtype {arr.dtype}")
+    return arr
+
+
+def _check_capacity(n: int) -> None:
+    if n > MAX_POINTS:
+        raise CapacityError(
+            f"metric spaces are capped at {MAX_POINTS} points, got {n}: each n x n "
+            f"float64 array must fit a {_ARRAY_BUDGET_BYTES // 10**6} MB budget"
+        )
 
 
 def _validated(d: np.ndarray, labels, certified: bool) -> FiniteMetricSpace:
@@ -118,6 +147,7 @@ def _validated(d: np.ndarray, labels, certified: bool) -> FiniteMetricSpace:
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise MetricValidationError(f"distance matrix must be square, got shape {d.shape}")
     n = d.shape[0]
+    _check_capacity(n)
     if n == 0:
         raise MetricValidationError("metric space must contain at least one point")
     if not np.all(np.isfinite(d)):
@@ -151,8 +181,59 @@ def _validated(d: np.ndarray, labels, certified: bool) -> FiniteMetricSpace:
 
 
 def _check_triangle(d: np.ndarray) -> None:
-    """The O(n^3) triangle pass, with a relative slack for rounded distances."""
+    """Raise on a triangle violation beyond a relative slack for rounded distances.
+
+    The test is d_ik - (d_ij + d_jk) > tol over all triples.  An O(n^2)
+    nearest-neighbour certificate and an exact check of the pairs it leaves
+    suspect settle an accepted matrix; the O(n^3) full pass runs only when a
+    suspect pair fails, so every rejection and reported triple is the full
+    pass's own.
+    """
     tol = _TRIANGLE_RTOL * max(1.0, float(d.max()))
+    if not _neighbours_certify_triangle(d, tol):
+        _full_triangle_pass(d, tol)
+
+
+# Suspect pairs tested at once, times n: 256 KB blocks were fastest, and the
+# check beat the full pass even with 99% of pairs suspect (BENCH_user_dist.json).
+_PAIR_BLOCK_ELEMENTS = 1 << 15
+
+
+def _neighbours_certify_triangle(d: np.ndarray, tol: float) -> bool:
+    """True when no triple fails the full pass's test.
+
+    Let m_i = min_{j != i} d_ij.  For j outside {i, k}, d_ij + d_jk >=
+    m_i + m_k, and correctly rounded addition and subtraction are monotone
+    (IEEE 754; Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 2), so fl(d_ik - fl(m_i + m_k)) <= tol settles pair (i, k) for every
+    such j.  For j in {i, k} the test is exactly 0, as the diagonal is zero.
+    The suspect pairs left over (i < k only: d is exactly symmetric) get the
+    pass's own test against every j, a block of pairs at a time.
+    """
+    n = d.shape[0]
+    # sums past the float range round to inf, and then the test reads -inf
+    with np.errstate(over="ignore"):
+        slack = d.copy()
+        np.fill_diagonal(slack, np.inf)
+        m = slack.min(axis=1)
+        np.add(m[:, None], m[None, :], out=slack)
+        np.subtract(d, slack, out=slack)
+        suspect_i, suspect_k = np.nonzero(np.triu(slack > tol, 1))
+        rows = max(1, _PAIR_BLOCK_ELEMENTS // n)
+        viol = np.empty((rows, n))  # reused: no allocation per block
+        for start in range(0, suspect_i.size, rows):
+            i, k = suspect_i[start:start + rows], suspect_k[start:start + rows]
+            block = viol[:i.size]
+            # d[k, j] is d[j, k] bit for bit, so this is the full pass's test
+            np.add(d[i], d[k], out=block)
+            np.subtract(d[i, k][:, None], block, out=block)
+            if block.max() > tol:
+                return False
+    return True
+
+
+def _full_triangle_pass(d: np.ndarray, tol: float) -> None:
+    """The O(n^3) triangle pass, naming the first violating triple it finds."""
     viol = np.empty_like(d)  # reused: one n x n buffer instead of two per intermediate
     for j in range(d.shape[0]):
         # d[i,k] <= d[i,j] + d[j,k] for all i,k; check one intermediate at a time
@@ -198,30 +279,43 @@ _BLOCK_ELEMENTS = 1 << 18
 def space_from_points(points, norm: str = "l2", labels=None) -> FiniteMetricSpace:
     """Build a space from a point cloud under an lp norm ("l1", "l2", "linf").
 
-    Distances are computed a block of rows at a time.  Every check of
-    :func:`build_metric_space` runs except the O(n^3) triangle pass, which
-    is skipped when the rounding-error certificate shows it cannot fail.
+    Coordinates must be real and finite, and at most MAX_POINTS points are
+    taken.  Distances are computed a block of rows at a time; one that
+    overflows the float range is rejected, naming its pair.  Every check of
+    :func:`build_metric_space` runs except the triangle check, which is
+    skipped when the rounding-error certificate shows it cannot fail.
     """
-    pts = np.asarray(points, dtype=float)
+    pts = np.asarray(_real(points, "coordinates"), dtype=float)
     if pts.ndim != 2:
         raise MetricValidationError(f"points must be a 2-d array, got shape {pts.shape}")
     if norm not in ("l1", "l2", "linf"):
         raise MetricValidationError(f"unknown norm {norm!r} (expected l1, l2, or linf)")
     n, dim = pts.shape
+    _check_capacity(n)
+    finite = np.isfinite(pts)
+    if not finite.all():
+        i, j = (int(k) for k in np.argwhere(~finite)[0])
+        raise MetricValidationError(f"non-finite coordinate {pts[i, j]} of point {i} (axis {j})")
     d = np.empty((n, n))
     rows = max(1, _BLOCK_ELEMENTS // max(1, n * dim))
-    for start in range(0, n, rows):
-        diff = pts[start:start + rows, None, :] - pts[None, :, :]
-        if norm == "l2":
-            d[start:start + rows] = np.sqrt((diff ** 2).sum(axis=2))
-        elif norm == "l1":
-            d[start:start + rows] = np.abs(diff).sum(axis=2)
-        else:
-            d[start:start + rows] = np.abs(diff).max(axis=2)
+    # finite coordinates can still be too far apart: such distances become inf
+    with np.errstate(over="ignore"):
+        for start in range(0, n, rows):
+            diff = pts[start:start + rows, None, :] - pts[None, :, :]
+            if norm == "l2":
+                d[start:start + rows] = np.sqrt((diff ** 2).sum(axis=2))
+            elif norm == "l1":
+                d[start:start + rows] = np.abs(diff).sum(axis=2)
+            else:
+                d[start:start + rows] = np.abs(diff).max(axis=2)
     # exact symmetry despite floating point
     d = np.maximum(d, d.T)
     np.fill_diagonal(d, 0.0)
-    # a non-finite maximum fails the certificate or the finiteness check
+    if not np.isfinite(d).all():
+        i, j = (int(k) for k in np.argwhere(~np.isfinite(d))[0])
+        raise MetricValidationError(
+            f"{norm} distance between points {i} and {j} overflows the float range"
+        )
     certified = n > 0 and _norm_certifies_triangle(dim, float(d.max()))
     return _validated(d, labels, certified)
 

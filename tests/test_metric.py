@@ -1,6 +1,10 @@
 """Finite metric spaces, covering numbers, and the entropy integral."""
 
 import math
+import re
+import time
+import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -9,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainbounds import (
+    CapacityError,
     MetricValidationError,
     build_metric_space,
     covering_number,
@@ -276,3 +281,230 @@ def test_triangle_pass_runs_for_user_dist_and_uncertified_spaces(monkeypatch):
     monkeypatch.setattr(metric, "_norm_certifies_triangle", lambda dim, max_dist: False)
     space_from_points(np.zeros((4, 2)))
     assert calls == [6, 6, 4]
+
+
+# ---------------------------------------------------------------------------
+# user-supplied distances: the nearest-neighbour certificate
+
+
+def reference_triangle_pass(d):
+    """The full O(n^3) pass alone, as every user dist got it before the certificate."""
+    tol = metric._TRIANGLE_RTOL * max(1.0, float(d.max()))
+    viol = np.empty_like(d)
+    for j in range(d.shape[0]):
+        np.add(d[:, j:j + 1], d[j:j + 1, :], out=viol)
+        np.subtract(d, viol, out=viol)
+        if viol.max() > tol:
+            i, k = (int(x) for x in np.argwhere(viol == viol.max())[0])
+            raise MetricValidationError(
+                f"triangle violation d[{i},{k}] = {d[i, k]} > "
+                f"d[{i},{j}] + d[{j},{k}] = {d[i, j] + d[j, k]} (triple {i},{j},{k})"
+            )
+
+
+def rejection(check, d):
+    """The message check(d) raises, or None when d is accepted."""
+    try:
+        check(d)
+    except MetricValidationError as exc:
+        return str(exc)
+    return None
+
+
+def sqrt_l1(pts):
+    """Square roots of l1 distances: a metric that no norm on the points induces."""
+    return np.sqrt(np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2))
+
+
+def plant(d, i, k, where):
+    """Set d[i,k] = d[k,i] relative to the largest value the pass accepts there.
+
+    "at" is that value, whose test equals the tolerance when it can; "below"
+    is one ulp lower, "above" one ulp higher (the least violation), and a
+    number scales the tolerance instead.
+    """
+    j = [x for x in range(len(d)) if x not in (i, k)]
+    shortest = float((d[i, j] + d[j, k]).min())
+    rest = d.copy()
+    rest[i, k] = rest[k, i] = 0.0
+
+    def tol(v):
+        return metric._TRIANGLE_RTOL * max(1.0, float(rest.max()), v)
+
+    v = shortest + (1.0 if isinstance(where, str) else where) * tol(shortest)
+    if isinstance(where, str):
+        while v - shortest > tol(v):
+            v = math.nextafter(v, -math.inf)
+        while math.nextafter(v, math.inf) - shortest <= tol(math.nextafter(v, math.inf)):
+            v = math.nextafter(v, math.inf)
+        if where != "at":
+            v = math.nextafter(v, math.inf if where == "above" else -math.inf)
+    d[i, k] = d[k, i] = v
+    return d
+
+
+@st.composite
+def user_dists(draw):
+    """sqrt-l1, integer-grid l1 and all-equal matrices at scales 1e-150..1e150.
+
+    A fifth have 1-3 points, the rest 4-30.  Points may repeat (semi-metric
+    zeros), and one pair may be planted at, just below or just above the
+    tolerance, or at 0.5 or 3 times it.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(rng.integers(1, 4) if rng.random() < 0.2 else rng.integers(4, 31))
+    kind = draw(st.sampled_from(["sqrt-l1", "grid", "equal"]))
+    if kind == "equal":
+        d = np.ones((n, n))
+    else:
+        dim = draw(st.integers(1, 8))
+        if kind == "grid":
+            pts = rng.integers(-2, 3, size=(n, dim)).astype(float)
+        else:
+            pts = rng.normal(size=(n, dim))
+        if n > 1 and draw(st.booleans()):
+            pts[-1] = pts[0]
+        d = sqrt_l1(pts) if kind == "sqrt-l1" else np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
+    np.fill_diagonal(d, 0.0)
+    d *= 10.0 ** draw(st.integers(-150, 150))
+    if n >= 3 and draw(st.booleans()):
+        i, k = (int(x) for x in rng.choice(n, 2, replace=False))
+        d = plant(d, i, k, draw(st.sampled_from(["below", "at", "above", 0.5, 3.0])))
+    return d
+
+
+@given(user_dists())
+@settings(max_examples=400, deadline=None)
+def test_certified_check_matches_the_full_pass(d):
+    assert rejection(metric._check_triangle, d) == rejection(reference_triangle_pass, d)
+    assert rejection(build_metric_space, d) == rejection(reference_triangle_pass, d)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+def test_planted_pairs_sit_on_either_side_of_the_tolerance(scale):
+    for n in (3, 6):
+        d = np.full((n, n), scale)
+        np.fill_diagonal(d, 0.0)
+        for where, rejected in (("below", False), ("at", False), ("above", True), (3.0, True)):
+            planted = plant(d.copy(), 0, n - 1, where)
+            assert (rejection(metric._check_triangle, planted) is not None) == rejected
+
+
+def _count_full_passes(monkeypatch) -> list:
+    calls = []
+    real = metric._full_triangle_pass
+
+    def counted(d, tol):
+        calls.append(d.shape[0])
+        real(d, tol)
+
+    monkeypatch.setattr(metric, "_full_triangle_pass", counted)
+    return calls
+
+
+def test_full_pass_skipped_on_metric_scale_shaped_input(monkeypatch):
+    calls = _count_full_passes(monkeypatch)
+    d = sqrt_l1(np.random.default_rng(5).normal(size=(200, 8)))
+    assert np.array_equal(build_metric_space(d).dist, d)
+    assert calls == []
+
+
+def test_full_pass_skipped_when_most_pairs_are_suspect(monkeypatch):
+    # in two dimensions most pairs stay suspect; their exact check is still
+    # cheaper than the full pass, so it settles them all
+    calls = _count_full_passes(monkeypatch)
+    d = sqrt_l1(np.random.default_rng(6).normal(size=(60, 2)))
+    off = d + np.diag(np.full(60, np.inf))
+    m = off.min(axis=1)
+    tol = metric._TRIANGLE_RTOL * max(1.0, float(d.max()))
+    assert np.triu(d - (m[:, None] + m[None, :]) > tol, 1).sum() > 0.5 * 60 * 59 / 2
+    build_metric_space(d)
+    assert calls == []
+
+
+def test_full_pass_runs_when_a_suspect_pair_fails(monkeypatch):
+    calls = _count_full_passes(monkeypatch)
+    d = sqrt_l1(np.random.default_rng(7).normal(size=(40, 3)))
+    d[0, 1] = d[1, 0] = 3.0 * d.max()
+    expected = rejection(reference_triangle_pass, d)
+    assert expected is not None
+    with pytest.raises(MetricValidationError, match=re.escape(expected)):
+        build_metric_space(d)
+    assert calls == [40]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_spaces_without_a_third_point_never_fail(n, monkeypatch):
+    calls = _count_full_passes(monkeypatch)
+    d = np.full((n, n), 1e308)  # m_i + m_k overflows: the certificate must stay quiet
+    np.fill_diagonal(d, 0.0)
+    build_metric_space(d)
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# input checks: dtypes, coordinates, overflow and size
+
+
+def test_complex_and_other_non_real_input_is_rejected_before_the_cast():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ComplexWarning from a silent cast
+        with pytest.raises(MetricValidationError, match="distances must be real numbers, got dtype complex128"):
+            build_metric_space(np.array([[0, 1j], [1j, 0]]))
+        with pytest.raises(MetricValidationError, match="coordinates must be real numbers"):
+            space_from_points(np.array([[0.0, 1j], [1.0, 0.0]]))
+        with pytest.raises(MetricValidationError, match="dtype <U1"):
+            build_metric_space([["0", "1"], ["1", "0"]])
+        with pytest.raises(MetricValidationError):
+            space_from_json({"dist": [[0, 1j], [1j, 0]]})
+        # integers and booleans are real: cast as before
+        assert build_metric_space(np.array([[0, 2], [2, 0]], dtype=np.int32)).dist[0, 1] == 2.0
+        assert space_from_points(np.array([[True], [False]])).dist[0, 1] == 1.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_coordinates_name_their_point(bad):
+    pts = np.zeros((4, 2))
+    pts[2, 1] = bad
+    with pytest.raises(MetricValidationError,
+                       match=re.escape(f"non-finite coordinate {bad} of point 2 (axis 1)")):
+        space_from_points(pts)
+
+
+@pytest.mark.parametrize("norm, pair", [("l2", (0, 1)), ("l1", (1, 2)), ("linf", (1, 2))])
+def test_overflowing_distances_name_their_pair(norm, pair):
+    # finite coordinates: l2 squares 1e308 past the float range, l1 and linf
+    # overflow only between the two far points
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MetricValidationError,
+                           match=f"{norm} distance between points {pair[0]} and {pair[1]} overflows"):
+            space_from_points([[0.0], [1e308], [-1e308]], norm=norm)
+
+
+def test_point_cap_follows_the_array_budget():
+    n = metric.MAX_POINTS
+    assert n == 5000
+    assert 8 * n * n <= metric._ARRAY_BUDGET_BYTES < 8 * (n + 1) ** 2
+
+
+def test_too_many_points_fail_before_any_n_by_n_allocation():
+    pts = np.zeros((metric.MAX_POINTS + 1, 1))
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match=f"capped at {metric.MAX_POINTS} points, got {metric.MAX_POINTS + 1}"):
+            space_from_points(pts)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # one n x n array would be 200 MB
+    assert elapsed < 1.0
+
+
+def test_build_metric_space_enforces_the_point_cap(monkeypatch):
+    monkeypatch.setattr(metric, "MAX_POINTS", 3)
+    build_metric_space(TRI)
+    with pytest.raises(CapacityError, match="capped at 3 points, got 4"):
+        build_metric_space(np.ones((4, 4)) - np.eye(4))
