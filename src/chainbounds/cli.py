@@ -592,7 +592,10 @@ def _cmd_rip(args) -> int:
         _emit(args, "rip-exact", config, payload)
         return 0
     # curve
-    m_list = [check_int("--m-list entry", v, 1)
+    # Every entry is checked against N before the first replication; s and
+    # the enumeration cap are checked by the first estimate before its draws.
+    N = check_int("N", args.N, 1)
+    m_list = [check_int("m", check_int("--m-list entry", v, 1), 1, N)
               for v in _parse_float_list(args.m_list, "--m-list")]
     config = {
         "action": "curve", "N": args.N, "s": args.s, "delta": args.delta,

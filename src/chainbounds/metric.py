@@ -340,16 +340,34 @@ class CoveringProfile:
     mode: str
 
 
-def _ball_masks(space: FiniteMetricSpace, u: float) -> list[int]:
-    """Bitmask of the closed ball around each point."""
-    within = space.dist <= u
-    masks = []
-    for i in range(space.size):
-        m = 0
-        for j in np.flatnonzero(within[i]):
-            m |= 1 << int(j)
-        masks.append(m)
-    return masks
+def _ball_masks(within: np.ndarray) -> list[int]:
+    """Row i of a boolean matrix as an int bitmask (bit j is column j), at any size."""
+    packed = np.packbits(within, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _set_bits(mask: int) -> list[int]:
+    """Positions of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _maximal_balls(within: np.ndarray) -> np.ndarray:
+    """Ascending indices of the inclusion-maximal balls, the first of equal ones.
+
+    within[i, j] says whether ball i holds point j.  Ball i lies inside ball
+    j iff none of its points is missing from ball j; the counts of missing
+    points are sums of 0/1 products, exact in floating point.
+    """
+    inside = within.astype(float)
+    contained = inside @ (1.0 - inside).T == 0.0
+    strictly = contained & ~contained.T
+    equal_earlier = np.tril(contained & contained.T, -1)
+    return np.flatnonzero(~strictly.any(axis=1) & ~equal_earlier.any(axis=1))
 
 
 def farthest_point_order(space: FiniteMetricSpace) -> tuple[np.ndarray, np.ndarray]:
@@ -387,34 +405,34 @@ def _resolve_mode(mode: str, size: int, exact_cap: int) -> str:
     return mode
 
 
-def _exact_cover(masks: list[int], n: int) -> list[int]:
-    """Minimum set cover by branch and bound over ball bitmasks.
+def _exact_cover(within: np.ndarray) -> list[int]:
+    """Minimum set cover by branch and bound over the balls within[i] (bitmasks).
 
     Branches on the uncovered point contained in the fewest balls; dominated
-    balls (masks contained in another ball) are dropped up front, which keeps
-    the optimum because a dominating ball covers at least as much.
+    balls (contained in another ball) are dropped up front, which keeps the
+    optimum because a dominating ball covers at least as much.  Of equal
+    balls the first is kept, as its center.
     """
+    n = within.shape[0]
     full = (1 << n) - 1
-    # deduplicate and drop dominated masks, remembering a center per mask
-    kept: list[tuple[int, int]] = []  # (mask, center)
-    for i, m in enumerate(masks):
-        if any(m | other == other for other, _ in kept if other != m):
-            continue
-        if any(m == other for other, _ in kept):
-            continue
-        kept = [(o, c) for o, c in kept if o | m != m or o == m]
-        kept.append((m, i))
-    cand_masks = [m for m, _ in kept]
-    cand_centers = [c for _, c in kept]
+    keep = _maximal_balls(within)
+    cand_masks = _ball_masks(within[keep])
+    cand_centers = keep.tolist()
 
     # greedy upper bound
     best: list[int] = []
     covered = 0
     while covered != full:
-        pick = max(range(len(cand_masks)), key=lambda i: bin(cand_masks[i] & ~covered).count("1"))
+        pick = max(range(len(cand_masks)), key=lambda i: (cand_masks[i] & ~covered).bit_count())
         best.append(pick)
         covered |= cand_masks[pick]
     best_len = len(best)
+
+    # The balls containing each point (bit i: ball i) do not change during the
+    # search, so the branching order, fewest candidate balls first and ties to
+    # the lowest index, is computed once.
+    containing = _ball_masks(within[keep].T)
+    branch_order = sorted(range(n), key=lambda j: containing[j].bit_count())
 
     def search(covered: int, chosen: list[int]) -> None:
         nonlocal best, best_len
@@ -430,10 +448,9 @@ def _exact_cover(masks: list[int], n: int) -> list[int]:
                     return
             return
         # branch on the uncovered point with the fewest candidate balls
-        uncovered = [j for j in range(n) if not (covered >> j) & 1]
-        target = min(uncovered, key=lambda j: sum((m >> j) & 1 for m in cand_masks))
-        options = [i for i, m in enumerate(cand_masks) if (m >> target) & 1]
-        options.sort(key=lambda i: -bin(cand_masks[i] & ~covered).count("1"))
+        target = next(j for j in branch_order if not (covered >> j) & 1)
+        options = _set_bits(containing[target])
+        options.sort(key=lambda i: -(cand_masks[i] & ~covered).bit_count())
         for i in options:
             search(covered | cand_masks[i], chosen + [i])
 
@@ -468,7 +485,7 @@ def covering_number(
             f"exact covering capped at {exact_cap} points, space has {space.size}; "
             "use mode='greedy' or raise exact_cap"
         )
-    centers = _exact_cover(_ball_masks(space, u), space.size)
+    centers = _exact_cover(space.dist <= u)
     return CoverResult(radius=float(u), count=len(centers), centers=tuple(centers), mode="exact")
 
 

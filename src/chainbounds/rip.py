@@ -16,6 +16,12 @@ before the sums, so each delta_s is bit for bit that of the enumeration over
 the rescaled selected rows alone.  This holds up to 8192 rows, numpy's einsum
 buffer; beyond it numpy sums in buffer-sized pieces laid out by operand shape,
 and the last bits may differ.
+
+The Monte Carlo only asks whether some delta_S reaches delta.  A Gershgorin /
+Rayleigh bracket, widened by eigvalsh's backward error, answers that for most
+replications; eigvalsh runs on the blocks it leaves open, so every failure
+count is the one eigvalsh on every block gives.  The exact constant runs
+eigvalsh on every support.
 """
 
 from __future__ import annotations
@@ -58,6 +64,7 @@ UNITARY_TOL = 1e-10
 WITNESS_TOL = 1e-9
 COMPLEXITY_CAP = 1 << 60
 _BATCH = 4096
+_SCREEN_TOL = 1e-9
 
 
 def build_dft(N: int) -> np.ndarray:
@@ -157,20 +164,74 @@ def _grams(weights: np.ndarray, A: np.ndarray, s: int) -> np.ndarray:
     return np.einsum("ri,ik,il->rkl", weights, A.conj(), A)
 
 
-def _support_deltas(grams: np.ndarray, supports: np.ndarray) -> np.ndarray:
-    """(R, C) values max(lambda_max - 1, 1 - lambda_min) of every support's s x s Gram.
+def _block_deltas(grams: np.ndarray, rows: np.ndarray, supports: np.ndarray) -> np.ndarray:
+    """Values max(lambda_max - 1, 1 - lambda_min) of the s x s blocks grams[rows[k]][S_k, S_k].
 
-    Each eigvalsh call sees at most _BATCH matrices (R of them per support),
-    so the gathered stack stays bounded whatever the table size.
+    S_k is supports[k].  Each eigvalsh call sees at most _BATCH blocks, so
+    the gathered stack stays bounded whatever the table size.  LAPACK
+    handles every block of a stack on its own, so a block's value does not
+    depend on which other blocks share its call.
     """
-    R = grams.shape[0]
-    out = np.empty((R, supports.shape[0]))
-    step = max(1, _BATCH // R)
-    for lo in range(0, supports.shape[0], step):
-        S = supports[lo:lo + step]
-        w = np.linalg.eigvalsh(grams[:, S[:, :, None], S[:, None, :]])
-        out[:, lo:lo + step] = np.maximum(w[..., -1] - 1.0, 1.0 - w[..., 0])
+    out = np.empty(rows.size)
+    for lo in range(0, rows.size, _BATCH):
+        r = rows[lo:lo + _BATCH, None, None]
+        S = supports[lo:lo + _BATCH]
+        w = np.linalg.eigvalsh(grams[r, S[:, :, None], S[:, None, :]])
+        out[lo:lo + _BATCH] = np.maximum(w[:, -1] - 1.0, 1.0 - w[:, 0])
     return out
+
+
+def _support_brackets(grams: np.ndarray, supports: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(R, C) arrays low <= delta_S <= high around the value _block_deltas computes.
+
+    With D the diagonal of the s x s Gram G of support S, Gershgorin gives
+    delta_S <= max_i |D_i - 1| + sum_{j != i} |G_ij|, and Rayleigh quotients
+    give delta_S >= |mid - 1| + |G_ab| with mid = (D_a + D_b) / 2 on the unit
+    vectors (e_a + e^{i phi} e_b) / sqrt(2), and >= |D_a - 1| on e_a (the
+    pair a = b).  eigvalsh returns the eigenvalues of G + E with
+    ||E||_2 <= p(s) eps ||G||_2 (Golub & Van Loan, Matrix Computations, 4th
+    ed., section 8.1), and ||G||_2 <= s max |G_ij|, so widening both ends by
+    tau = _SCREEN_TOL (1 + s max |G_ij|) = 4.5e6 eps (1 + s max |G_ij|) covers
+    any p(s) up to a million together with the rounding of the bracket and of
+    the final subtraction of 1 (max |G_ij| is taken over the bracketed
+    entries, and |G_ii| = D_i).  Supports are bracketed _BATCH // R at a time.
+    """
+    R, (C, s) = grams.shape[0], supports.shape
+    diag = grams.diagonal(axis1=1, axis2=2).real
+    low, high = np.empty((R, C)), np.empty((R, C))
+    step = max(1, _BATCH // R)
+    for lo in range(0, C, step):
+        S = supports[lo:lo + step].T
+        D = diag[:, S]  # (R, s, supports)
+        dev = np.abs(D - 1.0)
+        radius = np.zeros_like(D)
+        rayleigh = dev.max(axis=1)
+        scale = float(D.max())
+        for a, b in itertools.combinations(range(s), 2):
+            g = np.abs(grams[:, S[a], S[b]])
+            radius[:, a] += g
+            radius[:, b] += g
+            rayleigh = np.maximum(rayleigh, np.abs(0.5 * (D[:, a] + D[:, b]) - 1.0) + g)
+            scale = max(scale, float(g.max()))
+        tau = _SCREEN_TOL * (1.0 + s * scale)
+        low[:, lo:lo + step] = rayleigh - tau
+        high[:, lo:lo + step] = (dev + radius).max(axis=1) + tau
+    return low, high
+
+
+def _screened_failures(grams: np.ndarray, supports: np.ndarray, delta: float) -> int:
+    """How many of the R Grams have a support whose computed delta_S is >= delta.
+
+    The brackets settle most replications: one fails if some support's low
+    reaches delta and passes if every high stays below it.  eigvalsh runs on
+    the supports of the others whose high reaches delta, with the same
+    >= delta test, so the count is that of eigvalsh on every support.
+    """
+    low, high = _support_brackets(grams, supports)
+    fails = (low >= delta).any(axis=1)
+    rows, cols = np.nonzero((high >= delta) & ~fails[:, None])
+    fails[rows[_block_deltas(grams, rows, supports[cols]) >= delta]] = True
+    return int(np.count_nonzero(fails))
 
 
 def restricted_isometry_constant(
@@ -193,7 +254,8 @@ def restricted_isometry_constant(
     s = check_int("s", s, 1, N)
     _check_enumeration(N, s, enumeration_cap)
     supports = _supports(N, s)
-    deltas = _support_deltas(_grams(np.ones((1, A.shape[0])), A, s), supports)[0]
+    gram = _grams(np.ones((1, A.shape[0])), A, s)
+    deltas = _block_deltas(gram, np.zeros(supports.shape[0], dtype=np.intp), supports)
     k = int(np.argmax(deltas))  # the first maximum: lexicographically-first support
     best_delta = float(deltas[k])
     best_support = tuple(int(i) for i in supports[k])
@@ -341,8 +403,7 @@ def estimate_failure_probability(
         keep = np.array([_selector_mask(N, m, seed, rep)
                          for rep in range(lo, min(lo + chunk, reps))])
         realized += int(keep.sum())
-        worst = _support_deltas(_grams(keep, A, s), supports).max(axis=1)
-        failures += int(np.count_nonzero(worst >= delta))
+        failures += _screened_failures(_grams(keep, A, s), supports, delta)
     return {
         "N": N,
         "m": m,

@@ -31,12 +31,30 @@ __all__ = [
 
 BOOTSTRAP_RESAMPLES = 1000
 CONFIDENCE = 0.99
+_RESAMPLE_BLOCK = 1 << 15  # indices per bootstrap draw, once n is below it
 
 
 def _bootstrap_rng(seed: int) -> np.random.Generator:
     # Counter word 3 keeps this stream disjoint from the simulators' block
     # streams, which use counter word 2.
     return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, 1]))
+
+
+def _bootstrap_means(columns: np.ndarray, rng: np.random.Generator, resamples: int) -> np.ndarray:
+    """(resamples, P) means of each row of the (P, n) columns over resampled indices.
+
+    Resamples are drawn k = _RESAMPLE_BLOCK // n at a time: one (k, n) draw is
+    the stream of k successive n-draws, and every row is still reduced along
+    the contiguous axis, so each mean is bit for bit the one-resample-per-draw
+    value.  At n >= _RESAMPLE_BLOCK this is one resample per draw.
+    """
+    n = columns.shape[1]
+    boot = np.empty((resamples, columns.shape[0]))
+    k = max(1, _RESAMPLE_BLOCK // n)
+    for b in range(0, resamples, k):
+        idx = rng.integers(0, n, (min(k, resamples - b), n))
+        boot[b:b + idx.shape[0]] = columns.take(idx, axis=1).mean(axis=2).T
+    return boot
 
 
 @dataclass(frozen=True)
@@ -65,16 +83,11 @@ def estimate_moments(
     p_list = [check_real("moment order p", p, 1.0) for p in np.atleast_1d(p_list)]
     resamples = check_int("resamples", resamples, 1)
     confidence = check_confidence(confidence)
-    rng = _bootstrap_rng(sample.seed)
-    n = values.size
     # Powers of values / max (max taken as 1 for an all-zero sample) stay in
     # [0, 1], so a large p cannot overflow; the roots are scaled back by max.
     top = float(values.max()) or 1.0
     columns = np.stack([(values / top) ** p for p in p_list])  # one contiguous row per p
-    boot = np.empty((resamples, len(p_list)))
-    for b in range(resamples):
-        idx = rng.integers(0, n, n)
-        boot[b] = columns.take(idx, axis=1).mean(axis=1)
+    boot = _bootstrap_means(columns, _bootstrap_rng(sample.seed), resamples)
     lo, hi = 100.0 * (1.0 - confidence), 100.0 * confidence
     out = []
     for j, p in enumerate(p_list):

@@ -357,6 +357,35 @@ def test_rip_curve_non_integer_m_exits_two(tmp_path, capsys, m_list):
     assert not list(tmp_path.glob("rip-curve-*"))
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--s", "2", "--m-list", "4,8,40"], "m must be >= 1 and <= 16, got 40"),
+    (["--s", "17", "--m-list", "4,8"], "s must be >= 1 and <= 16, got 17"),
+    (["--s", "2", "--m-list", "4,0"], "--m-list entry must be >= 1"),
+])
+def test_rip_curve_fails_before_the_first_replication(tmp_path, capsys, monkeypatch, flags,
+                                                       message):
+    import chainbounds.rip as rip
+
+    draws = []
+    monkeypatch.setattr(rip, "replication_rng", lambda *a: draws.append(a))
+    code, out, err = run(["rip", "curve", "--N", "16", "--delta", "0.5", "--reps", "200",
+                          "--seed", "1", "--out", str(tmp_path)] + flags, capsys)
+    assert code == 2 and message in err
+    assert "m=4" not in out and draws == []
+    assert not list(tmp_path.glob("rip-curve-*"))
+
+
+def test_rip_curve_over_the_enumeration_cap_draws_nothing(tmp_path, capsys, monkeypatch):
+    import chainbounds.rip as rip
+
+    draws = []
+    monkeypatch.setattr(rip, "replication_rng", lambda *a: draws.append(a))
+    code, out, err = run(["rip", "curve", "--N", "40", "--s", "10", "--delta", "0.5",
+                          "--m-list", "4,8", "--seed", "1", "--out", str(tmp_path)], capsys)
+    assert code == 2 and "exceeds the enumeration cap" in err
+    assert out == "" and draws == []
+
+
 @pytest.mark.parametrize("flags", [["--profile"], ["--entropy-alpha", "2"],
                                    ["--profile", "--entropy-alpha", "2"]])
 @pytest.mark.parametrize("mode", ["exact", "greedy"])

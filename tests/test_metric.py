@@ -1,5 +1,6 @@
 """Finite metric spaces, covering numbers, and the entropy integral."""
 
+import itertools
 import math
 import re
 import time
@@ -158,6 +159,143 @@ def test_covering_profile_consistency():
     # profile radii are breakpoints: count at each radius matches a direct call
     for r, c in zip(prof.radii, prof.counts):
         assert covering_number(sp, float(r), mode="exact").count == c
+
+
+# ---------------------------------------------------------------------------
+# exact covers against the per-bit masks and per-branch counts they replaced
+
+
+def reference_ball_masks(dist, u):
+    masks = []
+    for row in dist <= u:
+        m = 0
+        for j in np.flatnonzero(row):
+            m |= 1 << int(j)
+        masks.append(m)
+    return masks
+
+
+def reference_exact_cover(masks, n):
+    full = (1 << n) - 1
+    kept = []
+    for i, m in enumerate(masks):
+        if any(m | other == other for other, _ in kept if other != m):
+            continue
+        if any(m == other for other, _ in kept):
+            continue
+        kept = [(o, c) for o, c in kept if o | m != m or o == m]
+        kept.append((m, i))
+    cand_masks = [m for m, _ in kept]
+    cand_centers = [c for _, c in kept]
+    best, covered = [], 0
+    while covered != full:
+        pick = max(range(len(cand_masks)), key=lambda i: bin(cand_masks[i] & ~covered).count("1"))
+        best.append(pick)
+        covered |= cand_masks[pick]
+    best_len = len(best)
+
+    def search(covered, chosen):
+        nonlocal best, best_len
+        if covered == full:
+            if len(chosen) < best_len:
+                best, best_len = list(chosen), len(chosen)
+            return
+        if len(chosen) + 1 >= best_len:
+            for i, m in enumerate(cand_masks):
+                if covered | m == full and len(chosen) + 1 < best_len:
+                    best, best_len = chosen + [i], len(chosen) + 1
+                    return
+            return
+        uncovered = [j for j in range(n) if not (covered >> j) & 1]
+        target = min(uncovered, key=lambda j: sum((m >> j) & 1 for m in cand_masks))
+        options = [i for i, m in enumerate(cand_masks) if (m >> target) & 1]
+        options.sort(key=lambda i: -bin(cand_masks[i] & ~covered).count("1"))
+        for i in options:
+            search(covered | cand_masks[i], chosen + [i])
+
+    search(0, [])
+    return sorted(cand_centers[i] for i in best)
+
+
+def reference_exact_profile(sp):
+    radii, counts, centers = [], [], []
+    for u in metric._breakpoints(sp):
+        cover = reference_exact_cover(reference_ball_masks(sp.dist, u), sp.size)
+        radii.append(float(u))
+        counts.append(len(cover))
+        centers.append(tuple(cover))
+        if len(cover) == 1:
+            break
+    return tuple(radii), tuple(counts), tuple(centers)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 14), st.integers(0, 2**32 - 1), st.sampled_from(["l1", "l2", "linf"]),
+       st.booleans())
+def test_exact_profile_matches_the_per_branch_search(n, seed, norm, grid):
+    # grid clouds have duplicate points and many equal distances, so equal and
+    # nested balls and tied branching counts all occur
+    rng = np.random.default_rng(seed)
+    points = rng.integers(0, 3, size=(n, 2)) if grid else rng.normal(size=(n, 3))
+    sp = space_from_points(points, norm=norm)
+    prof = covering_profile(sp, mode="exact")
+    assert (prof.radii, prof.counts, prof.centers) == reference_exact_profile(sp)
+
+
+@pytest.mark.parametrize("seed", [7, 15, 53, 55, 73])
+def test_exact_profile_breaks_branching_ties_like_the_per_branch_search(seed):
+    # 2-d clouds of 6-16 points on which branching on the last of the points
+    # with the fewest balls, instead of the first, changes some centers
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(6, 17))
+    sp = space_from_points(rng.normal(size=(n, 2)), norm=("l1", "l2", "linf")[seed % 3])
+    prof = covering_profile(sp, mode="exact")
+    assert (prof.radii, prof.counts, prof.centers) == reference_exact_profile(sp)
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 130])
+def test_ball_masks_are_exact_beyond_64_bits(n):
+    sp = space_from_points(np.random.default_rng(n).normal(size=(n, 2)))
+    for u in (0.0, float(np.median(sp.dist)), sp.diameter()):
+        masks = metric._ball_masks(sp.dist <= u)
+        assert masks == reference_ball_masks(sp.dist, u)
+    assert metric._ball_masks(sp.dist <= sp.diameter()) == [(1 << n) - 1] * n
+
+
+def two_clusters(n):
+    rng = np.random.default_rng(n)
+    near = rng.uniform(-1.0, 1.0, size=(n // 2, 2))
+    far = rng.uniform(-1.0, 1.0, size=(n - n // 2, 2)) + [100.0, 0.0]
+    return space_from_points(np.vstack([near, far]))
+
+
+def brute_force_count(sp, u, limit=2):
+    """The least k <= limit with k balls covering the space, by trying every k-set."""
+    inside = sp.dist <= u
+    for k in range(1, limit + 1):
+        for centers in itertools.combinations(range(sp.size), k):
+            if inside[list(centers)].any(axis=0).all():
+                return k
+    return None
+
+
+@pytest.mark.parametrize("n", [64, 70, 100])
+def test_exact_cover_beyond_64_points_with_a_raised_cap(n):
+    sp = two_clusters(n)
+    halves = (np.arange(n) < n // 2)
+    # the larger cluster's Chebyshev radius covers each cluster from one point
+    radius = max(float(sp.dist[np.ix_(h, h)].max(axis=1).min()) for h in (halves, ~halves))
+    for u in (sp.diameter(), 2 * sp.diameter(), radius):
+        res = covering_number(sp, u, mode="exact", exact_cap=n)
+        assert res.count == brute_force_count(sp, u)
+        assert sp.point_to_set(res.centers).max() <= u
+    # below the cluster radius two balls no longer do
+    below = float(np.nextafter(radius, 0.0))
+    assert brute_force_count(sp, below) is None
+    assert covering_number(sp, below, mode="exact", exact_cap=n).count >= 3
+    assert covering_number(sp, 0.0, mode="exact", exact_cap=n).count == n
+    with pytest.raises(CapacityError):
+        covering_number(sp, radius, mode="exact")
 
 
 def test_entropy_integral_two_points():

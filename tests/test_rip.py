@@ -383,17 +383,31 @@ def batched_replication_deltas(N, m, s, reps, seed, U=None):
     U = build_dft(N) if U is None else U
     keep = np.array([rip._selector_mask(N, m, seed, rep) for rep in range(reps)])
     A = math.sqrt(N / m) * U
-    return rip._support_deltas(rip._grams(keep, A, s), rip._supports(N, s)).max(axis=1)
+    supports = rip._supports(N, s)
+    rows = np.repeat(np.arange(reps), len(supports))
+    blocks = rip._block_deltas(rip._grams(keep, A, s), rows, np.tile(supports, (reps, 1)))
+    return blocks.reshape(reps, -1).max(axis=1)
 
 
 def assert_same_estimate(N, m, s, reps, seed, U=None):
     ref, realized = reference_replication_deltas(N, m, s, reps, seed, U)
     np.testing.assert_array_equal(batched_replication_deltas(N, m, s, reps, seed, U), ref)
-    # thresholds at realized values make every tie count
-    for delta in (0.0, 0.5, float(ref[0]), float(np.median(ref))):
+    # thresholds at every realized value, and one ulp either side of the
+    # first, make every tie count and land inside the screen's margin
+    first = float(ref[0])
+    thresholds = {0.0, 0.5, float(np.median(ref)), np.nextafter(first, 0.0),
+                  np.nextafter(first, np.inf), *map(float, ref)}
+    for delta in sorted(thresholds):
         got = estimate_failure_probability(N, m, s, delta, reps, seed, U=U)
         assert got["failures"] == int(np.count_nonzero(ref >= delta))
         assert got["mean_realized_rows"] == realized / reps
+
+
+def random_unitary(N, seed):
+    """A Haar unitary: the Q factor of a complex Gaussian matrix, phases fixed by R."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -401,6 +415,42 @@ def assert_same_estimate(N, m, s, reps, seed, U=None):
        st.integers(1, 6))
 def test_batched_monte_carlo_matches_per_replication_loop(N, s, m, seed, reps):
     assert_same_estimate(N, min(m, N), min(s, N), reps, seed)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 4), st.integers(1, 12), st.integers(0, 2**32 - 1),
+       st.integers(1, 5))
+def test_screened_monte_carlo_matches_on_random_unitaries(N, s, m, seed, reps):
+    assert_same_estimate(N, min(m, N), min(s, N), reps, seed, U=random_unitary(N, seed))
+
+
+def assert_brackets_hold(grams, s):
+    """low <= the eigvalsh value <= high on every (replication, support) block."""
+    N = grams.shape[1]
+    supports = rip._supports(N, s)
+    low, high = rip._support_brackets(grams, supports)
+    R = grams.shape[0]
+    rows = np.repeat(np.arange(R), len(supports))
+    deltas = rip._block_deltas(grams, rows, np.tile(supports, (R, 1))).reshape(R, -1)
+    assert (low <= deltas).all() and (deltas <= high).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10), st.integers(1, 9), st.integers(1, 4), st.integers(0, 2**32 - 1),
+       st.sampled_from([1e-3, 0.1, 0.5, 1.0, 3.0, 1e3]))
+def test_brackets_hold_on_random_matrices(rows, N, s, seed, scale):
+    rng = np.random.default_rng(seed)
+    A = scale * (rng.normal(size=(rows, N)) + 1j * rng.normal(size=(rows, N)))
+    assert_brackets_hold(rip._grams(np.ones((1, rows)), A, min(s, N)), min(s, N))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 4), st.integers(1, 9), st.integers(0, 2**32 - 1))
+def test_brackets_hold_on_subsampled_unitaries(N, s, m, seed):
+    s, m = min(s, N), min(m, N)
+    keep = np.random.default_rng(seed).random((4, N)) < m / N
+    for U in (random_unitary(N, seed), build_dft(N)):
+        assert_brackets_hold(rip._grams(keep, math.sqrt(N / m) * U, s), s)
 
 
 @settings(max_examples=40, deadline=None)
@@ -471,13 +521,39 @@ def test_support_table_is_cached_and_read_only():
         table[0, 0] = 6
 
 
-def test_failure_probability_has_no_replication_loop_beyond_the_draws(monkeypatch):
-    # one kernel call per chunk of _BATCH // C(N, s) replications
-    calls = []
-    kernel = rip._support_deltas
-    monkeypatch.setattr(rip, "_support_deltas", lambda g, S: calls.append(len(g)) or kernel(g, S))
-    estimate_failure_probability(N=16, m=8, s=2, delta=0.5, reps=200, seed=1)
-    assert calls == [34] * 5 + [30]
+def test_failure_probability_screens_each_chunk_once(monkeypatch):
+    # One bracket pass per chunk of _BATCH // C(N, s) replications, then one
+    # eigvalsh pass on exactly the blocks whose high reaches delta in the
+    # replications no low has already failed, each block once.
+    delta = 0.5
+    chunks, blocks = [], []
+    brackets, kernel = rip._support_brackets, rip._block_deltas
+
+    def bracket(grams, supports):
+        chunks.append((grams, brackets(grams, supports)))
+        return chunks[-1][1]
+
+    def deltas(grams, rows, supports):
+        blocks.append((len(chunks) - 1, rows, supports))
+        return kernel(grams, rows, supports)
+
+    monkeypatch.setattr(rip, "_support_brackets", bracket)
+    monkeypatch.setattr(rip, "_block_deltas", deltas)
+    estimate_failure_probability(N=16, m=8, s=2, delta=delta, reps=200, seed=1)
+    assert [len(grams) for grams, _ in chunks] == [34] * 5 + [30]
+    assert [k for k, _, _ in blocks] == list(range(6))
+    table = rip._supports(16, 2)
+    index = {tuple(S): c for c, S in enumerate(table.tolist())}
+    evaluated, open_blocks = [], set()
+    for k, rows, supports in blocks:
+        low, high = chunks[k][1]
+        open_rows = ~(low >= delta).any(axis=1)
+        evaluated += [(k, r, index[tuple(S)]) for r, S in zip(rows.tolist(), supports.tolist())]
+        open_blocks |= {(k, int(r), int(c)) for r, c in zip(*np.nonzero(high >= delta))
+                        if open_rows[r]}
+    assert len(evaluated) == len(set(evaluated))
+    assert set(evaluated) == open_blocks
+    assert len(evaluated) < 200 * len(table) // 50  # under 2% of the 24,000 blocks
 
 
 def test_batched_constant_matches_up_to_the_einsum_buffer():

@@ -31,7 +31,8 @@ from chainbounds import (
     truncation_level,
     validate_bound,
 )
-from chainbounds.validation import _bootstrap_rng, _verdict
+from chainbounds import validation
+from chainbounds.validation import _bootstrap_means, _bootstrap_rng, _verdict
 
 
 def _sample(values, seed=0):
@@ -169,6 +170,56 @@ def test_bootstrap_stream_differs_from_block_streams():
     draws = _bootstrap_rng(5).integers(0, 2**63, 8)
     for b in range(3):
         assert not np.array_equal(draws, replication_rng(5, b).integers(0, 2**63, 8))
+
+
+def reference_bootstrap(sample, p_list, resamples):
+    """The one-resample-per-draw loop that the block draws replaced."""
+    values = sample.values
+    rng = _bootstrap_rng(sample.seed)
+    n = values.size
+    top = float(values.max()) or 1.0
+    columns = np.stack([(values / top) ** p for p in p_list])
+    boot = np.empty((resamples, len(p_list)))
+    for b in range(resamples):
+        idx = rng.integers(0, n, n)
+        boot[b] = columns.take(idx, axis=1).mean(axis=1)
+    lo, hi = 100.0 * (1.0 - 0.99), 100.0 * 0.99
+    estimates = []
+    for j, p in enumerate(p_list):
+        root = top * boot[:, j] ** (1.0 / p)
+        est = top * float(columns[j].mean()) ** (1.0 / p)
+        estimates.append((est, min(float(np.percentile(root, lo)), est),
+                          max(float(np.percentile(root, hi)), est)))
+    return columns, boot, estimates
+
+
+# (n, resamples): k = 2^15 // n resamples per draw, and no count below is a
+# multiple of its k unless k = 1
+BLOCK_CASES = [(1, 1), (1, 1000), (2, 3), (2, 1000), (200, 164), (200, 1000),
+               (2**15 - 1, 3), (2**15, 3), (2**15 + 1, 3)]
+
+
+@pytest.mark.parametrize("n, resamples", BLOCK_CASES)
+def test_block_bootstrap_equals_the_per_resample_loop(n, resamples):
+    sample = _sample(np.random.default_rng(n).exponential(size=n), seed=n % 7)
+    p_list = [1.0, 2.5, 8.0]
+    columns, boot, estimates = reference_bootstrap(sample, p_list, resamples)
+    got = _bootstrap_means(columns, _bootstrap_rng(sample.seed), resamples)
+    assert got.shape == boot.shape
+    assert (got == boot).all()
+    ests = estimate_moments(sample, p_list, resamples=resamples)
+    assert [(e.estimate, e.ci_low, e.ci_high) for e in ests] == estimates
+
+
+@pytest.mark.parametrize("block", [5, 6, 7, 64])
+def test_block_bootstrap_boundaries(monkeypatch, block):
+    # 6-point samples: 0, 1, 1 and 10 resamples per draw, 37 resamples in all
+    monkeypatch.setattr(validation, "_RESAMPLE_BLOCK", block)
+    sample = _sample([0.5, 1.0, 1.5, 2.0, 4.0, 0.25], seed=9)
+    columns, boot, estimates = reference_bootstrap(sample, [1.0, 3.0], 37)
+    assert (_bootstrap_means(columns, _bootstrap_rng(9), 37) == boot).all()
+    ests = estimate_moments(sample, [1.0, 3.0], resamples=37)
+    assert [(e.estimate, e.ci_low, e.ci_high) for e in ests] == estimates
 
 
 def test_moment_estimate_interval_must_contain_estimate():

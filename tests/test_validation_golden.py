@@ -10,6 +10,10 @@ directory with relative paths, so the config hashes do not depend on where
 the test runs.  Since a hashed config holds the --fit file's constants
 instead of its path, the chaos case's config, config hash, "wrote" lines and
 CSV header were recorded again; its rows, numbers and verdicts were not.
+
+The three moment cases (p_list at 200, 1000 and 2000 replications, no bound,
+so no CSV) were recorded before the bootstrap drew its resamples in blocks;
+their intervals must not move by a bit.
 """
 
 import json
@@ -400,6 +404,204 @@ GOLDEN = json.loads(r"""
    "2.0,2.3618535617397542,0.1353352832366127,0.255,0.30924804106848885,violated",
    "3.0,3.0822075275611667,0.049787068367863944,0.0,0.01144690534306116,dominated"
   ]
+ },
+ {
+  "name": "simulate-moments-200",
+  "inputs": {
+   "m.json": {
+    "model": {
+     "kind": "martingale-family",
+     "coefficients": [[1.0, -0.5, 0.25], [0.5, 1.0, -1.0]]
+    },
+    "reps": 200,
+    "seed": 11,
+    "p_list": [1.0, 2.0, 4.0]
+   }
+  },
+  "argv": ["simulate", "--config", "m.json"],
+  "code": 0,
+  "stdout": [
+   "p=1 estimate=1.54375 ci=[1.43624, 1.65125]",
+   "p=2 estimate=1.67435 ci=[1.56275, 1.77993]",
+   "p=4 estimate=1.87998 ci=[1.77875, 1.97207]",
+   "wrote out/simulate-002a7663a2de.json"
+  ],
+  "report": {
+   "command": "simulate",
+   "config": {
+    "config_file": "m.json",
+    "model": {
+     "coefficients": [[1.0, -0.5, 0.25], [0.5, 1.0, -1.0]],
+     "kind": "martingale-family"
+    },
+    "p_list": [1.0, 2.0, 4.0],
+    "reps": 200,
+    "seed": 11
+   },
+   "config_hash": "002a7663a2de159e7a69680082182f2f76d0dfe6d79a2033c333e5946cbdbce4",
+   "moments": [
+    {
+     "ci_high": 1.6512499999999999,
+     "ci_low": 1.4362375,
+     "estimate": 1.5437500000000002,
+     "p": 1.0
+    },
+    {
+     "ci_high": 1.7799253844792156,
+     "ci_low": 1.5627459801311603,
+     "estimate": 1.6743468875952796,
+     "p": 2.0
+    },
+    {
+     "ci_high": 1.9720662777778317,
+     "ci_low": 1.7787463499670582,
+     "estimate": 1.879977551490255,
+     "p": 4.0
+    }
+   ],
+   "registry": {
+    "defaults": {
+     "C": {"2": 86.0},
+     "D": {"2": 9.0},
+     "union_c": 16.0
+    },
+    "fitted": {}
+   },
+   "reps": 200,
+   "sample": {"base_point": null, "max": 2.5, "mean": 1.54375},
+   "seed": 11
+  }
+ },
+ {
+  "name": "simulate-moments-1000",
+  "inputs": {
+   "m.json": {
+    "model": {
+     "kind": "empirical",
+     "coefficients": [[1.0, 0.5], [-0.5, 1.0], [0.25, -1.0]],
+     "base": {"name": "uniform"}
+    },
+    "reps": 1000,
+    "seed": 12,
+    "p_list": [1.0, 2.0]
+   }
+  },
+  "argv": ["simulate", "--config", "m.json"],
+  "code": 0,
+  "stdout": [
+   "p=1 estimate=0.392667 ci=[0.381613, 0.402971]",
+   "p=2 estimate=0.420887 ci=[0.410214, 0.430068]",
+   "wrote out/simulate-939a8e61e469.json"
+  ],
+  "report": {
+   "command": "simulate",
+   "config": {
+    "config_file": "m.json",
+    "model": {
+     "base": {"name": "uniform"},
+     "coefficients": [[1.0, 0.5], [-0.5, 1.0], [0.25, -1.0]],
+     "kind": "empirical"
+    },
+    "p_list": [1.0, 2.0],
+    "reps": 1000,
+    "seed": 12
+   },
+   "config_hash": "939a8e61e46942f234a3e5049fb66cf1b624fa1ccbd5529c282cc9c2ca1b6ff1",
+   "moments": [
+    {
+     "ci_high": 0.4029712543351627,
+     "ci_low": 0.3816128205179419,
+     "estimate": 0.3926665410178566,
+     "p": 1.0
+    },
+    {
+     "ci_high": 0.4300676082213192,
+     "ci_low": 0.41021424989059946,
+     "estimate": 0.42088748719885294,
+     "p": 2.0
+    }
+   ],
+   "registry": {
+    "defaults": {
+     "C": {"2": 86.0},
+     "D": {"2": 9.0},
+     "union_c": 16.0
+    },
+    "fitted": {}
+   },
+   "reps": 1000,
+   "sample": {"base_point": null, "max": 0.7172831803206385, "mean": 0.3926665410178567},
+   "seed": 12
+  }
+ },
+ {
+  "name": "simulate-moments-2000",
+  "inputs": {
+   "m.json": {
+    "model": {
+     "kind": "gaussian",
+     "covariance": [[1.0, 0.5], [0.5, 1.0]],
+     "base_point": null
+    },
+    "reps": 2000,
+    "seed": 13,
+    "p_list": [1.0, 3.0, 8.0]
+   }
+  },
+  "argv": ["simulate", "--config", "m.json"],
+  "code": 0,
+  "stdout": [
+   "p=1 estimate=1.08963 ci=[1.05981, 1.12216]",
+   "p=3 estimate=1.38895 ci=[1.34905, 1.43375]",
+   "p=8 estimate=1.98882 ci=[1.82451, 2.16908]",
+   "wrote out/simulate-6de8ca9441f0.json"
+  ],
+  "report": {
+   "command": "simulate",
+   "config": {
+    "config_file": "m.json",
+    "model": {
+     "base_point": null,
+     "covariance": [[1.0, 0.5], [0.5, 1.0]],
+     "kind": "gaussian"
+    },
+    "p_list": [1.0, 3.0, 8.0],
+    "reps": 2000,
+    "seed": 13
+   },
+   "config_hash": "6de8ca9441f045c3175d8cfc2acbbaebc10e1639270c5c02325ffc207ae49f04",
+   "moments": [
+    {
+     "ci_high": 1.1221635520345679,
+     "ci_low": 1.0598069229432614,
+     "estimate": 1.089633375112654,
+     "p": 1.0
+    },
+    {
+     "ci_high": 1.4337520602403848,
+     "ci_low": 1.3490546444426061,
+     "estimate": 1.3889525454385687,
+     "p": 3.0
+    },
+    {
+     "ci_high": 2.1690789951404734,
+     "ci_low": 1.824511586522803,
+     "estimate": 1.9888201386911064,
+     "p": 8.0
+    }
+   ],
+   "registry": {
+    "defaults": {
+     "C": {"2": 86.0},
+     "D": {"2": 9.0},
+     "union_c": 16.0
+    },
+    "fitted": {}
+   },
+   "reps": 2000,
+   "sample": {"base_point": null, "max": 4.423987889129998, "mean": 1.089633375112654},
+   "seed": 13
+  }
  }
 ]
 """)
@@ -414,5 +616,9 @@ def test_validation_report_matches_golden(tmp_path, monkeypatch, capsys, case):
     assert capsys.readouterr().out.splitlines() == case["stdout"]
     (report,) = (tmp_path / "out").glob("*.json")
     assert report.read_bytes().decode() == json.dumps(case["report"], sort_keys=True, indent=2) + "\n"
-    (grid,) = (tmp_path / "out").glob("*.csv")
+    grids = list((tmp_path / "out").glob("*.csv"))
+    if "csv" not in case:  # moments only: the report is the whole output
+        assert grids == []
+        return
+    (grid,) = grids
     assert grid.read_bytes().decode() == "\n".join(case["csv"]) + "\n"
