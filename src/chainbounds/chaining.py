@@ -64,17 +64,13 @@ def truncation_level(p: float) -> int:
 class AdmissibleSequence:
     """A validated admissible set or partition sequence over a fixed space.
 
-    levels holds, per stored level n, either a sorted tuple of point indices
-    (set kind) or a tuple of disjoint sorted cells covering the space
-    (partition kind).  Beyond the stored levels the sequence repeats its last
-    level.  projections[n][t] is the chosen representative of t at level n:
-    the nearest point of T_n (ties to the lowest index) for set sequences,
-    the lowest-index member of t's cell for partition sequences.
+    levels holds, per stored level n, a sorted tuple of point indices (set
+    kind) or a tuple of disjoint sorted cells covering the space (partition
+    kind); beyond the stored levels the sequence repeats its last level.
     """
 
     kind: str  # "set" | "partition"
     levels: tuple
-    projections: tuple[tuple[int, ...], ...]
     space: FiniteMetricSpace
 
     @property
@@ -115,12 +111,7 @@ def admissible_sets(space: FiniteMetricSpace, levels) -> AdmissibleSequence:
         norm_levels.append(pts)
     if not norm_levels:
         raise DomainError("sequence needs at least one level")
-    projections = tuple(
-        tuple(int(i) for i in space.nearest_in(lvl)) for lvl in norm_levels
-    )
-    return AdmissibleSequence(
-        kind="set", levels=tuple(norm_levels), projections=projections, space=space
-    )
+    return AdmissibleSequence(kind="set", levels=tuple(norm_levels), space=space)
 
 
 def _validate_partition(space: FiniteMetricSpace, cells, n: int) -> tuple:
@@ -159,20 +150,7 @@ def admissible_partitions(space: FiniteMetricSpace, levels) -> AdmissibleSequenc
     for n in range(1, len(norm_levels)):
         if not _refines(norm_levels[n], norm_levels[n - 1]):
             raise DomainError(f"level {n} does not refine level {n - 1}")
-    projections = []
-    for lvl in norm_levels:
-        rep = [0] * space.size
-        for cell in lvl:
-            r = min(cell)
-            for i in cell:
-                rep[i] = r
-        projections.append(tuple(rep))
-    return AdmissibleSequence(
-        kind="partition",
-        levels=tuple(norm_levels),
-        projections=tuple(projections),
-        space=space,
-    )
+    return AdmissibleSequence(kind="partition", levels=tuple(norm_levels), space=space)
 
 
 @dataclass(frozen=True)
@@ -206,13 +184,23 @@ def functional_value(
         if seq.kind == "set":
             per_point += w * space.point_to_set(seq.level(n))
         else:
-            diam = np.empty(space.size)
-            for cell in seq.level(n):
-                dval = space.subset_diameter(cell)
-                for i in cell:
-                    diam[i] = dval
-            per_point += w * diam
+            per_point += w * _cell_diameters(space, [seq.level(n)], {})[0]
     return float(per_point.max())
+
+
+def _cell_diameters(space: FiniteMetricSpace, partitions, cache: dict) -> np.ndarray:
+    """(partitions, n): the diameter of each point's cell, memoized per cell in cache."""
+    rows = []
+    for partition in partitions:
+        row = [0.0] * space.size
+        for cell in partition:
+            dval = cache.get(cell)
+            if dval is None:
+                dval = cache[cell] = space.subset_diameter(cell)
+            for i in cell:
+                row[i] = dval
+        rows.append(row)
+    return np.array(rows)
 
 
 def greedy_admissible_sequence(space: FiniteMetricSpace) -> AdmissibleSequence:
@@ -361,30 +349,29 @@ def gamma_prime(
     if mode == "greedy":
         levels = [trivial]
         current = trivial
+        widths = [space.subset_diameter(trivial[0])]  # kept in step with the cells
         lvl = 0
-        while any(space.subset_diameter(c) > 0 for c in current):
+        while max(widths) > 0:
             lvl += 1
             cap = min(level_capacity(lvl), n)
             cells = [list(c) for c in current]
-            widths = [space.subset_diameter(c) for c in cells]  # kept in step with cells
             while len(cells) < cap:
                 w = max(widths)
                 if w == 0:
                     break
                 ci = widths.index(w)
                 cell = cells[ci]
-                sub = np.ix_(cell, cell)
-                d = space.dist[sub]
+                d = space.dist[np.ix_(cell, cell)]
                 a, b = np.unravel_index(int(np.argmax(d)), d.shape)
-                seed_a, seed_b = cell[a], cell[b]
-                if seed_a > seed_b:
-                    seed_a, seed_b = seed_b, seed_a
+                seed_a, seed_b = sorted((cell[a], cell[b]))
                 near_a = space.dist[cell, seed_a] <= space.dist[cell, seed_b]
                 left = [i for i, k in zip(cell, near_a) if k]
                 right = [i for i, k in zip(cell, near_a) if not k]
                 cells[ci:ci + 1] = [left, right]
                 widths[ci:ci + 1] = [space.subset_diameter(left), space.subset_diameter(right)]
-            current = tuple(sorted(tuple(sorted(c)) for c in cells))
+            # the next level starts from sorted cells: the widest-cell tie-break reads that order
+            ordered = sorted(zip((tuple(sorted(c)) for c in cells), widths))
+            current, widths = tuple(c for c, _ in ordered), [w for _, w in ordered]
             levels.append(current)
         seq = admissible_partitions(space, levels)
         val = functional_value(space, seq, alpha, 1.0)
@@ -402,20 +389,6 @@ def gamma_prime(
     best_chain: list | None = None
     cell_diameters: dict[tuple[int, ...], float] = {}
 
-    def diam_rows(partitions) -> np.ndarray:
-        """(partitions, n): the diameter of each point's cell."""
-        rows = []
-        for partition in partitions:
-            row = [0.0] * n
-            for cell in partition:
-                dval = cell_diameters.get(cell)
-                if dval is None:
-                    dval = cell_diameters[cell] = space.subset_diameter(cell)
-                for i in cell:
-                    row[i] = dval
-            rows.append(row)
-        return np.array(rows)
-
     def settle(level: int, chain: list, acc: np.ndarray, val: float, width: float) -> None:
         """Finish or extend a chain ending at `level`; val = acc.max() and
         width is the widest cell of its last partition."""
@@ -429,13 +402,13 @@ def gamma_prime(
             best_val, best_chain = val, chain + [singletons]
         else:
             refined = list(_refining_partitions(chain[-1], level_capacity(level + 1)))
-            diams = diam_rows(refined)
+            diams = _cell_diameters(space, refined, cell_diameters)
             accs = acc + 2.0 ** ((level + 1) / alpha) * diams
             for part, row, v, wdt in zip(refined, accs, accs.max(axis=1).tolist(),
                                          diams.max(axis=1).tolist()):
                 settle(level + 1, chain + [part], row, v, wdt)
 
-    acc0 = diam_rows([trivial])[0]  # 2^0 weight
+    acc0 = _cell_diameters(space, [trivial], cell_diameters)[0]  # 2^0 weight
     settle(0, [trivial], acc0, float(acc0.max()), float(acc0.max()))
     seq = admissible_partitions(space, best_chain)
     return GammaEstimate(alpha=float(alpha), p=1.0, l=0, value=best_val,

@@ -272,15 +272,48 @@ def _norm_certifies_triangle(dim: int, max_dist: float) -> bool:
     return slack <= _TRIANGLE_RTOL * max(1.0, max_dist)
 
 
-# Coordinates differenced at once: bounds the (rows, n, d) temporary.
+# Coordinate differences held at once: bounds the (rows, cols, ...) temporary.
 _BLOCK_ELEMENTS = 1 << 18
+
+
+def _pairwise(points, reduce) -> np.ndarray:
+    """The symmetric (n, n) matrix of reduce(points[i] - points[j]), zero diagonal.
+
+    reduce maps a (rows, cols, ...) block of differences to (rows, cols).  The
+    point cap is checked first.  Only pairs i < j are evaluated and mirrored,
+    in blocks of rows, and of columns when one row of differences exceeds
+    _BLOCK_ELEMENTS.  Values past the float range become inf without a warning.
+    """
+    n = len(points)
+    _check_capacity(n)
+    d = np.zeros((n, n))
+    per_pair = max(1, math.prod(points.shape[1:]))
+    cols = max(1, min(n, _BLOCK_ELEMENTS // per_pair))
+    rows = max(1, _BLOCK_ELEMENTS // (per_pair * cols))
+    with np.errstate(over="ignore"):
+        for r0 in range(0, n - 1, rows):
+            r1 = min(r0 + rows, n)
+            for c0 in range(r0 + 1, n, cols):
+                c1 = min(c0 + cols, n)
+                block = reduce(points[r0:r1, None] - points[None, c0:c1])
+                upper = np.arange(c0, c1) > np.arange(r0, r1)[:, None]
+                np.copyto(d[r0:r1, c0:c1], block, where=upper)
+                np.copyto(d[c0:c1, r0:r1], block.T, where=upper.T)
+    return d
+
+
+_NORMS = {
+    "l1": lambda diff: np.abs(diff).sum(axis=-1),
+    "l2": lambda diff: np.sqrt((diff ** 2).sum(axis=-1)),
+    "linf": lambda diff: np.abs(diff).max(axis=-1),
+}
 
 
 def space_from_points(points, norm: str = "l2", labels=None) -> FiniteMetricSpace:
     """Build a space from a point cloud under an lp norm ("l1", "l2", "linf").
 
     Coordinates must be real and finite, and at most MAX_POINTS points are
-    taken.  Distances are computed a block of rows at a time; one that
+    taken.  Distances come from the blocked pairwise kernel; one that
     overflows the float range is rejected, naming its pair.  Every check of
     :func:`build_metric_space` runs except the triangle check, which is
     skipped when the rounding-error certificate shows it cannot fail.
@@ -288,29 +321,15 @@ def space_from_points(points, norm: str = "l2", labels=None) -> FiniteMetricSpac
     pts = np.asarray(_real(points, "coordinates"), dtype=float)
     if pts.ndim != 2:
         raise MetricValidationError(f"points must be a 2-d array, got shape {pts.shape}")
-    if norm not in ("l1", "l2", "linf"):
+    if norm not in _NORMS:
         raise MetricValidationError(f"unknown norm {norm!r} (expected l1, l2, or linf)")
     n, dim = pts.shape
-    _check_capacity(n)
     finite = np.isfinite(pts)
     if not finite.all():
         i, j = (int(k) for k in np.argwhere(~finite)[0])
         raise MetricValidationError(f"non-finite coordinate {pts[i, j]} of point {i} (axis {j})")
-    d = np.empty((n, n))
-    rows = max(1, _BLOCK_ELEMENTS // max(1, n * dim))
-    # finite coordinates can still be too far apart: such distances become inf
-    with np.errstate(over="ignore"):
-        for start in range(0, n, rows):
-            diff = pts[start:start + rows, None, :] - pts[None, :, :]
-            if norm == "l2":
-                d[start:start + rows] = np.sqrt((diff ** 2).sum(axis=2))
-            elif norm == "l1":
-                d[start:start + rows] = np.abs(diff).sum(axis=2)
-            else:
-                d[start:start + rows] = np.abs(diff).max(axis=2)
-    # exact symmetry despite floating point
-    d = np.maximum(d, d.T)
-    np.fill_diagonal(d, 0.0)
+    # finite coordinates can still be too far apart: such distances are inf
+    d = _pairwise(pts, _NORMS[norm])
     if not np.isfinite(d).all():
         i, j = (int(k) for k in np.argwhere(~np.isfinite(d))[0])
         raise MetricValidationError(
@@ -556,16 +575,10 @@ def entropy_integral(
     """
     alpha = check_real("alpha", alpha, 0.0, strict=True)
     prof = covering_profile(space, mode=mode, exact_cap=exact_cap) if profile is None else profile
-    radii = list(prof.radii)
-    counts = list(prof.counts)
+    radii, counts = prof.radii, prof.counts
     total = 0.0
-    for k in range(len(radii)):
+    for k in range(len(radii) - 1):  # the last breakpoint starts no interval
         if counts[k] <= 1:
             break
-        if k + 1 < len(radii):
-            width = radii[k + 1] - radii[k]
-        else:
-            # profile stopped early only when N hit 1; guard anyway
-            width = 0.0
-        total += width * math.log(counts[k]) ** (1.0 / alpha)
+        total += (radii[k + 1] - radii[k]) * math.log(counts[k]) ** (1.0 / alpha)
     return EntropyIntegral(value=total, alpha=float(alpha), mode=prof.mode, profile=prof)

@@ -36,7 +36,7 @@ from .errors import (
     UnsupportedFamilyError,
     check_int,
 )
-from .metric import FiniteMetricSpace, build_metric_space
+from .metric import _NORMS, FiniteMetricSpace, _pairwise, build_metric_space, space_from_points
 from .orlicz import OrliczNorm, psi_norm_analytic
 from .schatten import _matrix_stack
 
@@ -301,25 +301,25 @@ def canonical_metric(model: ProcessModel) -> FiniteMetricSpace:
 
     gaussian: d(s,t)^2 = Cov_ss + Cov_tt - 2 Cov_st; martingale-family:
     root-sum-of-squares of per-step sup-norm differences (Euclidean distance
-    of coefficient rows); squares: max per-summand psi_2 distance.
+    of coefficient rows, from metric's pairwise kernel with no (n, n, m)
+    array); squares: max per-summand psi_2 distance, from the same kernel.
     """
-    if model.kind == "gaussian":
+    if model.kind == "martingale-family":
+        return space_from_points(model.coefficients, "l2", model.labels)
+    if model.kind == "squares":
+        psi2 = model.base.psi_norm(2).value
+        d = _pairwise(model.coefficients, lambda diff: _NORMS["linf"](diff) * psi2)
+    elif model.kind == "gaussian":
         v = np.diag(model.covariance)
         sq = v[:, None] + v[None, :] - 2.0 * model.covariance
         d = np.sqrt(np.clip(sq, 0.0, None))
-    elif model.kind == "martingale-family":
-        c = model.coefficients
-        d = np.linalg.norm(c[:, None, :] - c[None, :, :], axis=2)
-    elif model.kind == "squares":
-        c = model.coefficients
-        d = np.abs(c[:, None, :] - c[None, :, :]).max(axis=2) * model.base.psi_norm(2).value
+        d = 0.5 * (d + d.T)
+        np.fill_diagonal(d, 0.0)
     else:
         raise UnsupportedFamilyError(
             f"no single canonical metric for kind {model.kind!r}"
             + ("; use mixed_metrics" if model.kind == "empirical" else "")
         )
-    d = 0.5 * (d + d.T)
-    np.fill_diagonal(d, 0.0)
     return build_metric_space(d, labels=model.labels)
 
 
@@ -334,11 +334,8 @@ def mixed_metrics(model: ProcessModel) -> MixedTailMetrics:
         raise UnsupportedFamilyError(f"mixed metrics apply to empirical models, not {model.kind!r}")
     c = model.coefficients
     psi1 = model.base.psi_norm(1).value
-    diff = np.abs(c[:, None, :] - c[None, :, :]) * psi1
-    d1 = diff.max(axis=2)
-    d2 = np.sqrt((diff**2).mean(axis=2))
-    for d in (d1, d2):
-        np.fill_diagonal(d, 0.0)
+    d1 = _pairwise(c, lambda diff: _NORMS["linf"](diff) * psi1)
+    d2 = _pairwise(c, lambda diff: np.sqrt(((diff * psi1) ** 2).mean(axis=-1)))
     return MixedTailMetrics(
         d1=build_metric_space(d1, labels=model.labels),
         d2=build_metric_space(d2, labels=model.labels),

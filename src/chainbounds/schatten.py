@@ -15,7 +15,7 @@ import numpy as np
 
 from .chaining import GAMMA_EXACT_CAP, GammaEstimate, gamma_exact, gamma_greedy
 from .errors import DomainError
-from .metric import FiniteMetricSpace, _resolve_mode, build_metric_space
+from .metric import FiniteMetricSpace, _pairwise, _resolve_mode, build_metric_space
 
 __all__ = ["schatten_norm", "SchattenRadii", "matrix_set_space", "schatten_radii"]
 
@@ -89,14 +89,14 @@ def _matrix_stack(matrices) -> np.ndarray:
 
 
 def matrix_set_space(matrices, labels=None) -> FiniteMetricSpace:
-    """Finite metric space of the matrices under the operator-norm distance."""
-    stack = _matrix_stack(matrices)
-    n = stack.shape[0]
-    dist = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = float(np.linalg.svd(stack[i] - stack[j], compute_uv=False).max(initial=0.0))
-            dist[i, j] = dist[j, i] = d
+    """Finite metric space of the matrices under the operator-norm distance.
+
+    Distances are the largest singular values of the differences, one batched
+    SVD per block of metric's pairwise kernel; more than MAX_POINTS matrices
+    are refused before any SVD runs.
+    """
+    dist = _pairwise(_matrix_stack(matrices),
+                     lambda diff: np.linalg.svd(diff, compute_uv=False).max(axis=-1, initial=0.0))
     return build_metric_space(dist, labels=labels)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import sys
 from types import MappingProxyType
 
 import numpy as np
@@ -88,10 +89,10 @@ def write_csv(path, fieldnames, rows, header_comment: str | None = None) -> None
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if header_comment is not None:
             fh.write(f"# {header_comment}\n")
-        writer = csv.DictWriter(fh, fieldnames=list(fieldnames), lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row.get(k, "") for k in fieldnames})
+        fields = list(fieldnames)
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(fields)
+        writer.writerows([row.get(k, "") for k in fields] for row in rows)
 
 
 def matrix_to_json(a) -> list:
@@ -105,24 +106,30 @@ def matrix_to_json(a) -> list:
 
 
 def matrix_from_json(rows) -> np.ndarray:
-    """Nested lists back to a matrix; [re, im] pairs decode to complex entries."""
+    """Nested lists back to a matrix; [re, im] pairs decode to complex entries.
+
+    Every entry is a finite number or a pair of them: booleans and the NaN
+    and Infinity that json.load accepts are rejected by row and column.
+    """
     if not isinstance(rows, (list, tuple)) or not rows:
         raise DomainError("matrix JSON must be a nonempty list of rows")
     parsed = []
-    for row in rows:
+    for i, row in enumerate(rows):
         if not isinstance(row, (list, tuple)):
             raise DomainError("matrix JSON rows must be lists")
-        out = []
-        for entry in row:
-            if isinstance(entry, (list, tuple)):
-                if len(entry) != 2 or not all(isinstance(v, (int, float)) for v in entry):
-                    raise DomainError(f"complex entries must be [re, im] pairs, got {entry!r}")
-                out.append(complex(entry[0], entry[1]))
-            elif isinstance(entry, (int, float)) and not isinstance(entry, bool):
-                out.append(complex(entry))
-            else:
-                raise DomainError(f"matrix entries must be numbers or [re, im] pairs, got {entry!r}")
-        parsed.append(out)
+        parsed.append([])
+        for j, entry in enumerate(row):
+            parts = tuple(entry) if isinstance(entry, (list, tuple)) else (entry, 0)
+            # NaN fails the comparison, and an integer past the float range fails it exactly
+            if len(parts) != 2 or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool)
+                and abs(v) <= sys.float_info.max for v in parts
+            ):
+                raise DomainError(
+                    "matrix entries must be finite numbers or [re, im] pairs of them, "
+                    f"got {entry!r} at row {i}, column {j}"
+                )
+            parsed[-1].append(complex(*parts))
     arr = np.array(parsed, dtype=complex)
     if np.all(arr.imag == 0):
         return arr.real

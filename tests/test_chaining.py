@@ -1,5 +1,6 @@
 """Admissible sequences and the order-p chaining functionals."""
 
+import dataclasses
 import itertools
 import math
 
@@ -278,3 +279,24 @@ def test_greedy_gamma_prime_measures_each_cell_once(monkeypatch):
     gamma_prime(sp, 2.0, mode="greedy")
     # the re-measuring loop made about 20,500 calls here
     assert len(calls) < 3 * 200 * 4
+
+
+@pytest.mark.parametrize("n, seed", [(1, 0), (2, 1), (9, 2), (200, 1)])
+def test_greedy_gamma_prime_measures_each_level_once(n, seed, monkeypatch):
+    sp = space_from_points(np.random.default_rng(seed).normal(size=(n, 3)))
+    calls = []
+    diameter = type(sp).subset_diameter
+    monkeypatch.setattr(type(sp), "subset_diameter",
+                        lambda self, c: calls.append(1) or diameter(self, c))
+    levels = gamma_prime(sp, 2.0, mode="greedy").sequence.levels
+    # one for T, two per split, then functional_value: the final cells once for
+    # covers_space and every level's cells once for the sum
+    splits = len(levels[-1]) - 1
+    assert len(calls) == 1 + 2 * splits + len(levels[-1]) + sum(len(lvl) for lvl in levels)
+
+
+def test_admissible_sequences_carry_only_kind_levels_and_space():
+    fields = ("kind", "levels", "space")
+    assert tuple(f.name for f in dataclasses.fields(admissible_sets(TRIANGLE, [[0]]))) == fields
+    partition = admissible_partitions(TRIANGLE, [[[0, 1, 2]]])
+    assert tuple(f.name for f in dataclasses.fields(partition)) == fields

@@ -430,6 +430,19 @@ def test_chaos_command(tmp_path, capsys):
     assert data["seed"] == 4
 
 
+def test_chaos_names_a_non_finite_matrix_entry(tmp_path, capsys):
+    # json.load accepts NaN; it used to surface as "SVD did not converge"
+    mats = tmp_path / "mats.json"
+    mats.write_text(json.dumps([[[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [math.nan, 0.0]]]))
+    code, _, err = run(
+        ["chaos", "--matrices", str(mats), "--reps", "50", "--seed", "4", "--out", str(tmp_path)],
+        capsys,
+    )
+    assert code == 2
+    assert "got nan at row 1, column 0" in err
+    assert not list(tmp_path.glob("chaos-*"))
+
+
 def test_reports_carry_no_threads_field_and_the_flag_is_gone(tmp_path, triangle, capsys):
     code, _, _ = run(["gamma", "--space", str(triangle), "--alpha", "2", "--out", str(tmp_path)],
                      capsys)

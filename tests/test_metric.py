@@ -646,3 +646,84 @@ def test_build_metric_space_enforces_the_point_cap(monkeypatch):
     build_metric_space(TRI)
     with pytest.raises(CapacityError, match="capped at 3 points, got 4"):
         build_metric_space(np.ones((4, 4)) - np.eye(4))
+
+
+# ---------------------------------------------------------------------------
+# the pairwise kernel behind every distance matrix
+
+
+def broadcast_pairwise(points, reduce):
+    """The one-shot (n, n, ...) broadcast the kernel replaces, diagonal zeroed."""
+    d = reduce(points[:, None] - points[None, :])
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+@st.composite
+def kernel_inputs(draw, complex_entries: bool):
+    """n = 1, 2 or 3-30 points of 1-3 x 1-3 entries at scales 1e-300..1e150."""
+    n = draw(st.sampled_from([1, 2, draw(st.integers(3, 30))]))
+    shape = (n,) + tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.normal(size=shape)
+    if complex_entries and draw(st.booleans()):
+        pts = pts + 1j * rng.normal(size=shape)
+    return pts * 10.0 ** draw(st.integers(-300, 150))
+
+
+def flattened(reduce):
+    """An lp reduction over every entry of each point, not only the last axis."""
+    return lambda diff: reduce(diff.reshape(diff.shape[:2] + (-1,)))
+
+
+def spectral(diff):
+    """The largest singular value of each difference, as matrix_set_space takes it."""
+    if diff.ndim == 3:
+        diff = diff[..., None]
+    return np.linalg.svd(diff, compute_uv=False).max(axis=-1)
+
+
+def assert_kernel_equals_the_broadcast(pts, reduce, block):
+    # a budget below one row of differences forces column blocks as well
+    with mock.patch.object(metric, "_BLOCK_ELEMENTS", block):
+        d = metric._pairwise(pts, reduce)
+    ref = broadcast_pairwise(pts, reduce)
+    assert d.dtype == np.float64 and ref.dtype == np.float64
+    assert np.array_equal(d.view(np.int64), ref.view(np.int64))
+
+
+@given(kernel_inputs(False), st.sampled_from(sorted(metric._NORMS)), st.integers(1, 40))
+@settings(max_examples=200, deadline=None)
+def test_pairwise_norms_equal_the_broadcast(pts, norm, block):
+    assert_kernel_equals_the_broadcast(pts, flattened(metric._NORMS[norm]), block)
+
+
+@given(kernel_inputs(True), st.integers(1, 40))
+@settings(max_examples=100, deadline=None)
+def test_pairwise_spectral_norms_equal_the_broadcast(pts, block):
+    assert_kernel_equals_the_broadcast(pts, spectral, block)
+
+
+def test_pairwise_kernel_blocks_rows_and_columns(monkeypatch):
+    seen = []
+
+    def reduce(diff):
+        seen.append(diff.shape[:2])
+        return np.abs(diff).max(axis=-1)
+
+    pts = np.arange(30.0).reshape(10, 3)
+    monkeypatch.setattr(metric, "_BLOCK_ELEMENTS", 12)  # 4 columns of 3 coordinates
+    d = metric._pairwise(pts, reduce)
+    assert max(r * c for r, c in seen) * 3 <= 12
+    assert sum(r * c for r, c in seen) < 10 * 10  # the pairs below the diagonal are skipped
+    np.testing.assert_array_equal(d, 3.0 * np.abs(np.arange(10)[:, None] - np.arange(10)))
+    monkeypatch.setattr(metric, "_BLOCK_ELEMENTS", 60)  # whole rows, two at a time
+    seen.clear()
+    metric._pairwise(pts, reduce)
+    assert seen == [(2, 9), (2, 7), (2, 5), (2, 3), (2, 1)]
+
+
+def test_pairwise_kernel_checks_the_cap_first(monkeypatch):
+    monkeypatch.setattr(metric, "MAX_POINTS", 3)
+    with pytest.raises(CapacityError, match="capped at 3 points, got 4"):
+        metric._pairwise(np.zeros((4, 2)), lambda diff: pytest.fail("reduced past the cap"))

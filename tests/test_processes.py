@@ -1,6 +1,8 @@
 """Process models, seeded simulators, and exact small-instance distributions."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from chainbounds import (
     CapacityError,
     DomainError,
+    MetricValidationError,
     ModelError,
     RowDistribution,
     UnsupportedFamilyError,
@@ -32,7 +35,7 @@ from chainbounds import (
     simulate_squares_increment,
     squares_model,
 )
-from chainbounds import processes
+from chainbounds import metric, processes
 from chainbounds.processes import BLOCK, SEED_MAX, SupremumSample
 
 LOG2 = math.log(2.0)
@@ -215,6 +218,112 @@ def test_mixed_metrics_values():
     assert mm.d1.dist[0, 1] == pytest.approx(psi1)
     assert mm.d2.dist[0, 1] == pytest.approx(psi1)  # rms of (psi1, psi1)
     assert mm.d1.labels == model.labels
+
+
+def broadcast_canonical_metric(model):
+    """The (n, n, m) broadcast formulas canonical_metric used before the pairwise kernel."""
+    c = model.coefficients
+    if model.kind == "martingale-family":
+        d = np.linalg.norm(c[:, None, :] - c[None, :, :], axis=2)
+    else:
+        d = np.abs(c[:, None, :] - c[None, :, :]).max(axis=2) * model.base.psi_norm(2).value
+    d = 0.5 * (d + d.T)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def broadcast_mixed_metrics(model):
+    """The (n, n, m) broadcast formulas mixed_metrics used before the pairwise kernel."""
+    c = model.coefficients
+    diff = np.abs(c[:, None, :] - c[None, :, :]) * model.base.psi_norm(1).value
+    d1 = diff.max(axis=2)
+    d2 = np.sqrt((diff**2).mean(axis=2))
+    for d in (d1, d2):
+        np.fill_diagonal(d, 0.0)
+    return d1, d2
+
+
+@st.composite
+def coefficient_models(draw):
+    """1, 2 or 3-25 coefficient rows of 1-12 columns at scales 1e-300..1e150."""
+    n = draw(st.sampled_from([1, 2, draw(st.integers(3, 25))]))
+    m = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        c = rng.integers(-2, 3, size=(n, m)).astype(float)  # ties and duplicate rows
+    else:
+        c = rng.normal(size=(n, m))
+    base = RowDistribution(draw(st.sampled_from(["rademacher", "gaussian", "uniform"])))
+    return c * 10.0 ** draw(st.integers(-300, 150)), base
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+@given(coefficient_models(), st.integers(1, 40))
+@settings(max_examples=150, deadline=None)
+def test_kernel_metrics_equal_the_broadcasts(cb, block):
+    c, base = cb
+    # small budgets run the kernel over row blocks and column blocks
+    with mock.patch.object(metric, "_BLOCK_ELEMENTS", block):
+        spaces = [canonical_metric(martingale_model(c)), canonical_metric(squares_model(c, base))]
+        mixed = mixed_metrics(empirical_model(c, base))
+    refs = [broadcast_canonical_metric(martingale_model(c)),
+            broadcast_canonical_metric(squares_model(c, base))]
+    for space, ref in zip(spaces, refs):
+        assert same_bits(space.dist, ref)
+    for space, ref in zip((mixed.d1, mixed.d2), broadcast_mixed_metrics(empirical_model(c, base))):
+        assert same_bits(space.dist, ref)
+
+
+def test_kernel_metrics_hold_no_n_by_n_by_m_array():
+    c = np.random.default_rng(5).normal(size=(400, 100))
+    base = RowDistribution("gaussian")
+    models = (martingale_model(c), squares_model(c, base), empirical_model(c, base))
+    for model, build in zip(models, (canonical_metric, canonical_metric, mixed_metrics)):
+        tracemalloc.start()
+        try:
+            build(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one (400, 400, 100) float64 broadcast alone is 128 MB
+        assert peak < 20 * 2**20, (model.kind, peak)
+
+
+@pytest.mark.parametrize("kind", ["martingale", "squares", "empirical"])
+def test_kernel_metrics_check_the_point_cap_first(kind):
+    c = np.zeros((metric.MAX_POINTS + 1, 1))
+    base = RowDistribution("rademacher")
+    model, build = {
+        "martingale": (martingale_model(c), canonical_metric),
+        "squares": (squares_model(c, base), canonical_metric),
+        "empirical": (empirical_model(c, base), mixed_metrics),
+    }[kind]
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=f"got {metric.MAX_POINTS + 1}"):
+            build(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # one n x n array would be 200 MB
+
+
+def test_squares_metric_accepts_distances_above_half_the_float_range():
+    # 2 * 1.2e308 overflows: the old 0.5 * (d + d.T) symmetrization rejected this model
+    model = squares_model([[0.0], [1e308]], RowDistribution("rademacher"))
+    space = canonical_metric(model)
+    assert space.diameter() == 1e308 * model.base.psi_norm(2).value
+    assert f"{space.diameter():.4e}" == "1.2011e+308"
+
+
+def test_overflowing_martingale_metric_names_its_pair():
+    model = martingale_model([[0.0], [1e308], [2.0]])
+    with pytest.raises(MetricValidationError,
+                       match="l2 distance between points 0 and 1 overflows the float range"):
+        canonical_metric(model)
 
 
 def test_empirical_parameters():

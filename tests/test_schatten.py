@@ -1,13 +1,22 @@
 """Schatten norms and matrix-set radii."""
 
 import math
+import time
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainbounds import DomainError, matrix_set_space, schatten_norm, schatten_radii
+from chainbounds import (
+    CapacityError,
+    DomainError,
+    matrix_set_space,
+    metric,
+    schatten_norm,
+    schatten_radii,
+)
 from chainbounds.schatten import SchattenRadii
 
 
@@ -59,6 +68,58 @@ def test_matrix_set_space_distances():
         matrix_set_space([])
     with pytest.raises(DomainError):
         matrix_set_space([np.eye(2), np.eye(3)])
+
+
+def per_pair_operator_distances(matrices):
+    """The per-pair SVD loop matrix_set_space ran before the pairwise kernel."""
+    stack = np.stack([np.asarray(a).astype(complex) for a in matrices])
+    n = stack.shape[0]
+    dist = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = float(np.linalg.svd(stack[i] - stack[j], compute_uv=False).max(initial=0.0))
+            dist[i, j] = dist[j, i] = d
+    return dist
+
+
+@st.composite
+def matrix_families(draw):
+    """1, 2 or 3-16 real or complex matrices of 1-4 x 1-4 entries at scales 1e-300..1e150."""
+    n = draw(st.sampled_from([1, 2, draw(st.integers(3, 16))]))
+    shape = (n, draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats = rng.normal(size=shape)
+    if draw(st.booleans()):
+        mats = mats + 1j * rng.normal(size=shape)
+    return list(mats * 10.0 ** draw(st.integers(-300, 150)))
+
+
+@given(matrix_families(), st.integers(1, 40))
+@settings(max_examples=150, deadline=None)
+def test_matrix_set_space_equals_the_per_pair_loop(mats, block):
+    # small budgets run the kernel over row blocks and column blocks
+    with mock.patch.object(metric, "_BLOCK_ELEMENTS", block):
+        space = matrix_set_space(mats)
+    ref = per_pair_operator_distances(mats)
+    assert np.array_equal(space.dist.view(np.int64), ref.view(np.int64))
+
+
+def test_too_many_matrices_fail_before_any_svd(monkeypatch):
+    calls = []
+    real_svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match=f"got {metric.MAX_POINTS + 1}"):
+        matrix_set_space(np.zeros((metric.MAX_POINTS + 1, 1, 1)))
+    assert calls == []
+    assert time.perf_counter() - start < 1.0
+    matrix_set_space(np.zeros((3, 1, 1)))
+    assert calls  # the counter sees the kernel's SVDs
 
 
 def test_radii_singleton_identity():

@@ -1,7 +1,9 @@
 """Canonical JSON, config hashing, and file format round trips."""
 
+import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -115,6 +117,31 @@ def test_write_csv_without_comment(tmp_path):
     assert p.read_text() == "a\n1\n"
 
 
+def dictwriter_csv(path, fieldnames, rows, header_comment=None):
+    """The csv.DictWriter form write_csv took before writing plain rows."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if header_comment is not None:
+            fh.write(f"# {header_comment}\n")
+        writer = csv.DictWriter(fh, fieldnames=list(fieldnames), lineterminator="\n")
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({k: row.get(k, "") for k in fieldnames})
+
+
+def test_write_csv_bytes_equal_the_dictwriter_form(tmp_path):
+    fields = ["u", "count", "centers", "note"]
+    rows = [
+        {"u": 0.1 + 0.2, "count": 3, "centers": "0 4 7", "note": None},
+        {"u": 1e-300, "count": np.int64(1), "centers": "a,b", "extra": "dropped"},
+        {"u": math.inf, "note": 'quote " and\nnewline'},
+        {},
+    ] * 50
+    for comment in (None, "config_hash: abc"):
+        write_csv(tmp_path / "new.csv", fields, rows, header_comment=comment)
+        dictwriter_csv(tmp_path / "old.csv", fields, rows, header_comment=comment)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # matrix round trips
 
@@ -155,6 +182,32 @@ def test_matrix_json_validation():
         matrix_from_json([["x"]])
     with pytest.raises(DomainError):
         matrix_from_json([[True]])
+
+
+@pytest.mark.parametrize("entry, shown", [
+    ([True, False], "[True, False]"),
+    ([1.0, True], "[1.0, True]"),
+    (math.nan, "nan"),
+    (math.inf, "inf"),
+    (-math.inf, "-inf"),
+    ([0.0, math.nan], "[0.0, nan]"),
+    ([-math.inf, 1.0], "[-inf, 1.0]"),
+    (10**400, "1" + "0" * 400),
+])
+def test_matrix_json_rejects_booleans_and_non_finite_entries_by_position(entry, shown):
+    rows = [[0.0, 1.0], [2.0, entry]]
+    with pytest.raises(DomainError, match=re.escape(f"{shown} at row 1, column 1")):
+        matrix_from_json(rows)
+    # json.load reads NaN and Infinity, so a file can carry them
+    if not isinstance(entry, int):
+        with pytest.raises(DomainError, match="at row 1, column 1"):
+            matrix_from_json(json.loads(json.dumps(rows)))
+
+
+def test_matrix_json_keeps_the_largest_finite_entries():
+    big = np.finfo(float).max
+    np.testing.assert_array_equal(matrix_from_json([[big, [-big, big]]]),
+                                  np.array([[big, complex(-big, big)]]))
 
 
 def test_matrix_json_mixed_real_and_pairs():
