@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chaining import GammaEstimate
+from .conversions import _growth_tail
 from .errors import DomainError, check_int, check_real
 from .metric import FiniteMetricSpace
 from .orlicz import OrliczNorm
@@ -69,6 +70,31 @@ def _gamma_value(gamma: GammaEstimate, alpha: float, p: float, role: str) -> flo
     return gamma.value
 
 
+def _chaining_tail(
+    gval: float,
+    alpha: float,
+    scale: float,
+    scale_name: str,
+    registry: ConstantRegistry,
+    name: str,
+) -> TailBound:
+    """Tail form of the chaining moment growth C_alpha gval + D_alpha scale p^(1/alpha).
+
+    gval is the already-checked functional value; scale is checked here, after
+    the constants are looked up.
+    """
+    C, c_fitted = registry.chaining_C(alpha)
+    D, d_fitted = registry.chaining_D(alpha)
+    return _growth_tail(
+        D * check_real(scale_name, scale, 0.0),
+        C * gval,
+        alpha,
+        {f"C_{alpha:g}": C, f"D_{alpha:g}": D},
+        c_fitted or d_fitted,
+        name,
+    )
+
+
 def psi_alpha_supremum_bound(
     gamma: GammaEstimate,
     diam: float | None = None,
@@ -118,18 +144,7 @@ def psi_alpha_supremum_bound(
     gval = _gamma_value(gamma, alpha, 1.0, "tail form")
     if diam is None:
         raise DomainError("tail form needs the index-set diameter")
-    D, d_fitted = registry.chaining_D(alpha)
-    bound = TailBound(
-        factor=math.exp(1.0 / alpha),
-        const=C * gval,
-        sqrt_coeff=0.0,
-        linear=D * check_real("diam", diam, 0.0),
-        envelope=PowerEnvelope(prefactor=1.0, rate=1.0 / alpha, power=alpha),
-        u_min=1.0,
-        constants={f"C_{alpha:g}": C, f"D_{alpha:g}": D},
-        fitted=c_fitted or d_fitted,
-        name="psi-alpha-supremum",
-    )
+    bound = _chaining_tail(gval, alpha, diam, "diam", registry, "psi-alpha-supremum")
     bound.threshold(u)
     return bound
 
@@ -154,8 +169,6 @@ def gaussian_process_bound(
     C, c_fitted = registry.chaining_C(2.0)
     D, d_fitted = registry.chaining_D(2.0)
     sigma = check_real("sigma", sigma, 0.0)
-    constants = {"C_2": C, "D_2": D}
-    fitted = c_fitted or d_fitted
     if form == "moment":
         gval = _gamma_value(gamma2, 2.0, p, "moment form")
         return MomentBound(
@@ -164,22 +177,12 @@ def gaussian_process_bound(
                 ("chaining", C * gval),
                 ("weak-variance", D * sigma * math.sqrt(p)),
             ),
-            constants=constants,
-            fitted=fitted,
+            constants={"C_2": C, "D_2": D},
+            fitted=c_fitted or d_fitted,
             name="gaussian-supremum",
         )
     gval = _gamma_value(gamma2, 2.0, 1.0, "tail form")
-    bound = TailBound(
-        factor=math.sqrt(math.e),
-        const=C * gval,
-        sqrt_coeff=0.0,
-        linear=D * sigma,
-        envelope=PowerEnvelope(prefactor=1.0, rate=0.5, power=2.0),
-        u_min=1.0,
-        constants=constants,
-        fitted=fitted,
-        name="gaussian-supremum",
-    )
+    bound = _chaining_tail(gval, 2.0, sigma, "sigma", registry, "gaussian-supremum")
     bound.threshold(u)
     return bound
 
@@ -199,19 +202,7 @@ def azuma_uniform_bound(
             <= exp(-u^2 / 2).
     """
     gval = _gamma_value(gamma2, 2.0, 1.0, "uniform martingale bound")
-    C, c_fitted = registry.chaining_C(2.0)
-    D, d_fitted = registry.chaining_D(2.0)
-    bound = TailBound(
-        factor=math.sqrt(math.e),
-        const=C * gval,
-        sqrt_coeff=0.0,
-        linear=D * check_real("diam", diam, 0.0),
-        envelope=PowerEnvelope(prefactor=1.0, rate=0.5, power=2.0),
-        u_min=1.0,
-        constants={"C_2": C, "D_2": D},
-        fitted=c_fitted or d_fitted,
-        name="azuma-uniform",
-    )
+    bound = _chaining_tail(gval, 2.0, diam, "diam", registry, "azuma-uniform")
     if u is not None:
         bound.threshold(u)
     return bound

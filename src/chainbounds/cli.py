@@ -11,6 +11,7 @@ re-running a config reproduces the files byte for byte.
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import os
 import sys
@@ -267,10 +268,6 @@ def _orlicz_param(obj, what: str) -> OrliczNorm:
     )
 
 
-def _pick_pu(params: dict) -> dict:
-    return {k: params[k] for k in ("p", "u") if k in params}
-
-
 def _radii_param(params: dict):
     mats = [matrix_from_json(m) for m in params["matrices"]]
     return schatten_radii(
@@ -278,122 +275,70 @@ def _radii_param(params: dict):
     )
 
 
+# Bound names whose params are exactly their evaluator's keyword arguments.
+_DIRECT_BOUNDS = {
+    "moments-to-tails": conversions.moments_to_tails,
+    "moments-to-tails-mixed": conversions.moments_to_tails_mixed,
+    "tails-to-moments": conversions.tails_to_moments,
+    "tails-to-moments-mixed": conversions.tails_to_moments_mixed,
+    "small-set": conversions.small_set_moment_bound,
+    "lp-from-tail": conversions.lp_from_tail,
+    "psi-alpha": psi_alpha_supremum_bound,
+    "gaussian": gaussian_process_bound,
+    "azuma": azuma_uniform_bound,
+    "mixed-tail": mixed_tail_supremum_bound,
+    "empirical": empirical_process_bound,
+    "squares": squares_supremum_bound,
+    "squares-l2": squares_l2_increment_tail,
+}
+# JSON decoders by parameter annotation, a string under postponed evaluation.
+_DECODERS = {"GammaEstimate": _gamma_param, "OrliczNorm": _orlicz_param}
+
+
+def _call_with_params(fn, params: dict, reg: ConstantRegistry, /, **given):
+    """fn(**given) plus every other keyword argument read from params by name.
+
+    Arguments are read in signature order, so a config with two faults
+    reports the first.  registry is reg; metrics has no JSON form and is never
+    read; a functional or psi-norm is decoded by its annotation; keys that
+    are not parameters are ignored.  A missing required argument raises
+    KeyError(name).
+    """
+    kwargs = dict(given)
+    for name, par in inspect.signature(fn).parameters.items():
+        if name in given or name == "metrics":
+            continue
+        if name == "registry":
+            kwargs[name] = reg
+        elif name in params:
+            decode = _DECODERS.get(par.annotation)
+            kwargs[name] = params[name] if decode is None else decode(params[name], name)
+        elif par.default is par.empty:
+            raise KeyError(name)
+    return fn(**kwargs)
+
+
 def _build_bound(name: str, params: dict, reg: ConstantRegistry):
     """Dispatch a bound name to its evaluator; returns the result object."""
+    if name in _DIRECT_BOUNDS:
+        return _call_with_params(_DIRECT_BOUNDS[name], params, reg)
     if name == "union-constant":
         return {"value": conversions.union_bound_constant(), "cap": 16.0}
     if name == "union-probability":
-        prob = conversions.union_bound_probability(
-            params["alpha"], params["u"], params["p"], registry=reg
-        )
+        prob = _call_with_params(conversions.union_bound_probability, params, reg)
         c, fitted = reg.union_c()
         return {"probability": prob, "union_c": c, "fitted": fitted}
-    if name == "moments-to-tails":
-        return conversions.moments_to_tails(
-            params["a"], params["b"], params["alpha"], u=params.get("u")
-        )
-    if name == "moments-to-tails-mixed":
-        return conversions.moments_to_tails_mixed(
-            params["a1"], params["a2"], params["a3"], u=params.get("u")
-        )
-    if name == "tails-to-moments":
-        return conversions.tails_to_moments(
-            params["a"], params["b"], params["alpha"], params["p"]
-        )
-    if name == "tails-to-moments-mixed":
-        return conversions.tails_to_moments_mixed(params["a1"], params["a2"], params["p"])
-    if name == "small-set":
-        return conversions.small_set_moment_bound(
-            params["individual_bounds"], params["p"], set_size=params.get("set_size")
-        )
-    if name == "lp-from-tail":
-        return conversions.lp_from_tail(
-            params["gamma"], params["c"], params["u_star"], params["alpha"], params["p"]
-        )
     if name == "bernstein":
-        bp = conversions.BernsteinParams(
-            m=params["m"],
-            sigma=params.get("sigma"),
-            K=params.get("K"),
-            nu=params.get("nu"),
-            kappa=params.get("kappa"),
-        )
-        return conversions.bernstein_tail(
-            bp, u=params.get("u"), form=params.get("form", "moment-condition")
-        )
-    if name == "psi-alpha":
-        return psi_alpha_supremum_bound(
-            _gamma_param(params["gamma"], "gamma"),
-            diam=params.get("diam"),
-            sup_term=params.get("sup_term"),
-            registry=reg,
-            **_pick_pu(params),
-        )
-    if name == "gaussian":
-        return gaussian_process_bound(
-            _gamma_param(params["gamma2"], "gamma2"),
-            params["sigma"],
-            registry=reg,
-            **_pick_pu(params),
-        )
-    if name == "azuma":
-        return azuma_uniform_bound(
-            _gamma_param(params["gamma2"], "gamma2"),
-            params["diam"],
-            u=params.get("u"),
-            registry=reg,
-        )
-    if name == "mixed-tail":
-        return mixed_tail_supremum_bound(
-            _gamma_param(params["gamma2"], "gamma2"),
-            _gamma_param(params["gamma1"], "gamma1"),
-            diam2=params.get("diam2"),
-            diam1=params.get("diam1"),
-            sup_term=params.get("sup_term"),
-            registry=reg,
-            **_pick_pu(params),
-        )
-    if name == "empirical":
-        return empirical_process_bound(
-            _gamma_param(params["gamma2"], "gamma2"),
-            _gamma_param(params["gamma1"], "gamma1"),
-            params["sigma"],
-            params["K"],
-            params["m"],
-            registry=reg,
-            **_pick_pu(params),
-        )
-    if name == "squares":
-        return squares_supremum_bound(
-            _gamma_param(params["gamma2p"], "gamma2p"),
-            params["radius"],
-            params["m"],
-            params["sigma"],
-            params["K"],
-            registry=reg,
-            **_pick_pu(params),
-        )
-    if name == "squares-l2":
-        return squares_l2_increment_tail(
-            params["psi2_distance"], params["m"], u=params.get("u")
-        )
+        bp = _call_with_params(conversions.BernsteinParams, params, reg)
+        return _call_with_params(conversions.bernstein_tail, params, reg, params=bp)
     if name == "hanson-wright":
-        return hanson_wright_tail(
-            matrix_from_json(params["matrix"]),
-            u=params.get("u"),
-            c_fit=params.get("c_fit"),
-            registry=reg,
+        return _call_with_params(
+            hanson_wright_tail, params, reg, B=matrix_from_json(params["matrix"])
         )
     if name == "chaos":
-        return chaos_supremum_bound(
-            _radii_param(params),
-            _orlicz_param(params["xi_psi2"], "xi_psi2"),
-            registry=reg,
-            **_pick_pu(params),
-        )
+        return _call_with_params(chaos_supremum_bound, params, reg, radii=_radii_param(params))
     if name == "kmr":
-        radii = _radii_param(params)
-        return {**kmr_parameters(radii), "fitted": False}
+        return {**kmr_parameters(_radii_param(params)), "fitted": False}
     raise DomainError(f"unknown bound name {name!r}")
 
 

@@ -52,20 +52,30 @@ def moments_to_tails(a: float, b: float, alpha: float, u: float | None = None) -
     alpha = check_real("alpha", alpha, 0.0, strict=True)
     a = check_real("moment scale a", a, 0.0, strict=True)
     b = check_real("moment offset b", b, 0.0)
-    factor = math.exp(1.0 / alpha)
-    bound = TailBound(
-        factor=factor,
+    constants = {"threshold_factor": math.exp(1.0 / alpha)}
+    bound = _growth_tail(a, b, alpha, constants, False, "moments-to-tails")
+    if u is not None:
+        bound.threshold(u)
+    return bound
+
+
+def _growth_tail(
+    a: float, b: float, alpha: float, constants: dict, fitted: bool, name: str
+) -> TailBound:
+    """The moments-to-tails step for checked coefficients: a moment growth
+    a*p^(1/alpha) + b gives P(|X| >= e^(1/alpha)(a*u + b)) <= exp(-u^alpha/alpha)
+    for u >= 1.  Every stock chaining tail form is this step."""
+    return TailBound(
+        factor=math.exp(1.0 / alpha),
         const=b,
         sqrt_coeff=0.0,
         linear=a,
         envelope=PowerEnvelope(prefactor=1.0, rate=1.0 / alpha, power=alpha),
         u_min=1.0,
-        constants={"threshold_factor": factor},
-        name="moments-to-tails",
+        constants=constants,
+        fitted=fitted,
+        name=name,
     )
-    if u is not None:
-        bound.threshold(u)
-    return bound
 
 
 def moments_to_tails_mixed(

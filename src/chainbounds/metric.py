@@ -102,12 +102,6 @@ class FiniteMetricSpace:
         idx = np.asarray(list(subset), dtype=int)
         return self.dist[:, idx].min(axis=1)
 
-    def nearest_in(self, subset) -> np.ndarray:
-        """Index in `subset` of the nearest point, ties to the lowest index."""
-        idx = np.sort(np.asarray(list(subset), dtype=int))
-        # argmin picks the first minimum, i.e. the lowest index after sorting
-        return idx[np.argmin(self.dist[:, idx], axis=1)]
-
 
 def build_metric_space(dist, labels=None) -> FiniteMetricSpace:
     """Validate a distance matrix and wrap it as a FiniteMetricSpace.
@@ -305,7 +299,8 @@ def _pairwise(points, reduce) -> np.ndarray:
 _NORMS = {
     "l1": lambda diff: np.abs(diff).sum(axis=-1),
     "l2": lambda diff: np.sqrt((diff ** 2).sum(axis=-1)),
-    "linf": lambda diff: np.abs(diff).max(axis=-1),
+    # initial=0.0: points without coordinates are all at distance 0, as under l1 and l2
+    "linf": lambda diff: np.abs(diff).max(axis=-1, initial=0.0),
 }
 
 
@@ -459,12 +454,7 @@ def _exact_cover(within: np.ndarray) -> list[int]:
             if len(chosen) < best_len:
                 best, best_len = list(chosen), len(chosen)
             return
-        if len(chosen) + 1 >= best_len:
-            # only a single finishing ball could still improve
-            for i, m in enumerate(cand_masks):
-                if covered | m == full and len(chosen) + 1 < best_len:
-                    best, best_len = chosen + [i], len(chosen) + 1
-                    return
+        if len(chosen) + 1 >= best_len:  # one more ball cannot beat the best cover
             return
         # branch on the uncovered point with the fewest candidate balls
         target = next(j for j in branch_order if not (covered >> j) & 1)

@@ -1,5 +1,6 @@
 """End-to-end command-line runs: artifacts, exit codes, determinism."""
 
+import inspect
 import json
 import math
 import shutil
@@ -7,7 +8,7 @@ import shutil
 import numpy as np
 import pytest
 
-from chainbounds import load_json
+from chainbounds import cli, load_json
 from chainbounds.cli import main
 
 
@@ -274,6 +275,20 @@ def test_unknown_bound_name_exits_two(tmp_path, capsys):
     )
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("name", sorted(cli._DIRECT_BOUNDS))
+def test_direct_bound_parameters_are_plain_json_or_decoded(name):
+    # A bound whose params file is read by signature takes plain JSON values,
+    # or a type with a decoder; registry is supplied and metrics never read.
+    plain = {"float", "int", "str", "bool", "None"}
+    for par in inspect.signature(cli._DIRECT_BOUNDS[name]).parameters.values():
+        if par.name in ("registry", "metrics"):
+            continue
+        ann = par.annotation
+        assert (
+            ann is par.empty or ann in cli._DECODERS or set(ann.split(" | ")) <= plain
+        ), f"{name}: parameter {par.name!r} of type {ann!r} has no JSON decoder"
 
 
 def test_bad_config_file_exits_two(tmp_path, capsys):

