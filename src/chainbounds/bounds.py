@@ -10,14 +10,12 @@ explicitly and taints the result with fitted=True.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .chaining import GammaEstimate
-from .conversions import _growth_tail
+from .conversions import _exp_tail
 from .errors import DomainError, check_int, check_real
-from .metric import FiniteMetricSpace
 from .orlicz import OrliczNorm
 from .registry import DEFAULT_REGISTRY, ConstantRegistry
 from .results import (
@@ -33,7 +31,6 @@ __all__ = [
     "psi_alpha_supremum_bound",
     "gaussian_process_bound",
     "azuma_uniform_bound",
-    "MixedTailMetrics",
     "mixed_tail_supremum_bound",
     "empirical_process_bound",
     "squares_default_parameters",
@@ -77,21 +74,26 @@ def _chaining_tail(
     scale_name: str,
     registry: ConstantRegistry,
     name: str,
+    u: float | None,
 ) -> TailBound:
     """Tail form of the chaining moment growth C_alpha gval + D_alpha scale p^(1/alpha).
 
     gval is the already-checked functional value; scale is checked here, after
-    the constants are looked up.
+    the constants are looked up, and u last.
     """
     C, c_fitted = registry.chaining_C(alpha)
     D, d_fitted = registry.chaining_D(alpha)
-    return _growth_tail(
-        D * check_real(scale_name, scale, 0.0),
+    linear = D * check_real(scale_name, scale, 0.0)
+    return _exp_tail(
+        math.exp(1.0 / alpha),
         C * gval,
+        0.0,
+        linear,
         alpha,
         {f"C_{alpha:g}": C, f"D_{alpha:g}": D},
         c_fitted or d_fitted,
         name,
+        u,
     )
 
 
@@ -144,9 +146,7 @@ def psi_alpha_supremum_bound(
     gval = _gamma_value(gamma, alpha, 1.0, "tail form")
     if diam is None:
         raise DomainError("tail form needs the index-set diameter")
-    bound = _chaining_tail(gval, alpha, diam, "diam", registry, "psi-alpha-supremum")
-    bound.threshold(u)
-    return bound
+    return _chaining_tail(gval, alpha, diam, "diam", registry, "psi-alpha-supremum", u)
 
 
 def gaussian_process_bound(
@@ -182,9 +182,7 @@ def gaussian_process_bound(
             name="gaussian-supremum",
         )
     gval = _gamma_value(gamma2, 2.0, 1.0, "tail form")
-    bound = _chaining_tail(gval, 2.0, sigma, "sigma", registry, "gaussian-supremum")
-    bound.threshold(u)
-    return bound
+    return _chaining_tail(gval, 2.0, sigma, "sigma", registry, "gaussian-supremum", u)
 
 
 def azuma_uniform_bound(
@@ -202,30 +200,7 @@ def azuma_uniform_bound(
             <= exp(-u^2 / 2).
     """
     gval = _gamma_value(gamma2, 2.0, 1.0, "uniform martingale bound")
-    bound = _chaining_tail(gval, 2.0, diam, "diam", registry, "azuma-uniform")
-    if u is not None:
-        bound.threshold(u)
-    return bound
-
-
-@dataclass(frozen=True)
-class MixedTailMetrics:
-    """Subexponential (d1) and subgaussian (d2) scales on the same points."""
-
-    d1: FiniteMetricSpace
-    d2: FiniteMetricSpace
-
-    def __post_init__(self):
-        if self.d1.labels != self.d2.labels:
-            raise DomainError("d1 and d2 must be defined on identical label sets")
-
-    @property
-    def diam1(self) -> float:
-        return self.d1.diameter()
-
-    @property
-    def diam2(self) -> float:
-        return self.d2.diameter()
+    return _chaining_tail(gval, 2.0, diam, "diam", registry, "azuma-uniform", u)
 
 
 def mixed_tail_supremum_bound(
@@ -234,7 +209,6 @@ def mixed_tail_supremum_bound(
     *,
     diam2: float | None = None,
     diam1: float | None = None,
-    metrics: MixedTailMetrics | None = None,
     p: float | None = None,
     u: float | None = None,
     sup_term: float | None = None,
@@ -275,24 +249,19 @@ def mixed_tail_supremum_bound(
             name="mixed-tail-supremum",
         )
     c, _ = registry.require("mixed_c")
-    if metrics is not None:
-        diam2 = metrics.diam2 if diam2 is None else diam2
-        diam1 = metrics.diam1 if diam1 is None else diam1
     if diam2 is None or diam1 is None:
-        raise DomainError("tail form needs both diameters (or a MixedTailMetrics)")
-    bound = TailBound(
+        raise DomainError("tail form needs both diameters")
+    return _exp_tail(
         factor=1.0,
         const=C * (g2 + g1),
         sqrt_coeff=c * check_real("diam2", diam2, 0.0),
         linear=c * check_real("diam1", diam1, 0.0),
-        envelope=PowerEnvelope(prefactor=1.0, rate=1.0, power=1.0),
-        u_min=1.0,
+        alpha=1.0,
         constants={"mixed_C": C, "mixed_c": c},
         fitted=True,
         name="mixed-tail-supremum",
+        u=u,
     )
-    bound.threshold(u)
-    return bound
 
 
 def empirical_process_bound(
@@ -341,19 +310,17 @@ def empirical_process_bound(
             name="empirical-supremum",
         )
     c, _ = registry.require("empirical_c")
-    bound = TailBound(
+    return _exp_tail(
         factor=1.0,
         const=C * (g2 / rm + g1 / m),
         sqrt_coeff=c * sigma / rm,
         linear=c * K / m,
-        envelope=PowerEnvelope(prefactor=1.0, rate=1.0, power=1.0),
-        u_min=1.0,
+        alpha=1.0,
         constants={"empirical_C": C, "empirical_c": c, "m": m},
         fitted=True,
         name="empirical-supremum",
+        u=u,
     )
-    bound.threshold(u)
-    return bound
 
 
 def squares_default_parameters(psi2_norms) -> tuple[float, float]:
@@ -419,19 +386,17 @@ def squares_supremum_bound(
         )
     gval = _gamma_value(gamma2p, 2.0, 1.0, "squares tail form")
     c, _ = registry.require("squares_c")
-    bound = TailBound(
+    return _exp_tail(
         factor=1.0,
         const=C * (gval**2 / m + radius * gval / rm),
         sqrt_coeff=c * sigma / rm,
         linear=c * K / m,
-        envelope=PowerEnvelope(prefactor=1.0, rate=1.0, power=1.0),
-        u_min=1.0,
+        alpha=1.0,
         constants={"squares_C": C, "squares_c": c, "m": m},
         fitted=True,
         name="squares-supremum",
+        u=u,
     )
-    bound.threshold(u)
-    return bound
 
 
 def squares_l2_increment_tail(
@@ -501,6 +466,13 @@ def hanson_wright_tail(
     return bound
 
 
+def _radii_gamma(radii: SchattenRadii) -> GammaEstimate:
+    """The radii's gamma_2 functional under d_inf, which gamma_mode 'none' omits."""
+    if radii.gamma2_dinf is None:
+        raise DomainError("radii lack a gamma_2 estimate; recompute with gamma_mode != 'none'")
+    return radii.gamma2_dinf
+
+
 def kmr_parameters(radii: SchattenRadii) -> dict:
     """(E, V, U) deviation parameters of the earlier chaos bound, for comparison.
 
@@ -508,9 +480,7 @@ def kmr_parameters(radii: SchattenRadii) -> dict:
     U = delta_inf^2, all under the operator-norm metric.  Emitted as plain
     numbers; no envelope is asserted for them here.
     """
-    if radii.gamma2_dinf is None:
-        raise DomainError("radii lack a gamma_2 estimate; recompute with gamma_mode != 'none'")
-    g = _gamma_value(radii.gamma2_dinf, 2.0, 1.0, "comparison parameters")
+    g = _gamma_value(_radii_gamma(radii), 2.0, 1.0, "comparison parameters")
     return {
         "E": g**2 + radii.delta_2 * g,
         "V": radii.delta_inf * (radii.delta_2 + g),
@@ -541,13 +511,12 @@ def chaos_supremum_bound(
     """
     if not math.isclose(xi_psi2.alpha, 2.0):
         raise DomainError(f"xi_psi2 must be a psi_2 norm, got alpha = {xi_psi2.alpha:g}")
-    if radii.gamma2_dinf is None:
-        raise DomainError("radii lack a gamma_2 estimate; recompute with gamma_mode != 'none'")
+    gamma2 = _radii_gamma(radii)
     form = _pick_form(p, u)
     scale = xi_psi2.value**2
     C, _ = registry.require("chaos_C")
     if form == "moment":
-        g = _gamma_value(radii.gamma2_dinf, 2.0, p, "chaos moment form")
+        g = _gamma_value(gamma2, 2.0, p, "chaos moment form")
         return MomentBound(
             p=float(p),
             decomposition=(
@@ -560,18 +529,16 @@ def chaos_supremum_bound(
             fitted=True,
             name="chaos-supremum",
         )
-    g = _gamma_value(radii.gamma2_dinf, 2.0, 1.0, "chaos tail form")
+    g = _gamma_value(gamma2, 2.0, 1.0, "chaos tail form")
     c, _ = registry.require("chaos_c")
-    bound = TailBound(
+    return _exp_tail(
         factor=1.0,
         const=C * scale * (g**2 + radii.delta_2 * g),
         sqrt_coeff=c * scale * radii.delta_4**2,
         linear=c * scale * radii.delta_inf**2,
-        envelope=PowerEnvelope(prefactor=1.0, rate=1.0, power=1.0),
-        u_min=1.0,
+        alpha=1.0,
         constants={"chaos_C": C, "chaos_c": c},
         fitted=True,
         name="chaos-supremum",
+        u=u,
     )
-    bound.threshold(u)
-    return bound

@@ -76,7 +76,6 @@ from .serialize import (
 from .validation import estimate_moments, validate_bound
 
 OUTPUT_DIR_ENV = "CHAINBOUNDS_OUTPUT_DIR"
-GRID_FIELDS = ("u", "threshold", "envelope", "empirical", "ci_upper", "verdict")
 CURVE_FIELDS = ("m", "estimate", "ci_lower", "ci_upper", "failures", "reps", "mean_realized_rows")
 
 
@@ -98,8 +97,9 @@ def _registry(args, inline=None) -> tuple[ConstantRegistry, dict | None]:
     return reg, (dict(reg.fitted) if args.fit else None)
 
 
-def _emit(args, stem: str, config: dict, payload: dict, rows=None, fields=GRID_FIELDS):
-    """Write the JSON report (and optional CSV grid); returns the paths."""
+def _emit(args, stem: str, config: dict, payload: dict, rows=None):
+    """Write the JSON report (and optional CSV grid, whose columns are the keys
+    of its rows); returns the paths."""
     h = config_hash(config)
     report = {
         "command": stem,
@@ -112,7 +112,7 @@ def _emit(args, stem: str, config: dict, payload: dict, rows=None, fields=GRID_F
     write_json(paths[0], report)
     if rows is not None:
         paths.append(base + ".csv")
-        write_csv(paths[1], fields, rows, header_comment=f"config_hash: {h}")
+        write_csv(paths[1], rows[0].keys(), rows, header_comment=f"config_hash: {h}")
     for p in paths:
         print(f"wrote {p}")
     return paths
@@ -203,8 +203,7 @@ def _cmd_cover(args) -> int:
     prof = None
     if args.profile:
         prof = covering_profile(space, mode=args.mode)
-        # written under GRID_FIELDS: u = radius, threshold = count, the rest blank
-        rows = [{"u": r, "threshold": c} for r, c in zip(prof.radii, prof.counts)]
+        rows = [{"radius": r, "count": c} for r, c in zip(prof.radii, prof.counts)]
         payload["profile"] = {"radii": prof.radii, "counts": prof.counts, "mode": prof.mode}
         for r, c in zip(prof.radii, prof.counts):
             print(f"radius {r:.6g}: count {c}")
@@ -299,14 +298,13 @@ def _call_with_params(fn, params: dict, reg: ConstantRegistry, /, **given):
     """fn(**given) plus every other keyword argument read from params by name.
 
     Arguments are read in signature order, so a config with two faults
-    reports the first.  registry is reg; metrics has no JSON form and is never
-    read; a functional or psi-norm is decoded by its annotation; keys that
-    are not parameters are ignored.  A missing required argument raises
-    KeyError(name).
+    reports the first.  registry is reg; a functional or psi-norm is decoded
+    by its annotation; keys that are not parameters are ignored.  A missing
+    required argument raises KeyError(name).
     """
     kwargs = dict(given)
     for name, par in inspect.signature(fn).parameters.items():
-        if name in given or name == "metrics":
+        if name in given:
             continue
         if name == "registry":
             kwargs[name] = reg
@@ -371,7 +369,8 @@ def _bound_payload(result, params: dict, reg: ConstantRegistry) -> dict:
         payload["kind"] = "scalar"
         payload["fitted"] = bool(result.get("fitted", False))
         shown = {k: v for k, v in result.items() if isinstance(v, (int, float))}
-        print(", ".join(f"{k} = {v:.10g}" for k, v in shown.items()))
+        print(", ".join(f"{k} = {v}" if isinstance(v, bool) else f"{k} = {v:.10g}"
+                        for k, v in shown.items()))
     return payload
 
 
@@ -555,7 +554,7 @@ def _cmd_rip(args) -> int:
             f"[{est['ci_lower']:.4f}, {est['ci_upper']:.4f}]"
         )
     payload = {"seed": seed, "curve": rows}
-    _emit(args, "rip-curve", config, payload, rows=rows, fields=CURVE_FIELDS)
+    _emit(args, "rip-curve", config, payload, rows=rows)
     return 0
 
 

@@ -52,30 +52,40 @@ def moments_to_tails(a: float, b: float, alpha: float, u: float | None = None) -
     alpha = check_real("alpha", alpha, 0.0, strict=True)
     a = check_real("moment scale a", a, 0.0, strict=True)
     b = check_real("moment offset b", b, 0.0)
-    constants = {"threshold_factor": math.exp(1.0 / alpha)}
-    bound = _growth_tail(a, b, alpha, constants, False, "moments-to-tails")
-    if u is not None:
-        bound.threshold(u)
-    return bound
+    factor = math.exp(1.0 / alpha)
+    constants = {"threshold_factor": factor}
+    return _exp_tail(factor, b, 0.0, a, alpha, constants, False, "moments-to-tails", u)
 
 
-def _growth_tail(
-    a: float, b: float, alpha: float, constants: dict, fitted: bool, name: str
+def _exp_tail(
+    factor: float,
+    const: float,
+    sqrt_coeff: float,
+    linear: float,
+    alpha: float,
+    constants: dict,
+    fitted: bool,
+    name: str,
+    u: float | None = None,
 ) -> TailBound:
-    """The moments-to-tails step for checked coefficients: a moment growth
-    a*p^(1/alpha) + b gives P(|X| >= e^(1/alpha)(a*u + b)) <= exp(-u^alpha/alpha)
-    for u >= 1.  Every stock chaining tail form is this step."""
-    return TailBound(
-        factor=math.exp(1.0 / alpha),
-        const=b,
-        sqrt_coeff=0.0,
-        linear=a,
+    """P(X >= factor*(const + sqrt_coeff*sqrt(u) + linear*u)) <= exp(-u^alpha/alpha)
+    for u >= 1, from checked coefficients; a u given is checked at once.  Both
+    moments-to-tails steps and every chaining tail form with this envelope
+    are this bound."""
+    bound = TailBound(
+        factor=factor,
+        const=const,
+        sqrt_coeff=sqrt_coeff,
+        linear=linear,
         envelope=PowerEnvelope(prefactor=1.0, rate=1.0 / alpha, power=alpha),
         u_min=1.0,
         constants=constants,
         fitted=fitted,
         name=name,
     )
+    if u is not None:
+        bound.threshold(u)
+    return bound
 
 
 def moments_to_tails_mixed(
@@ -91,19 +101,8 @@ def moments_to_tails_mixed(
     a1 = check_real("coefficient a1", a1, 0.0)
     a2 = check_real("coefficient a2", a2, 0.0)
     a3 = check_real("coefficient a3", a3, 0.0)
-    bound = TailBound(
-        factor=math.e,
-        const=a3,
-        sqrt_coeff=a2,
-        linear=a1,
-        envelope=PowerEnvelope(prefactor=1.0, rate=1.0, power=1.0),
-        u_min=1.0,
-        constants={"threshold_factor": math.e},
-        name="moments-to-tails-mixed",
-    )
-    if u is not None:
-        bound.threshold(u)
-    return bound
+    constants = {"threshold_factor": math.e}
+    return _exp_tail(math.e, a3, a2, a1, 1.0, constants, False, "moments-to-tails-mixed", u)
 
 
 def tails_to_moments(a: float, b: float, alpha: float, p: float) -> MomentBound:

@@ -71,8 +71,17 @@ def check_int(name: str, v, low: int, high: int | None = None) -> int:
 
 
 def check_real(name: str, v, low: float, strict: bool = False) -> float:
-    """v as a float; DomainError unless it is finite and >= low (> low if strict)."""
-    if not (math.isfinite(v) and (v > low if strict else v >= low)):
+    """v as a float; DomainError unless it is finite and >= low (> low if strict).
+
+    Bools and non-numbers (None, strings, containers) are rejected by name.
+    """
+    try:
+        if isinstance(v, bool):
+            raise TypeError
+        finite = math.isfinite(v)
+    except TypeError:
+        raise DomainError(f"{name} must be a real number, got {v!r}") from None
+    if not (finite and (v > low if strict else v >= low)):
         op = ">" if strict else ">="
         raise DomainError(f"{name} must be finite and {op} {low:g}, got {v!r}")
     return float(v)

@@ -350,7 +350,6 @@ class CoveringProfile:
 
     radii: tuple[float, ...]
     counts: tuple[int, ...]
-    centers: tuple[tuple[int, ...], ...]
     mode: str
 
 
@@ -516,26 +515,19 @@ def covering_profile(
     mode = _resolve_mode(mode, space.size, exact_cap)
     breakpoints = _breakpoints(space)
     if mode == "exact":
-        radii, counts, centers = [], [], []
+        radii, counts = [], []
         for u in breakpoints:
             res = covering_number(space, float(u), mode="exact", exact_cap=exact_cap)
             radii.append(float(u))
             counts.append(res.count)
-            centers.append(res.centers)
             if res.count == 1:
                 break
-        return CoveringProfile(tuple(radii), tuple(counts), tuple(centers), mode)
-    order, traversal_radii = farthest_point_order(space)
+        return CoveringProfile(tuple(radii), tuple(counts), mode)
+    _, traversal_radii = farthest_point_order(space)
     all_counts = _greedy_counts(traversal_radii, breakpoints)
     stop = int(np.argmax(all_counts == 1)) + 1  # the largest breakpoint needs one ball
     counts = tuple(int(k) for k in all_counts[:stop])
-    prefix = {k: tuple(sorted(order[:k].tolist())) for k in set(counts)}
-    return CoveringProfile(
-        tuple(float(u) for u in breakpoints[:stop]),
-        counts,
-        tuple(prefix[k] for k in counts),
-        mode,
-    )
+    return CoveringProfile(tuple(float(u) for u in breakpoints[:stop]), counts, mode)
 
 
 @dataclass(frozen=True)

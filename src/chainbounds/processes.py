@@ -28,7 +28,6 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .bounds import MixedTailMetrics
 from .errors import (
     CapacityError,
     DomainError,
@@ -49,6 +48,7 @@ __all__ = [
     "empirical_model",
     "squares_model",
     "canonical_metric",
+    "MixedTailMetrics",
     "mixed_metrics",
     "empirical_parameters",
     "replication_rng",
@@ -321,6 +321,26 @@ def canonical_metric(model: ProcessModel) -> FiniteMetricSpace:
             + ("; use mixed_metrics" if model.kind == "empirical" else "")
         )
     return build_metric_space(d, labels=model.labels)
+
+
+@dataclass(frozen=True)
+class MixedTailMetrics:
+    """Subexponential (d1) and subgaussian (d2) scales on the same points."""
+
+    d1: FiniteMetricSpace
+    d2: FiniteMetricSpace
+
+    def __post_init__(self):
+        if self.d1.labels != self.d2.labels:
+            raise DomainError("d1 and d2 must be defined on identical label sets")
+
+    @property
+    def diam1(self) -> float:
+        return self.d1.diameter()
+
+    @property
+    def diam2(self) -> float:
+        return self.d2.diameter()
 
 
 def mixed_metrics(model: ProcessModel) -> MixedTailMetrics:

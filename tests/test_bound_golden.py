@@ -15,6 +15,13 @@ one case per name, the probes pin:
 - keys that are not parameters (an extra key, a JSON "registry" and a JSON
   "metrics"), which are ignored and only enter the hashed config.
 
+Three things were recorded later.  The `fitted` flag of a scalar result
+(union-probability, kmr) prints as False, not 0.  A JSON null or object
+where a number belongs names its field (azuma-null-diam,
+lp-from-tail-object-gamma).  The moments-to-tails-no-u case, a tail bound
+without u, prints no threshold and writes no "at_u"; it was recorded before
+every exponential tail form shared one constructor.
+
 The recorded data lives in bound_golden.json next to this file.
 """
 

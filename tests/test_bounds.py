@@ -155,7 +155,8 @@ def test_mixed_tail_metrics_container():
     m = MixedTailMetrics(d1=d1, d2=d2)
     assert m.diam1 == 1.0 and m.diam2 == 2.0
     b = mixed_tail_supremum_bound(
-        gamma(1.0), gamma(1.0, alpha=1.0), metrics=m, u=1.0, registry=FITTED
+        gamma(1.0), gamma(1.0, alpha=1.0), diam2=m.diam2, diam1=m.diam1, u=1.0,
+        registry=FITTED,
     )
     assert b.threshold(1.0) == pytest.approx(2.0 + 2.0 + 1.0)
     bad = build_metric_space([[0, 1], [1, 0]], labels=("x", "y"))

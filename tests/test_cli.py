@@ -8,7 +8,7 @@ import shutil
 import numpy as np
 import pytest
 
-from chainbounds import cli, load_json
+from chainbounds import RowDistribution, cli, load_json, simulate_chaos
 from chainbounds.cli import main
 
 
@@ -212,6 +212,31 @@ def test_simulate_moment_bound(tmp_path, capsys):
     assert row["verdict"] in ("dominated", "inconclusive", "violated")
 
 
+def test_cover_profile_csv_lists_radius_and_count(tmp_path, triangle, capsys):
+    code, _, _ = run(["cover", "--space", str(triangle), "--profile", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    (grid,) = tmp_path.glob("cover-*.csv")
+    assert grid.read_text().splitlines()[1:] == ["radius,count", "0.0,3", "1.0,1"]
+
+
+@pytest.mark.parametrize("decoupled, xi", [(False, None), (True, {"name": "gaussian", "scale": 0.5})])
+def test_simulate_chaos_model_draws_what_simulate_chaos_draws(tmp_path, capsys, decoupled, xi):
+    mats = [[[1.0, 0.5], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.25]]]
+    model = {"kind": "chaos", "matrices": mats, "decoupled": decoupled}
+    if xi is not None:
+        model["xi"] = xi
+    p = tmp_path / "chaos.json"
+    p.write_text(json.dumps({"model": model, "reps": 500, "seed": 4}))
+    code, _, _ = run(["simulate", "--config", str(p), "--out", str(tmp_path)], capsys)
+    assert code == 0
+    xi = xi or {"name": "rademacher", "scale": 1.0}
+    values = simulate_chaos(
+        [np.array(m) for m in mats], RowDistribution(**xi), 500, 4, decoupled=decoupled
+    ).values
+    sample = load_json(artifact(tmp_path, "simulate"))["sample"]
+    assert (sample["mean"], sample["max"]) == (float(values.mean()), float(values.max()))
+
+
 def test_simulate_requires_seed(tmp_path, capsys):
     cfg = tmp_path / "sim.json"
     cfg.write_text(
@@ -280,10 +305,10 @@ def test_unknown_bound_name_exits_two(tmp_path, capsys):
 @pytest.mark.parametrize("name", sorted(cli._DIRECT_BOUNDS))
 def test_direct_bound_parameters_are_plain_json_or_decoded(name):
     # A bound whose params file is read by signature takes plain JSON values,
-    # or a type with a decoder; registry is supplied and metrics never read.
+    # or a type with a decoder; registry is supplied.
     plain = {"float", "int", "str", "bool", "None"}
     for par in inspect.signature(cli._DIRECT_BOUNDS[name]).parameters.values():
-        if par.name in ("registry", "metrics"):
+        if par.name == "registry":
             continue
         ann = par.annotation
         assert (

@@ -1,6 +1,7 @@
 """The shared argument validators."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -35,3 +36,10 @@ def test_check_real_bounds():
 def test_check_real_rejects_non_finite(v):
     with pytest.raises(DomainError):
         check_real("x", v, 0.0)
+
+
+@pytest.mark.parametrize("v", [None, "1.5", {"value": 1.0}, [1.0], 1j, True, False])
+def test_check_real_names_the_field_of_a_non_number(v):
+    # JSON null, strings, objects and booleans are rejected by name, as check_int does
+    with pytest.raises(DomainError, match=f"^diam must be a real number, got {re.escape(repr(v))}$"):
+        check_real("diam", v, 0.0)

@@ -26,17 +26,18 @@ def test_all_is_the_union_of_the_module_exports():
     assert [n for n in cb.__all__ if not hasattr(cb, n)] == []
 
 
-def test_import_loads_no_scipy_stats_or_optimize():
+def test_import_loads_no_public_scipy_subpackage_but_special():
+    # The README states that the package imports only scipy.special, so a
+    # stray module-level import of scipy.stats, say, fails here.
+    # scipy.version is loaded by `import scipy` itself.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    code = (
-        "import sys, chainbounds, chainbounds.cli; "
-        "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))"
-    )
+    code = "import sys, chainbounds, chainbounds.cli; print(' '.join(sys.modules))"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.strip() == "[]"
+    loaded = {m.split(".")[1] for m in proc.stdout.split() if m.startswith("scipy.")}
+    assert {m for m in loaded if not m.startswith("_")} <= {"special", "version"}
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))

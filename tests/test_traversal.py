@@ -94,7 +94,8 @@ def test_greedy_outputs_match_the_per_radius_loop(space):
     ref_radii, ref_counts, ref_centers = reference_profile(dist)
 
     prof = covering_profile(space, mode="greedy")
-    assert (prof.radii, prof.counts, prof.centers) == (ref_radii, ref_counts, ref_centers)
+    centers = tuple(covering_number(space, u, mode="greedy").centers for u in prof.radii)
+    assert (prof.radii, prof.counts, centers) == (ref_radii, ref_counts, ref_centers)
     assert prof.mode == "greedy"
 
     for alpha in (1.0, 2.0):
@@ -128,7 +129,8 @@ def test_single_point_space():
     order, radii = farthest_point_order(space)
     assert order.tolist() == [0] and radii.tolist() == [0.0]
     prof = covering_profile(space, mode="greedy")
-    assert (prof.radii, prof.counts, prof.centers) == ((0.0,), (1,), ((0,),))
+    assert (prof.radii, prof.counts) == ((0.0,), (1,))
+    assert covering_number(space, 0.0, mode="greedy").centers == (0,)
     assert entropy_integral(space, 2.0, mode="greedy").value == 0.0
     assert greedy_admissible_sequence(space).levels == ((0,),)
 

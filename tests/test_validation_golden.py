@@ -10,6 +10,8 @@ directory with relative paths, so the config hashes do not depend on where
 the test runs.  Since a hashed config holds the --fit file's constants
 instead of its path, the chaos case's config, config hash, "wrote" lines and
 CSV header were recorded again; its rows, numbers and verdicts were not.
+Since each CSV grid is written under its rows' own keys, the moment case's
+grid names its order column p and fills it; nothing else in it moved.
 
 The three moment cases (p_list at 200, 1000 and 2000 replications, no bound,
 so no CSV) were recorded before the bootstrap drew its resamples in blocks;
@@ -218,8 +220,8 @@ GOLDEN = json.loads(r"""
   },
   "csv": [
    "# config_hash: 2455ce382a79e09bc8510f2c612da54042c55afc40ac689835a71e91beb32963",
-   "u,threshold,envelope,empirical,ci_upper,verdict",
-   ",4.0,,1.4263674589728996,1.559489406652195,dominated"
+   "p,threshold,envelope,empirical,ci_upper,verdict",
+   "2.0,4.0,,1.4263674589728996,1.559489406652195,dominated"
   ]
  },
  {
