@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .chaining import GammaEstimate
-from .conversions import _exp_tail
+from .conversions import _exp_factor, _exp_tail
 from .errors import DomainError, check_int, check_real
 from .orlicz import OrliczNorm
 from .registry import DEFAULT_REGISTRY, ConstantRegistry
@@ -85,7 +85,7 @@ def _chaining_tail(
     D, d_fitted = registry.chaining_D(alpha)
     linear = D * check_real(scale_name, scale, 0.0)
     return _exp_tail(
-        math.exp(1.0 / alpha),
+        _exp_factor(alpha),
         C * gval,
         0.0,
         linear,

@@ -15,6 +15,7 @@ partition) at zero cost, so only finitely many levels are free.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -184,23 +185,16 @@ def functional_value(
         if seq.kind == "set":
             per_point += w * space.point_to_set(seq.level(n))
         else:
-            per_point += w * _cell_diameters(space, [seq.level(n)], {})[0]
+            per_point += w * _cell_diameters(space, seq.level(n))
     return float(per_point.max())
 
 
-def _cell_diameters(space: FiniteMetricSpace, partitions, cache: dict) -> np.ndarray:
-    """(partitions, n): the diameter of each point's cell, memoized per cell in cache."""
-    rows = []
-    for partition in partitions:
-        row = [0.0] * space.size
-        for cell in partition:
-            dval = cache.get(cell)
-            if dval is None:
-                dval = cache[cell] = space.subset_diameter(cell)
-            for i in cell:
-                row[i] = dval
-        rows.append(row)
-    return np.array(rows)
+def _cell_diameters(space: FiniteMetricSpace, partition) -> np.ndarray:
+    """(n,): the diameter of each point's cell."""
+    row = np.zeros(space.size)
+    for cell in partition:
+        row[list(cell)] = space.subset_diameter(cell)
+    return row
 
 
 def greedy_admissible_sequence(space: FiniteMetricSpace) -> AdmissibleSequence:
@@ -229,16 +223,24 @@ def gamma_greedy(
                          value=val, mode="greedy", sequence=seq)
 
 
-def _distance_table(space: FiniteMetricSpace, max_size: int) -> tuple[list, np.ndarray]:
-    """Subsets of up to max_size points, by size then lexicographically, and
-    the (subsets, n) table of d(t, S) for every point t."""
-    n = space.size
-    subsets, rows = [], []
+@functools.cache
+def _subset_index(n: int, max_size: int) -> tuple[tuple, tuple]:
+    """Subsets of range(n) with 1..max_size points, by size then
+    lexicographically, and one (count, size) index array per size."""
+    subsets, index = [], []
     for k in range(1, max_size + 1):
         combos = list(itertools.combinations(range(n), k))
         subsets.extend(combos)
-        rows.append(space.dist[:, np.array(combos)].min(axis=2).T)
-    return subsets, np.concatenate(rows)
+        index.append(np.array(combos))
+        index[-1].flags.writeable = False  # shared by every caller
+    return tuple(subsets), tuple(index)
+
+
+def _distance_table(space: FiniteMetricSpace, max_size: int) -> tuple[tuple, np.ndarray]:
+    """Subsets of up to max_size points, by size then lexicographically, and
+    the (subsets, n) table of d(t, S) for every point t."""
+    subsets, index = _subset_index(space.size, max_size)
+    return subsets, np.concatenate([space.dist[:, idx].min(axis=2).T for idx in index])
 
 
 def gamma_exact(
@@ -304,27 +306,40 @@ def gamma_exact(
                          mode="exact", sequence=seq)
 
 
-def _partitions_up_to(items: tuple[int, ...], max_blocks: int):
-    """All set partitions of items into at most max_blocks blocks."""
-    if not items:
-        yield ()
-        return
+@functools.cache
+def _level_one_partitions(n: int) -> np.ndarray:
+    """(P, 4) uint16: each partition of range(n) into at most 4 cells, as the
+    cells' point bitmasks by first point, 0 past the last cell.  Rows run in
+    lexicographic order of the points' cell labels (each at most one above
+    the largest before it): depth-first, each point in every open cell, then
+    in a new one."""
+    labels = np.zeros((1, 1), dtype=np.uint8)
+    top = np.zeros(1, dtype=np.uint8)  # each row's largest label
+    for _ in range(1, n):
+        options = np.minimum(top + 1, 3) + 1  # labels 0..top+1, at most 3
+        parent = np.repeat(np.arange(len(labels)), options)
+        child = np.arange(len(parent)) - np.repeat(np.cumsum(options) - options, options)
+        labels = np.column_stack([labels[parent], child.astype(np.uint8)])
+        top = np.maximum(top[parent], labels[:, -1])
+    cells = np.zeros((len(labels), 4), dtype=np.uint16)
+    for i in range(n):
+        cells[np.arange(len(labels)), labels[:, i]] |= np.uint16(1 << i)
+    cells.flags.writeable = False
+    return cells
 
-    def rec(idx: int, blocks: list[list[int]]):
-        if idx == len(items):
-            yield tuple(tuple(b) for b in blocks)
-            return
-        x = items[idx]
-        for b in blocks:
-            b.append(x)
-            yield from rec(idx + 1, blocks)
-            b.pop()
-        if len(blocks) < max_blocks:
-            blocks.append([x])
-            yield from rec(idx + 1, blocks)
-            blocks.pop()
 
-    yield from rec(1, [[items[0]]])
+def _subset_diameters(dist: np.ndarray) -> np.ndarray:
+    """(2^n,): the diameter of the points each bitmask sets, grown by the
+    highest bit in O(2^n) time and memory; each equals subset_diameter."""
+    n = len(dist)
+    sym = np.maximum(dist, dist.T)
+    diam = np.zeros(1 << n)
+    for h in range(1, n):
+        to_h = np.zeros(1 << h)  # to_h[m]: the farthest point of m from point h
+        for j in range(h):
+            np.maximum(to_h[:1 << j], sym[h, j], out=to_h[1 << j:2 << j])
+        np.maximum(diam[:1 << h], to_h, out=diam[1 << h:2 << h])
+    return diam
 
 
 def gamma_prime(
@@ -335,11 +350,12 @@ def gamma_prime(
 ) -> GammaEstimate:
     """Partition-sequence functional sup_t sum_n 2^(n/alpha) diam(A_n(t)).
 
-    Exact mode enumerates refining chains; as soon as a level may hold |T|
-    cells the singleton partition finishes the chain at zero cost.  Each
-    level's candidate partitions are evaluated as one array of per-point
-    cell diameters, read from a per-call table of cell diameters.  Greedy
-    mode repeatedly splits the widest cell by farthest-pair seeding.
+    Exact mode: once a level may hold |T| cells the singleton partition ends
+    the chain at zero cost, so on up to 16 = level_capacity(2) points level
+    1 is the only free level.  Its candidates are a cached per-size table of
+    partitions into at most 4 cells, read against a per-call table of every
+    subset's diameter; above 16 points the search is refused.  Greedy mode
+    repeatedly splits the widest cell by farthest-pair seeding.
     """
     check_real("alpha", alpha, 0.0, strict=True)
     n = space.size
@@ -384,50 +400,28 @@ def gamma_prime(
         raise CapacityError(
             f"exact gamma' search capped at {exact_cap} points, space has {n}"
         )
-
-    best_val = math.inf
-    best_chain: list | None = None
-    cell_diameters: dict[tuple[int, ...], float] = {}
-
-    def settle(level: int, chain: list, acc: np.ndarray, val: float, width: float) -> None:
-        """Finish or extend a chain ending at `level`; val = acc.max() and
-        width is the widest cell of its last partition."""
-        nonlocal best_val, best_chain
-        if val >= best_val:
-            return
-        if width == 0.0:
-            best_val, best_chain = val, chain
-        elif level_capacity(level + 1) >= n:
-            # singletons are admissible and free from here on
-            best_val, best_chain = val, chain + [singletons]
-        else:
-            refined = list(_refining_partitions(chain[-1], level_capacity(level + 1)))
-            diams = _cell_diameters(space, refined, cell_diameters)
-            accs = acc + 2.0 ** ((level + 1) / alpha) * diams
-            for part, row, v, wdt in zip(refined, accs, accs.max(axis=1).tolist(),
-                                         diams.max(axis=1).tolist()):
-                settle(level + 1, chain + [part], row, v, wdt)
-
-    acc0 = _cell_diameters(space, [trivial], cell_diameters)[0]  # 2^0 weight
-    settle(0, [trivial], acc0, float(acc0.max()), float(acc0.max()))
-    seq = admissible_partitions(space, best_chain)
-    return GammaEstimate(alpha=float(alpha), p=1.0, l=0, value=best_val,
+    val = diam_t = space.subset_diameter(trivial[0])
+    if diam_t == 0.0:
+        chain = [trivial]
+    elif n <= level_capacity(1):
+        chain = [trivial, singletons]  # level 1 may hold the singletons
+    elif n > level_capacity(2):
+        raise CapacityError(f"exact gamma' search handles at most 16 points, space has {n}")
+    else:
+        # Level 1 is the only free level.  Rounding is monotone, so each
+        # partition's largest per-point sum is the one at its widest cell.
+        cells = _level_one_partitions(n)
+        widest = _subset_diameters(space.dist)[cells].max(axis=1)
+        vals = diam_t + 2.0 ** (1 / alpha) * widest
+        best = int(np.argmin(vals))  # the first minimum
+        chain = [trivial, tuple(tuple(i for i in range(n) if mask >> i & 1)
+                                for mask in cells[best].tolist() if mask)]
+        if widest[best] > 0.0:
+            chain.append(singletons)
+        val = float(vals[best])
+    seq = admissible_partitions(space, chain)
+    return GammaEstimate(alpha=float(alpha), p=1.0, l=0, value=val,
                          mode="exact", sequence=seq)
-
-
-def _refining_partitions(coarse, max_blocks: int):
-    """All partitions refining `coarse` with at most max_blocks blocks.
-
-    Each is yielded once: the cells of `coarse` are disjoint and each
-    cell's partitions are distinct.
-    """
-    per_cell_options = [list(_partitions_up_to(cell, len(cell))) for cell in coarse]
-    for combo in itertools.product(*per_cell_options):
-        blocks: list[tuple[int, ...]] = []
-        for part in combo:
-            blocks.extend(part)
-        if len(blocks) <= max_blocks:
-            yield tuple(sorted(blocks))
 
 
 def merge_partitions(

@@ -52,9 +52,20 @@ def moments_to_tails(a: float, b: float, alpha: float, u: float | None = None) -
     alpha = check_real("alpha", alpha, 0.0, strict=True)
     a = check_real("moment scale a", a, 0.0, strict=True)
     b = check_real("moment offset b", b, 0.0)
-    factor = math.exp(1.0 / alpha)
+    factor = _exp_factor(alpha)
     constants = {"threshold_factor": factor}
     return _exp_tail(factor, b, 0.0, a, alpha, constants, False, "moments-to-tails", u)
+
+
+def _exp_factor(alpha: float) -> float:
+    """e^(1/alpha), the threshold factor of the exponential tail forms; a
+    DomainError names it where it leaves the float range."""
+    try:
+        return math.exp(1.0 / alpha)
+    except OverflowError:
+        raise DomainError(
+            f"threshold factor e^(1/alpha) is not finite at alpha = {alpha:g}"
+        ) from None
 
 
 def _exp_tail(

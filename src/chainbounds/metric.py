@@ -274,16 +274,18 @@ def _pairwise(points, reduce) -> np.ndarray:
     """The symmetric (n, n) matrix of reduce(points[i] - points[j]), zero diagonal.
 
     reduce maps a (rows, cols, ...) block of differences to (rows, cols).  The
-    point cap is checked first.  Only pairs i < j are evaluated and mirrored,
-    in blocks of rows, and of columns when one row of differences exceeds
-    _BLOCK_ELEMENTS.  Values past the float range become inf without a warning.
+    point cap is checked first.  Pairs i < j are kept and mirrored, in blocks
+    of at most ceil(n/8) rows, and of columns when one row of differences
+    exceeds _BLOCK_ELEMENTS.  A block starts right of its first row, so the
+    pairs i >= j it computes and drops number at most n * ceil(n/8) / 2 in
+    all.  Values past the float range become inf without a warning.
     """
     n = len(points)
     _check_capacity(n)
     d = np.zeros((n, n))
     per_pair = max(1, math.prod(points.shape[1:]))
     cols = max(1, min(n, _BLOCK_ELEMENTS // per_pair))
-    rows = max(1, _BLOCK_ELEMENTS // (per_pair * cols))
+    rows = max(1, min(_BLOCK_ELEMENTS // (per_pair * cols), -(-n // 8)))
     with np.errstate(over="ignore"):
         for r0 in range(0, n - 1, rows):
             r1 = min(r0 + rows, n)

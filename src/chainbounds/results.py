@@ -122,6 +122,8 @@ class TailBound:
             raise DomainError(
                 f"{self.name or 'bound'} is valid for u >= {self.u_min}, got {arr.min()}"
             )
+        if not np.all(np.isfinite(arr)):
+            raise DomainError(f"{self.name or 'bound'} needs a finite u, got {arr.max()}")
         return arr
 
     def threshold(self, u) -> float | np.ndarray:

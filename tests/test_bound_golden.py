@@ -20,7 +20,11 @@ Three things were recorded later.  The `fitted` flag of a scalar result
 where a number belongs names its field (azuma-null-diam,
 lp-from-tail-object-gamma).  The moments-to-tails-no-u case, a tail bound
 without u, prints no threshold and writes no "at_u"; it was recorded before
-every exponential tail form shared one constructor.
+every exponential tail form shared one constructor.  Two error cases came
+last: an alpha whose threshold factor e^(1/alpha) overflows
+(moments-to-tails-tiny-alpha) and u = Infinity
+(moments-to-tails-mixed-infinite-u) exit 2 with a named fault and print
+nothing.
 
 The recorded data lives in bound_golden.json next to this file.
 """

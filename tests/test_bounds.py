@@ -359,3 +359,9 @@ def test_chaining_constants_share_one_lookup():
         reg.chaining_D(1.0)
     with pytest.raises(MissingConstantError, match="constant C for alpha = 3; .* named 'C_3'"):
         reg.chaining_C(3.0)
+
+
+def test_chaining_tail_forms_name_an_overflowing_threshold_factor():
+    reg = DEFAULT_REGISTRY.with_fitted(**{"C_0.001": 1.0, "D_0.001": 1.0})
+    with pytest.raises(DomainError, match=r"threshold factor e\^\(1/alpha\)"):
+        psi_alpha_supremum_bound(gamma(1.0, alpha=0.001), diam=1.0, u=1.0, registry=reg)

@@ -617,3 +617,18 @@ def test_runs_without_fit_hash_no_fit_entry(tmp_path, capsys):
     assert run(["bound", "union-constant", "--params", str(params), "--out", str(tmp_path)],
                capsys)[0] == 0
     assert load_json(artifact(tmp_path, "bound"))["config"]["fit"] is None
+
+
+@pytest.mark.parametrize(
+    "name, params, named",
+    [("moments-to-tails", {"a": 1.3, "b": 0.5, "alpha": 0.001}, "threshold factor e^(1/alpha)"),
+     ("moments-to-tails-mixed", {"a1": 0.0, "a2": 1.0, "a3": 0.5, "u": math.inf}, "finite u")],
+)
+def test_bound_out_of_range_alpha_or_u_exits_two_before_printing(tmp_path, capsys, name,
+                                                                 params, named):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(params))
+    code, out, err = run(["bound", name, "--params", str(path), "--out", str(tmp_path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and named in err
+    assert not list(tmp_path.glob("bound-*.json"))

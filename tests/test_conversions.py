@@ -273,3 +273,21 @@ def test_round_trip_moments_tails_moments():
     back = tails_to_moments(a, 1.0, alpha, 4.0)
     assert back.value >= a * 4.0 ** (1.0 / alpha)  # no free lunch
     assert back.value <= 6.0 * a * 4.0 ** (1.0 / alpha)  # bounded blow-up
+
+
+@pytest.mark.parametrize("alpha", [0.001, 1e-300])
+def test_moments_to_tails_names_an_overflowing_threshold_factor(alpha):
+    # e^(1/alpha) is past the float range: a DomainError, not an OverflowError
+    with pytest.raises(DomainError, match=r"threshold factor e\^\(1/alpha\)"):
+        moments_to_tails(1.3, 0.5, alpha)
+    assert moments_to_tails(1.3, 0.5, 0.0015).factor == math.exp(1.0 / 0.0015)
+
+
+@pytest.mark.parametrize("u", [math.inf, np.array([2.0, math.inf])])
+def test_tail_bounds_reject_a_non_finite_u_by_name(u):
+    with pytest.raises(DomainError, match="finite u"):
+        moments_to_tails_mixed(0.0, 1.0, 0.5, u=u)
+    b = moments_to_tails(1.0, 1.0, 2.0)
+    for evaluate in (b.threshold, b.probability):
+        with pytest.raises(DomainError, match="finite u"):
+            evaluate(u)

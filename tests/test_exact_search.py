@@ -1,16 +1,21 @@
-"""Table-driven exact chaining searches against the loops they replace.
+"""Table-driven exact chaining searches against the searches they replace.
 
-The references below are the combo-at-a-time `gamma_exact` loop and the
+The references below are the combo-at-a-time `gamma_exact` loop, the
+uncached `_distance_table` it read before its subset tables were cached, the
 recursive `gamma_prime` search with one `subset_diameter` call per cell per
-candidate partition.  The library's table-driven searches must return the
-same value and the same witness levels, ties included: the first strict
-minimum in enumeration order wins.
+candidate partition, and the later recursion (`settle` over
+`_refining_partitions`) that ran before the per-size partition table.  The
+library's searches must return the same value and the same witness levels,
+ties included: the first strict minimum in enumeration order wins.
 """
 
 import itertools
 import math
+import time
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +29,8 @@ from chainbounds import (
     space_from_points,
     truncation_level,
 )
+from chainbounds import chaining
+from chainbounds.errors import CapacityError
 
 
 def reference_gamma_exact(space, alpha, p):
@@ -56,7 +63,19 @@ def reference_gamma_exact(space, alpha, p):
     return best_val, admissible_sets(space, levels).levels
 
 
+def reference_distance_table(space, max_size):
+    """_distance_table as it was: the subsets and index arrays rebuilt per call."""
+    n = space.size
+    subsets, rows = [], []
+    for k in range(1, max_size + 1):
+        combos = list(itertools.combinations(range(n), k))
+        subsets.extend(combos)
+        rows.append(space.dist[:, np.array(combos)].min(axis=2).T)
+    return subsets, np.concatenate(rows)
+
+
 def reference_partitions(items, max_blocks):
+    """All set partitions of items into at most max_blocks blocks (_partitions_up_to)."""
     def rec(idx, blocks):
         if idx == len(items):
             yield tuple(tuple(b) for b in blocks)
@@ -74,11 +93,55 @@ def reference_partitions(items, max_blocks):
 
 
 def reference_refinements(coarse, max_blocks):
+    """All partitions refining coarse with at most max_blocks blocks (_refining_partitions)."""
     options = [list(reference_partitions(cell, len(cell))) for cell in coarse]
     for combo in itertools.product(*options):
         blocks = [b for part in combo for b in part]
         if len(blocks) <= max_blocks:
             yield tuple(sorted(blocks))
+
+
+def settled_gamma_prime(space, alpha):
+    """The recursive exact search as the library last ran it: refining chains
+    pruned at the best value so far, each level's candidates evaluated as one
+    array of per-point cell diameters, memoized per cell."""
+    n = space.size
+    singletons = tuple((i,) for i in range(n))
+    trivial = (tuple(range(n)),)
+    best_val, best_chain = math.inf, None
+    cache = {}
+
+    def cell_diameters(partitions):
+        rows = []
+        for partition in partitions:
+            row = [0.0] * n
+            for cell in partition:
+                if cell not in cache:
+                    cache[cell] = space.subset_diameter(cell)
+                for i in cell:
+                    row[i] = cache[cell]
+            rows.append(row)
+        return np.array(rows)
+
+    def settle(level, chain, acc, val, width):
+        nonlocal best_val, best_chain
+        if val >= best_val:
+            return
+        if width == 0.0:
+            best_val, best_chain = val, chain
+        elif level_capacity(level + 1) >= n:
+            best_val, best_chain = val, chain + [singletons]
+        else:
+            refined = list(reference_refinements(chain[-1], level_capacity(level + 1)))
+            diams = cell_diameters(refined)
+            accs = acc + 2.0 ** ((level + 1) / alpha) * diams
+            for part, row, v, wdt in zip(refined, accs, accs.max(axis=1).tolist(),
+                                         diams.max(axis=1).tolist()):
+                settle(level + 1, chain + [part], row, v, wdt)
+
+    acc0 = cell_diameters([trivial])[0]
+    settle(0, [trivial], acc0, float(acc0.max()), float(acc0.max()))
+    return best_val, admissible_partitions(space, best_chain).levels
 
 
 def reference_gamma_prime(space, alpha):
@@ -116,8 +179,8 @@ def reference_gamma_prime(space, alpha):
 
 @st.composite
 def small_spaces(draw):
-    """1-6 points; integer grids tie often, duplicates give semi-metric zeros."""
-    n = draw(st.integers(1, 6))
+    """1-8 points; integer grids tie often, duplicates give semi-metric zeros."""
+    n = draw(st.integers(1, 8))
     dim = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
@@ -133,12 +196,17 @@ def small_spaces(draw):
 
 
 def assert_matches_reference(space):
-    for alpha in (1.0, 2.0):
-        for p in (1.0, 2.0, 4.0, 8.0):
-            est = gamma_exact(space, alpha, p=p)
-            assert (est.value, est.sequence.levels) == reference_gamma_exact(space, alpha, p)
-        est = gamma_prime(space, alpha)
-        assert (est.value, est.sequence.levels) == reference_gamma_prime(space, alpha)
+    for alpha in (2.0, 1.0, 0.7):
+        for p in (1.0, 2.0, 4.0, 8.0, 16.0):
+            est = gamma_exact(space, alpha, p=p, exact_cap=8)
+            found = (est.value, est.sequence.levels)
+            assert found == reference_gamma_exact(space, alpha, p)
+            with mock.patch.object(chaining, "_distance_table", reference_distance_table):
+                est = gamma_exact(space, alpha, p=p, exact_cap=8)
+            assert (est.value, est.sequence.levels) == found
+        est = gamma_prime(space, alpha, exact_cap=8)
+        found = (est.value, est.sequence.levels)
+        assert found == settled_gamma_prime(space, alpha) == reference_gamma_prime(space, alpha)
 
 
 @given(small_spaces())
@@ -151,9 +219,45 @@ def test_exact_searches_on_tied_and_degenerate_spaces():
     spaces = [
         build_metric_space([[0.0]]),
         build_metric_space(np.zeros((5, 5))),  # every distance a semi-metric zero
+        build_metric_space(np.zeros((8, 8))),
         space_from_points(np.arange(6.0)[:, None]),  # equally spaced: many ties
+        space_from_points(np.arange(8.0)[:, None]),
         space_from_points([[0, 0], [1, 0], [0, 1], [1, 1], [0, 0], [1, 1]], norm="l1"),
+        space_from_points([[0, 0], [0, 0], [1, 1], [1, 1], [2, 2], [2, 2], [3, 3]], norm="linf"),
         build_metric_space(np.ones((6, 6)) - np.eye(6)),  # every pair ties
+        build_metric_space(np.ones((8, 8)) - np.eye(8)),
     ]
     for space in spaces:
         assert_matches_reference(space)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_partition_table_runs_in_search_order(n):
+    expected = [tuple(sum(1 << i for i in cell) for cell in part)
+                for part in reference_partitions(tuple(range(n)), 4)]
+    found = [tuple(m for m in row if m) for row in chaining._level_one_partitions(n).tolist()]
+    assert found == expected
+
+
+def test_subset_diameters_equal_subset_diameter():
+    rng = np.random.default_rng(5)
+    pts = rng.integers(0, 3, size=(9, 2)).astype(float)  # ties and duplicate points
+    for space in (space_from_points(pts, norm="l1"), space_from_points(rng.normal(size=(9, 3)))):
+        diam = chaining._subset_diameters(space.dist)
+        for mask in range(1 << 9):
+            cell = [i for i in range(9) if mask >> i & 1]
+            assert diam[mask] == space.subset_diameter(cell)
+
+
+def test_exact_gamma_prime_refuses_more_than_16_points_at_once(monkeypatch):
+    space = space_from_points(np.random.default_rng(17).normal(size=(17, 3)))
+    monkeypatch.setattr(chaining, "_level_one_partitions",
+                        lambda n: pytest.fail("enumerated past 16 points"))
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="at most 16 points, space has 17"):
+        gamma_prime(space, 2.0, exact_cap=17)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(CapacityError, match="capped at 16 points, space has 17"):
+        gamma_prime(space, 2.0, exact_cap=16)
+    # no search is needed when every point coincides or level 1 holds them all
+    assert gamma_prime(build_metric_space(np.zeros((17, 17))), 2.0, exact_cap=17).value == 0.0

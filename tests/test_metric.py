@@ -735,3 +735,31 @@ def test_pairwise_kernel_checks_the_cap_first(monkeypatch):
     monkeypatch.setattr(metric, "MAX_POINTS", 3)
     with pytest.raises(CapacityError, match="capped at 3 points, got 4"):
         metric._pairwise(np.zeros((4, 2)), lambda diff: pytest.fail("reduced past the cap"))
+
+
+@pytest.mark.parametrize("n, shape", [(2, (3,)), (9, (3,)), (60, (8, 8)), (500, (1,))])
+def test_pairwise_kernel_wastes_at_most_n_ceil_n_over_8_half_pairs(n, shape):
+    pts = np.random.default_rng(n).normal(size=(n,) + shape)
+    given = []
+
+    def counting(reduce):
+        def count(diff):
+            given.append(diff.shape[0] * diff.shape[1])
+            return reduce(diff)
+        return count
+
+    per_pair = {
+        "l1": flattened(metric._NORMS["l1"]),
+        "l2": flattened(metric._NORMS["l2"]),
+        "linf": flattened(metric._NORMS["linf"]),
+        "operator": spectral,
+    }
+    for name, reduce in per_pair.items():
+        given.clear()
+        d = metric._pairwise(pts, counting(reduce))
+        assert sum(given) <= n * (n - 1) // 2 + n * -(-n // 8) / 2, name
+        loop = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                loop[i, j] = loop[j, i] = reduce((pts[i] - pts[j])[None, None])[0, 0]
+        assert np.array_equal(d.view(np.int64), loop.view(np.int64)), name
