@@ -15,7 +15,7 @@ import numpy as np
 
 from .chaining import GammaEstimate
 from .conversions import _exp_factor, _exp_tail
-from .errors import DomainError, check_int, check_real
+from .errors import DomainError, alpha_power, check_int, check_real
 from .orlicz import OrliczNorm
 from .registry import DEFAULT_REGISTRY, ConstantRegistry
 from .results import (
@@ -130,7 +130,8 @@ def psi_alpha_supremum_bound(
             if diam is None:
                 raise DomainError("moment form needs either sup_term or diam")
             D, d_fitted = registry.chaining_D(alpha)
-            sup_term = D * check_real("diam", diam, 0.0) * p ** (1.0 / alpha)
+            sup_term = D * check_real("diam", diam, 0.0) * alpha_power(
+                p, 1.0 / alpha, "moment growth p^(1/alpha)", alpha)
             fitted = fitted or d_fitted
             constants[f"D_{alpha:g}"] = D
         return MomentBound(

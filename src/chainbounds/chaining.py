@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, MetricValidationError, check_real
-from .metric import FiniteMetricSpace, farthest_point_order
+from .errors import CapacityError, DomainError, MetricValidationError, alpha_power, check_real
+from .metric import FiniteMetricSpace, _memoised, _read_only, farthest_point_order
 
 __all__ = [
     "AdmissibleSequence",
@@ -179,14 +179,24 @@ def functional_value(
     l = truncation_level(p)
     if not seq.covers_space():
         return math.inf
-    per_point = np.zeros(space.size)
-    for n in range(max(l, 0), seq.depth):
-        w = 2.0 ** (n / alpha)
-        if seq.kind == "set":
-            per_point += w * space.point_to_set(seq.level(n))
-        else:
-            per_point += w * _cell_diameters(space, seq.level(n))
-    return float(per_point.max())
+    levels = range(max(l, 0), seq.depth)
+    if seq.kind == "set":
+        rows = [space.point_to_set(seq.level(n)) for n in levels]
+    else:
+        rows = [_cell_diameters(space, seq.level(n)) for n in levels]
+    return _weighted_sup(rows, levels, alpha)
+
+
+def _weighted_sup(rows, levels, alpha: float) -> float:
+    """max_t sum_n 2^(n/alpha) rows[n][t] over the given levels, summed in order."""
+    per_point = 0.0
+    for n, row in zip(levels, rows):
+        per_point = per_point + _level_weight(n, alpha) * row
+    return float(np.max(per_point))
+
+
+def _level_weight(n: int, alpha: float) -> float:
+    return alpha_power(2.0, n / alpha, "level weight 2^(n/alpha)", alpha)
 
 
 def _cell_diameters(space: FiniteMetricSpace, partition) -> np.ndarray:
@@ -204,22 +214,42 @@ def greedy_admissible_sequence(space: FiniteMetricSpace) -> AdmissibleSequence:
     (ties to the lowest index), and the sequence ends at the first level
     holding the whole traversal, where every point is at distance zero.  The
     construction does not depend on alpha or p, which only weight the
-    resulting functional.
+    resulting functional.  Its levels are memoised on the space.
     """
-    order = farthest_point_order(space)[0].tolist()
-    levels = [order[:1]]
-    while len(levels[-1]) < len(order):
-        levels.append(order[:level_capacity(len(levels))])
-    return admissible_sets(space, levels)
+    return AdmissibleSequence(kind="set", levels=_greedy_chain(space)[0], space=space)
+
+
+def _greedy_chain(space: FiniteMetricSpace) -> tuple[tuple, np.ndarray]:
+    """The greedy sequence's validated levels and read-only (depth, n) rows
+    d(t, T_n), once per space.  The memo holds no sequence: a sequence holds
+    its space, and a cycle would keep the space alive until a collection."""
+
+    def build():
+        order = farthest_point_order(space)[0].tolist()
+        levels = [order[:1]]
+        while len(levels[-1]) < len(order):
+            levels.append(order[:level_capacity(len(levels))])
+        levels = admissible_sets(space, levels).levels
+        return levels, _read_only(np.array([space.point_to_set(lvl) for lvl in levels]))
+
+    return _memoised(space, "greedy_sequence", build)
 
 
 def gamma_greedy(
     space: FiniteMetricSpace, alpha: float, p: float = 1.0
 ) -> GammaEstimate:
-    """Upper estimate of gamma from the greedy sequence (functional_value checks alpha, p)."""
-    seq = greedy_admissible_sequence(space)
-    val = functional_value(space, seq, alpha, p)
-    return GammaEstimate(alpha=float(alpha), p=float(p), l=truncation_level(p),
+    """Upper estimate of gamma from the greedy sequence.
+
+    The value is functional_value's, read off the memoised rows: the greedy
+    sequence always ends at distance zero.
+    """
+    check_real("alpha", alpha, 0.0, strict=True)
+    l = truncation_level(p)
+    chain, rows = _greedy_chain(space)
+    levels = range(max(l, 0), len(chain))
+    val = _weighted_sup(rows[levels.start:], levels, alpha)
+    seq = AdmissibleSequence(kind="set", levels=chain, space=space)
+    return GammaEstimate(alpha=float(alpha), p=float(p), l=l,
                          value=val, mode="greedy", sequence=seq)
 
 
@@ -281,7 +311,7 @@ def gamma_exact(
     for lvl in free_levels:
         subsets, table = _distance_table(space, min(level_capacity(lvl), n))
         choices.append(subsets)
-        tables.append(2.0 ** (lvl / alpha) * table)
+        tables.append(_level_weight(lvl, alpha) * table)
 
     best_val = math.inf
     best_combo = None
@@ -412,7 +442,7 @@ def gamma_prime(
         # partition's largest per-point sum is the one at its widest cell.
         cells = _level_one_partitions(n)
         widest = _subset_diameters(space.dist)[cells].max(axis=1)
-        vals = diam_t + 2.0 ** (1 / alpha) * widest
+        vals = diam_t + _level_weight(1, alpha) * widest
         best = int(np.argmin(vals))  # the first minimum
         chain = [trivial, tuple(tuple(i for i in range(n) if mask >> i & 1)
                                 for mask in cells[best].tolist() if mask)]

@@ -200,16 +200,16 @@ def _cmd_cover(args) -> int:
             "mode": res.mode,
         }
         print(f"N(T, d, {res.radius:g}) = {res.count} [{res.mode}]")
-    prof = None
-    if args.profile:
+    if args.profile or args.entropy_alpha is not None:
+        # memoised on the space: entropy_integral below reads this same profile
         prof = covering_profile(space, mode=args.mode)
+    if args.profile:
         rows = [{"radius": r, "count": c} for r, c in zip(prof.radii, prof.counts)]
         payload["profile"] = {"radii": prof.radii, "counts": prof.counts, "mode": prof.mode}
         for r, c in zip(prof.radii, prof.counts):
             print(f"radius {r:.6g}: count {c}")
     if args.entropy_alpha is not None:
-        # integrates the profile above, if any, instead of computing it again
-        ent = entropy_integral(space, args.entropy_alpha, mode=args.mode, profile=prof)
+        ent = entropy_integral(space, args.entropy_alpha, mode=args.mode)
         payload["entropy_integral"] = {"alpha": ent.alpha, "value": ent.value, "mode": ent.mode}
         print(f"entropy integral (alpha={ent.alpha:g}) = {ent.value:.12g}")
     _emit(args, "cover", config, payload, rows=rows)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chaining import _doubly_exponential, truncation_level
-from .errors import DomainError, check_int, check_real
+from .errors import DomainError, alpha_power, check_int, check_real
 from .registry import DEFAULT_REGISTRY, ConstantRegistry
 from .results import MomentBound, PowerEnvelope, TailBound
 
@@ -129,7 +129,8 @@ def tails_to_moments(a: float, b: float, alpha: float, p: float) -> MomentBound:
     check_real("tail scale a", a, 0.0)
     check_real("tail prefactor b", b, 0.0)
     inner = math.sqrt(2.0 * math.pi / alpha) * math.exp(alpha / 12.0) * b
-    value = _STIRLING_PREF * a * inner ** (1.0 / p) * p ** (1.0 / alpha)
+    growth = alpha_power(p, 1.0 / alpha, "moment growth p^(1/alpha)", alpha)
+    value = _STIRLING_PREF * a * inner ** (1.0 / p) * growth
     return MomentBound(
         p=p,
         decomposition=(("tail-integral", value),),
@@ -239,7 +240,7 @@ def union_bound_probability(
     """
     alpha = check_real("alpha", alpha, 0.0, strict=True)
     p = check_real("moment order p", p, 1.0)
-    u_min = 2.0 ** (1.0 / alpha)
+    u_min = alpha_power(2.0, 1.0 / alpha, "union bound threshold 2^(1/alpha)", alpha)
     if not u >= u_min:  # NaN fails too
         raise DomainError(
             f"union bound requires u >= 2^(1/alpha) = {u_min:.6g}, got {u}"

@@ -92,3 +92,12 @@ def check_confidence(confidence) -> float:
     if not 0.5 < confidence < 1.0:  # False for NaN
         raise DomainError(f"confidence must lie in (0.5, 1), got {confidence}")
     return float(confidence)
+
+
+def alpha_power(base: float, exponent: float, what: str, alpha: float) -> float:
+    """base ** exponent, with exponent a power of 1/alpha; a DomainError names
+    what, at this alpha, where the float power overflows."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        raise DomainError(f"{what} is not finite at alpha = {alpha:g}") from None

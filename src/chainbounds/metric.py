@@ -8,20 +8,31 @@ what canonical metrics of perfectly correlated processes produce.
 Covering numbers count closed balls centered at points of the space.  Every
 greedy answer (covers, covering profiles, and through them entropy
 integrals and greedy admissible sequences) is read off one farthest-point
-traversal (Gonzalez, 1985), computed once per space.  The
-entropy integral integrates (log N(T,d,u))^(1/alpha) over u; since N is a
-step function whose jumps happen at pairwise distances, the integral is a
-finite sum over consecutive breakpoints and is computed exactly.
+traversal (Gonzalez, 1985).  An exact covering number at one radius, with
+its centers, comes from a branch-and-bound set-cover search.  An exact
+covering profile comes from one sweep over the pairs sorted by distance:
+N(T,d,u) is a step function whose jumps happen at pairwise distances, and
+a cover smaller than the count at the previous breakpoint must use a ball
+that grew at this one, so each breakpoint asks only whether the points
+outside a grown ball fit in two balls fewer than the count so far.  The
+entropy integral integrates (log N(T,d,u))^(1/alpha) over u, a finite sum
+over consecutive breakpoints, computed exactly.
+
+What depends only on the space (the traversal, the breakpoints, each
+profile, the greedy sequence's levels and distance rows) is memoised on it,
+but only while its distance matrix is read-only, as every validated
+space's is.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, MetricValidationError, check_real
+from .errors import CapacityError, DomainError, MetricValidationError, alpha_power, check_real
 
 __all__ = [
     "FiniteMetricSpace",
@@ -58,6 +69,8 @@ class FiniteMetricSpace:
 
     labels: tuple
     dist: np.ndarray
+    # what depends only on the space, computed once: see _memoised
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -385,24 +398,49 @@ def _maximal_balls(within: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~strictly.any(axis=1) & ~equal_earlier.any(axis=1))
 
 
+def _memoised(space: FiniteMetricSpace, key, build):
+    """build(), computed once per space and kept on it while dist is read-only.
+
+    Validated spaces always are.  A raw FiniteMetricSpace over a writable
+    array could change under a kept value, so it is never memoised.  Arrays
+    kept this way are read-only, and results are frozen dataclasses.
+    """
+    if space.dist.flags.writeable:
+        return build()
+    memo = space._memo
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def farthest_point_order(space: FiniteMetricSpace) -> tuple[np.ndarray, np.ndarray]:
     """Farthest-point traversal started at the Chebyshev center.
 
     order[0] is the Chebyshev center and order[k] the point farthest from
     order[:k] (ties to the lowest index); radii[k] = max_t d(t, order[:k+1])
     is the covering radius of the first k+1 centers.  The traversal stops
-    once that radius is 0, so radii is nonincreasing and ends at 0.
+    once that radius is 0, so radii is nonincreasing and ends at 0.  It is
+    memoised on the space, with read-only arrays.
     """
-    nxt = space.chebyshev_center()
-    order = [nxt]
-    dmin = space.dist[nxt].copy()
-    radii = [dmin.max()]
+    return _memoised(space, "traversal", lambda: _traversal(space.dist, space.chebyshev_center()))
+
+
+def _traversal(dist: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
+    order = [start]
+    dmin = dist[start].copy()
+    far = int(dmin.argmax())  # first maximum = lowest index tie-break
+    radii = [dmin[far]]
     while radii[-1] > 0.0:
-        nxt = int(np.argmax(dmin))  # first maximum = lowest index tie-break
-        order.append(nxt)
-        dmin = np.minimum(dmin, space.dist[nxt])
-        radii.append(dmin.max())
-    return np.array(order), np.array(radii)
+        order.append(far)
+        np.minimum(dmin, dist[far], out=dmin)
+        far = int(dmin.argmax())
+        radii.append(dmin[far])
+    return _read_only(np.array(order)), _read_only(np.array(radii))
 
 
 def _greedy_counts(radii: np.ndarray, us) -> np.ndarray:
@@ -490,18 +528,23 @@ def covering_number(
         k = int(_greedy_counts(radii, u))
         return CoverResult(radius=float(u), count=k, centers=tuple(sorted(order[:k].tolist())),
                            mode="greedy")
-    if space.size > exact_cap:
-        raise CapacityError(
-            f"exact covering capped at {exact_cap} points, space has {space.size}; "
-            "use mode='greedy' or raise exact_cap"
-        )
+    _check_exact_cap(space.size, exact_cap)
     centers = _exact_cover(space.dist <= u)
     return CoverResult(radius=float(u), count=len(centers), centers=tuple(centers), mode="exact")
 
 
+def _check_exact_cap(size: int, exact_cap: int) -> None:
+    if size > exact_cap:
+        raise CapacityError(
+            f"exact covering capped at {exact_cap} points, space has {size}; "
+            "use mode='greedy' or raise exact_cap"
+        )
+
+
 def _breakpoints(space: FiniteMetricSpace) -> np.ndarray:
     """Radii where the covering number can change: 0 plus distinct distances."""
-    return np.concatenate(([0.0], space.positive_distances()))
+    return _memoised(space, "breakpoints",
+                     lambda: _read_only(np.concatenate(([0.0], space.positive_distances()))))
 
 
 def covering_profile(
@@ -512,24 +555,95 @@ def covering_profile(
     """Covering numbers at every breakpoint radius (exact step function).
 
     The profile stops at the first breakpoint covered by one ball.  Greedy
-    counts are looked up in a single farthest-point traversal.
+    counts are looked up in the farthest-point traversal; exact ones come
+    from one sweep over the pairs by distance (_exact_profile).  Each
+    profile is memoised on the space by its resolved mode.
     """
+    return _profile(space, mode, exact_cap)
+
+
+def _profile(space: FiniteMetricSpace, mode: str, exact_cap: int) -> CoveringProfile:
     mode = _resolve_mode(mode, space.size, exact_cap)
-    breakpoints = _breakpoints(space)
     if mode == "exact":
-        radii, counts = [], []
-        for u in breakpoints:
-            res = covering_number(space, float(u), mode="exact", exact_cap=exact_cap)
-            radii.append(float(u))
-            counts.append(res.count)
-            if res.count == 1:
-                break
-        return CoveringProfile(tuple(radii), tuple(counts), mode)
-    _, traversal_radii = farthest_point_order(space)
-    all_counts = _greedy_counts(traversal_radii, breakpoints)
+        _check_exact_cap(space.size, exact_cap)
+        return _memoised(space, ("profile", mode), lambda: _exact_profile(space))
+    return _memoised(space, ("profile", mode), lambda: _greedy_profile(space))
+
+
+def _greedy_profile(space: FiniteMetricSpace) -> CoveringProfile:
+    breakpoints = _breakpoints(space)
+    all_counts = _greedy_counts(farthest_point_order(space)[1], breakpoints)
     stop = int(np.argmax(all_counts == 1)) + 1  # the largest breakpoint needs one ball
-    counts = tuple(int(k) for k in all_counts[:stop])
-    return CoveringProfile(tuple(float(u) for u in breakpoints[:stop]), counts, mode)
+    return CoveringProfile(tuple(breakpoints[:stop].tolist()), tuple(all_counts[:stop].tolist()),
+                           "greedy")
+
+
+def _exact_profile(space: FiniteMetricSpace) -> CoveringProfile:
+    """Exact covering numbers at every breakpoint, from one sweep over the pairs.
+
+    The balls grow pair by pair in order of distance, as bitmasks, and the
+    count c is carried from one breakpoint to the next.  A cover smaller
+    than the previous count cannot use only balls that did not grow, since
+    it would have covered at the previous radius too.  So at each
+    breakpoint c drops while, for some grown ball g, the points outside B_g
+    fit in c - 2 balls (_fits).  At 0 every ball is new and c starts at n.
+    The sweep reads d as symmetric, as validation guarantees.
+    """
+    n = space.size
+    breakpoints = _breakpoints(space)
+    rows, cols = np.triu_indices(n, 1)
+    dists = space.dist[rows, cols]
+    by_distance = np.argsort(dists, kind="stable")
+    ends = np.searchsorted(dists[by_distance], breakpoints, side="right").tolist()
+    pairs = zip(rows[by_distance].tolist(), cols[by_distance].tolist())
+    balls = [1 << i for i in range(n)]
+    sizes = [1] * n
+    full = (1 << n) - 1
+    count, done = n, 0
+    radii, counts = [], []
+    for k, end in enumerate(ends):
+        grown = set(range(n)) if k == 0 else set()
+        for i, j in itertools.islice(pairs, end - done):
+            balls[i] |= 1 << j
+            balls[j] |= 1 << i
+            sizes[i] += 1
+            sizes[j] += 1
+            grown.update((i, j))
+        done = end
+        # points in few balls first: they are the hardest to cover
+        order = sorted(range(n), key=sizes.__getitem__)
+        while count > 1 and any(_fits(full & ~balls[g], count - 2, balls, order)
+                                for g in sorted(grown)):
+            count -= 1
+        radii.append(float(breakpoints[k]))
+        counts.append(count)
+        if count == 1:
+            break
+    return CoveringProfile(tuple(radii), tuple(counts), "exact")
+
+
+def _fits(uncovered: int, budget: int, balls: list[int], order: list[int]) -> bool:
+    """Whether budget balls cover the points of uncovered (a bitmask).
+
+    balls[j] is the ball around j and, by symmetry, the set of balls that
+    hold j.  Points whose balls are pairwise disjoint share no ball, so
+    each needs its own: greedily packing such points in order gives a lower
+    bound that prunes.  Otherwise the search branches on the first
+    uncovered point in order, over the balls that hold it.
+    """
+    if not uncovered:
+        return True
+    target, used, packed = -1, 0, 0
+    for j in order:
+        if uncovered >> j & 1 and not balls[j] & used:
+            if packed == budget:
+                return False
+            if target < 0:
+                target = j
+            used |= balls[j]
+            packed += 1
+    return any(_fits(uncovered & ~balls[i], budget - 1, balls, order)
+               for i in _set_bits(balls[target]))
 
 
 @dataclass(frozen=True)
@@ -547,22 +661,21 @@ def entropy_integral(
     alpha: float,
     mode: str = "auto",
     exact_cap: int = EXACT_COVER_CAP,
-    profile: CoveringProfile | None = None,
 ) -> EntropyIntegral:
     """Integrate (log N(T,d,u))^(1/alpha) du exactly over the breakpoints.
 
     The integrand vanishes for u >= the Chebyshev radius, so the sum is
     finite.  Above the exact-cover cap the greedy profile is used and flagged
-    in the result mode.  A caller that already holds
-    covering_profile(space, mode, exact_cap) passes it as profile, and it is
-    integrated instead of being computed again.
+    in the result mode.  The profile is the one covering_profile memoises
+    on the space.  The terms are summed in order, one after the other; a
+    term whose power overflows is a DomainError.
     """
     alpha = check_real("alpha", alpha, 0.0, strict=True)
-    prof = covering_profile(space, mode=mode, exact_cap=exact_cap) if profile is None else profile
-    radii, counts = prof.radii, prof.counts
-    total = 0.0
-    for k in range(len(radii) - 1):  # the last breakpoint starts no interval
-        if counts[k] <= 1:
-            break
-        total += (radii[k + 1] - radii[k]) * math.log(counts[k]) ** (1.0 / alpha)
+    prof = _profile(space, mode, exact_cap)
+    counts = prof.counts[:-1]  # the last breakpoint starts no interval; all counts here are > 1
+    powers = {c: alpha_power(math.log(c), 1.0 / alpha, "entropy integrand (log N)^(1/alpha)",
+                             alpha) for c in set(counts)}
+    with np.errstate(over="ignore"):
+        terms = np.diff(prof.radii) * [powers[c] for c in counts]
+        total = float(np.add.accumulate(terms)[-1]) if counts else 0.0
     return EntropyIntegral(value=total, alpha=float(alpha), mode=prof.mode, profile=prof)

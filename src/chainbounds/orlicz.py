@@ -11,6 +11,7 @@ empirical (or quadrature) expectation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +76,12 @@ def psi_norm_analytic(family: str, parameter: float, alpha: float) -> OrliczNorm
     if parameter < 0:
         raise DomainError(f"family parameter must be nonnegative, got {parameter}")
     if family in ("constant", "symmetric-sign", "bounded"):
-        return OrliczNorm(alpha, parameter / LOG2 ** (1.0 / alpha), "analytic")
+        scale = LOG2 ** (1.0 / alpha)
+        if scale < 1.0 / sys.float_info.max:  # 1 / scale overflows, or scale is 0
+            raise DomainError(
+                f"psi_alpha norm factor (log 2)^(-1/alpha) is not finite at alpha = {alpha:g}"
+            )
+        return OrliczNorm(alpha, parameter / scale, "analytic")
     if family == "gaussian":
         if alpha != 2:
             raise UnsupportedFamilyError(

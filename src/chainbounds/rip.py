@@ -42,7 +42,7 @@ from .errors import (
     check_int,
     check_real,
 )
-from .processes import SEED_MAX, replication_rng
+from .processes import SEED_MAX, _replication_streams, replication_rng
 from .validation import exceedance_lower_bound, exceedance_upper_bound
 
 __all__ = [
@@ -91,12 +91,12 @@ def sample_selectors(N: int, m: int, seed: int, rep: int = 0) -> np.ndarray:
     N = check_int("N", N, 1)
     m = check_int("m", m, 0, N)
     seed = check_int("seed", seed, 0, SEED_MAX)
-    return np.flatnonzero(_selector_mask(N, m, seed, rep))
+    return np.flatnonzero(_selector_mask(replication_rng(seed, rep), N, m))
 
 
-def _selector_mask(N: int, m: int, seed: int, rep: int) -> np.ndarray:
-    """Replication rep's Bernoulli(m/N) keep mask over the N rows."""
-    return replication_rng(seed, rep).random(N) < m / N
+def _selector_mask(rng: np.random.Generator, N: int, m: int) -> np.ndarray:
+    """A replication's Bernoulli(m/N) keep mask over the N rows, drawn from its stream."""
+    return rng.random(N) < m / N
 
 
 def subsample(U, I, m: int) -> np.ndarray:
@@ -397,10 +397,11 @@ def estimate_failure_probability(
     # Grams (one replication when the table is larger), so memory does not
     # grow with reps.
     chunk = max(1, _BATCH // supports.shape[0])
+    streams = _replication_streams(seed)
     failures = 0
     realized = 0
     for lo in range(0, reps, chunk):
-        keep = np.array([_selector_mask(N, m, seed, rep)
+        keep = np.array([_selector_mask(streams(rep), N, m)
                          for rep in range(lo, min(lo + chunk, reps))])
         realized += int(keep.sum())
         failures += _screened_failures(_grams(keep, A, s), supports, delta)

@@ -24,7 +24,9 @@ every exponential tail form shared one constructor.  Two error cases came
 last: an alpha whose threshold factor e^(1/alpha) overflows
 (moments-to-tails-tiny-alpha) and u = Infinity
 (moments-to-tails-mixed-infinite-u) exit 2 with a named fault and print
-nothing.
+nothing.  So, recorded after them, do a union threshold 2^(1/alpha) and a
+moment growth p^(1/alpha) that overflow (union-probability-tiny-alpha,
+tails-to-moments-tiny-alpha).
 
 The recorded data lives in bound_golden.json next to this file.
 """

@@ -365,3 +365,12 @@ def test_chaining_tail_forms_name_an_overflowing_threshold_factor():
     reg = DEFAULT_REGISTRY.with_fitted(**{"C_0.001": 1.0, "D_0.001": 1.0})
     with pytest.raises(DomainError, match=r"threshold factor e\^\(1/alpha\)"):
         psi_alpha_supremum_bound(gamma(1.0, alpha=0.001), diam=1.0, u=1.0, registry=reg)
+
+
+def test_moment_form_names_an_overflowing_growth_factor():
+    reg = DEFAULT_REGISTRY.with_fitted(**{"C_0.0005": 1.0, "D_0.0005": 1.0})
+    with pytest.raises(DomainError, match=r"moment growth p\^\(1/alpha\) is not finite"):
+        psi_alpha_supremum_bound(gamma(1.0, alpha=0.0005, p=2.0), diam=1.0, p=2.0, registry=reg)
+    # a bad diam is still reported first
+    with pytest.raises(DomainError, match="diam"):
+        psi_alpha_supremum_bound(gamma(1.0, alpha=0.0005, p=2.0), diam=-1.0, p=2.0, registry=reg)

@@ -300,3 +300,19 @@ def test_admissible_sequences_carry_only_kind_levels_and_space():
     assert tuple(f.name for f in dataclasses.fields(admissible_sets(TRIANGLE, [[0]]))) == fields
     partition = admissible_partitions(TRIANGLE, [[[0, 1, 2]]])
     assert tuple(f.name for f in dataclasses.fields(partition)) == fields
+
+
+@pytest.mark.parametrize("compute", [
+    lambda sp, a: gamma_exact(sp, a),
+    lambda sp, a: gamma_exact(sp, a, p=2.0),
+    lambda sp, a: gamma_prime(sp, a),
+    lambda sp, a: gamma_prime(sp, a, mode="greedy"),
+    lambda sp, a: gamma_greedy(sp, a),
+    lambda sp, a: functional_value(sp, greedy_admissible_sequence(sp), a),
+])
+def test_level_weights_name_their_overflow(compute):
+    # 2^(n/alpha) past the float range: a DomainError, not an OverflowError
+    sp = space_from_points([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 2.0], [3.0, 1.0]])
+    with pytest.raises(DomainError, match=r"level weight 2\^\(n/alpha\) is not finite "
+                                          r"at alpha = 0.0005"):
+        compute(sp, 0.0005)

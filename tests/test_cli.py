@@ -408,6 +408,7 @@ def test_rip_curve_fails_before_the_first_replication(tmp_path, capsys, monkeypa
 
     draws = []
     monkeypatch.setattr(rip, "replication_rng", lambda *a: draws.append(a))
+    monkeypatch.setattr(rip, "_replication_streams", lambda *a: draws.append(a))
     code, out, err = run(["rip", "curve", "--N", "16", "--delta", "0.5", "--reps", "200",
                           "--seed", "1", "--out", str(tmp_path)] + flags, capsys)
     assert code == 2 and message in err
@@ -420,6 +421,7 @@ def test_rip_curve_over_the_enumeration_cap_draws_nothing(tmp_path, capsys, monk
 
     draws = []
     monkeypatch.setattr(rip, "replication_rng", lambda *a: draws.append(a))
+    monkeypatch.setattr(rip, "_replication_streams", lambda *a: draws.append(a))
     code, out, err = run(["rip", "curve", "--N", "40", "--s", "10", "--delta", "0.5",
                           "--m-list", "4,8", "--seed", "1", "--out", str(tmp_path)], capsys)
     assert code == 2 and "exceeds the enumeration cap" in err

@@ -291,3 +291,15 @@ def test_tail_bounds_reject_a_non_finite_u_by_name(u):
     for evaluate in (b.threshold, b.probability):
         with pytest.raises(DomainError, match="finite u"):
             evaluate(u)
+
+
+def test_powers_of_one_over_alpha_name_their_overflow():
+    # 2^(1/alpha) and p^(1/alpha) past the float range: a DomainError, not an OverflowError
+    with pytest.raises(DomainError, match=r"union bound threshold 2\^\(1/alpha\) is not finite "
+                                          r"at alpha = 0.0005"):
+        union_bound_probability(0.0005, 1.0, 2.0)
+    with pytest.raises(DomainError, match=r"moment growth p\^\(1/alpha\) is not finite "
+                                          r"at alpha = 0.0005"):
+        tails_to_moments(1.0, 1.0, 0.0005, 2.0)
+    # p = 1 has growth 1 at any alpha
+    assert tails_to_moments(1.0, 1.0, 0.0005, 1.0).value > 0

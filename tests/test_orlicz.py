@@ -191,3 +191,12 @@ def test_non_positive_or_non_finite_alpha_rejected(alpha):
         psi_norm_analytic("constant", 1.0, alpha)
     with pytest.raises(DomainError, match="alpha"):
         psi_norm_empirical([1.0, 2.0], alpha)
+
+
+@pytest.mark.parametrize("family", ["constant", "symmetric-sign", "bounded"])
+@pytest.mark.parametrize("alpha", [0.0001, 0.0005, 1e-300])
+def test_analytic_norm_names_a_factor_past_the_float_range(family, alpha):
+    # (log 2)^(1/alpha) underflows, so c / (log 2)^(1/alpha) would be inf or divide by 0
+    with pytest.raises(DomainError, match=r"\(log 2\)\^\(-1/alpha\) is not finite"):
+        psi_norm_analytic(family, 1.0, alpha)
+    assert psi_norm_analytic(family, 1.0, 0.002).value == 1.0 / math.log(2.0) ** 500.0

@@ -381,7 +381,8 @@ def reference_replication_deltas(N, m, s, reps, seed, U=None):
 
 def batched_replication_deltas(N, m, s, reps, seed, U=None):
     U = build_dft(N) if U is None else U
-    keep = np.array([rip._selector_mask(N, m, seed, rep) for rep in range(reps)])
+    keep = np.array([rip._selector_mask(rip.replication_rng(seed, rep), N, m)
+                     for rep in range(reps)])
     A = math.sqrt(N / m) * U
     supports = rip._supports(N, s)
     rows = np.repeat(np.arange(reps), len(supports))
@@ -498,6 +499,7 @@ def test_replication_chunk_boundaries(monkeypatch, batch, reps):
 def test_failure_probability_rejects_before_any_draw(monkeypatch):
     draws = []
     monkeypatch.setattr(rip, "replication_rng", lambda *a: draws.append(a))
+    monkeypatch.setattr(rip, "_replication_streams", lambda *a: draws.append(a))
     with pytest.raises(CapacityError):
         estimate_failure_probability(N=30, m=10, s=15, delta=0.5, reps=3, seed=0)
     with pytest.raises(CapacityError):
@@ -576,3 +578,26 @@ def test_non_finite_entries_are_rejected(bad):
         estimate_failure_probability(4, 2, 1, 0.5, 3, 0, U=U)
     with pytest.raises(DomainError, match="finite"):
         subsampled_instance(U, 2, 0)
+
+
+@pytest.mark.parametrize("N, m, seed", [(1, 1, 0), (8, 3, 4), (17, 16, 2**64 - 1), (64, 5, 12345),
+                                        (257, 100, 7)])
+def test_reset_streams_draw_every_selector_mask_of_a_new_stream(N, m, seed):
+    # one Philox, reset per replication, in and out of order and repeated
+    streams = rip._replication_streams(seed)
+    reps = list(range(40)) + [2**40, 3, 39, 0, 2**62, 5, 5]
+    for rep in reps:
+        ours = rip._selector_mask(streams(rep), N, m)
+        fresh = rip._selector_mask(rip.replication_rng(seed, rep), N, m)
+        np.testing.assert_array_equal(ours, fresh)
+
+
+def test_reset_stream_forgets_a_half_used_buffer():
+    # 32-bit draws leave half a word buffered; the next replication must not see it
+    streams = rip._replication_streams(9)
+    for rep in (0, 1, 1, 2):
+        rng = streams(rep)
+        fresh = rip.replication_rng(9, rep)
+        np.testing.assert_array_equal(rng.integers(0, 7, 3, dtype=np.int32),
+                                      fresh.integers(0, 7, 3, dtype=np.int32))
+        np.testing.assert_array_equal(rng.random(5), fresh.random(5))
