@@ -63,11 +63,14 @@ def truncation_level(p: float) -> int:
 
 @dataclass(frozen=True)
 class AdmissibleSequence:
-    """A validated admissible set or partition sequence over a fixed space.
+    """An admissible set or partition sequence over a fixed space.
 
     levels holds, per stored level n, a sorted tuple of point indices (set
     kind) or a tuple of disjoint sorted cells covering the space (partition
     kind); beyond the stored levels the sequence repeats its last level.
+    The raw constructor performs no validation: package builders pass it
+    levels in this form, and outside input goes through
+    :func:`admissible_sets` or :func:`admissible_partitions`.
     """
 
     kind: str  # "set" | "partition"
@@ -183,7 +186,8 @@ def functional_value(
     if seq.kind == "set":
         rows = [space.point_to_set(seq.level(n)) for n in levels]
     else:
-        rows = [_cell_diameters(space, seq.level(n)) for n in levels]
+        rows = [_cell_row(space.size, cells, map(space.subset_diameter, cells))
+                for cells in map(seq.level, levels)]
     return _weighted_sup(rows, levels, alpha)
 
 
@@ -199,11 +203,11 @@ def _level_weight(n: int, alpha: float) -> float:
     return alpha_power(2.0, n / alpha, "level weight 2^(n/alpha)", alpha)
 
 
-def _cell_diameters(space: FiniteMetricSpace, partition) -> np.ndarray:
-    """(n,): the diameter of each point's cell."""
-    row = np.zeros(space.size)
-    for cell in partition:
-        row[list(cell)] = space.subset_diameter(cell)
+def _cell_row(n: int, partition, widths) -> np.ndarray:
+    """(n,): each point's cell width, the widths given in cell order."""
+    row = np.zeros(n)
+    for cell, w in zip(partition, widths):
+        row[list(cell)] = w
     return row
 
 
@@ -220,16 +224,16 @@ def greedy_admissible_sequence(space: FiniteMetricSpace) -> AdmissibleSequence:
 
 
 def _greedy_chain(space: FiniteMetricSpace) -> tuple[tuple, np.ndarray]:
-    """The greedy sequence's validated levels and read-only (depth, n) rows
-    d(t, T_n), once per space.  The memo holds no sequence: a sequence holds
+    """The greedy sequence's levels and read-only (depth, n) rows d(t, T_n),
+    once per space.  The memo holds no sequence: a sequence holds
     its space, and a cycle would keep the space alive until a collection."""
 
     def build():
         order = farthest_point_order(space)[0].tolist()
-        levels = [order[:1]]
+        levels = [tuple(order[:1])]
         while len(levels[-1]) < len(order):
-            levels.append(order[:level_capacity(len(levels))])
-        levels = admissible_sets(space, levels).levels
+            levels.append(tuple(sorted(order[:level_capacity(len(levels))])))
+        levels = tuple(levels)
         return levels, _read_only(np.array([space.point_to_set(lvl) for lvl in levels]))
 
     return _memoised(space, "greedy_sequence", build)
@@ -302,8 +306,7 @@ def gamma_exact(
     free_levels = list(range(l, n_star))
     if not free_levels:
         # the truncated sum can start at a level that may hold all of T
-        levels = [(0,)] * l + [all_points]
-        seq = admissible_sets(space, levels)
+        seq = AdmissibleSequence(kind="set", levels=((0,),) * l + (all_points,), space=space)
         return GammaEstimate(alpha=float(alpha), p=float(p), l=l, value=0.0,
                              mode="exact", sequence=seq)
 
@@ -331,7 +334,7 @@ def gamma_exact(
     levels = [best_combo[0][:1]] * l
     levels.extend(best_combo)
     levels.append(all_points)
-    seq = admissible_sets(space, levels)
+    seq = AdmissibleSequence(kind="set", levels=tuple(levels), space=space)
     return GammaEstimate(alpha=float(alpha), p=float(p), l=l, value=best_val,
                          mode="exact", sequence=seq)
 
@@ -396,6 +399,7 @@ def gamma_prime(
         levels = [trivial]
         current = trivial
         widths = [space.subset_diameter(trivial[0])]  # kept in step with the cells
+        rows = [_cell_row(n, current, widths)]
         lvl = 0
         while max(widths) > 0:
             lvl += 1
@@ -419,8 +423,9 @@ def gamma_prime(
             ordered = sorted(zip((tuple(sorted(c)) for c in cells), widths))
             current, widths = tuple(c for c, _ in ordered), [w for _, w in ordered]
             levels.append(current)
-        seq = admissible_partitions(space, levels)
-        val = functional_value(space, seq, alpha, 1.0)
+            rows.append(_cell_row(n, current, widths))
+        seq = AdmissibleSequence(kind="partition", levels=tuple(levels), space=space)
+        val = _weighted_sup(rows, range(len(rows)), alpha)
         return GammaEstimate(alpha=float(alpha), p=1.0, l=0, value=val,
                              mode="greedy", sequence=seq)
 
@@ -449,7 +454,7 @@ def gamma_prime(
         if widest[best] > 0.0:
             chain.append(singletons)
         val = float(vals[best])
-    seq = admissible_partitions(space, chain)
+    seq = AdmissibleSequence(kind="partition", levels=tuple(chain), space=space)
     return GammaEstimate(alpha=float(alpha), p=1.0, l=0, value=val,
                          mode="exact", sequence=seq)
 

@@ -59,12 +59,13 @@ _ARRAY_BUDGET_BYTES = 200_000_000
 MAX_POINTS = math.isqrt(_ARRAY_BUDGET_BYTES // 8)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteMetricSpace:
     """An immutable finite semi-metric space.
 
     Use :func:`build_metric_space` or :func:`space_from_points`; the raw
-    constructor performs no validation.
+    constructor performs no validation.  Spaces compare and hash by
+    identity: two spaces with equal contents are distinct objects.
     """
 
     labels: tuple

@@ -85,8 +85,10 @@ def replication_rng(seed: int, rep: int) -> np.random.Generator:
     """The Philox stream with counter word 2 = rep (order-independent).
 
     The simulators draw block rep from it; the RIP estimators draw
-    replication rep from it.
+    replication rep from it.  rep is an integer in [0, 2^63 - 1]: past that
+    numpy can no longer set the counter word exactly.
     """
+    rep = check_int("rep", rep, 0, 2**63 - 1)
     return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, rep, 0]))
 
 

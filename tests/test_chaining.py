@@ -24,6 +24,7 @@ from chainbounds import (
     space_from_points,
     truncation_level,
 )
+from chainbounds import chaining
 from chainbounds.errors import CapacityError
 
 TWO = build_metric_space([[0, 1], [1, 0]])
@@ -289,10 +290,10 @@ def test_greedy_gamma_prime_measures_each_level_once(n, seed, monkeypatch):
     monkeypatch.setattr(type(sp), "subset_diameter",
                         lambda self, c: calls.append(1) or diameter(self, c))
     levels = gamma_prime(sp, 2.0, mode="greedy").sequence.levels
-    # one for T, two per split, then functional_value: the final cells once for
-    # covers_space and every level's cells once for the sum
+    # one for T and two per split; the value is read from those widths, where
+    # functional_value measured the final cells and every level's cells again
     splits = len(levels[-1]) - 1
-    assert len(calls) == 1 + 2 * splits + len(levels[-1]) + sum(len(lvl) for lvl in levels)
+    assert len(calls) == 1 + 2 * splits
 
 
 def test_admissible_sequences_carry_only_kind_levels_and_space():
@@ -316,3 +317,59 @@ def test_level_weights_name_their_overflow(compute):
     with pytest.raises(DomainError, match=r"level weight 2\^\(n/alpha\) is not finite "
                                           r"at alpha = 0.0005"):
         compute(sp, 0.0005)
+
+
+# ---------------------------------------------------------------------------
+# package-built sequences: valid by construction, checked here instead of at
+# run time
+
+
+@st.composite
+def small_spaces(draw):
+    """1-16 points under l1, l2 or linf; coordinates rounded or not, and
+    possibly one point repeated (a zero off the diagonal)."""
+    n = draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.normal(size=(n, draw(st.integers(1, 3))))
+    decimals = draw(st.sampled_from([None, 0, 1]))
+    if decimals is not None:
+        pts = np.round(pts, decimals)
+    if n > 1 and draw(st.booleans()):
+        pts[0] = pts[-1]
+    return space_from_points(pts, norm=draw(st.sampled_from(["l1", "l2", "linf"])))
+
+
+def assert_canonical(space, seq):
+    validate = admissible_sets if seq.kind == "set" else admissible_partitions
+    assert validate(space, seq.levels).levels == seq.levels
+
+
+@given(small_spaces(), st.sampled_from([0.5, 1.0, 2.0]))
+@settings(max_examples=60, deadline=None)
+def test_builders_return_canonical_admissible_sequences_and_their_values(space, alpha):
+    estimates = [gamma_exact(space, alpha, p, exact_cap=16) for p in (1.0, 2.0, 4.0, 16.0)]
+    estimates.append(gamma_prime(space, alpha, mode="greedy"))
+    if space.size <= 12:
+        estimates.append(gamma_prime(space, alpha, exact_cap=12))
+    estimates.append(gamma_greedy(space, alpha))
+    for est in estimates:
+        assert_canonical(space, est.sequence)
+        assert functional_value(space, est.sequence, est.alpha, est.p) == est.value
+    assert_canonical(space, greedy_admissible_sequence(space))
+
+
+def test_builders_call_no_validator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a package builder called a public validator")
+
+    for name in ("admissible_sets", "admissible_partitions", "functional_value"):
+        monkeypatch.setattr(chaining, name, refuse)
+    rng = np.random.default_rng(7)
+    for n in (1, 3, 6, 9):
+        space = space_from_points(rng.normal(size=(n, 2)))  # fresh: nothing memoised
+        for p in (1.0, 2.0, 4.0):
+            gamma_exact(space, 2.0, p, exact_cap=9)
+        gamma_prime(space, 2.0, exact_cap=9)
+        gamma_prime(space, 2.0, mode="greedy")
+        gamma_greedy(space, 2.0)
+        greedy_admissible_sequence(space)

@@ -20,6 +20,7 @@ from chainbounds import (
     covering_number,
     covering_profile,
     entropy_integral,
+    gamma_exact,
     space_from_json,
     space_from_points,
 )
@@ -53,6 +54,16 @@ def test_semi_metric_zeros_allowed():
     # axioms above are enforced.
     sp = build_metric_space([[0, 0], [0, 0]], labels=("a", "b"))
     assert sp.diameter() == 0.0
+
+
+def test_spaces_compare_and_hash_by_identity():
+    a, b = build_metric_space([[0, 1], [1, 0]]), build_metric_space([[0, 1], [1, 0]])
+    assert a == a and a != b  # equal contents, distinct spaces
+    assert len({a, b, a}) == 2
+    # what holds a space compares through it without raising
+    ea, eb = gamma_exact(a, 2.0), gamma_exact(b, 2.0)
+    assert ea.sequence == gamma_exact(a, 2.0).sequence and ea.sequence != eb.sequence
+    assert ea == gamma_exact(a, 2.0) and ea != eb
 
 
 def test_labels_default_and_mismatch():

@@ -1,6 +1,7 @@
 """Process models, seeded simulators, and exact small-instance distributions."""
 
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -344,6 +345,25 @@ def test_replication_rng_reproducible_streams():
     c = replication_rng(42, 8).standard_normal(5)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("rep, message", [
+    (-1, "rep must be >= 0 and <= 9223372036854775807, got -1"),
+    (1.5, "rep must be an integer, got 1.5"),
+    (2**64 - 2, "rep must be >= 0 and <= 9223372036854775807, got 18446744073709551614"),
+    (2**64, "rep must be >= 0 and <= 9223372036854775807, got 18446744073709551616"),
+])
+def test_replication_rng_rejects_a_bad_rep(rep, message):
+    # a negative rep used to wrap the counter, and a huge one to warn or overflow
+    with pytest.raises(DomainError, match=re.escape(message)):
+        replication_rng(1, rep)
+
+
+def test_replication_rng_takes_reps_up_to_its_stated_limit():
+    assert replication_rng(1, 2**63 - 1).standard_normal(3).shape == (3,)
+    a = replication_rng(1, 7).standard_normal(3)
+    np.testing.assert_array_equal(a, replication_rng(1, np.int64(7)).standard_normal(3))
+    np.testing.assert_array_equal(a, replication_rng(1, 7.0).standard_normal(3))
 
 
 def test_simulate_gaussian_deterministic():

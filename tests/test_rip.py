@@ -141,6 +141,14 @@ def test_selectors_expected_count():
     assert abs(np.mean(sizes) - 30.0) <= 4 * se
 
 
+@pytest.mark.parametrize("rep", [-1, 1.5, 2**64])
+def test_selectors_reject_a_bad_rep(rep):
+    with pytest.raises(DomainError, match="rep must be"):
+        sample_selectors(8, 3, 1, rep=rep)
+    with pytest.raises(DomainError, match="rep must be"):
+        subsampled_instance(build_dft(8), 3, 1, rep=rep)
+
+
 def test_selectors_deterministic_per_rep():
     a = sample_selectors(40, 10, seed=3, rep=5)
     b = sample_selectors(40, 10, seed=3, rep=5)
@@ -315,6 +323,8 @@ def test_bos_sample_matrix():
     np.testing.assert_allclose((np.abs(M) ** 2).sum(axis=1), N / 4.0)
     np.testing.assert_allclose(M, sys.sample_matrix(4, seed=2))
     assert not np.allclose(M, sys.sample_matrix(4, seed=3))
+    with pytest.raises(DomainError, match="rep must be"):
+        sys.sample_matrix(4, seed=2, rep=-1)
 
 
 @settings(max_examples=15, deadline=None)
