@@ -286,10 +286,13 @@ def gamma_exact(
     """Exact order-p functional by exhaustive admissible-sequence search.
 
     Levels from the first n with 2^(2^n) >= |T| onward are fixed to the whole
-    space (free and optimal), so only levels l..n*-1 are enumerated.  Each
-    free level gets one weighted table of d(t, S) over its candidate sets S;
-    the last level's table is summed by broadcasting against every choice at
-    the earlier levels, and the first minimum in product order wins.
+    space (free and optimal), so only levels l..n*-1 are searched, each
+    through one weighted table of d(t, S) over its candidate sets S.  One
+    free level takes its table's first minimum; levels 0 and 1 (5 to 16
+    points at p < 2) are searched together by broadcasting, and the first
+    minimum in (T_0, T_1) order wins.  Any other two or more free levels put
+    level 2 (2^17 - 2 candidate sets on 17 points) beside another level, and
+    are refused with CapacityError before a table is built.
     """
     check_real("alpha", alpha, 0.0, strict=True)
     n = space.size
@@ -309,27 +312,23 @@ def gamma_exact(
         seq = AdmissibleSequence(kind="set", levels=((0,),) * l + (all_points,), space=space)
         return GammaEstimate(alpha=float(alpha), p=float(p), l=l, value=0.0,
                              mode="exact", sequence=seq)
+    # an overflowing weight keeps its DomainError ahead of the refusal
+    weights = [_level_weight(lvl, alpha) for lvl in free_levels]
+    if len(free_levels) > 1 and free_levels != [0, 1]:
+        raise CapacityError(
+            f"exact gamma search refused: {n} points at p = {p:g} leave levels "
+            f"{free_levels} free, and only levels 0 and 1 are searched together"
+        )
 
-    choices, tables = [], []
-    for lvl in free_levels:
-        subsets, table = _distance_table(space, min(level_capacity(lvl), n))
-        choices.append(subsets)
-        tables.append(_level_weight(lvl, alpha) * table)
-
-    best_val = math.inf
-    best_combo = None
-    for head in itertools.product(*(range(len(c)) for c in choices[:-1])):
-        acc = tables[-1]
-        if head:
-            partial = tables[0][head[0]]
-            for table, i in zip(tables[1:], head[1:]):
-                partial = partial + table[i]
-            acc = partial + acc
-        vals = acc.max(axis=1)
-        last = int(np.argmin(vals))  # first minimum
-        if vals[last] < best_val:
-            best_val = float(vals[last])
-            best_combo = [c[i] for c, i in zip(choices, head + (last,))]
+    choices, tables = zip(*(_distance_table(space, min(level_capacity(lvl), n))
+                            for lvl in free_levels))
+    total = weights[0] * tables[0]
+    if len(tables) == 2:  # levels 0 and 1
+        total = total[:, None, :] + weights[1] * tables[1]
+    vals = total.max(axis=-1)
+    best = np.unravel_index(int(np.argmin(vals)), vals.shape)  # the first minimum
+    best_val = float(vals[best])
+    best_combo = [c[i] for c, i in zip(choices, best)]
     # levels below l never enter the sum; a singleton keeps them admissible
     levels = [best_combo[0][:1]] * l
     levels.extend(best_combo)

@@ -160,7 +160,7 @@ def psi_product_bound(x: OrliczNorm, y: OrliczNorm) -> OrliczNorm:
 
 def psi_tail_envelope(norm: OrliczNorm, u: float) -> float:
     """Markov tail P(|X| >= u) <= 2 exp(-(u/||X||)^alpha), clipped to [0, 1]."""
-    if u < 0:
+    if not u >= 0:
         raise DomainError(f"threshold must be nonnegative, got {u}")
     if norm.value == 0.0:
         return 0.0 if u > 0 else 1.0

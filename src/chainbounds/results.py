@@ -29,9 +29,9 @@ class PowerEnvelope:
     power: float
 
     def __post_init__(self):
-        if self.prefactor <= 0:
+        if not self.prefactor > 0:
             raise DomainError(f"envelope prefactor must be positive, got {self.prefactor}")
-        if self.rate < 0 or self.power <= 0:
+        if not (self.rate >= 0 and self.power > 0):
             raise DomainError("envelope rate must be >= 0 and power > 0")
 
     def probability(self, u) -> float | np.ndarray:
@@ -58,9 +58,9 @@ class MinEnvelope:
     sinf: float
 
     def __post_init__(self):
-        if self.prefactor <= 0 or self.c < 0:
+        if not (self.prefactor > 0 and self.c >= 0):
             raise DomainError("envelope prefactor must be positive and c >= 0")
-        if self.s2 <= 0 or self.sinf <= 0:
+        if not (self.s2 > 0 and self.sinf > 0):
             raise DomainError("envelope scales must be positive")
 
     def probability(self, u) -> float | np.ndarray:
@@ -162,7 +162,7 @@ class MomentBound:
     name: str = ""
 
     def __post_init__(self):
-        if self.p < 1:
+        if not self.p >= 1:
             raise DomainError(f"moment order must be >= 1, got {self.p}")
         for label, v in self.decomposition:
             if v < 0 or not math.isfinite(v):

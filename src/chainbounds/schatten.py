@@ -35,7 +35,7 @@ def schatten_norm(a, q: float) -> float:
     s = np.linalg.svd(arr, compute_uv=False)
     if math.isinf(q):
         return float(s.max(initial=0.0))
-    if q < 1:
+    if not q >= 1:
         raise DomainError(f"Schatten exponent must be >= 1 or inf, got {q}")
     return float(np.sum(s**q) ** (1.0 / q))
 

@@ -30,7 +30,7 @@ from chainbounds import (
     truncation_level,
 )
 from chainbounds import chaining
-from chainbounds.errors import CapacityError
+from chainbounds.errors import CapacityError, DomainError
 
 
 def reference_gamma_exact(space, alpha, p):
@@ -231,6 +231,26 @@ def test_exact_searches_on_tied_and_degenerate_spaces():
         assert_matches_reference(space)
 
 
+def _grid_with_repeats():
+    pts = np.random.default_rng(16).integers(0, 3, size=(16, 2)).astype(float)
+    pts[[5, 11]] = pts[[0, 3]]  # integer ties and repeated points
+    return space_from_points(pts, norm="l1")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: space_from_points(np.random.default_rng(12).normal(size=(12, 2))),
+    lambda: space_from_points(np.random.default_rng(16).normal(size=(16, 3)), norm="linf"),
+    _grid_with_repeats,
+], ids=["normal-12-l2", "normal-16-linf", "grid-16-l1"])
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_exact_gamma_matches_the_loop_where_its_table_is_largest(build, p):
+    # levels 0 and 1 are both free at p = 1, level 1 alone at p = 2
+    space = build()
+    for alpha in (2.0, 0.7):
+        est = gamma_exact(space, alpha, p=p, exact_cap=16)
+        assert (est.value, est.sequence.levels) == reference_gamma_exact(space, alpha, p)
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_partition_table_runs_in_search_order(n):
     expected = [tuple(sum(1 << i for i in cell) for cell in part)
@@ -261,3 +281,22 @@ def test_exact_gamma_prime_refuses_more_than_16_points_at_once(monkeypatch):
         gamma_prime(space, 2.0, exact_cap=16)
     # no search is needed when every point coincides or level 1 holds them all
     assert gamma_prime(build_metric_space(np.zeros((17, 17))), 2.0, exact_cap=17).value == 0.0
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_exact_gamma_refuses_unfinishable_searches_at_once(monkeypatch, p):
+    # 17 points leave levels 0..2 (p = 1) or 1..2 (p = 2) free: no table is built
+    space = space_from_points(np.random.default_rng(17).normal(size=(17, 3)))
+    with monkeypatch.context() as patched:
+        patched.setattr(chaining, "_distance_table",
+                        lambda space, max_size: pytest.fail("built a distance table"))
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match=f"17 points at p = {p:g}"):
+            gamma_exact(space, 2.0, p=p, exact_cap=17)
+        assert time.perf_counter() - start < 1.0
+        # an overflowing level weight is still named first, as before the refusal
+        with pytest.raises(DomainError, match="level weight 2\\^\\(n/alpha\\) is not finite"):
+            gamma_exact(space, 0.0005, p=p, exact_cap=17)
+    # a single free level >= 2 still runs, and no free level costs nothing
+    assert gamma_exact(space, 2.0, p=4.0, exact_cap=17).value > 0.0
+    assert gamma_exact(space, 2.0, p=8.0, exact_cap=17).value == 0.0

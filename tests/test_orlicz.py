@@ -163,6 +163,12 @@ def test_tail_envelope():
     assert psi_tail_envelope(zero, 1.0) == 0.0
 
 
+@pytest.mark.parametrize("u", [-1.0, float("nan")])
+def test_tail_envelope_rejects_a_negative_or_nan_threshold(u):
+    with pytest.raises(DomainError, match="threshold must be nonnegative"):
+        psi_tail_envelope(OrliczNorm(2.0, 1.0, "analytic"), u)
+
+
 @given(st.floats(0.0, 10.0), st.floats(0.1, 5.0))
 @settings(max_examples=60, deadline=None)
 def test_tail_envelope_nonincreasing(u, value):

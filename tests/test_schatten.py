@@ -45,6 +45,11 @@ def test_schatten_norm_rejects_small_q():
         schatten_norm(np.eye(2), 0.5)
 
 
+def test_schatten_norm_rejects_nan_q():
+    with pytest.raises(DomainError, match="must be >= 1 or inf, got nan"):
+        schatten_norm(np.eye(2), float("nan"))
+
+
 @given(st.integers(0, 10_000), st.integers(1, 4))
 @settings(max_examples=50, deadline=None)
 def test_schatten_ordering_random(seed, n):

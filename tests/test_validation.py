@@ -13,6 +13,7 @@ from chainbounds import (
     CapacityError,
     DomainError,
     GammaEstimate,
+    MinEnvelope,
     MomentBound,
     MomentEstimate,
     PowerEnvelope,
@@ -355,6 +356,29 @@ def test_tail_bound_direct_construction_roundtrip():
     # 10% of draws sit at 5 >= 3; envelope 2e^-3 ~ 0.0996 vs CP upper ~ 0.171
     assert report.rows[0]["empirical"] == pytest.approx(0.1)
     assert report.verdict == "inconclusive"
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: PowerEnvelope(prefactor=_NAN, rate=1.0, power=1.0), "prefactor must be positive"),
+        (lambda: PowerEnvelope(prefactor=1.0, rate=_NAN, power=1.0), "rate must be >= 0"),
+        (lambda: PowerEnvelope(prefactor=1.0, rate=1.0, power=_NAN), "power > 0"),
+        (lambda: MinEnvelope(prefactor=_NAN, c=1.0, s2=1.0, sinf=1.0), "prefactor must be"),
+        (lambda: MinEnvelope(prefactor=1.0, c=_NAN, s2=1.0, sinf=1.0), "c >= 0"),
+        (lambda: MinEnvelope(prefactor=1.0, c=1.0, s2=_NAN, sinf=1.0), "scales must be positive"),
+        (lambda: MinEnvelope(prefactor=1.0, c=1.0, s2=1.0, sinf=_NAN), "scales must be positive"),
+        (lambda: MomentBound(p=_NAN, decomposition=(("all", 1.0),)), "moment order must be >= 1"),
+    ],
+    ids=["power-prefactor", "power-rate", "power-power", "min-prefactor", "min-c", "min-s2",
+         "min-sinf", "moment-p"],
+)
+def test_result_types_reject_nan_fields(build, message):
+    with pytest.raises(DomainError, match=message):
+        build()
 
 
 @pytest.mark.parametrize(
