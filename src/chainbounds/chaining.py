@@ -42,6 +42,10 @@ __all__ = [
 ]
 
 GAMMA_EXACT_CAP = 6
+# The most entries an exact search's table may hold (float64: 32 MB).  It
+# admits gamma_exact on up to 16 points and on 17 at a lone free level 2,
+# and gamma_prime on up to 12 points.
+_TABLE_BUDGET = 1 << 22
 
 
 def _doubly_exponential(l: int) -> int:
@@ -277,6 +281,16 @@ def _distance_table(space: FiniteMetricSpace, max_size: int) -> tuple[tuple, np.
     return subsets, np.concatenate([space.dist[:, idx].min(axis=2).T for idx in index])
 
 
+def _check_table_budget(search: str, n: int, p: float, free_levels, entries: int) -> None:
+    """CapacityError, before anything is built, when a search's table would
+    hold more than _TABLE_BUDGET entries."""
+    if entries > _TABLE_BUDGET:
+        raise CapacityError(
+            f"{search} search refused: {n} points at p = {p:g} leave levels {free_levels} "
+            f"free, a table of {entries} entries, above the budget of {_TABLE_BUDGET}"
+        )
+
+
 def gamma_exact(
     space: FiniteMetricSpace,
     alpha: float,
@@ -286,13 +300,12 @@ def gamma_exact(
     """Exact order-p functional by exhaustive admissible-sequence search.
 
     Levels from the first n with 2^(2^n) >= |T| onward are fixed to the whole
-    space (free and optimal), so only levels l..n*-1 are searched, each
-    through one weighted table of d(t, S) over its candidate sets S.  One
-    free level takes its table's first minimum; levels 0 and 1 (5 to 16
-    points at p < 2) are searched together by broadcasting, and the first
-    minimum in (T_0, T_1) order wins.  Any other two or more free levels put
-    level 2 (2^17 - 2 candidate sets on 17 points) beside another level, and
-    are refused with CapacityError before a table is built.
+    space (free and optimal), so only levels l..n*-1 are searched.  Each free
+    level's weighted table of d(t, S) over its candidate sets S lies along its
+    own axis, the tables are added in level order, and the first minimum of
+    the per-point maximum, in candidate order, wins.  A search whose table
+    would exceed _TABLE_BUDGET entries is refused with CapacityError before
+    any table is built.
     """
     check_real("alpha", alpha, 0.0, strict=True)
     n = space.size
@@ -314,17 +327,14 @@ def gamma_exact(
                              mode="exact", sequence=seq)
     # an overflowing weight keeps its DomainError ahead of the refusal
     weights = [_level_weight(lvl, alpha) for lvl in free_levels]
-    if len(free_levels) > 1 and free_levels != [0, 1]:
-        raise CapacityError(
-            f"exact gamma search refused: {n} points at p = {p:g} leave levels "
-            f"{free_levels} free, and only levels 0 and 1 are searched together"
-        )
+    sizes = [min(level_capacity(lvl), n) for lvl in free_levels]
+    _check_table_budget("exact gamma", n, p, free_levels, n * math.prod(
+        sum(math.comb(n, k) for k in range(1, size + 1)) for size in sizes))
 
-    choices, tables = zip(*(_distance_table(space, min(level_capacity(lvl), n))
-                            for lvl in free_levels))
+    choices, tables = zip(*(_distance_table(space, size) for size in sizes))
     total = weights[0] * tables[0]
-    if len(tables) == 2:  # levels 0 and 1
-        total = total[:, None, :] + weights[1] * tables[1]
+    for w, table in zip(weights[1:], tables[1:]):
+        total = total[..., None, :] + w * table
     vals = total.max(axis=-1)
     best = np.unravel_index(int(np.argmin(vals)), vals.shape)  # the first minimum
     best_val = float(vals[best])
@@ -386,8 +396,10 @@ def gamma_prime(
     the chain at zero cost, so on up to 16 = level_capacity(2) points level
     1 is the only free level.  Its candidates are a cached per-size table of
     partitions into at most 4 cells, read against a per-call table of every
-    subset's diameter; above 16 points the search is refused.  Greedy mode
-    repeatedly splits the widest cell by farthest-pair seeding.
+    subset's diameter; above 16 points the search is refused, and so is one
+    whose table would exceed _TABLE_BUDGET entries (13 or more points), both
+    before any table is built.  Greedy mode repeatedly splits the widest cell
+    by farthest-pair seeding.
     """
     check_real("alpha", alpha, 0.0, strict=True)
     n = space.size
@@ -442,8 +454,11 @@ def gamma_prime(
     elif n > level_capacity(2):
         raise CapacityError(f"exact gamma' search handles at most 16 points, space has {n}")
     else:
-        # Level 1 is the only free level.  Rounding is monotone, so each
-        # partition's largest per-point sum is the one at its widest cell.
+        # Level 1 is the only free level.  Its table holds 4 cells for each
+        # of the sum_{k<=4} S(n, k) = (4^n + 6 * 2^n + 8) / 24 partitions.
+        _check_table_budget("exact gamma'", n, 1.0, [1], (4**n + 6 * 2**n + 8) // 6)
+        # Rounding is monotone, so each partition's largest per-point sum is
+        # the one at its widest cell.
         cells = _level_one_partitions(n)
         widest = _subset_diameters(space.dist)[cells].max(axis=1)
         vals = diam_t + _level_weight(1, alpha) * widest

@@ -93,7 +93,7 @@ def _registry(args, inline=None) -> tuple[ConstantRegistry, dict | None]:
     if args.fit:
         reg = ConstantRegistry.from_json(args.fit)
     if inline:
-        reg = reg.with_fitted(**{str(k): float(v) for k, v in inline.items()})
+        reg = reg.with_fitted(**{str(k): v for k, v in inline.items()})
     return reg, (dict(reg.fitted) if args.fit else None)
 
 

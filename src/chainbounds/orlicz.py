@@ -34,7 +34,7 @@ def psi_alpha(x, alpha: float):
     """exp(x^alpha) - 1 for x >= 0, with overflow saturating to inf."""
     check_real("alpha", alpha, 0.0, strict=True)
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0):
+    if not np.all(arr >= 0):  # NaN fails too
         raise DomainError("psi_alpha is defined for nonnegative arguments")
     with np.errstate(over="ignore"):
         out = np.expm1(arr ** alpha)
@@ -59,8 +59,7 @@ class OrliczNorm:
 
     def scaled(self, factor: float) -> "OrliczNorm":
         """Norm of factor * X (positive homogeneity)."""
-        if factor < 0:
-            raise DomainError("scaling factor must be nonnegative")
+        factor = check_real("scaling factor", factor, 0.0)
         return OrliczNorm(self.alpha, self.value * factor, self.source, self.sample_count)
 
 
@@ -73,8 +72,7 @@ def psi_norm_analytic(family: str, parameter: float, alpha: float) -> OrliczNorm
     constant case.
     """
     check_real("alpha", alpha, 0.0, strict=True)
-    if parameter < 0:
-        raise DomainError(f"family parameter must be nonnegative, got {parameter}")
+    parameter = check_real("family parameter", parameter, 0.0)
     if family in ("constant", "symmetric-sign", "bounded"):
         scale = LOG2 ** (1.0 / alpha)
         if scale < 1.0 / sys.float_info.max:  # 1 / scale overflows, or scale is 0

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -37,10 +38,12 @@ class ConstantRegistry:
 
     def __post_init__(self):
         for name, v in self.fitted.items():
-            fv = float(v)
-            if not math.isfinite(fv) or fv <= 0:
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise DomainError(f"fitted constant {name!r} must be a real number, got {v!r}")
+            if not (math.isfinite(v) and v > 0):
                 raise DomainError(f"fitted constant {name!r} must be finite and positive, got {v}")
-        object.__setattr__(self, "fitted", MappingProxyType(dict(self.fitted)))
+        fitted = {name: float(v) for name, v in self.fitted.items()}
+        object.__setattr__(self, "fitted", MappingProxyType(fitted))
 
     def with_fitted(self, **named: float) -> "ConstantRegistry":
         merged = dict(self.fitted)
@@ -53,7 +56,7 @@ class ConstantRegistry:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise DomainError("constants file must hold a JSON object of name -> value")
-        return cls(fitted={str(k): float(v) for k, v in data.items()})
+        return cls(fitted={str(k): v for k, v in data.items()})
 
     def _chaining(self, name: str, defaults: dict, alpha: float) -> tuple[float, bool]:
         key = f"{name}_{alpha:g}"

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import CapacityError, DomainError, check_confidence, check_int, check_real
 from .processes import SIGN_ENUM_CAP, SupremumSample, exact_chaos_distribution, sign_patterns
@@ -109,7 +108,9 @@ def exceedance_upper_bound(k: int, n: int, confidence: float = CONFIDENCE) -> fl
     k, n, confidence = _exceedance_args(k, n, confidence)
     if k == n:
         return 1.0
-    return float(special.betaincinv(k + 1, n - k, confidence))
+    from scipy.special import betaincinv  # here, so that importing the package loads no scipy
+
+    return float(betaincinv(k + 1, n - k, confidence))
 
 
 def exceedance_lower_bound(k: int, n: int, confidence: float = CONFIDENCE) -> float:
@@ -117,7 +118,9 @@ def exceedance_lower_bound(k: int, n: int, confidence: float = CONFIDENCE) -> fl
     k, n, confidence = _exceedance_args(k, n, confidence)
     if k == 0:
         return 0.0
-    return float(special.betaincinv(k, n - k + 1, 1.0 - confidence))
+    from scipy.special import betaincinv
+
+    return float(betaincinv(k, n - k + 1, 1.0 - confidence))
 
 
 @dataclass(frozen=True)

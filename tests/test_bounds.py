@@ -1,6 +1,8 @@
 """Supremum bounds for the supported process families."""
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from chainbounds import (
     DEFAULT_REGISTRY,
+    ConstantRegistry,
     DomainError,
     GammaEstimate,
     L2_INCREMENT_COEFF,
@@ -359,6 +362,33 @@ def test_chaining_constants_share_one_lookup():
         reg.chaining_D(1.0)
     with pytest.raises(MissingConstantError, match="constant C for alpha = 3; .* named 'C_3'"):
         reg.chaining_C(3.0)
+
+
+@pytest.mark.parametrize("value", [True, False, "3", None, [1.0], {"v": 1.0}])
+def test_fitted_constants_must_be_numbers(tmp_path, value):
+    with pytest.raises(DomainError, match="fitted constant 'chaos_C' must be a real number"):
+        DEFAULT_REGISTRY.with_fitted(chaos_C=value)
+    path = tmp_path / "fit.json"
+    path.write_text(json.dumps({"chaos_C": value}))
+    with pytest.raises(DomainError, match="fitted constant 'chaos_C' must be a real number"):
+        ConstantRegistry.from_json(path)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+def test_fitted_constants_must_be_finite_and_positive(tmp_path, value):
+    message = f"fitted constant 'chaos_C' must be finite and positive, got {value}"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        DEFAULT_REGISTRY.with_fitted(chaos_C=value)
+    path = tmp_path / "fit.json"
+    path.write_text(json.dumps({"chaos_C": value}))
+    with pytest.raises(DomainError, match=re.escape(message)):
+        ConstantRegistry.from_json(path)
+
+
+def test_fitted_constants_are_stored_as_floats():
+    reg = DEFAULT_REGISTRY.with_fitted(chaos_C=3, chaos_c=np.float64(0.5), union_c=np.int64(2))
+    assert reg.require("chaos_C") == (3.0, True) and reg.union_c() == (2.0, True)
+    assert [type(v) for v in reg.fitted.values()] == [float, float, float]
 
 
 def test_chaining_tail_forms_name_an_overflowing_threshold_factor():

@@ -621,6 +621,15 @@ def test_runs_without_fit_hash_no_fit_entry(tmp_path, capsys):
     assert load_json(artifact(tmp_path, "bound"))["config"]["fit"] is None
 
 
+@pytest.mark.parametrize("value", [True, "3"])
+def test_inline_fit_must_hold_numbers(tmp_path, capsys, value):
+    sim = gaussian_sim_config(tmp_path, fit={"C_2": value})
+    code, out, err = run(["simulate", "--config", str(sim), "--out", str(tmp_path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: fitted constant 'C_2' must be a real number, got {value!r}\n"
+    assert not list(tmp_path.glob("simulate-*"))
+
+
 @pytest.mark.parametrize(
     "name, params, named",
     [("moments-to-tails", {"a": 1.3, "b": 0.5, "alpha": 0.001}, "threshold factor e^(1/alpha)"),

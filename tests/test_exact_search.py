@@ -300,3 +300,51 @@ def test_exact_gamma_refuses_unfinishable_searches_at_once(monkeypatch, p):
     # a single free level >= 2 still runs, and no free level costs nothing
     assert gamma_exact(space, 2.0, p=4.0, exact_cap=17).value > 0.0
     assert gamma_exact(space, 2.0, p=8.0, exact_cap=17).value == 0.0
+
+
+@pytest.mark.parametrize("search, n", [
+    ("gamma", 18), ("gamma", 19), ("gamma", 24), ("prime", 13), ("prime", 16),
+])
+def test_exact_searches_refuse_tables_above_the_budget_at_once(monkeypatch, search, n):
+    # a lone level 2 at p = 4 on 18+ points, level 1's partitions on 13-16
+    space = space_from_points(np.random.default_rng(n).normal(size=(n, 3)))
+    monkeypatch.setattr(chaining, "_distance_table",
+                        lambda space, max_size: pytest.fail("built a distance table"))
+    monkeypatch.setattr(chaining, "_level_one_partitions",
+                        lambda n: pytest.fail("built a partition table"))
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match=f"{n} points at p = .* a table of \\d+ entries"):
+        if search == "gamma":
+            gamma_exact(space, 2.0, p=4.0, exact_cap=n)
+        else:
+            gamma_prime(space, 2.0, exact_cap=n)
+    assert time.perf_counter() - start < 1.0
+
+
+def _refused_entries(search):
+    with pytest.raises(CapacityError) as refused:
+        search()
+    return int(str(refused.value).split(" a table of ")[1].split()[0])
+
+
+@pytest.mark.parametrize("n", range(1, 18))
+def test_budget_counts_the_entries_of_the_table_it_would_build(monkeypatch, n):
+    monkeypatch.setattr(chaining, "_TABLE_BUDGET", 0)
+    space = space_from_points(np.random.default_rng(n).normal(size=(n, 2)))
+    for p in (1.0, 2.0, 4.0):
+        free = range(truncation_level(p), 3 if n > 16 else 2 if n > 4 else 1 if n > 1 else 0)
+        if not free:
+            assert gamma_exact(space, 2.0, p=p, exact_cap=n).value == 0.0
+            continue
+        rows = [len(chaining._subset_index(n, min(level_capacity(lvl), n))[0]) for lvl in free]
+        assert _refused_entries(lambda: gamma_exact(space, 2.0, p=p, exact_cap=n)) \
+            == n * math.prod(rows)
+    if 4 < n <= 12:
+        cells = chaining._level_one_partitions(n)
+        assert _refused_entries(lambda: gamma_prime(space, 2.0, exact_cap=n)) == cells.size
+
+
+def test_budget_admits_gamma_prime_on_12_points():
+    # the largest gamma_exact searches run above: 16 points at p = 1, 17 at p = 4
+    space = space_from_points(np.random.default_rng(12).normal(size=(12, 2)))
+    assert gamma_prime(space, 2.0, exact_cap=12).value > 0.0

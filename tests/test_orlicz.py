@@ -206,3 +206,18 @@ def test_analytic_norm_names_a_factor_past_the_float_range(family, alpha):
     with pytest.raises(DomainError, match=r"\(log 2\)\^\(-1/alpha\) is not finite"):
         psi_norm_analytic(family, 1.0, alpha)
     assert psi_norm_analytic(family, 1.0, 0.002).value == 1.0 / math.log(2.0) ** 500.0
+
+
+@pytest.mark.parametrize("x", [math.nan, np.array([1.0, math.nan])])
+def test_psi_alpha_rejects_nan(x):
+    with pytest.raises(DomainError, match="nonnegative arguments"):
+        psi_alpha(x, 2.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_nan_and_infinite_factors_are_named(bad):
+    with pytest.raises(DomainError, match="scaling factor"):
+        OrliczNorm(2.0, 1.5, "analytic").scaled(bad)
+    for family in ("constant", "symmetric-sign", "bounded", "gaussian"):
+        with pytest.raises(DomainError, match="family parameter"):
+            psi_norm_analytic(family, bad, 2.0)
