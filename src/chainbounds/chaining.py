@@ -41,11 +41,16 @@ __all__ = [
     "GAMMA_EXACT_CAP",
 ]
 
+# mode="auto" runs the exact search up to this many points, the greedy one above.
 GAMMA_EXACT_CAP = 6
 # The most entries an exact search's table may hold (float64: 32 MB).  It
 # admits gamma_exact on up to 16 points and on 17 at a lone free level 2,
 # and gamma_prime on up to 12 points.
 _TABLE_BUDGET = 1 << 22
+# Subset and partition tables on up to this many points are kept across
+# calls, under 1 MB in all; larger ones are rebuilt on each call, so a search
+# on more points keeps nothing once it ends.
+_CACHED_POINTS = 10
 
 
 def _doubly_exponential(l: int) -> int:
@@ -169,7 +174,7 @@ class GammaEstimate:
     p: float
     l: int
     value: float
-    mode: str  # "exact" | "greedy" | "entropy"
+    mode: str  # "exact" | "greedy" | "supplied" (the CLI's default for a value read from a file)
     sequence: AdmissibleSequence | None = None
 
 
@@ -261,7 +266,19 @@ def gamma_greedy(
                          value=val, mode="greedy", sequence=seq)
 
 
-@functools.cache
+def _cached_on_few_points(build):
+    """Memoise a table builder, whose first argument is a point count, up to
+    _CACHED_POINTS points."""
+    cached = functools.cache(build)
+
+    @functools.wraps(build)
+    def table(n: int, *args):
+        return (cached if n <= _CACHED_POINTS else build)(n, *args)
+
+    return table
+
+
+@_cached_on_few_points
 def _subset_index(n: int, max_size: int) -> tuple[tuple, tuple]:
     """Subsets of range(n) with 1..max_size points, by size then
     lexicographically, and one (count, size) index array per size."""
@@ -285,17 +302,15 @@ def _check_table_budget(search: str, n: int, p: float, free_levels, entries: int
     """CapacityError, before anything is built, when a search's table would
     hold more than _TABLE_BUDGET entries."""
     if entries > _TABLE_BUDGET:
+        size = entries if entries < 10**15 else f"at least 10^{len(str(entries)) - 1}"
         raise CapacityError(
             f"{search} search refused: {n} points at p = {p:g} leave levels {free_levels} "
-            f"free, a table of {entries} entries, above the budget of {_TABLE_BUDGET}"
+            f"free, a table of {size} entries, above the budget of {_TABLE_BUDGET}"
         )
 
 
 def gamma_exact(
-    space: FiniteMetricSpace,
-    alpha: float,
-    p: float = 1.0,
-    exact_cap: int = GAMMA_EXACT_CAP,
+    space: FiniteMetricSpace, alpha: float, p: float = 1.0
 ) -> GammaEstimate:
     """Exact order-p functional by exhaustive admissible-sequence search.
 
@@ -309,10 +324,6 @@ def gamma_exact(
     """
     check_real("alpha", alpha, 0.0, strict=True)
     n = space.size
-    if n > exact_cap:
-        raise CapacityError(
-            f"exact gamma search capped at {exact_cap} points, space has {n}"
-        )
     l = truncation_level(p)
     n_star = 0
     while level_capacity(n_star) < n:
@@ -348,7 +359,7 @@ def gamma_exact(
                          mode="exact", sequence=seq)
 
 
-@functools.cache
+@_cached_on_few_points
 def _level_one_partitions(n: int) -> np.ndarray:
     """(P, 4) uint16: each partition of range(n) into at most 4 cells, as the
     cells' point bitmasks by first point, 0 past the last cell.  Rows run in
@@ -385,10 +396,7 @@ def _subset_diameters(dist: np.ndarray) -> np.ndarray:
 
 
 def gamma_prime(
-    space: FiniteMetricSpace,
-    alpha: float,
-    mode: str = "exact",
-    exact_cap: int = GAMMA_EXACT_CAP,
+    space: FiniteMetricSpace, alpha: float, mode: str = "exact"
 ) -> GammaEstimate:
     """Partition-sequence functional sup_t sum_n 2^(n/alpha) diam(A_n(t)).
 
@@ -442,10 +450,6 @@ def gamma_prime(
 
     if mode != "exact":
         raise DomainError(f"unknown gamma_prime mode {mode!r}")
-    if n > exact_cap:
-        raise CapacityError(
-            f"exact gamma' search capped at {exact_cap} points, space has {n}"
-        )
     val = diam_t = space.subset_diameter(trivial[0])
     if diam_t == 0.0:
         chain = [trivial]

@@ -55,11 +55,11 @@ class MissingConstantError(ChainboundsError):
 def check_int(name: str, v, low: int, high: int | None = None) -> int:
     """v as an int; DomainError unless it is an integer in [low, high].
 
-    Integral floats are accepted; bools, NaN and infinities are not.
+    Integral floats are accepted; bools, NaN, infinities and non-numbers are not.
     """
     try:
         integral = not isinstance(v, bool) and int(v) == v
-    except (ValueError, OverflowError):  # NaN, infinities, non-numeric strings
+    except (ValueError, OverflowError, TypeError):  # NaN, infinities, non-numbers
         integral = False
     if not integral:
         raise DomainError(f"{name} must be an integer, got {v!r}")

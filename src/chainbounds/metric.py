@@ -450,12 +450,12 @@ def _greedy_counts(radii: np.ndarray, us) -> np.ndarray:
     return radii.size - np.searchsorted(ascending, us, side="right") + 1
 
 
-def _resolve_mode(mode: str, size: int, exact_cap: int) -> str:
-    """The one auto rule: exact up to exact_cap points, greedy above."""
+def _resolve_mode(mode: str, size: int, auto_cap: int) -> str:
+    """The one auto rule: exact up to auto_cap points, greedy above."""
     if mode not in ("exact", "greedy", "auto"):
         raise DomainError(f"unknown mode {mode!r}; expected exact, greedy or auto")
     if mode == "auto":
-        return "exact" if size <= exact_cap else "greedy"
+        return "exact" if size <= auto_cap else "greedy"
     return mode
 
 
@@ -507,39 +507,35 @@ def _exact_cover(within: np.ndarray) -> list[int]:
     return sorted(cand_centers[i] for i in best)
 
 
-def covering_number(
-    space: FiniteMetricSpace,
-    u: float,
-    mode: str = "exact",
-    exact_cap: int = EXACT_COVER_CAP,
-) -> CoverResult:
+def covering_number(space: FiniteMetricSpace, u: float, mode: str = "exact") -> CoverResult:
     """Smallest (or greedy) number of closed radius-u balls covering the space.
 
     Ball centers are points of the space.  Exact mode runs a set-cover search
-    and requires size <= exact_cap; greedy mode stops the farthest-point
+    on at most EXACT_COVER_CAP points; greedy mode stops the farthest-point
     traversal at radius u, and its count is always >= the exact one.  Auto
-    mode is exact up to exact_cap points and greedy above.  u = inf is one
-    ball; a NaN radius is rejected.
+    mode is exact up to EXACT_COVER_CAP points and greedy above.  u = inf is
+    one ball; a NaN radius is rejected.
     """
     if not u >= 0:
         raise DomainError(f"radius must be nonnegative, got {u}")
-    mode = _resolve_mode(mode, space.size, exact_cap)
-    if mode == "greedy":
+    if _cover_mode(space, mode) == "greedy":
         order, radii = farthest_point_order(space)
         k = int(_greedy_counts(radii, u))
         return CoverResult(radius=float(u), count=k, centers=tuple(sorted(order[:k].tolist())),
                            mode="greedy")
-    _check_exact_cap(space.size, exact_cap)
     centers = _exact_cover(space.dist <= u)
     return CoverResult(radius=float(u), count=len(centers), centers=tuple(centers), mode="exact")
 
 
-def _check_exact_cap(size: int, exact_cap: int) -> None:
-    if size > exact_cap:
+def _cover_mode(space: FiniteMetricSpace, mode: str) -> str:
+    """The resolved cover mode; CapacityError for exact above EXACT_COVER_CAP."""
+    mode = _resolve_mode(mode, space.size, EXACT_COVER_CAP)
+    if mode == "exact" and space.size > EXACT_COVER_CAP:
         raise CapacityError(
-            f"exact covering capped at {exact_cap} points, space has {size}; "
-            "use mode='greedy' or raise exact_cap"
+            f"exact covering capped at {EXACT_COVER_CAP} points, space has {space.size}; "
+            "use mode='greedy'"
         )
+    return mode
 
 
 def _breakpoints(space: FiniteMetricSpace) -> np.ndarray:
@@ -548,11 +544,7 @@ def _breakpoints(space: FiniteMetricSpace) -> np.ndarray:
                      lambda: _read_only(np.concatenate(([0.0], space.positive_distances()))))
 
 
-def covering_profile(
-    space: FiniteMetricSpace,
-    mode: str = "exact",
-    exact_cap: int = EXACT_COVER_CAP,
-) -> CoveringProfile:
+def covering_profile(space: FiniteMetricSpace, mode: str = "exact") -> CoveringProfile:
     """Covering numbers at every breakpoint radius (exact step function).
 
     The profile stops at the first breakpoint covered by one ball.  Greedy
@@ -560,15 +552,13 @@ def covering_profile(
     from one sweep over the pairs by distance (_exact_profile).  Each
     profile is memoised on the space by its resolved mode.
     """
-    return _profile(space, mode, exact_cap)
+    return _profile(space, mode)
 
 
-def _profile(space: FiniteMetricSpace, mode: str, exact_cap: int) -> CoveringProfile:
-    mode = _resolve_mode(mode, space.size, exact_cap)
-    if mode == "exact":
-        _check_exact_cap(space.size, exact_cap)
-        return _memoised(space, ("profile", mode), lambda: _exact_profile(space))
-    return _memoised(space, ("profile", mode), lambda: _greedy_profile(space))
+def _profile(space: FiniteMetricSpace, mode: str) -> CoveringProfile:
+    mode = _cover_mode(space, mode)
+    build = _exact_profile if mode == "exact" else _greedy_profile
+    return _memoised(space, ("profile", mode), lambda: build(space))
 
 
 def _greedy_profile(space: FiniteMetricSpace) -> CoveringProfile:
@@ -658,10 +648,7 @@ class EntropyIntegral:
 
 
 def entropy_integral(
-    space: FiniteMetricSpace,
-    alpha: float,
-    mode: str = "auto",
-    exact_cap: int = EXACT_COVER_CAP,
+    space: FiniteMetricSpace, alpha: float, mode: str = "auto"
 ) -> EntropyIntegral:
     """Integrate (log N(T,d,u))^(1/alpha) du exactly over the breakpoints.
 
@@ -672,7 +659,7 @@ def entropy_integral(
     term whose power overflows is a DomainError.
     """
     alpha = check_real("alpha", alpha, 0.0, strict=True)
-    prof = _profile(space, mode, exact_cap)
+    prof = _profile(space, mode)
     counts = prof.counts[:-1]  # the last breakpoint starts no interval; all counts here are > 1
     powers = {c: alpha_power(math.log(c), 1.0 / alpha, "entropy integrand (log N)^(1/alpha)",
                              alpha) for c in set(counts)}

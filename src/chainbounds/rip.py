@@ -459,6 +459,7 @@ def check_bos(rows, K: float, weights=None, test_vectors: int = 8, seed: int = 0
             raise DomainError("weights must be a probability vector over the rows")
     check_real("K", K, 0.0, strict=True)
     seed = check_int("seed", seed, 0, SEED_MAX)
+    test_vectors = check_int("test_vectors", test_vectors, 0)
     flat = float(np.abs(rows).max())
     if flat > K + 1e-12:
         raise ModelError(f"row sup-norm {flat:.12g} exceeds the declared bound K = {K:g}")
@@ -467,7 +468,7 @@ def check_bos(rows, K: float, weights=None, test_vectors: int = 8, seed: int = 0
     if residual > 1e-8:
         raise ModelError(f"row system is not isotropic (max residual {residual:.3e})")
     rng = replication_rng(seed, 0)
-    for _ in range(int(test_vectors)):
+    for _ in range(test_vectors):
         x = rng.standard_normal(N) + 1j * rng.standard_normal(N)
         x /= np.linalg.norm(x)
         second = float(weights @ (np.abs(rows.conj() @ x) ** 2))

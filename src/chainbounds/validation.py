@@ -248,7 +248,7 @@ def check_symmetrization_decoupling(
     """
     stack = _matrix_stack(matrices)
     n = stack.shape[2]
-    n_small = int(n_small)
+    n_small = check_int("n_small", n_small, 1)
     if n_small > SIGN_ENUM_CAP:
         raise CapacityError(f"n_small must be <= {SIGN_ENUM_CAP}, got {n_small}")
     if n > n_small:

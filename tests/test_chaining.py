@@ -25,7 +25,6 @@ from chainbounds import (
     truncation_level,
 )
 from chainbounds import chaining
-from chainbounds.errors import CapacityError
 
 TWO = build_metric_space([[0, 1], [1, 0]])
 TRIANGLE = build_metric_space([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
@@ -104,11 +103,12 @@ def test_gamma_exact_frozen_values():
     assert gamma_exact(SQUARE, 2.0, p=2.0).value == 0.0
 
 
-def test_gamma_exact_cap():
+def test_gamma_exact_runs_above_the_auto_threshold():
+    # GAMMA_EXACT_CAP only picks the auto mode: an explicit search on 7 points runs
     sp = random_space(0, 7)
-    with pytest.raises(CapacityError):
-        gamma_exact(sp, 2.0)
-    assert gamma_exact(sp, 2.0, exact_cap=7).value > 0
+    est = gamma_exact(sp, 2.0)
+    assert est.mode == "exact"
+    assert sp.diameter() / 2 <= est.value <= gamma_greedy(sp, 2.0).value
 
 
 def test_gamma_exact_six_points_p2_oracle():
@@ -347,10 +347,10 @@ def assert_canonical(space, seq):
 @given(small_spaces(), st.sampled_from([0.5, 1.0, 2.0]))
 @settings(max_examples=60, deadline=None)
 def test_builders_return_canonical_admissible_sequences_and_their_values(space, alpha):
-    estimates = [gamma_exact(space, alpha, p, exact_cap=16) for p in (1.0, 2.0, 4.0, 16.0)]
+    estimates = [gamma_exact(space, alpha, p) for p in (1.0, 2.0, 4.0, 16.0)]
     estimates.append(gamma_prime(space, alpha, mode="greedy"))
     if space.size <= 12:
-        estimates.append(gamma_prime(space, alpha, exact_cap=12))
+        estimates.append(gamma_prime(space, alpha))
     estimates.append(gamma_greedy(space, alpha))
     for est in estimates:
         assert_canonical(space, est.sequence)
@@ -368,8 +368,8 @@ def test_builders_call_no_validator(monkeypatch):
     for n in (1, 3, 6, 9):
         space = space_from_points(rng.normal(size=(n, 2)))  # fresh: nothing memoised
         for p in (1.0, 2.0, 4.0):
-            gamma_exact(space, 2.0, p, exact_cap=9)
-        gamma_prime(space, 2.0, exact_cap=9)
+            gamma_exact(space, 2.0, p)
+        gamma_prime(space, 2.0)
         gamma_prime(space, 2.0, mode="greedy")
         gamma_greedy(space, 2.0)
         greedy_admissible_sequence(space)

@@ -29,6 +29,7 @@ from chainbounds import (
     greedy_admissible_sequence,
     space_from_points,
 )
+from chainbounds import metric
 from chainbounds.metric import _breakpoints, farthest_point_order
 
 
@@ -77,8 +78,6 @@ def test_sweep_on_degenerate_spaces(dist):
 
 
 def test_sweep_profile_does_not_call_the_search(monkeypatch):
-    import chainbounds.metric as metric
-
     space = space_from_points(np.random.default_rng(1).normal(size=(12, 2)))
     monkeypatch.setattr(metric, "covering_number", None)
     monkeypatch.setattr(metric, "_exact_cover", None)
@@ -124,7 +123,7 @@ def test_entropy_power_overflow_is_a_domain_error():
     assert tiny.value == loop_entropy(tiny.profile, 0.0005) < 1e-300
 
 
-def test_memo_returns_the_same_objects():
+def test_memo_returns_the_same_objects(monkeypatch):
     space = space_from_points(np.random.default_rng(2).normal(size=(14, 2)))
     assert farthest_point_order(space) is farthest_point_order(space)
     assert _breakpoints(space) is _breakpoints(space)
@@ -133,7 +132,8 @@ def test_memo_returns_the_same_objects():
         assert covering_profile(space, mode=mode) is prof
         assert entropy_integral(space, 2.0, mode=mode).profile is prof
     assert covering_profile(space, mode="auto") is covering_profile(space, mode="exact")
-    assert covering_profile(space, "auto", exact_cap=5) is covering_profile(space, "greedy")
+    monkeypatch.setattr(metric, "EXACT_COVER_CAP", 5)
+    assert covering_profile(space, "auto") is covering_profile(space, "greedy")
     levels = greedy_admissible_sequence(space).levels
     assert greedy_admissible_sequence(space).levels is levels
     assert gamma_greedy(space, 2.0).sequence.levels is levels

@@ -17,7 +17,7 @@ def test_check_int_accepts_integral_values():
     assert type(check_int("n", np.int64(7), 0)) is int
 
 
-@pytest.mark.parametrize("v", [True, 2.5, math.nan, math.inf, -math.inf, "3", 0, 9])
+@pytest.mark.parametrize("v", [True, 2.5, math.nan, math.inf, -math.inf, "3", 0, 9, None, [3]])
 def test_check_int_rejects(v):
     with pytest.raises(DomainError):
         check_int("n", v, 1, 8)

@@ -9,9 +9,11 @@ library's searches must return the same value and the same witness levels,
 ties included: the first strict minimum in enumeration order wins.
 """
 
+import gc
 import itertools
 import math
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -198,13 +200,13 @@ def small_spaces(draw):
 def assert_matches_reference(space):
     for alpha in (2.0, 1.0, 0.7):
         for p in (1.0, 2.0, 4.0, 8.0, 16.0):
-            est = gamma_exact(space, alpha, p=p, exact_cap=8)
+            est = gamma_exact(space, alpha, p=p)
             found = (est.value, est.sequence.levels)
             assert found == reference_gamma_exact(space, alpha, p)
             with mock.patch.object(chaining, "_distance_table", reference_distance_table):
-                est = gamma_exact(space, alpha, p=p, exact_cap=8)
+                est = gamma_exact(space, alpha, p=p)
             assert (est.value, est.sequence.levels) == found
-        est = gamma_prime(space, alpha, exact_cap=8)
+        est = gamma_prime(space, alpha)
         found = (est.value, est.sequence.levels)
         assert found == settled_gamma_prime(space, alpha) == reference_gamma_prime(space, alpha)
 
@@ -247,7 +249,7 @@ def test_exact_gamma_matches_the_loop_where_its_table_is_largest(build, p):
     # levels 0 and 1 are both free at p = 1, level 1 alone at p = 2
     space = build()
     for alpha in (2.0, 0.7):
-        est = gamma_exact(space, alpha, p=p, exact_cap=16)
+        est = gamma_exact(space, alpha, p=p)
         assert (est.value, est.sequence.levels) == reference_gamma_exact(space, alpha, p)
 
 
@@ -275,12 +277,10 @@ def test_exact_gamma_prime_refuses_more_than_16_points_at_once(monkeypatch):
                         lambda n: pytest.fail("enumerated past 16 points"))
     start = time.perf_counter()
     with pytest.raises(CapacityError, match="at most 16 points, space has 17"):
-        gamma_prime(space, 2.0, exact_cap=17)
+        gamma_prime(space, 2.0)
     assert time.perf_counter() - start < 1.0
-    with pytest.raises(CapacityError, match="capped at 16 points, space has 17"):
-        gamma_prime(space, 2.0, exact_cap=16)
     # no search is needed when every point coincides or level 1 holds them all
-    assert gamma_prime(build_metric_space(np.zeros((17, 17))), 2.0, exact_cap=17).value == 0.0
+    assert gamma_prime(build_metric_space(np.zeros((17, 17))), 2.0).value == 0.0
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0])
@@ -292,14 +292,14 @@ def test_exact_gamma_refuses_unfinishable_searches_at_once(monkeypatch, p):
                         lambda space, max_size: pytest.fail("built a distance table"))
         start = time.perf_counter()
         with pytest.raises(CapacityError, match=f"17 points at p = {p:g}"):
-            gamma_exact(space, 2.0, p=p, exact_cap=17)
+            gamma_exact(space, 2.0, p=p)
         assert time.perf_counter() - start < 1.0
         # an overflowing level weight is still named first, as before the refusal
         with pytest.raises(DomainError, match="level weight 2\\^\\(n/alpha\\) is not finite"):
-            gamma_exact(space, 0.0005, p=p, exact_cap=17)
+            gamma_exact(space, 0.0005, p=p)
     # a single free level >= 2 still runs, and no free level costs nothing
-    assert gamma_exact(space, 2.0, p=4.0, exact_cap=17).value > 0.0
-    assert gamma_exact(space, 2.0, p=8.0, exact_cap=17).value == 0.0
+    assert gamma_exact(space, 2.0, p=4.0).value > 0.0
+    assert gamma_exact(space, 2.0, p=8.0).value == 0.0
 
 
 @pytest.mark.parametrize("search, n", [
@@ -315,9 +315,22 @@ def test_exact_searches_refuse_tables_above_the_budget_at_once(monkeypatch, sear
     start = time.perf_counter()
     with pytest.raises(CapacityError, match=f"{n} points at p = .* a table of \\d+ entries"):
         if search == "gamma":
-            gamma_exact(space, 2.0, p=4.0, exact_cap=n)
+            gamma_exact(space, 2.0, p=4.0)
         else:
-            gamma_prime(space, 2.0, exact_cap=n)
+            gamma_prime(space, 2.0)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_exact_gamma_refuses_500_points_at_once(monkeypatch):
+    # no point cap: the budget alone refuses, and names a 195-digit count by its size
+    space = space_from_points(np.random.default_rng(500).normal(size=(500, 3)))
+    monkeypatch.setattr(chaining, "_distance_table",
+                        lambda space, max_size: pytest.fail("built a distance table"))
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="^exact gamma search refused: 500 points at p = 1 "
+                       "leave levels \\[0, 1, 2, 3\\] free, a table of at least 10\\^194 entries, "
+                       "above the budget of 4194304$"):
+        gamma_exact(space, 2.0)
     assert time.perf_counter() - start < 1.0
 
 
@@ -334,17 +347,38 @@ def test_budget_counts_the_entries_of_the_table_it_would_build(monkeypatch, n):
     for p in (1.0, 2.0, 4.0):
         free = range(truncation_level(p), 3 if n > 16 else 2 if n > 4 else 1 if n > 1 else 0)
         if not free:
-            assert gamma_exact(space, 2.0, p=p, exact_cap=n).value == 0.0
+            assert gamma_exact(space, 2.0, p=p).value == 0.0
             continue
         rows = [len(chaining._subset_index(n, min(level_capacity(lvl), n))[0]) for lvl in free]
-        assert _refused_entries(lambda: gamma_exact(space, 2.0, p=p, exact_cap=n)) \
+        assert _refused_entries(lambda: gamma_exact(space, 2.0, p=p)) \
             == n * math.prod(rows)
     if 4 < n <= 12:
         cells = chaining._level_one_partitions(n)
-        assert _refused_entries(lambda: gamma_prime(space, 2.0, exact_cap=n)) == cells.size
+        assert _refused_entries(lambda: gamma_prime(space, 2.0)) == cells.size
 
 
 def test_budget_admits_gamma_prime_on_12_points():
     # the largest gamma_exact searches run above: 16 points at p = 1, 17 at p = 4
     space = space_from_points(np.random.default_rng(12).normal(size=(12, 2)))
-    assert gamma_prime(space, 2.0, exact_cap=12).value > 0.0
+    assert gamma_prime(space, 2.0).value > 0.0
+
+
+def test_exact_searches_keep_little_memory_once_they_end():
+    # Only tables on at most 10 points stay cached: the 17-point search at
+    # p = 4 alone builds 131,070 subsets and their index arrays, about 24 MB.
+    rng = np.random.default_rng(0)
+    spaces = [space_from_points(rng.normal(size=(n, 2))) for n in range(1, 18)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for space in spaces:
+            for p in (1.0, 2.0, 4.0):
+                if space.size < 17 or p >= 4.0:  # 17 points at p < 4 are refused
+                    gamma_exact(space, 2.0, p=p)
+            if space.size <= 12:
+                gamma_prime(space, 2.0)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 2 * 2**20

@@ -110,8 +110,8 @@ def test_covering_exact_cap_enforced():
     rng = np.random.default_rng(3)
     sp = random_point_space(rng, 25)
     assert covering_number(sp, sp.diameter(), mode="greedy").count == 1
-    with pytest.raises(Exception):
-        covering_number(sp, 0.5, mode="exact", exact_cap=10)
+    with pytest.raises(CapacityError, match="exact covering capped at 20 points, space has 25"):
+        covering_number(sp, 0.5, mode="exact")
 
 
 @pytest.mark.parametrize("call", [covering_number, covering_profile])
@@ -299,20 +299,22 @@ def brute_force_count(sp, u, limit=2):
 
 
 @pytest.mark.parametrize("n", [64, 70, 100])
-def test_exact_cover_beyond_64_points_with_a_raised_cap(n):
+def test_exact_cover_beyond_64_points_with_a_raised_cap(monkeypatch, n):
     sp = two_clusters(n)
     halves = (np.arange(n) < n // 2)
     # the larger cluster's Chebyshev radius covers each cluster from one point
     radius = max(float(sp.dist[np.ix_(h, h)].max(axis=1).min()) for h in (halves, ~halves))
-    for u in (sp.diameter(), 2 * sp.diameter(), radius):
-        res = covering_number(sp, u, mode="exact", exact_cap=n)
-        assert res.count == brute_force_count(sp, u)
-        assert sp.point_to_set(res.centers).max() <= u
-    # below the cluster radius two balls no longer do
-    below = float(np.nextafter(radius, 0.0))
-    assert brute_force_count(sp, below) is None
-    assert covering_number(sp, below, mode="exact", exact_cap=n).count >= 3
-    assert covering_number(sp, 0.0, mode="exact", exact_cap=n).count == n
+    with monkeypatch.context() as raised:
+        raised.setattr(metric, "EXACT_COVER_CAP", n)
+        for u in (sp.diameter(), 2 * sp.diameter(), radius):
+            res = covering_number(sp, u, mode="exact")
+            assert res.count == brute_force_count(sp, u)
+            assert sp.point_to_set(res.centers).max() <= u
+        # below the cluster radius two balls no longer do
+        below = float(np.nextafter(radius, 0.0))
+        assert brute_force_count(sp, below) is None
+        assert covering_number(sp, below, mode="exact").count >= 3
+        assert covering_number(sp, 0.0, mode="exact").count == n
     with pytest.raises(CapacityError):
         covering_number(sp, radius, mode="exact")
 

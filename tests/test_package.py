@@ -78,8 +78,9 @@ _NUMBER = r"(\d+)([⁰¹²³⁴⁵⁶⁷⁸⁹]*)"  # 5000, or a power such as 1
 _README_CAPS = {
     ("metric", "MAX_POINTS"): rf"`MAX_POINTS` = {_NUMBER} points",
     ("metric", "EXACT_COVER_CAP"): rf"up to `EXACT_COVER_CAP` = {_NUMBER} points",
-    ("chaining", "GAMMA_EXACT_CAP"): rf"capped at {_NUMBER} points, `GAMMA_EXACT_CAP`",
+    ("chaining", "GAMMA_EXACT_CAP"): rf"auto picks exact up to {_NUMBER} points, `GAMMA_EXACT_CAP`",
     ("chaining", "_TABLE_BUDGET"): rf"`_TABLE_BUDGET` = {_NUMBER} entries",
+    ("chaining", "_CACHED_POINTS"): rf"tables on at most {_NUMBER} points stay cached",
     ("rip", "ENUMERATION_CAP"): rf"capped at {_NUMBER} supports, `ENUMERATION_CAP`",
     ("processes", "SIGN_ENUM_CAP"): rf"n ≤ {_NUMBER} \(`SIGN_ENUM_CAP`\)",
     ("processes", "BLOCK"): rf"`BLOCK` = {_NUMBER} replications",

@@ -307,6 +307,12 @@ def test_check_bos_weight_validation():
         check_bos(rows, K=0.0)
 
 
+@pytest.mark.parametrize("count", [-1, 2.5, float("nan"), "8", True, None])
+def test_check_bos_rejects_a_test_vector_count_that_is_no_count(count):
+    with pytest.raises(DomainError, match="test_vectors must be"):
+        check_bos(math.sqrt(2) * build_dft(2), K=1.0, test_vectors=count)
+
+
 def test_check_bos_nonuniform_weights():
     # rows (sqrt(2), 0) and (0, sqrt(2)) with weights 1/2 are isotropic
     rows = math.sqrt(2.0) * np.eye(2)

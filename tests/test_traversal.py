@@ -22,6 +22,7 @@ from chainbounds import (
     greedy_admissible_sequence,
     space_from_points,
 )
+from chainbounds import metric
 from chainbounds.metric import farthest_point_order
 
 
@@ -145,10 +146,11 @@ def test_nan_radius_rejected_infinite_radius_is_one_ball(mode):
     assert covering_number(space, math.inf, mode=mode).count == 1
 
 
-def test_covering_number_auto_mode_follows_the_cap():
+def test_covering_number_auto_mode_follows_the_cap(monkeypatch):
     space = space_from_points(np.random.default_rng(4).normal(size=(8, 2)))
     u = float(np.median(space.positive_distances()))
     assert covering_number(space, u, mode="auto").mode == "exact"
-    assert covering_number(space, u, mode="auto", exact_cap=7).mode == "greedy"
+    monkeypatch.setattr(metric, "EXACT_COVER_CAP", 7)
+    assert covering_number(space, u, mode="auto").mode == "greedy"
     with pytest.raises(DomainError):
         covering_number(space, u, mode="fast")

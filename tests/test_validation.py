@@ -455,6 +455,18 @@ def test_decoupling_capacity_and_domain_checks():
         check_symmetrization_decoupling(mats, p_list=(0.5,))
 
 
+@pytest.mark.parametrize("n_small", [2.5, float("nan"), "8", True, None, 0])
+def test_decoupling_rejects_an_n_small_that_is_no_count(n_small):
+    with pytest.raises(DomainError, match="n_small must be"):
+        check_symmetrization_decoupling([np.eye(2)], n_small=n_small)
+
+
+def test_decoupling_keeps_its_capacity_error_above_the_sign_cap():
+    cap = validation.SIGN_ENUM_CAP
+    with pytest.raises(CapacityError, match=f"n_small must be <= {cap}, got {cap + 1}"):
+        check_symmetrization_decoupling([np.eye(2)], n_small=cap + 1)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_decoupling_holds_on_random_families(seed):
