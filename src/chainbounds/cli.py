@@ -246,12 +246,12 @@ def _cmd_orlicz(args) -> int:
 def _gamma_param(obj, what: str) -> GammaEstimate:
     if not isinstance(obj, dict) or "value" not in obj or "alpha" not in obj:
         raise DomainError(f'{what} must be an object with "alpha", "value", optional "p"')
-    p = float(obj.get("p", 1.0))
+    p = check_real(f"{what}.p", obj.get("p", 1.0), 1.0)
     return GammaEstimate(
-        alpha=float(obj["alpha"]),
+        alpha=check_real(f"{what}.alpha", obj["alpha"], 0.0, strict=True),
         p=p,
         l=truncation_level(p),
-        value=float(obj["value"]),
+        value=check_real(f"{what}.value", obj["value"], 0.0),
         mode=str(obj.get("mode", "supplied")),
         sequence=None,
     )
@@ -261,8 +261,8 @@ def _orlicz_param(obj, what: str) -> OrliczNorm:
     if not isinstance(obj, dict) or "value" not in obj:
         raise DomainError(f'{what} must be an object with "value" and optional "alpha"')
     return OrliczNorm(
-        alpha=float(obj.get("alpha", 2.0)),
-        value=float(obj["value"]),
+        alpha=check_real(f"{what}.alpha", obj.get("alpha", 2.0), 0.0, strict=True),
+        value=check_real(f"{what}.value", obj["value"], 0.0),
         source=str(obj.get("source", "supplied")),
     )
 
@@ -270,7 +270,9 @@ def _orlicz_param(obj, what: str) -> OrliczNorm:
 def _radii_param(params: dict):
     mats = [matrix_from_json(m) for m in params["matrices"]]
     return schatten_radii(
-        mats, gamma_mode=params.get("gamma_mode", "auto"), p=float(params.get("gamma_p", 1.0))
+        mats,
+        gamma_mode=params.get("gamma_mode", "auto"),
+        p=check_real("gamma_p", params.get("gamma_p", 1.0), 1.0),
     )
 
 
@@ -347,7 +349,7 @@ def _bound_payload(result, params: dict, reg: ConstantRegistry) -> dict:
         payload["kind"] = "tail"
         payload["fitted"] = result.fitted
         if params.get("u") is not None:
-            u = float(params["u"])
+            u = check_real("u", params["u"], -math.inf)  # the bound checks its range
             payload["at_u"] = {
                 "u": u,
                 "threshold": result.threshold(u),
@@ -388,6 +390,13 @@ def _cmd_bound(args) -> int:
 # ---------------------------------------------------------------- simulate
 
 
+def _flag(name: str, value) -> bool:
+    """value, which must be a JSON boolean."""
+    if not isinstance(value, bool):
+        raise DomainError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 def _run_model(spec: dict, reps: int, seed: int):
     """Build the configured model and simulate it."""
     if not isinstance(spec, dict) or "kind" not in spec:
@@ -408,8 +417,8 @@ def _run_model(spec: dict, reps: int, seed: int):
         base_spec = spec.get("base", {})
         base = RowDistribution(
             name=base_spec.get("name", "rademacher"),
-            scale=float(base_spec.get("scale", 1.0)),
-            mean_known=bool(base_spec.get("mean_known", True)),
+            scale=check_real("base.scale", base_spec.get("scale", 1.0), -math.inf),
+            mean_known=_flag("base.mean_known", base_spec.get("mean_known", True)),
         )
         builder, simulate = (
             (empirical_model, simulate_empirical)
@@ -422,9 +431,11 @@ def _run_model(spec: dict, reps: int, seed: int):
         mats = [matrix_from_json(m) for m in spec["matrices"]]
         xi_spec = spec.get("xi", {})
         xi = RowDistribution(
-            name=xi_spec.get("name", "rademacher"), scale=float(xi_spec.get("scale", 1.0))
+            name=xi_spec.get("name", "rademacher"),
+            scale=check_real("xi.scale", xi_spec.get("scale", 1.0), -math.inf),
         )
-        return simulate_chaos(mats, xi, reps, seed, decoupled=bool(spec.get("decoupled", False)))
+        decoupled = _flag("decoupled", spec.get("decoupled", False))
+        return simulate_chaos(mats, xi, reps, seed, decoupled=decoupled)
     raise DomainError(f"unknown model kind {kind!r} in simulate config")
 
 

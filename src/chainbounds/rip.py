@@ -9,7 +9,7 @@ the fitted sufficiency condition by integer bisection.
 
 One kernel serves the exact constant and the Monte Carlo: the N x N Gram is
 formed once per matrix (once per replication, with the selectors as a 0/1
-row weight on the rescaled unitary), the s x s blocks of a cached table of
+row weight on the rescaled unitary), the s x s blocks of a table of
 supports are gathered from it, and LAPACK eigvalsh runs on stacks of at most
 _BATCH of them.  Unselected rows add exact zeros and the unitary is rescaled
 before the sums, so each delta_s is bit for bit that of the enumeration over
@@ -60,6 +60,10 @@ __all__ = [
 ]
 
 ENUMERATION_CAP = 1_000_000
+# Support tables of at most this many indices (512 KB) are kept across calls,
+# four at most; larger ones are rebuilt on each call, so an enumeration over
+# more supports keeps nothing once it ends.
+_CACHED_ENTRIES = 1 << 16
 UNITARY_TOL = 1e-10
 WITNESS_TOL = 1e-9
 COMPLEXITY_CAP = 1 << 60
@@ -132,22 +136,30 @@ class RipReport:
             )
 
 
-def _check_enumeration(N: int, s: int, enumeration_cap: int) -> None:
+def _check_enumeration(N: int, s: int) -> None:
     n_supports = math.comb(N, s)
-    if n_supports > enumeration_cap:
+    if n_supports > ENUMERATION_CAP:
         raise CapacityError(
             f"C({N},{s}) = {n_supports} supports exceeds the enumeration cap "
-            f"{enumeration_cap}; use Monte Carlo sampling over supports instead"
+            f"{ENUMERATION_CAP}; use Monte Carlo sampling over supports instead"
         )
 
 
-@functools.lru_cache(maxsize=4)
-def _supports(N: int, s: int) -> np.ndarray:
+def _support_table(N: int, s: int) -> np.ndarray:
     """Read-only (C(N, s), s) table of the size-s supports in lexicographic order."""
     flat = itertools.chain.from_iterable(itertools.combinations(range(N), s))
     table = np.fromiter(flat, dtype=np.intp, count=math.comb(N, s) * s).reshape(-1, s)
     table.flags.writeable = False
     return table
+
+
+_cached_support_table = functools.lru_cache(maxsize=4)(_support_table)
+
+
+def _supports(N: int, s: int) -> np.ndarray:
+    """_support_table(N, s), kept across calls if it holds at most _CACHED_ENTRIES indices."""
+    small = math.comb(N, s) * s <= _CACHED_ENTRIES
+    return (_cached_support_table if small else _support_table)(N, s)
 
 
 def _grams(weights: np.ndarray, A: np.ndarray, s: int) -> np.ndarray:
@@ -234,16 +246,14 @@ def _screened_failures(grams: np.ndarray, supports: np.ndarray, delta: float) ->
     return int(np.count_nonzero(fails))
 
 
-def restricted_isometry_constant(
-    A, s: int, enumeration_cap: int = ENUMERATION_CAP
-) -> RipReport:
+def restricted_isometry_constant(A, s: int) -> RipReport:
     """sup over unit s-sparse x of | ||A x||^2 - 1 |, by support enumeration.
 
     For each size-s support the extreme eigenvalues of the restricted Gram
     give the local sup; the global max is attained on a single support, with
-    lexicographically-first tie-breaking.  C(N, s) supports beyond
-    enumeration_cap raise a capacity error (fall back to Monte Carlo over
-    supports at larger scales).
+    lexicographically-first tie-breaking.  The one refusal is a capacity
+    error when C(N, s) exceeds ENUMERATION_CAP supports (fall back to Monte
+    Carlo over supports at larger scales).
     """
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[1] == 0:
@@ -252,7 +262,7 @@ def restricted_isometry_constant(
         raise DomainError("A must have finite entries")
     N = A.shape[1]
     s = check_int("s", s, 1, N)
-    _check_enumeration(N, s, enumeration_cap)
+    _check_enumeration(N, s)
     supports = _supports(N, s)
     gram = _grams(np.ones((1, A.shape[0])), A, s)
     deltas = _block_deltas(gram, np.zeros(supports.shape[0], dtype=np.intp), supports)
@@ -294,8 +304,8 @@ class RipInstance:
     def realized_rows(self) -> int:
         return len(self.I)
 
-    def delta(self, s: int, enumeration_cap: int = ENUMERATION_CAP) -> RipReport:
-        return restricted_isometry_constant(self.U_I, s, enumeration_cap)
+    def delta(self, s: int) -> RipReport:
+        return restricted_isometry_constant(self.U_I, s)
 
 
 def subsampled_instance(U, m: int, seed: int, K: float | None = None, rep: int = 0) -> RipInstance:
@@ -373,7 +383,6 @@ def estimate_failure_probability(
     reps: int,
     seed: int,
     U=None,
-    enumeration_cap: int = ENUMERATION_CAP,
     confidence: float = 0.99,
 ) -> dict:
     """Monte Carlo estimate of P(delta_s >= delta) under Bernoulli selectors.
@@ -389,7 +398,7 @@ def estimate_failure_probability(
     seed = check_int("seed", seed, 0, SEED_MAX)
     check_real("delta", delta, 0.0)
     s = check_int("s", s, 1, N)
-    _check_enumeration(N, s, enumeration_cap)
+    _check_enumeration(N, s)
     check_confidence(confidence)
     supports = _supports(N, s)
     A = math.sqrt(N / m) * U  # scaled before the sums, as subsample() does

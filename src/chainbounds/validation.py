@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DomainError, check_confidence, check_int, check_real
-from .processes import SIGN_ENUM_CAP, SupremumSample, exact_chaos_distribution, sign_patterns
+from .processes import SupremumSample, exact_chaos_distribution, sign_patterns
 from .results import MomentBound, TailBound
 from .schatten import _matrix_stack
 
@@ -31,6 +31,10 @@ __all__ = [
 BOOTSTRAP_RESAMPLES = 1000
 CONFIDENCE = 0.99
 _RESAMPLE_BLOCK = 1 << 15  # indices per bootstrap draw, once n is below it
+# The decoupling check's largest dimension n, below SIGN_ENUM_CAP = 10: its
+# tables hold k 4^n entries for k matrices, quadratic in the 2^n sign patterns
+# (at k = 3 a peak of 84 MB at dimension 10 against 5 MB at 8; 210 MB at k = 8).
+_DECOUPLING_CAP = 8
 
 
 def _bootstrap_rng(seed: int) -> np.random.Generator:
@@ -227,13 +231,12 @@ def _lp_of_mean(powered: np.ndarray, weights: np.ndarray | None, p: float) -> fl
 
 def check_symmetrization_decoupling(
     matrices,
-    n_small: int = 8,
     *,
     selector_prob: float = 0.5,
     table=None,
     p_list=(1.0, 2.0, 4.0),
 ) -> dict:
-    """Exhaustively verify two reduction inequalities on a small instance.
+    """Exhaustively verify two reduction inequalities in dimension <= _DECOUPLING_CAP.
 
     Decoupling: with B = A^H A per family member and Rademacher xi,
         (E sup_A |sum_{i != j} B_ij xi_i xi_j|^p)^(1/p)
@@ -248,11 +251,8 @@ def check_symmetrization_decoupling(
     """
     stack = _matrix_stack(matrices)
     n = stack.shape[2]
-    n_small = check_int("n_small", n_small, 1)
-    if n_small > SIGN_ENUM_CAP:
-        raise CapacityError(f"n_small must be <= {SIGN_ENUM_CAP}, got {n_small}")
-    if n > n_small:
-        raise CapacityError(f"instance dimension {n} exceeds n_small = {n_small}")
+    if n > _DECOUPLING_CAP:
+        raise CapacityError(f"instance dimension {n} exceeds the decoupling cap {_DECOUPLING_CAP}")
     if not 0.0 < selector_prob < 1.0:
         raise DomainError(f"selector_prob must lie in (0, 1), got {selector_prob}")
     p_list = [check_real("moment order p", p, 1.0) for p in p_list]

@@ -432,8 +432,7 @@ def _build_chaos_check():
               and r.delta_4**2 <= r.delta_2 * r.delta_inf + 1e-9
               and r.gamma2_dinf.value >= 0)
         ordering_violations += not ok
-    symdec = cb.check_symmetrization_decoupling(
-        [rng.normal(size=(3, 8)) for _ in range(2)], n_small=8)
+    symdec = cb.check_symmetrization_decoupling([rng.normal(size=(3, 8)) for _ in range(2)])
 
     signs = cb.sign_patterns(8)
     hanson_wright = []

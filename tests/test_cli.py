@@ -643,3 +643,62 @@ def test_bound_out_of_range_alpha_or_u_exits_two_before_printing(tmp_path, capsy
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and named in err
     assert not list(tmp_path.glob("bound-*.json"))
+
+
+_CHAOS_MATRICES = [[[1.0, 0.5], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.25]]]
+_COEFFICIENTS = [[1.0, 0.5], [0.5, 1.0]]
+
+
+@pytest.mark.parametrize("model, field", [
+    ({"kind": "chaos", "matrices": _CHAOS_MATRICES, "decoupled": "false"}, "decoupled"),
+    ({"kind": "chaos", "matrices": _CHAOS_MATRICES, "decoupled": 0}, "decoupled"),
+    ({"kind": "chaos", "matrices": _CHAOS_MATRICES, "xi": {"scale": "1.5"}}, "xi.scale"),
+    ({"kind": "chaos", "matrices": _CHAOS_MATRICES, "xi": {"scale": True}}, "xi.scale"),
+    ({"kind": "empirical", "coefficients": _COEFFICIENTS, "base": {"mean_known": "false"}},
+     "base.mean_known"),
+    ({"kind": "empirical", "coefficients": _COEFFICIENTS, "base": {"scale": "1.5"}},
+     "base.scale"),
+    ({"kind": "squares", "coefficients": _COEFFICIENTS, "base": {"scale": True}}, "base.scale"),
+])
+def test_simulate_model_flags_and_scales_must_be_json_booleans_and_numbers(tmp_path, capsys,
+                                                                           model, field):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"model": model, "reps": 20, "seed": 3}))
+    code, out, err = run(["simulate", "--config", str(path), "--out", str(tmp_path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {field} must be ")
+    assert not list(tmp_path.glob("simulate-*"))
+
+
+def test_simulate_model_takes_json_false_and_integer_scales(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    model = {"kind": "empirical", "coefficients": _COEFFICIENTS,
+             "base": {"scale": 2, "mean_known": False}}
+    path.write_text(json.dumps({"model": model, "reps": 20, "seed": 3}))
+    code, _, err = run(["simulate", "--config", str(path), "--out", str(tmp_path)], capsys)
+    assert code == 2 and "row mean not attested" in err  # refused by the model, by name
+    model = {"kind": "chaos", "matrices": _CHAOS_MATRICES, "decoupled": False, "xi": {"scale": 2}}
+    path.write_text(json.dumps({"model": model, "reps": 20, "seed": 3}))
+    assert run(["simulate", "--config", str(path), "--out", str(tmp_path)], capsys)[0] == 0
+
+
+@pytest.mark.parametrize("name, params, field", [
+    ("gaussian", {"gamma2": {"alpha": 2, "value": "3"}, "sigma": 1.0, "u": 2.0}, "gamma2.value"),
+    ("gaussian", {"gamma2": {"alpha": 2, "value": 3, "p": True}, "sigma": 1.0, "u": 2.0},
+     "gamma2.p"),
+    ("gaussian", {"gamma2": {"alpha": True, "value": 3}, "sigma": 1.0, "u": 2.0}, "gamma2.alpha"),
+    ("gaussian", {"gamma2": {"alpha": 2, "value": 3}, "sigma": 1.0, "u": "2"}, "u"),
+    ("azuma", {"gamma2": {"alpha": 2, "value": 1.25}, "diam": 1.0, "u": True}, "u"),
+    ("chaos", {"matrices": _CHAOS_MATRICES, "u": 2.0, "xi_psi2": {"value": "1.2"}},
+     "xi_psi2.value"),
+    ("chaos", {"matrices": _CHAOS_MATRICES, "u": 2.0, "xi_psi2": {"value": 1.2, "alpha": "2"}},
+     "xi_psi2.alpha"),
+    ("kmr", {"matrices": _CHAOS_MATRICES, "gamma_p": True}, "gamma_p"),
+])
+def test_bound_params_must_be_json_numbers(tmp_path, capsys, name, params, field):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(params))
+    code, out, err = run(["bound", name, "--params", str(path), "--out", str(tmp_path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {field} must be a real number, got ")
+    assert not list(tmp_path.glob("bound-*"))

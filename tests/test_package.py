@@ -1,6 +1,7 @@
 """The package surface, the demos, and the caps the README states."""
 
 import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -83,6 +84,8 @@ _README_CAPS = {
     ("chaining", "_CACHED_POINTS"): rf"tables on at most {_NUMBER} points stay cached",
     ("rip", "ENUMERATION_CAP"): rf"capped at {_NUMBER} supports, `ENUMERATION_CAP`",
     ("processes", "SIGN_ENUM_CAP"): rf"n ≤ {_NUMBER} \(`SIGN_ENUM_CAP`\)",
+    ("validation", "_DECOUPLING_CAP"): rf"dimension ≤ {_NUMBER}, `_DECOUPLING_CAP`",
+    ("rip", "_CACHED_ENTRIES"): rf"tables of at most {_NUMBER} indices stay cached",
     ("processes", "BLOCK"): rf"`BLOCK` = {_NUMBER} replications",
     ("rip", "_BATCH"): rf"at most `_BATCH` = {_NUMBER} blocks",
     ("validation", "_RESAMPLE_BLOCK"): rf"`_RESAMPLE_BLOCK` = {_NUMBER},",
@@ -97,3 +100,31 @@ def test_readme_caps_match_the_code(module, constant):
     base, power = match.group(1), match.group(2).translate(_SUPERSCRIPTS)
     stated = int(base) ** int(power) if power else int(base)
     assert stated == getattr(importlib.import_module(f"chainbounds.{module}"), constant)
+
+
+def _public_callables():
+    """(name, callable) for every callable in chainbounds.__all__, and for the
+    constructor and public methods of every exported class."""
+    for name in cb.__all__:
+        obj = getattr(cb, name)
+        if inspect.isclass(obj):
+            yield name, obj
+            for attr in dir(obj):
+                member = getattr(obj, attr)
+                if not attr.startswith("_") and inspect.isroutine(member):
+                    yield f"{name}.{attr}", member
+        elif callable(obj):
+            yield name, obj
+
+
+def test_no_public_callable_takes_a_caller_set_cap():
+    # Exhaustive searches are refused by module constants alone; a cap the
+    # caller can pass (NaN, a string, True) is a knob with no validator.
+    taken = []
+    for name, fn in _public_callables():
+        try:
+            params = inspect.signature(fn).parameters
+        except (TypeError, ValueError):  # builtins without a signature
+            continue
+        taken += [f"{name}({p})" for p in params if p.endswith("_cap") or p == "n_small"]
+    assert taken == []

@@ -1,7 +1,9 @@
 """Subsampled-unitary restricted isometry: exact constants and Monte Carlo."""
 
+import gc
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,10 +99,11 @@ def test_delta_witness_reproduces_value():
     assert abs(abs(np.linalg.norm(A @ w) ** 2 - 1.0) - rep.delta_s) <= 1e-9
 
 
-def test_delta_enumeration_cap():
+def test_delta_enumeration_cap(monkeypatch):
+    monkeypatch.setattr(rip, "ENUMERATION_CAP", 1000)
     A = np.ones((2, 30))
     with pytest.raises(CapacityError):
-        restricted_isometry_constant(A, 15, enumeration_cap=1000)
+        restricted_isometry_constant(A, 15)
 
 
 def test_delta_input_validation():
@@ -518,14 +521,15 @@ def test_failure_probability_rejects_before_any_draw(monkeypatch):
     monkeypatch.setattr(rip, "_replication_streams", lambda *a: draws.append(a))
     with pytest.raises(CapacityError):
         estimate_failure_probability(N=30, m=10, s=15, delta=0.5, reps=3, seed=0)
-    with pytest.raises(CapacityError):
-        estimate_failure_probability(N=8, m=4, s=2, delta=0.5, reps=3, seed=0, enumeration_cap=27)
     with pytest.raises(DomainError):
         estimate_failure_probability(N=8, m=4, s=9, delta=0.5, reps=3, seed=0)
     for confidence in (1.5, float("nan"), -0.1, 0.5, 1.0):
         with pytest.raises(DomainError):
             estimate_failure_probability(N=8, m=4, s=2, delta=0.5, reps=3, seed=0,
                                          confidence=confidence)
+    monkeypatch.setattr(rip, "ENUMERATION_CAP", 27)  # C(8, 2) = 28 supports
+    with pytest.raises(CapacityError):
+        estimate_failure_probability(N=8, m=4, s=2, delta=0.5, reps=3, seed=0)
     assert draws == []
 
 
@@ -537,6 +541,32 @@ def test_support_table_is_cached_and_read_only():
     assert not table.flags.writeable
     with pytest.raises(ValueError):
         table[0, 0] = 6
+
+
+def test_only_small_support_tables_stay_cached(monkeypatch):
+    # the tables the benchmark's rip commands read stay cached
+    for N, s in ((32, 3), (16, 2)):
+        assert rip._supports(N, s) is rip._supports(N, s)
+    monkeypatch.setattr(rip, "_CACHED_ENTRIES", math.comb(7, 3) * 3)
+    assert rip._supports(7, 3) is rip._supports(7, 3)
+    monkeypatch.setattr(rip, "_CACHED_ENTRIES", math.comb(7, 3) * 3 - 1)
+    table = rip._supports(7, 3)
+    assert rip._supports(7, 3) is not table
+    assert np.array_equal(rip._supports(7, 3), table) and not table.flags.writeable
+
+
+def test_large_support_tables_are_not_kept_once_used():
+    # C(24, 6) = 134,596 supports of 6 indices are 6.5 MB, C(22, 7) 9.6 MB
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for N, s in ((24, 6), (22, 7)):
+            assert rip._supports(N, s).shape == (math.comb(N, s), s)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 2**20
 
 
 def test_failure_probability_screens_each_chunk_once(monkeypatch):

@@ -33,6 +33,7 @@ from chainbounds import (
     validate_bound,
 )
 from chainbounds import validation
+from chainbounds.processes import SIGN_ENUM_CAP
 from chainbounds.validation import _bootstrap_means, _bootstrap_rng, _verdict
 
 
@@ -416,7 +417,7 @@ def test_a_nan_u_gets_no_verdict():
 def test_decoupling_and_symmetrization_hold_small():
     rng = np.random.default_rng(0)
     mats = [rng.normal(size=(3, 4)) for _ in range(3)]
-    out = check_symmetrization_decoupling(mats, n_small=4)
+    out = check_symmetrization_decoupling(mats)
     assert out["holds"]
     assert out["dimension"] == 4
     assert out["family_size"] == 3
@@ -427,7 +428,7 @@ def test_decoupling_and_symmetrization_hold_small():
 def test_decoupling_complex_family():
     rng = np.random.default_rng(3)
     mats = [rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3)) for _ in range(2)]
-    out = check_symmetrization_decoupling(mats, n_small=3, p_list=(1.0, 3.0))
+    out = check_symmetrization_decoupling(mats, p_list=(1.0, 3.0))
     assert out["holds"]
     assert [r["p"] for r in out["decoupling"]] == [1.0, 3.0]
 
@@ -435,16 +436,16 @@ def test_decoupling_complex_family():
 def test_symmetrization_custom_table():
     mats = [np.eye(3)]
     table = np.array([[1.0, 2.0, 3.0], [0.5, 0.5, 0.5]])
-    out = check_symmetrization_decoupling(mats, n_small=3, table=table, selector_prob=0.25)
+    out = check_symmetrization_decoupling(mats, table=table, selector_prob=0.25)
     assert out["holds"]
 
 
 def test_decoupling_capacity_and_domain_checks():
     mats = [np.eye(4)]
     with pytest.raises(CapacityError):
-        check_symmetrization_decoupling(mats, n_small=3)
+        check_symmetrization_decoupling([np.eye(9)])
     with pytest.raises(CapacityError):
-        check_symmetrization_decoupling([np.eye(20)], n_small=20)
+        check_symmetrization_decoupling([np.eye(20)])
     with pytest.raises(DomainError):
         check_symmetrization_decoupling(mats, selector_prob=1.0)
     with pytest.raises(DomainError):
@@ -455,16 +456,13 @@ def test_decoupling_capacity_and_domain_checks():
         check_symmetrization_decoupling(mats, p_list=(0.5,))
 
 
-@pytest.mark.parametrize("n_small", [2.5, float("nan"), "8", True, None, 0])
-def test_decoupling_rejects_an_n_small_that_is_no_count(n_small):
-    with pytest.raises(DomainError, match="n_small must be"):
-        check_symmetrization_decoupling([np.eye(2)], n_small=n_small)
-
-
 def test_decoupling_keeps_its_capacity_error_above_the_sign_cap():
-    cap = validation.SIGN_ENUM_CAP
-    with pytest.raises(CapacityError, match=f"n_small must be <= {cap}, got {cap + 1}"):
-        check_symmetrization_decoupling([np.eye(2)], n_small=cap + 1)
+    # One cap, below the sign cap, refuses every larger dimension by name.
+    cap = validation._DECOUPLING_CAP
+    assert cap < SIGN_ENUM_CAP
+    for n in (cap + 1, SIGN_ENUM_CAP, SIGN_ENUM_CAP + 1):
+        with pytest.raises(CapacityError, match=f"dimension {n} exceeds .* cap {cap}"):
+            check_symmetrization_decoupling([np.eye(n)])
 
 
 @settings(max_examples=20, deadline=None)
@@ -472,7 +470,7 @@ def test_decoupling_keeps_its_capacity_error_above_the_sign_cap():
 def test_decoupling_holds_on_random_families(seed):
     rng = np.random.default_rng(seed)
     mats = [rng.normal(size=(2, 3)) for _ in range(2)]
-    assert check_symmetrization_decoupling(mats, n_small=3)["holds"]
+    assert check_symmetrization_decoupling(mats)["holds"]
 
 
 @settings(max_examples=20, deadline=None)
@@ -487,7 +485,7 @@ def test_decoupling_rhs_is_the_exact_decoupled_chaos_law(seed, complex_entries):
     grams = np.einsum("kmi,kmj->kij", stack.conj(), stack)
     signs = sign_patterns(3)
     bilinear_sup = np.abs(np.einsum("ai,kij,bj->kab", signs, grams, signs)).max(axis=0).ravel()
-    out = check_symmetrization_decoupling(mats, n_small=3)
+    out = check_symmetrization_decoupling(mats)
     for row in out["decoupling"]:
         p = row["p"]
         assert row["rhs"] == 4.0 * (bilinear_sup**p).mean() ** (1.0 / p)
