@@ -3,10 +3,12 @@
 Every rejection carries a message naming the offending entry, so callers can
 surface validation failures without re-deriving them.  The argument
 validators below are shared by every module that takes a count, a seed, an
-order, a scale or a confidence level.
+order or a scale.
 """
 
 import math
+
+import numpy as np
 
 __all__ = [
     "ChainboundsError",
@@ -55,10 +57,11 @@ class MissingConstantError(ChainboundsError):
 def check_int(name: str, v, low: int, high: int | None = None) -> int:
     """v as an int; DomainError unless it is an integer in [low, high].
 
-    Integral floats are accepted; bools, NaN, infinities and non-numbers are not.
+    Integral floats are accepted; bools (numpy's too), NaN, infinities and
+    non-numbers are not.
     """
     try:
-        integral = not isinstance(v, bool) and int(v) == v
+        integral = not isinstance(v, (bool, np.bool_)) and int(v) == v
     except (ValueError, OverflowError, TypeError):  # NaN, infinities, non-numbers
         integral = False
     if not integral:
@@ -70,28 +73,28 @@ def check_int(name: str, v, low: int, high: int | None = None) -> int:
     return v
 
 
-def check_real(name: str, v, low: float, strict: bool = False) -> float:
-    """v as a float; DomainError unless it is finite and >= low (> low if strict).
-
-    Bools and non-numbers (None, strings, containers) are rejected by name.
-    """
+def check_number(name: str, v) -> float:
+    """v as a float, NaN and infinities included; DomainError unless it is a
+    real number.  Bools and complex numbers (numpy's too) and non-numbers
+    (None, strings, containers) are rejected by name."""
     try:
-        if isinstance(v, bool):
+        # math.isfinite reads bools and numpy complex numbers as reals
+        if isinstance(v, (bool, np.bool_, np.complexfloating)):
             raise TypeError
-        finite = math.isfinite(v)
+        math.isfinite(v)  # TypeError for every non-number
     except TypeError:
         raise DomainError(f"{name} must be a real number, got {v!r}") from None
-    if not (finite and (v > low if strict else v >= low)):
-        op = ">" if strict else ">="
-        raise DomainError(f"{name} must be finite and {op} {low:g}, got {v!r}")
     return float(v)
 
 
-def check_confidence(confidence) -> float:
-    """confidence as a float; DomainError unless it lies in (0.5, 1)."""
-    if not 0.5 < confidence < 1.0:  # False for NaN
-        raise DomainError(f"confidence must lie in (0.5, 1), got {confidence}")
-    return float(confidence)
+def check_real(name: str, v, low: float, strict: bool = False) -> float:
+    """v as a float; DomainError unless it is a real number (see check_number),
+    finite and >= low (> low if strict)."""
+    x = check_number(name, v)
+    if not (math.isfinite(x) and (x > low if strict else x >= low)):
+        op = ">" if strict else ">="
+        raise DomainError(f"{name} must be finite and {op} {low:g}, got {v!r}")
+    return x
 
 
 def alpha_power(base: float, exponent: float, what: str, alpha: float) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, UnsupportedFamilyError, check_int, check_real
+from .errors import ConvergenceError, DomainError, UnsupportedFamilyError, check_real
 
 __all__ = [
     "psi_alpha",
@@ -28,6 +28,10 @@ __all__ = [
 ]
 
 LOG2 = math.log(2.0)
+# psi_norm_empirical's bisection: relative bracket width at which it stops,
+# and the most halvings it takes to bracket the norm or to narrow the bracket.
+_BISECTION_TOL = 1e-6
+_BISECTION_MAX_ITER = 200
 
 
 def psi_alpha(x, alpha: float):
@@ -96,21 +100,14 @@ def _mean_psi(abs_samples: np.ndarray, c: float, alpha: float) -> float:
     return float(np.mean(vals))  # inf propagates, which reads as > 1
 
 
-def psi_norm_empirical(
-    samples,
-    alpha: float,
-    tol: float = 1e-6,
-    max_iter: int = 200,
-) -> OrliczNorm:
+def psi_norm_empirical(samples, alpha: float) -> OrliczNorm:
     """Bisection for the smallest C with mean psi_alpha(|x_i|/C) <= 1.
 
     Complex samples contribute their modulus.  Returns the feasible (upper)
     end of the final bracket, so the defining condition holds at the reported
-    value and fails below value * (1 - tol).
+    value and fails below value * (1 - _BISECTION_TOL), that is 1e-6 relative.
     """
     check_real("alpha", alpha, 0.0, strict=True)
-    tol = check_real("tolerance", tol, 0.0, strict=True)
-    max_iter = check_int("max_iter", max_iter, 1)
     arr = np.asarray(samples)
     if arr.size == 0:
         raise DomainError("cannot take an Orlicz norm of an empty sample")
@@ -130,14 +127,14 @@ def psi_norm_empirical(
         hi = lo
         lo /= 2.0
         guard += 1
-        if guard > max_iter:
+        if guard > _BISECTION_MAX_ITER:
             raise ConvergenceError("could not bracket the Orlicz norm from below")
     it = 0
-    while (hi - lo) > tol * hi:
+    while (hi - lo) > _BISECTION_TOL * hi:
         it += 1
-        if it > max_iter:
+        if it > _BISECTION_MAX_ITER:
             raise ConvergenceError(
-                f"Orlicz bisection did not converge in {max_iter} iterations"
+                f"Orlicz bisection did not converge in {_BISECTION_MAX_ITER} iterations"
             )
         mid = 0.5 * (hi + lo)
         if _mean_psi(arr, mid, alpha) <= 1.0:

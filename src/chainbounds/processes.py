@@ -28,6 +28,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from . import chaining
 from .errors import (
     CapacityError,
     DomainError,
@@ -65,7 +66,7 @@ __all__ = [
 ]
 
 SIGN_ENUM_CAP = 10
-MODEL_KINDS = ("gaussian", "martingale-family", "empirical", "squares", "chaos")
+MODEL_KINDS = ("gaussian", "martingale-family", "empirical", "squares")
 _ROW_FAMILIES = ("rademacher", "gaussian", "uniform", "constant")
 _EIG_TOL = 1e-10
 # Unit-scale psi-norm roots with no closed form, stored as the brentq roots of
@@ -614,15 +615,30 @@ def exact_empirical_distribution(model: ProcessModel) -> np.ndarray:
     return np.abs(z @ model.coefficients.T).max(axis=1) / m
 
 
+def _check_pair_table(k: int, n: int, what: str) -> None:
+    """CapacityError, before anything is built, when a table over all pairs of
+    sign patterns in dimension n for k items (matrices or table rows, as what
+    names one), k 4^n entries, would exceed the exact searches' one budget,
+    chaining._TABLE_BUDGET."""
+    entries, budget = k * 4**n, chaining._TABLE_BUDGET
+    if entries > budget:
+        raise CapacityError(
+            f"{what} count k = {k}, dimension n = {n}: a pair table of k 4^n = {entries} "
+            f"entries, above the budget of {budget}"
+        )
+
+
 def exact_chaos_distribution(matrices, decoupled: bool = False) -> np.ndarray:
     """Equally likely chaos sup values over Rademacher sign patterns.
 
     Plain form enumerates 2^n component vectors; decoupled form enumerates
-    all 2^(2n) independent pairs.
+    all 2^(2n) independent pairs, k 4^n entries for k matrices, and is
+    refused past chaining._TABLE_BUDGET before that table is built.
     """
     stack = _matrix_stack(matrices)
     signs = sign_patterns(stack.shape[2])
     if decoupled:
+        _check_pair_table(stack.shape[0], stack.shape[2], "matrix")
         grams = np.einsum("kmi,kmj->kij", stack.conj(), stack)
         bil = np.einsum("ai,kij,bj->kab", signs, grams, signs)
         return np.abs(bil).max(axis=0).ravel()

@@ -38,7 +38,6 @@ from .errors import (
     ConvergenceError,
     DomainError,
     ModelError,
-    check_confidence,
     check_int,
     check_real,
 )
@@ -69,6 +68,7 @@ WITNESS_TOL = 1e-9
 COMPLEXITY_CAP = 1 << 60
 _BATCH = 4096
 _SCREEN_TOL = 1e-9
+_BOS_TEST_VECTORS = 8  # random unit vectors check_bos tries isotropy on
 
 
 def build_dft(N: int) -> np.ndarray:
@@ -383,13 +383,13 @@ def estimate_failure_probability(
     reps: int,
     seed: int,
     U=None,
-    confidence: float = 0.99,
 ) -> dict:
     """Monte Carlo estimate of P(delta_s >= delta) under Bernoulli selectors.
 
     U defaults to the discrete Fourier matrix.  Equality counts as failure
     (delta = 0 therefore estimates 1).  Returns the exceedance fraction with
-    one-sided Clopper-Pearson bounds and the mean realized row count.
+    one-sided Clopper-Pearson bounds at validation.CONFIDENCE and the mean
+    realized row count.
     """
     U = build_dft(N) if U is None else _as_unitary(U)
     N = U.shape[0]
@@ -399,7 +399,6 @@ def estimate_failure_probability(
     check_real("delta", delta, 0.0)
     s = check_int("s", s, 1, N)
     _check_enumeration(N, s)
-    check_confidence(confidence)
     supports = _supports(N, s)
     A = math.sqrt(N / m) * U  # scaled before the sums, as subsample() does
     # Replications go through the kernel in chunks of at most _BATCH support
@@ -422,8 +421,8 @@ def estimate_failure_probability(
         "reps": reps,
         "failures": failures,
         "estimate": failures / reps,
-        "ci_lower": exceedance_lower_bound(failures, reps, confidence),
-        "ci_upper": exceedance_upper_bound(failures, reps, confidence),
+        "ci_lower": exceedance_lower_bound(failures, reps),
+        "ci_upper": exceedance_upper_bound(failures, reps),
         "mean_realized_rows": realized / reps,
     }
 
@@ -448,13 +447,13 @@ class BosSystem:
         return self.rows[idx] / math.sqrt(m)
 
 
-def check_bos(rows, K: float, weights=None, test_vectors: int = 8, seed: int = 0) -> BosSystem:
+def check_bos(rows, K: float, weights=None, seed: int = 0) -> BosSystem:
     """Validate isotropy and flatness of a finite row system.
 
     Isotropy requires sum_i w_i X_i X_i^H = I, checked entrywise (standard
-    basis) and on random unit test vectors to 1e-8; flatness requires every
-    entry of every row to have modulus <= K.  Violations are rejected with
-    the maximal residual.
+    basis) and on _BOS_TEST_VECTORS random unit vectors drawn from seed, to
+    1e-8; flatness requires every entry of every row to have modulus <= K.
+    Violations are rejected with the maximal residual.
     """
     rows = np.asarray(rows, dtype=complex)
     if rows.ndim != 2 or rows.size == 0:
@@ -468,7 +467,6 @@ def check_bos(rows, K: float, weights=None, test_vectors: int = 8, seed: int = 0
             raise DomainError("weights must be a probability vector over the rows")
     check_real("K", K, 0.0, strict=True)
     seed = check_int("seed", seed, 0, SEED_MAX)
-    test_vectors = check_int("test_vectors", test_vectors, 0)
     flat = float(np.abs(rows).max())
     if flat > K + 1e-12:
         raise ModelError(f"row sup-norm {flat:.12g} exceeds the declared bound K = {K:g}")
@@ -477,7 +475,7 @@ def check_bos(rows, K: float, weights=None, test_vectors: int = 8, seed: int = 0
     if residual > 1e-8:
         raise ModelError(f"row system is not isotropic (max residual {residual:.3e})")
     rng = replication_rng(seed, 0)
-    for _ in range(test_vectors):
+    for _ in range(_BOS_TEST_VECTORS):
         x = rng.standard_normal(N) + 1j * rng.standard_normal(N)
         x /= np.linalg.norm(x)
         second = float(weights @ (np.abs(rows.conj() @ x) ** 2))

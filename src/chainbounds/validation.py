@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, check_confidence, check_int, check_real
-from .processes import SupremumSample, exact_chaos_distribution, sign_patterns
+from .errors import DomainError, check_int, check_number, check_real
+from .processes import SupremumSample, _check_pair_table, exact_chaos_distribution, sign_patterns
 from .results import MomentBound, TailBound
 from .schatten import _matrix_stack
 
@@ -28,13 +28,12 @@ __all__ = [
     "check_symmetrization_decoupling",
 ]
 
+# The one statistical rule behind every verdict, read at call time: one-sided
+# Clopper-Pearson bounds at level CONFIDENCE on each exceedance, and a
+# percentile bootstrap of BOOTSTRAP_RESAMPLES resamples on each moment.
 BOOTSTRAP_RESAMPLES = 1000
 CONFIDENCE = 0.99
 _RESAMPLE_BLOCK = 1 << 15  # indices per bootstrap draw, once n is below it
-# The decoupling check's largest dimension n, below SIGN_ENUM_CAP = 10: its
-# tables hold k 4^n entries for k matrices, quadratic in the 2^n sign patterns
-# (at k = 3 a peak of 84 MB at dimension 10 against 5 MB at 8; 210 MB at k = 8).
-_DECOUPLING_CAP = 8
 
 
 def _bootstrap_rng(seed: int) -> np.random.Generator:
@@ -73,58 +72,59 @@ class MomentEstimate:
             raise DomainError("bootstrap interval must contain the point estimate")
 
 
-def estimate_moments(
-    sample: SupremumSample,
-    p_list,
-    resamples: int = BOOTSTRAP_RESAMPLES,
-    confidence: float = CONFIDENCE,
-) -> list[MomentEstimate]:
+def _entries(values) -> list:
+    """The entries of a scalar, a sequence or an array, each as given, so that
+    a check names the entry itself rather than a numpy coercion of it."""
+    return list(values) if np.ndim(values) else [values]
+
+
+def estimate_moments(sample: SupremumSample, p_list) -> list[MomentEstimate]:
     """(E sup^p)^(1/p) point estimates with percentile-bootstrap intervals."""
     values = sample.values
     if values.size == 0:
         raise DomainError("cannot estimate moments from an empty sample")
-    p_list = [check_real("moment order p", p, 1.0) for p in np.atleast_1d(p_list)]
-    resamples = check_int("resamples", resamples, 1)
-    confidence = check_confidence(confidence)
+    p_list = [check_real("moment order p", p, 1.0) for p in _entries(p_list)]
     # Powers of values / max (max taken as 1 for an all-zero sample) stay in
     # [0, 1], so a large p cannot overflow; the roots are scaled back by max.
     top = float(values.max()) or 1.0
     columns = np.stack([(values / top) ** p for p in p_list])  # one contiguous row per p
-    boot = _bootstrap_means(columns, _bootstrap_rng(sample.seed), resamples)
-    lo, hi = 100.0 * (1.0 - confidence), 100.0 * confidence
+    boot = _bootstrap_means(columns, _bootstrap_rng(sample.seed), BOOTSTRAP_RESAMPLES)
+    lo, hi = 100.0 * (1.0 - CONFIDENCE), 100.0 * CONFIDENCE
     out = []
     for j, p in enumerate(p_list):
         root = top * boot[:, j] ** (1.0 / p)
         est = top * float(columns[j].mean()) ** (1.0 / p)
         ci_low = min(float(np.percentile(root, lo)), est)
         ci_high = max(float(np.percentile(root, hi)), est)
-        out.append(MomentEstimate(p, est, ci_low, ci_high, resamples))
+        out.append(MomentEstimate(p, est, ci_low, ci_high, BOOTSTRAP_RESAMPLES))
     return out
 
 
-def _exceedance_args(k, n, confidence) -> tuple[int, int, float]:
+def _exceedance_args(k, n) -> tuple[int, int]:
     n = check_int("trial count n", n, 1)
-    return check_int("exceedance count k", k, 0, n), n, check_confidence(confidence)
+    return check_int("exceedance count k", k, 0, n), n
 
 
-def exceedance_upper_bound(k: int, n: int, confidence: float = CONFIDENCE) -> float:
-    """One-sided Clopper-Pearson upper bound for k exceedances in n trials."""
-    k, n, confidence = _exceedance_args(k, n, confidence)
+def exceedance_upper_bound(k: int, n: int) -> float:
+    """One-sided Clopper-Pearson upper bound at level CONFIDENCE for k
+    exceedances in n trials."""
+    k, n = _exceedance_args(k, n)
     if k == n:
         return 1.0
     from scipy.special import betaincinv  # here, so that importing the package loads no scipy
 
-    return float(betaincinv(k + 1, n - k, confidence))
+    return float(betaincinv(k + 1, n - k, CONFIDENCE))
 
 
-def exceedance_lower_bound(k: int, n: int, confidence: float = CONFIDENCE) -> float:
-    """One-sided Clopper-Pearson lower bound for k exceedances in n trials."""
-    k, n, confidence = _exceedance_args(k, n, confidence)
+def exceedance_lower_bound(k: int, n: int) -> float:
+    """One-sided Clopper-Pearson lower bound at level CONFIDENCE for k
+    exceedances in n trials."""
+    k, n = _exceedance_args(k, n)
     if k == 0:
         return 0.0
     from scipy.special import betaincinv
 
-    return float(betaincinv(k, n - k + 1, 1.0 - confidence))
+    return float(betaincinv(k, n - k + 1, 1.0 - CONFIDENCE))
 
 
 @dataclass(frozen=True)
@@ -165,8 +165,6 @@ def validate_bound(
     sample: SupremumSample,
     bound: TailBound | MomentBound,
     u_grid=None,
-    confidence: float = CONFIDENCE,
-    resamples: int = BOOTSTRAP_RESAMPLES,
 ) -> ValidationReport:
     """Compare a bound with empirical exceedances (tail) or moments (moment).
 
@@ -181,7 +179,8 @@ def validate_bound(
     if isinstance(bound, TailBound):
         if u_grid is None:
             raise DomainError("tail-bound validation needs a u_grid")
-        u_grid = np.atleast_1d(np.asarray(u_grid, dtype=float))
+        # Types by entry here; NaN and the range are the bound's to refuse.
+        u_grid = np.array([check_number("u_grid entry", u) for u in _entries(u_grid)])
         if u_grid.size == 0:
             raise DomainError("tail-bound validation needs a nonempty u_grid")
         rows = []
@@ -189,8 +188,8 @@ def validate_bound(
             thr = bound.threshold(u)
             env = float(bound.probability(u))
             k = int(np.count_nonzero(values >= thr))
-            upper = exceedance_upper_bound(k, n, confidence)
-            lower = exceedance_lower_bound(k, n, confidence)
+            upper = exceedance_upper_bound(k, n)
+            lower = exceedance_lower_bound(k, n)
             rows.append(
                 {
                     "u": float(u),
@@ -202,7 +201,7 @@ def validate_bound(
                 }
             )
     elif isinstance(bound, MomentBound):
-        (est,) = estimate_moments(sample, [bound.p], resamples, confidence)
+        (est,) = estimate_moments(sample, [bound.p])
         rows = [
             {
                 "p": bound.p,
@@ -236,7 +235,7 @@ def check_symmetrization_decoupling(
     table=None,
     p_list=(1.0, 2.0, 4.0),
 ) -> dict:
-    """Exhaustively verify two reduction inequalities in dimension <= _DECOUPLING_CAP.
+    """Exhaustively verify two reduction inequalities on a small matrix family.
 
     Decoupling: with B = A^H A per family member and Rademacher xi,
         (E sup_A |sum_{i != j} B_ij xi_i xi_j|^p)^(1/p)
@@ -248,14 +247,22 @@ def check_symmetrization_decoupling(
         (E sup_rows |sum_i (theta_i - q) v_i|^p)^(1/p)
             <= 2 (E E_eps sup_rows |sum_i eps_i theta_i v_i|^p)^(1/p),
     again exactly over all selector and sign patterns.
+
+    Both sides tabulate pattern pairs: k 4^n entries for k matrices (or k
+    table rows) of dimension n, refused with CapacityError before any table
+    is built when that passes chaining._TABLE_BUDGET.
     """
     stack = _matrix_stack(matrices)
     n = stack.shape[2]
-    if n > _DECOUPLING_CAP:
-        raise CapacityError(f"instance dimension {n} exceeds the decoupling cap {_DECOUPLING_CAP}")
     if not 0.0 < selector_prob < 1.0:
         raise DomainError(f"selector_prob must lie in (0, 1), got {selector_prob}")
     p_list = [check_real("moment order p", p, 1.0) for p in p_list]
+    if table is not None:
+        v = np.asarray(table, dtype=float)
+        if v.ndim != 2 or v.shape[1] != n:
+            raise DomainError(f"table must be 2-D with {n} columns, got shape {v.shape}")
+        _check_pair_table(v.shape[0], n, "table row")
+    _check_pair_table(stack.shape[0], n, "matrix")
 
     grams = np.einsum("kmi,kmj->kij", stack.conj(), stack)
     signs = sign_patterns(n)
@@ -272,10 +279,6 @@ def check_symmetrization_decoupling(
 
     if table is None:
         v = np.einsum("kii->ki", grams).real.copy()
-    else:
-        v = np.asarray(table, dtype=float)
-        if v.ndim != 2 or v.shape[1] != n:
-            raise DomainError(f"table must be 2-D with {n} columns, got shape {v.shape}")
     if np.any(v < 0) or not np.all(np.isfinite(v)):
         raise DomainError("symmetrization table values must be finite and nonnegative")
     q = selector_prob

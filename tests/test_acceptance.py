@@ -23,7 +23,7 @@ REPS = 100_000
 # Smallest exceedance frequency a 99% Clopper-Pearson interval can certify
 # with REPS zero-exceedance replications; envelopes below it are out of
 # Monte Carlo reach and only the point estimate can be checked.
-CP_FLOOR = cb.exceedance_upper_bound(0, REPS, 0.99)
+CP_FLOOR = cb.exceedance_upper_bound(0, REPS)
 
 
 def _report(num, passed, detail):

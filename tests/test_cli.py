@@ -540,6 +540,25 @@ def test_simulate_empty_u_grid_exits_two(tmp_path, capsys):
     assert not list(tmp_path.glob("simulate-*.json"))
 
 
+@pytest.mark.parametrize("key, values, named", [
+    ("u_grid", ["1.5", True], "u_grid entry must be a real number, got '1.5'"),
+    ("u_grid", [1.0, True], "u_grid entry must be a real number, got True"),
+    ("u_grid", "2", "u_grid entry must be a real number, got '2'"),
+    ("p_list", [True], "moment order p must be a real number, got True"),
+    ("p_list", [2.0, "3"], "moment order p must be a real number, got '3'"),
+])
+def test_simulate_grid_entries_that_are_no_numbers_exit_two(tmp_path, capsys, key, values, named):
+    cfg = json.loads(gaussian_sim_config(tmp_path).read_text())
+    if key == "p_list":
+        del cfg["bound"], cfg["u_grid"]
+    cfg[key] = values
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    code, _, err = run(["simulate", "--config", str(path), "--out", str(tmp_path)], capsys)
+    assert code == 2 and f"error: {named}" in err
+    assert not list(tmp_path.glob("simulate-*.json"))
+
+
 @pytest.mark.parametrize("field, value", [("reps", math.inf), ("reps", 10.5), ("reps", 0),
                                           ("seed", math.inf), ("seed", 1.5), ("seed", -1)])
 def test_simulate_non_integer_reps_or_seed_exits_two(tmp_path, capsys, field, value):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from chainbounds import DomainError
-from chainbounds.errors import check_int, check_real
+from chainbounds.errors import check_int, check_number, check_real
 
 
 def test_check_int_accepts_integral_values():
@@ -21,6 +21,12 @@ def test_check_int_accepts_integral_values():
 def test_check_int_rejects(v):
     with pytest.raises(DomainError):
         check_int("n", v, 1, 8)
+
+
+@pytest.mark.parametrize("v", [np.True_, np.False_, np.str_("3")])
+def test_check_int_rejects_numpy_bools_and_strings(v):
+    with pytest.raises(DomainError, match="n must be an integer"):
+        check_int("n", v, 0, 8)
 
 
 def test_check_real_bounds():
@@ -38,8 +44,21 @@ def test_check_real_rejects_non_finite(v):
         check_real("x", v, 0.0)
 
 
-@pytest.mark.parametrize("v", [None, "1.5", {"value": 1.0}, [1.0], 1j, True, False])
+@pytest.mark.parametrize(
+    "v", [None, "1.5", {"value": 1.0}, [1.0], 1j, True, False, np.True_, np.False_, np.str_("2"),
+          np.complex128(2.0), np.complex64(1j)]
+)
 def test_check_real_names_the_field_of_a_non_number(v):
     # JSON null, strings, objects and booleans are rejected by name, as check_int does
-    with pytest.raises(DomainError, match=f"^diam must be a real number, got {re.escape(repr(v))}$"):
+    message = f"^diam must be a real number, got {re.escape(repr(v))}$"
+    with pytest.raises(DomainError, match=message):
         check_real("diam", v, 0.0)
+    with pytest.raises(DomainError, match=message):
+        check_number("diam", v)
+
+
+def test_check_number_takes_every_real_number():
+    # NaN and infinities included: the range is the caller's to check
+    for v in (1, -2.5, np.float32(0.5), np.int64(3), math.inf, -math.inf):
+        assert check_number("u", v) == float(v)
+    assert math.isnan(check_number("u", math.nan))

@@ -84,11 +84,11 @@ _README_CAPS = {
     ("chaining", "_CACHED_POINTS"): rf"tables on at most {_NUMBER} points stay cached",
     ("rip", "ENUMERATION_CAP"): rf"capped at {_NUMBER} supports, `ENUMERATION_CAP`",
     ("processes", "SIGN_ENUM_CAP"): rf"n ≤ {_NUMBER} \(`SIGN_ENUM_CAP`\)",
-    ("validation", "_DECOUPLING_CAP"): rf"dimension ≤ {_NUMBER}, `_DECOUPLING_CAP`",
     ("rip", "_CACHED_ENTRIES"): rf"tables of at most {_NUMBER} indices stay cached",
     ("processes", "BLOCK"): rf"`BLOCK` = {_NUMBER} replications",
     ("rip", "_BATCH"): rf"at most `_BATCH` = {_NUMBER} blocks",
     ("validation", "_RESAMPLE_BLOCK"): rf"`_RESAMPLE_BLOCK` = {_NUMBER},",
+    ("validation", "BOOTSTRAP_RESAMPLES"): rf"`BOOTSTRAP_RESAMPLES` = {_NUMBER} resamples",
 }
 
 
@@ -117,14 +117,23 @@ def _public_callables():
             yield name, obj
 
 
+# Settings that module constants fix: the confidence level, the resample
+# count, the Orlicz bisection's tolerance and budget, and check_bos's count of
+# test vectors.
+_FIXED_SETTINGS = {"n_small", "confidence", "resamples", "tol", "max_iter", "test_vectors"}
+# Result records that store such a setting as provenance, not take it.
+_RECORDED = {"MomentEstimate(resamples)"}
+
+
 def test_no_public_callable_takes_a_caller_set_cap():
-    # Exhaustive searches are refused by module constants alone; a cap the
-    # caller can pass (NaN, a string, True) is a knob with no validator.
+    # Exhaustive searches are refused, and verdicts drawn, by module constants
+    # alone; a cap or a level the caller can pass (NaN, a string, True) is a
+    # knob with no validator.
     taken = []
     for name, fn in _public_callables():
         try:
             params = inspect.signature(fn).parameters
         except (TypeError, ValueError):  # builtins without a signature
             continue
-        taken += [f"{name}({p})" for p in params if p.endswith("_cap") or p == "n_small"]
-    assert taken == []
+        taken += [f"{name}({p})" for p in params if p.endswith("_cap") or p in _FIXED_SETTINGS]
+    assert [t for t in taken if t not in _RECORDED] == []

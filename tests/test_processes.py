@@ -15,6 +15,7 @@ from chainbounds import (
     DomainError,
     MetricValidationError,
     ModelError,
+    ProcessModel,
     RowDistribution,
     UnsupportedFamilyError,
     canonical_metric,
@@ -677,3 +678,11 @@ def test_a_bad_model_is_reported_before_a_bad_replication_count():
         simulate_martingale_family(bad_steps, 0, 1)
     with pytest.raises(DomainError, match="unknown index point"):
         simulate_gaussian(gaussian_model(np.eye(2)), 0, 1, base_point="nowhere")
+
+
+@pytest.mark.parametrize("kind", ["chaos", "gaussian-process", ""])
+def test_process_model_refuses_a_kind_no_builder_makes(kind):
+    # chaos runs from matrices (simulate_chaos, exact_chaos_distribution), not from a model
+    with pytest.raises(UnsupportedFamilyError, match=f"unknown process kind {kind!r}"):
+        ProcessModel(kind=kind, labels=("a",))
+    assert processes.MODEL_KINDS == ("gaussian", "martingale-family", "empirical", "squares")

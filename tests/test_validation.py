@@ -1,6 +1,7 @@
 """Confidence machinery: exceedance intervals, bootstrap moments, verdicts."""
 
 import math
+import re
 from decimal import Decimal
 
 import numpy as np
@@ -23,7 +24,9 @@ from chainbounds import (
     BernsteinParams,
     bernstein_tail,
     check_symmetrization_decoupling,
+    estimate_failure_probability,
     estimate_moments,
+    exact_chaos_distribution,
     exceedance_lower_bound,
     exceedance_upper_bound,
     gaussian_process_bound,
@@ -32,7 +35,7 @@ from chainbounds import (
     truncation_level,
     validate_bound,
 )
-from chainbounds import validation
+from chainbounds import chaining, validation
 from chainbounds.processes import SIGN_ENUM_CAP
 from chainbounds.validation import _bootstrap_means, _bootstrap_rng, _verdict
 
@@ -60,15 +63,16 @@ def test_exceedance_interior_values():
     assert exceedance_lower_bound(3, 50) == pytest.approx(0.008860761445872545)
 
 
-def test_exceedance_bounds_bit_equal_to_beta_ppf():
+def test_exceedance_bounds_bit_equal_to_beta_ppf(monkeypatch):
     # The bounds are betaincinv; stats.beta.ppf is the reference quantile.
-    for n in (1, 2, 5, 50, 1000, 20000, 100000):
-        for k in sorted({0, 1, n // 3, n // 2, n - 1, n} & set(range(n + 1))):
-            for c in (0.9, 0.95, 0.99, 0.999):
+    for c in (0.9, 0.95, 0.99, 0.999):
+        monkeypatch.setattr(validation, "CONFIDENCE", c)
+        for n in (1, 2, 5, 50, 1000, 20000, 100000):
+            for k in sorted({0, 1, n // 3, n // 2, n - 1, n} & set(range(n + 1))):
                 upper = 1.0 if k == n else float(stats.beta.ppf(c, k + 1, n - k))
                 lower = 0.0 if k == 0 else float(stats.beta.ppf(1.0 - c, k, n - k + 1))
-                assert exceedance_upper_bound(k, n, c) == upper, (k, n, c)
-                assert exceedance_lower_bound(k, n, c) == lower, (k, n, c)
+                assert exceedance_upper_bound(k, n) == upper, (k, n, c)
+                assert exceedance_lower_bound(k, n) == lower, (k, n, c)
 
 
 def test_exceedance_defining_identities():
@@ -148,15 +152,7 @@ def test_estimate_moments_input_validation():
     with pytest.raises(DomainError):
         estimate_moments(_sample([1.0]), [math.inf])
     with pytest.raises(DomainError):
-        estimate_moments(_sample([1.0]), [2.0], confidence=0.4)
-    with pytest.raises(DomainError):
         estimate_moments(_sample([]), [2.0])
-
-
-@pytest.mark.parametrize("resamples", [0, -2, 1.5, True])
-def test_estimate_moments_rejects_bad_resample_counts(resamples):
-    with pytest.raises(DomainError, match="resamples"):
-        estimate_moments(_sample([1.0, 2.0, 3.0]), [2.0], resamples=resamples)
 
 
 def test_estimate_moments_high_order_does_not_overflow():
@@ -202,14 +198,16 @@ BLOCK_CASES = [(1, 1), (1, 1000), (2, 3), (2, 1000), (200, 164), (200, 1000),
 
 
 @pytest.mark.parametrize("n, resamples", BLOCK_CASES)
-def test_block_bootstrap_equals_the_per_resample_loop(n, resamples):
+def test_block_bootstrap_equals_the_per_resample_loop(monkeypatch, n, resamples):
+    monkeypatch.setattr(validation, "BOOTSTRAP_RESAMPLES", resamples)
     sample = _sample(np.random.default_rng(n).exponential(size=n), seed=n % 7)
     p_list = [1.0, 2.5, 8.0]
     columns, boot, estimates = reference_bootstrap(sample, p_list, resamples)
     got = _bootstrap_means(columns, _bootstrap_rng(sample.seed), resamples)
     assert got.shape == boot.shape
     assert (got == boot).all()
-    ests = estimate_moments(sample, p_list, resamples=resamples)
+    ests = estimate_moments(sample, p_list)
+    assert [e.resamples for e in ests] == [resamples] * len(p_list)
     assert [(e.estimate, e.ci_low, e.ci_high) for e in ests] == estimates
 
 
@@ -217,10 +215,11 @@ def test_block_bootstrap_equals_the_per_resample_loop(n, resamples):
 def test_block_bootstrap_boundaries(monkeypatch, block):
     # 6-point samples: 0, 1, 1 and 10 resamples per draw, 37 resamples in all
     monkeypatch.setattr(validation, "_RESAMPLE_BLOCK", block)
+    monkeypatch.setattr(validation, "BOOTSTRAP_RESAMPLES", 37)
     sample = _sample([0.5, 1.0, 1.5, 2.0, 4.0, 0.25], seed=9)
     columns, boot, estimates = reference_bootstrap(sample, [1.0, 3.0], 37)
     assert (_bootstrap_means(columns, _bootstrap_rng(9), 37) == boot).all()
-    ests = estimate_moments(sample, [1.0, 3.0], resamples=37)
+    ests = estimate_moments(sample, [1.0, 3.0])
     assert [(e.estimate, e.ci_low, e.ci_high) for e in ests] == estimates
 
 
@@ -229,30 +228,37 @@ def test_moment_estimate_interval_must_contain_estimate():
         MomentEstimate(p=2.0, estimate=1.0, ci_low=1.2, ci_high=1.4, resamples=10)
 
 
-BAD_CONFIDENCES = [1.5, float("nan"), -0.1, 0.5, 1.0, float("inf")]
+def test_confidence_inside_half_to_one_is_accepted(monkeypatch):
+    bounds = []
+    for level in (0.51, 0.999):
+        monkeypatch.setattr(validation, "CONFIDENCE", level)
+        bounds.append((exceedance_upper_bound(0, 10), exceedance_lower_bound(10, 10)))
+    (upper_51, lower_51), (upper_999, lower_999) = bounds
+    assert upper_51 < upper_999
+    assert lower_51 > lower_999
 
 
-@pytest.mark.parametrize("confidence", BAD_CONFIDENCES)
-def test_confidence_outside_half_to_one_is_rejected_everywhere(confidence):
-    # the one rule of estimate_moments, for every entry point
-    for k in (0, 3, 10):
-        with pytest.raises(DomainError, match="confidence"):
-            exceedance_upper_bound(k, 10, confidence)
-        with pytest.raises(DomainError, match="confidence"):
-            exceedance_lower_bound(k, 10, confidence)
-    with pytest.raises(DomainError, match="confidence"):
-        estimate_moments(_sample([1.0, 2.0]), [2.0], confidence=confidence)
+def test_one_confidence_level_behind_every_interval(monkeypatch):
+    # validation.CONFIDENCE, read at call time, sets the tail rows' bound, the
+    # bootstrap percentiles of the moment rows and the RIP curves' bounds.
     bound = bernstein_tail(BernsteinParams(sigma=1.0, K=1.0, m=1))
-    with pytest.raises(DomainError, match="confidence"):
-        validate_bound(_sample(np.zeros(100)), bound, u_grid=[1.0], confidence=confidence)
     moment = MomentBound(p=2.0, decomposition=(("all", 2.0),))
-    with pytest.raises(DomainError, match="confidence"):
-        validate_bound(_sample(np.ones(100)), moment, confidence=confidence)
-
-
-def test_confidence_inside_half_to_one_is_accepted():
-    assert exceedance_upper_bound(0, 10, 0.51) < exceedance_upper_bound(0, 10, 0.999)
-    assert exceedance_lower_bound(10, 10, 0.51) > exceedance_lower_bound(10, 10, 0.999)
+    sample = _sample(np.random.default_rng(4).exponential(size=300), seed=4)
+    seen = []
+    for level in (0.9, 0.99):
+        monkeypatch.setattr(validation, "CONFIDENCE", level)
+        (row,) = validate_bound(sample, bound, u_grid=[0.5]).rows
+        k = round(row["empirical"] * 300)
+        assert 0 < k < 300
+        assert row["ci_upper"] == float(stats.beta.ppf(level, k + 1, 300 - k))
+        (est,) = estimate_moments(sample, [2.0])
+        assert validate_bound(sample, moment).rows[0]["ci_upper"] == est.ci_high
+        curve = estimate_failure_probability(N=8, m=4, s=2, delta=0.9, reps=40, seed=3)
+        f = curve["failures"]
+        assert 0 < f < 40
+        assert curve["ci_upper"] == float(stats.beta.ppf(level, f + 1, 40 - f))
+        seen.append((row["ci_upper"], est.ci_low, est.ci_high, curve["ci_upper"]))
+    assert all(a != b for a, b in zip(*seen))
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +416,40 @@ def test_a_nan_u_gets_no_verdict():
         gaussian_process_bound(gamma, sigma=1.0, u=nan)
 
 
+_NOT_REALS = ["1.5", True, np.True_, None, np.str_("2.0")]
+
+
+@pytest.mark.parametrize("entry", _NOT_REALS, ids=repr)
+def test_u_grid_entries_must_be_real_numbers(entry):
+    # each entry is refused as given, before numpy could read "1.5" or True as a number
+    bound = bernstein_tail(BernsteinParams(sigma=1.0, K=1.0, m=1))
+    message = f"u_grid entry must be a real number, got {re.escape(repr(entry))}$"
+    for grid in ([1.0, entry], (entry, 2.0), entry if entry is not None else [entry]):
+        with pytest.raises(DomainError, match=message):
+            validate_bound(_sample(np.zeros(100)), bound, u_grid=grid)
+
+
+@pytest.mark.parametrize("entry", _NOT_REALS, ids=repr)
+def test_moment_orders_must_be_real_numbers(entry):
+    message = f"moment order p must be a real number, got {re.escape(repr(entry))}$"
+    for p_list in ([2.0, entry], [entry], entry):
+        with pytest.raises(DomainError, match=message):
+            estimate_moments(_sample([1.0, 2.0]), p_list)
+
+
+def test_numeric_grids_keep_their_values():
+    # integers, numpy scalars and arrays are real numbers, read as before
+    bound = bernstein_tail(BernsteinParams(sigma=1.0, K=1.0, m=1))
+    sample = _sample(np.linspace(0.0, 4.0, 100), seed=2)
+    rows = validate_bound(sample, bound, u_grid=[1.0, 2.0]).rows
+    for grid in ([1, 2], np.array([1.0, 2.0]), [np.float32(1.0), np.int64(2)], (1.0, 2.0)):
+        assert validate_bound(sample, bound, u_grid=grid).rows == rows
+    assert validate_bound(sample, bound, u_grid=1.0).rows == rows[:1]
+    ests = estimate_moments(sample, [1.0, 3.0])
+    assert estimate_moments(sample, np.array([1, 3])) == ests
+    assert estimate_moments(sample, 3) == ests[1:]
+
+
 # ---------------------------------------------------------------------------
 # exhaustive symmetrization / decoupling checks
 
@@ -443,7 +483,7 @@ def test_symmetrization_custom_table():
 def test_decoupling_capacity_and_domain_checks():
     mats = [np.eye(4)]
     with pytest.raises(CapacityError):
-        check_symmetrization_decoupling([np.eye(9)])
+        check_symmetrization_decoupling([np.eye(9)] * 17)  # 17 4^9 > 2^22 entries
     with pytest.raises(CapacityError):
         check_symmetrization_decoupling([np.eye(20)])
     with pytest.raises(DomainError):
@@ -457,12 +497,48 @@ def test_decoupling_capacity_and_domain_checks():
 
 
 def test_decoupling_keeps_its_capacity_error_above_the_sign_cap():
-    # One cap, below the sign cap, refuses every larger dimension by name.
-    cap = validation._DECOUPLING_CAP
-    assert cap < SIGN_ENUM_CAP
-    for n in (cap + 1, SIGN_ENUM_CAP, SIGN_ENUM_CAP + 1):
-        with pytest.raises(CapacityError, match=f"dimension {n} exceeds .* cap {cap}"):
+    # One matrix past the sign cap needs 4^11 = 2^22 entries, the budget
+    # itself, so sign_patterns refuses it; from n = 12 on the budget does.
+    assert 4 ** (SIGN_ENUM_CAP + 1) == chaining._TABLE_BUDGET
+    with pytest.raises(CapacityError, match=f"capped at n = {SIGN_ENUM_CAP}, got 11"):
+        check_symmetrization_decoupling([np.eye(SIGN_ENUM_CAP + 1)])
+    for n in (SIGN_ENUM_CAP + 2, 20):
+        with pytest.raises(CapacityError, match=rf"k = 1, dimension n = {n}: .* {4**n} entries"):
             check_symmetrization_decoupling([np.eye(n)])
+
+
+def _family(k, n, seed=0):
+    rng = np.random.default_rng(seed)
+    return [rng.normal(size=(2, n)) for _ in range(k)]
+
+
+@pytest.mark.parametrize("k, n", [(3, 4), (1, 5), (16, 2)])
+def test_pair_tables_have_one_budget(monkeypatch, k, n):
+    # k 4^n entries for k matrices of dimension n: the decoupled chaos law
+    # and the decoupling check run at the budget and are refused one above it.
+    mats, entries = _family(k, n), k * 4**n
+    law = exact_chaos_distribution(mats, decoupled=True)
+    report = check_symmetrization_decoupling(mats)
+    monkeypatch.setattr(chaining, "_TABLE_BUDGET", entries)
+    assert (exact_chaos_distribution(mats, decoupled=True) == law).all()
+    assert check_symmetrization_decoupling(mats) == report
+    monkeypatch.setattr(chaining, "_TABLE_BUDGET", entries - 1)
+    message = rf"matrix count k = {k}, dimension n = {n}: .* {entries} entries, .* {entries - 1}$"
+    with pytest.raises(CapacityError, match=message):
+        exact_chaos_distribution(mats, decoupled=True)
+    # the plain law holds 2^n entries per matrix and is not refused
+    assert exact_chaos_distribution(mats).size == 2**n
+    # nothing is enumerated before the refusal
+    monkeypatch.setattr(validation, "sign_patterns", lambda n: pytest.fail("enumerated"))
+    with pytest.raises(CapacityError, match=message):
+        check_symmetrization_decoupling(mats)
+
+
+def test_a_large_symmetrization_table_is_refused_first(monkeypatch):
+    mats = _family(1, 3)
+    monkeypatch.setattr(validation, "sign_patterns", lambda n: pytest.fail("enumerated"))
+    with pytest.raises(CapacityError, match=r"table row count k = 65537, dimension n = 3"):
+        check_symmetrization_decoupling(mats, table=np.ones((65537, 3)))
 
 
 @settings(max_examples=20, deadline=None)
