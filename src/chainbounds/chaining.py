@@ -43,9 +43,10 @@ __all__ = [
 
 # mode="auto" runs the exact search up to this many points, the greedy one above.
 GAMMA_EXACT_CAP = 6
-# The most entries an exact search's table may hold (float64: 32 MB).  It
+# The most entries any exhaustive table may hold (float64: 32 MB): the gamma
+# searches, the sign-pattern laws and pair tables, and rip.build_dft.  It
 # admits gamma_exact on up to 16 points and on 17 at a lone free level 2,
-# and gamma_prime on up to 12 points.
+# gamma_prime on up to 12 points and sign_patterns on up to 17.
 _TABLE_BUDGET = 1 << 22
 # Subset and partition tables on up to this many points are kept across
 # calls, under 1 MB in all; larger ones are rebuilt on each call, so a search
@@ -298,15 +299,12 @@ def _distance_table(space: FiniteMetricSpace, max_size: int) -> tuple[tuple, np.
     return subsets, np.concatenate([space.dist[:, idx].min(axis=2).T for idx in index])
 
 
-def _check_table_budget(search: str, n: int, p: float, free_levels, entries: int) -> None:
-    """CapacityError, before anything is built, when a search's table would
-    hold more than _TABLE_BUDGET entries."""
+def _check_table_budget(what: str, entries: int) -> None:
+    """CapacityError, before anything is built, when the table what describes
+    (its message reads on with "of N entries") would pass _TABLE_BUDGET entries."""
     if entries > _TABLE_BUDGET:
         size = entries if entries < 10**15 else f"at least 10^{len(str(entries)) - 1}"
-        raise CapacityError(
-            f"{search} search refused: {n} points at p = {p:g} leave levels {free_levels} "
-            f"free, a table of {size} entries, above the budget of {_TABLE_BUDGET}"
-        )
+        raise CapacityError(f"{what} of {size} entries, above the budget of {_TABLE_BUDGET}")
 
 
 def gamma_exact(
@@ -339,8 +337,9 @@ def gamma_exact(
     # an overflowing weight keeps its DomainError ahead of the refusal
     weights = [_level_weight(lvl, alpha) for lvl in free_levels]
     sizes = [min(level_capacity(lvl), n) for lvl in free_levels]
-    _check_table_budget("exact gamma", n, p, free_levels, n * math.prod(
-        sum(math.comb(n, k) for k in range(1, size + 1)) for size in sizes))
+    entries = n * math.prod(sum(math.comb(n, k) for k in range(1, s + 1)) for s in sizes)
+    _check_table_budget(f"exact gamma search refused: {n} points at p = {p:g} leave levels "
+                        f"{free_levels} free, a table", entries)
 
     choices, tables = zip(*(_distance_table(space, size) for size in sizes))
     total = weights[0] * tables[0]
@@ -404,10 +403,9 @@ def gamma_prime(
     the chain at zero cost, so on up to 16 = level_capacity(2) points level
     1 is the only free level.  Its candidates are a cached per-size table of
     partitions into at most 4 cells, read against a per-call table of every
-    subset's diameter; above 16 points the search is refused, and so is one
-    whose table would exceed _TABLE_BUDGET entries (13 or more points), both
-    before any table is built.  Greedy mode repeatedly splits the widest cell
-    by farthest-pair seeding.
+    subset's diameter; a search whose table would exceed _TABLE_BUDGET
+    entries (13 or more points) is refused before any table is built.
+    Greedy mode repeatedly splits the widest cell by farthest-pair seeding.
     """
     check_real("alpha", alpha, 0.0, strict=True)
     n = space.size
@@ -455,12 +453,11 @@ def gamma_prime(
         chain = [trivial]
     elif n <= level_capacity(1):
         chain = [trivial, singletons]  # level 1 may hold the singletons
-    elif n > level_capacity(2):
-        raise CapacityError(f"exact gamma' search handles at most 16 points, space has {n}")
     else:
-        # Level 1 is the only free level.  Its table holds 4 cells for each
-        # of the sum_{k<=4} S(n, k) = (4^n + 6 * 2^n + 8) / 24 partitions.
-        _check_table_budget("exact gamma'", n, 1.0, [1], (4**n + 6 * 2**n + 8) // 6)
+        # 4 cells for each of the (4^n + 6 * 2^n + 8) / 24 partitions into at most 4
+        # cells; refused from 13 points on, so level 1 is the only free level.
+        _check_table_budget(f"exact gamma' search refused: {n} points at p = 1 need, "
+                            "at level 1 alone, a table", (4**n + 6 * 2**n + 8) // 6)
         # Rounding is monotone, so each partition's largest per-point sum is
         # the one at its widest cell.
         cells = _level_one_partitions(n)

@@ -30,7 +30,6 @@ import numpy as np
 
 from . import chaining
 from .errors import (
-    CapacityError,
     DomainError,
     ModelError,
     UnsupportedFamilyError,
@@ -65,7 +64,6 @@ __all__ = [
     "exact_chaos_distribution",
 ]
 
-SIGN_ENUM_CAP = 10
 MODEL_KINDS = ("gaussian", "martingale-family", "empirical", "squares")
 _ROW_FAMILIES = ("rademacher", "gaussian", "uniform", "constant")
 _EIG_TOL = 1e-10
@@ -482,8 +480,13 @@ def simulate_martingale_family(model: ProcessModel, reps: int, seed: int) -> Sup
         reps,
         seed,
         lambda rng: 2.0 * rng.integers(0, 2, (BLOCK, n_steps)) - 1.0,
-        lambda eps: np.abs(eps @ c.T).max(axis=1),
+        lambda eps: _martingale_sup(eps, c),
     )
+
+
+def _martingale_sup(eps: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """sup_t |sum_k c[t, k] eps_k| for each row of signs eps."""
+    return np.abs(eps @ c.T).max(axis=1)
 
 
 def _summand_count(model: ProcessModel, kind: str, m: int) -> int:
@@ -500,13 +503,17 @@ def simulate_empirical(model: ProcessModel, m: int, reps: int, seed: int) -> Sup
     """sup_t |(1/m) sum_i (X_{t_i} - E X_{t_i})| draws."""
     m = _summand_count(model, "empirical", m)
     mu = model.base.mean()
-    c = model.coefficients
     return _simulate(
         reps,
         seed,
         lambda rng: model.base.sample(rng, (BLOCK, m)),
-        lambda z: np.abs((z - mu) @ c.T).max(axis=1) / m,
+        lambda z: _empirical_sup(z, mu, model.coefficients),
     )
+
+
+def _empirical_sup(z: np.ndarray, mu: float, c: np.ndarray) -> np.ndarray:
+    """sup_t |(1/m) sum_i c[t, i] (z_i - mu)| for each row z of m draws."""
+    return np.abs((z - mu) @ c.T).max(axis=1) / c.shape[1]
 
 
 def simulate_squares(model: ProcessModel, m: int, reps: int, seed: int) -> SupremumSample:
@@ -551,15 +558,6 @@ def simulate_squares_increment(
     )
 
 
-def _chaos_inputs(matrices, xi: RowDistribution):
-    stack = _matrix_stack(matrices)
-    if not isinstance(xi, RowDistribution):
-        raise ModelError("xi must be a RowDistribution")
-    if xi.mean() != 0.0:
-        raise ModelError("chaos components must be mean-zero")
-    return stack, xi.second_moment()
-
-
 def simulate_chaos(
     matrices, xi: RowDistribution, reps: int, seed: int, decoupled: bool = False
 ) -> SupremumSample:
@@ -568,7 +566,11 @@ def simulate_chaos(
     With decoupled=True, draws an independent copy xi' per replication and
     returns sup_A |xi . (A^H A) xi'| instead (the bilinear comparison term).
     """
-    stack, s2 = _chaos_inputs(matrices, xi)
+    stack = _matrix_stack(matrices)
+    if not isinstance(xi, RowDistribution):
+        raise ModelError("xi must be a RowDistribution")
+    if xi.mean() != 0.0:
+        raise ModelError("chaos components must be mean-zero")
     n = stack.shape[2]
     if decoupled:
         grams = np.einsum("kmi,kmj->kij", stack.conj(), stack)
@@ -579,21 +581,29 @@ def simulate_chaos(
             return np.abs(((x @ grams) * y).sum(axis=2)).max(axis=0)
 
         return _simulate(reps, seed, lambda rng: xi.sample(rng, (BLOCK, 2 * n)), stat)
-    fro2 = np.abs(stack).reshape(stack.shape[0], -1) ** 2
-    means = s2 * fro2.sum(axis=1)
+    s2 = xi.second_moment()
+    return _simulate(reps, seed, lambda rng: xi.sample(rng, (BLOCK, n)),
+                     lambda x: _chaos_sup(x, stack, s2))
 
-    def stat(x):
-        q = (np.abs(np.einsum("kmn,rn->rkm", stack, x)) ** 2).sum(axis=2)
-        return np.abs(q - means).max(axis=1)
 
-    return _simulate(reps, seed, lambda rng: xi.sample(rng, (BLOCK, n)), stat)
+def _chaos_sup(x: np.ndarray, stack: np.ndarray, s2: float) -> np.ndarray:
+    """sup_A | ||A x||^2 - s2 ||A||_F^2 | for each row x: the plain chaos
+    statistic, centred by E ||A xi||^2 for components of second moment s2."""
+    means = s2 * (np.abs(stack).reshape(stack.shape[0], -1) ** 2).sum(axis=1)
+    q = (np.abs(np.einsum("kmn,rn->rkm", stack, x)) ** 2).sum(axis=2)
+    return np.abs(q - means).max(axis=1)
+
+
+def _check_sign_law(law: str, n: int, width: int) -> None:
+    """Refuse a law on the 2^n sign patterns whose widest table is 2^n x max(n, width)."""
+    w = max(n, width)
+    chaining._check_table_budget(f"{law} refused: n = {n} signs need a 2^n x {w} table", w << n)
 
 
 def sign_patterns(n: int) -> np.ndarray:
-    """All 2^n sign vectors in {-1, +1}^n, n <= 10."""
+    """All 2^n sign vectors in {-1, +1}^n; refused past the table budget (n <= 17)."""
     n = check_int("n", n, 1)
-    if n > SIGN_ENUM_CAP:
-        raise CapacityError(f"exhaustive sign enumeration capped at n = {SIGN_ENUM_CAP}, got {n}")
+    _check_sign_law("exhaustive sign enumeration", n, n)
     bits = (np.arange(1 << n)[:, None] >> np.arange(n)[None, :]) & 1
     return 2.0 * bits - 1.0
 
@@ -601,8 +611,9 @@ def sign_patterns(n: int) -> np.ndarray:
 def exact_martingale_distribution(model: ProcessModel) -> np.ndarray:
     """Equally likely sup values over all driver sign patterns."""
     _require_kind(model, "martingale-family")
-    signs = sign_patterns(model.coefficients.shape[1])
-    return np.abs(signs @ model.coefficients.T).max(axis=1)
+    c = model.coefficients
+    _check_sign_law("exact martingale law", c.shape[1], c.shape[0])
+    return _martingale_sup(sign_patterns(c.shape[1]), c)
 
 
 def exact_empirical_distribution(model: ProcessModel) -> np.ndarray:
@@ -610,39 +621,27 @@ def exact_empirical_distribution(model: ProcessModel) -> np.ndarray:
     _require_kind(model, "empirical")
     if model.base.name != "rademacher":
         raise UnsupportedFamilyError("exact enumeration needs a rademacher base")
-    m = model.coefficients.shape[1]
-    z = model.base.scale * sign_patterns(m)
-    return np.abs(z @ model.coefficients.T).max(axis=1) / m
-
-
-def _check_pair_table(k: int, n: int, what: str) -> None:
-    """CapacityError, before anything is built, when a table over all pairs of
-    sign patterns in dimension n for k items (matrices or table rows, as what
-    names one), k 4^n entries, would exceed the exact searches' one budget,
-    chaining._TABLE_BUDGET."""
-    entries, budget = k * 4**n, chaining._TABLE_BUDGET
-    if entries > budget:
-        raise CapacityError(
-            f"{what} count k = {k}, dimension n = {n}: a pair table of k 4^n = {entries} "
-            f"entries, above the budget of {budget}"
-        )
+    c = model.coefficients
+    _check_sign_law("exact empirical law", c.shape[1], c.shape[0])
+    # Rademacher draws have mean 0; mean() is not read, so mean_known may be False.
+    return _empirical_sup(model.base.scale * sign_patterns(c.shape[1]), 0.0, c)
 
 
 def exact_chaos_distribution(matrices, decoupled: bool = False) -> np.ndarray:
     """Equally likely chaos sup values over Rademacher sign patterns.
 
     Plain form enumerates 2^n component vectors; decoupled form enumerates
-    all 2^(2n) independent pairs, k 4^n entries for k matrices, and is
-    refused past chaining._TABLE_BUDGET before that table is built.
+    all 2^(2n) independent pairs, k 4^n entries for k matrices.  Either is
+    refused past chaining._TABLE_BUDGET before its largest table is built.
     """
     stack = _matrix_stack(matrices)
-    signs = sign_patterns(stack.shape[2])
+    k, m, n = stack.shape
     if decoupled:
-        _check_pair_table(stack.shape[0], stack.shape[2], "matrix")
+        chaining._check_table_budget(f"matrix count k = {k}, dimension n = {n}: a pair table",
+                                     k * 4**n)
+        signs = sign_patterns(n)
         grams = np.einsum("kmi,kmj->kij", stack.conj(), stack)
         bil = np.einsum("ai,kij,bj->kab", signs, grams, signs)
         return np.abs(bil).max(axis=0).ravel()
-    rows = np.einsum("kmn,an->kam", stack, signs)
-    q = (np.abs(rows) ** 2).sum(axis=2)
-    fro2 = (np.abs(stack).reshape(stack.shape[0], -1) ** 2).sum(axis=1)
-    return np.abs(q - fro2[:, None]).max(axis=0)
+    _check_sign_law("exact chaos law", n, k * m)
+    return _chaos_sup(sign_patterns(n), stack, 1.0)

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import chaining
 from .errors import DomainError, check_int, check_number, check_real
-from .processes import SupremumSample, _check_pair_table, exact_chaos_distribution, sign_patterns
+from .processes import SupremumSample, exact_chaos_distribution, sign_patterns
 from .results import MomentBound, TailBound
 from .schatten import _matrix_stack
 
@@ -75,7 +76,7 @@ class MomentEstimate:
 def _entries(values) -> list:
     """The entries of a scalar, a sequence or an array, each as given, so that
     a check names the entry itself rather than a numpy coercion of it."""
-    return list(values) if np.ndim(values) else [values]
+    return list(values) if isinstance(values, (list, tuple)) or np.ndim(values) else [values]
 
 
 def estimate_moments(sample: SupremumSample, p_list) -> list[MomentEstimate]:
@@ -254,23 +255,23 @@ def check_symmetrization_decoupling(
     """
     stack = _matrix_stack(matrices)
     n = stack.shape[2]
-    if not 0.0 < selector_prob < 1.0:
+    if not 0.0 < check_number("selector_prob", selector_prob) < 1.0:
         raise DomainError(f"selector_prob must lie in (0, 1), got {selector_prob}")
     p_list = [check_real("moment order p", p, 1.0) for p in p_list]
     if table is not None:
         v = np.asarray(table, dtype=float)
         if v.ndim != 2 or v.shape[1] != n:
             raise DomainError(f"table must be 2-D with {n} columns, got shape {v.shape}")
-        _check_pair_table(v.shape[0], n, "table row")
-    _check_pair_table(stack.shape[0], n, "matrix")
+        chaining._check_table_budget(f"table row count k = {len(v)}, dimension n = {n}: "
+                                     "a pair table", len(v) * 4**n)
 
+    bilinear_sup = exact_chaos_distribution(stack, decoupled=True)  # first: it checks k 4^n
     grams = np.einsum("kmi,kmj->kij", stack.conj(), stack)
     signs = sign_patterns(n)
     # Off-diagonal chaos per sign pattern: xi.B xi - tr(B).
     quad = np.einsum("ai,kij,aj->ka", signs, grams, signs).real
     traces = np.einsum("kii->k", grams).real
     offdiag_sup = np.abs(quad - traces[:, None]).max(axis=0)
-    bilinear_sup = exact_chaos_distribution(stack, decoupled=True)
     decoupling = []
     for p in p_list:
         lhs = _lp_of_mean(offdiag_sup**p, None, p)

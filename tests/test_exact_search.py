@@ -276,7 +276,9 @@ def test_exact_gamma_prime_refuses_more_than_16_points_at_once(monkeypatch):
     monkeypatch.setattr(chaining, "_level_one_partitions",
                         lambda n: pytest.fail("enumerated past 16 points"))
     start = time.perf_counter()
-    with pytest.raises(CapacityError, match="at most 16 points, space has 17"):
+    # the table budget alone refuses: level 1 holds (4^17 + 6 2^17 + 8) / 6 entries on 17 points
+    with pytest.raises(CapacityError, match="^exact gamma' search refused: 17 points at p = 1 "
+                       "need, at level 1 alone, a table of 2863442604 entries"):
         gamma_prime(space, 2.0)
     assert time.perf_counter() - start < 1.0
     # no search is needed when every point coincides or level 1 holds them all

@@ -83,7 +83,6 @@ _README_CAPS = {
     ("chaining", "_TABLE_BUDGET"): rf"`_TABLE_BUDGET` = {_NUMBER} entries",
     ("chaining", "_CACHED_POINTS"): rf"tables on at most {_NUMBER} points stay cached",
     ("rip", "ENUMERATION_CAP"): rf"capped at {_NUMBER} supports, `ENUMERATION_CAP`",
-    ("processes", "SIGN_ENUM_CAP"): rf"n ≤ {_NUMBER} \(`SIGN_ENUM_CAP`\)",
     ("rip", "_CACHED_ENTRIES"): rf"tables of at most {_NUMBER} indices stay cached",
     ("processes", "BLOCK"): rf"`BLOCK` = {_NUMBER} replications",
     ("rip", "_BATCH"): rf"at most `_BATCH` = {_NUMBER} blocks",

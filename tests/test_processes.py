@@ -37,7 +37,7 @@ from chainbounds import (
     simulate_squares_increment,
     squares_model,
 )
-from chainbounds import metric, processes
+from chainbounds import chaining, metric, processes
 from chainbounds.processes import BLOCK, SEED_MAX, SupremumSample
 
 LOG2 = math.log(2.0)
@@ -471,8 +471,10 @@ def test_sign_patterns_shape_and_cap():
     assert pats.shape == (8, 3)
     assert set(np.unique(pats)) == {-1, 1}
     assert len({tuple(r) for r in pats}) == 8
-    with pytest.raises(CapacityError):
-        sign_patterns(11)
+    # the table budget alone refuses: 17 x 2^17 entries fit 2^22, 18 x 2^18 do not
+    assert 17 << 17 <= chaining._TABLE_BUDGET < 18 << 18
+    with pytest.raises(CapacityError, match="n = 18 signs need a 2\\^n x 18 table"):
+        sign_patterns(18)
 
 
 def test_exact_martingale_distribution():
@@ -506,6 +508,84 @@ def test_exact_chaos_decoupled_distribution():
     assert vals.shape == (16,)  # 2^(2n) sign pairs
     # Gram is [[1,1],[1,1]]: e.(G e') = (e1+e2)(e1'+e2') lies in {0, +-4}
     assert sorted(set(np.round(vals, 12))) == [0.0, 4.0]
+
+
+# The formulas each exact law and its simulator computed before they shared
+# one statistic, kept as the reference they must match bit for bit.
+def _signs(n):
+    return 2.0 * ((np.arange(1 << n)[:, None] >> np.arange(n)[None, :]) & 1) - 1.0
+
+
+def _martingale_formula(signs, c):
+    return np.abs(signs @ c.T).max(axis=1)
+
+
+def _empirical_formula(z, mu, c):
+    return np.abs((z - mu) @ c.T).max(axis=1) / c.shape[1]
+
+
+def _chaos_law_formula(stack):
+    q = (np.abs(np.einsum("kmn,an->kam", stack, _signs(stack.shape[2]))) ** 2).sum(axis=2)
+    fro2 = (np.abs(stack).reshape(stack.shape[0], -1) ** 2).sum(axis=1)
+    return np.abs(q - fro2[:, None]).max(axis=0)
+
+
+def _chaos_sim_formula(x, stack, s2):
+    means = s2 * (np.abs(stack).reshape(stack.shape[0], -1) ** 2).sum(axis=1)
+    q = (np.abs(np.einsum("kmn,rn->rkm", stack, x)) ** 2).sum(axis=2)
+    return np.abs(q - means).max(axis=1)
+
+
+def _decoupled_law_formula(stack):
+    signs = _signs(stack.shape[2])
+    grams = np.einsum("kmi,kmj->kij", stack.conj(), stack)
+    return np.abs(np.einsum("ai,kij,bj->kab", signs, grams, signs)).max(axis=0).ravel()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 10),
+    st.integers(1, 19),
+    st.floats(-5.0, 4.0),
+    st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+    st.sampled_from(["rademacher", "gaussian", "uniform", "constant"]),
+    st.booleans(),
+)
+def test_exact_laws_and_simulators_keep_their_formulas(seed, n, rows, log_scale, rad, family,
+                                                       complex_entries):
+    rng = np.random.default_rng(seed)
+    c = 10.0**log_scale * rng.normal(size=(rows, n))
+    reps = int(rng.integers(1, BLOCK + 1))  # one block: block 0 of the seed's streams
+
+    def block(draw):
+        return draw(replication_rng(seed, 0))
+
+    model = martingale_model(c)
+    assert np.array_equal(exact_martingale_distribution(model), _martingale_formula(_signs(n), c))
+    eps = block(lambda g: 2.0 * g.integers(0, 2, (BLOCK, n)) - 1.0)
+    assert np.array_equal(simulate_martingale_family(model, reps, seed).values,
+                          _martingale_formula(eps, c)[:reps])
+
+    # the exact law never reads the base's mean, so an unattested one is fine
+    law = exact_empirical_distribution(empirical_model(c, RowDistribution("rademacher", rad,
+                                                                          mean_known=False)))
+    assert np.array_equal(law, _empirical_formula(rad * _signs(n), 0.0, c))
+    base = RowDistribution(family, rad)
+    z = block(lambda g: base.sample(g, (BLOCK, n)))
+    assert np.array_equal(simulate_empirical(empirical_model(c, base), n, reps, seed).values,
+                          _empirical_formula(z, base.mean(), c)[:reps])
+
+    k, m, dim = (int(v) for v in rng.integers(1, [4, 5, 7]))
+    stack = 10.0**log_scale * (rng.normal(size=(k, m, dim))
+                               + (1j * rng.normal(size=(k, m, dim)) if complex_entries else 0j))
+    assert np.array_equal(exact_chaos_distribution(list(stack)), _chaos_law_formula(stack))
+    assert np.array_equal(exact_chaos_distribution(list(stack), decoupled=True),
+                          _decoupled_law_formula(stack))
+    xi = RowDistribution("gaussian" if family == "constant" else family, rad or 1.0)
+    x = block(lambda g: xi.sample(g, (BLOCK, dim)))
+    assert np.array_equal(simulate_chaos(list(stack), xi, reps, seed).values,
+                          _chaos_sim_formula(x, stack, xi.second_moment())[:reps])
 
 
 def test_exact_matches_monte_carlo_frequencies():

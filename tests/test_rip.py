@@ -26,7 +26,8 @@ from chainbounds import (
     subsample,
     subsampled_instance,
 )
-from chainbounds import rip
+from chainbounds import chaining, rip
+from chainbounds.cli import main
 
 
 def test_dft_two_by_two_exact():
@@ -47,6 +48,21 @@ def test_dft_is_unitary_and_flat(N):
 def test_dft_rejects_bad_size():
     with pytest.raises(DomainError):
         build_dft(0)
+
+
+def test_dft_past_the_table_budget_is_refused_before_it_is_built(monkeypatch, tmp_path, capsys):
+    # N^2 > _TABLE_BUDGET (N > 2048): one N x N complex matrix at N = 50000
+    # alone would take 40 GB, so rip exact and rip curve stop at once.
+    monkeypatch.setattr(chaining, "_TABLE_BUDGET", 48)
+    monkeypatch.setattr(np, "outer", lambda *args: pytest.fail("built the matrix"))
+    with pytest.raises(CapacityError, match=r"N = 7, an N\^2 table of 49 entries, .* 48$"):
+        build_dft(7)
+    for argv in (["rip", "exact", "--N", "7", "--m", "3", "--s", "1", "--seed", "0"],
+                 ["rip", "curve", "--N", "7", "--s", "1", "--delta", "0.5", "--m-list", "3",
+                  "--seed", "0"]):
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert "N = 7, an N^2 table of 49 entries" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------

@@ -35,8 +35,7 @@ from chainbounds import (
     truncation_level,
     validate_bound,
 )
-from chainbounds import chaining, validation
-from chainbounds.processes import SIGN_ENUM_CAP
+from chainbounds import chaining, processes, validation
 from chainbounds.validation import _bootstrap_means, _bootstrap_rng, _verdict
 
 
@@ -437,6 +436,15 @@ def test_moment_orders_must_be_real_numbers(entry):
             estimate_moments(_sample([1.0, 2.0]), p_list)
 
 
+def test_ragged_grids_are_refused_by_entry():
+    # numpy cannot shape a ragged nest; the entry that is not a number is named
+    bound = bernstein_tail(BernsteinParams(sigma=1.0, K=1.0, m=1))
+    with pytest.raises(DomainError, match=r"u_grid entry must be a real number, got \[2.0\]$"):
+        validate_bound(_sample(np.zeros(100)), bound, u_grid=[1.0, [2.0]])
+    with pytest.raises(DomainError, match=r"moment order p must be a real number, got \[2.0\]$"):
+        estimate_moments(_sample([1.0, 2.0]), [1.0, [2.0]])
+
+
 def test_numeric_grids_keep_their_values():
     # integers, numpy scalars and arrays are real numbers, read as before
     bound = bernstein_tail(BernsteinParams(sigma=1.0, K=1.0, m=1))
@@ -480,6 +488,13 @@ def test_symmetrization_custom_table():
     assert out["holds"]
 
 
+@pytest.mark.parametrize("prob", ["0.5", None, True, np.str_("0.5")], ids=repr)
+def test_selector_prob_is_checked_by_name(prob):
+    message = f"selector_prob must be a real number, got {re.escape(repr(prob))}$"
+    with pytest.raises(DomainError, match=message):
+        check_symmetrization_decoupling([np.eye(2)], selector_prob=prob)
+
+
 def test_decoupling_capacity_and_domain_checks():
     mats = [np.eye(4)]
     with pytest.raises(CapacityError):
@@ -496,13 +511,23 @@ def test_decoupling_capacity_and_domain_checks():
         check_symmetrization_decoupling(mats, p_list=(0.5,))
 
 
-def test_decoupling_keeps_its_capacity_error_above_the_sign_cap():
-    # One matrix past the sign cap needs 4^11 = 2^22 entries, the budget
-    # itself, so sign_patterns refuses it; from n = 12 on the budget does.
-    assert 4 ** (SIGN_ENUM_CAP + 1) == chaining._TABLE_BUDGET
-    with pytest.raises(CapacityError, match=f"capped at n = {SIGN_ENUM_CAP}, got 11"):
-        check_symmetrization_decoupling([np.eye(SIGN_ENUM_CAP + 1)])
-    for n in (SIGN_ENUM_CAP + 2, 20):
+def test_decoupling_keeps_its_capacity_error_above_the_sign_cap(monkeypatch):
+    # No sign cap: one matrix of dimension 11 needs 4^11 = 2^22 entries, the
+    # budget itself, so it is admitted and stopped here at its first
+    # enumeration; from n = 12 on the budget refuses.
+    assert 4**11 == chaining._TABLE_BUDGET
+
+    class Admitted(Exception):
+        pass
+
+    def admitted(n):
+        raise Admitted
+
+    with monkeypatch.context() as patched:
+        patched.setattr(processes, "sign_patterns", admitted)
+        with pytest.raises(Admitted):
+            check_symmetrization_decoupling([np.eye(11)])
+    for n in (12, 20):
         with pytest.raises(CapacityError, match=rf"k = 1, dimension n = {n}: .* {4**n} entries"):
             check_symmetrization_decoupling([np.eye(n)])
 
