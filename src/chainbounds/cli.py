@@ -140,7 +140,8 @@ def _require_seed(seed) -> int:
 def _cmd_gamma(args) -> int:
     # gamma_prime ignores p, but p enters the config hash of every report.
     check_real("order p", args.p, 1.0)
-    space = space_from_json(load_json(args.space))
+    contents = load_json(args.space)
+    space = space_from_json(contents)
     mode = _resolve_mode(args.mode, space.size, GAMMA_EXACT_CAP)
     if args.functional == "gamma-prime":
         est = gamma_prime(space, args.alpha, mode=mode)
@@ -152,7 +153,7 @@ def _cmd_gamma(args) -> int:
     if est.sequence is not None:
         witness = {"kind": est.sequence.kind, "levels": est.sequence.levels}
     config = {
-        "space": args.space,
+        "space": config_hash(contents),  # what was read names the artifact, not where
         "alpha": args.alpha,
         "p": args.p,
         "mode": args.mode,
@@ -179,9 +180,10 @@ def _cmd_gamma(args) -> int:
 
 
 def _cmd_cover(args) -> int:
-    space = space_from_json(load_json(args.space))
+    contents = load_json(args.space)
+    space = space_from_json(contents)
     config = {
-        "space": args.space,
+        "space": config_hash(contents),  # what was read names the artifact, not where
         "radius": args.radius,
         "profile": args.profile,
         "entropy_alpha": args.entropy_alpha,
@@ -574,13 +576,14 @@ def _cmd_rip(args) -> int:
 
 def _cmd_chaos(args) -> int:
     seed = _require_seed(args.seed)
-    mats = [matrix_from_json(m) for m in load_json(args.matrices)]
+    contents = load_json(args.matrices)
+    mats = [matrix_from_json(m) for m in contents]
     xi = RowDistribution(name=args.xi, scale=args.scale)
     radii = schatten_radii(mats, gamma_mode="auto")
     sample = simulate_chaos(mats, xi, args.reps, seed, decoupled=args.decoupled)
     reg, fit = _registry(args)
     config = {
-        "matrices": args.matrices, "xi": args.xi, "scale": args.scale, "reps": args.reps,
+        "matrices": config_hash(contents), "xi": args.xi, "scale": args.scale, "reps": args.reps,
         "seed": seed, "decoupled": args.decoupled, "u_grid": args.u_grid, "fit": fit,
     }
     payload: dict = {

@@ -629,6 +629,30 @@ def test_fit_constants_not_fit_path_name_the_artifact(tmp_path, capsys):
         assert len({r["config_hash"] for r in reports}) == 2
 
 
+def test_input_contents_not_input_paths_name_the_artifact(tmp_path, capsys):
+    # Two spaces (or matrix families) read in turn from one path used to share
+    # a config hash, so the second overwrote the first; one input read from two
+    # paths now gives one artifact.
+    spaces = [{"dist": [[0, 1], [1, 0]]}, {"dist": [[0, 2], [2, 0]]}]
+    families = [[[[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]]],
+                [[[2.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]]]]
+    commands = {  # argv around the input path, then the two inputs
+        "gamma": (["gamma", "--alpha", "2", "--space"], spaces),
+        "cover": (["cover", "--radius", "1", "--space"], spaces),
+        "chaos": (["chaos", "--reps", "50", "--seed", "4", "--matrices"], families),
+    }
+    for stem, (argv, inputs) in commands.items():
+        out = tmp_path / stem
+        written = []
+        for data, name in zip(inputs + inputs[:1], ("in.json", "in.json", "other.json")):
+            (tmp_path / name).write_text(json.dumps(data))
+            code, stdout, _ = run(argv + [str(tmp_path / name), "--out", str(out)], capsys)
+            assert code == 0
+            written.append([line for line in stdout.splitlines() if line.startswith("wrote ")])
+        assert written[0] != written[1] and written[0] == written[2], stem
+        assert len(list(out.glob(f"{stem}-*.json"))) == 2, stem
+
+
 def test_runs_without_fit_hash_no_fit_entry(tmp_path, capsys):
     sim = gaussian_sim_config(tmp_path, fit={"C_2": 50.0})
     params = tmp_path / "params.json"

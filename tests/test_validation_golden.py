@@ -350,8 +350,8 @@ GOLDEN = json.loads(r"""
    "u=1 threshold=1.58008 envelope=0.367879 empirical=0.255 ci_upper=0.309248 dominated",
    "u=2 threshold=2.36185 envelope=0.135335 empirical=0.255 ci_upper=0.309248 violated",
    "u=3 threshold=3.08221 envelope=0.0497871 empirical=0 ci_upper=0.0114469 dominated",
-   "wrote out/chaos-2b8bbd192233.json",
-   "wrote out/chaos-2b8bbd192233.csv"
+   "wrote out/chaos-56b7dd967057.json",
+   "wrote out/chaos-56b7dd967057.csv"
   ],
   "report": {
    "bound": {
@@ -372,14 +372,14 @@ GOLDEN = json.loads(r"""
    "config": {
     "decoupled": false,
     "fit": {"chaos_C": 0.05, "chaos_c": 0.2},
-    "matrices": "mats.json",
+    "matrices": "ef71e2c4c48ccafba20e9fa264ccc3086aab2ee500912d373f1a39fded030c2f",
     "reps": 400,
     "scale": 1.0,
     "seed": 5,
     "u_grid": "1,2,3",
     "xi": "rademacher"
    },
-   "config_hash": "2b8bbd192233b64b228e94d6e1d3aed95ae4c2d4057a4d38fc97499f83c9610b",
+   "config_hash": "56b7dd967057b5a061e903e719b0232b6940900d9c65e87830c480dba1c1d85b",
    "paper_confirmed": false,
    "radii": {
     "delta_2": 1.8874586088176875,
@@ -400,7 +400,7 @@ GOLDEN = json.loads(r"""
    "verdict": "violated"
   },
   "csv": [
-   "# config_hash: 2b8bbd192233b64b228e94d6e1d3aed95ae4c2d4057a4d38fc97499f83c9610b",
+   "# config_hash: 56b7dd967057b5a061e903e719b0232b6940900d9c65e87830c480dba1c1d85b",
    "u,threshold,envelope,empirical,ci_upper,verdict",
    "1.0,1.580075878362953,0.36787944117144233,0.255,0.30924804106848885,dominated",
    "2.0,2.3618535617397542,0.1353352832366127,0.255,0.30924804106848885,violated",
