@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, MetricValidationError, alpha_power, check_real
-from .metric import FiniteMetricSpace, _memoised, _read_only, farthest_point_order
+from . import errors
+from .errors import DomainError, MetricValidationError, _check_table_budget, alpha_power, check_real
+from .metric import FiniteMetricSpace, _memoised, _read_only, _resolve_mode, farthest_point_order
 
 __all__ = [
     "AdmissibleSequence",
@@ -38,16 +39,8 @@ __all__ = [
     "gamma_greedy",
     "gamma_prime",
     "merge_partitions",
-    "GAMMA_EXACT_CAP",
 ]
 
-# mode="auto" runs the exact search up to this many points, the greedy one above.
-GAMMA_EXACT_CAP = 6
-# The most entries any exhaustive table may hold (float64: 32 MB): the gamma
-# searches, the sign-pattern laws and pair tables, and rip.build_dft.  It
-# admits gamma_exact on up to 16 points and on 17 at a lone free level 2,
-# gamma_prime on up to 12 points and sign_patterns on up to 17.
-_TABLE_BUDGET = 1 << 22
 # Subset and partition tables on up to this many points are kept across
 # calls, under 1 MB in all; larger ones are rebuilt on each call, so a search
 # on more points keeps nothing once it ends.
@@ -79,8 +72,9 @@ class AdmissibleSequence:
     kind) or a tuple of disjoint sorted cells covering the space (partition
     kind); beyond the stored levels the sequence repeats its last level.
     The raw constructor performs no validation: package builders pass it
-    levels in this form, and outside input goes through
-    :func:`admissible_sets` or :func:`admissible_partitions`.
+    levels in this form (the tests hold every sequence they return to the
+    validators), and outside input goes through :func:`admissible_sets` or
+    :func:`admissible_partitions`.
     """
 
     kind: str  # "set" | "partition"
@@ -299,12 +293,37 @@ def _distance_table(space: FiniteMetricSpace, max_size: int) -> tuple[tuple, np.
     return subsets, np.concatenate([space.dist[:, idx].min(axis=2).T for idx in index])
 
 
-def _check_table_budget(what: str, entries: int) -> None:
-    """CapacityError, before anything is built, when the table what describes
-    (its message reads on with "of N entries") would pass _TABLE_BUDGET entries."""
-    if entries > _TABLE_BUDGET:
-        size = entries if entries < 10**15 else f"at least 10^{len(str(entries)) - 1}"
-        raise CapacityError(f"{what} of {size} entries, above the budget of {_TABLE_BUDGET}")
+def _free_levels(n: int, p: float) -> range:
+    """The levels an exact order-p search on n points chooses: l = floor(log2 p)
+    up to the first level that may hold all n points, which, like every level
+    after it, is the whole space at no cost."""
+    n_star = 0
+    while level_capacity(n_star) < n:
+        n_star += 1
+    return range(truncation_level(p), n_star)
+
+
+def _exact_entries(n: int, p: float = 1.0, prime: bool = False) -> int:
+    """Entries of the table an exact search on n points builds, 0 if it builds
+    none.  gamma_exact at order p: n times the product of its free levels'
+    candidate-set counts.  gamma_prime (prime=True; p is not read): 4 cells
+    for each of the (4^n + 6 * 2^n + 8) / 24 partitions into at most 4 cells,
+    once level 1 cannot hold the singletons.  Both the searches' refusal and
+    mode="auto" read this count."""
+    if prime:
+        return (4**n + 6 * 2**n + 8) // 6 if n > level_capacity(1) else 0
+    free = _free_levels(n, p)
+    counts = (sum(math.comb(n, k) for k in range(1, min(level_capacity(lvl), n) + 1))
+              for lvl in free)
+    return n * math.prod(counts) if free else 0
+
+
+def _gamma_mode(mode: str, n: int, p: float, prime: bool = False) -> str:
+    """mode with "auto" resolved: exact wherever the exact search on n points
+    is not refused, that is, where its table fits errors._TABLE_BUDGET, and
+    greedy elsewhere.  gamma_prime's count is read even on a space of
+    diameter 0, where its exact search builds no table."""
+    return _resolve_mode(mode, _exact_entries(n, p, prime) <= errors._TABLE_BUDGET)
 
 
 def gamma_exact(
@@ -315,20 +334,19 @@ def gamma_exact(
     Levels from the first n with 2^(2^n) >= |T| onward are fixed to the whole
     space (free and optimal), so only levels l..n*-1 are searched.  Each free
     level's weighted table of d(t, S) over its candidate sets S lies along its
-    own axis, the tables are added in level order, and the first minimum of
-    the per-point maximum, in candidate order, wins.  A search whose table
-    would exceed _TABLE_BUDGET entries is refused with CapacityError before
+    own axis of a grid of candidate tuples.  One point at a time, the tables'
+    entries are added in level order over the grid and folded into the grid's
+    running maximum over points; the first minimum of that maximum, in
+    candidate order, wins.  A search whose n grids (_exact_entries) would
+    exceed _TABLE_BUDGET entries in all is refused with CapacityError before
     any table is built.
     """
     check_real("alpha", alpha, 0.0, strict=True)
     n = space.size
     l = truncation_level(p)
-    n_star = 0
-    while level_capacity(n_star) < n:
-        n_star += 1
     all_points = tuple(range(n))
 
-    free_levels = list(range(l, n_star))
+    free_levels = list(_free_levels(n, p))
     if not free_levels:
         # the truncated sum can start at a level that may hold all of T
         seq = AdmissibleSequence(kind="set", levels=((0,),) * l + (all_points,), space=space)
@@ -336,16 +354,18 @@ def gamma_exact(
                              mode="exact", sequence=seq)
     # an overflowing weight keeps its DomainError ahead of the refusal
     weights = [_level_weight(lvl, alpha) for lvl in free_levels]
-    sizes = [min(level_capacity(lvl), n) for lvl in free_levels]
-    entries = n * math.prod(sum(math.comb(n, k) for k in range(1, s + 1)) for s in sizes)
     _check_table_budget(f"exact gamma search refused: {n} points at p = {p:g} leave levels "
-                        f"{free_levels} free, a table", entries)
+                        f"{free_levels} free, a table", _exact_entries(n, p))
 
-    choices, tables = zip(*(_distance_table(space, size) for size in sizes))
-    total = weights[0] * tables[0]
-    for w, table in zip(weights[1:], tables[1:]):
-        total = total[..., None, :] + w * table
-    vals = total.max(axis=-1)
+    choices, tables = zip(*(_distance_table(space, min(level_capacity(lvl), n))
+                            for lvl in free_levels))
+    per_point = [w * np.ascontiguousarray(table.T) for w, table in zip(weights, tables)]
+    vals = np.full(tuple(map(len, choices)), -np.inf)
+    for t in range(n):
+        total = per_point[0][t]
+        for rows in per_point[1:]:
+            total = total[..., None] + rows[t]
+        np.maximum(vals, total, out=vals)
     best = np.unravel_index(int(np.argmin(vals)), vals.shape)  # the first minimum
     best_val = float(vals[best])
     best_combo = [c[i] for c, i in zip(choices, best)]
@@ -454,10 +474,9 @@ def gamma_prime(
     elif n <= level_capacity(1):
         chain = [trivial, singletons]  # level 1 may hold the singletons
     else:
-        # 4 cells for each of the (4^n + 6 * 2^n + 8) / 24 partitions into at most 4
-        # cells; refused from 13 points on, so level 1 is the only free level.
+        # refused from 13 points on, so level 1 is the only free level
         _check_table_budget(f"exact gamma' search refused: {n} points at p = 1 need, "
-                            "at level 1 alone, a table", (4**n + 6 * 2**n + 8) // 6)
+                            "at level 1 alone, a table", _exact_entries(n, prime=True))
         # Rounding is monotone, so each partition's largest per-point sum is
         # the one at its widest cell.
         cells = _level_one_partitions(n)

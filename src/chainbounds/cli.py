@@ -32,15 +32,15 @@ from .bounds import (
     squares_supremum_bound,
 )
 from .chaining import (
-    GAMMA_EXACT_CAP,
     GammaEstimate,
+    _gamma_mode,
     gamma_exact,
     gamma_greedy,
     gamma_prime,
     truncation_level,
 )
 from .errors import DomainError, check_int, check_real
-from .metric import _resolve_mode, covering_number, covering_profile, entropy_integral
+from .metric import covering_number, covering_profile, entropy_integral
 from .orlicz import OrliczNorm, psi_norm_analytic, psi_norm_empirical
 from .processes import (
     SEED_MAX,
@@ -142,7 +142,7 @@ def _cmd_gamma(args) -> int:
     check_real("order p", args.p, 1.0)
     contents = load_json(args.space)
     space = space_from_json(contents)
-    mode = _resolve_mode(args.mode, space.size, GAMMA_EXACT_CAP)
+    mode = _gamma_mode(args.mode, space.size, args.p, prime=args.functional == "gamma-prime")
     if args.functional == "gamma-prime":
         est = gamma_prime(space, args.alpha, mode=mode)
     elif mode == "exact":

@@ -38,6 +38,22 @@ class CapacityError(ChainboundsError):
     """An exact computation was requested above its combinatorial size cap."""
 
 
+# The most entries any exhaustive table may hold (float64: 32 MB): the gamma
+# searches, the sign-pattern laws and pair tables, and rip.build_dft.  It
+# admits gamma_exact on up to 16 points and on 17 at a lone free level 2,
+# gamma_prime on up to 12 points and sign_patterns on up to 17.
+_TABLE_BUDGET = 1 << 22
+
+
+def _check_table_budget(what: str, entries: int) -> None:
+    """CapacityError, before anything is built, when the table what describes
+    (its message reads on with "of N entries") would pass _TABLE_BUDGET
+    entries; a count past 10^15 is named by the power of ten below it."""
+    if entries > _TABLE_BUDGET:
+        size = entries if entries < 10**15 else f"at least 10^{len(str(entries)) - 1}"
+        raise CapacityError(f"{what} of {size} entries, above the budget of {_TABLE_BUDGET}")
+
+
 class ConvergenceError(ChainboundsError):
     """An iterative solver exhausted its iteration budget."""
 

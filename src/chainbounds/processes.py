@@ -28,11 +28,11 @@ from types import MappingProxyType
 
 import numpy as np
 
-from . import chaining
 from .errors import (
     DomainError,
     ModelError,
     UnsupportedFamilyError,
+    _check_table_budget,
     check_int,
 )
 from .metric import _NORMS, FiniteMetricSpace, _pairwise, build_metric_space, space_from_points
@@ -597,7 +597,7 @@ def _chaos_sup(x: np.ndarray, stack: np.ndarray, s2: float) -> np.ndarray:
 def _check_sign_law(law: str, n: int, width: int) -> None:
     """Refuse a law on the 2^n sign patterns whose widest table is 2^n x max(n, width)."""
     w = max(n, width)
-    chaining._check_table_budget(f"{law} refused: n = {n} signs need a 2^n x {w} table", w << n)
+    _check_table_budget(f"{law} refused: n = {n} signs need a 2^n x {w} table", w << n)
 
 
 def sign_patterns(n: int) -> np.ndarray:
@@ -632,13 +632,12 @@ def exact_chaos_distribution(matrices, decoupled: bool = False) -> np.ndarray:
 
     Plain form enumerates 2^n component vectors; decoupled form enumerates
     all 2^(2n) independent pairs, k 4^n entries for k matrices.  Either is
-    refused past chaining._TABLE_BUDGET before its largest table is built.
+    refused past errors._TABLE_BUDGET before its largest table is built.
     """
     stack = _matrix_stack(matrices)
     k, m, n = stack.shape
     if decoupled:
-        chaining._check_table_budget(f"matrix count k = {k}, dimension n = {n}: a pair table",
-                                     k * 4**n)
+        _check_table_budget(f"matrix count k = {k}, dimension n = {n}: a pair table", k * 4**n)
         signs = sign_patterns(n)
         grams = np.einsum("kmi,kmj->kij", stack.conj(), stack)
         bil = np.einsum("ai,kij,bj->kab", signs, grams, signs)

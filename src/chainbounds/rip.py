@@ -33,12 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import chaining
 from .errors import (
     CapacityError,
     ConvergenceError,
     DomainError,
     ModelError,
+    _check_table_budget,
     check_int,
     check_real,
 )
@@ -74,9 +74,9 @@ _BOS_TEST_VECTORS = 8  # random unit vectors check_bos tries isotropy on
 
 def build_dft(N: int) -> np.ndarray:
     """The N x N unitary discrete Fourier matrix (unimodular entries / sqrt(N)),
-    refused before it is built when N^2 passes chaining._TABLE_BUDGET (N > 2048)."""
+    refused before it is built when N^2 passes errors._TABLE_BUDGET (N > 2048)."""
     N = check_int("N", N, 1)
-    chaining._check_table_budget(f"discrete Fourier matrix refused: N = {N}, an N^2 table", N * N)
+    _check_table_budget(f"discrete Fourier matrix refused: N = {N}, an N^2 table", N * N)
     k = np.arange(N)
     return np.exp(2j * np.pi * np.outer(k, k) / N) / math.sqrt(N)
 

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chaining import GAMMA_EXACT_CAP, GammaEstimate, gamma_exact, gamma_greedy
+from .chaining import GammaEstimate, _gamma_mode, gamma_exact, gamma_greedy
 from .errors import DomainError
-from .metric import FiniteMetricSpace, _pairwise, _resolve_mode, build_metric_space
+from .metric import FiniteMetricSpace, _pairwise, build_metric_space
 
 __all__ = ["schatten_norm", "SchattenRadii", "matrix_set_space", "schatten_radii"]
 
@@ -104,8 +104,9 @@ def schatten_radii(matrices, gamma_mode: str = "auto", p: float = 1.0) -> Schatt
     """Radii for q in {2, 4, inf} and a gamma_2 estimate under d_inf.
 
     gamma_mode picks the chaining estimator: "exact" enumerates admissible
-    sequences (small sets only), "greedy" uses farthest-point sequences,
-    "auto" switches on the exact cap, and "none" skips the estimate.
+    sequences (refused past the table budget), "greedy" uses farthest-point
+    sequences, "auto" is exact wherever that search is not refused and greedy
+    elsewhere, and "none" skips the estimate.
     """
     stack = _matrix_stack(matrices)
     svals = np.linalg.svd(stack, compute_uv=False)  # one row of singular values per matrix
@@ -114,7 +115,7 @@ def schatten_radii(matrices, gamma_mode: str = "auto", p: float = 1.0) -> Schatt
     dinf = float(svals.max(axis=1).max()) if svals.size else 0.0
     if gamma_mode == "none":
         return SchattenRadii(delta_2=d2, delta_4=d4, delta_inf=dinf)
-    gamma_mode = _resolve_mode(gamma_mode, stack.shape[0], GAMMA_EXACT_CAP)
+    gamma_mode = _gamma_mode(gamma_mode, stack.shape[0], p)
     space = matrix_set_space(matrices)
     est = (gamma_exact if gamma_mode == "exact" else gamma_greedy)(space, alpha=2.0, p=p)
     return SchattenRadii(delta_2=d2, delta_4=d4, delta_inf=dinf, gamma2_dinf=est, space=space)

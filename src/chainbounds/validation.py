@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import chaining
-from .errors import DomainError, check_int, check_number, check_real
+from .errors import DomainError, _check_table_budget, check_int, check_number, check_real
 from .processes import SupremumSample, exact_chaos_distribution, sign_patterns
 from .results import MomentBound, TailBound
 from .schatten import _matrix_stack
@@ -251,7 +250,7 @@ def check_symmetrization_decoupling(
 
     Both sides tabulate pattern pairs: k 4^n entries for k matrices (or k
     table rows) of dimension n, refused with CapacityError before any table
-    is built when that passes chaining._TABLE_BUDGET.
+    is built when that passes errors._TABLE_BUDGET.
     """
     stack = _matrix_stack(matrices)
     n = stack.shape[2]
@@ -262,16 +261,12 @@ def check_symmetrization_decoupling(
         v = np.asarray(table, dtype=float)
         if v.ndim != 2 or v.shape[1] != n:
             raise DomainError(f"table must be 2-D with {n} columns, got shape {v.shape}")
-        chaining._check_table_budget(f"table row count k = {len(v)}, dimension n = {n}: "
-                                     "a pair table", len(v) * 4**n)
+        _check_table_budget(f"table row count k = {len(v)}, dimension n = {n}: a pair table",
+                            len(v) * 4**n)
 
     bilinear_sup = exact_chaos_distribution(stack, decoupled=True)  # first: it checks k 4^n
-    grams = np.einsum("kmi,kmj->kij", stack.conj(), stack)
-    signs = sign_patterns(n)
-    # Off-diagonal chaos per sign pattern: xi.B xi - tr(B).
-    quad = np.einsum("ai,kij,aj->ka", signs, grams, signs).real
-    traces = np.einsum("kii->k", grams).real
-    offdiag_sup = np.abs(quad - traces[:, None]).max(axis=0)
+    # Off-diagonal chaos per sign pattern: xi.B xi - tr(B) = ||A xi||^2 - ||A||_F^2.
+    offdiag_sup = exact_chaos_distribution(stack)
     decoupling = []
     for p in p_list:
         lhs = _lp_of_mean(offdiag_sup**p, None, p)
@@ -279,11 +274,13 @@ def check_symmetrization_decoupling(
         decoupling.append({"p": p, "lhs": lhs, "rhs": rhs, "holds": lhs <= rhs * (1 + 1e-12)})
 
     if table is None:
+        grams = np.einsum("kmi,kmj->kij", stack.conj(), stack)
         v = np.einsum("kii->ki", grams).real.copy()
     if np.any(v < 0) or not np.all(np.isfinite(v)):
         raise DomainError("symmetrization table values must be finite and nonnegative")
     q = selector_prob
-    selectors = 0.5 * (sign_patterns(n) + 1.0)
+    signs = sign_patterns(n)
+    selectors = 0.5 * (signs + 1.0)
     weights = (q**selectors.sum(axis=1)) * ((1 - q) ** (n - selectors.sum(axis=1)))
     centered_sup = np.abs((selectors - q) @ v.T).max(axis=1)
     # For each selector pattern, average over all sign patterns of the

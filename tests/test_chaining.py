@@ -104,7 +104,7 @@ def test_gamma_exact_frozen_values():
 
 
 def test_gamma_exact_runs_above_the_auto_threshold():
-    # GAMMA_EXACT_CAP only picks the auto mode: an explicit search on 7 points runs
+    # an explicit search on 7 points runs, as auto mode's does: its table fits the budget
     sp = random_space(0, 7)
     est = gamma_exact(sp, 2.0)
     assert est.mode == "exact"

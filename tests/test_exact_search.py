@@ -31,7 +31,7 @@ from chainbounds import (
     space_from_points,
     truncation_level,
 )
-from chainbounds import chaining
+from chainbounds import chaining, errors
 from chainbounds.errors import CapacityError, DomainError
 
 
@@ -344,7 +344,7 @@ def _refused_entries(search):
 
 @pytest.mark.parametrize("n", range(1, 18))
 def test_budget_counts_the_entries_of_the_table_it_would_build(monkeypatch, n):
-    monkeypatch.setattr(chaining, "_TABLE_BUDGET", 0)
+    monkeypatch.setattr(errors, "_TABLE_BUDGET", 0)
     space = space_from_points(np.random.default_rng(n).normal(size=(n, 2)))
     for p in (1.0, 2.0, 4.0):
         free = range(truncation_level(p), 3 if n > 16 else 2 if n > 4 else 1 if n > 1 else 0)

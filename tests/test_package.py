@@ -79,8 +79,7 @@ _NUMBER = r"(\d+)([⁰¹²³⁴⁵⁶⁷⁸⁹]*)"  # 5000, or a power such as 1
 _README_CAPS = {
     ("metric", "MAX_POINTS"): rf"`MAX_POINTS` = {_NUMBER} points",
     ("metric", "EXACT_COVER_CAP"): rf"up to `EXACT_COVER_CAP` = {_NUMBER} points",
-    ("chaining", "GAMMA_EXACT_CAP"): rf"auto picks exact up to {_NUMBER} points, `GAMMA_EXACT_CAP`",
-    ("chaining", "_TABLE_BUDGET"): rf"`_TABLE_BUDGET` = {_NUMBER} entries",
+    ("errors", "_TABLE_BUDGET"): rf"`_TABLE_BUDGET` = {_NUMBER} entries",
     ("chaining", "_CACHED_POINTS"): rf"tables on at most {_NUMBER} points stay cached",
     ("rip", "ENUMERATION_CAP"): rf"capped at {_NUMBER} supports, `ENUMERATION_CAP`",
     ("rip", "_CACHED_ENTRIES"): rf"tables of at most {_NUMBER} indices stay cached",

@@ -37,7 +37,7 @@ from chainbounds import (
     simulate_squares_increment,
     squares_model,
 )
-from chainbounds import chaining, metric, processes
+from chainbounds import errors, metric, processes
 from chainbounds.processes import BLOCK, SEED_MAX, SupremumSample
 
 LOG2 = math.log(2.0)
@@ -472,7 +472,7 @@ def test_sign_patterns_shape_and_cap():
     assert set(np.unique(pats)) == {-1, 1}
     assert len({tuple(r) for r in pats}) == 8
     # the table budget alone refuses: 17 x 2^17 entries fit 2^22, 18 x 2^18 do not
-    assert 17 << 17 <= chaining._TABLE_BUDGET < 18 << 18
+    assert 17 << 17 <= errors._TABLE_BUDGET < 18 << 18
     with pytest.raises(CapacityError, match="n = 18 signs need a 2\\^n x 18 table"):
         sign_patterns(18)
 

@@ -1,12 +1,15 @@
 """Golden reports of `gamma` and `cover`.
 
 The cases cover `gamma` in exact mode (levels 0 and 1 free at p = 1, level 1
-alone at p = 2, no free level at p = 4, 7 points, above `GAMMA_EXACT_CAP`,
-and the table-budget refusal on 17 points at p = 1), in greedy mode (chosen
-by `--mode auto` above the cap and named outright), and as `--functional
-gamma-prime` in exact and greedy mode; and `cover --profile --entropy-alpha`
-with and without `--radius`, exact (at most `EXACT_COVER_CAP` points) and
-greedy.  Integer grids under the l1 norm put ties in front of every
+alone at p = 2, no free level at p = 4, 7 points, and the table-budget
+refusal on 17 points at p = 1), in greedy mode (named outright), in auto mode
+(exact on 9 points, where the exact table fits the budget, and greedy on 17
+points at p = 1, where it does not), and as `--functional gamma-prime` in
+exact and greedy mode and in auto mode (exact on 9 points, greedy on 13); and
+`cover --profile --entropy-alpha` with and without `--radius`, exact (at most
+`EXACT_COVER_CAP` points) and greedy.  The cases `gamma-greedy-auto` and
+`gamma-prime-greedy` keep the names they had when auto mode chose greedy
+there.  Integer grids under the l1 norm put ties in front of every
 first-minimum rule.
 
 A case writes its space file into a fresh directory, runs the command with

@@ -26,7 +26,7 @@ from chainbounds import (
     subsample,
     subsampled_instance,
 )
-from chainbounds import chaining, rip
+from chainbounds import errors, rip
 from chainbounds.cli import main
 
 
@@ -53,7 +53,7 @@ def test_dft_rejects_bad_size():
 def test_dft_past_the_table_budget_is_refused_before_it_is_built(monkeypatch, tmp_path, capsys):
     # N^2 > _TABLE_BUDGET (N > 2048): one N x N complex matrix at N = 50000
     # alone would take 40 GB, so rip exact and rip curve stop at once.
-    monkeypatch.setattr(chaining, "_TABLE_BUDGET", 48)
+    monkeypatch.setattr(errors, "_TABLE_BUDGET", 48)
     monkeypatch.setattr(np, "outer", lambda *args: pytest.fail("built the matrix"))
     with pytest.raises(CapacityError, match=r"N = 7, an N\^2 table of 49 entries, .* 48$"):
         build_dft(7)

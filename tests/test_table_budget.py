@@ -1,10 +1,14 @@
-"""One size rule, chaining._TABLE_BUDGET, for every exhaustive table.
+"""One size rule, errors._TABLE_BUDGET, for every exhaustive table.
 
 Each table below is admitted when the budget equals its entry count, and
-refused one entry below it, at once and before the table is built.
+refused one entry below it, at once and before the table is built.  The
+gamma searches' auto mode reads the same count: exact exactly where the
+search is admitted.
 """
 
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,12 +23,15 @@ from chainbounds import (
     exact_empirical_distribution,
     exact_martingale_distribution,
     gamma_exact,
+    gamma_greedy,
     gamma_prime,
     martingale_model,
+    schatten_radii,
     sign_patterns,
     space_from_points,
 )
-from chainbounds import chaining, processes, validation
+from chainbounds import chaining, errors, processes, validation
+from chainbounds.cli import main
 
 
 def _space(n):
@@ -73,9 +80,9 @@ _TABLES = {
 @pytest.mark.parametrize("table", _TABLES)
 def test_every_exhaustive_table_has_one_budget(monkeypatch, table):
     call, entries, builders = _TABLES[table]
-    monkeypatch.setattr(chaining, "_TABLE_BUDGET", entries)
+    monkeypatch.setattr(errors, "_TABLE_BUDGET", entries)
     call()
-    monkeypatch.setattr(chaining, "_TABLE_BUDGET", entries - 1)
+    monkeypatch.setattr(errors, "_TABLE_BUDGET", entries - 1)
     with monkeypatch.context() as patched:
         for module, name in builders:
             patched.setattr(module, name, lambda *args, **kwargs: pytest.fail("built a table"))
@@ -85,3 +92,49 @@ def test_every_exhaustive_table_has_one_budget(monkeypatch, table):
             call()
         assert time.perf_counter() - start < 1.0
 
+
+
+
+def _auto_gamma(capsys, space_file, out, p, prime):
+    """The estimate `chainbounds gamma` reports in its default auto mode."""
+    argv = ["gamma", "--space", str(space_file), "--alpha", "2", "--p", f"{p:g}", "--out", str(out)]
+    assert main(argv + (["--functional", "gamma-prime"] if prime else [])) == 0
+    written = capsys.readouterr().out.splitlines()[-1].removeprefix("wrote ")
+    return json.loads(Path(written).read_text())
+
+
+@pytest.mark.parametrize("n", range(1, 18))
+def test_auto_mode_is_exact_exactly_where_the_budget_admits_the_search(
+        monkeypatch, tmp_path, capsys, n):
+    # `chainbounds gamma` (both functionals) and schatten_radii resolve auto
+    # through the count the refusal reads, and an auto call is never refused.
+    points = np.random.default_rng(n).normal(size=(n, 2))
+    space_file = tmp_path / "space.json"
+    space_file.write_text(json.dumps({"points": points.tolist()}))
+    space = space_from_points(points)
+    matrices = list(_normal(n, 2, 2))
+    for prime in (False, True):
+        for p in (1.0, 2.0, 4.0, 8.0):
+            entries = chaining._exact_entries(n, p, prime)
+            mode = "exact" if entries <= errors._TABLE_BUDGET else "greedy"
+            # gamma: up to 16 points, and 17 at a lone free level 2; gamma': up to 12
+            assert mode == ("exact" if (n <= 12 if prime else n <= 16 or p >= 4.0) else "greedy")
+            assert chaining._gamma_mode("auto", n, p, prime) == mode
+            with monkeypatch.context() as patched:  # auto follows the budget wherever it is
+                patched.setattr(errors, "_TABLE_BUDGET", entries)
+                assert chaining._gamma_mode("auto", n, p, prime) == "exact"
+                if entries:  # a search that builds no table is never refused
+                    patched.setattr(errors, "_TABLE_BUDGET", entries - 1)
+                    assert chaining._gamma_mode("auto", n, p, prime) == "greedy"
+            if prime and p > 1.0:  # gamma_prime does not read p
+                continue
+            report = _auto_gamma(capsys, space_file, tmp_path / "out", p, prime)
+            greedy = gamma_prime(space, 2.0, "greedy") if prime else gamma_greedy(space, 2.0, p)
+            exact = (gamma_prime(space, 2.0) if prime else gamma_exact(space, 2.0, p)) \
+                if mode == "exact" else greedy
+            assert (report["mode"], report["value"]) == (mode, exact.value)
+            assert report["value"] <= greedy.value
+            if not prime:
+                radii = schatten_radii(matrices, p=p)
+                assert radii.gamma2_dinf.mode == mode
+                assert radii.gamma2_dinf.value <= gamma_greedy(radii.space, 2.0, p).value

@@ -35,7 +35,7 @@ from chainbounds import (
     truncation_level,
     validate_bound,
 )
-from chainbounds import chaining, processes, validation
+from chainbounds import errors, processes, validation
 from chainbounds.validation import _bootstrap_means, _bootstrap_rng, _verdict
 
 
@@ -515,7 +515,7 @@ def test_decoupling_keeps_its_capacity_error_above_the_sign_cap(monkeypatch):
     # No sign cap: one matrix of dimension 11 needs 4^11 = 2^22 entries, the
     # budget itself, so it is admitted and stopped here at its first
     # enumeration; from n = 12 on the budget refuses.
-    assert 4**11 == chaining._TABLE_BUDGET
+    assert 4**11 == errors._TABLE_BUDGET
 
     class Admitted(Exception):
         pass
@@ -544,10 +544,10 @@ def test_pair_tables_have_one_budget(monkeypatch, k, n):
     mats, entries = _family(k, n), k * 4**n
     law = exact_chaos_distribution(mats, decoupled=True)
     report = check_symmetrization_decoupling(mats)
-    monkeypatch.setattr(chaining, "_TABLE_BUDGET", entries)
+    monkeypatch.setattr(errors, "_TABLE_BUDGET", entries)
     assert (exact_chaos_distribution(mats, decoupled=True) == law).all()
     assert check_symmetrization_decoupling(mats) == report
-    monkeypatch.setattr(chaining, "_TABLE_BUDGET", entries - 1)
+    monkeypatch.setattr(errors, "_TABLE_BUDGET", entries - 1)
     message = rf"matrix count k = {k}, dimension n = {n}: .* {entries} entries, .* {entries - 1}$"
     with pytest.raises(CapacityError, match=message):
         exact_chaos_distribution(mats, decoupled=True)
