@@ -129,12 +129,17 @@ def test_auto_mode_is_exact_exactly_where_the_budget_admits_the_search(
             if prime and p > 1.0:  # gamma_prime does not read p
                 continue
             report = _auto_gamma(capsys, space_file, tmp_path / "out", p, prime)
-            greedy = gamma_prime(space, 2.0, "greedy") if prime else gamma_greedy(space, 2.0, p)
-            exact = (gamma_prime(space, 2.0) if prime else gamma_exact(space, 2.0, p)) \
-                if mode == "exact" else greedy
-            assert (report["mode"], report["value"]) == (mode, exact.value)
+            if prime:
+                greedy = gamma_prime(space, 2.0, "greedy")
+                expected = gamma_prime(space, 2.0) if mode == "exact" else greedy
+            else:
+                greedy = gamma_greedy(space, 2.0, p)
+                expected = gamma_exact(space, 2.0, p) if mode == "exact" else greedy
+            assert (report["mode"], report["value"]) == (mode, expected.value)
             assert report["value"] <= greedy.value
             if not prime:
                 radii = schatten_radii(matrices, p=p)
-                assert radii.gamma2_dinf.mode == mode
-                assert radii.gamma2_dinf.value <= gamma_greedy(radii.space, 2.0, p).value
+                greedy = gamma_greedy(radii.space, 2.0, p)
+                expected = gamma_exact(radii.space, 2.0, p) if mode == "exact" else greedy
+                assert (radii.gamma2_dinf.mode, radii.gamma2_dinf.value) == (mode, expected.value)
+                assert radii.gamma2_dinf.value <= greedy.value
