@@ -303,27 +303,29 @@ def _free_levels(n: int, p: float) -> range:
     return range(truncation_level(p), n_star)
 
 
-def _exact_entries(n: int, p: float = 1.0, prime: bool = False) -> int:
-    """Entries of the table an exact search on n points builds, 0 if it builds
-    none.  gamma_exact at order p: n times the product of its free levels'
-    candidate-set counts.  gamma_prime (prime=True; p is not read): 4 cells
-    for each of the (4^n + 6 * 2^n + 8) / 24 partitions into at most 4 cells,
-    once level 1 cannot hold the singletons.  Both the searches' refusal and
-    mode="auto" read this count."""
-    if prime:
-        return (4**n + 6 * 2**n + 8) // 6 if n > level_capacity(1) else 0
+def _exact_entries(n: int, p: float) -> int:
+    """Entries of the table an exact order-p gamma search on n points builds:
+    n times the product of its free levels' candidate-set counts, 0 if no
+    level is free.  Both the search's refusal and mode="auto" read it."""
     free = _free_levels(n, p)
     counts = (sum(math.comb(n, k) for k in range(1, min(level_capacity(lvl), n) + 1))
               for lvl in free)
     return n * math.prod(counts) if free else 0
 
 
-def _gamma_mode(mode: str, n: int, p: float, prime: bool = False) -> str:
-    """mode with "auto" resolved: exact wherever the exact search on n points
-    is not refused, that is, where its table fits errors._TABLE_BUDGET, and
-    greedy elsewhere.  gamma_prime's count is read even on a space of
-    diameter 0, where its exact search builds no table."""
-    return _resolve_mode(mode, _exact_entries(n, p, prime) <= errors._TABLE_BUDGET)
+def _prime_entries(n: int) -> int:
+    """Entries of the table an exact gamma_prime search on n points builds: 4
+    cells for each of the (4^n + 6 * 2^n + 8) / 24 partitions into at most 4
+    cells, once level 1 cannot hold the singletons, and 0 before.  Both the
+    search's refusal and mode="auto" read it."""
+    return (4**n + 6 * 2**n + 8) // 6 if n > level_capacity(1) else 0
+
+
+def _gamma_mode(mode: str, entries: int) -> str:
+    """mode with "auto" resolved: exact wherever the exact search's table of
+    entries (_exact_entries or _prime_entries) fits errors._TABLE_BUDGET, so
+    that the search is not refused, and greedy elsewhere."""
+    return _resolve_mode(mode, entries <= errors._TABLE_BUDGET)
 
 
 def gamma_exact(
@@ -469,14 +471,15 @@ def gamma_prime(
     if mode != "exact":
         raise DomainError(f"unknown gamma_prime mode {mode!r}")
     val = diam_t = space.subset_diameter(trivial[0])
+    entries = _prime_entries(n)
     if diam_t == 0.0:
         chain = [trivial]
-    elif n <= level_capacity(1):
+    elif not entries:
         chain = [trivial, singletons]  # level 1 may hold the singletons
     else:
         # refused from 13 points on, so level 1 is the only free level
         _check_table_budget(f"exact gamma' search refused: {n} points at p = 1 need, "
-                            "at level 1 alone, a table", _exact_entries(n, prime=True))
+                            "at level 1 alone, a table", entries)
         # Rounding is monotone, so each partition's largest per-point sum is
         # the one at its widest cell.
         cells = _level_one_partitions(n)

@@ -33,7 +33,9 @@ from .bounds import (
 )
 from .chaining import (
     GammaEstimate,
+    _exact_entries,
     _gamma_mode,
+    _prime_entries,
     gamma_exact,
     gamma_greedy,
     gamma_prime,
@@ -142,8 +144,10 @@ def _cmd_gamma(args) -> int:
     check_real("order p", args.p, 1.0)
     contents = load_json(args.space)
     space = space_from_json(contents)
-    mode = _gamma_mode(args.mode, space.size, args.p, prime=args.functional == "gamma-prime")
-    if args.functional == "gamma-prime":
+    prime = args.functional == "gamma-prime"
+    mode = _gamma_mode(args.mode, _prime_entries(space.size) if prime
+                       else _exact_entries(space.size, args.p))
+    if prime:
         est = gamma_prime(space, args.alpha, mode=mode)
     elif mode == "exact":
         est = gamma_exact(space, args.alpha, p=args.p)

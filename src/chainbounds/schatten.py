@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chaining import GammaEstimate, _gamma_mode, gamma_exact, gamma_greedy
+from .chaining import GammaEstimate, _exact_entries, _gamma_mode, gamma_exact, gamma_greedy
 from .errors import DomainError
 from .metric import FiniteMetricSpace, _pairwise, build_metric_space
 
@@ -115,7 +115,7 @@ def schatten_radii(matrices, gamma_mode: str = "auto", p: float = 1.0) -> Schatt
     dinf = float(svals.max(axis=1).max()) if svals.size else 0.0
     if gamma_mode == "none":
         return SchattenRadii(delta_2=d2, delta_4=d4, delta_inf=dinf)
-    gamma_mode = _gamma_mode(gamma_mode, stack.shape[0], p)
+    gamma_mode = _gamma_mode(gamma_mode, _exact_entries(stack.shape[0], p))
     space = matrix_set_space(matrices)
     est = (gamma_exact if gamma_mode == "exact" else gamma_greedy)(space, alpha=2.0, p=p)
     return SchattenRadii(delta_2=d2, delta_4=d4, delta_inf=dinf, gamma2_dinf=est, space=space)

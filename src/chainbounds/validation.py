@@ -266,7 +266,10 @@ def check_symmetrization_decoupling(
 
     bilinear_sup = exact_chaos_distribution(stack, decoupled=True)  # first: it checks k 4^n
     # Off-diagonal chaos per sign pattern: xi.B xi - tr(B) = ||A xi||^2 - ||A||_F^2.
-    offdiag_sup = exact_chaos_distribution(stack)
+    # It reads A only through B, so a tall A gives way to its n x n QR factor R
+    # (R^H R = B): the plain law's 2^n x k min(m, n) table then fits in k 4^n.
+    square = np.linalg.qr(stack, mode="r") if stack.shape[1] > n else stack
+    offdiag_sup = exact_chaos_distribution(square)
     decoupling = []
     for p in p_list:
         lhs = _lp_of_mean(offdiag_sup**p, None, p)

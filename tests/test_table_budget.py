@@ -115,17 +115,19 @@ def test_auto_mode_is_exact_exactly_where_the_budget_admits_the_search(
     matrices = list(_normal(n, 2, 2))
     for prime in (False, True):
         for p in (1.0, 2.0, 4.0, 8.0):
-            entries = chaining._exact_entries(n, p, prime)
+            entries = chaining._prime_entries(n) if prime else chaining._exact_entries(n, p)
             mode = "exact" if entries <= errors._TABLE_BUDGET else "greedy"
             # gamma: up to 16 points, and 17 at a lone free level 2; gamma': up to 12
             assert mode == ("exact" if (n <= 12 if prime else n <= 16 or p >= 4.0) else "greedy")
-            assert chaining._gamma_mode("auto", n, p, prime) == mode
+            assert chaining._gamma_mode("auto", entries) == mode
             with monkeypatch.context() as patched:  # auto follows the budget wherever it is
                 patched.setattr(errors, "_TABLE_BUDGET", entries)
-                assert chaining._gamma_mode("auto", n, p, prime) == "exact"
+                assert chaining._gamma_mode("auto", entries) == "exact"
                 if entries:  # a search that builds no table is never refused
                     patched.setattr(errors, "_TABLE_BUDGET", entries - 1)
-                    assert chaining._gamma_mode("auto", n, p, prime) == "greedy"
+                    assert chaining._gamma_mode("auto", entries) == "greedy"
+                    with pytest.raises(CapacityError, match=f" of {entries} entries, "):
+                        gamma_prime(space, 2.0) if prime else gamma_exact(space, 2.0, p)
             if prime and p > 1.0:  # gamma_prime does not read p
                 continue
             report = _auto_gamma(capsys, space_file, tmp_path / "out", p, prime)

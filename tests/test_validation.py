@@ -559,6 +559,25 @@ def test_pair_tables_have_one_budget(monkeypatch, k, n):
         check_symmetrization_decoupling(mats)
 
 
+def test_tall_matrices_are_checked_up_to_the_pair_table_budget(monkeypatch):
+    # m > 2^n rows: only the k 4^n pair table bounds the check, not k m, and
+    # the off-diagonal side is sup_A |xi.B xi - tr(B)| with B = A^H A.
+    k, m, n = 2, 9, 3
+    mats = [np.random.default_rng(5).normal(size=(m, n)) for _ in range(k)]
+    grams = [a.T @ a for a in mats]
+    signs = sign_patterns(n)
+    offdiag = np.abs([np.einsum("ai,ij,aj->a", signs, b, signs) - np.trace(b)
+                      for b in grams]).max(axis=0)
+    monkeypatch.setattr(errors, "_TABLE_BUDGET", k * 4**n)
+    out = check_symmetrization_decoupling(mats)
+    for row in out["decoupling"]:
+        p = row["p"]
+        assert row["lhs"] == pytest.approx((offdiag**p).mean() ** (1.0 / p), rel=1e-12)
+    monkeypatch.setattr(errors, "_TABLE_BUDGET", k * 4**n - 1)
+    with pytest.raises(CapacityError, match=rf"matrix count k = {k}, dimension n = {n}: "):
+        check_symmetrization_decoupling(mats)
+
+
 def test_a_large_symmetrization_table_is_refused_first(monkeypatch):
     mats = _family(1, 3)
     monkeypatch.setattr(validation, "sign_patterns", lambda n: pytest.fail("enumerated"))
