@@ -234,7 +234,8 @@ def _cmd_orlicz(args) -> int:
     else:
         data = load_samples(args.samples, args.format)
         norm = psi_norm_empirical(data, args.alpha)
-        config = {"samples": args.samples, "format": args.format, "alpha": args.alpha}
+        # what was read names the artifact, not where
+        config = {"samples": config_hash(data), "format": args.format, "alpha": args.alpha}
     payload = {
         "alpha": norm.alpha,
         "value": norm.value,
@@ -506,7 +507,7 @@ def _cmd_simulate(args) -> int:
         ]
         for e in ests:
             print(f"p={e.p:g} estimate={e.estimate:.6g} ci=[{e.ci_low:.6g}, {e.ci_high:.6g}]")
-    hashed = {"config_file": args.config, **config, "seed": seed, "reps": reps}
+    hashed = {**config, "seed": seed, "reps": reps}
     if fit is not None:
         hashed["fit"] = fit
     _emit(args, "simulate", hashed, payload, rows=rows)

@@ -630,22 +630,27 @@ def test_fit_constants_not_fit_path_name_the_artifact(tmp_path, capsys):
 
 
 def test_input_contents_not_input_paths_name_the_artifact(tmp_path, capsys):
-    # Two spaces (or matrix families) read in turn from one path used to share
-    # a config hash, so the second overwrote the first; one input read from two
-    # paths now gives one artifact.
+    # Two inputs (spaces, matrix families, sample files or simulate configs)
+    # read in turn from one path used to share a config hash, so the second
+    # overwrote the first; one input read from two paths now gives one artifact.
     spaces = [{"dist": [[0, 1], [1, 0]]}, {"dist": [[0, 2], [2, 0]]}]
     families = [[[[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]]],
                 [[[2.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]]]]
-    commands = {  # argv around the input path, then the two inputs
-        "gamma": (["gamma", "--alpha", "2", "--space"], spaces),
-        "cover": (["cover", "--radius", "1", "--space"], spaces),
-        "chaos": (["chaos", "--reps", "50", "--seed", "4", "--matrices"], families),
+    configs = [{"model": {"kind": "gaussian", "covariance": c}, "reps": 50, "seed": 3}
+               for c in ([[1.0, 0.5], [0.5, 1.0]], [[1.0, 0.0], [0.0, 1.0]])]
+    commands = {  # argv around the input path, then the two inputs as file text
+        "gamma": (["gamma", "--alpha", "2", "--space"], [json.dumps(s) for s in spaces]),
+        "cover": (["cover", "--radius", "1", "--space"], [json.dumps(s) for s in spaces]),
+        "chaos": (["chaos", "--reps", "50", "--seed", "4", "--matrices"],
+                  [json.dumps(f) for f in families]),
+        "orlicz": (["orlicz", "--alpha", "2", "--samples"], ["1.0\n-2.0\n", "1.0\n3.0\n"]),
+        "simulate": (["simulate", "--config"], [json.dumps(c) for c in configs]),
     }
     for stem, (argv, inputs) in commands.items():
         out = tmp_path / stem
         written = []
-        for data, name in zip(inputs + inputs[:1], ("in.json", "in.json", "other.json")):
-            (tmp_path / name).write_text(json.dumps(data))
+        for text, name in zip(inputs + inputs[:1], ("in.json", "in.json", "other.json")):
+            (tmp_path / name).write_text(text)
             code, stdout, _ = run(argv + [str(tmp_path / name), "--out", str(out)], capsys)
             assert code == 0
             written.append([line for line in stdout.splitlines() if line.startswith("wrote ")])

@@ -12,6 +12,9 @@ instead of its path, the chaos case's config, config hash, "wrote" lines and
 CSV header were recorded again; its rows, numbers and verdicts were not.
 Since each CSV grid is written under its rows' own keys, the moment case's
 grid names its order column p and fills it; nothing else in it moved.
+Since a `simulate` config is hashed by its contents alone, without the
+path it was read from, the simulate cases' config, config hash, "wrote"
+lines and CSV header were recorded again; nothing else in them moved.
 
 The three moment cases (p_list at 200, 1000 and 2000 replications, no bound,
 so no CSV) were recorded before the bootstrap drew its resamples in blocks;
@@ -56,8 +59,8 @@ GOLDEN = json.loads(r"""
   "stdout": [
    "u=1 threshold=156.629 envelope=0.606531 empirical=0 ci_upper=0.0152333 dominated",
    "u=2 threshold=171.467 envelope=0.135335 empirical=0 ci_upper=0.0152333 dominated",
-   "wrote out/simulate-9aaba3819158.json",
-   "wrote out/simulate-9aaba3819158.csv"
+   "wrote out/simulate-48729958a992.json",
+   "wrote out/simulate-48729958a992.csv"
   ],
   "report": {
    "bound": {
@@ -78,7 +81,6 @@ GOLDEN = json.loads(r"""
       "u": 1.0
      }
     },
-    "config_file": "sim.json",
     "model": {
      "base_point": 0,
      "covariance": [
@@ -91,7 +93,7 @@ GOLDEN = json.loads(r"""
     "seed": 7,
     "u_grid": [1.0, 2.0]
    },
-   "config_hash": "9aaba3819158763a67022771e6a4128dc96b7349a1d0e7c51c98b5ecc6a077d1",
+   "config_hash": "48729958a992c20a2c9b9ac6ff0a22f2fcf7d2576176642aa7686ab9a35f7cc2",
    "paper_confirmed": true,
    "registry": {
     "defaults": {
@@ -125,7 +127,7 @@ GOLDEN = json.loads(r"""
    "verdict": "dominated"
   },
   "csv": [
-   "# config_hash: 9aaba3819158763a67022771e6a4128dc96b7349a1d0e7c51c98b5ecc6a077d1",
+   "# config_hash: 48729958a992c20a2c9b9ac6ff0a22f2fcf7d2576176642aa7686ab9a35f7cc2",
    "u,threshold,envelope,empirical,ci_upper,verdict",
    "1.0,156.62852071651218,0.6065306597126334,0.0,0.015233347889841823,dominated",
    "2.0,171.46701215281334,0.1353352832366127,0.0,0.015233347889841823,dominated"
@@ -159,8 +161,8 @@ GOLDEN = json.loads(r"""
   "code": 0,
   "stdout": [
    "p=2 threshold=4 empirical=1.42637 ci_upper=1.55949 dominated",
-   "wrote out/simulate-2455ce382a79.json",
-   "wrote out/simulate-2455ce382a79.csv"
+   "wrote out/simulate-735a55058993.json",
+   "wrote out/simulate-735a55058993.csv"
   ],
   "report": {
    "bound": {
@@ -181,7 +183,6 @@ GOLDEN = json.loads(r"""
       "set_size": 2
      }
     },
-    "config_file": "m.json",
     "model": {
      "base_point": 0,
      "covariance": [
@@ -193,7 +194,7 @@ GOLDEN = json.loads(r"""
     "reps": 200,
     "seed": 3
    },
-   "config_hash": "2455ce382a79e09bc8510f2c612da54042c55afc40ac689835a71e91beb32963",
+   "config_hash": "735a55058993bd55c71b2ef96fad9d3b53b7d8df5d67a7154c6fd7654e6d134b",
    "paper_confirmed": true,
    "registry": {
     "defaults": {
@@ -219,7 +220,7 @@ GOLDEN = json.loads(r"""
    "verdict": "dominated"
   },
   "csv": [
-   "# config_hash: 2455ce382a79e09bc8510f2c612da54042c55afc40ac689835a71e91beb32963",
+   "# config_hash: 735a55058993bd55c71b2ef96fad9d3b53b7d8df5d67a7154c6fd7654e6d134b",
    "p,threshold,envelope,empirical,ci_upper,verdict",
    "2.0,4.0,,1.4263674589728996,1.559489406652195,dominated"
   ]
@@ -254,8 +255,8 @@ GOLDEN = json.loads(r"""
   "code": 1,
   "stdout": [
    "u=1 threshold=3.29744e-06 envelope=0.606531 empirical=1 ci_upper=1 violated",
-   "wrote out/simulate-88e4e3da6e91.json",
-   "wrote out/simulate-88e4e3da6e91.csv"
+   "wrote out/simulate-eb411d5f0b0d.json",
+   "wrote out/simulate-eb411d5f0b0d.csv"
   ],
   "report": {
    "bound": {
@@ -276,7 +277,6 @@ GOLDEN = json.loads(r"""
       "u": 1.0
      }
     },
-    "config_file": "sim.json",
     "fit": {"C_2": 1e-06, "D_2": 1e-06},
     "model": {
      "base_point": 0,
@@ -290,7 +290,7 @@ GOLDEN = json.loads(r"""
     "seed": 7,
     "u_grid": [1.0]
    },
-   "config_hash": "88e4e3da6e91468163683918f0a2ee9bf7a420df40a5ae12339c5623321c5214",
+   "config_hash": "eb411d5f0b0d3e0255882eee39497426e4a80548ff36f947d4c7de56cc8a3ae7",
    "paper_confirmed": false,
    "registry": {
     "defaults": {
@@ -316,7 +316,7 @@ GOLDEN = json.loads(r"""
    "verdict": "violated"
   },
   "csv": [
-   "# config_hash: 88e4e3da6e91468163683918f0a2ee9bf7a420df40a5ae12339c5623321c5214",
+   "# config_hash: eb411d5f0b0d3e0255882eee39497426e4a80548ff36f947d4c7de56cc8a3ae7",
    "u,threshold,envelope,empirical,ci_upper,verdict",
    "1.0,3.297442541400256e-06,0.6065306597126334,1.0,1.0,violated"
   ]
@@ -426,12 +426,11 @@ GOLDEN = json.loads(r"""
    "p=1 estimate=1.54375 ci=[1.43624, 1.65125]",
    "p=2 estimate=1.67435 ci=[1.56275, 1.77993]",
    "p=4 estimate=1.87998 ci=[1.77875, 1.97207]",
-   "wrote out/simulate-002a7663a2de.json"
+   "wrote out/simulate-055728bce15d.json"
   ],
   "report": {
    "command": "simulate",
    "config": {
-    "config_file": "m.json",
     "model": {
      "coefficients": [[1.0, -0.5, 0.25], [0.5, 1.0, -1.0]],
      "kind": "martingale-family"
@@ -440,7 +439,7 @@ GOLDEN = json.loads(r"""
     "reps": 200,
     "seed": 11
    },
-   "config_hash": "002a7663a2de159e7a69680082182f2f76d0dfe6d79a2033c333e5946cbdbce4",
+   "config_hash": "055728bce15dcfb868c0f9ba08b1d0730a2cc103082c4cf3afe4eb754b04b87f",
    "moments": [
     {
      "ci_high": 1.6512499999999999,
@@ -493,12 +492,11 @@ GOLDEN = json.loads(r"""
   "stdout": [
    "p=1 estimate=0.392667 ci=[0.381613, 0.402971]",
    "p=2 estimate=0.420887 ci=[0.410214, 0.430068]",
-   "wrote out/simulate-939a8e61e469.json"
+   "wrote out/simulate-fdede654cb1a.json"
   ],
   "report": {
    "command": "simulate",
    "config": {
-    "config_file": "m.json",
     "model": {
      "base": {"name": "uniform"},
      "coefficients": [[1.0, 0.5], [-0.5, 1.0], [0.25, -1.0]],
@@ -508,7 +506,7 @@ GOLDEN = json.loads(r"""
     "reps": 1000,
     "seed": 12
    },
-   "config_hash": "939a8e61e46942f234a3e5049fb66cf1b624fa1ccbd5529c282cc9c2ca1b6ff1",
+   "config_hash": "fdede654cb1a62a40116ea0118962039dc11a76604f6ce15086acce72ec32437",
    "moments": [
     {
      "ci_high": 0.4029712543351627,
@@ -556,12 +554,11 @@ GOLDEN = json.loads(r"""
    "p=1 estimate=1.08963 ci=[1.05981, 1.12216]",
    "p=3 estimate=1.38895 ci=[1.34905, 1.43375]",
    "p=8 estimate=1.98882 ci=[1.82451, 2.16908]",
-   "wrote out/simulate-6de8ca9441f0.json"
+   "wrote out/simulate-270d424ec4de.json"
   ],
   "report": {
    "command": "simulate",
    "config": {
-    "config_file": "m.json",
     "model": {
      "base_point": null,
      "covariance": [[1.0, 0.5], [0.5, 1.0]],
@@ -571,7 +568,7 @@ GOLDEN = json.loads(r"""
     "reps": 2000,
     "seed": 13
    },
-   "config_hash": "6de8ca9441f045c3175d8cfc2acbbaebc10e1639270c5c02325ffc207ae49f04",
+   "config_hash": "270d424ec4de8e70484804b0b60271019460c64a2d6578da9ae55d70f59ac27e",
    "moments": [
     {
      "ci_high": 1.1221635520345679,
