@@ -39,9 +39,12 @@ class CapacityError(ChainboundsError):
 
 
 # The most entries any exhaustive table may hold (float64: 32 MB): the gamma
-# searches, the sign-pattern laws and pair tables, and rip.build_dft.  It
-# admits gamma_exact on up to 16 points and on 17 at a lone free level 2,
-# gamma_prime on up to 12 points and sign_patterns on up to 17.
+# searches, the sign-pattern laws and pair tables, and the RIP support
+# enumeration and rip.build_dft.  It admits gamma_exact on up to 16 points and
+# on 17 at a lone free level 2, gamma_prime on up to 12 points, sign_patterns
+# on up to 17, supports of 2 indices among up to 2048 and of 3 among up to
+# 204, and build_dft up to N = 2048.  The chaos simulator evaluates its
+# statistic on as many rows at a time as the budget holds.
 _TABLE_BUDGET = 1 << 22
 
 

@@ -17,6 +17,10 @@ the rescaled selected rows alone.  This holds up to 8192 rows, numpy's einsum
 buffer; beyond it numpy sums in buffer-sized pieces laid out by operand shape,
 and the last bits may differ.
 
+Both refuse, through errors._check_table_budget and before any table, Gram,
+eigvalsh call or selector draw, an enumeration whose largest table would
+pass errors._TABLE_BUDGET entries (see _supports).
+
 The Monte Carlo only asks whether some delta_S reaches delta.  A Gershgorin /
 Rayleigh bracket, widened by eigvalsh's backward error, answers that for most
 replications; eigvalsh runs on the blocks it leaves open, so every failure
@@ -33,13 +37,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import errors
 from .errors import (
-    CapacityError,
     ConvergenceError,
     DomainError,
     ModelError,
     _check_table_budget,
     check_int,
+    check_number,
     check_real,
 )
 from .processes import SEED_MAX, _replication_streams, replication_rng
@@ -59,7 +64,6 @@ __all__ = [
     "check_bos",
 ]
 
-ENUMERATION_CAP = 1_000_000
 # Support tables of at most this many indices (512 KB) are kept across calls,
 # four at most; larger ones are rebuilt on each call, so an enumeration over
 # more supports keeps nothing once it ends.
@@ -139,15 +143,6 @@ class RipReport:
             )
 
 
-def _check_enumeration(N: int, s: int) -> None:
-    n_supports = math.comb(N, s)
-    if n_supports > ENUMERATION_CAP:
-        raise CapacityError(
-            f"C({N},{s}) = {n_supports} supports exceeds the enumeration cap "
-            f"{ENUMERATION_CAP}; use Monte Carlo sampling over supports instead"
-        )
-
-
 def _support_table(N: int, s: int) -> np.ndarray:
     """Read-only (C(N, s), s) table of the size-s supports in lexicographic order."""
     flat = itertools.chain.from_iterable(itertools.combinations(range(N), s))
@@ -160,8 +155,20 @@ _cached_support_table = functools.lru_cache(maxsize=4)(_support_table)
 
 
 def _supports(N: int, s: int) -> np.ndarray:
-    """_support_table(N, s), kept across calls if it holds at most _CACHED_ENTRIES indices."""
-    small = math.comb(N, s) * s <= _CACHED_ENTRIES
+    """_support_table(N, s), kept across calls if it holds at most _CACHED_ENTRIES indices.
+
+    A CapacityError refuses it first, through errors._check_table_budget,
+    when the largest table of the enumeration would pass the budget: the
+    C(N, s) x s support table, the N x N Gram (for s >= 2; size-1 supports
+    read squared column norms), or one eigvalsh stack of s x s blocks, at
+    most _BATCH of them.  A failure curve stacks the Grams and blocks of
+    several replications only as far as the budget holds them.
+    """
+    n_supports = math.comb(N, s)
+    _check_table_budget(
+        f"support enumeration refused: C({N}, {s}) supports of {s} indices, a table",
+        max(n_supports * s, N * N if s > 1 else 0, min(n_supports, _BATCH) * s * s))
+    small = n_supports * s <= _CACHED_ENTRIES
     return (_cached_support_table if small else _support_table)(N, s)
 
 
@@ -254,9 +261,9 @@ def restricted_isometry_constant(A, s: int) -> RipReport:
 
     For each size-s support the extreme eigenvalues of the restricted Gram
     give the local sup; the global max is attained on a single support, with
-    lexicographically-first tie-breaking.  The one refusal is a capacity
-    error when C(N, s) exceeds ENUMERATION_CAP supports (fall back to Monte
-    Carlo over supports at larger scales).
+    lexicographically-first tie-breaking.  The one refusal is the table
+    budget's CapacityError, raised by _supports before the support table,
+    the Gram or any eigvalsh call.
     """
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[1] == 0:
@@ -265,7 +272,6 @@ def restricted_isometry_constant(A, s: int) -> RipReport:
         raise DomainError("A must have finite entries")
     N = A.shape[1]
     s = check_int("s", s, 1, N)
-    _check_enumeration(N, s)
     supports = _supports(N, s)
     gram = _grams(np.ones((1, A.shape[0])), A, s)
     deltas = _block_deltas(gram, np.zeros(supports.shape[0], dtype=np.intp), supports)
@@ -351,7 +357,7 @@ def sample_complexity(
     N = check_int("N", N, 1)
     for name, v in (("K", K), ("d1_fit", d1_fit), ("d2_fit", d2_fit), ("delta", delta)):
         check_real(name, v, 0.0, strict=True)
-    if not 0.0 < eta <= 1.0:
+    if not 0.0 < check_number("eta", eta) <= 1.0:
         raise DomainError(f"eta must lie in (0, 1], got {eta}")
     lead = s * K**2 / delta**2
     log_term = d1_fit * math.log(s) ** 2 * math.log(N)
@@ -393,6 +399,14 @@ def estimate_failure_probability(
     (delta = 0 therefore estimates 1).  Returns the exceedance fraction with
     one-sided Clopper-Pearson bounds at validation.CONFIDENCE and the mean
     realized row count.
+
+    Replication rep draws its selectors from the stream of
+    replication_rng(seed, rep), read off one Philox per call that is reset to
+    each replication's counter.  Its Gram is that of the rescaled unitary
+    with the 0/1 selectors as row weights, and it goes through the exact
+    constant's kernel, screened by _support_brackets: eigvalsh runs only on
+    the supports the bracket leaves open, so each failure count is the one
+    eigvalsh on every support gives.
     """
     U = build_dft(N) if U is None else _as_unitary(U)
     N = U.shape[0]
@@ -401,13 +415,14 @@ def estimate_failure_probability(
     seed = check_int("seed", seed, 0, SEED_MAX)
     check_real("delta", delta, 0.0)
     s = check_int("s", s, 1, N)
-    _check_enumeration(N, s)
     supports = _supports(N, s)
     A = math.sqrt(N / m) * U  # scaled before the sums, as subsample() does
-    # Replications go through the kernel in chunks of at most _BATCH support
-    # Grams (one replication when the table is larger), so memory does not
-    # grow with reps.
-    chunk = max(1, _BATCH // supports.shape[0])
+    # Replications go through the kernel in chunks that fill one eigvalsh
+    # stack of _BATCH supports and whose Grams and blocks fit the table
+    # budget, and at least one, so memory does not grow with reps.
+    n_supports = supports.shape[0]
+    chunk = max(1, min(_BATCH // n_supports,
+                       errors._TABLE_BUDGET // max(N * N, n_supports * s * s)))
     streams = _replication_streams(seed)
     failures = 0
     realized = 0

@@ -81,7 +81,6 @@ _README_CAPS = {
     ("metric", "EXACT_COVER_CAP"): rf"up to `EXACT_COVER_CAP` = {_NUMBER} points",
     ("errors", "_TABLE_BUDGET"): rf"`_TABLE_BUDGET` = {_NUMBER} entries",
     ("chaining", "_CACHED_POINTS"): rf"tables on at most {_NUMBER} points stay cached",
-    ("rip", "ENUMERATION_CAP"): rf"capped at {_NUMBER} supports, `ENUMERATION_CAP`",
     ("rip", "_CACHED_ENTRIES"): rf"tables of at most {_NUMBER} indices stay cached",
     ("processes", "BLOCK"): rf"`BLOCK` = {_NUMBER} replications",
     ("rip", "_BATCH"): rf"at most `_BATCH` = {_NUMBER} blocks",
@@ -98,6 +97,21 @@ def test_readme_caps_match_the_code(module, constant):
     base, power = match.group(1), match.group(2).translate(_SUPERSCRIPTS)
     stated = int(base) ** int(power) if power else int(base)
     assert stated == getattr(importlib.import_module(f"chainbounds.{module}"), constant)
+
+
+def test_one_budget_refuses_every_table_and_two_caps_every_space():
+    # Exhaustive tables are refused only through errors._check_table_budget;
+    # the one other CapacityErrors are metric's point caps, MAX_POINTS and
+    # EXACT_COVER_CAP.
+    raises = {}
+    for path in sorted((ROOT / "src" / "chainbounds").glob("*.py")):
+        blocks = path.read_text(encoding="utf-8").split("raise CapacityError(")[1:]
+        if blocks:
+            raises[path.name] = [block.split(")\n")[0] for block in blocks]
+    assert sorted(raises) == ["errors.py", "metric.py"]
+    assert len(raises["errors.py"]) == 1 and "_TABLE_BUDGET" in raises["errors.py"][0]
+    (points, cover) = raises["metric.py"]
+    assert "{MAX_POINTS}" in points and "{EXACT_COVER_CAP}" in cover
 
 
 def _public_callables():

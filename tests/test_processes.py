@@ -451,6 +451,42 @@ def test_simulate_chaos_identity_is_degenerate():
     np.testing.assert_allclose(s.values, 0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("k, m, n", [(1, 20000, 8), (3, 700, 5), (2, 3, 4)])
+def test_chaos_statistic_in_row_chunks_is_bit_identical(monkeypatch, k, m, n):
+    rng = np.random.default_rng(m)
+    stack = rng.normal(size=(k, m, n)) + 1j * rng.normal(size=(k, m, n))
+    x = rng.choice([-1.0, 1.0], size=(50, n))
+    means = (np.abs(stack).reshape(k, -1) ** 2).sum(axis=1)
+    q = (np.abs(np.einsum("kmn,rn->rkm", stack, x)) ** 2).sum(axis=2)
+    one_shot = np.abs(q - means).max(axis=1)
+    for rows in (1, 7, 50):  # 50, 8 and 1 chunks
+        monkeypatch.setattr(errors, "_TABLE_BUDGET", rows * k * m)
+        assert processes._chaos_sup(x, stack, 1.0).tobytes() == one_shot.tobytes()
+    monkeypatch.setattr(errors, "_TABLE_BUDGET", k * m - 1)  # still one row at a time
+    assert processes._chaos_sup(x, stack, 1.0).tobytes() == one_shot.tobytes()
+
+
+def test_simulate_chaos_on_a_tall_matrix_stays_within_the_budget(monkeypatch):
+    # One block of 1024 replications against a 20000 x 8 matrix held a
+    # (1024, 1, 20000) complex table, 328 MB; chunks of budget // 20000 rows
+    # keep it at the budget.
+    tall = np.random.default_rng(3).normal(size=(20000, 8))
+    xi = RowDistribution("rademacher")
+    simulate_chaos([tall[:4]], xi, 10, 1)  # warm up imports and caches
+    monkeypatch.setattr(errors, "_TABLE_BUDGET", 1 << 17)
+    tracemalloc.start()
+    try:
+        sample = simulate_chaos([tall], xi, 10, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20 and sample.replications == 10
+    family = list(tall[:2100].reshape(3, 700, 8))
+    chunked = simulate_chaos(family, xi, 1500, 2).values
+    monkeypatch.undo()
+    assert chunked.tobytes() == simulate_chaos(family, xi, 1500, 2).values.tobytes()
+
+
 def test_simulate_chaos_rejects_nonzero_mean():
     with pytest.raises(ModelError):
         simulate_chaos([np.eye(2)], RowDistribution("constant"), 10, 0)

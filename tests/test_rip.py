@@ -116,9 +116,12 @@ def test_delta_witness_reproduces_value():
 
 
 def test_delta_enumeration_cap(monkeypatch):
-    monkeypatch.setattr(rip, "ENUMERATION_CAP", 1000)
+    monkeypatch.setattr(errors, "_TABLE_BUDGET", 1000)
     A = np.ones((2, 30))
-    with pytest.raises(CapacityError):
+    # the support table, C(30, 15) x 15 entries, is the largest
+    with pytest.raises(CapacityError, match=r"^support enumeration refused: C\(30, 15\) supports "
+                                            r"of 15 indices, a table of 2326762800 entries, above "
+                                            r"the budget of 1000$"):
         restricted_isometry_constant(A, 15)
 
 
@@ -249,6 +252,13 @@ def test_sample_complexity_validation():
         sample_complexity(s=2, K=1.0, delta=0.0, eta=0.1, d1_fit=1.0, d2_fit=1.0, N=8)
     with pytest.raises(DomainError):
         sample_complexity(s=2, K=1.0, delta=0.5, eta=1.5, d1_fit=1.0, d2_fit=1.0, N=8)
+
+
+@pytest.mark.parametrize("eta", ["0.1", True])
+def test_sample_complexity_names_a_non_numeric_eta(eta):
+    # a string used to raise a bare TypeError from the range check, and True was taken as 1
+    with pytest.raises(DomainError, match="eta must be a real number"):
+        sample_complexity(s=2, K=1.0, delta=0.5, eta=eta, d1_fit=1.0, d2_fit=1.0, N=8)
 
 
 def test_sample_complexity_overflow_guard():
@@ -533,8 +543,11 @@ def test_failure_probability_rejects_before_any_draw(monkeypatch):
         estimate_failure_probability(N=30, m=10, s=15, delta=0.5, reps=3, seed=0)
     with pytest.raises(DomainError):
         estimate_failure_probability(N=8, m=4, s=9, delta=0.5, reps=3, seed=0)
-    monkeypatch.setattr(rip, "ENUMERATION_CAP", 27)  # C(8, 2) = 28 supports
-    with pytest.raises(CapacityError):
+    # the 8 x 8 Fourier matrix fits; the stack of 28 blocks of 2 x 2 does not
+    monkeypatch.setattr(errors, "_TABLE_BUDGET", 64)
+    with pytest.raises(CapacityError, match=r"^support enumeration refused: C\(8, 2\) supports "
+                                            r"of 2 indices, a table of 112 entries, above the "
+                                            r"budget of 64$"):
         estimate_failure_probability(N=8, m=4, s=2, delta=0.5, reps=3, seed=0)
     assert draws == []
 

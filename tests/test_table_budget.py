@@ -7,6 +7,8 @@ search is admitted.
 """
 
 import json
+import math
+import re
 import time
 from pathlib import Path
 
@@ -19,6 +21,7 @@ from chainbounds import (
     build_dft,
     check_symmetrization_decoupling,
     empirical_model,
+    estimate_failure_probability,
     exact_chaos_distribution,
     exact_empirical_distribution,
     exact_martingale_distribution,
@@ -26,11 +29,12 @@ from chainbounds import (
     gamma_greedy,
     gamma_prime,
     martingale_model,
+    restricted_isometry_constant,
     schatten_radii,
     sign_patterns,
     space_from_points,
 )
-from chainbounds import chaining, errors, processes, validation
+from chainbounds import chaining, errors, processes, rip, validation
 from chainbounds.cli import main
 
 
@@ -41,6 +45,9 @@ def _space(n):
 def _normal(*shape):
     return np.random.default_rng(sum(shape)).normal(size=shape)
 
+
+_SUPPORT_BUILDERS = [(rip, "_support_table"), (rip, "_cached_support_table"), (rip, "_grams"),
+                     (np.linalg, "eigvalsh")]
 
 # name: (call, entries of its largest table, (module, name) pairs a refused
 # call must not reach: the builders of that table)
@@ -74,6 +81,12 @@ _TABLES = {
         [np.eye(3)], table=np.abs(_normal(5, 3))), 5 * 4**3,
         [(processes, "sign_patterns"), (validation, "sign_patterns")]),
     "build_dft": (lambda: build_dft(6), 6 * 6, [(np, "arange"), (np, "outer")]),
+    # C(22, 5) supports of 5 indices: more than the 22 x 22 Gram and than one
+    # eigvalsh stack of _BATCH 5 x 5 blocks
+    "RIP constant": (lambda: restricted_isometry_constant(_normal(4, 22), 5), 26334 * 5,
+                     _SUPPORT_BUILDERS),
+    "RIP curve": (lambda: estimate_failure_probability(22, 11, 5, 0.9, 1, 0), 26334 * 5,
+                  _SUPPORT_BUILDERS + [(rip, "_replication_streams")]),
 }
 
 
@@ -91,6 +104,37 @@ def test_every_exhaustive_table_has_one_budget(monkeypatch, table):
                                                 f"{entries - 1}$"):
             call()
         assert time.perf_counter() - start < 1.0
+
+
+def _support_count(N, s):
+    """The entry count a support enumeration's refusal names."""
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(errors, "_TABLE_BUDGET", 0)
+        with pytest.raises(CapacityError) as refused:
+            rip._supports(N, s)
+    return int(re.search(r"a table of (\d+) entries", str(refused.value)).group(1))
+
+
+@pytest.mark.parametrize("N, s", [(7, 6), (8, 7), (9, 4), (12, 2), (40, 3)])
+def test_the_support_count_bounds_every_table_the_rip_kernel_builds(monkeypatch, N, s):
+    # A curve would fill each eigvalsh stack with the blocks of _BATCH // C(N, s)
+    # replications, one Gram each; where that passes the budget it stacks
+    # fewer, so with the budget at the count every table of the curve, like
+    # every table of the exact constant, fits it.
+    built = []
+    grams, eigvalsh = rip._grams, np.linalg.eigvalsh
+
+    def record(array):
+        built.append(array.size)
+        return array
+
+    monkeypatch.setattr(rip, "_grams", lambda *args: record(grams(*args)))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh(record(a)))
+    monkeypatch.setattr(errors, "_TABLE_BUDGET", _support_count(N, s))
+    restricted_isometry_constant(_normal(N // 2, N), s)
+    estimate_failure_probability(N, N // 2, s, 0.6, rip._BATCH // math.comb(N, s) + 1, 1)
+    assert built and max(built) <= errors._TABLE_BUDGET
+
 
 
 
