@@ -101,7 +101,7 @@ def test_readme_caps_match_the_code(module, constant):
 
 def test_one_budget_refuses_every_table_and_two_caps_every_space():
     # Exhaustive tables are refused only through errors._check_table_budget;
-    # the one other CapacityErrors are metric's point caps, MAX_POINTS and
+    # the only other CapacityErrors are metric's point caps, MAX_POINTS and
     # EXACT_COVER_CAP.
     raises = {}
     for path in sorted((ROOT / "src" / "chainbounds").glob("*.py")):

@@ -136,9 +136,6 @@ def test_the_support_count_bounds_every_table_the_rip_kernel_builds(monkeypatch,
     assert built and max(built) <= errors._TABLE_BUDGET
 
 
-
-
-
 def _auto_gamma(capsys, space_file, out, p, prime):
     """The estimate `chainbounds gamma` reports in its default auto mode."""
     argv = ["gamma", "--space", str(space_file), "--alpha", "2", "--p", f"{p:g}", "--out", str(out)]
