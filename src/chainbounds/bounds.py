@@ -15,7 +15,7 @@ import numpy as np
 
 from .chaining import GammaEstimate
 from .conversions import _exp_factor, _exp_tail
-from .errors import DomainError, alpha_power, check_int, check_real
+from .errors import DomainError, alpha_power, check_array, check_int, check_real
 from .orlicz import OrliczNorm
 from .registry import DEFAULT_REGISTRY, ConstantRegistry
 from .results import (
@@ -331,11 +331,7 @@ def squares_default_parameters(psi2_norms) -> tuple[float, float]:
     sigma = sup_t ((1/m) sum_i norm^4)^(1/2) and K = sup_t max_i norm^2 always
     satisfy the factorial moment condition for the squared summands.
     """
-    arr = np.asarray(psi2_norms, dtype=float)
-    if arr.ndim != 2 or arr.size == 0:
-        raise DomainError("psi2_norms must be a nonempty (points x summands) array")
-    if np.any(~np.isfinite(arr)) or np.any(arr < 0):
-        raise DomainError("psi_2 norms must be finite and >= 0")
+    arr = check_array("psi2_norms", psi2_norms, 2, nonnegative=True)
     sigma = float(np.sqrt(np.mean(arr**4, axis=1)).max())
     K = float((arr**2).max())
     return sigma, K
@@ -441,6 +437,7 @@ def hanson_wright_tail(
     with a fitted rate c (argument c_fit or registry "hanson_wright_c").
     A zero matrix yields the degenerate envelope (probability 0 for u > 0).
     """
+    B = check_array("B", B, 2, complex_ok=True)
     s2 = schatten_norm(B, 2)
     sinf = schatten_norm(B, math.inf)
     if c_fit is not None:

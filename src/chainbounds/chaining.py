@@ -428,9 +428,13 @@ def gamma_prime(
     subset's diameter; a search whose table would exceed _TABLE_BUDGET
     entries (13 or more points) is refused before any table is built.
     Greedy mode repeatedly splits the widest cell by farthest-pair seeding.
+    Auto mode is exact wherever that search is not refused, and greedy
+    elsewhere, as for gamma_exact.
     """
     check_real("alpha", alpha, 0.0, strict=True)
     n = space.size
+    entries = _prime_entries(n)
+    mode = _gamma_mode(mode, entries)
     singletons = tuple((i,) for i in range(n))
     trivial = (tuple(range(n)),)
 
@@ -468,10 +472,7 @@ def gamma_prime(
         return GammaEstimate(alpha=float(alpha), p=1.0, l=0, value=val,
                              mode="greedy", sequence=seq)
 
-    if mode != "exact":
-        raise DomainError(f"unknown gamma_prime mode {mode!r}")
     val = diam_t = space.subset_diameter(trivial[0])
-    entries = _prime_entries(n)
     if diam_t == 0.0:
         chain = [trivial]
     elif not entries:

@@ -11,6 +11,7 @@ re-running a config reproduces the files byte for byte.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import inspect
 import math
 import os
@@ -35,7 +36,6 @@ from .chaining import (
     GammaEstimate,
     _exact_entries,
     _gamma_mode,
-    _prime_entries,
     gamma_exact,
     gamma_greedy,
     gamma_prime,
@@ -144,12 +144,9 @@ def _cmd_gamma(args) -> int:
     check_real("order p", args.p, 1.0)
     contents = load_json(args.space)
     space = space_from_json(contents)
-    prime = args.functional == "gamma-prime"
-    mode = _gamma_mode(args.mode, _prime_entries(space.size) if prime
-                       else _exact_entries(space.size, args.p))
-    if prime:
-        est = gamma_prime(space, args.alpha, mode=mode)
-    elif mode == "exact":
+    if args.functional == "gamma-prime":
+        est = gamma_prime(space, args.alpha, mode=args.mode)
+    elif _gamma_mode(args.mode, _exact_entries(space.size, args.p)) == "exact":
         est = gamma_exact(space, args.alpha, p=args.p)
     else:
         est = gamma_greedy(space, args.alpha, p=args.p)
@@ -235,7 +232,8 @@ def _cmd_orlicz(args) -> int:
         data = load_samples(args.samples, args.format)
         norm = psi_norm_empirical(data, args.alpha)
         # what was read names the artifact, not where
-        config = {"samples": config_hash(data), "format": args.format, "alpha": args.alpha}
+        digest = hashlib.sha256(np.asarray(data, dtype="<f8").tobytes()).hexdigest()
+        config = {"samples": digest, "format": args.format, "alpha": args.alpha}
     payload = {
         "alpha": norm.alpha,
         "value": norm.value,
@@ -411,14 +409,11 @@ def _run_model(spec: dict, reps: int, seed: int):
     kind = spec["kind"]
     labels = spec.get("labels")
     if kind == "gaussian":
-        model = gaussian_model(np.asarray(spec["covariance"], dtype=float), labels=labels)
+        model = gaussian_model(spec["covariance"], labels=labels)
         return simulate_gaussian(model, reps, seed, base_point=spec.get("base_point", 0))
     if kind == "martingale-family":
-        model = martingale_model(
-            np.asarray(spec["coefficients"], dtype=float),
-            labels=labels,
-            step_bounds=spec.get("step_bounds"),
-        )
+        model = martingale_model(spec["coefficients"], labels=labels,
+                                 step_bounds=spec.get("step_bounds"))
         return simulate_martingale_family(model, reps, seed)
     if kind in ("empirical", "squares"):
         base_spec = spec.get("base", {})
@@ -432,7 +427,7 @@ def _run_model(spec: dict, reps: int, seed: int):
             if kind == "empirical"
             else (squares_model, simulate_squares)
         )
-        model = builder(np.asarray(spec["coefficients"], dtype=float), base, labels=labels)
+        model = builder(spec["coefficients"], base, labels=labels)
         return simulate(model, spec.get("m", model.coefficients.shape[1]), reps, seed)
     if kind == "chaos":
         mats = [matrix_from_json(m) for m in spec["matrices"]]

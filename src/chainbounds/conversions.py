@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chaining import _doubly_exponential, truncation_level
-from .errors import DomainError, alpha_power, check_int, check_real
+from .errors import DomainError, alpha_power, check_array, check_int, check_real
 from .registry import DEFAULT_REGISTRY, ConstantRegistry
 from .results import MomentBound, PowerEnvelope, TailBound
 
@@ -189,11 +189,7 @@ def small_set_moment_bound(
     then (E sup_t |X_t|^p)^(1/p) <= 2 * sup_t (E|X_t|^p)^(1/p).
     """
     p = check_real("moment order p", p, 1.0)
-    vals = np.asarray(individual_bounds, dtype=float)
-    if vals.size == 0:
-        raise DomainError("individual_bounds must be nonempty")
-    if np.any(~np.isfinite(vals)) or np.any(vals < 0):
-        raise DomainError("individual moment bounds must be finite and >= 0")
+    vals = check_array("individual_bounds", individual_bounds, None, nonnegative=True)
     size = check_int("set_size", set_size, 1) if set_size is not None else int(vals.size)
     cap = small_set_cap(p)
     if size > cap:

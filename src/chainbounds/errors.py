@@ -2,8 +2,11 @@
 
 Every rejection carries a message naming the offending entry, so callers can
 surface validation failures without re-deriving them.  The argument
-validators below are shared by every module that takes a count, a seed, an
-order or a scale.
+validators below are shared by every module: check_int, check_number and
+check_real for a count, a seed, an order or a scale, and check_array for
+every array a caller hands in (a coefficient matrix, a covariance, a matrix
+family, a row system, a sample), metric spaces excepted, whose checks name
+entries by their role.
 """
 
 import math
@@ -108,12 +111,44 @@ def check_number(name: str, v) -> float:
 
 def check_real(name: str, v, low: float, strict: bool = False) -> float:
     """v as a float; DomainError unless it is a real number (see check_number),
-    finite and >= low (> low if strict)."""
+    finite and >= low (> low if strict; low = -inf asks only for finite)."""
     x = check_number(name, v)
     if not (math.isfinite(x) and (x > low if strict else x >= low)):
-        op = ">" if strict else ">="
-        raise DomainError(f"{name} must be finite and {op} {low:g}, got {v!r}")
+        op = "" if low == -math.inf else f" and {'>' if strict else '>='} {low:g}"
+        raise DomainError(f"{name} must be finite{op}, got {v!r}")
     return x
+
+
+def check_array(name: str, values, ndim: int | None, *, square: bool = False,
+                nonnegative: bool = False, complex_ok: bool = False, empty_ok: bool = False,
+                error: type[ChainboundsError] = DomainError) -> np.ndarray:
+    """values as a float array (complex if complex_ok), not copied when it is
+    one already; error, naming name, unless it is a rectangular array of
+    integers or floats (or complex numbers if complex_ok) with ndim axes (any
+    if None), square if asked, nonempty unless empty_ok, and finite (and >= 0
+    if nonnegative).  Bools, strings and objects are refused; so is a ragged
+    nesting.  A bad entry is named by its index."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # numpy refuses ragged nestings
+        raise error(f"{name} must be a rectangular array, not ragged") from None
+    if arr.dtype.kind not in ("iufc" if complex_ok else "iuf"):
+        kind = "real or complex" if complex_ok else "real"
+        raise error(f"{name} must hold {kind} numbers, got dtype {arr.dtype}")
+    if (ndim is not None and arr.ndim != ndim) or (square and arr.shape[0] != arr.shape[1]):
+        raise error(f"{name} must be a {'square ' if square else ''}{ndim}-D array, "
+                    f"got shape {arr.shape}")
+    if arr.size == 0 and not empty_ok:
+        raise error(f"{name} must be nonempty, got shape {arr.shape}")
+    arr = np.asarray(arr, dtype=complex if complex_ok else float)
+    ok = np.isfinite(arr)
+    if nonnegative:
+        ok &= arr >= 0
+    if not ok.all():
+        index = [int(i) for i in np.unravel_index(np.argmin(ok), arr.shape)]
+        rule = "finite and >= 0" if nonnegative else "finite"
+        raise error(f"{name} must be {rule}, got {arr[tuple(index)]} at entry {index}")
+    return arr
 
 
 def alpha_power(base: float, exponent: float, what: str, alpha: float) -> float:

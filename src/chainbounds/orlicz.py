@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, UnsupportedFamilyError, check_real
+from .errors import ConvergenceError, DomainError, UnsupportedFamilyError, check_array, check_real
 
 __all__ = [
     "psi_alpha",
@@ -58,8 +58,7 @@ class OrliczNorm:
 
     def __post_init__(self):
         check_real("alpha", self.alpha, 0.0, strict=True)
-        if self.value < 0 or not math.isfinite(self.value):
-            raise DomainError(f"norm value must be finite and nonnegative, got {self.value}")
+        check_real("norm value", self.value, 0.0)
 
     def scaled(self, factor: float) -> "OrliczNorm":
         """Norm of factor * X (positive homogeneity)."""
@@ -108,14 +107,7 @@ def psi_norm_empirical(samples, alpha: float) -> OrliczNorm:
     value and fails below value * (1 - _BISECTION_TOL), that is 1e-6 relative.
     """
     check_real("alpha", alpha, 0.0, strict=True)
-    arr = np.asarray(samples)
-    if arr.size == 0:
-        raise DomainError("cannot take an Orlicz norm of an empty sample")
-    if np.iscomplexobj(arr):
-        arr = np.abs(arr)
-    arr = np.abs(np.asarray(arr, dtype=float)).ravel()
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("samples must be finite")
+    arr = np.abs(check_array("samples", samples, None, complex_ok=True)).ravel()
     top = float(arr.max())
     if top == 0.0:
         return OrliczNorm(alpha, 0.0, "empirical", sample_count=arr.size)

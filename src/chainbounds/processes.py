@@ -34,7 +34,9 @@ from .errors import (
     ModelError,
     UnsupportedFamilyError,
     _check_table_budget,
+    check_array,
     check_int,
+    check_real,
 )
 from .metric import _NORMS, FiniteMetricSpace, _pairwise, build_metric_space, space_from_points
 from .orlicz import OrliczNorm, psi_norm_analytic
@@ -157,8 +159,7 @@ class RowDistribution:
             raise UnsupportedFamilyError(
                 f"unknown row distribution {self.name!r}; expected one of {_ROW_FAMILIES}"
             )
-        if not math.isfinite(self.scale):
-            raise DomainError(f"scale must be finite, got {self.scale}")
+        check_real("scale", self.scale, -math.inf)
 
     def mean(self) -> float:
         if not self.mean_known:
@@ -256,22 +257,9 @@ def _labels(labels, n: int, what: str) -> tuple:
     return labels
 
 
-def _coeff_matrix(coefficients, what: str) -> np.ndarray:
-    c = np.asarray(coefficients, dtype=float)
-    if c.ndim != 2 or c.size == 0:
-        raise ModelError(f"{what} must be a nonempty 2-D (points x columns) array")
-    if not np.all(np.isfinite(c)):
-        raise ModelError(f"{what} must be finite")
-    return c
-
-
 def gaussian_model(covariance, labels=None) -> ProcessModel:
     """Centered Gaussian process given by its covariance matrix."""
-    cov = np.asarray(covariance, dtype=float)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.size == 0:
-        raise ModelError(f"covariance must be a nonempty square matrix, got shape {cov.shape}")
-    if not np.all(np.isfinite(cov)):
-        raise ModelError("covariance must be finite")
+    cov = check_array("covariance", covariance, 2, square=True, error=ModelError)
     if not np.allclose(cov, cov.T, rtol=1e-12, atol=1e-12):
         raise ModelError("covariance must be symmetric")
     w = np.linalg.eigvalsh(0.5 * (cov + cov.T))
@@ -290,13 +278,14 @@ def martingale_model(coefficients, labels=None, step_bounds=None) -> ProcessMode
     per-step sup-norm increment bounds (default |coefficients|, which the
     realized increments attain exactly).
     """
-    c = _coeff_matrix(coefficients, "coefficients")
+    c = check_array("coefficients", coefficients, 2, error=ModelError)
     if step_bounds is None:
         b = np.abs(c)
     else:
-        b = np.asarray(step_bounds, dtype=float)
-        if b.shape != c.shape or not np.all(np.isfinite(b)) or np.any(b < 0):
-            raise ModelError("step_bounds must be finite, nonnegative, and match coefficients")
+        b = check_array("step_bounds", step_bounds, 2, nonnegative=True, error=ModelError)
+        if b.shape != c.shape:
+            raise ModelError(f"step_bounds must match coefficients in shape {c.shape}, "
+                             f"got {b.shape}")
     labels = _labels(labels, c.shape[0], "coefficient rows")
     return ProcessModel(
         kind="martingale-family", labels=labels, coefficients=_freeze(c), step_bounds=_freeze(b)
@@ -304,7 +293,7 @@ def martingale_model(coefficients, labels=None, step_bounds=None) -> ProcessMode
 
 
 def _summand_model(kind: str, coefficients, base: RowDistribution, labels) -> ProcessModel:
-    c = _coeff_matrix(coefficients, "coefficients")
+    c = check_array("coefficients", coefficients, 2, error=ModelError)
     if not isinstance(base, RowDistribution):
         raise ModelError("base must be a RowDistribution")
     labels = _labels(labels, c.shape[0], "coefficient rows")
@@ -420,11 +409,11 @@ class SupremumSample:
     companions: object = field(default_factory=dict)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1 or vals.shape[0] != self.replications:
-            raise ModelError("values must be 1-D with one entry per replication")
-        if np.any(~np.isfinite(vals)) or np.any(vals < 0):
-            raise ModelError("supremum values must be finite and nonnegative")
+        vals = check_array("values", self.values, 1, nonnegative=True, empty_ok=True,
+                           error=ModelError)
+        if vals.shape[0] != self.replications:
+            raise ModelError(f"values must have one entry per replication ({self.replications}), "
+                             f"got {vals.shape[0]}")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         comp = {}

@@ -10,12 +10,11 @@ those constants were fitted rather than derived.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_real
 
 __all__ = ["PowerEnvelope", "MinEnvelope", "DegenerateEnvelope", "TailBound", "MomentBound"]
 
@@ -107,14 +106,8 @@ class TailBound:
     name: str = ""
 
     def __post_init__(self):
-        for label, v in (
-            ("factor", self.factor),
-            ("const", self.const),
-            ("sqrt_coeff", self.sqrt_coeff),
-            ("linear", self.linear),
-        ):
-            if v < 0 or not math.isfinite(v):
-                raise DomainError(f"threshold coefficient {label} must be finite and >= 0, got {v}")
+        for label in ("factor", "const", "sqrt_coeff", "linear"):
+            check_real(f"threshold coefficient {label}", getattr(self, label), 0.0)
 
     def _valid_u(self, u) -> np.ndarray:
         arr = np.asarray(u, dtype=float)
@@ -165,8 +158,7 @@ class MomentBound:
         if not self.p >= 1:
             raise DomainError(f"moment order must be >= 1, got {self.p}")
         for label, v in self.decomposition:
-            if v < 0 or not math.isfinite(v):
-                raise DomainError(f"decomposition term {label!r} must be finite and >= 0, got {v}")
+            check_real(f"decomposition term {label!r}", v, 0.0)
 
     @property
     def value(self) -> float:

@@ -43,6 +43,7 @@ from .errors import (
     DomainError,
     ModelError,
     _check_table_budget,
+    check_array,
     check_int,
     check_number,
     check_real,
@@ -86,11 +87,7 @@ def build_dft(N: int) -> np.ndarray:
 
 
 def _as_unitary(U) -> np.ndarray:
-    U = np.asarray(U, dtype=complex)
-    if U.ndim != 2 or U.shape[0] != U.shape[1] or U.size == 0:
-        raise DomainError(f"U must be a nonempty square matrix, got shape {U.shape}")
-    if not np.isfinite(U).all():
-        raise DomainError("U must have finite entries")
+    U = check_array("U", U, 2, square=True, complex_ok=True)
     residual = np.abs(U.conj().T @ U - np.eye(U.shape[0])).max()
     if residual > UNITARY_TOL:
         raise DomainError(f"U is not unitary (max |U*U - I| = {residual:.3e})")
@@ -112,9 +109,7 @@ def _selector_mask(rng: np.random.Generator, N: int, m: int) -> np.ndarray:
 
 def subsample(U, I, m: int) -> np.ndarray:
     """Row restriction to I rescaled by sqrt(N/m); empty I gives a 0 x N matrix."""
-    U = np.asarray(U, dtype=complex)
-    if U.ndim != 2:
-        raise DomainError("U must be a matrix")
+    U = check_array("U", U, 2, complex_ok=True)
     N = U.shape[0]
     m = check_int("m", m, 1)
     I = np.asarray(I, dtype=int)
@@ -265,11 +260,10 @@ def restricted_isometry_constant(A, s: int) -> RipReport:
     budget's CapacityError, raised by _supports before the support table,
     the Gram or any eigvalsh call.
     """
-    A = np.asarray(A, dtype=complex)
-    if A.ndim != 2 or A.shape[1] == 0:
-        raise DomainError(f"A must be a matrix with at least one column, got shape {A.shape}")
-    if not np.isfinite(A).all():
-        raise DomainError("A must have finite entries")
+    # a selection of no rows gives a 0 x N matrix, on which every delta_s is 1
+    A = check_array("A", A, 2, complex_ok=True, empty_ok=True)
+    if A.shape[1] == 0:
+        raise DomainError(f"A must have at least one column, got shape {A.shape}")
     N = A.shape[1]
     s = check_int("s", s, 1, N)
     supports = _supports(N, s)
@@ -473,15 +467,13 @@ def check_bos(rows, K: float, weights=None, seed: int = 0) -> BosSystem:
     1e-8; flatness requires every entry of every row to have modulus <= K.
     Violations are rejected with the maximal residual.
     """
-    rows = np.asarray(rows, dtype=complex)
-    if rows.ndim != 2 or rows.size == 0:
-        raise DomainError("rows must form a nonempty (count x dimension) matrix")
+    rows = check_array("rows", rows, 2, complex_ok=True)
     n, N = rows.shape
     if weights is None:
         weights = np.full(n, 1.0 / n)
     else:
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (n,) or np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
+        weights = check_array("weights", weights, 1, nonnegative=True)
+        if weights.shape != (n,) or abs(weights.sum() - 1.0) > 1e-12:
             raise DomainError("weights must be a probability vector over the rows")
     check_real("K", K, 0.0, strict=True)
     seed = check_int("seed", seed, 0, SEED_MAX)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chaining import GammaEstimate, _exact_entries, _gamma_mode, gamma_exact, gamma_greedy
-from .errors import DomainError
+from .errors import DomainError, check_array, check_real
 from .metric import FiniteMetricSpace, _pairwise, build_metric_space
 
 __all__ = ["schatten_norm", "SchattenRadii", "matrix_set_space", "schatten_radii"]
@@ -22,17 +22,9 @@ __all__ = ["schatten_norm", "SchattenRadii", "matrix_set_space", "schatten_radii
 _ORDER_RTOL = 1e-9
 
 
-def _as_matrix(a) -> np.ndarray:
-    arr = np.asarray(a)
-    if arr.ndim != 2 or arr.size == 0:
-        raise DomainError(f"expected a nonempty 2-D matrix, got shape {arr.shape}")
-    return arr.astype(complex)
-
-
 def schatten_norm(a, q: float) -> float:
     """l^q norm of the singular values; q = inf is the operator norm."""
-    arr = _as_matrix(a)
-    s = np.linalg.svd(arr, compute_uv=False)
+    s = np.linalg.svd(check_array("a", a, 2, complex_ok=True), compute_uv=False)
     if math.isinf(q):
         return float(s.max(initial=0.0))
     if not q >= 1:
@@ -56,13 +48,8 @@ class SchattenRadii:
     space: FiniteMetricSpace | None = None
 
     def __post_init__(self):
-        for label, v in (
-            ("delta_2", self.delta_2),
-            ("delta_4", self.delta_4),
-            ("delta_inf", self.delta_inf),
-        ):
-            if not (math.isfinite(v) and v >= 0):
-                raise DomainError(f"radius {label} must be finite and >= 0, got {v}")
+        for label in ("delta_2", "delta_4", "delta_inf"):
+            check_real(f"radius {label}", getattr(self, label), 0.0)
         slack = _ORDER_RTOL * max(1.0, self.delta_2)
         if self.delta_inf > self.delta_4 + slack or self.delta_4 > self.delta_2 + slack:
             raise DomainError(
@@ -76,15 +63,13 @@ class SchattenRadii:
 
 
 def _matrix_stack(matrices) -> np.ndarray:
-    mats = [_as_matrix(a) for a in matrices]
+    mats = [check_array(f"matrices[{k}]", a, 2, complex_ok=True) for k, a in enumerate(matrices)]
     if not mats:
-        raise DomainError("matrix set must be nonempty")
+        raise DomainError("matrices must be a nonempty family")
     shape = mats[0].shape
     for k, a in enumerate(mats):
         if a.shape != shape:
-            raise DomainError(
-                f"matrix {k} has shape {a.shape}, expected {shape} like matrix 0"
-            )
+            raise DomainError(f"matrices[{k}] has shape {a.shape}, expected {shape} as matrices[0]")
     return np.stack(mats)
 
 
@@ -112,7 +97,7 @@ def schatten_radii(matrices, gamma_mode: str = "auto", p: float = 1.0) -> Schatt
     svals = np.linalg.svd(stack, compute_uv=False)  # one row of singular values per matrix
     d2 = float(np.sqrt((svals**2).sum(axis=1)).max())
     d4 = float(((svals**4).sum(axis=1) ** 0.25).max())
-    dinf = float(svals.max(axis=1).max()) if svals.size else 0.0
+    dinf = float(svals.max())
     if gamma_mode == "none":
         return SchattenRadii(delta_2=d2, delta_4=d4, delta_inf=dinf)
     gamma_mode = _gamma_mode(gamma_mode, _exact_entries(stack.shape[0], p))

@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _check_table_budget, check_int, check_number, check_real
+from .errors import (
+    DomainError,
+    _check_table_budget,
+    check_array,
+    check_int,
+    check_number,
+    check_real,
+)
 from .processes import SupremumSample, exact_chaos_distribution, sign_patterns
 from .results import MomentBound, TailBound
 from .schatten import _matrix_stack
@@ -258,9 +265,9 @@ def check_symmetrization_decoupling(
         raise DomainError(f"selector_prob must lie in (0, 1), got {selector_prob}")
     p_list = [check_real("moment order p", p, 1.0) for p in p_list]
     if table is not None:
-        v = np.asarray(table, dtype=float)
-        if v.ndim != 2 or v.shape[1] != n:
-            raise DomainError(f"table must be 2-D with {n} columns, got shape {v.shape}")
+        v = check_array("table", table, 2, nonnegative=True)
+        if v.shape[1] != n:
+            raise DomainError(f"table must have {n} columns, got shape {v.shape}")
         _check_table_budget(f"table row count k = {len(v)}, dimension n = {n}: a pair table",
                             len(v) * 4**n)
 
@@ -279,8 +286,6 @@ def check_symmetrization_decoupling(
     if table is None:
         grams = np.einsum("kmi,kmj->kij", stack.conj(), stack)
         v = np.einsum("kii->ki", grams).real.copy()
-    if np.any(v < 0) or not np.all(np.isfinite(v)):
-        raise DomainError("symmetrization table values must be finite and nonnegative")
     q = selector_prob
     signs = sign_patterns(n)
     selectors = 0.5 * (signs + 1.0)

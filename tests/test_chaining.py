@@ -200,6 +200,16 @@ def test_gamma_prime_two_points():
     assert gamma_prime(TWO, 2.0).value == pytest.approx(1.0)
 
 
+def test_gamma_prime_auto_is_exact_where_the_search_is_admitted():
+    # the exact search is admitted on up to 12 points, as in gamma_exact's auto rule
+    for n, mode in ((12, "exact"), (13, "greedy")):
+        space = random_space(n, n)
+        auto = gamma_prime(space, 2.0, mode="auto")
+        assert (auto.mode, auto.value) == (mode, gamma_prime(space, 2.0, mode=mode).value)
+    with pytest.raises(DomainError, match="unknown mode 'bogus'; expected exact, greedy or auto"):
+        gamma_prime(TWO, 2.0, mode="bogus")
+
+
 def test_gamma_lower_bound_half_diameter():
     # sup_t d(t, T_0) >= diam/2 for a singleton T_0, and every later level
     # only adds nonnegative terms.

@@ -137,6 +137,19 @@ def test_orlicz_samples(tmp_path, capsys):
     assert data["sample_count"] == 50
 
 
+def test_orlicz_samples_are_named_by_their_float64_bytes(tmp_path, capsys):
+    # the sha256 of the little-endian float64 samples, the same for text and binary
+    values = np.array([1.0, -2.0, 0.5], dtype="<f8")
+    (tmp_path / "x.txt").write_text("1.0\n-2.0\n0.5\n")
+    values.tofile(tmp_path / "x.bin")
+    digest = "eb9c7e25b0c32384869e705808d06581e674741e70c99a2fd7e42f1b4e22d6c1"
+    for name, fmt in (("x.txt", "text"), ("x.bin", "binary")):
+        out = tmp_path / fmt
+        argv = ["orlicz", "--samples", str(tmp_path / name), "--format", fmt, "--alpha", "2"]
+        assert run(argv + ["--out", str(out)], capsys)[0] == 0
+        assert load_json(artifact(out, "orlicz"))["config"]["samples"] == digest
+
+
 def test_orlicz_family(tmp_path, capsys):
     code, out, _ = run(
         [
@@ -555,6 +568,24 @@ def test_simulate_grid_entries_that_are_no_numbers_exit_two(tmp_path, capsys, ke
     cfg[key] = values
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
+    code, _, err = run(["simulate", "--config", str(path), "--out", str(tmp_path)], capsys)
+    assert code == 2 and f"error: {named}" in err
+    assert not list(tmp_path.glob("simulate-*.json"))
+
+
+@pytest.mark.parametrize("model, named", [
+    ({"kind": "gaussian", "covariance": [[True, False], [False, True]]},
+     "covariance must hold real numbers, got dtype bool"),
+    ({"kind": "martingale-family", "coefficients": [["1", 0.5]]},
+     "coefficients must hold real numbers, got dtype <U"),
+    ({"kind": "squares", "coefficients": [[1.0, 0.5], [0.5]]},
+     "coefficients must be a rectangular array, not ragged"),
+])
+def test_simulate_model_arrays_are_checked_as_given(tmp_path, capsys, model, named):
+    # the config's arrays reach the model builders unconverted, so booleans and
+    # strings are refused by name instead of being read as numbers
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"model": model, "reps": 20, "seed": 3}))
     code, _, err = run(["simulate", "--config", str(path), "--out", str(tmp_path)], capsys)
     assert code == 2 and f"error: {named}" in err
     assert not list(tmp_path.glob("simulate-*.json"))

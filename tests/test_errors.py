@@ -1,4 +1,4 @@
-"""The shared argument validators."""
+"""The shared argument validators, and every array and scalar intake that uses them."""
 
 import math
 import re
@@ -6,8 +6,19 @@ import re
 import numpy as np
 import pytest
 
-from chainbounds import DomainError
-from chainbounds.errors import check_int, check_number, check_real
+from chainbounds import (
+    DomainError,
+    ModelError,
+    bounds,
+    conversions,
+    orlicz,
+    processes,
+    results,
+    rip,
+    schatten,
+    validation,
+)
+from chainbounds.errors import check_array, check_int, check_number, check_real
 
 
 def test_check_int_accepts_integral_values():
@@ -62,3 +73,134 @@ def test_check_number_takes_every_real_number():
     for v in (1, -2.5, np.float32(0.5), np.int64(3), math.inf, -math.inf):
         assert check_number("u", v) == float(v)
     assert math.isnan(check_number("u", math.nan))
+
+
+# ------------------------------------------------------------ array intake
+
+_RADEMACHER = processes.RowDistribution("rademacher")
+_BOS_ROWS = math.sqrt(2.0) * np.eye(2)
+_ENVELOPE = results.PowerEnvelope(prefactor=1.0, rate=1.0, power=1.0)
+
+# site: (call on the array, a valid array, the error class, the name the message carries)
+_ARRAY_SITES = {
+    "martingale coefficients": (processes.martingale_model, np.eye(2), ModelError, "coefficients"),
+    "empirical coefficients": (lambda a: processes.empirical_model(a, _RADEMACHER), np.eye(2),
+                               ModelError, "coefficients"),
+    "squares coefficients": (lambda a: processes.squares_model(a, _RADEMACHER), np.eye(2),
+                             ModelError, "coefficients"),
+    "covariance": (processes.gaussian_model, np.eye(2), ModelError, "covariance"),
+    "step_bounds": (lambda a: processes.martingale_model(np.eye(2), step_bounds=a), np.eye(2),
+                    ModelError, "step_bounds"),
+    "supremum values": (lambda a: processes.SupremumSample(replications=2, seed=0, values=a),
+                        np.ones(2), ModelError, "values"),
+    "unitary U": (lambda a: rip.subsampled_instance(a, 1, 0), np.eye(2), DomainError, "U"),
+    "failure-curve U": (lambda a: rip.estimate_failure_probability(2, 1, 1, 0.5, 1, 0, U=a),
+                        np.eye(2), DomainError, "U"),
+    "RIP matrix": (lambda a: rip.restricted_isometry_constant(a, 1), np.eye(2), DomainError, "A"),
+    "subsample U": (lambda a: rip.subsample(a, [0], 1), np.eye(2), DomainError, "U"),
+    "BOS rows": (lambda a: rip.check_bos(a, 2.0), _BOS_ROWS, DomainError, "rows"),
+    "BOS weights": (lambda a: rip.check_bos(_BOS_ROWS, 2.0, weights=a), np.full(2, 0.5),
+                    DomainError, "weights"),
+    "schatten_norm": (lambda a: schatten.schatten_norm(a, 2), np.eye(2), DomainError, "a"),
+    "schatten_radii": (lambda a: schatten.schatten_radii([a]), np.eye(2), DomainError,
+                       "matrices[0]"),
+    "matrix_set_space": (lambda a: schatten.matrix_set_space([np.eye(2), a]), np.eye(2),
+                         DomainError, "matrices[1]"),
+    "simulate_chaos": (lambda a: processes.simulate_chaos([a], _RADEMACHER, 10, 0), np.eye(2),
+                       DomainError, "matrices[0]"),
+    "exact_chaos_distribution": (lambda a: processes.exact_chaos_distribution([a]), np.eye(2),
+                                 DomainError, "matrices[0]"),
+    "hanson_wright_tail": (lambda a: bounds.hanson_wright_tail(a, c_fit=1.0), np.eye(2),
+                           DomainError, "B"),
+    "psi2_norms": (bounds.squares_default_parameters, np.ones((2, 2)), DomainError,
+                   "psi2_norms"),
+    "individual_bounds": (lambda a: conversions.small_set_moment_bound(a, 2.0), None,
+                          DomainError, "individual_bounds"),
+    "symmetrization table": (lambda a: validation.check_symmetrization_decoupling(
+        [np.eye(2)], table=a), np.ones((1, 2)), DomainError, "table"),
+    "orlicz samples": (lambda a: orlicz.psi_norm_empirical(a, 2.0), None, DomainError, "samples"),
+}
+
+# a good array of None marks an intake that takes any shape: it has no wrong ndim
+_ANY_SHAPE_GOOD = np.ones((2, 2))
+
+
+def _with_entry(good, value):
+    bad = good.tolist()
+    row = bad if good.ndim == 1 else bad[-1]
+    row[-1] = value
+    return bad
+
+
+def _bad_arrays(good):
+    """(case, bad array) for every way an array intake must refuse."""
+    shape_free = good is None
+    good = _ANY_SHAPE_GOOD if shape_free else good
+    rows = good.tolist()
+    ragged = rows[:-1] + [rows[-1][:-1]] if good.ndim == 2 else [rows[0], rows[1:]]
+    cases = [("nan", _with_entry(good, math.nan)), ("inf", _with_entry(good, math.inf)),
+             ("-inf", _with_entry(good, -math.inf)), ("bool", np.ones(good.shape, dtype=bool)),
+             ("string", _with_entry(good, "1")), ("ragged", ragged),
+             ("empty", [] if shape_free else np.empty((0,) * good.ndim))]
+    if not shape_free:
+        cases.append(("ndim", good[0] if good.ndim == 2 else good[None]))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "site, bad",
+    [pytest.param(site, bad, id=f"{site}-{case}")
+     for site, (_, good, _, _) in _ARRAY_SITES.items() for case, bad in _bad_arrays(good)],
+)
+def test_every_array_intake_refuses_a_bad_array_by_name(site, bad):
+    # NaN, infinities, bools, strings, ragged rows, the wrong ndim and an empty
+    # array: each is this site's own error, naming the argument, before any
+    # SVD, draw or warning (the suite runs under -W error)
+    call, _, error, name = _ARRAY_SITES[site]
+    with pytest.raises(error) as info:
+        call(bad)
+    assert name in str(info.value)
+
+
+_SCALAR_SITES = {
+    "row scale": (lambda v: processes.RowDistribution("gaussian", scale=v), "scale"),
+    "schatten radius": (lambda v: schatten.SchattenRadii(delta_2=v, delta_4=0.0, delta_inf=0.0),
+                        "delta_2"),
+    "orlicz value": (lambda v: orlicz.OrliczNorm(2.0, v, "empirical"), "norm value"),
+    "threshold coefficient": (lambda v: results.TailBound(
+        factor=1.0, const=v, sqrt_coeff=0.0, linear=1.0, envelope=_ENVELOPE), "const"),
+    "decomposition term": (lambda v: results.MomentBound(p=2.0, decomposition=(("head", v),)),
+                           "head"),
+}
+
+
+@pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf, True, "1"], ids=repr)
+@pytest.mark.parametrize("site", sorted(_SCALAR_SITES))
+def test_every_scalar_intake_refuses_a_bad_value_by_name(site, v):
+    call, name = _SCALAR_SITES[site]
+    with pytest.raises(DomainError, match=re.escape(name)):
+        call(v)
+
+
+def test_check_array_names_the_first_offending_entry():
+    with pytest.raises(DomainError, match=r"^x must be finite, got nan at entry \[1, 0\]$"):
+        check_array("x", [[1.0, 2.0], [math.nan, math.inf]], 2)
+    with pytest.raises(ModelError, match=r"^y must be finite and >= 0, got -1.0 at entry \[2\]$"):
+        check_array("y", [0, 1, -1, math.nan], 1, nonnegative=True, error=ModelError)
+    with pytest.raises(DomainError, match=r"^z must be a square 2-D array, got shape \(1, 2\)$"):
+        check_array("z", [[1.0, 2.0]], 2, square=True)
+    with pytest.raises(DomainError, match=r"^w must hold real numbers, got dtype complex128$"):
+        check_array("w", [1j], 1)
+
+
+def test_check_array_returns_float_input_uncopied():
+    a = np.arange(6.0).reshape(2, 3)
+    assert check_array("a", a, 2) is a
+    c = a.astype(complex)
+    assert check_array("c", c, None, complex_ok=True) is c
+    ints = check_array("i", [[1, 2]], 2)
+    assert ints.dtype == np.float64 and ints.tolist() == [[1.0, 2.0]]
+    assert check_array("r", a, 2, complex_ok=True).dtype == np.complex128
+    assert check_array("e", np.zeros((0, 3)), 2, empty_ok=True).shape == (0, 3)
+    with pytest.raises(DomainError, match=r"^e must be nonempty, got shape \(0, 3\)$"):
+        check_array("e", np.zeros((0, 3)), 2)

@@ -114,6 +114,19 @@ def test_one_budget_refuses_every_table_and_two_caps_every_space():
     assert "{MAX_POINTS}" in points and "{EXACT_COVER_CAP}" in cover
 
 
+def test_one_validator_checks_every_array_for_finite_entries():
+    # Arrays a caller hands in are checked by errors.check_array; np.isfinite
+    # appears elsewhere only in metric's role-naming space checks and in
+    # TailBound._valid_u's "finite u".
+    calls = {}
+    for path in sorted((ROOT / "src" / "chainbounds").glob("*.py")):
+        count = path.read_text(encoding="utf-8").count("np.isfinite")
+        if count and path.name not in ("errors.py", "metric.py"):
+            calls[path.name] = count
+    assert calls == {"results.py": 1}
+    assert "np.isfinite" in inspect.getsource(cb.TailBound._valid_u)
+
+
 def _public_callables():
     """(name, callable) for every callable in chainbounds.__all__, and for the
     constructor and public methods of every exported class."""
