@@ -159,7 +159,14 @@ def test_every_array_intake_refuses_a_bad_array_by_name(site, bad):
     call, _, error, name = _ARRAY_SITES[site]
     with pytest.raises(error) as info:
         call(bad)
-    assert name in str(info.value)
+    assert str(info.value).startswith(f"{name} ")
+
+
+@pytest.mark.parametrize("call", [schatten.schatten_radii, schatten.matrix_set_space,
+                                  processes.exact_chaos_distribution])
+def test_an_empty_matrix_family_is_refused_by_name(call):
+    with pytest.raises(DomainError, match="^matrices must be a nonempty family$"):
+        call([])
 
 
 _SCALAR_SITES = {
