@@ -4,7 +4,10 @@ Each evaluator takes chaining-functional values and scale parameters and
 returns either a MomentBound (order-p decomposition) or a TailBound
 (threshold coefficients plus an envelope).  Constants with a derivation
 behind them come from the registry defaults; everything else must be fitted
-explicitly and taints the result with fitted=True.
+explicitly and taints the result with fitted=True.  The families whose
+constants are all fitted (mixed-tail, empirical, squares, chaos) are built in
+one place, _fitted_bound, as the stock-constant chaining tails are in
+_chaining_tail; every TailBound is constructed by conversions._tail.
 """
 
 from __future__ import annotations
@@ -14,17 +17,11 @@ import math
 import numpy as np
 
 from .chaining import GammaEstimate
-from .conversions import _exp_factor, _exp_tail
+from .conversions import _exp_factor, _exp_tail, _tail
 from .errors import DomainError, alpha_power, check_array, check_int, check_real
 from .orlicz import OrliczNorm
 from .registry import DEFAULT_REGISTRY, ConstantRegistry
-from .results import (
-    DegenerateEnvelope,
-    MinEnvelope,
-    MomentBound,
-    PowerEnvelope,
-    TailBound,
-)
+from .results import DegenerateEnvelope, MinEnvelope, MomentBound, PowerEnvelope, TailBound
 from .schatten import SchattenRadii, schatten_norm
 
 __all__ = [
@@ -95,6 +92,28 @@ def _chaining_tail(
         name,
         u,
     )
+
+
+def _fitted_bound(key: str, name: str, p, u, registry: ConstantRegistry, gamma, moment, tail,
+                  **recorded) -> MomentBound | TailBound:
+    """A bound whose constants {key}_C and {key}_c have no derived value: both
+    must be fitted, so the bound is fitted=True, and recorded (such as m)
+    joins them in the constants used.
+
+    Once {key}_C is looked up, gamma, if given, is checked at order p in
+    moment form and 1 in tail form and passed on as g.  moment(C, g) gives
+    the moment decomposition; tail(C, c, g), once {key}_c is looked up, gives
+    (const, sqrt_coeff, linear) under the envelope exp(-u), u >= 1.
+    """
+    C, _ = registry.require(f"{key}_C")
+    order, form = (1.0, "tail") if p is None else (p, "moment")
+    g = None if gamma is None else _gamma_value(gamma, 2.0, order, f"{key} {form} form")
+    if p is not None:
+        return MomentBound(p=float(p), decomposition=moment(C, g),
+                           constants={f"{key}_C": C, **recorded}, fitted=True, name=name)
+    c, _ = registry.require(f"{key}_c")
+    constants = {f"{key}_C": C, f"{key}_c": c, **recorded}
+    return _exp_tail(1.0, *tail(C, c, g), 1.0, constants, True, name, u)
 
 
 def psi_alpha_supremum_bound(
@@ -229,40 +248,25 @@ def mixed_tail_supremum_bound(
         P(sup ||X_t - X_t0|| >= C (gamma_2 + gamma_1)
             + c (sqrt(u) diam2 + u diam1)) <= exp(-u).
     """
-    form = _pick_form(p, u)
+    _pick_form(p, u)
     g2 = _gamma_value(gamma2, 2.0, 1.0, "mixed-tail subgaussian part")
     g1 = _gamma_value(gamma1, 1.0, 1.0, "mixed-tail subexponential part")
-    C, _ = registry.require("mixed_C")
-    if form == "moment":
+
+    def moment(C, _):
         if sup_term is None:
             raise DomainError(
                 "moment form needs sup_term = sup_t (E||X_t - X_t0||^p)^(1/p)"
             )
-        return MomentBound(
-            p=float(p),
-            decomposition=(
-                ("chaining-d2", C * g2),
-                ("chaining-d1", C * g1),
-                ("small-set", 2.0 * check_real("sup_term", sup_term, 0.0)),
-            ),
-            constants={"mixed_C": C},
-            fitted=True,
-            name="mixed-tail-supremum",
-        )
-    c, _ = registry.require("mixed_c")
-    if diam2 is None or diam1 is None:
-        raise DomainError("tail form needs both diameters")
-    return _exp_tail(
-        factor=1.0,
-        const=C * (g2 + g1),
-        sqrt_coeff=c * check_real("diam2", diam2, 0.0),
-        linear=c * check_real("diam1", diam1, 0.0),
-        alpha=1.0,
-        constants={"mixed_C": C, "mixed_c": c},
-        fitted=True,
-        name="mixed-tail-supremum",
-        u=u,
-    )
+        return (("chaining-d2", C * g2), ("chaining-d1", C * g1),
+                ("small-set", 2.0 * check_real("sup_term", sup_term, 0.0)))
+
+    def tail(C, c, _):
+        if diam2 is None or diam1 is None:
+            raise DomainError("tail form needs both diameters")
+        return (C * (g2 + g1), c * check_real("diam2", diam2, 0.0),
+                c * check_real("diam1", diam1, 0.0))
+
+    return _fitted_bound("mixed", "mixed-tail-supremum", p, u, registry, None, moment, tail)
 
 
 def empirical_process_bound(
@@ -288,7 +292,7 @@ def empirical_process_bound(
     Tail form:   C (gamma_2/sqrt(m) + gamma_1/m)
                    + c (sigma sqrt(u)/sqrt(m) + K u/m), envelope exp(-u), u >= 1.
     """
-    form = _pick_form(p, u)
+    _pick_form(p, u)
     g2 = _gamma_value(gamma2, 2.0, 1.0, "empirical-process subgaussian part")
     g1 = _gamma_value(gamma1, 1.0, 1.0, "empirical-process subexponential part")
     sigma = check_real("sigma", sigma, 0.0)
@@ -296,31 +300,12 @@ def empirical_process_bound(
     check_int("sample count m", m, 1)
     m = float(m)
     rm = math.sqrt(m)
-    C, _ = registry.require("empirical_C")
-    if form == "moment":
-        return MomentBound(
-            p=float(p),
-            decomposition=(
-                ("chaining-d2", C * g2 / rm),
-                ("chaining-d1", C * g1 / m),
-                ("sqrt-p", C * math.sqrt(p) * sigma / rm),
-                ("linear-p", C * p * K / m),
-            ),
-            constants={"empirical_C": C, "m": m},
-            fitted=True,
-            name="empirical-supremum",
-        )
-    c, _ = registry.require("empirical_c")
-    return _exp_tail(
-        factor=1.0,
-        const=C * (g2 / rm + g1 / m),
-        sqrt_coeff=c * sigma / rm,
-        linear=c * K / m,
-        alpha=1.0,
-        constants={"empirical_C": C, "empirical_c": c, "m": m},
-        fitted=True,
-        name="empirical-supremum",
-        u=u,
+    return _fitted_bound(
+        "empirical", "empirical-supremum", p, u, registry, None,
+        lambda C, _: (("chaining-d2", C * g2 / rm), ("chaining-d1", C * g1 / m),
+                      ("sqrt-p", C * math.sqrt(p) * sigma / rm), ("linear-p", C * p * K / m)),
+        lambda C, c, _: (C * (g2 / rm + g1 / m), c * sigma / rm, c * K / m),
+        m=m,
     )
 
 
@@ -359,40 +344,19 @@ def squares_supremum_bound(
     Tail form:   C (gamma^2/m + radius*gamma/sqrt(m))
                    + c (sqrt(u) sigma/sqrt(m) + u K/m), envelope exp(-u), u >= 1.
     """
-    form = _pick_form(p, u)
+    _pick_form(p, u)
     radius = check_real("radius", radius, 0.0)
     sigma = check_real("sigma", sigma, 0.0)
     K = check_real("K", K, 0.0)
     check_int("sample count m", m, 1)
     m = float(m)
     rm = math.sqrt(m)
-    C, _ = registry.require("squares_C")
-    if form == "moment":
-        gval = _gamma_value(gamma2p, 2.0, p, "squares moment form")
-        return MomentBound(
-            p=float(p),
-            decomposition=(
-                ("chaining-squared", C * gval**2 / m),
-                ("chaining-radius", C * radius * gval / rm),
-                ("sqrt-p", C * math.sqrt(p) * sigma / rm),
-                ("linear-p", C * p * K / m),
-            ),
-            constants={"squares_C": C, "m": m},
-            fitted=True,
-            name="squares-supremum",
-        )
-    gval = _gamma_value(gamma2p, 2.0, 1.0, "squares tail form")
-    c, _ = registry.require("squares_c")
-    return _exp_tail(
-        factor=1.0,
-        const=C * (gval**2 / m + radius * gval / rm),
-        sqrt_coeff=c * sigma / rm,
-        linear=c * K / m,
-        alpha=1.0,
-        constants={"squares_C": C, "squares_c": c, "m": m},
-        fitted=True,
-        name="squares-supremum",
-        u=u,
+    return _fitted_bound(
+        "squares", "squares-supremum", p, u, registry, gamma2p,
+        lambda C, g: (("chaining-squared", C * g**2 / m), ("chaining-radius", C * radius * g / rm),
+                      ("sqrt-p", C * math.sqrt(p) * sigma / rm), ("linear-p", C * p * K / m)),
+        lambda C, c, g: (C * (g**2 / m + radius * g / rm), c * sigma / rm, c * K / m),
+        m=m,
     )
 
 
@@ -408,19 +372,10 @@ def squares_l2_increment_tail(
     """
     psi2_distance = check_real("psi2_distance", psi2_distance, 0.0)
     check_int("sample count m", m, 1)
-    bound = TailBound(
-        factor=1.0,
-        const=0.0,
-        sqrt_coeff=0.0,
-        linear=L2_INCREMENT_COEFF * psi2_distance,
-        envelope=PowerEnvelope(prefactor=2.0, rate=float(m), power=2.0),
-        u_min=1.0,
-        constants={"coefficient": L2_INCREMENT_COEFF, "m": float(m)},
-        name="squares-l2-increment",
-    )
-    if u is not None:
-        bound.threshold(u)
-    return bound
+    return _tail(PowerEnvelope(prefactor=2.0, rate=float(m), power=2.0), 1.0, 1.0, 0.0, 0.0,
+                 L2_INCREMENT_COEFF * psi2_distance,
+                 {"coefficient": L2_INCREMENT_COEFF, "m": float(m)}, False,
+                 "squares-l2-increment", u)
 
 
 def hanson_wright_tail(
@@ -448,20 +403,8 @@ def hanson_wright_tail(
         envelope = DegenerateEnvelope()
     else:
         envelope = MinEnvelope(prefactor=2.0, c=c, s2=s2, sinf=sinf)
-    bound = TailBound(
-        factor=1.0,
-        const=0.0,
-        sqrt_coeff=0.0,
-        linear=1.0,
-        envelope=envelope,
-        u_min=0.0,
-        constants={"hanson_wright_c": c, "s2": s2, "sinf": sinf},
-        fitted=True,
-        name="hanson-wright",
-    )
-    if u is not None:
-        bound.threshold(u)
-    return bound
+    return _tail(envelope, 0.0, 1.0, 0.0, 0.0, 1.0,
+                 {"hanson_wright_c": c, "s2": s2, "sinf": sinf}, True, "hanson-wright", u)
 
 
 def _radii_gamma(radii: SchattenRadii) -> GammaEstimate:
@@ -510,33 +453,14 @@ def chaos_supremum_bound(
     if not math.isclose(xi_psi2.alpha, 2.0):
         raise DomainError(f"xi_psi2 must be a psi_2 norm, got alpha = {xi_psi2.alpha:g}")
     gamma2 = _radii_gamma(radii)
-    form = _pick_form(p, u)
+    _pick_form(p, u)
     scale = xi_psi2.value**2
-    C, _ = registry.require("chaos_C")
-    if form == "moment":
-        g = _gamma_value(gamma2, 2.0, p, "chaos moment form")
-        return MomentBound(
-            p=float(p),
-            decomposition=(
-                ("chaining-squared", C * scale * g**2),
-                ("chaining-radius", C * scale * radii.delta_2 * g),
-                ("sqrt-p", C * scale * math.sqrt(p) * radii.delta_4**2),
-                ("linear-p", C * scale * p * radii.delta_inf**2),
-            ),
-            constants={"chaos_C": C},
-            fitted=True,
-            name="chaos-supremum",
-        )
-    g = _gamma_value(gamma2, 2.0, 1.0, "chaos tail form")
-    c, _ = registry.require("chaos_c")
-    return _exp_tail(
-        factor=1.0,
-        const=C * scale * (g**2 + radii.delta_2 * g),
-        sqrt_coeff=c * scale * radii.delta_4**2,
-        linear=c * scale * radii.delta_inf**2,
-        alpha=1.0,
-        constants={"chaos_C": C, "chaos_c": c},
-        fitted=True,
-        name="chaos-supremum",
-        u=u,
+    return _fitted_bound(
+        "chaos", "chaos-supremum", p, u, registry, gamma2,
+        lambda C, g: (("chaining-squared", C * scale * g**2),
+                      ("chaining-radius", C * scale * radii.delta_2 * g),
+                      ("sqrt-p", C * scale * math.sqrt(p) * radii.delta_4**2),
+                      ("linear-p", C * scale * p * radii.delta_inf**2)),
+        lambda C, c, g: (C * scale * (g**2 + radii.delta_2 * g),
+                         c * scale * radii.delta_4**2, c * scale * radii.delta_inf**2),
     )

@@ -23,7 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .errors import DomainError, MetricValidationError, _check_table_budget, alpha_power, check_real
+from .errors import (
+    DomainError,
+    MetricValidationError,
+    _check_indices,
+    _check_table_budget,
+    alpha_power,
+    check_real,
+)
 from .metric import FiniteMetricSpace, _memoised, _read_only, _resolve_mode, farthest_point_order
 
 __all__ = [
@@ -107,11 +114,11 @@ def admissible_sets(space: FiniteMetricSpace, levels) -> AdmissibleSequence:
     """Validate and wrap a set sequence (|T_0| = 1, |T_n| <= 2^(2^n))."""
     norm_levels = []
     for n, lvl in enumerate(levels):
-        pts = tuple(sorted(set(int(i) for i in lvl)))
+        pts = _check_indices(f"level {n}", lvl, space.size,
+                             f"level {n} has an out-of-range point index")
+        pts = tuple(np.unique(pts).tolist())
         if not pts:
             raise DomainError(f"level {n} is empty")
-        if any(i < 0 or i >= space.size for i in pts):
-            raise DomainError(f"level {n} has an out-of-range point index")
         if len(pts) > level_capacity(n):
             raise DomainError(
                 f"level {n} holds {len(pts)} points, cap is {level_capacity(n)}"
@@ -125,12 +132,12 @@ def admissible_sets(space: FiniteMetricSpace, levels) -> AdmissibleSequence:
 def _validate_partition(space: FiniteMetricSpace, cells, n: int) -> tuple:
     norm = []
     seen: set[int] = set()
-    for cell in cells:
-        c = tuple(sorted(set(int(i) for i in cell)))
+    for k, cell in enumerate(cells):
+        c = _check_indices(f"level {n} cell {k}", cell, space.size,
+                           f"level {n} has an out-of-range point index")
+        c = tuple(np.unique(c).tolist())
         if not c:
             raise DomainError(f"level {n} has an empty cell")
-        if any(i < 0 or i >= space.size for i in c):
-            raise DomainError(f"level {n} has an out-of-range point index")
         if seen & set(c):
             raise DomainError(f"level {n} cells overlap")
         seen |= set(c)
@@ -153,8 +160,7 @@ def admissible_partitions(space: FiniteMetricSpace, levels) -> AdmissibleSequenc
     norm_levels = [_validate_partition(space, lvl, n) for n, lvl in enumerate(levels)]
     if not norm_levels:
         raise DomainError("sequence needs at least one level")
-    if len(norm_levels[0]) != 1:
-        raise DomainError("level 0 must be the trivial partition {T}")
+    # level 0 is {T}: it covers the space in at most level_capacity(0) = 1 cell
     for n in range(1, len(norm_levels)):
         if not _refines(norm_levels[n], norm_levels[n - 1]):
             raise DomainError(f"level {n} does not refine level {n - 1}")
@@ -326,6 +332,12 @@ def _gamma_mode(mode: str, entries: int) -> str:
     entries (_exact_entries or _prime_entries) fits errors._TABLE_BUDGET, so
     that the search is not refused, and greedy elsewhere."""
     return _resolve_mode(mode, entries <= errors._TABLE_BUDGET)
+
+
+def _gamma_search(mode: str, n: int, p: float):
+    """The search that answers an order-p gamma on n points in mode: gamma_exact
+    or gamma_greedy, with "auto" resolved by the exact search's table."""
+    return gamma_exact if _gamma_mode(mode, _exact_entries(n, p)) == "exact" else gamma_greedy
 
 
 def gamma_exact(

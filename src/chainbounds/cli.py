@@ -34,10 +34,7 @@ from .bounds import (
 )
 from .chaining import (
     GammaEstimate,
-    _exact_entries,
-    _gamma_mode,
-    gamma_exact,
-    gamma_greedy,
+    _gamma_search,
     gamma_prime,
     truncation_level,
 )
@@ -146,10 +143,8 @@ def _cmd_gamma(args) -> int:
     space = space_from_json(contents)
     if args.functional == "gamma-prime":
         est = gamma_prime(space, args.alpha, mode=args.mode)
-    elif _gamma_mode(args.mode, _exact_entries(space.size, args.p)) == "exact":
-        est = gamma_exact(space, args.alpha, p=args.p)
     else:
-        est = gamma_greedy(space, args.alpha, p=args.p)
+        est = _gamma_search(args.mode, space.size, args.p)(space, args.alpha, p=args.p)
     witness = None
     if est.sequence is not None:
         witness = {"kind": est.sequence.kind, "levels": est.sequence.levels}
@@ -272,10 +267,16 @@ def _orlicz_param(obj, what: str) -> OrliczNorm:
     )
 
 
+def _matrices(values) -> list:
+    """A JSON matrix family, decoded; DomainError naming matrices unless it is a list."""
+    if not isinstance(values, list):
+        raise DomainError(f"matrices must be a JSON list of matrices, got {type(values).__name__}")
+    return [matrix_from_json(m) for m in values]
+
+
 def _radii_param(params: dict):
-    mats = [matrix_from_json(m) for m in params["matrices"]]
     return schatten_radii(
-        mats,
+        _matrices(params["matrices"]),
         gamma_mode=params.get("gamma_mode", "auto"),
         p=check_real("gamma_p", params.get("gamma_p", 1.0), 1.0),
     )
@@ -430,7 +431,7 @@ def _run_model(spec: dict, reps: int, seed: int):
         model = builder(spec["coefficients"], base, labels=labels)
         return simulate(model, spec.get("m", model.coefficients.shape[1]), reps, seed)
     if kind == "chaos":
-        mats = [matrix_from_json(m) for m in spec["matrices"]]
+        mats = _matrices(spec["matrices"])
         xi_spec = spec.get("xi", {})
         xi = RowDistribution(
             name=xi_spec.get("name", "rademacher"),
@@ -578,7 +579,7 @@ def _cmd_rip(args) -> int:
 def _cmd_chaos(args) -> int:
     seed = _require_seed(args.seed)
     contents = load_json(args.matrices)
-    mats = [matrix_from_json(m) for m in contents]
+    mats = _matrices(contents)
     xi = RowDistribution(name=args.xi, scale=args.scale)
     radii = schatten_radii(mats, gamma_mode="auto")
     sample = simulate_chaos(mats, xi, args.reps, seed, decoupled=args.decoupled)

@@ -68,35 +68,24 @@ def _exp_factor(alpha: float) -> float:
         ) from None
 
 
-def _exp_tail(
-    factor: float,
-    const: float,
-    sqrt_coeff: float,
-    linear: float,
-    alpha: float,
-    constants: dict,
-    fitted: bool,
-    name: str,
-    u: float | None = None,
-) -> TailBound:
+def _tail(envelope, u_min: float, factor: float, const: float, sqrt_coeff: float,
+          linear: float, constants: dict, fitted: bool, name: str, u: float | None) -> TailBound:
+    """The package's one TailBound constructor: the bound, with a u given
+    checked at once against its domain."""
+    bound = TailBound(factor, const, sqrt_coeff, linear, envelope, u_min, constants, fitted, name)
+    if u is not None:
+        bound.threshold(u)
+    return bound
+
+
+def _exp_tail(factor: float, const: float, sqrt_coeff: float, linear: float, alpha: float,
+              constants: dict, fitted: bool, name: str, u: float | None = None) -> TailBound:
     """P(X >= factor*(const + sqrt_coeff*sqrt(u) + linear*u)) <= exp(-u^alpha/alpha)
     for u >= 1, from checked coefficients; a u given is checked at once.  Both
     moments-to-tails steps and every chaining tail form with this envelope
     are this bound."""
-    bound = TailBound(
-        factor=factor,
-        const=const,
-        sqrt_coeff=sqrt_coeff,
-        linear=linear,
-        envelope=PowerEnvelope(prefactor=1.0, rate=1.0 / alpha, power=alpha),
-        u_min=1.0,
-        constants=constants,
-        fitted=fitted,
-        name=name,
-    )
-    if u is not None:
-        bound.threshold(u)
-    return bound
+    envelope = PowerEnvelope(prefactor=1.0, rate=1.0 / alpha, power=alpha)
+    return _tail(envelope, 1.0, factor, const, sqrt_coeff, linear, constants, fitted, name, u)
 
 
 def moments_to_tails_mixed(
@@ -360,16 +349,5 @@ def bernstein_tail(
     if s is None or k is None:
         raise DomainError(f"BernsteinParams lacks the parameters for form {form!r}")
     m = float(params.m)
-    bound = TailBound(
-        factor=1.0,
-        const=0.0,
-        sqrt_coeff=s * math.sqrt(2.0) / math.sqrt(m),
-        linear=k / m,
-        envelope=PowerEnvelope(prefactor=2.0, rate=1.0, power=1.0),
-        u_min=0.0,
-        constants={"m": m},
-        name=f"bernstein-{form}",
-    )
-    if u is not None:
-        bound.threshold(u)
-    return bound
+    return _tail(PowerEnvelope(prefactor=2.0, rate=1.0, power=1.0), 0.0, 1.0, 0.0,
+                 s * math.sqrt(2.0) / math.sqrt(m), k / m, {"m": m}, False, f"bernstein-{form}", u)

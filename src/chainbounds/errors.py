@@ -6,7 +6,7 @@ validators below are shared by every module: check_int, check_number and
 check_real for a count, a seed, an order or a scale, and check_array for
 every array a caller hands in (a coefficient matrix, a covariance, a matrix
 family, a row system, a sample), metric spaces excepted, whose checks name
-entries by their role.
+entries by their role; _check_indices reads an index list through it.
 """
 
 import math
@@ -149,6 +149,21 @@ def check_array(name: str, values, ndim: int | None, *, square: bool = False,
         rule = "finite and >= 0" if nonnegative else "finite"
         raise error(f"{name} must be {rule}, got {arr[tuple(index)]} at entry {index}")
     return arr
+
+
+def _check_indices(name: str, values, size: int, out_of_range: str) -> np.ndarray:
+    """values as a 1-D int array of indices into range(size), empty allowed;
+    DomainError, naming name, unless check_array admits it as a 1-D array and
+    each entry is an integer (integral floats pass, as in check_int), and
+    DomainError(out_of_range) unless each lies in [0, size)."""
+    arr = check_array(name, values, 1, empty_ok=True)
+    fractional = arr != np.floor(arr)
+    if fractional.any():
+        i = int(np.argmax(fractional))
+        raise DomainError(f"{name} must hold integers, got {arr[i]} at entry [{i}]")
+    if arr.size and (arr.min() < 0 or arr.max() >= size):
+        raise DomainError(out_of_range)
+    return arr.astype(int)
 
 
 def alpha_power(base: float, exponent: float, what: str, alpha: float) -> float:

@@ -130,7 +130,9 @@ def _simulate(reps: int, seed: int, draw, stat, *, base_point=None, companions=(
     for b, start in enumerate(range(0, reps, BLOCK)):
         z = draw(replication_rng(seed, b))
         parts.append(np.asarray(stat(z))[..., : reps - start])
-    values, *rest = np.concatenate(parts, axis=-1).reshape(1 + len(companions), reps)
+    rows = np.concatenate(parts, axis=-1)
+    rows.setflags(write=False)  # so that SupremumSample keeps its views without a copy
+    values, *rest = rows.reshape(1 + len(companions), reps)
     return SupremumSample(
         replications=reps,
         seed=seed,
@@ -209,6 +211,17 @@ class RowDistribution:
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.setflags(write=False)
+    return a
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a read-only: unlike _freeze, a copy only when a, or the array it views,
+    can still be written (by the caller), so that the read-only arrays the
+    simulators build are kept as they are."""
+    owner = a if a.base is None else a.base
+    if a.flags.writeable or not isinstance(owner, np.ndarray) or owner.flags.writeable:
+        a = a.copy()
+        a.setflags(write=False)
     return a
 
 
@@ -414,15 +427,13 @@ class SupremumSample:
         if vals.shape[0] != self.replications:
             raise ModelError(f"values must have one entry per replication ({self.replications}), "
                              f"got {vals.shape[0]}")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _frozen(vals))
         comp = {}
         for name, arr in dict(self.companions).items():
-            arr = np.asarray(arr, dtype=float)
+            arr = check_array(f"companion {name!r}", arr, None, empty_ok=True, error=ModelError)
             if arr.shape != vals.shape:
                 raise ModelError(f"companion {name!r} must match the replication count")
-            arr.setflags(write=False)
-            comp[name] = arr
+            comp[name] = _frozen(arr)
         object.__setattr__(self, "companions", MappingProxyType(comp))
 
 

@@ -42,6 +42,7 @@ from .errors import (
     ConvergenceError,
     DomainError,
     ModelError,
+    _check_indices,
     _check_table_budget,
     check_array,
     check_int,
@@ -112,9 +113,7 @@ def subsample(U, I, m: int) -> np.ndarray:
     U = check_array("U", U, 2, complex_ok=True)
     N = U.shape[0]
     m = check_int("m", m, 1)
-    I = np.asarray(I, dtype=int)
-    if I.size and (I.min() < 0 or I.max() >= N):
-        raise DomainError(f"selector indices must lie in [0, {N})")
+    I = _check_indices("selector indices", I, N, f"selector indices must lie in [0, {N})")
     return math.sqrt(N / m) * U[I]
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chaining import GammaEstimate, _exact_entries, _gamma_mode, gamma_exact, gamma_greedy
+from .chaining import GammaEstimate, _gamma_search
 from .errors import DomainError, check_array, check_real
 from .metric import FiniteMetricSpace, _pairwise, build_metric_space
 
@@ -63,6 +63,8 @@ class SchattenRadii:
 
 
 def _matrix_stack(matrices) -> np.ndarray:
+    if not np.iterable(matrices):
+        raise DomainError(f"matrices must be a family of matrices, got {type(matrices).__name__}")
     mats = [check_array(f"matrices[{k}]", a, 2, complex_ok=True) for k, a in enumerate(matrices)]
     if not mats:
         raise DomainError("matrices must be a nonempty family")
@@ -100,7 +102,7 @@ def schatten_radii(matrices, gamma_mode: str = "auto", p: float = 1.0) -> Schatt
     dinf = float(svals.max())
     if gamma_mode == "none":
         return SchattenRadii(delta_2=d2, delta_4=d4, delta_inf=dinf)
-    gamma_mode = _gamma_mode(gamma_mode, _exact_entries(stack.shape[0], p))
+    search = _gamma_search(gamma_mode, stack.shape[0], p)  # refuses an unknown mode first
     space = matrix_set_space(matrices)
-    est = (gamma_exact if gamma_mode == "exact" else gamma_greedy)(space, alpha=2.0, p=p)
+    est = search(space, alpha=2.0, p=p)
     return SchattenRadii(delta_2=d2, delta_4=d4, delta_inf=dinf, gamma2_dinf=est, space=space)

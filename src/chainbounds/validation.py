@@ -263,7 +263,7 @@ def check_symmetrization_decoupling(
     n = stack.shape[2]
     if not 0.0 < check_number("selector_prob", selector_prob) < 1.0:
         raise DomainError(f"selector_prob must lie in (0, 1), got {selector_prob}")
-    p_list = [check_real("moment order p", p, 1.0) for p in p_list]
+    p_list = [check_real("moment order p", p, 1.0) for p in _entries(p_list)]
     if table is not None:
         v = check_array("table", table, 2, nonnegative=True)
         if v.shape[1] != n:

@@ -19,6 +19,7 @@ from chainbounds import (
     MixedTailMetrics,
     MissingConstantError,
     OrliczNorm,
+    SchattenRadii,
     azuma_uniform_bound,
     build_metric_space,
     chaos_supremum_bound,
@@ -404,3 +405,41 @@ def test_moment_form_names_an_overflowing_growth_factor():
     # a bad diam is still reported first
     with pytest.raises(DomainError, match="diam"):
         psi_alpha_supremum_bound(gamma(1.0, alpha=0.0005, p=2.0), diam=-1.0, p=2.0, registry=reg)
+
+
+def _list_fit(tmp_path):
+    path = tmp_path / "fit.json"
+    path.write_text("[1.0]")
+    return path
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda tmp_path: ConstantRegistry.from_json(_list_fit(tmp_path)),
+     "constants file must hold a JSON object of name -> value"),
+    (lambda _: gaussian_process_bound(gamma(1.0, alpha=1.0), 1.0, u=1.0),
+     "tail form expects an alpha = 2 functional, got alpha = 1"),
+    (lambda _: psi_alpha_supremum_bound(gamma(1.0, p=2.0), p=2.0),
+     "moment form needs either sup_term or diam"),
+    (lambda _: mixed_tail_supremum_bound(
+        gamma(1.0), gamma(1.0, alpha=1.0), diam2=1.0, u=1.0,
+        registry=DEFAULT_REGISTRY.with_fitted(mixed_C=1.0, mixed_c=1.0)),
+     "tail form needs both diameters"),
+], ids=["list fit file", "alpha mismatch", "psi-alpha moment form", "mixed tail diameters"])
+def test_bound_and_registry_refusals(tmp_path, call, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call(tmp_path)
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda g, reg: squares_supremum_bound(g, 1.0, 4, 1.0, 1.0, u=1.0, registry=reg),
+    lambda g, reg: chaos_supremum_bound(
+        SchattenRadii(delta_2=3.0, delta_4=1.5, delta_inf=1.0, gamma2_dinf=g),
+        OrliczNorm(2.0, 1.0, "supplied"), u=1.0, registry=reg),
+], ids=["squares", "chaos"])
+def test_tail_forms_check_their_functional_before_the_fitted_rate(evaluate):
+    # the order-2 functional is refused by order, ahead of the missing {key}_c
+    reg = DEFAULT_REGISTRY.with_fitted(squares_C=1.0, chaos_C=1.0)
+    with pytest.raises(DomainError, match="expects the order-1 functional, got p = 2"):
+        evaluate(gamma(1.0, p=2.0), reg)
+    with pytest.raises(MissingConstantError, match="_c' has no derived value"):
+        evaluate(gamma(1.0), reg)

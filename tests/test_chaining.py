@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from chainbounds import (
     DomainError,
+    MetricValidationError,
     admissible_partitions,
     admissible_sets,
     build_metric_space,
@@ -383,3 +385,27 @@ def test_builders_call_no_validator(monkeypatch):
         gamma_prime(space, 2.0, mode="greedy")
         gamma_greedy(space, 2.0)
         greedy_admissible_sequence(space)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: admissible_partitions(TRIANGLE, [[[0, 1, 2]], [[0, 1, 2], []]]), DomainError,
+     "level 1 has an empty cell"),
+    (lambda: admissible_partitions(TRIANGLE, [[[0, 1, 2]], [[0, 1], [2, 3]]]), DomainError,
+     "level 1 has an out-of-range point index"),
+    (lambda: admissible_partitions(TRIANGLE, [[[0, 1, 2]], [[0, 1], [1, 2]]]), DomainError,
+     "level 1 cells overlap"),
+    (lambda: admissible_partitions(TRIANGLE, []), DomainError,
+     "sequence needs at least one level"),
+    (lambda: admissible_partitions(TRIANGLE, [[[0], [1, 2]]]), DomainError,
+     "level 0 holds 2 cells, cap is 1"),
+    (lambda: admissible_sets(TRIANGLE, []), DomainError, "sequence needs at least one level"),
+    (lambda: merge_partitions(greedy_admissible_sequence(TRIANGLE),
+                              greedy_admissible_sequence(TRIANGLE)), DomainError,
+     "merge_partitions expects two partition sequences"),
+    (lambda: functional_value(TWO, greedy_admissible_sequence(TRIANGLE), 2.0),
+     MetricValidationError, "sequence was built over a different space"),
+], ids=["empty cell", "out-of-range cell index", "overlapping cells", "no partition levels",
+        "level 0 not {T}", "no set levels", "merge of set sequences", "another space"])
+def test_chaining_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -782,3 +782,62 @@ def test_bound_params_must_be_json_numbers(tmp_path, capsys, name, params, field
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {field} must be a real number, got ")
     assert not list(tmp_path.glob("bound-*"))
+
+
+_EYE = [[1.0, 0.0], [0.0, 1.0]]
+_GAUSSIAN = {"kind": "gaussian", "covariance": _EYE}
+_RIP_CURVE = ["rip", "curve", "--N", "8", "--s", "2", "--delta", "0.5", "--seed", "1", "--m-list"]
+_CHAOS = ["chaos", "--matrices", "{family}", "--reps", "10", "--seed", "1"]
+_CHAOS_MODEL = {"kind": "chaos", "matrices": 5}
+
+
+# (argv, with {name} for a file of that name among the files below, and the message)
+@pytest.mark.parametrize("argv, message", [
+    (_RIP_CURVE + ["4,a"], "--m-list must be a comma-separated number list, got '4,a'"),
+    (_RIP_CURVE + [","], "--m-list must contain at least one value"),
+    (_CHAOS + ["--u-grid", "a"], "--u-grid must be a comma-separated number list, got 'a'"),
+    (_CHAOS + ["--u-grid", ","], "--u-grid must contain at least one value"),
+    (["cover", "--space", "{space}"], "cover needs --radius, --profile, or --entropy-alpha"),
+    (["orlicz", "--alpha", "2", "--family", "gaussian", "--samples", "{samples}"],
+     "orlicz needs exactly one of --family or --samples"),
+    (["orlicz", "--alpha", "2"], "orlicz needs exactly one of --family or --samples"),
+    (["bound", "gaussian", "--params", "{list}"], "--params file must hold a JSON object"),
+    (["simulate", "--config", "{list}"], "simulate config must be a JSON object"),
+    (["simulate", "--config", "{no_kind}"], 'model config must be an object with a "kind"'),
+    (["simulate", "--config", "{bad_kind}"], "unknown model kind 'brownian' in simulate config"),
+    (["simulate", "--config", "{scalar_bound}"], "bound 'union-constant' is not validatable"),
+    (["simulate", "--config", "{no_grid}"], "tail-bound validation needs a u_grid in the config"),
+    (_CHAOS[:2] + ["{five}"] + _CHAOS[3:], "matrices must be a JSON list of matrices, got int"),
+    (["bound", "chaos", "--params", "{chaos_params}"],
+     "matrices must be a JSON list of matrices, got int"),
+    (["simulate", "--config", "{chaos_model}"],
+     "matrices must be a JSON list of matrices, got int"),
+], ids=["m-list entry", "empty m-list", "u-grid entry", "empty u-grid", "cover nothing asked",
+        "orlicz both", "orlicz neither", "params list", "simulate list", "simulate no kind",
+        "simulate unknown kind", "simulate scalar bound", "simulate no u_grid",
+        "chaos family not a list", "bound family not a list", "simulate family not a list"])
+def test_config_shape_refusals_exit_two(tmp_path, capsys, argv, message):
+    files = {
+        "family": [_EYE],
+        "five": 5,
+        "space": {"points": [[0.0], [1.0]]},
+        "samples": None,
+        "list": [1.0],
+        "no_kind": {"model": {}, "seed": 1, "reps": 10},
+        "bad_kind": {"model": {"kind": "brownian"}, "seed": 1, "reps": 10},
+        "scalar_bound": {"model": _GAUSSIAN, "seed": 1, "reps": 10,
+                         "bound": {"name": "union-constant"}},
+        "no_grid": {"model": _GAUSSIAN, "seed": 1, "reps": 10,
+                    "bound": {"name": "gaussian", "params": {
+                        "gamma2": {"alpha": 2, "value": 1.0}, "sigma": 1.0, "u": 1.0}}},
+        "chaos_params": {"matrices": 5, "xi_psi2": {"value": 1.0}, "u": 1.0},
+        "chaos_model": {"model": _CHAOS_MODEL, "seed": 1, "reps": 10},
+    }
+    paths = {}
+    for name, contents in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text("1.0\n2.0\n" if contents is None else json.dumps(contents))
+    argv = [arg.format(**paths) for arg in argv] + ["--out", str(tmp_path / "out")]
+    code, _, err = run(argv, capsys)
+    assert (code, err) == (2, f"error: {message}\n")
+    assert not (tmp_path / "out").exists()

@@ -5,6 +5,7 @@ Frozen expected values below were recomputed independently with scipy
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from scipy import integrate, special, stats
 from chainbounds import (
     BernsteinParams,
     DomainError,
+    OrliczNorm,
     bernstein_tail,
     lp_from_tail,
     lp_tail_integral_bound,
@@ -303,3 +305,15 @@ def test_powers_of_one_over_alpha_name_their_overflow():
         tails_to_moments(1.0, 1.0, 0.0005, 2.0)
     # p = 1 has growth 1 at any alpha
     assert tails_to_moments(1.0, 1.0, 0.0005, 1.0).value > 0
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: BernsteinParams(m=2, nu=2.0, kappa=1.0),
+     "psi_1 quadratic mean nu = 2.0 cannot exceed the max kappa = 1.0"),
+    (lambda: BernsteinParams.from_psi1_norms([OrliczNorm(2.0, 1.0, "supplied")]),
+     "psi_1 norms required, got alpha = 2.0"),
+    (lambda: BernsteinParams.from_psi1_norms([]), "at least one psi_1 norm is required"),
+], ids=["nu above kappa", "psi_2 norm", "no norms"])
+def test_bernstein_parameter_refusals(call, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()

@@ -10,12 +10,14 @@ from chainbounds import (
     DomainError,
     ModelError,
     bounds,
+    chaining,
     conversions,
     orlicz,
     processes,
     results,
     rip,
     schatten,
+    space_from_points,
     validation,
 )
 from chainbounds.errors import check_array, check_int, check_number, check_real
@@ -211,3 +213,110 @@ def test_check_array_returns_float_input_uncopied():
     assert check_array("e", np.zeros((0, 3)), 2, empty_ok=True).shape == (0, 3)
     with pytest.raises(DomainError, match=r"^e must be nonempty, got shape \(0, 3\)$"):
         check_array("e", np.zeros((0, 3)), 2)
+
+
+# ------------------------------------------------------------ index lists
+
+
+def _line(n):
+    return space_from_points(np.arange(float(n))[:, None])
+
+
+# site: call on an index list (3 points or rows)
+_INDEX_SITES = {
+    "subsample": (lambda I: rip.subsample(np.eye(3), I, 1), "selector indices"),
+    "admissible_sets": (lambda I: chaining.admissible_sets(_line(3), [[0], I]), "level 1"),
+    "admissible_partitions": (lambda I: chaining.admissible_partitions(
+        _line(3), [[[0, 1, 2]], [I, [0]]]), "level 1 cell 0"),
+}
+
+
+@pytest.mark.parametrize("bad, rule", [
+    ([1.7, 2], "must hold integers, got 1.7 at entry [0]"),
+    ([True, False], "must hold real numbers, got dtype bool"),
+    ([[1, 2]], "must be a 1-D array, got shape (1, 2)"),
+    ([1.5, math.nan], "must be finite, got nan at entry [1]"),
+    (1, "must be a 1-D array, got shape ()"),
+    (["1", "2"], "must hold real numbers, got dtype <U1"),
+], ids=["fraction", "bool", "nested", "nan", "scalar", "string"])
+@pytest.mark.parametrize("site", sorted(_INDEX_SITES))
+def test_every_index_list_refuses_what_is_no_index_by_name(site, bad, rule):
+    # no entry is truncated to an index, and no numpy error escapes
+    call, name = _INDEX_SITES[site]
+    with pytest.raises(DomainError, match=f"^{re.escape(name + ' ' + rule)}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("site", sorted(_INDEX_SITES))
+def test_integral_float_indices_are_taken_as_check_int_takes_them(site):
+    call, _ = _INDEX_SITES[site]
+    call([1.0, 2.0])
+    call(np.array([1, 2]))
+
+
+def test_out_of_range_indices_keep_their_messages():
+    with pytest.raises(DomainError, match=r"^selector indices must lie in \[0, 3\)$"):
+        rip.subsample(np.eye(3), [3], 1)
+    with pytest.raises(DomainError, match="^level 1 has an out-of-range point index$"):
+        chaining.admissible_sets(_line(3), [[0], [-1]])
+    with pytest.raises(DomainError, match="^level 1 has an out-of-range point index$"):
+        chaining.admissible_partitions(_line(3), [[[0, 1, 2]], [[0, 1, 5], [2]]])
+    assert rip.subsample(np.eye(3), [], 1).shape == (0, 3)
+
+
+# ------------------------------------------------------------ matrix families
+
+
+@pytest.mark.parametrize("call", [
+    schatten.schatten_radii, schatten.matrix_set_space, processes.exact_chaos_distribution,
+    validation.check_symmetrization_decoupling,
+    lambda family: processes.simulate_chaos(family, _RADEMACHER, 10, 0),
+], ids=["schatten_radii", "matrix_set_space", "exact_chaos_distribution",
+        "check_symmetrization_decoupling", "simulate_chaos"])
+@pytest.mark.parametrize("family", [5, 2.5, None])
+def test_a_matrix_family_that_is_no_sequence_is_refused_by_name(call, family):
+    with pytest.raises(DomainError, match="^matrices must be a family of matrices, got "):
+        call(family)
+
+
+def test_symmetrization_check_takes_a_scalar_order_as_estimate_moments_does():
+    report = validation.check_symmetrization_decoupling([np.eye(2)], p_list=2.0)
+    listed = validation.check_symmetrization_decoupling([np.eye(2)], p_list=[2.0])
+    assert report == listed
+    with pytest.raises(DomainError, match="^moment order p must be a real number"):
+        validation.check_symmetrization_decoupling([np.eye(2)], p_list="2")
+
+
+# ------------------------------------------------------------ supremum samples
+
+
+def test_a_sample_copies_the_arrays_it_is_given_and_the_caller_may_write_them():
+    values, companion = np.ones(3), np.zeros(3)
+    sample = processes.SupremumSample(3, 0, values, companions={"x": companion})
+    values[0] = 2.0
+    companion[0] = 5.0
+    assert sample.values.tolist() == [1.0, 1.0, 1.0]
+    assert sample.companions["x"].tolist() == [0.0, 0.0, 0.0]
+    assert not sample.values.flags.writeable and not sample.companions["x"].flags.writeable
+    view = values[:]
+    view.setflags(write=False)  # read-only, but its owner is not
+    sample = processes.SupremumSample(3, 0, view)
+    values[1] = 3.0
+    assert sample.values.tolist() == [2.0, 1.0, 1.0]
+
+
+def test_a_simulated_sample_keeps_its_rows_uncopied():
+    sample = processes.simulate_squares(
+        processes.squares_model(np.eye(2), _RADEMACHER), 2, 10, 0)
+    assert sample.values.base is not None
+    assert sample.values.base is sample.companions["sup_l2_norm"].base
+
+
+@pytest.mark.parametrize("companion, rule", [
+    ([math.nan, 1.0], "must be finite, got nan at entry [0]"),
+    ([True, False], "must hold real numbers, got dtype bool"),
+    (["a", "b"], "must hold real numbers, got dtype <U1"),
+], ids=["nan", "bool", "string"])
+def test_a_sample_refuses_a_bad_companion_by_name(companion, rule):
+    with pytest.raises(ModelError, match=f"^companion 'x' {re.escape(rule)}$"):
+        processes.SupremumSample(2, 0, np.ones(2), companions={"x": companion})

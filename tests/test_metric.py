@@ -775,3 +775,21 @@ def test_pairwise_kernel_wastes_at_most_n_ceil_n_over_8_half_pairs(n, shape):
             for j in range(i + 1, n):
                 loop[i, j] = loop[j, i] = reduce((pts[i] - pts[j])[None, None])[0, 0]
         assert np.array_equal(d.view(np.int64), loop.view(np.int64)), name
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_metric_space([[0, math.nan], [math.nan, 0]]),
+     "non-finite distance at entry (0, 1)"),
+    (lambda: space_from_points(np.zeros((2, 2, 2))),
+     "points must be a 2-d array, got shape (2, 2, 2)"),
+    (lambda: space_from_points([[0], [1]], norm="l3"),
+     "unknown norm 'l3' (expected l1, l2, or linf)"),
+    (lambda: metric.FiniteMetricSpace(labels=(), dist=np.zeros((0, 0))).diameter(),
+     "empty space has no diameter"),
+    (lambda: build_metric_space(np.zeros((2, 2))).min_positive_distance(),
+     "space has no positive pairwise distance"),
+], ids=["non-finite distance", "3-D points", "unknown norm", "empty diameter",
+        "no positive distance"])
+def test_metric_refusals(call, message):
+    with pytest.raises(MetricValidationError, match=f"^{re.escape(message)}$"):
+        call()

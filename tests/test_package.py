@@ -1,5 +1,6 @@
 """The package surface, the demos, and the caps the README states."""
 
+import ast
 import importlib
 import inspect
 import os
@@ -162,3 +163,34 @@ def test_no_public_callable_takes_a_caller_set_cap():
             continue
         taken += [f"{name}({p})" for p in params if p.endswith("_cap") or p in _FIXED_SETTINGS]
     assert [t for t in taken if t not in _RECORDED] == []
+
+
+def _functions_calling(module: str, call: str) -> list[str]:
+    """Names of the module-level functions of chainbounds/<module>.py whose
+    source holds call."""
+    source = (ROOT / "src" / "chainbounds" / f"{module}.py").read_text(encoding="utf-8")
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and call in ast.get_source_segment(source, node)]
+
+
+def test_one_constructor_per_bound_form():
+    # Every TailBound is built, and a given u checked, by conversions._tail;
+    # in bounds.py only the fitted-family helper and hanson_wright_tail (whose
+    # rate may come from c_fit instead) look up a constant with no derived value.
+    built = {}
+    for path in sorted((ROOT / "src" / "chainbounds").glob("*.py")):
+        count = path.read_text(encoding="utf-8").count("TailBound(")
+        if count:
+            built[path.name] = count
+    assert built == {"conversions.py": 1}
+    assert _functions_calling("conversions", "TailBound(") == ["_tail"]
+    assert _functions_calling("bounds", "registry.require(") == [
+        "_fitted_bound", "hanson_wright_tail"]
+
+
+def test_the_gamma_auto_rule_lives_in_chaining():
+    # chainbounds gamma and schatten_radii ask chaining._gamma_search which
+    # search answers; neither resolves a mode itself.
+    for module in ("cli", "schatten"):
+        source = (ROOT / "src" / "chainbounds" / f"{module}.py").read_text(encoding="utf-8")
+        assert "_exact_entries" not in source and "_gamma_mode" not in source, module

@@ -802,3 +802,36 @@ def test_process_model_refuses_a_kind_no_builder_makes(kind):
     with pytest.raises(UnsupportedFamilyError, match=f"unknown process kind {kind!r}"):
         ProcessModel(kind=kind, labels=("a",))
     assert processes.MODEL_KINDS == ("gaussian", "martingale-family", "empirical", "squares")
+
+
+_NOT_PSD = ProcessModel(kind="gaussian", labels=("a", "b"),
+                        covariance=np.array([[1.0, 2.0], [2.0, 1.0]]))
+_SIGNS = RowDistribution("rademacher")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: gaussian_model(np.eye(2), labels=["a"]), ModelError,
+     "label count must match covariance size"),
+    (lambda: martingale_model(np.eye(2), step_bounds=np.ones((2, 3))), ModelError,
+     "step_bounds must match coefficients in shape (2, 2), got (2, 3)"),
+    (lambda: empirical_model(np.eye(2), "rademacher"), ModelError,
+     "base must be a RowDistribution"),
+    (lambda: simulate_chaos([np.eye(2)], "rademacher", 10, 0), ModelError,
+     "xi must be a RowDistribution"),
+    (lambda: RowDistribution("gaussian", mean_known=False).second_moment(), ModelError,
+     "row second moment not attested; supply a distribution with mean_known=True"),
+    (lambda: gaussian_model(np.eye(2)).psi_norm_matrix(2), UnsupportedFamilyError,
+     "psi-norm matrices apply to empirical/squares models, not 'gaussian'"),
+    (lambda: mixed_metrics(squares_model(np.eye(2), _SIGNS)), UnsupportedFamilyError,
+     "mixed metrics apply to empirical models, not 'squares'"),
+    (lambda: simulate_gaussian(empirical_model(np.eye(2), _SIGNS), 10, 0),
+     UnsupportedFamilyError, "expected a 'gaussian' model, got 'empirical'"),
+    (lambda: simulate_gaussian(_NOT_PSD, 10, 0), ModelError,
+     "covariance is not positive semidefinite (min eigenvalue -1.000e+00)"),
+    (lambda: SupremumSample(2, 0, np.ones(2), companions={"x": np.ones(3)}), ModelError,
+     "companion 'x' must match the replication count"),
+], ids=["label count", "step_bounds shape", "base", "xi", "second moment", "psi-norm matrix",
+        "mixed metrics", "simulator kind", "raw covariance not PSD", "companion length"])
+def test_process_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
