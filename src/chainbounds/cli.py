@@ -57,7 +57,6 @@ from .processes import (
 from .registry import DEFAULT_REGISTRY, ConstantRegistry
 from .results import MomentBound, TailBound
 from .rip import (
-    build_dft,
     estimate_failure_probability,
     sample_complexity,
     subsampled_instance,
@@ -72,7 +71,7 @@ from .serialize import (
     write_csv,
     write_json,
 )
-from .validation import estimate_moments, validate_bound
+from .validation import _moment_orders, _u_grid, estimate_moments, validate_bound
 
 OUTPUT_DIR_ENV = "CHAINBOUNDS_OUTPUT_DIR"
 CURVE_FIELDS = ("m", "estimate", "ci_lower", "ci_upper", "failures", "reps", "mean_realized_rows")
@@ -471,7 +470,23 @@ def _cmd_simulate(args) -> int:
     reps = args.reps if args.reps is not None else config.get("reps", 0)
     reps = check_int("reps (config or --reps)", reps, 1)
     reg, fit = _registry(args, inline=config.get("fit"))
-    sample = _run_model(config["model"], reps, seed)
+    spec = config["model"]
+    # The bound, its u_grid and the moment orders are read before the model
+    # runs, so a faulty one costs no simulation.
+    if "bound" in config:
+        bound_spec = config["bound"]
+        bound = _build_bound(bound_spec["name"], bound_spec.get("params", {}), reg)
+        if not isinstance(bound, (TailBound, MomentBound)):
+            raise DomainError(f"bound {bound_spec['name']!r} is not validatable")
+        u_grid = config.get("u_grid")
+        if isinstance(bound, TailBound):
+            if u_grid is None:
+                raise DomainError("tail-bound validation needs a u_grid in the config")
+            _u_grid(u_grid)
+    else:
+        p_list = config.get("p_list", [1.0])
+        _moment_orders(p_list)
+    sample = _run_model(spec, reps, seed)
     payload: dict = {
         "seed": seed,
         "reps": reps,
@@ -485,17 +500,9 @@ def _cmd_simulate(args) -> int:
     rows = None
     code = 0
     if "bound" in config:
-        bound_spec = config["bound"]
-        bound = _build_bound(bound_spec["name"], bound_spec.get("params", {}), reg)
-        if not isinstance(bound, (TailBound, MomentBound)):
-            raise DomainError(f"bound {bound_spec['name']!r} is not validatable")
-        u_grid = config.get("u_grid")
-        if isinstance(bound, TailBound) and u_grid is None:
-            raise DomainError("tail-bound validation needs a u_grid in the config")
         rows, code = _record_validation(validate_bound(sample, bound, u_grid=u_grid), payload)
         payload["rows"] = rows
     else:
-        p_list = config.get("p_list", [1.0])
         ests = estimate_moments(sample, p_list)
         payload["moments"] = [
             {"p": e.p, "estimate": e.estimate, "ci_low": e.ci_low, "ci_high": e.ci_high}
@@ -530,7 +537,7 @@ def _cmd_rip(args) -> int:
         return 0
     seed = _require_seed(args.seed)
     if args.action == "exact":
-        inst = subsampled_instance(build_dft(args.N), args.m, seed)
+        inst = subsampled_instance(None, args.m, seed, N=args.N)
         report = inst.delta(args.s)
         config = {"action": "exact", "N": args.N, "m": args.m, "s": args.s, "seed": seed}
         payload = {
@@ -581,9 +588,10 @@ def _cmd_chaos(args) -> int:
     contents = load_json(args.matrices)
     mats = _matrices(contents)
     xi = RowDistribution(name=args.xi, scale=args.scale)
+    reg, fit = _registry(args)
+    u_grid = None if args.u_grid is None else _parse_float_list(args.u_grid, "--u-grid")
     radii = schatten_radii(mats, gamma_mode="auto")
     sample = simulate_chaos(mats, xi, args.reps, seed, decoupled=args.decoupled)
-    reg, fit = _registry(args)
     config = {
         "matrices": config_hash(contents), "xi": args.xi, "scale": args.scale, "reps": args.reps,
         "seed": seed, "decoupled": args.decoupled, "u_grid": args.u_grid, "fit": fit,
@@ -606,8 +614,7 @@ def _cmd_chaos(args) -> int:
     )
     rows = None
     code = 0
-    if args.u_grid is not None:
-        u_grid = _parse_float_list(args.u_grid, "--u-grid")
+    if u_grid is not None:
         bound = chaos_supremum_bound(radii, xi.psi_norm(2), u=min(u_grid), registry=reg)
         rows, code = _record_validation(validate_bound(sample, bound, u_grid=u_grid), payload)
     _emit(args, "chaos", config, payload, rows=rows)

@@ -26,6 +26,13 @@ Rayleigh bracket, widened by eigvalsh's backward error, answers that for most
 replications; eigvalsh runs on the blocks it leaves open, so every failure
 count is the one eigvalsh on every block gives.  The exact constant runs
 eigvalsh on every support.
+
+The discrete Fourier matrix, U = None, skips the N x N Gram: its Gram is
+circulant, one FFT per draw gives it, and delta_S is constant on translation
+classes of supports.  The kernel above reruns only the supports whose
+circulant value lies within a certified margin of the decision, so the DFT's
+constants, witnesses and failure counts are the kernel's bit for bit (see
+_circulant_failures and _dft_maximum, refused through _classes).
 """
 
 from __future__ import annotations
@@ -84,7 +91,26 @@ def build_dft(N: int) -> np.ndarray:
     N = check_int("N", N, 1)
     _check_table_budget(f"discrete Fourier matrix refused: N = {N}, an N^2 table", N * N)
     k = np.arange(N)
-    return np.exp(2j * np.pi * np.outer(k, k) / N) / math.sqrt(N)
+    return _dft_entries(k, k, N)
+
+
+def _dft_entries(rows, cols, N: int) -> np.ndarray:
+    """build_dft(N)[rows][:, cols], entry for entry the same floats, without the N x N table."""
+    return np.exp(2j * np.pi * np.outer(rows, cols) / N) / math.sqrt(N)
+
+
+def _dft_flatness(N: int) -> float:
+    """sqrt(N) max |build_dft(N)[k, l]|, the attained K, from blocks of rows.
+
+    An entry depends on k and l only through the product kl, so the rows'
+    entries on and right of the diagonal hold every value; no block holds
+    more than _CACHED_ENTRIES of them.
+    """
+    k = np.arange(N)
+    step = max(1, _CACHED_ENTRIES // N)
+    top = max(float(np.abs(_dft_entries(k[lo:lo + step], k[lo:], N)).max())
+              for lo in range(0, N, step))
+    return math.sqrt(N) * top
 
 
 def _as_unitary(U) -> np.ndarray:
@@ -161,9 +187,15 @@ def _supports(N: int, s: int) -> np.ndarray:
     n_supports = math.comb(N, s)
     _check_table_budget(
         f"support enumeration refused: C({N}, {s}) supports of {s} indices, a table",
-        max(n_supports * s, N * N if s > 1 else 0, min(n_supports, _BATCH) * s * s))
+        _enumeration_entries(N, s))
     small = n_supports * s <= _CACHED_ENTRIES
     return (_cached_support_table if small else _support_table)(N, s)
+
+
+def _enumeration_entries(N: int, s: int) -> int:
+    """The entries of the largest table of the enumeration of the size-s supports of N columns."""
+    n_supports = math.comb(N, s)
+    return max(n_supports * s, N * N if s > 1 else 0, min(n_supports, _BATCH) * s * s)
 
 
 def _grams(weights: np.ndarray, A: np.ndarray, s: int) -> np.ndarray:
@@ -192,9 +224,14 @@ def _block_deltas(grams: np.ndarray, rows: np.ndarray, supports: np.ndarray) -> 
     for lo in range(0, rows.size, _BATCH):
         r = rows[lo:lo + _BATCH, None, None]
         S = supports[lo:lo + _BATCH]
-        w = np.linalg.eigvalsh(grams[r, S[:, :, None], S[:, None, :]])
-        out[lo:lo + _BATCH] = np.maximum(w[:, -1] - 1.0, 1.0 - w[:, 0])
+        out[lo:lo + _BATCH] = _deltas(grams[r, S[:, :, None], S[:, None, :]])
     return out
+
+
+def _deltas(blocks: np.ndarray) -> np.ndarray:
+    """max(lambda_max - 1, 1 - lambda_min) of each Hermitian block of a stack, by eigvalsh."""
+    w = np.linalg.eigvalsh(blocks)
+    return np.maximum(w[:, -1] - 1.0, 1.0 - w[:, 0])
 
 
 def _support_brackets(grams: np.ndarray, supports: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -250,14 +287,205 @@ def _screened_failures(grams: np.ndarray, supports: np.ndarray, delta: float) ->
     return int(np.count_nonzero(fails))
 
 
-def restricted_isometry_constant(A, s: int) -> RipReport:
+# ---------------------------------------------------------------- the subsampled DFT
+#
+# With A = sqrt(N/m) F[I] for the N-point DFT F and kept rows I, the Gram is
+# circulant: G_kl = (1/m) sum_{i in I} e^{2 pi i i (l - k) / N} = g[(l - k) mod N]
+# with g = conj(FFT(mask)) / m, so one length-N FFT gives every entry.  Every
+# support S has a translate S - j (mod N) that holds 0, and G[S, S] is G[S - j,
+# S - j] with rows and columns permuted, so delta_S is constant on translation
+# classes and the C(N - 1, s - 1) supports holding 0, the class table, carry
+# every value.  The circulant values decide; only values within the margin
+# _circulant_margin of the decision go through the kernel above, on the s x s
+# blocks of the kept rows' columns, so the constant, its witness and every
+# failure count are those of the N x N Gram kernel.
+
+
+def _class_table(N: int, s: int) -> np.ndarray:
+    """Read-only (C(N - 1, s - 1), s) table of the size-s supports holding 0, in lexicographic order."""
+    if s == 1:
+        table = np.zeros((1, 1), dtype=np.intp)
+    else:
+        rest = _support_table(N - 1, s - 1)
+        table = np.hstack([np.zeros((rest.shape[0], 1), dtype=np.intp), rest + 1])
+    table.flags.writeable = False
+    return table
+
+
+_cached_class_table = functools.lru_cache(maxsize=4)(_class_table)
+
+
+def _classes(N: int, s: int) -> np.ndarray:
+    """_class_table(N, s), kept across calls if it holds at most _CACHED_ENTRIES indices.
+
+    A CapacityError refuses it first, through errors._check_table_budget,
+    when the largest table of the DFT path would pass the budget: the class
+    table, the N translates of one class (which hold one replication's
+    length-N circulant row), or one eigvalsh stack of at most _BATCH class
+    blocks.  The circulant path builds no N x N table.
+    """
+    n_classes = math.comb(N - 1, s - 1)
+    _check_table_budget(
+        f"support enumeration refused: C({N - 1}, {s - 1}) translation classes of {s} "
+        f"indices, a table",
+        max(n_classes * s, N * s, min(n_classes, _BATCH) * s * s))
+    small = n_classes * s <= _CACHED_ENTRIES
+    return (_cached_class_table if small else _class_table)(N, s)
+
+
+def _circulant_rows(keep: np.ndarray, m: int) -> np.ndarray:
+    """(R, N) rows g with G_kl = g[(l - k) mod N] for the kept rows of sqrt(N/m) F."""
+    return np.fft.fft(keep, axis=1).conj() / m
+
+
+def _class_deltas(g: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """(R, C) values delta_S of the circulant Grams with first rows g on the classes.
+
+    delta_S = |g_0 - 1| on a singleton and |g_0 - 1| + |g_d| on {0, d}, the
+    extreme eigenvalues of [[g_0, g_d], [conj(g_d), g_0]] being g_0 +- |g_d|;
+    larger classes go through eigvalsh, in stacks of at most _BATCH blocks
+    that fit the table budget.
+    """
+    (R, N), (C, s) = g.shape, classes.shape
+    dev = np.abs(g[:, :1].real - 1.0)
+    if s == 1:
+        return dev
+    if s == 2:
+        return dev + np.abs(g[:, classes[:, 1]])
+    out = np.empty(R * C)
+    step = max(1, min(_BATCH, errors._TABLE_BUDGET // (s * s)))
+    for lo in range(0, R * C, step):
+        pairs = np.arange(lo, min(lo + step, R * C))
+        S = classes[pairs % C]
+        out[lo:lo + step] = _deltas(g[(pairs // C)[:, None, None],
+                                      (S[:, None, :] - S[:, :, None]) % N])
+    return out.reshape(R, C)
+
+
+def _circulant_margin(g: np.ndarray, s: int) -> np.ndarray:
+    """Per row g, a tau >= |circulant delta_S - kernel delta_S| on every support S.
+
+    Let max |g| >= g_0 = |I| / m bound the Gram entries.  The kernel's
+    entries e^{2 pi i kl / N} / sqrt(N) have phases rounded by at most
+    1.5 eps 2 pi kl / N < 3 pi N eps, so each of its Gram entries, a sum of
+    |I| products of modulus 1 / m, lies within ((6 pi + 1) N + O(1)) eps
+    max |g| of the exact one.  The FFT's entries lie within 7 log2(N) eps
+    ||FFT(mask)||_2 / m <= 7 log2(N) sqrt(N / |I|) eps |I| / m < 7.5 N eps
+    max |g| of it (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., section 24.1).  The two Grams thus differ entrywise by less than
+    32 N eps max |g|, and by Weyl their eigenvalues by less than s times
+    that.  eigvalsh adds p(s) eps ||G||_2 <= p(s) eps s max |g| to each (see
+    _support_brackets), so tau = (_SCREEN_TOL + 32 N eps)(1 + s max |g|)
+    covers both computations for any p(s) up to a million, with the final
+    subtraction of 1.
+    """
+    N = g.shape[1]
+    eps = np.finfo(float).eps
+    return (_SCREEN_TOL + 32 * N * eps) * (1.0 + s * np.abs(g).max(axis=1))
+
+
+def _translates(classes: np.ndarray, N: int):
+    """The N translates (S + c) mod N, each sorted, of the given classes, in
+    groups of max(1, min(C, _BATCH) // N) classes: at most max(N, min(C,
+    _BATCH)) supports a group.  A periodic class repeats its translates."""
+    shifts = np.arange(N)[:, None]
+    step = max(1, min(classes.shape[0], _BATCH) // N)
+    for lo in range(0, classes.shape[0], step):
+        moved = np.sort((classes[lo:lo + step, None, :] + shifts) % N, axis=2)
+        yield moved.reshape(-1, classes.shape[1])
+
+
+def _column_deltas(columns, n: int, supports: np.ndarray) -> np.ndarray:
+    """The kernel's delta_S on each support, from columns(cols), the n x len(cols)
+    columns cols of the rescaled kept rows.
+
+    Each s x s block is the einsum Gram of its columns with unit row weights,
+    the same sum of the same products as the N x N Gram's entries (and with
+    0/1 weights over all N rows, whose unselected rows add exact zeros), so
+    the value is bit for bit the one the kernel reads off that Gram.
+    Supports are taken at most _CACHED_ENTRIES // (n s) at a time.
+    """
+    C, s = supports.shape
+    step = max(1, min(_BATCH, _CACHED_ENTRIES // max(1, n * s)))
+    ones = np.ones(n)
+    out = np.empty(C)
+    for lo in range(0, C, step):
+        S = supports[lo:lo + step]
+        X = columns(S.ravel()).reshape(n, S.shape[0], s)
+        out[lo:lo + step] = _deltas(np.einsum("i,ick,icl->ckl", ones, X.conj(), X))
+    return out
+
+
+def _dft_maximum(A: np.ndarray, s: int, I: np.ndarray, m: int) -> tuple[float, tuple] | None:
+    """The kernel's largest delta_S over all supports of A = sqrt(N/m) F[I], and
+    its lexicographically first support, as the full enumeration finds them.
+
+    With tau from _circulant_margin and M the largest circulant value, the
+    kernel's maximum is at least M - tau, so every support attaining it has a
+    circulant value of at least M - 2 tau.  The kernel runs on every translate
+    of the classes there and nowhere else, on their s x s blocks of columns.
+    None when those translates outnumber the C(N, s) supports (as when every
+    row is kept and all classes tie) and the full enumeration fits the budget.
+    """
+    N = A.shape[1]
+    classes = _classes(N, s)
+    keep = np.zeros((1, N), dtype=bool)
+    keep[0, I] = True
+    g = _circulant_rows(keep, m)
+    values = _class_deltas(g, classes)[0]
+    tau = float(_circulant_margin(g, s)[0])
+    candidates = classes[values >= values.max() - 2.0 * tau]
+    if (candidates.shape[0] * N >= math.comb(N, s)
+            and _enumeration_entries(N, s) <= errors._TABLE_BUDGET):
+        return None
+    best_delta, best_support = -1.0, None
+    for supports in _translates(candidates, N):
+        deltas = _column_deltas(lambda cols: A[:, cols], A.shape[0], supports)
+        top = float(deltas.max())
+        tied = supports[deltas == top]
+        first = tuple(tied[np.lexsort(tied.T[::-1])[0]])
+        if top > best_delta or (top == best_delta and first < best_support):
+            best_delta, best_support = top, first
+    return best_delta, best_support
+
+
+def _circulant_failures(keep: np.ndarray, m: int, classes: np.ndarray, delta: float) -> int:
+    """How many of the R kept-row masks give the DFT a support whose kernel delta_S is >= delta.
+
+    A replication whose largest circulant value lies tau or more above
+    delta fails, and one whose value lies more than tau below it passes.
+    Otherwise the kernel runs on the translates of its classes whose value
+    reaches delta - tau, with the same >= delta test, from its kept rows'
+    columns alone, so the count is that of the N x N Gram kernel.
+    """
+    N, s = keep.shape[1], classes.shape[1]
+    g = _circulant_rows(keep, m)
+    values = _class_deltas(g, classes)
+    tau = _circulant_margin(g, s)
+    top = values.max(axis=1)
+    fails = top - tau >= delta
+    scale = math.sqrt(N / m)
+    for r in np.flatnonzero(~fails & (top + tau >= delta)):
+        I = np.flatnonzero(keep[r])
+
+        def columns(cols):
+            return scale * _dft_entries(I, cols, N)  # as sqrt(N / m) * build_dft(N)
+
+        fails[r] = any((_column_deltas(columns, I.size, supports) >= delta).any()
+                       for supports in _translates(classes[values[r] + tau[r] >= delta], N))
+    return int(np.count_nonzero(fails))
+
+
+def restricted_isometry_constant(A, s: int, *, dft=None) -> RipReport:
     """sup over unit s-sparse x of | ||A x||^2 - 1 |, by support enumeration.
 
     For each size-s support the extreme eigenvalues of the restricted Gram
     give the local sup; the global max is attained on a single support, with
-    lexicographically-first tie-breaking.  The one refusal is the table
-    budget's CapacityError, raised by _supports before the support table,
-    the Gram or any eigvalsh call.
+    lexicographically-first tie-breaking.  dft = (I, m) declares A to be
+    subsample(build_dft(N), I, m), and the value and witness are then found
+    through its circulant Gram (_dft_maximum), bit for bit the same.  The
+    one refusal is the table budget's CapacityError, raised by _supports (or
+    _classes) before the support table, the Gram or any eigvalsh call.
     """
     # a selection of no rows gives a 0 x N matrix, on which every delta_s is 1
     A = check_array("A", A, 2, complex_ok=True, empty_ok=True)
@@ -265,12 +493,20 @@ def restricted_isometry_constant(A, s: int) -> RipReport:
         raise DomainError(f"A must have at least one column, got shape {A.shape}")
     N = A.shape[1]
     s = check_int("s", s, 1, N)
-    supports = _supports(N, s)
-    gram = _grams(np.ones((1, A.shape[0])), A, s)
-    deltas = _block_deltas(gram, np.zeros(supports.shape[0], dtype=np.intp), supports)
-    k = int(np.argmax(deltas))  # the first maximum: lexicographically-first support
-    best_delta = float(deltas[k])
-    best_support = tuple(int(i) for i in supports[k])
+    found = None
+    if dft is not None:
+        I, m = dft
+        I = _check_indices("selector indices", I, N, f"selector indices must lie in [0, {N})")
+        if I.size != A.shape[0]:
+            raise DomainError(f"A has {A.shape[0]} rows for {I.size} selector indices")
+        found = _dft_maximum(A, s, I, check_int("m", m, 1, N))
+    if found is None:
+        supports = _supports(N, s)
+        gram = _grams(np.ones((1, A.shape[0])), A, s)
+        deltas = _block_deltas(gram, np.zeros(supports.shape[0], dtype=np.intp), supports)
+        k = int(np.argmax(deltas))  # the first maximum: lexicographically-first support
+        found = float(deltas[k]), supports[k]
+    best_delta, best_support = found[0], tuple(int(i) for i in found[1])
     cols = A[:, best_support]
     gram = cols.conj().T @ cols
     w, V = np.linalg.eigh(gram)
@@ -292,14 +528,18 @@ def restricted_isometry_constant(A, s: int) -> RipReport:
 
 @dataclass(frozen=True)
 class RipInstance:
-    """One realized subsampled-unitary draw plus its scaled row matrix."""
+    """One realized subsampled-unitary draw plus its scaled row matrix.
+
+    U is None for the discrete Fourier matrix, whose delta goes through its
+    circulant Gram.
+    """
 
     N: int
     m: int
     K: float
     selector_seed: int
     I: tuple
-    U: np.ndarray
+    U: np.ndarray | None
     U_I: np.ndarray
 
     @property
@@ -307,25 +547,41 @@ class RipInstance:
         return len(self.I)
 
     def delta(self, s: int) -> RipReport:
-        return restricted_isometry_constant(self.U_I, s)
+        dft = None if self.U is not None else (self.I, self.m)
+        return restricted_isometry_constant(self.U_I, s, dft=dft)
 
 
-def subsampled_instance(U, m: int, seed: int, K: float | None = None, rep: int = 0) -> RipInstance:
+def subsampled_instance(U, m: int, seed: int, K: float | None = None, rep: int = 0, *,
+                        N: int | None = None) -> RipInstance:
     """Draw selectors for a unitary U and package the rescaled row matrix.
 
+    U = None is the N x N discrete Fourier matrix: its kept rows are computed
+    as build_dft computes them, without the N x N table, and the instance
+    records U = None.  Its flatness K still reads all N^2 entries, a row
+    block at a time, so N^2 must fit errors._TABLE_BUDGET as for build_dft.
     K defaults to the attained sqrt(N) * max |U_kl|; an explicit smaller K is
     rejected because the flatness premise would be false.
     """
-    U = _as_unitary(U)
-    N = U.shape[0]
+    if U is None:
+        N = check_int("N", N, 1)
+        _check_table_budget(f"discrete Fourier matrix refused: N = {N}, an N^2 table", N * N)
+    else:
+        U = _as_unitary(U)
+        if N is not None and check_int("N", N, 1) != U.shape[0]:
+            raise DomainError(f"N = {N} does not match the {U.shape[0]} x {U.shape[0]} U")
+        N = U.shape[0]
     m = check_int("m", m, 1, N)
     seed = check_int("seed", seed, 0, SEED_MAX)
-    attained = math.sqrt(N) * float(np.abs(U).max())
+    attained = _dft_flatness(N) if U is None else math.sqrt(N) * float(np.abs(U).max())
     if K is None:
         K = attained
     elif attained > K + 1e-12:
         raise DomainError(f"declared K = {K:g} is below the attained flatness {attained:g}")
     I = sample_selectors(N, m, seed, rep)
+    if U is None:
+        U_I = math.sqrt(N / m) * _dft_entries(I, np.arange(N), N)  # as subsample() scales
+    else:
+        U_I = subsample(U, I, m)
     return RipInstance(
         N=N,
         m=m,
@@ -333,7 +589,7 @@ def subsampled_instance(U, m: int, seed: int, K: float | None = None, rep: int =
         selector_seed=int(seed),
         I=tuple(int(i) for i in I),
         U=U,
-        U_I=subsample(U, I, m),
+        U_I=U_I,
     )
 
 
@@ -395,27 +651,46 @@ def estimate_failure_probability(
 
     Replication rep draws its selectors from the stream of
     replication_rng(seed, rep), read off one Philox per call that is reset to
-    each replication's counter.  Its Gram is that of the rescaled unitary
-    with the 0/1 selectors as row weights, and it goes through the exact
-    constant's kernel, screened by _support_brackets: eigvalsh runs only on
-    the supports the bracket leaves open, so each failure count is the one
-    eigvalsh on every support gives.
+    each replication's counter.  Each failure count is the one eigvalsh on
+    every support of the replication's N x N Gram gives, that of the
+    rescaled unitary with the 0/1 selectors as row weights.
+
+    U = None costs one length-N FFT per replication, and an eigvalsh pass
+    over the C(N - 1, s - 1) class blocks for s >= 3 (_circulant_failures);
+    N^2 need not fit the table budget.  A user-supplied U costs an O(N^3)
+    einsum Gram per replication, screened by _support_brackets, with
+    eigvalsh on the supports the bracket leaves open.
     """
-    U = build_dft(N) if U is None else _as_unitary(U)
-    N = U.shape[0]
+    dft = U is None
+    if dft:
+        N = check_int("N", N, 1)
+    else:
+        U = _as_unitary(U)
+        N = U.shape[0]
     m = check_int("m", m, 1, N)
     reps = check_int("reps", reps, 1)
     seed = check_int("seed", seed, 0, SEED_MAX)
     check_real("delta", delta, 0.0)
     s = check_int("s", s, 1, N)
-    supports = _supports(N, s)
-    A = math.sqrt(N / m) * U  # scaled before the sums, as subsample() does
-    # Replications go through the kernel in chunks that fill one eigvalsh
-    # stack of _BATCH supports and whose Grams and blocks fit the table
-    # budget, and at least one, so memory does not grow with reps.
-    n_supports = supports.shape[0]
-    chunk = max(1, min(_BATCH // n_supports,
-                       errors._TABLE_BUDGET // max(N * N, n_supports * s * s)))
+    # Replications go through the kernel in chunks whose tables fit the
+    # budget (and one eigvalsh stack of _BATCH supports for a user U), and at
+    # least one, so memory does not grow with reps.
+    if dft:
+        classes = _classes(N, s)
+        width = max(N, classes.shape[0])
+        chunk = max(1, min(_BATCH, errors._TABLE_BUDGET) // width)
+
+        def count(keep):
+            return _circulant_failures(keep, m, classes, delta)
+    else:
+        supports = _supports(N, s)
+        A = math.sqrt(N / m) * U  # scaled before the sums, as subsample() does
+        n_supports = supports.shape[0]
+        chunk = max(1, min(_BATCH // n_supports,
+                           errors._TABLE_BUDGET // max(N * N, n_supports * s * s)))
+
+        def count(keep):
+            return _screened_failures(_grams(keep, A, s), supports, delta)
     streams = _replication_streams(seed)
     failures = 0
     realized = 0
@@ -423,7 +698,7 @@ def estimate_failure_probability(
         keep = np.array([_selector_mask(streams(rep), N, m)
                          for rep in range(lo, min(lo + chunk, reps))])
         realized += int(keep.sum())
-        failures += _screened_failures(_grams(keep, A, s), supports, delta)
+        failures += count(keep)
     return {
         "N": N,
         "m": m,

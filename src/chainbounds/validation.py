@@ -85,12 +85,27 @@ def _entries(values) -> list:
     return list(values) if isinstance(values, (list, tuple)) or np.ndim(values) else [values]
 
 
+def _moment_orders(p_list) -> list[float]:
+    """A moment estimate's orders p >= 1, checked entry by entry."""
+    return [check_real("moment order p", p, 1.0) for p in _entries(p_list)]
+
+
+def _u_grid(u_grid) -> np.ndarray:
+    """A tail validation's u values, typed by entry; NaN and the range are the bound's to refuse."""
+    if u_grid is None:
+        raise DomainError("tail-bound validation needs a u_grid")
+    grid = np.array([check_number("u_grid entry", u) for u in _entries(u_grid)])
+    if grid.size == 0:
+        raise DomainError("tail-bound validation needs a nonempty u_grid")
+    return grid
+
+
 def estimate_moments(sample: SupremumSample, p_list) -> list[MomentEstimate]:
     """(E sup^p)^(1/p) point estimates with percentile-bootstrap intervals."""
     values = sample.values
     if values.size == 0:
         raise DomainError("cannot estimate moments from an empty sample")
-    p_list = [check_real("moment order p", p, 1.0) for p in _entries(p_list)]
+    p_list = _moment_orders(p_list)
     # Powers of values / max (max taken as 1 for an all-zero sample) stay in
     # [0, 1], so a large p cannot overflow; the roots are scaled back by max.
     top = float(values.max()) or 1.0
@@ -184,12 +199,7 @@ def validate_bound(
     values = sample.values
     n = values.size
     if isinstance(bound, TailBound):
-        if u_grid is None:
-            raise DomainError("tail-bound validation needs a u_grid")
-        # Types by entry here; NaN and the range are the bound's to refuse.
-        u_grid = np.array([check_number("u_grid entry", u) for u in _entries(u_grid)])
-        if u_grid.size == 0:
-            raise DomainError("tail-bound validation needs a nonempty u_grid")
+        u_grid = _u_grid(u_grid)
         rows = []
         for u in u_grid:
             thr = bound.threshold(u)
@@ -263,7 +273,7 @@ def check_symmetrization_decoupling(
     n = stack.shape[2]
     if not 0.0 < check_number("selector_prob", selector_prob) < 1.0:
         raise DomainError(f"selector_prob must lie in (0, 1), got {selector_prob}")
-    p_list = [check_real("moment order p", p, 1.0) for p in _entries(p_list)]
+    p_list = _moment_orders(p_list)
     if table is not None:
         v = check_array("table", table, 2, nonnegative=True)
         if v.shape[1] != n:

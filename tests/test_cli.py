@@ -437,8 +437,9 @@ def test_rip_curve_over_the_enumeration_cap_draws_nothing(tmp_path, capsys, monk
     monkeypatch.setattr(rip, "_replication_streams", lambda *a: draws.append(a))
     code, out, err = run(["rip", "curve", "--N", "40", "--s", "10", "--delta", "0.5",
                           "--m-list", "4,8", "--seed", "1", "--out", str(tmp_path)], capsys)
-    assert code == 2 and ("support enumeration refused: C(40, 10) supports of 10 indices, a "
-                          "table of 8476605280 entries, above the budget of 4194304") in err
+    assert code == 2 and ("support enumeration refused: C(39, 9) translation classes of 10 "
+                          "indices, a table of 2119151320 entries, above the budget of "
+                          "4194304") in err
     assert out == "" and draws == []
 
 
@@ -840,4 +841,56 @@ def test_config_shape_refusals_exit_two(tmp_path, capsys, argv, message):
     argv = [arg.format(**paths) for arg in argv] + ["--out", str(tmp_path / "out")]
     code, _, err = run(argv, capsys)
     assert (code, err) == (2, f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def _computes(*args, **kwargs):
+    pytest.fail("computed before every input was read")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--u-grid", "1,a"], "--u-grid must be a comma-separated number list, got '1,a'"),
+    (["--u-grid", ","], "--u-grid must contain at least one value"),
+    (["--fit", "{missing}"], "No such file or directory"),
+    (["--fit", "{not_json}"], "Expecting property name"),
+    (["--u-grid", "1", "--fit", "{not_json}"], "Expecting property name"),
+])
+def test_chaos_reads_its_fit_and_u_grid_before_it_computes(tmp_path, capsys, monkeypatch, flags,
+                                                           message):
+    monkeypatch.setattr(cli, "schatten_radii", _computes)
+    monkeypatch.setattr(cli, "simulate_chaos", _computes)
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps(_CHAOS_MATRICES))
+    (tmp_path / "not_json.json").write_text("{")
+    files = {"missing": tmp_path / "missing.json", "not_json": tmp_path / "not_json.json"}
+    argv = ["chaos", "--matrices", str(family), "--reps", "10", "--seed", "1",
+            "--out", str(tmp_path / "out")] + [flag.format(**files) for flag in flags]
+    code, out, err = run(argv, capsys)
+    assert code == 2 and message in err and out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"bound": {"name": "union-constant"}}, "bound 'union-constant' is not validatable"),
+    ({"u_grid": None}, "tail-bound validation needs a u_grid in the config"),
+    ({"u_grid": []}, "tail-bound validation needs a nonempty u_grid"),
+    ({"u_grid": [1.0, "2"]}, "u_grid entry must be a real number, got '2'"),
+    ({"bound": {"name": "gaussian", "params": {}}}, "missing config field 'gamma2'"),
+    ({"bound": None, "p_list": [2.0, True]}, "moment order p must be a real number, got True"),
+    ({"bound": None, "p_list": [0.5]}, "moment order p must be finite and >= 1, got 0.5"),
+])
+def test_simulate_reads_its_bound_and_grids_before_the_model_runs(tmp_path, capsys, monkeypatch,
+                                                                  change, message):
+    monkeypatch.setattr(cli, "_run_model", _computes)
+    cfg = json.loads(gaussian_sim_config(tmp_path).read_text())
+    for key, value in change.items():
+        if value is None:
+            del cfg[key]
+        else:
+            cfg[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(["simulate", "--config", str(path), "--out", str(tmp_path / "out")],
+                         capsys)
+    assert code == 2 and message in err and out == ""
     assert not (tmp_path / "out").exists()

@@ -100,6 +100,30 @@ def test_readme_caps_match_the_code(module, constant):
     assert stated == getattr(importlib.import_module(f"chainbounds.{module}"), constant)
 
 
+def _circulant_admits(N: int, s: int) -> bool:
+    """Whether the DFT path's count admits (N, s), found without building its table."""
+    rip = importlib.import_module("chainbounds.rip")
+    with pytest.MonkeyPatch.context() as patched:
+        for name in ("_class_table", "_cached_class_table"):
+            patched.setattr(rip, name, lambda *args: None)
+        try:
+            rip._classes(N, s)
+        except cb.CapacityError:
+            return False
+    return True
+
+
+def test_readme_states_the_circulant_path_edges():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sentence = re.search(r"circulant path admits ([^(]*)\(", readme)
+    assert sentence, "README no longer states the circulant path's edges"
+    edges = [(int(s), int(N)) for s, N in re.findall(r"s = (\d+) up to N = (\d+)",
+                                                     sentence.group(1))]
+    assert [s for s, _ in edges] == [1, 2, 3, 4, 5]
+    for s, N in edges:
+        assert _circulant_admits(N, s) and not _circulant_admits(N + 1, s), (s, N)
+
+
 def test_one_budget_refuses_every_table_and_two_caps_every_space():
     # Exhaustive tables are refused only through errors._check_table_budget;
     # the only other CapacityErrors are metric's point caps, MAX_POINTS and

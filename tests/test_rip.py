@@ -51,18 +51,28 @@ def test_dft_rejects_bad_size():
 
 
 def test_dft_past_the_table_budget_is_refused_before_it_is_built(monkeypatch, tmp_path, capsys):
-    # N^2 > _TABLE_BUDGET (N > 2048): one N x N complex matrix at N = 50000
-    # alone would take 40 GB, so rip exact and rip curve stop at once.
+    # N^2 > _TABLE_BUDGET: build_dft, and rip exact, whose flatness K reads all
+    # N^2 entries, stop at once.  rip curve builds no N x N table: its largest
+    # is the class table, the N s translates of one class or one eigvalsh
+    # stack of class blocks, here 135 entries for C(6, 2) classes of 3 at N = 7.
     monkeypatch.setattr(errors, "_TABLE_BUDGET", 48)
-    monkeypatch.setattr(np, "outer", lambda *args: pytest.fail("built the matrix"))
-    with pytest.raises(CapacityError, match=r"N = 7, an N\^2 table of 49 entries, .* 48$"):
-        build_dft(7)
-    for argv in (["rip", "exact", "--N", "7", "--m", "3", "--s", "1", "--seed", "0"],
-                 ["rip", "curve", "--N", "7", "--s", "1", "--delta", "0.5", "--m-list", "3",
-                  "--seed", "0"]):
-        assert main(argv + ["--out", str(tmp_path)]) == 2
+    with monkeypatch.context() as patched:
+        patched.setattr(np, "outer", lambda *args: pytest.fail("built the matrix"))
+        with pytest.raises(CapacityError, match=r"N = 7, an N\^2 table of 49 entries, .* 48$"):
+            build_dft(7)
+        assert main(["rip", "exact", "--N", "7", "--m", "3", "--s", "1", "--seed", "0",
+                     "--out", str(tmp_path)]) == 2
         assert "N = 7, an N^2 table of 49 entries" in capsys.readouterr().err
-    assert not list(tmp_path.iterdir())
+        curve = ["rip", "curve", "--N", "7", "--delta", "0.5", "--m-list", "3", "--seed", "0",
+                 "--out", str(tmp_path)]
+        assert main(curve + ["--s", "3"]) == 2
+        assert ("C(6, 2) translation classes of 3 indices, a table of 135 entries, above the "
+                "budget of 48") in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+    monkeypatch.setattr(rip, "build_dft", lambda *args: pytest.fail("built the matrix"))
+    monkeypatch.setattr(rip, "_grams", lambda *args: pytest.fail("built a Gram"))
+    for s in ("1", "2"):  # 7 and max(2 C(6, 1), 2 7, 4 C(6, 1)) = 24 entries
+        assert main(curve + ["--s", s]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -543,11 +553,17 @@ def test_failure_probability_rejects_before_any_draw(monkeypatch):
         estimate_failure_probability(N=30, m=10, s=15, delta=0.5, reps=3, seed=0)
     with pytest.raises(DomainError):
         estimate_failure_probability(N=8, m=4, s=9, delta=0.5, reps=3, seed=0)
-    # the 8 x 8 Fourier matrix fits; the stack of 28 blocks of 2 x 2 does not
+    # a supplied 8 x 8 Fourier matrix fits; the stack of 28 blocks of 2 x 2 does not
     monkeypatch.setattr(errors, "_TABLE_BUDGET", 64)
     with pytest.raises(CapacityError, match=r"^support enumeration refused: C\(8, 2\) supports "
                                             r"of 2 indices, a table of 112 entries, above the "
                                             r"budget of 64$"):
+        estimate_failure_probability(N=8, m=4, s=2, delta=0.5, reps=3, seed=0, U=build_dft(8))
+    # U = None: the stack of the C(7, 1) class blocks of 2 x 2 passes 27
+    monkeypatch.setattr(errors, "_TABLE_BUDGET", 27)
+    with pytest.raises(CapacityError, match=r"^support enumeration refused: C\(7, 1\) translation "
+                                            r"classes of 2 indices, a table of 28 entries, above "
+                                            r"the budget of 27$"):
         estimate_failure_probability(N=8, m=4, s=2, delta=0.5, reps=3, seed=0)
     assert draws == []
 
@@ -606,7 +622,8 @@ def test_failure_probability_screens_each_chunk_once(monkeypatch):
 
     monkeypatch.setattr(rip, "_support_brackets", bracket)
     monkeypatch.setattr(rip, "_block_deltas", deltas)
-    estimate_failure_probability(N=16, m=8, s=2, delta=delta, reps=200, seed=1)
+    # a supplied U takes the screened path; U = None goes through the circulant Gram
+    estimate_failure_probability(N=16, m=8, s=2, delta=delta, reps=200, seed=1, U=build_dft(16))
     assert [len(grams) for grams, _ in chunks] == [34] * 5 + [30]
     assert [k for k, _, _ in blocks] == list(range(6))
     table = rip._supports(16, 2)
@@ -666,3 +683,92 @@ def test_reset_stream_forgets_a_half_used_buffer():
         np.testing.assert_array_equal(rng.integers(0, 7, 3, dtype=np.int32),
                                       fresh.integers(0, 7, 3, dtype=np.int32))
         np.testing.assert_array_equal(rng.random(5), fresh.random(5))
+
+
+# ---------------------------------------------------------------------------
+# the subsampled DFT through its circulant Gram
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 64), st.integers(1, 64), st.integers(0, 2**32 - 1))
+def test_circulant_gram_equals_the_einsum_gram(N, m, seed):
+    m = min(m, N)
+    keep = np.random.default_rng(seed).random((3, N)) < m / N
+    g = rip._circulant_rows(keep, m)
+    lags = (np.arange(N)[None, :] - np.arange(N)[:, None]) % N  # G_kl = g[(l - k) mod N]
+    einsum = rip._grams(keep, math.sqrt(N / m) * build_dft(N), 2)
+    # _circulant_margin takes the two Grams' entries to agree within
+    # 32 N eps max |g|; 1e-13 floors that bound at small N
+    scale = max(1.0, float(np.abs(g).max()))
+    bound = max(1e-13, 32 * N * np.finfo(float).eps) * scale
+    assert np.abs(g[:, lags] - einsum).max() <= bound
+
+
+def assert_dft_instance_matches(N, m, s, seed):
+    """The DFT path's instance and constant are those of the supplied build_dft(N), bit for bit."""
+    ours, full = subsampled_instance(None, m, seed, N=N), subsampled_instance(build_dft(N), m, seed)
+    assert ours.U is None and (ours.I, ours.K) == (full.I, full.K)
+    assert ours.U_I.tobytes() == full.U_I.tobytes()
+    a, b = ours.delta(s), full.delta(s)
+    assert (a.delta_s, a.witness_support, a.witness_value) == (
+        b.delta_s, b.witness_support, b.witness_value)
+    assert a.witness_direction.tobytes() == b.witness_direction.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 32), st.integers(1, 32), st.integers(1, 4), st.integers(0, 2**64 - 1))
+def test_dft_constant_is_the_enumeration_bit_for_bit(N, m, s, seed):
+    assert_dft_instance_matches(N, min(m, N), min(s, N), seed)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_dft_constant_on_all_and_no_rows(s):
+    # every row kept: G = I up to rounding and every class ties within the
+    # margin; no row kept: every delta_S is exactly 1
+    assert_dft_instance_matches(12, 12, s, 3)
+    seed = next(seed for seed in itertools.count() if sample_selectors(12, 1, seed).size == 0)
+    assert_dft_instance_matches(12, 1, s, seed)
+
+
+@pytest.mark.parametrize("N, s", [(N, s) for N in (8, 12, 16, 24, 32, 48, 64) for s in (1, 2, 3)
+                                  if s < 3 or N <= 32])
+def test_dft_failure_counts_are_the_enumerations(N, s):
+    U = build_dft(N)
+    for m in sorted({max(1, N // 4), N // 2, 3 * N // 4, N}):
+        for delta in (0.25, 0.5, 1.0):
+            ours = estimate_failure_probability(N, m, s, delta, 40, N + m)
+            assert ours == estimate_failure_probability(N, m, s, delta, 40, N + m, U=U)
+
+
+def test_dft_failure_counts_through_exact_ties():
+    # At N = 16, m = 8 and seed 12345, 11 of 200 draws have a delta_2 within
+    # 1e-9 of 0.5, so their counts follow the kernel's last bits.
+    streams = rip._replication_streams(12345)
+    keep = np.array([rip._selector_mask(streams(rep), 16, 8) for rep in range(200)])
+    g = rip._circulant_rows(keep, 8)
+    top = rip._class_deltas(g, rip._classes(16, 2)).max(axis=1)
+    assert np.count_nonzero(np.abs(top - 0.5) <= 1e-9) == 11
+    assert np.count_nonzero(np.abs(top - 0.5) <= rip._circulant_margin(g, 2)) == 11
+    ours = estimate_failure_probability(16, 8, 2, 0.5, 200, 12345)
+    assert ours == estimate_failure_probability(16, 8, 2, 0.5, 200, 12345, U=build_dft(16))
+    assert ours["failures"] == 164
+
+
+def test_the_dft_path_builds_no_n_by_n_table(monkeypatch):
+    for name in ("build_dft", "_grams", "_supports", "_as_unitary"):
+        monkeypatch.setattr(rip, name, lambda *args, name=name: pytest.fail(f"called {name}"))
+    assert estimate_failure_probability(64, 32, 3, 0.9, 20, 1)["reps"] == 20
+    assert subsampled_instance(None, 16, 1, N=64).delta(3).s == 3
+    # past build_dft's N = 2048: one FFT per draw, and a 2 x 4095 class table
+    assert estimate_failure_probability(4096, 2048, 2, 0.5, 5, 1)["failures"] == 0
+
+
+def test_dft_instance_checks_its_size():
+    with pytest.raises(DomainError, match="N must be"):
+        subsampled_instance(None, 2, 0)
+    with pytest.raises(DomainError, match="N = 5 does not match the 4 x 4 U"):
+        subsampled_instance(build_dft(4), 2, 0, N=5)
+    assert subsampled_instance(build_dft(4), 2, 0, N=4).I == subsampled_instance(None, 2, 0, N=4).I
+    A = subsampled_instance(None, 2, 0, N=4).U_I
+    with pytest.raises(DomainError, match="rows for"):
+        restricted_isometry_constant(A, 1, dft=((0, 1, 2, 3, 4)[:A.shape[0] + 1], 2))

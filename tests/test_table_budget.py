@@ -33,6 +33,7 @@ from chainbounds import (
     schatten_radii,
     sign_patterns,
     space_from_points,
+    subsampled_instance,
 )
 from chainbounds import chaining, errors, processes, rip, validation
 from chainbounds.cli import main
@@ -48,6 +49,8 @@ def _normal(*shape):
 
 _SUPPORT_BUILDERS = [(rip, "_support_table"), (rip, "_cached_support_table"), (rip, "_grams"),
                      (np.linalg, "eigvalsh")]
+_CLASS_BUILDERS = [(rip, "_class_table"), (rip, "_cached_class_table"), (np.fft, "fft"),
+                   (np.linalg, "eigvalsh")]
 
 # name: (call, entries of its largest table, (module, name) pairs a refused
 # call must not reach: the builders of that table)
@@ -85,8 +88,14 @@ _TABLES = {
     # eigvalsh stack of _BATCH 5 x 5 blocks
     "RIP constant": (lambda: restricted_isometry_constant(_normal(4, 22), 5), 26334 * 5,
                      _SUPPORT_BUILDERS),
-    "RIP curve": (lambda: estimate_failure_probability(22, 11, 5, 0.9, 1, 0), 26334 * 5,
-                  _SUPPORT_BUILDERS + [(rip, "_replication_streams")]),
+    "RIP curve": (lambda: estimate_failure_probability(22, 11, 5, 0.9, 1, 0, U=build_dft(22)),
+                  26334 * 5, _SUPPORT_BUILDERS + [(rip, "_replication_streams")]),
+    # The DFT path: one eigvalsh stack of the C(21, 4) = 5985 class blocks, at
+    # most _BATCH of them, of 5 x 5 each, more than the class table
+    "RIP constant, DFT": (lambda: subsampled_instance(None, 11, 0, N=22).delta(5), 4096 * 25,
+                          _CLASS_BUILDERS),
+    "RIP curve, DFT": (lambda: estimate_failure_probability(22, 11, 5, 0.9, 1, 0), 4096 * 25,
+                       _CLASS_BUILDERS + [(rip, "_replication_streams")]),
 }
 
 
