@@ -293,21 +293,37 @@ def _screened_failures(grams: np.ndarray, supports: np.ndarray, delta: float) ->
 # circulant: G_kl = (1/m) sum_{i in I} e^{2 pi i i (l - k) / N} = g[(l - k) mod N]
 # with g = conj(FFT(mask)) / m, so one length-N FFT gives every entry.  Every
 # support S has a translate S - j (mod N) that holds 0, and G[S, S] is G[S - j,
-# S - j] with rows and columns permuted, so delta_S is constant on translation
-# classes and the C(N - 1, s - 1) supports holding 0, the class table, carry
-# every value.  The circulant values decide; only values within the margin
-# _circulant_margin of the decision go through the kernel above, on the s x s
-# blocks of the kept rows' columns, so the constant, its witness and every
-# failure count are those of the N x N Gram kernel.
+# S - j] with rows and columns permuted; G[-S, -S] is its conjugate, since
+# g[-d] = conj(g[d]).  So delta_S is constant on the classes of supports under
+# translation and reflection, and one support holding 0 per class, the class
+# table, carries every value.  The circulant values decide; only values within
+# the margin _circulant_margin of the decision go through the kernel above, on
+# the s x s blocks of the kept rows' columns, so the constant, its witness and
+# every failure count are those of the N x N Gram kernel.
 
 
 def _class_table(N: int, s: int) -> np.ndarray:
-    """Read-only (C(N - 1, s - 1), s) table of the size-s supports holding 0, in lexicographic order."""
+    """Read-only table, in lexicographic order, of one size-s support holding 0 per class.
+
+    A support 0 = a_0 < ... < a_{s-1} holding 0 is fixed by its cyclic gaps
+    (a_1 - a_0, ..., N - a_{s-1}); translating another a_j to 0 rotates
+    them, and reflecting reverses them.  The row kept is the one whose gaps
+    come first, lexicographically, among those 2s sequences.  It is read off
+    the C(N - 1, s - 1) supports holding 0.
+    """
     if s == 1:
         table = np.zeros((1, 1), dtype=np.intp)
     else:
         rest = _support_table(N - 1, s - 1)
         table = np.hstack([np.zeros((rest.shape[0], 1), dtype=np.intp), rest + 1])
+        gaps = np.diff(table, axis=1, append=N)
+        first = np.ones(table.shape[0], dtype=bool)
+        for other in (gaps, gaps[:, ::-1]):
+            for r in range(s):
+                diff = np.roll(other, -r, axis=1) - gaps
+                lead = diff[np.arange(diff.shape[0]), (diff != 0).argmax(axis=1)]
+                first &= lead >= 0  # gaps <= the rotation, lexicographically
+        table = table[first]
     table.flags.writeable = False
     return table
 
@@ -319,15 +335,16 @@ def _classes(N: int, s: int) -> np.ndarray:
     """_class_table(N, s), kept across calls if it holds at most _CACHED_ENTRIES indices.
 
     A CapacityError refuses it first, through errors._check_table_budget,
-    when the largest table of the DFT path would pass the budget: the class
-    table, the N translates of one class (which hold one replication's
-    length-N circulant row), or one eigvalsh stack of at most _BATCH class
-    blocks.  The circulant path builds no N x N table.
+    when the largest table of the DFT path would pass the budget: the
+    C(N - 1, s - 1) supports holding 0 that the classes are read off, the
+    N translates (or reflections) of one class, which hold one
+    replication's length-N circulant row, or one eigvalsh stack of at most
+    _BATCH class blocks.  The circulant path builds no N x N table.
     """
     n_classes = math.comb(N - 1, s - 1)
     _check_table_budget(
-        f"support enumeration refused: C({N - 1}, {s - 1}) translation classes of {s} "
-        f"indices, a table",
+        f"support enumeration refused: C({N - 1}, {s - 1}) supports of {s} indices holding 0, "
+        f"a table",
         max(n_classes * s, N * s, min(n_classes, _BATCH) * s * s))
     small = n_classes * s <= _CACHED_ENTRIES
     return (_cached_class_table if small else _class_table)(N, s)
@@ -385,14 +402,15 @@ def _circulant_margin(g: np.ndarray, s: int) -> np.ndarray:
 
 
 def _translates(classes: np.ndarray, N: int):
-    """The N translates (S + c) mod N, each sorted, of the given classes, in
-    groups of max(1, min(C, _BATCH) // N) classes: at most max(N, min(C,
-    _BATCH)) supports a group.  A periodic class repeats its translates."""
+    """The N translates (S + c) mod N and the N reflections (c - S) mod N,
+    each sorted, of the given classes, in groups of at most max(N, min(C,
+    _BATCH)) supports.  A symmetric or periodic class repeats supports."""
     shifts = np.arange(N)[:, None]
     step = max(1, min(classes.shape[0], _BATCH) // N)
     for lo in range(0, classes.shape[0], step):
-        moved = np.sort((classes[lo:lo + step, None, :] + shifts) % N, axis=2)
-        yield moved.reshape(-1, classes.shape[1])
+        S = classes[lo:lo + step, None, :]
+        for moved in (S + shifts, shifts - S):
+            yield np.sort(moved % N, axis=2).reshape(-1, classes.shape[1])
 
 
 def _column_deltas(columns, n: int, supports: np.ndarray) -> np.ndarray:

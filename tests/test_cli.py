@@ -437,8 +437,8 @@ def test_rip_curve_over_the_enumeration_cap_draws_nothing(tmp_path, capsys, monk
     monkeypatch.setattr(rip, "_replication_streams", lambda *a: draws.append(a))
     code, out, err = run(["rip", "curve", "--N", "40", "--s", "10", "--delta", "0.5",
                           "--m-list", "4,8", "--seed", "1", "--out", str(tmp_path)], capsys)
-    assert code == 2 and ("support enumeration refused: C(39, 9) translation classes of 10 "
-                          "indices, a table of 2119151320 entries, above the budget of "
+    assert code == 2 and ("support enumeration refused: C(39, 9) supports of 10 indices "
+                          "holding 0, a table of 2119151320 entries, above the budget of "
                           "4194304") in err
     assert out == "" and draws == []
 

@@ -66,7 +66,7 @@ def test_dft_past_the_table_budget_is_refused_before_it_is_built(monkeypatch, tm
         curve = ["rip", "curve", "--N", "7", "--delta", "0.5", "--m-list", "3", "--seed", "0",
                  "--out", str(tmp_path)]
         assert main(curve + ["--s", "3"]) == 2
-        assert ("C(6, 2) translation classes of 3 indices, a table of 135 entries, above the "
+        assert ("C(6, 2) supports of 3 indices holding 0, a table of 135 entries, above the "
                 "budget of 48") in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
     monkeypatch.setattr(rip, "build_dft", lambda *args: pytest.fail("built the matrix"))
@@ -561,8 +561,8 @@ def test_failure_probability_rejects_before_any_draw(monkeypatch):
         estimate_failure_probability(N=8, m=4, s=2, delta=0.5, reps=3, seed=0, U=build_dft(8))
     # U = None: the stack of the C(7, 1) class blocks of 2 x 2 passes 27
     monkeypatch.setattr(errors, "_TABLE_BUDGET", 27)
-    with pytest.raises(CapacityError, match=r"^support enumeration refused: C\(7, 1\) translation "
-                                            r"classes of 2 indices, a table of 28 entries, above "
+    with pytest.raises(CapacityError, match=r"^support enumeration refused: C\(7, 1\) supports of "
+                                            r"2 indices holding 0, a table of 28 entries, above "
                                             r"the budget of 27$"):
         estimate_failure_probability(N=8, m=4, s=2, delta=0.5, reps=3, seed=0)
     assert draws == []
