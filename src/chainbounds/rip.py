@@ -515,8 +515,9 @@ def restricted_isometry_constant(A, s: int, *, dft=None) -> RipReport:
     if dft is not None:
         I, m = dft
         I = _check_indices("selector indices", I, N, f"selector indices must lie in [0, {N})")
-        if I.size != A.shape[0]:
-            raise DomainError(f"A has {A.shape[0]} rows for {I.size} selector indices")
+        if not I.size == np.unique(I).size == A.shape[0]:
+            raise DomainError(f"dft names {I.size} selector indices ({np.unique(I).size} "
+                              f"distinct) for the {A.shape[0]} rows of A")
         found = _dft_maximum(A, s, I, check_int("m", m, 1, N))
     if found is None:
         supports = _supports(N, s)
@@ -673,9 +674,10 @@ def estimate_failure_probability(
     every support of the replication's N x N Gram gives, that of the
     rescaled unitary with the 0/1 selectors as row weights.
 
-    U = None costs one length-N FFT per replication, and an eigvalsh pass
-    over the C(N - 1, s - 1) class blocks for s >= 3 (_circulant_failures);
-    N^2 need not fit the table budget.  A user-supplied U costs an O(N^3)
+    U = None costs one length-N FFT per replication, and for s >= 3 an
+    eigvalsh pass over one s x s block per class of supports under
+    translation and reflection (_circulant_failures); N^2 need not fit the
+    table budget.  A user-supplied U costs an O(N^3)
     einsum Gram per replication, screened by _support_brackets, with
     eigvalsh on the supports the bracket leaves open.
     """
