@@ -421,10 +421,12 @@ def _column_deltas(columns, n: int, supports: np.ndarray) -> np.ndarray:
     the same sum of the same products as the N x N Gram's entries (and with
     0/1 weights over all N rows, whose unselected rows add exact zeros), so
     the value is bit for bit the one the kernel reads off that Gram.
-    Supports are taken at most _CACHED_ENTRIES // (n s) at a time.
+    Supports are taken at most min(_CACHED_ENTRIES, budget) // max(n s, s^2)
+    at a time, and one at least, which fits the budget _classes checked.
     """
     C, s = supports.shape
-    step = max(1, min(_BATCH, _CACHED_ENTRIES // max(1, n * s)))
+    cap = min(_CACHED_ENTRIES, errors._TABLE_BUDGET)
+    step = max(1, min(_BATCH, cap // max(n * s, s * s)))
     ones = np.ones(n)
     out = np.empty(C)
     for lo in range(0, C, step):

@@ -141,7 +141,40 @@ def test_the_support_count_bounds_every_table_the_rip_kernel_builds(monkeypatch,
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh(record(a)))
     monkeypatch.setattr(errors, "_TABLE_BUDGET", _support_count(N, s))
     restricted_isometry_constant(_normal(N // 2, N), s)
-    estimate_failure_probability(N, N // 2, s, 0.6, rip._BATCH // math.comb(N, s) + 1, 1)
+    estimate_failure_probability(N, N // 2, s, 0.6, rip._BATCH // math.comb(N, s) + 1, 1,
+                                 U=build_dft(N))
+    assert built and max(built) <= errors._TABLE_BUDGET
+
+
+def _class_count(N, s):
+    """The entry count the DFT path's refusal names."""
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(errors, "_TABLE_BUDGET", 0)
+        with pytest.raises(CapacityError) as refused:
+            rip._classes(N, s)
+    return int(re.search(r"a table of (\d+) entries", str(refused.value)).group(1))
+
+
+@pytest.mark.parametrize("N, s", [(7, 6), (8, 7), (9, 4), (12, 2), (40, 3), (64, 1)])
+def test_the_class_count_bounds_every_table_the_dft_path_builds(monkeypatch, N, s):
+    # With the budget at the DFT path's count, its circulant rows, class
+    # blocks and kernel reruns all fit, for the exact constant and a curve
+    # of several chunks; thresholds at 0 and 0.5 send draws to the kernel.
+    built = []
+    fft, eigvalsh, einsum = np.fft.fft, np.linalg.eigvalsh, np.einsum
+
+    def record(array):
+        built.append(array.size)
+        return array
+
+    monkeypatch.setattr(np.fft, "fft", lambda a, axis: record(fft(record(a), axis=axis)))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh(record(a)))
+    monkeypatch.setattr(np, "einsum", lambda spec, *ops: record(einsum(spec, *map(record, ops))))
+    monkeypatch.setattr(errors, "_TABLE_BUDGET", _class_count(N, s))
+    for m in (1, N // 2, N):
+        subsampled_instance(None, m, 3, N=N).delta(s) if N * N <= errors._TABLE_BUDGET else None
+        for delta in (0.0, 0.5):
+            estimate_failure_probability(N, m, s, delta, 3 * errors._TABLE_BUDGET // N + 1, 1)
     assert built and max(built) <= errors._TABLE_BUDGET
 
 
