@@ -482,10 +482,9 @@ def _cmd_simulate(args) -> int:
         if isinstance(bound, TailBound):
             if u_grid is None:
                 raise DomainError("tail-bound validation needs a u_grid in the config")
-            _u_grid(u_grid)
+            u_grid = _u_grid(u_grid)
     else:
-        p_list = config.get("p_list", [1.0])
-        _moment_orders(p_list)
+        p_list = _moment_orders(config.get("p_list", [1.0]))
     sample = _run_model(spec, reps, seed)
     payload: dict = {
         "seed": seed,

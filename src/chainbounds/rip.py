@@ -88,10 +88,15 @@ _BOS_TEST_VECTORS = 8  # random unit vectors check_bos tries isotropy on
 def build_dft(N: int) -> np.ndarray:
     """The N x N unitary discrete Fourier matrix (unimodular entries / sqrt(N)),
     refused before it is built when N^2 passes errors._TABLE_BUDGET (N > 2048)."""
-    N = check_int("N", N, 1)
-    _check_table_budget(f"discrete Fourier matrix refused: N = {N}, an N^2 table", N * N)
+    N = _check_dft_size(N)
     k = np.arange(N)
     return _dft_entries(k, k, N)
+
+
+def _check_dft_size(N) -> int:
+    N = check_int("N", N, 1)
+    _check_table_budget(f"discrete Fourier matrix refused: N = {N}, an N^2 table", N * N)
+    return N
 
 
 def _dft_entries(rows, cols, N: int) -> np.ndarray:
@@ -496,31 +501,26 @@ def _circulant_failures(keep: np.ndarray, m: int, classes: np.ndarray, delta: fl
     return int(np.count_nonzero(fails))
 
 
-def restricted_isometry_constant(A, s: int, *, dft=None) -> RipReport:
+def restricted_isometry_constant(A, s: int) -> RipReport:
     """sup over unit s-sparse x of | ||A x||^2 - 1 |, by support enumeration.
 
     For each size-s support the extreme eigenvalues of the restricted Gram
     give the local sup; the global max is attained on a single support, with
-    lexicographically-first tie-breaking.  dft = (I, m) declares A to be
-    subsample(build_dft(N), I, m), and the value and witness are then found
-    through its circulant Gram (_dft_maximum), bit for bit the same.  The
-    one refusal is the table budget's CapacityError, raised by _supports (or
-    _classes) before the support table, the Gram or any eigvalsh call.
+    lexicographically-first tie-breaking.  The one refusal is the table
+    budget's CapacityError, raised by _supports before the support table,
+    the Gram or any eigvalsh call.
     """
     # a selection of no rows gives a 0 x N matrix, on which every delta_s is 1
     A = check_array("A", A, 2, complex_ok=True, empty_ok=True)
     if A.shape[1] == 0:
         raise DomainError(f"A must have at least one column, got shape {A.shape}")
+    return _rip_report(A, check_int("s", s, 1, A.shape[1]))
+
+
+def _rip_report(A: np.ndarray, s: int, found: tuple[float, tuple] | None = None) -> RipReport:
+    """The report on A's largest delta_s, found = (delta_s, its support), or
+    by the full enumeration when found is None, and its witness direction."""
     N = A.shape[1]
-    s = check_int("s", s, 1, N)
-    found = None
-    if dft is not None:
-        I, m = dft
-        I = _check_indices("selector indices", I, N, f"selector indices must lie in [0, {N})")
-        if not I.size == np.unique(I).size == A.shape[0]:
-            raise DomainError(f"dft names {I.size} selector indices ({np.unique(I).size} "
-                              f"distinct) for the {A.shape[0]} rows of A")
-        found = _dft_maximum(A, s, I, check_int("m", m, 1, N))
     if found is None:
         supports = _supports(N, s)
         gram = _grams(np.ones((1, A.shape[0])), A, s)
@@ -568,28 +568,30 @@ class RipInstance:
         return len(self.I)
 
     def delta(self, s: int) -> RipReport:
-        dft = None if self.U is not None else (self.I, self.m)
-        return restricted_isometry_constant(self.U_I, s, dft=dft)
+        """restricted_isometry_constant(U_I, s); for the DFT, the same report
+        through its circulant Gram (_dft_maximum), bit for bit."""
+        if self.U is not None:
+            return restricted_isometry_constant(self.U_I, s)
+        s = check_int("s", s, 1, self.N)
+        I = np.array(self.I, dtype=np.intp)
+        return _rip_report(self.U_I, s, _dft_maximum(self.U_I, s, I, self.m))
 
 
 def subsampled_instance(U, m: int, seed: int, K: float | None = None, rep: int = 0, *,
                         N: int | None = None) -> RipInstance:
     """Draw selectors for a unitary U and package the rescaled row matrix.
 
-    U = None is the N x N discrete Fourier matrix: its kept rows are computed
-    as build_dft computes them, without the N x N table, and the instance
-    records U = None.  Its flatness K still reads all N^2 entries, a row
-    block at a time, so N^2 must fit errors._TABLE_BUDGET as for build_dft.
+    U = None is the N x N discrete Fourier matrix (N is read only then): its
+    kept rows are computed as build_dft computes them, without the N x N
+    table, and the instance records U = None.  Its flatness K still reads all
+    N^2 entries, a row block at a time, so N is refused as build_dft refuses it.
     K defaults to the attained sqrt(N) * max |U_kl|; an explicit smaller K is
     rejected because the flatness premise would be false.
     """
     if U is None:
-        N = check_int("N", N, 1)
-        _check_table_budget(f"discrete Fourier matrix refused: N = {N}, an N^2 table", N * N)
+        N = _check_dft_size(N)
     else:
         U = _as_unitary(U)
-        if N is not None and check_int("N", N, 1) != U.shape[0]:
-            raise DomainError(f"N = {N} does not match the {U.shape[0]} x {U.shape[0]} U")
         N = U.shape[0]
     m = check_int("m", m, 1, N)
     seed = check_int("seed", seed, 0, SEED_MAX)

@@ -766,15 +766,7 @@ def test_the_dft_path_builds_no_n_by_n_table(monkeypatch):
 def test_dft_instance_checks_its_size():
     with pytest.raises(DomainError, match="N must be"):
         subsampled_instance(None, 2, 0)
-    with pytest.raises(DomainError, match="N = 5 does not match the 4 x 4 U"):
-        subsampled_instance(build_dft(4), 2, 0, N=5)
-    assert subsampled_instance(build_dft(4), 2, 0, N=4).I == subsampled_instance(None, 2, 0, N=4).I
-    inst = subsampled_instance(None, 2, 0, N=4)
-    rows = len(inst.I)
-    with pytest.raises(DomainError, match=rf"dft names {rows + 1} selector indices \({rows + 1} "
-                                          rf"distinct\) for the {rows} rows of A"):
-        restricted_isometry_constant(inst.U_I, 1, dft=(tuple(range(rows + 1)), 2))
-    with pytest.raises(DomainError, match=r"\(1 distinct\)"):
-        restricted_isometry_constant(inst.U_I, 1, dft=((0,) * rows, 2))
-    with pytest.raises(DomainError, match="m must be"):
-        restricted_isometry_constant(inst.U_I, 1, dft=(inst.I, 5))
+    with pytest.raises(CapacityError, match="discrete Fourier matrix refused: N = 2049"):
+        subsampled_instance(None, 2, 0, N=2049)
+    with pytest.raises(DomainError, match="s must be"):
+        subsampled_instance(None, 2, 0, N=4).delta(5)
