@@ -11,11 +11,11 @@ One kernel serves the exact constant and the Monte Carlo: the N x N Gram is
 formed once per matrix (once per replication, with the selectors as a 0/1
 row weight on the rescaled unitary), the s x s blocks of a table of
 supports are gathered from it, and LAPACK eigvalsh runs on stacks of at most
-_BATCH of them.  Unselected rows add exact zeros and the unitary is rescaled
-before the sums, so each delta_s is bit for bit that of the enumeration over
-the rescaled selected rows alone.  This holds up to 8192 rows, numpy's einsum
-buffer; beyond it numpy sums in buffer-sized pieces laid out by operand shape,
-and the last bits may differ.
+_BATCH of them (see _stacked_deltas).  Unselected rows add exact zeros and
+the unitary is rescaled before the sums, so each delta_s is bit for bit that
+of the enumeration over the rescaled selected rows alone.  This holds up to
+8192 rows, numpy's einsum buffer; beyond it numpy sums in buffer-sized
+pieces laid out by operand shape, and the last bits may differ.
 
 Both refuse, through errors._check_table_budget and before any table, Gram,
 eigvalsh call or selector draw, an enumeration whose largest table would
@@ -29,10 +29,12 @@ eigvalsh on every support.
 
 The discrete Fourier matrix, U = None, skips the N x N Gram: its Gram is
 circulant, one FFT per draw gives it, and delta_S is constant on translation
-classes of supports.  The kernel above reruns only the supports whose
-circulant value lies within a certified margin of the decision, so the DFT's
-constants, witnesses and failure counts are the kernel's bit for bit (see
-_circulant_failures and _dft_maximum, refused through _classes).
+classes of supports.  The DFT's constant and its failure curve share one
+rerun routine, _kernel_reruns: the kernel above runs, on the kept rows'
+columns, only on the supports whose circulant value lies within a certified
+margin of the decision, so the DFT's constants, witnesses and failure counts
+are the kernel's bit for bit (see _dft_maximum and _circulant_failures,
+refused through _classes).
 """
 
 from __future__ import annotations
@@ -161,7 +163,8 @@ class RipReport:
     def __post_init__(self):
         if self.delta_s < 0:
             raise DomainError(f"delta_s must be >= 0, got {self.delta_s}")
-        if abs(self.witness_value - self.delta_s) > WITNESS_TOL:
+        # relative above delta_s = 1: the rounding of both values grows with ||A||^2
+        if abs(self.witness_value - self.delta_s) > WITNESS_TOL * max(1.0, self.delta_s):
             raise DomainError(
                 f"witness reproduces {self.witness_value:.12g}, not delta_s = "
                 f"{self.delta_s:.12g}"
@@ -192,15 +195,9 @@ def _supports(N: int, s: int) -> np.ndarray:
     n_supports = math.comb(N, s)
     _check_table_budget(
         f"support enumeration refused: C({N}, {s}) supports of {s} indices, a table",
-        _enumeration_entries(N, s))
+        max(n_supports * s, N * N if s > 1 else 0, min(n_supports, _BATCH) * s * s))
     small = n_supports * s <= _CACHED_ENTRIES
     return (_cached_support_table if small else _support_table)(N, s)
-
-
-def _enumeration_entries(N: int, s: int) -> int:
-    """The entries of the largest table of the enumeration of the size-s supports of N columns."""
-    n_supports = math.comb(N, s)
-    return max(n_supports * s, N * N if s > 1 else 0, min(n_supports, _BATCH) * s * s)
 
 
 def _grams(weights: np.ndarray, A: np.ndarray, s: int) -> np.ndarray:
@@ -218,25 +215,32 @@ def _grams(weights: np.ndarray, A: np.ndarray, s: int) -> np.ndarray:
 
 
 def _block_deltas(grams: np.ndarray, rows: np.ndarray, supports: np.ndarray) -> np.ndarray:
-    """Values max(lambda_max - 1, 1 - lambda_min) of the s x s blocks grams[rows[k]][S_k, S_k].
+    """Values max(lambda_max - 1, 1 - lambda_min) of the s x s blocks
+    grams[rows[k]][S_k, S_k], S_k being supports[k]."""
+    def blocks(lo, hi):
+        S = supports[lo:hi]
+        return grams[rows[lo:hi, None, None], S[:, :, None], S[:, None, :]]
 
-    S_k is supports[k].  Each eigvalsh call sees at most _BATCH blocks, so
-    the gathered stack stays bounded whatever the table size.  LAPACK
-    handles every block of a stack on its own, so a block's value does not
-    depend on which other blocks share its call.
+    return _stacked_deltas(rows.size, supports.shape[1] ** 2, blocks)
+
+
+def _stacked_deltas(count: int, per_block: int, blocks) -> np.ndarray:
+    """max(lambda_max - 1, 1 - lambda_min), by eigvalsh, of the count Hermitian
+    blocks that blocks(lo, hi) gathers, blocks lo to hi - 1 at a time.
+
+    With per_block entries gathered for each block, a stack holds at most
+    min(_BATCH, min(_CACHED_ENTRIES, budget) // per_block) blocks, and one
+    at least, so it stays bounded whatever the count.  LAPACK handles every
+    block of a stack on its own, so a block's value does not depend on which
+    other blocks share its call.
     """
-    out = np.empty(rows.size)
-    for lo in range(0, rows.size, _BATCH):
-        r = rows[lo:lo + _BATCH, None, None]
-        S = supports[lo:lo + _BATCH]
-        out[lo:lo + _BATCH] = _deltas(grams[r, S[:, :, None], S[:, None, :]])
+    step = max(1, min(_BATCH, min(_CACHED_ENTRIES, errors._TABLE_BUDGET) // per_block))
+    out = np.empty(count)
+    for lo in range(0, count, step):
+        hi = min(lo + step, count)
+        w = np.linalg.eigvalsh(blocks(lo, hi))
+        out[lo:hi] = np.maximum(w[:, -1] - 1.0, 1.0 - w[:, 0])
     return out
-
-
-def _deltas(blocks: np.ndarray) -> np.ndarray:
-    """max(lambda_max - 1, 1 - lambda_min) of each Hermitian block of a stack, by eigvalsh."""
-    w = np.linalg.eigvalsh(blocks)
-    return np.maximum(w[:, -1] - 1.0, 1.0 - w[:, 0])
 
 
 def _support_brackets(grams: np.ndarray, supports: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -303,8 +307,8 @@ def _screened_failures(grams: np.ndarray, supports: np.ndarray, delta: float) ->
 # translation and reflection, and one support holding 0 per class, the class
 # table, carries every value.  The circulant values decide; only values within
 # the margin _circulant_margin of the decision go through the kernel above, on
-# the s x s blocks of the kept rows' columns, so the constant, its witness and
-# every failure count are those of the N x N Gram kernel.
+# the s x s blocks of the kept rows' columns (_kernel_reruns), so the constant,
+# its witness and every failure count are those of the N x N Gram kernel.
 
 
 def _class_table(N: int, s: int) -> np.ndarray:
@@ -365,8 +369,7 @@ def _class_deltas(g: np.ndarray, classes: np.ndarray) -> np.ndarray:
 
     delta_S = |g_0 - 1| on a singleton and |g_0 - 1| + |g_d| on {0, d}, the
     extreme eigenvalues of [[g_0, g_d], [conj(g_d), g_0]] being g_0 +- |g_d|;
-    larger classes go through eigvalsh, in stacks of at most _BATCH blocks
-    that fit the table budget.
+    larger classes go through eigvalsh (_stacked_deltas).
     """
     (R, N), (C, s) = g.shape, classes.shape
     dev = np.abs(g[:, :1].real - 1.0)
@@ -374,14 +377,13 @@ def _class_deltas(g: np.ndarray, classes: np.ndarray) -> np.ndarray:
         return dev
     if s == 2:
         return dev + np.abs(g[:, classes[:, 1]])
-    out = np.empty(R * C)
-    step = max(1, min(_BATCH, errors._TABLE_BUDGET // (s * s)))
-    for lo in range(0, R * C, step):
-        pairs = np.arange(lo, min(lo + step, R * C))
+
+    def blocks(lo, hi):
+        pairs = np.arange(lo, hi)
         S = classes[pairs % C]
-        out[lo:lo + step] = _deltas(g[(pairs // C)[:, None, None],
-                                      (S[:, None, :] - S[:, :, None]) % N])
-    return out.reshape(R, C)
+        return g[(pairs // C)[:, None, None], (S[:, None, :] - S[:, :, None]) % N]
+
+    return _stacked_deltas(R * C, s * s, blocks).reshape(R, C)
 
 
 def _circulant_margin(g: np.ndarray, s: int) -> np.ndarray:
@@ -406,66 +408,61 @@ def _circulant_margin(g: np.ndarray, s: int) -> np.ndarray:
     return (_SCREEN_TOL + 32 * N * eps) * (1.0 + s * np.abs(g).max(axis=1))
 
 
-def _translates(classes: np.ndarray, N: int):
-    """The N translates (S + c) mod N and the N reflections (c - S) mod N,
-    each sorted, of the given classes, in groups of at most max(N, min(C,
-    _BATCH)) supports.  A symmetric or periodic class repeats supports."""
+def _circulant_values(keep: np.ndarray, m: int,
+                      classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(R, C) circulant values delta_S on the classes, and (R,) margins tau, of R kept-row masks."""
+    g = _circulant_rows(keep, m)
+    return _class_deltas(g, classes), _circulant_margin(g, classes.shape[1])
+
+
+def _kernel_reruns(I: np.ndarray, m: int, N: int, classes: np.ndarray):
+    """(supports, the kernel's delta_S on each) over the N translates (S + c) mod N
+    and the N reflections (c - S) mod N, each sorted, of the given classes, in
+    groups of at most max(N, min(C, _BATCH)) supports.  A symmetric or
+    periodic class repeats supports.
+
+    The kernel reads the columns sqrt(N/m) F[I][:, cols] of the kept rows I,
+    computed as subsampled_instance computes them.  Each s x s block is the
+    einsum Gram of its columns with unit row weights, the same sum of the
+    same products as the N x N Gram's entries (and with 0/1 weights over all
+    N rows, whose unselected rows add exact zeros), so the value is bit for
+    bit the one the kernel reads off that Gram.  A block gathers |I| s
+    entries of columns, which fits the budget _classes checked (|I| <= N).
+    """
+    s = classes.shape[1]
+    scale = math.sqrt(N / m)
+    ones = np.ones(I.size)
     shifts = np.arange(N)[:, None]
     step = max(1, min(classes.shape[0], _BATCH) // N)
-    for lo in range(0, classes.shape[0], step):
-        S = classes[lo:lo + step, None, :]
+    for c in range(0, classes.shape[0], step):
+        S = classes[c:c + step, None, :]
         for moved in (S + shifts, shifts - S):
-            yield np.sort(moved % N, axis=2).reshape(-1, classes.shape[1])
+            supports = np.sort(moved % N, axis=2).reshape(-1, s)
+
+            def blocks(lo, hi):
+                X = scale * _dft_entries(I, supports[lo:hi].ravel(), N)
+                X = X.reshape(I.size, hi - lo, s)
+                return np.einsum("i,ick,icl->ckl", ones, X.conj(), X)
+
+            yield supports, _stacked_deltas(supports.shape[0], max(I.size * s, s * s), blocks)
 
 
-def _column_deltas(columns, n: int, supports: np.ndarray) -> np.ndarray:
-    """The kernel's delta_S on each support, from columns(cols), the n x len(cols)
-    columns cols of the rescaled kept rows.
-
-    Each s x s block is the einsum Gram of its columns with unit row weights,
-    the same sum of the same products as the N x N Gram's entries (and with
-    0/1 weights over all N rows, whose unselected rows add exact zeros), so
-    the value is bit for bit the one the kernel reads off that Gram.
-    Supports are taken at most min(_CACHED_ENTRIES, budget) // max(n s, s^2)
-    at a time, and one at least, which fits the budget _classes checked.
-    """
-    C, s = supports.shape
-    cap = min(_CACHED_ENTRIES, errors._TABLE_BUDGET)
-    step = max(1, min(_BATCH, cap // max(n * s, s * s)))
-    ones = np.ones(n)
-    out = np.empty(C)
-    for lo in range(0, C, step):
-        S = supports[lo:lo + step]
-        X = columns(S.ravel()).reshape(n, S.shape[0], s)
-        out[lo:lo + step] = _deltas(np.einsum("i,ick,icl->ckl", ones, X.conj(), X))
-    return out
-
-
-def _dft_maximum(A: np.ndarray, s: int, I: np.ndarray, m: int) -> tuple[float, tuple] | None:
-    """The kernel's largest delta_S over all supports of A = sqrt(N/m) F[I], and
-    its lexicographically first support, as the full enumeration finds them.
+def _dft_maximum(I: np.ndarray, m: int, N: int, s: int) -> tuple[float, tuple]:
+    """The kernel's largest delta_S over all supports of sqrt(N/m) F[I], and its
+    lexicographically first support, as the full enumeration finds them.
 
     With tau from _circulant_margin and M the largest circulant value, the
     kernel's maximum is at least M - tau, so every support attaining it has a
     circulant value of at least M - 2 tau.  The kernel runs on every translate
-    of the classes there and nowhere else, on their s x s blocks of columns.
-    None when those translates outnumber the C(N, s) supports (as when every
-    row is kept and all classes tie) and the full enumeration fits the budget.
+    of the classes there and nowhere else.
     """
-    N = A.shape[1]
     classes = _classes(N, s)
     keep = np.zeros((1, N), dtype=bool)
     keep[0, I] = True
-    g = _circulant_rows(keep, m)
-    values = _class_deltas(g, classes)[0]
-    tau = float(_circulant_margin(g, s)[0])
-    candidates = classes[values >= values.max() - 2.0 * tau]
-    if (candidates.shape[0] * N >= math.comb(N, s)
-            and _enumeration_entries(N, s) <= errors._TABLE_BUDGET):
-        return None
+    values, tau = _circulant_values(keep, m, classes)
+    values, tau = values[0], tau[0]
     best_delta, best_support = -1.0, None
-    for supports in _translates(candidates, N):
-        deltas = _column_deltas(lambda cols: A[:, cols], A.shape[0], supports)
+    for supports, deltas in _kernel_reruns(I, m, N, classes[values >= values.max() - 2.0 * tau]):
         top = float(deltas.max())
         tied = supports[deltas == top]
         first = tuple(tied[np.lexsort(tied.T[::-1])[0]])
@@ -483,21 +480,13 @@ def _circulant_failures(keep: np.ndarray, m: int, classes: np.ndarray, delta: fl
     reaches delta - tau, with the same >= delta test, from its kept rows'
     columns alone, so the count is that of the N x N Gram kernel.
     """
-    N, s = keep.shape[1], classes.shape[1]
-    g = _circulant_rows(keep, m)
-    values = _class_deltas(g, classes)
-    tau = _circulant_margin(g, s)
+    values, tau = _circulant_values(keep, m, classes)
     top = values.max(axis=1)
     fails = top - tau >= delta
-    scale = math.sqrt(N / m)
     for r in np.flatnonzero(~fails & (top + tau >= delta)):
-        I = np.flatnonzero(keep[r])
-
-        def columns(cols):
-            return scale * _dft_entries(I, cols, N)  # as sqrt(N / m) * build_dft(N)
-
-        fails[r] = any((_column_deltas(columns, I.size, supports) >= delta).any()
-                       for supports in _translates(classes[values[r] + tau[r] >= delta], N))
+        reruns = _kernel_reruns(np.flatnonzero(keep[r]), m, keep.shape[1],
+                                classes[values[r] + tau[r] >= delta])
+        fails[r] = any((deltas >= delta).any() for _, deltas in reruns)
     return int(np.count_nonzero(fails))
 
 
@@ -514,20 +503,19 @@ def restricted_isometry_constant(A, s: int) -> RipReport:
     A = check_array("A", A, 2, complex_ok=True, empty_ok=True)
     if A.shape[1] == 0:
         raise DomainError(f"A must have at least one column, got shape {A.shape}")
-    return _rip_report(A, check_int("s", s, 1, A.shape[1]))
+    s = check_int("s", s, 1, A.shape[1])
+    supports = _supports(A.shape[1], s)
+    gram = _grams(np.ones((1, A.shape[0])), A, s)
+    deltas = _block_deltas(gram, np.zeros(supports.shape[0], dtype=np.intp), supports)
+    k = int(np.argmax(deltas))  # the first maximum: lexicographically-first support
+    return _rip_report(A, s, float(deltas[k]), supports[k])
 
 
-def _rip_report(A: np.ndarray, s: int, found: tuple[float, tuple] | None = None) -> RipReport:
-    """The report on A's largest delta_s, found = (delta_s, its support), or
-    by the full enumeration when found is None, and its witness direction."""
+def _rip_report(A: np.ndarray, s: int, best_delta: float, support) -> RipReport:
+    """The report on A's largest delta_s, best_delta, attained on support, and
+    its witness direction."""
     N = A.shape[1]
-    if found is None:
-        supports = _supports(N, s)
-        gram = _grams(np.ones((1, A.shape[0])), A, s)
-        deltas = _block_deltas(gram, np.zeros(supports.shape[0], dtype=np.intp), supports)
-        k = int(np.argmax(deltas))  # the first maximum: lexicographically-first support
-        found = float(deltas[k]), supports[k]
-    best_delta, best_support = found[0], tuple(int(i) for i in found[1])
+    best_support = tuple(int(i) for i in support)
     cols = A[:, best_support]
     gram = cols.conj().T @ cols
     w, V = np.linalg.eigh(gram)
@@ -574,7 +562,7 @@ class RipInstance:
             return restricted_isometry_constant(self.U_I, s)
         s = check_int("s", s, 1, self.N)
         I = np.array(self.I, dtype=np.intp)
-        return _rip_report(self.U_I, s, _dft_maximum(self.U_I, s, I, self.m))
+        return _rip_report(self.U_I, s, *_dft_maximum(I, self.m, self.N, s))
 
 
 def subsampled_instance(U, m: int, seed: int, K: float | None = None, rep: int = 0, *,
@@ -667,10 +655,10 @@ def estimate_failure_probability(
 ) -> dict:
     """Monte Carlo estimate of P(delta_s >= delta) under Bernoulli selectors.
 
-    U defaults to the discrete Fourier matrix.  Equality counts as failure
-    (delta = 0 therefore estimates 1).  Returns the exceedance fraction with
-    one-sided Clopper-Pearson bounds at validation.CONFIDENCE and the mean
-    realized row count.
+    U defaults to the discrete Fourier matrix; a supplied U must have order
+    N.  Equality counts as failure (delta = 0 therefore estimates 1).
+    Returns the exceedance fraction with one-sided Clopper-Pearson bounds at
+    validation.CONFIDENCE and the mean realized row count.
 
     Replication rep draws its selectors from the stream of
     replication_rng(seed, rep), read off one Philox per call that is reset to
@@ -685,12 +673,11 @@ def estimate_failure_probability(
     einsum Gram per replication, screened by _support_brackets, with
     eigvalsh on the supports the bracket leaves open.
     """
-    dft = U is None
-    if dft:
-        N = check_int("N", N, 1)
-    else:
+    N = check_int("N", N, 1)
+    if U is not None:
         U = _as_unitary(U)
-        N = U.shape[0]
+        if U.shape[0] != N:
+            raise DomainError(f"N = {N} does not match the order {U.shape[0]} of U")
     m = check_int("m", m, 1, N)
     reps = check_int("reps", reps, 1)
     seed = check_int("seed", seed, 0, SEED_MAX)
@@ -699,7 +686,7 @@ def estimate_failure_probability(
     # Replications go through the kernel in chunks whose tables fit the
     # budget (and one eigvalsh stack of _BATCH supports for a user U), and at
     # least one, so memory does not grow with reps.
-    if dft:
+    if U is None:
         classes = _classes(N, s)
         width = max(N, classes.shape[0])
         chunk = max(1, min(_BATCH, errors._TABLE_BUDGET) // width)

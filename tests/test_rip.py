@@ -150,6 +150,18 @@ def test_rip_report_invariants():
         RipReport(s=1, delta_s=-0.1, witness_support=(0,), witness_direction=w, witness_value=-0.1)
     with pytest.raises(DomainError):
         RipReport(s=1, delta_s=0.5, witness_support=(0,), witness_direction=w, witness_value=0.9)
+    # above delta_s = 1 the witness tolerance is relative
+    RipReport(s=1, delta_s=1e7, witness_support=(0,), witness_direction=w, witness_value=1e7 + 1e-3)
+    with pytest.raises(DomainError):
+        RipReport(s=1, delta_s=1e7, witness_support=(0,), witness_direction=w, witness_value=1e7 + 1)
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+def test_witness_check_is_relative_above_one(seed):
+    # delta_s above 1e7: the rounding of both ||Ax||^2 - 1 and delta_s grows with ||A||^2
+    A = 1e3 * np.random.default_rng(seed).normal(size=(6, 8))
+    report = restricted_isometry_constant(A, 2)
+    assert (report.delta_s, report.witness_support) == reference_delta(A, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +322,14 @@ def test_failure_probability_validation():
         estimate_failure_probability(N=8, m=4, s=2, delta=-0.5, reps=5, seed=0)
     with pytest.raises(DomainError):
         estimate_failure_probability(N=8, m=4, s=2, delta=0.5, reps=0, seed=0)
+
+
+@pytest.mark.parametrize("N", [8, 32])
+def test_failure_probability_checks_n_against_a_supplied_unitary(N):
+    with pytest.raises(DomainError, match=rf"N = {N} .*order 16"):
+        estimate_failure_probability(N, 4, 2, 0.5, 10, 0, U=build_dft(16))
+    with pytest.raises(DomainError, match="N must be"):
+        estimate_failure_probability("junk", 4, 2, 0.5, 10, 0, U=build_dft(16))
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +556,10 @@ def test_support_chunk_boundaries(monkeypatch, offset):
     assert restricted_isometry_constant(A, 2).witness_support == reference_delta(A, 2)[1]
     assert restricted_isometry_constant(A, 2).delta_s == reference_delta(A, 2)[0]
     assert_same_estimate(8, 4, 2, 5, 11)
+    # the DFT path's class and column stacks: N = 32 translates per class pass _BATCH
+    for s in (3, 4):
+        assert_dft_instance_matches(32, 16, s, 7)
+    assert estimate_failure_probability(16, 8, 2, 0.5, 200, 12345)["failures"] == 164
 
 
 @pytest.mark.parametrize("batch, reps", [(56, 1), (56, 2), (56, 3), (84, 5), (84, 6), (84, 7)])
@@ -759,6 +783,9 @@ def test_the_dft_path_builds_no_n_by_n_table(monkeypatch):
         monkeypatch.setattr(rip, name, lambda *args, name=name: pytest.fail(f"called {name}"))
     assert estimate_failure_probability(64, 32, 3, 0.9, 20, 1)["reps"] == 20
     assert subsampled_instance(None, 16, 1, N=64).delta(3).s == 3
+    # every row kept: every class ties within the margin, and s = 1 has one class
+    for N, s in ((32, 2), (12, 2), (16, 1)):
+        assert subsampled_instance(None, N, 1, N=N).delta(s).s == s
     # past build_dft's N = 2048: one FFT per draw, and a 2 x 4095 class table
     assert estimate_failure_probability(4096, 2048, 2, 0.5, 5, 1)["failures"] == 0
 
