@@ -1,11 +1,17 @@
 """chainbounds command-line interface.
 
-Subcommands: gamma, cover, orlicz, bound, simulate, rip, chaos.  Every
-stochastic command demands an explicit --seed (or config seed) and exits 2
-without one; exit 1 is reserved for a "violated" validation verdict, exit 2
-for usage/config errors.  Artifacts are JSON reports (plus plot-ready CSV
-for grids), named by a hash of the resolved config, with no timestamps, so
-re-running a config reproduces the files byte for byte.
+Subcommands: gamma, cover, orlicz, bound, simulate, rip, chaos.  rip takes
+its action first, and each action declares only the options it reads:
+``rip exact --N --m --s --seed``, ``rip curve --N --s --delta --m-list
+[--reps] --seed`` and ``rip complexity --N --s --delta --eta --d1 --d2 [--K]``.
+Every stochastic command demands an explicit --seed (or config seed) and
+exits 2 without one; exit 1 is reserved for a "violated" validation verdict,
+exit 2 for usage/config errors.  Artifacts are JSON reports (plus plot-ready
+CSV for grids), named by a hash of the config with no timestamps, so
+re-running a config reproduces the files byte for byte.  The config is every
+option the command declares except --out, with each input file named by
+what was read from it (see _config); orlicz names its samples by their
+float64 values and simulate hashes its config file's contents.
 """
 
 from __future__ import annotations
@@ -95,6 +101,13 @@ def _registry(args, inline=None) -> tuple[ConstantRegistry, dict | None]:
     return reg, (dict(reg.fitted) if args.fit else None)
 
 
+def _config(args, **read) -> dict:
+    """The hashed config: every parsed option but --out, each input replaced by
+    what was read from it (read), so what was read names the artifact, not where."""
+    options = {k: v for k, v in vars(args).items() if k not in ("out", "command", "func")}
+    return {**options, **read}
+
+
 def _emit(args, stem: str, config: dict, payload: dict, rows=None):
     """Write the JSON report (and optional CSV grid, whose columns are the keys
     of its rows); returns the paths."""
@@ -147,13 +160,6 @@ def _cmd_gamma(args) -> int:
     witness = None
     if est.sequence is not None:
         witness = {"kind": est.sequence.kind, "levels": est.sequence.levels}
-    config = {
-        "space": config_hash(contents),  # what was read names the artifact, not where
-        "alpha": args.alpha,
-        "p": args.p,
-        "mode": args.mode,
-        "functional": args.functional,
-    }
     payload = {
         "value": est.value,
         "alpha": est.alpha,
@@ -167,7 +173,7 @@ def _cmd_gamma(args) -> int:
         f"{args.functional} alpha={args.alpha:g} p={args.p:g} mode={est.mode}: "
         f"value = {est.value:.12g}"
     )
-    _emit(args, "gamma", config, payload)
+    _emit(args, "gamma", _config(args, space=config_hash(contents)), payload)
     return 0
 
 
@@ -177,13 +183,6 @@ def _cmd_gamma(args) -> int:
 def _cmd_cover(args) -> int:
     contents = load_json(args.space)
     space = space_from_json(contents)
-    config = {
-        "space": config_hash(contents),  # what was read names the artifact, not where
-        "radius": args.radius,
-        "profile": args.profile,
-        "entropy_alpha": args.entropy_alpha,
-        "mode": args.mode,
-    }
     payload: dict = {"size": space.size, "diameter": space.diameter()}
     rows = None
     if args.radius is None and not args.profile and args.entropy_alpha is None:
@@ -209,7 +208,7 @@ def _cmd_cover(args) -> int:
         ent = entropy_integral(space, args.entropy_alpha, mode=args.mode)
         payload["entropy_integral"] = {"alpha": ent.alpha, "value": ent.value, "mode": ent.mode}
         print(f"entropy integral (alpha={ent.alpha:g}) = {ent.value:.12g}")
-    _emit(args, "cover", config, payload, rows=rows)
+    _emit(args, "cover", _config(args, space=config_hash(contents)), payload, rows=rows)
     return 0
 
 
@@ -387,8 +386,8 @@ def _cmd_bound(args) -> int:
         raise DomainError("--params file must hold a JSON object")
     reg, fit = _registry(args)
     result = _build_bound(args.name, params, reg)
-    config = {"name": args.name, "params": params, "fit": fit}
-    _emit(args, "bound", config, _bound_payload(result, params, reg))
+    payload = _bound_payload(result, params, reg)
+    _emit(args, "bound", _config(args, params=params, fit=fit), payload)
     return 0
 
 
@@ -519,53 +518,36 @@ def _cmd_simulate(args) -> int:
 # ---------------------------------------------------------------- rip
 
 
-def _cmd_rip(args) -> int:
-    if args.action == "complexity":
-        m = sample_complexity(args.s, args.K, args.delta, args.eta, args.d1, args.d2, args.N)
-        config = {
-            "action": "complexity", "s": args.s, "K": args.K, "delta": args.delta,
-            "eta": args.eta, "d1": args.d1, "d2": args.d2, "N": args.N,
-        }
-        payload = {
-            "m": m,
-            "fitted": True,
-            "log_convention": "natural logs; log^2(s) means (ln s)^2",
-        }
-        print(f"minimal m = {m} (fitted d1={args.d1:g}, d2={args.d2:g})")
-        _emit(args, "rip-complexity", config, payload)
-        return 0
+def _cmd_rip_exact(args) -> int:
     seed = _require_seed(args.seed)
-    if args.action == "exact":
-        inst = subsampled_instance(None, args.m, seed, N=args.N)
-        report = inst.delta(args.s)
-        config = {"action": "exact", "N": args.N, "m": args.m, "s": args.s, "seed": seed}
-        payload = {
-            "seed": seed,
-            "delta_s": report.delta_s,
-            "s": args.s,
-            "realized_rows": inst.realized_rows,
-            "selected": list(inst.I),
-            "witness_support": list(report.witness_support),
-            "witness_value": report.witness_value,
-            "K": inst.K,
-        }
-        print(
-            f"delta_{args.s} = {report.delta_s:.12g} (|I| = {inst.realized_rows}, "
-            f"support {report.witness_support})"
-        )
-        _emit(args, "rip-exact", config, payload)
-        return 0
-    # curve
+    inst = subsampled_instance(None, args.m, seed, N=args.N)
+    report = inst.delta(args.s)
+    payload = {
+        "seed": seed,
+        "delta_s": report.delta_s,
+        "s": args.s,
+        "realized_rows": inst.realized_rows,
+        "selected": list(inst.I),
+        "witness_support": list(report.witness_support),
+        "witness_value": report.witness_value,
+        "K": inst.K,
+    }
+    print(
+        f"delta_{args.s} = {report.delta_s:.12g} (|I| = {inst.realized_rows}, "
+        f"support {report.witness_support})"
+    )
+    _emit(args, "rip-exact", _config(args), payload)
+    return 0
+
+
+def _cmd_rip_curve(args) -> int:
+    seed = _require_seed(args.seed)
     # Every entry is checked against N before the first replication; s and
     # the table budget of the support enumeration are checked by the first
     # estimate before its draws.
     N = check_int("N", args.N, 1)
     m_list = [check_int("m", check_int("--m-list entry", v, 1), 1, N)
               for v in _parse_float_list(args.m_list, "--m-list")]
-    config = {
-        "action": "curve", "N": args.N, "s": args.s, "delta": args.delta,
-        "m_list": m_list, "reps": args.reps, "seed": seed,
-    }
     rows = []
     for m in m_list:
         est = estimate_failure_probability(args.N, m, args.s, args.delta, args.reps, seed)
@@ -575,7 +557,19 @@ def _cmd_rip(args) -> int:
             f"[{est['ci_lower']:.4f}, {est['ci_upper']:.4f}]"
         )
     payload = {"seed": seed, "curve": rows}
-    _emit(args, "rip-curve", config, payload, rows=rows)
+    _emit(args, "rip-curve", _config(args, m_list=m_list), payload, rows=rows)
+    return 0
+
+
+def _cmd_rip_complexity(args) -> int:
+    m = sample_complexity(args.s, args.K, args.delta, args.eta, args.d1, args.d2, args.N)
+    payload = {
+        "m": m,
+        "fitted": True,
+        "log_convention": "natural logs; log^2(s) means (ln s)^2",
+    }
+    print(f"minimal m = {m} (fitted d1={args.d1:g}, d2={args.d2:g})")
+    _emit(args, "rip-complexity", _config(args), payload)
     return 0
 
 
@@ -591,10 +585,6 @@ def _cmd_chaos(args) -> int:
     u_grid = None if args.u_grid is None else _parse_float_list(args.u_grid, "--u-grid")
     radii = schatten_radii(mats, gamma_mode="auto")
     sample = simulate_chaos(mats, xi, args.reps, seed, decoupled=args.decoupled)
-    config = {
-        "matrices": config_hash(contents), "xi": args.xi, "scale": args.scale, "reps": args.reps,
-        "seed": seed, "decoupled": args.decoupled, "u_grid": args.u_grid, "fit": fit,
-    }
     payload: dict = {
         "seed": seed,
         "radii": {
@@ -616,7 +606,8 @@ def _cmd_chaos(args) -> int:
     if u_grid is not None:
         bound = chaos_supremum_bound(radii, xi.psi_norm(2), u=min(u_grid), registry=reg)
         rows, code = _record_validation(validate_bound(sample, bound, u_grid=u_grid), payload)
-    _emit(args, "chaos", config, payload, rows=rows)
+    _emit(args, "chaos", _config(args, matrices=config_hash(contents), fit=fit), payload,
+          rows=rows)
     return code
 
 
@@ -669,20 +660,31 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--fit", help="JSON file of fitted constant overrides")
     s.set_defaults(func=_cmd_simulate)
 
-    r = sub.add_parser("rip", parents=[common], help="restricted isometry toolkit")
-    r.add_argument("action", choices=("exact", "curve", "complexity"))
-    r.add_argument("--N", type=int, required=True)
-    r.add_argument("--m", type=int, help="row budget (exact)")
-    r.add_argument("--s", type=int, required=True, dest="s")
-    r.add_argument("--seed", type=int, default=None)
-    r.add_argument("--delta", type=float, help="target distortion (curve/complexity)")
-    r.add_argument("--m-list", help="comma-separated m grid (curve)")
-    r.add_argument("--reps", type=int, default=200)
-    r.add_argument("--K", type=float, default=1.0)
-    r.add_argument("--eta", type=float, help="failure budget (complexity)")
-    r.add_argument("--d1", type=float, help="fitted constant d1 (complexity)")
-    r.add_argument("--d2", type=float, help="fitted constant d2 (complexity)")
-    r.set_defaults(func=_cmd_rip)
+    r = sub.add_parser("rip", help="restricted isometry toolkit")
+    actions = r.add_subparsers(dest="action", required=True)
+    # Full option names only, or curve would read exact's --m as --m-list.
+    size = argparse.ArgumentParser(add_help=False, parents=[common])
+    size.add_argument("--N", type=int, required=True)
+    size.add_argument("--s", type=int, required=True)
+    per_action = {"parents": [size], "allow_abbrev": False}
+    exact = actions.add_parser("exact", **per_action, help="delta_s of one subsampled DFT draw")
+    exact.add_argument("--m", type=int, required=True, help="row budget")
+    exact.add_argument("--seed", type=int, default=None)
+    exact.set_defaults(func=_cmd_rip_exact)
+    curve = actions.add_parser("curve", **per_action, help="failure probability over an m grid")
+    curve.add_argument("--seed", type=int, default=None)
+    curve.add_argument("--delta", type=float, required=True, help="target distortion")
+    curve.add_argument("--m-list", required=True, help="comma-separated m grid")
+    curve.add_argument("--reps", type=int, default=200)
+    curve.set_defaults(func=_cmd_rip_curve)
+    complexity = actions.add_parser("complexity", **per_action,
+                                    help="minimal m of the fitted condition")
+    complexity.add_argument("--delta", type=float, required=True, help="target distortion")
+    complexity.add_argument("--K", type=float, default=1.0)
+    complexity.add_argument("--eta", type=float, required=True, help="failure budget")
+    complexity.add_argument("--d1", type=float, required=True, help="fitted constant d1")
+    complexity.add_argument("--d2", type=float, required=True, help="fitted constant d2")
+    complexity.set_defaults(func=_cmd_rip_complexity)
 
     ch = sub.add_parser("chaos", parents=[common], help="matrix-family chaos simulation")
     ch.add_argument("--matrices", required=True, help="JSON list of matrices")
@@ -702,25 +704,12 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
-def _require_rip_args(args) -> None:
-    need = {
-        "exact": ("m",),
-        "curve": ("delta", "m_list"),
-        "complexity": ("delta", "eta", "d1", "d2"),
-    }[args.action]
-    for field in need:
-        if getattr(args, field, None) is None:
-            raise DomainError(f"rip {args.action} requires --{field.replace('_', '-')}")
-
-
 def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        if args.command == "rip":
-            _require_rip_args(args)
         return args.func(args)
     except KeyError as exc:
         print(f"error: missing config field {exc}", file=sys.stderr)

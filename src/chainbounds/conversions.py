@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chaining import _doubly_exponential, truncation_level
-from .errors import DomainError, alpha_power, check_array, check_int, check_real
+from .errors import DomainError, alpha_power, check_array, check_int, check_number, check_real
 from .registry import DEFAULT_REGISTRY, ConstantRegistry
 from .results import MomentBound, PowerEnvelope, TailBound
 
@@ -221,11 +221,13 @@ def union_bound_probability(
 
     This is the failure probability of the full chaining event across all
     levels above the truncation index.  The returned value is an upper
-    bound and may exceed 1 (vacuous) for small u with the default c = 16.
+    bound and may exceed 1 (vacuous) for small u with the default c = 16;
+    u = inf gives 0.
     """
     alpha = check_real("alpha", alpha, 0.0, strict=True)
     p = check_real("moment order p", p, 1.0)
     u_min = alpha_power(2.0, 1.0 / alpha, "union bound threshold 2^(1/alpha)", alpha)
+    u = check_number("u", u)
     if not u >= u_min:  # NaN fails too
         raise DomainError(
             f"union bound requires u >= 2^(1/alpha) = {u_min:.6g}, got {u}"

@@ -32,7 +32,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, MetricValidationError, alpha_power, check_real
+from .errors import (
+    CapacityError,
+    DomainError,
+    MetricValidationError,
+    alpha_power,
+    check_number,
+    check_real,
+)
 
 __all__ = [
     "FiniteMetricSpace",
@@ -522,6 +529,7 @@ def covering_number(space: FiniteMetricSpace, u: float, mode: str = "exact") -> 
     mode is exact up to EXACT_COVER_CAP points and greedy above.  u = inf is
     one ball; a NaN radius is rejected.
     """
+    u = check_number("radius", u)
     if not u >= 0:
         raise DomainError(f"radius must be nonnegative, got {u}")
     if _cover_mode(space, mode) == "greedy":

@@ -16,7 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, UnsupportedFamilyError, check_array, check_real
+from .errors import (
+    ConvergenceError,
+    DomainError,
+    UnsupportedFamilyError,
+    check_array,
+    check_number,
+    check_real,
+)
 
 __all__ = [
     "psi_alpha",
@@ -146,7 +153,9 @@ def psi_product_bound(x: OrliczNorm, y: OrliczNorm) -> OrliczNorm:
 
 
 def psi_tail_envelope(norm: OrliczNorm, u: float) -> float:
-    """Markov tail P(|X| >= u) <= 2 exp(-(u/||X||)^alpha), clipped to [0, 1]."""
+    """Markov tail P(|X| >= u) <= 2 exp(-(u/||X||)^alpha), clipped to [0, 1];
+    u = inf gives 0, and a NaN threshold is rejected."""
+    u = check_number("threshold", u)
     if not u >= 0:
         raise DomainError(f"threshold must be nonnegative, got {u}")
     if norm.value == 0.0:

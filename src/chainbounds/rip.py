@@ -415,23 +415,24 @@ def _circulant_values(keep: np.ndarray, m: int,
     return _class_deltas(g, classes), _circulant_margin(g, classes.shape[1])
 
 
-def _kernel_reruns(I: np.ndarray, m: int, N: int, classes: np.ndarray):
+def _kernel_reruns(columns, rows: int, N: int, classes: np.ndarray):
     """(supports, the kernel's delta_S on each) over the N translates (S + c) mod N
     and the N reflections (c - S) mod N, each sorted, of the given classes, in
     groups of at most max(N, min(C, _BATCH)) supports.  A symmetric or
     periodic class repeats supports.
 
-    The kernel reads the columns sqrt(N/m) F[I][:, cols] of the kept rows I,
-    computed as subsampled_instance computes them.  Each s x s block is the
-    einsum Gram of its columns with unit row weights, the same sum of the
-    same products as the N x N Gram's entries (and with 0/1 weights over all
-    N rows, whose unselected rows add exact zeros), so the value is bit for
-    bit the one the kernel reads off that Gram.  A block gathers |I| s
-    entries of columns, which fits the budget _classes checked (|I| <= N).
+    columns(cols) gives the kept rows' columns sqrt(N/m) F[I][:, cols], rows
+    by len(cols), as subsampled_instance computes them: gathered from an
+    instance's U_I, or computed for each stack where |I| x N is too large to
+    hold.  Each s x s block is the einsum Gram of its columns with unit row
+    weights, the same sum of the same products as the N x N Gram's entries
+    (and with 0/1 weights over all N rows, whose unselected rows add exact
+    zeros), so the value is bit for bit the one the kernel reads off that
+    Gram.  A block gathers |I| s entries of columns, which fits the budget
+    _classes checked (|I| <= N).
     """
     s = classes.shape[1]
-    scale = math.sqrt(N / m)
-    ones = np.ones(I.size)
+    ones = np.ones(rows)
     shifts = np.arange(N)[:, None]
     step = max(1, min(classes.shape[0], _BATCH) // N)
     for c in range(0, classes.shape[0], step):
@@ -440,29 +441,31 @@ def _kernel_reruns(I: np.ndarray, m: int, N: int, classes: np.ndarray):
             supports = np.sort(moved % N, axis=2).reshape(-1, s)
 
             def blocks(lo, hi):
-                X = scale * _dft_entries(I, supports[lo:hi].ravel(), N)
-                X = X.reshape(I.size, hi - lo, s)
+                X = columns(supports[lo:hi].ravel()).reshape(rows, hi - lo, s)
                 return np.einsum("i,ick,icl->ckl", ones, X.conj(), X)
 
-            yield supports, _stacked_deltas(supports.shape[0], max(I.size * s, s * s), blocks)
+            yield supports, _stacked_deltas(supports.shape[0], max(rows * s, s * s), blocks)
 
 
-def _dft_maximum(I: np.ndarray, m: int, N: int, s: int) -> tuple[float, tuple]:
-    """The kernel's largest delta_S over all supports of sqrt(N/m) F[I], and its
-    lexicographically first support, as the full enumeration finds them.
+def _dft_maximum(inst: RipInstance, s: int) -> tuple[float, tuple]:
+    """The kernel's largest delta_S over all supports of a DFT instance's U_I =
+    sqrt(N/m) F[I], and its lexicographically first support, as the full
+    enumeration finds them.
 
     With tau from _circulant_margin and M the largest circulant value, the
     kernel's maximum is at least M - tau, so every support attaining it has a
     circulant value of at least M - 2 tau.  The kernel runs on every translate
-    of the classes there and nowhere else.
+    of the classes there and nowhere else, on columns gathered from U_I.
     """
-    classes = _classes(N, s)
-    keep = np.zeros((1, N), dtype=bool)
-    keep[0, I] = True
-    values, tau = _circulant_values(keep, m, classes)
+    classes = _classes(inst.N, s)
+    keep = np.zeros((1, inst.N), dtype=bool)
+    keep[0, list(inst.I)] = True
+    values, tau = _circulant_values(keep, inst.m, classes)
     values, tau = values[0], tau[0]
+    near = classes[values >= values.max() - 2.0 * tau]
     best_delta, best_support = -1.0, None
-    for supports, deltas in _kernel_reruns(I, m, N, classes[values >= values.max() - 2.0 * tau]):
+    for supports, deltas in _kernel_reruns(lambda cols: inst.U_I[:, cols], inst.realized_rows,
+                                           inst.N, near):
         top = float(deltas.max())
         tied = supports[deltas == top]
         first = tuple(tied[np.lexsort(tied.T[::-1])[0]])
@@ -483,8 +486,11 @@ def _circulant_failures(keep: np.ndarray, m: int, classes: np.ndarray, delta: fl
     values, tau = _circulant_values(keep, m, classes)
     top = values.max(axis=1)
     fails = top - tau >= delta
+    N = keep.shape[1]
+    scale = math.sqrt(N / m)
     for r in np.flatnonzero(~fails & (top + tau >= delta)):
-        reruns = _kernel_reruns(np.flatnonzero(keep[r]), m, keep.shape[1],
+        I = np.flatnonzero(keep[r])
+        reruns = _kernel_reruns(lambda cols: scale * _dft_entries(I, cols, N), I.size, N,
                                 classes[values[r] + tau[r] >= delta])
         fails[r] = any((deltas >= delta).any() for _, deltas in reruns)
     return int(np.count_nonzero(fails))
@@ -561,8 +567,7 @@ class RipInstance:
         if self.U is not None:
             return restricted_isometry_constant(self.U_I, s)
         s = check_int("s", s, 1, self.N)
-        I = np.array(self.I, dtype=np.intp)
-        return _rip_report(self.U_I, s, *_dft_maximum(I, self.m, self.N, s))
+        return _rip_report(self.U_I, s, *_dft_maximum(self, s))
 
 
 def subsampled_instance(U, m: int, seed: int, K: float | None = None, rep: int = 0, *,
@@ -573,8 +578,9 @@ def subsampled_instance(U, m: int, seed: int, K: float | None = None, rep: int =
     kept rows are computed as build_dft computes them, without the N x N
     table, and the instance records U = None.  Its flatness K still reads all
     N^2 entries, a row block at a time, so N is refused as build_dft refuses it.
-    K defaults to the attained sqrt(N) * max |U_kl|; an explicit smaller K is
-    rejected because the flatness premise would be false.
+    K defaults to the attained sqrt(N) * max |U_kl|; an explicit K must be
+    finite and > 0, and a smaller one is rejected because the flatness
+    premise would be false.
     """
     if U is None:
         N = _check_dft_size(N)
@@ -586,7 +592,7 @@ def subsampled_instance(U, m: int, seed: int, K: float | None = None, rep: int =
     attained = _dft_flatness(N) if U is None else math.sqrt(N) * float(np.abs(U).max())
     if K is None:
         K = attained
-    elif attained > K + 1e-12:
+    elif attained > check_real("K", K, 0.0, strict=True) + 1e-12:
         raise DomainError(f"declared K = {K:g} is below the attained flatness {attained:g}")
     I = sample_selectors(N, m, seed, rep)
     if U is None:

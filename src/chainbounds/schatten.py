@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chaining import GammaEstimate, _gamma_search
-from .errors import DomainError, check_array, check_real
+from .errors import DomainError, check_array, check_number, check_real
 from .metric import FiniteMetricSpace, _pairwise, build_metric_space
 
 __all__ = ["schatten_norm", "SchattenRadii", "matrix_set_space", "schatten_radii"]
@@ -25,7 +25,8 @@ _ORDER_RTOL = 1e-9
 def schatten_norm(a, q: float) -> float:
     """l^q norm of the singular values; q = inf is the operator norm."""
     s = np.linalg.svd(check_array("a", a, 2, complex_ok=True), compute_uv=False)
-    if math.isinf(q):
+    q = check_number("Schatten exponent", q)
+    if q == math.inf:
         return float(s.max(initial=0.0))
     if not q >= 1:
         raise DomainError(f"Schatten exponent must be >= 1 or inf, got {q}")

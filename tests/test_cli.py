@@ -1,5 +1,6 @@
 """End-to-end command-line runs: artifacts, exit codes, determinism."""
 
+import argparse
 import inspect
 import json
 import math
@@ -894,3 +895,56 @@ def test_simulate_reads_its_bound_and_grids_before_the_model_runs(tmp_path, caps
                          capsys)
     assert code == 2 and message in err and out == ""
     assert not (tmp_path / "out").exists()
+
+
+_RIP = {
+    "exact": ["rip", "exact", "--N", "8", "--m", "4", "--s", "2", "--seed", "3"],
+    "curve": _RIP_CURVE + ["4", "--reps", "5"],
+    "complexity": ["rip", "complexity", "--N", "8", "--s", "2", "--delta", "0.5", "--eta", "0.01",
+                   "--d1", "1", "--d2", "1"],
+}
+
+
+@pytest.mark.parametrize("argv", [
+    _RIP["exact"] + ["--reps", "5"],
+    _RIP["exact"] + ["--K", "3"],
+    _RIP["curve"] + ["--m", "4"],
+    _RIP["complexity"] + ["--seed", "4"],
+    ["rip"] + _RIP["exact"][2:] + ["exact"],
+], ids=["exact --reps", "exact --K", "curve --m", "complexity --seed", "action last"])
+def test_a_rip_action_takes_only_its_own_options_after_it(tmp_path, capsys, argv):
+    # an option only another action reads used to be accepted and ignored
+    code, out, err = run(argv + ["--out", str(tmp_path / "out")], capsys)
+    assert (code, out) == (2, "") and "error: " in err
+    assert not (tmp_path / "out").exists()
+
+
+def _declared(*names) -> set:
+    """The option dests of a command's parsers, from the top parser down through names."""
+    parser, dests = cli._PARSER, set()
+    for name in names:
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[name]
+        dests |= {a.dest for a in parser._actions if not isinstance(a, argparse._HelpAction)}
+    return dests - {"out"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["gamma", "--space", "{space}", "--alpha", "2"],
+    ["cover", "--space", "{space}", "--radius", "1"],
+    ["bound", "union-probability", "--params", "{params}"],
+    ["chaos", "--matrices", "{family}", "--reps", "10", "--seed", "1"],
+    _RIP["exact"], _RIP["curve"], _RIP["complexity"],
+], ids=["gamma", "cover", "bound", "chaos", "rip exact", "rip curve", "rip complexity"])
+def test_a_report_config_is_every_declared_option_but_out(tmp_path, capsys, argv):
+    files = {"space": {"points": [[0.0], [1.0]]}, "params": {"alpha": 2, "u": 2, "p": 1},
+             "family": [_EYE]}
+    paths = {}
+    for name, contents in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(contents))
+    argv = [arg.format(**paths) for arg in argv] + ["--out", str(tmp_path / "out")]
+    assert run(argv, capsys)[0] == 0
+    [report] = (tmp_path / "out").glob("*.json")
+    command = argv[:2] if argv[0] == "rip" else argv[:1]
+    assert set(load_json(report)["config"]) == _declared(*command)

@@ -12,6 +12,7 @@ from chainbounds import (
     bounds,
     chaining,
     conversions,
+    metric,
     orlicz,
     processes,
     results,
@@ -180,13 +181,25 @@ _SCALAR_SITES = {
         factor=1.0, const=v, sqrt_coeff=0.0, linear=1.0, envelope=_ENVELOPE), "const"),
     "decomposition term": (lambda v: results.MomentBound(p=2.0, decomposition=(("head", v),)),
                            "head"),
+    "RIP flatness": (lambda v: rip.subsampled_instance(None, 4, 0, K=v, N=8), "K"),
+    "covering radius": (lambda v: metric.covering_number(
+        space_from_points(np.arange(3.0)[:, None]), v), "radius"),
+    "envelope threshold": (lambda v: orlicz.psi_tail_envelope(
+        orlicz.OrliczNorm(2.0, 1.0, "analytic"), v), "threshold"),
+    "Schatten exponent": (lambda v: schatten.schatten_norm(np.eye(2), v), "Schatten exponent"),
+    "union threshold": (lambda v: conversions.union_bound_probability(1.0, v, 1.0), "u"),
 }
+# sites whose docstring takes inf: one ball, a zero tail, the operator norm, a zero probability
+_INF_SITES = {"covering radius", "envelope threshold", "Schatten exponent", "union threshold"}
 
 
 @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf, True, "1"], ids=repr)
 @pytest.mark.parametrize("site", sorted(_SCALAR_SITES))
 def test_every_scalar_intake_refuses_a_bad_value_by_name(site, v):
     call, name = _SCALAR_SITES[site]
+    if site in _INF_SITES and v == math.inf:
+        call(v)
+        return
     with pytest.raises(DomainError, match=re.escape(name)):
         call(v)
 

@@ -603,8 +603,10 @@ def test_support_table_is_cached_and_read_only():
 
 
 def test_only_small_support_tables_stay_cached(monkeypatch):
-    # the tables the benchmark's rip commands read stay cached
+    # the class tables the benchmark's rip commands read stay cached, and so
+    # do the support tables of a supplied matrix of the same sizes
     for N, s in ((32, 3), (16, 2)):
+        assert rip._classes(N, s) is rip._classes(N, s)
         assert rip._supports(N, s) is rip._supports(N, s)
     monkeypatch.setattr(rip, "_CACHED_ENTRIES", math.comb(7, 3) * 3)
     assert rip._supports(7, 3) is rip._supports(7, 3)
@@ -788,6 +790,19 @@ def test_the_dft_path_builds_no_n_by_n_table(monkeypatch):
         assert subsampled_instance(None, N, 1, N=N).delta(s).s == s
     # past build_dft's N = 2048: one FFT per draw, and a 2 x 4095 class table
     assert estimate_failure_probability(4096, 2048, 2, 0.5, 5, 1)["failures"] == 0
+
+
+@pytest.mark.parametrize("N, m", [(32, 16), (32, 32)])
+def test_the_dft_constant_gathers_its_instance_columns(monkeypatch, N, m):
+    # the instance holds U_I, so the kernel reruns read its columns and
+    # compute no Fourier entry; every row kept reruns every class
+    inst = subsampled_instance(None, m, 1234567, N=N)
+    full = restricted_isometry_constant(inst.U_I, 3)
+    monkeypatch.setattr(rip, "_dft_entries", lambda *args: pytest.fail("computed entries"))
+    report = inst.delta(3)
+    assert (report.delta_s, report.witness_support, report.witness_value) == (
+        full.delta_s, full.witness_support, full.witness_value)
+    assert report.witness_direction.tobytes() == full.witness_direction.tobytes()
 
 
 def test_dft_instance_checks_its_size():
