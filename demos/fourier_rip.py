@@ -31,9 +31,9 @@ for m in (4, 8, 12, 16):
     r = cb.estimate_failure_probability(N, m, 2, 0.5, 200, seed=101)
     print(f"  m={m:>2}: estimate {r['estimate']:.3f}  99% CI [{r['ci_lower']:.3f}, {r['ci_upper']:.3f}]")
 
-# The DFT's Gram is circulant, so a draw costs one length-N FFT rather than
-# an N x N Gram (about 7 s a draw at N = 1024): 200 draws at N = 1024 take
-# about as long as the N = 16 curve above.
+# The DFT's Gram is circulant, so a draw costs one length-N FFT and no
+# N x N Gram: 200 draws at N = 1024 take about as long as the N = 16 curve
+# above.
 r = cb.estimate_failure_probability(1024, 64, 2, 0.5, 200, seed=101)
 print(f"\nN=1024, m=64: P(delta_2 >= 0.5) ~ {r['estimate']:.3f}  "
       f"99% CI [{r['ci_lower']:.3f}, {r['ci_upper']:.3f}]")

@@ -401,6 +401,13 @@ def _flag(name: str, value) -> bool:
     return value
 
 
+def _object(name: str, value) -> dict:
+    """value, which must be a JSON object."""
+    if not isinstance(value, dict):
+        raise DomainError(f"{name} must be a JSON object, got {value!r}")
+    return value
+
+
 def _run_model(spec: dict, reps: int, seed: int):
     """Build the configured model and simulate it."""
     if not isinstance(spec, dict) or "kind" not in spec:
@@ -415,7 +422,7 @@ def _run_model(spec: dict, reps: int, seed: int):
                                  step_bounds=spec.get("step_bounds"))
         return simulate_martingale_family(model, reps, seed)
     if kind in ("empirical", "squares"):
-        base_spec = spec.get("base", {})
+        base_spec = _object("base", spec.get("base", {}))
         base = RowDistribution(
             name=base_spec.get("name", "rademacher"),
             scale=check_real("base.scale", base_spec.get("scale", 1.0), -math.inf),
@@ -430,7 +437,7 @@ def _run_model(spec: dict, reps: int, seed: int):
         return simulate(model, spec.get("m", model.coefficients.shape[1]), reps, seed)
     if kind == "chaos":
         mats = _matrices(spec["matrices"])
-        xi_spec = spec.get("xi", {})
+        xi_spec = _object("xi", spec.get("xi", {}))
         xi = RowDistribution(
             name=xi_spec.get("name", "rademacher"),
             scale=check_real("xi.scale", xi_spec.get("scale", 1.0), -math.inf),
@@ -468,13 +475,14 @@ def _cmd_simulate(args) -> int:
     seed = _require_seed(args.seed if args.seed is not None else config.get("seed"))
     reps = args.reps if args.reps is not None else config.get("reps", 0)
     reps = check_int("reps (config or --reps)", reps, 1)
-    reg, fit = _registry(args, inline=config.get("fit"))
+    reg, fit = _registry(args, inline=_object("fit", config.get("fit", {})))
     spec = config["model"]
     # The bound, its u_grid and the moment orders are read before the model
     # runs, so a faulty one costs no simulation.
     if "bound" in config:
-        bound_spec = config["bound"]
-        bound = _build_bound(bound_spec["name"], bound_spec.get("params", {}), reg)
+        bound_spec = _object("bound", config["bound"])
+        params = _object("bound.params", bound_spec.get("params", {}))
+        bound = _build_bound(bound_spec["name"], params, reg)
         if not isinstance(bound, (TailBound, MomentBound)):
             raise DomainError(f"bound {bound_spec['name']!r} is not validatable")
         u_grid = config.get("u_grid")

@@ -7,34 +7,25 @@ constants are computed exactly by enumerating size-s supports and taking
 extreme eigenvalues of the s x s Grams; sample-complexity thresholds invert
 the fitted sufficiency condition by integer bisection.
 
-One kernel serves the exact constant and the Monte Carlo: the N x N Gram is
-formed once per matrix (once per replication, with the selectors as a 0/1
-row weight on the rescaled unitary), the s x s blocks of a table of
-supports are gathered from it, and LAPACK eigvalsh runs on stacks of at most
-_BATCH of them (see _stacked_deltas).  Unselected rows add exact zeros and
-the unitary is rescaled before the sums, so each delta_s is bit for bit that
-of the enumeration over the rescaled selected rows alone.  This holds up to
-8192 rows, numpy's einsum buffer; beyond it numpy sums in buffer-sized
-pieces laid out by operand shape, and the last bits may differ.
-
-Both refuse, through errors._check_table_budget and before any table, Gram,
-eigvalsh call or selector draw, an enumeration whose largest table would
-pass errors._TABLE_BUDGET entries (see _supports).
-
-The Monte Carlo only asks whether some delta_S reaches delta.  A Gershgorin /
-Rayleigh bracket, widened by eigvalsh's backward error, answers that for most
-replications; eigvalsh runs on the blocks it leaves open, so every failure
-count is the one eigvalsh on every block gives.  The exact constant runs
-eigvalsh on every support.
+The exact constant forms the N x N Gram of its matrix once, gathers the
+s x s blocks of a table of supports from it, and runs LAPACK eigvalsh on
+stacks of at most _BATCH of them (see _stacked_deltas).  The refusal,
+through errors._check_table_budget, comes before any table, Gram or
+eigvalsh call: an enumeration whose largest table would pass
+errors._TABLE_BUDGET entries is refused (see _supports).
 
 The discrete Fourier matrix, U = None, skips the N x N Gram: its Gram is
 circulant, one FFT per draw gives it, and delta_S is constant on translation
-classes of supports.  The DFT's constant and its failure curve share one
-rerun routine, _kernel_reruns: the kernel above runs, on the kept rows'
-columns, only on the supports whose circulant value lies within a certified
-margin of the decision, so the DFT's constants, witnesses and failure counts
-are the kernel's bit for bit (see _dft_maximum and _circulant_failures,
-refused through _classes).
+classes of supports.  The DFT's constant and its failure curve, the Monte
+Carlo over Bernoulli selectors, share one rerun routine, _kernel_reruns: the
+kernel above runs, on the kept rows' columns, only on the supports whose
+circulant value lies within a certified margin of the decision, so the DFT's
+constants, witnesses and failure counts are those of the kernel on the
+rescaled kept rows, bit for bit (see _dft_maximum and _circulant_failures,
+refused through _classes, before any selector draw).  The kernel's sums are
+the einsum with unit row weights; up to 8192 rows, numpy's einsum buffer,
+they are the sequential sums over the rows, and beyond it numpy sums in
+buffer-sized pieces laid out by operand shape, so the last bits may differ.
 """
 
 from __future__ import annotations
@@ -189,8 +180,7 @@ def _supports(N: int, s: int) -> np.ndarray:
     when the largest table of the enumeration would pass the budget: the
     C(N, s) x s support table, the N x N Gram (for s >= 2; size-1 supports
     read squared column norms), or one eigvalsh stack of s x s blocks, at
-    most _BATCH of them.  A failure curve stacks the Grams and blocks of
-    several replications only as far as the budget holds them.
+    most _BATCH of them.
     """
     n_supports = math.comb(N, s)
     _check_table_budget(
@@ -200,28 +190,26 @@ def _supports(N: int, s: int) -> np.ndarray:
     return (_cached_support_table if small else _support_table)(N, s)
 
 
-def _grams(weights: np.ndarray, A: np.ndarray, s: int) -> np.ndarray:
-    """(R, N, N) Grams sum_i weights[r, i] conj(A[i, k]) A[i, l] of the columns of A.
+def _gram(A: np.ndarray, s: int) -> np.ndarray:
+    """The N x N Gram sum_i conj(A[i, k]) A[i, l] of the columns of A.
 
-    With 0/1 weights each entry is the same sequential sum as over the kept
-    rows alone.  Size-1 supports read only the diagonal, so for s = 1 the
-    squared column norms are broadcast instead of forming N x N Grams.
+    It is the einsum with unit row weights, the sum _kernel_reruns forms on
+    its blocks.  Size-1 supports read only the diagonal, so for s = 1 the
+    squared column norms are broadcast instead of forming the N x N Gram.
     """
-    R, N = weights.shape[0], A.shape[1]
+    ones, N = np.ones(A.shape[0]), A.shape[1]
     if s == 1:
-        norms = np.einsum("ri,ik,ik->rk", weights, A.conj(), A)
-        return np.broadcast_to(norms[:, None, :], (R, N, N))
-    return np.einsum("ri,ik,il->rkl", weights, A.conj(), A)
+        return np.broadcast_to(np.einsum("i,ik,ik->k", ones, A.conj(), A), (N, N))
+    return np.einsum("i,ik,il->kl", ones, A.conj(), A)
 
 
-def _block_deltas(grams: np.ndarray, rows: np.ndarray, supports: np.ndarray) -> np.ndarray:
-    """Values max(lambda_max - 1, 1 - lambda_min) of the s x s blocks
-    grams[rows[k]][S_k, S_k], S_k being supports[k]."""
+def _block_deltas(gram: np.ndarray, supports: np.ndarray) -> np.ndarray:
+    """Values max(lambda_max - 1, 1 - lambda_min) of the s x s blocks gram[S, S], S in supports."""
     def blocks(lo, hi):
         S = supports[lo:hi]
-        return grams[rows[lo:hi, None, None], S[:, :, None], S[:, None, :]]
+        return gram[S[:, :, None], S[:, None, :]]
 
-    return _stacked_deltas(rows.size, supports.shape[1] ** 2, blocks)
+    return _stacked_deltas(supports.shape[0], supports.shape[1] ** 2, blocks)
 
 
 def _stacked_deltas(count: int, per_block: int, blocks) -> np.ndarray:
@@ -241,59 +229,6 @@ def _stacked_deltas(count: int, per_block: int, blocks) -> np.ndarray:
         w = np.linalg.eigvalsh(blocks(lo, hi))
         out[lo:hi] = np.maximum(w[:, -1] - 1.0, 1.0 - w[:, 0])
     return out
-
-
-def _support_brackets(grams: np.ndarray, supports: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(R, C) arrays low <= delta_S <= high around the value _block_deltas computes.
-
-    With D the diagonal of the s x s Gram G of support S, Gershgorin gives
-    delta_S <= max_i |D_i - 1| + sum_{j != i} |G_ij|, and Rayleigh quotients
-    give delta_S >= |mid - 1| + |G_ab| with mid = (D_a + D_b) / 2 on the unit
-    vectors (e_a + e^{i phi} e_b) / sqrt(2), and >= |D_a - 1| on e_a (the
-    pair a = b).  eigvalsh returns the eigenvalues of G + E with
-    ||E||_2 <= p(s) eps ||G||_2 (Golub & Van Loan, Matrix Computations, 4th
-    ed., section 8.1), and ||G||_2 <= s max |G_ij|, so widening both ends by
-    tau = _SCREEN_TOL (1 + s max |G_ij|) = 4.5e6 eps (1 + s max |G_ij|) covers
-    any p(s) up to a million together with the rounding of the bracket and of
-    the final subtraction of 1 (max |G_ij| is taken over the bracketed
-    entries, and |G_ii| = D_i).  Supports are bracketed _BATCH // R at a time.
-    """
-    R, (C, s) = grams.shape[0], supports.shape
-    diag = grams.diagonal(axis1=1, axis2=2).real
-    low, high = np.empty((R, C)), np.empty((R, C))
-    step = max(1, _BATCH // R)
-    for lo in range(0, C, step):
-        S = supports[lo:lo + step].T
-        D = diag[:, S]  # (R, s, supports)
-        dev = np.abs(D - 1.0)
-        radius = np.zeros_like(D)
-        rayleigh = dev.max(axis=1)
-        scale = float(D.max())
-        for a, b in itertools.combinations(range(s), 2):
-            g = np.abs(grams[:, S[a], S[b]])
-            radius[:, a] += g
-            radius[:, b] += g
-            rayleigh = np.maximum(rayleigh, np.abs(0.5 * (D[:, a] + D[:, b]) - 1.0) + g)
-            scale = max(scale, float(g.max()))
-        tau = _SCREEN_TOL * (1.0 + s * scale)
-        low[:, lo:lo + step] = rayleigh - tau
-        high[:, lo:lo + step] = (dev + radius).max(axis=1) + tau
-    return low, high
-
-
-def _screened_failures(grams: np.ndarray, supports: np.ndarray, delta: float) -> int:
-    """How many of the R Grams have a support whose computed delta_S is >= delta.
-
-    The brackets settle most replications: one fails if some support's low
-    reaches delta and passes if every high stays below it.  eigvalsh runs on
-    the supports of the others whose high reaches delta, with the same
-    >= delta test, so the count is that of eigvalsh on every support.
-    """
-    low, high = _support_brackets(grams, supports)
-    fails = (low >= delta).any(axis=1)
-    rows, cols = np.nonzero((high >= delta) & ~fails[:, None])
-    fails[rows[_block_deltas(grams, rows, supports[cols]) >= delta]] = True
-    return int(np.count_nonzero(fails))
 
 
 # ---------------------------------------------------------------- the subsampled DFT
@@ -398,10 +333,12 @@ def _circulant_margin(g: np.ndarray, s: int) -> np.ndarray:
     max |g| of it (Higham, Accuracy and Stability of Numerical Algorithms,
     2nd ed., section 24.1).  The two Grams thus differ entrywise by less than
     32 N eps max |g|, and by Weyl their eigenvalues by less than s times
-    that.  eigvalsh adds p(s) eps ||G||_2 <= p(s) eps s max |g| to each (see
-    _support_brackets), so tau = (_SCREEN_TOL + 32 N eps)(1 + s max |g|)
-    covers both computations for any p(s) up to a million, with the final
-    subtraction of 1.
+    that.  eigvalsh returns the eigenvalues of G + E with ||E||_2 <= p(s) eps
+    ||G||_2 (Golub & Van Loan, Matrix Computations, 4th ed., section 8.1),
+    and ||G||_2 <= s max |g|, so _SCREEN_TOL = 1e-9 = 4.5e6 eps covers that
+    for any p(s) up to a million, with the rounding of the circulant value
+    and of the final subtraction of 1; tau = (_SCREEN_TOL + 32 N eps)
+    (1 + s max |g|) covers both computations.
     """
     N = g.shape[1]
     eps = np.finfo(float).eps
@@ -425,11 +362,10 @@ def _kernel_reruns(columns, rows: int, N: int, classes: np.ndarray):
     by len(cols), as subsampled_instance computes them: gathered from an
     instance's U_I, or computed for each stack where |I| x N is too large to
     hold.  Each s x s block is the einsum Gram of its columns with unit row
-    weights, the same sum of the same products as the N x N Gram's entries
-    (and with 0/1 weights over all N rows, whose unselected rows add exact
-    zeros), so the value is bit for bit the one the kernel reads off that
-    Gram.  A block gathers |I| s entries of columns, which fits the budget
-    _classes checked (|I| <= N).
+    weights, the same sum of the same products as _gram's entries, so the
+    value is bit for bit the one the kernel reads off that Gram.  A block
+    gathers |I| s entries of columns, which fits the budget _classes checked
+    (|I| <= N).
     """
     s = classes.shape[1]
     ones = np.ones(rows)
@@ -511,8 +447,7 @@ def restricted_isometry_constant(A, s: int) -> RipReport:
         raise DomainError(f"A must have at least one column, got shape {A.shape}")
     s = check_int("s", s, 1, A.shape[1])
     supports = _supports(A.shape[1], s)
-    gram = _grams(np.ones((1, A.shape[0])), A, s)
-    deltas = _block_deltas(gram, np.zeros(supports.shape[0], dtype=np.intp), supports)
+    deltas = _block_deltas(_gram(A, s), supports)
     k = int(np.argmax(deltas))  # the first maximum: lexicographically-first support
     return _rip_report(A, s, float(deltas[k]), supports[k])
 
@@ -650,64 +585,33 @@ def sample_complexity(
     return hi
 
 
-def estimate_failure_probability(
-    N: int,
-    m: int,
-    s: int,
-    delta: float,
-    reps: int,
-    seed: int,
-    U=None,
-) -> dict:
-    """Monte Carlo estimate of P(delta_s >= delta) under Bernoulli selectors.
+def estimate_failure_probability(N: int, m: int, s: int, delta: float, reps: int,
+                                 seed: int) -> dict:
+    """Monte Carlo estimate of P(delta_s >= delta) for the subsampled N-point
+    discrete Fourier matrix under Bernoulli(m/N) selectors.
 
-    U defaults to the discrete Fourier matrix; a supplied U must have order
-    N.  Equality counts as failure (delta = 0 therefore estimates 1).
-    Returns the exceedance fraction with one-sided Clopper-Pearson bounds at
+    Equality counts as failure (delta = 0 therefore estimates 1).  Returns
+    the exceedance fraction with one-sided Clopper-Pearson bounds at
     validation.CONFIDENCE and the mean realized row count.
 
     Replication rep draws its selectors from the stream of
     replication_rng(seed, rep), read off one Philox per call that is reset to
     each replication's counter.  Each failure count is the one eigvalsh on
-    every support of the replication's N x N Gram gives, that of the
-    rescaled unitary with the 0/1 selectors as row weights.
-
-    U = None costs one length-N FFT per replication, and for s >= 3 an
-    eigvalsh pass over one s x s block per class of supports under
-    translation and reflection (_circulant_failures); N^2 need not fit the
-    table budget.  A user-supplied U costs an O(N^3)
-    einsum Gram per replication, screened by _support_brackets, with
-    eigvalsh on the supports the bracket leaves open.
+    every support of the rescaled kept rows gives.  A replication costs one
+    length-N FFT, and for s >= 3 an eigvalsh pass over one s x s block per
+    class of supports under translation and reflection (_circulant_failures);
+    N^2 need not fit the table budget.
     """
     N = check_int("N", N, 1)
-    if U is not None:
-        U = _as_unitary(U)
-        if U.shape[0] != N:
-            raise DomainError(f"N = {N} does not match the order {U.shape[0]} of U")
     m = check_int("m", m, 1, N)
     reps = check_int("reps", reps, 1)
     seed = check_int("seed", seed, 0, SEED_MAX)
     check_real("delta", delta, 0.0)
     s = check_int("s", s, 1, N)
-    # Replications go through the kernel in chunks whose tables fit the
-    # budget (and one eigvalsh stack of _BATCH supports for a user U), and at
-    # least one, so memory does not grow with reps.
-    if U is None:
-        classes = _classes(N, s)
-        width = max(N, classes.shape[0])
-        chunk = max(1, min(_BATCH, errors._TABLE_BUDGET) // width)
-
-        def count(keep):
-            return _circulant_failures(keep, m, classes, delta)
-    else:
-        supports = _supports(N, s)
-        A = math.sqrt(N / m) * U  # scaled before the sums, as subsample() does
-        n_supports = supports.shape[0]
-        chunk = max(1, min(_BATCH // n_supports,
-                           errors._TABLE_BUDGET // max(N * N, n_supports * s * s)))
-
-        def count(keep):
-            return _screened_failures(_grams(keep, A, s), supports, delta)
+    # Replications go through in chunks whose circulant rows and class values
+    # fit the budget, and at least one, so memory does not grow with reps.
+    classes = _classes(N, s)
+    chunk = max(1, min(_BATCH, errors._TABLE_BUDGET) // max(N, classes.shape[0]))
     streams = _replication_streams(seed)
     failures = 0
     realized = 0
@@ -715,7 +619,7 @@ def estimate_failure_probability(
         keep = np.array([_selector_mask(streams(rep), N, m)
                          for rep in range(lo, min(lo + chunk, reps))])
         realized += int(keep.sum())
-        failures += count(keep)
+        failures += _circulant_failures(keep, m, classes, delta)
     return {
         "N": N,
         "m": m,

@@ -86,8 +86,11 @@ def _entries(values) -> list:
 
 
 def _moment_orders(p_list) -> list[float]:
-    """A moment estimate's orders p >= 1, checked entry by entry."""
-    return [check_real("moment order p", p, 1.0) for p in _entries(p_list)]
+    """A moment estimate's orders p >= 1, checked entry by entry; at least one."""
+    orders = [check_real("moment order p", p, 1.0) for p in _entries(p_list)]
+    if not orders:
+        raise DomainError("moment orders need a nonempty p_list")
+    return orders
 
 
 def _u_grid(u_grid) -> np.ndarray:

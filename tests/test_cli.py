@@ -741,6 +741,8 @@ _COEFFICIENTS = [[1.0, 0.5], [0.5, 1.0]]
     ({"kind": "empirical", "coefficients": _COEFFICIENTS, "base": {"scale": "1.5"}},
      "base.scale"),
     ({"kind": "squares", "coefficients": _COEFFICIENTS, "base": {"scale": True}}, "base.scale"),
+    ({"kind": "empirical", "coefficients": _COEFFICIENTS, "base": "gaussian"}, "base"),
+    ({"kind": "chaos", "matrices": _CHAOS_MATRICES, "xi": "gaussian"}, "xi"),
 ])
 def test_simulate_model_flags_and_scales_must_be_json_booleans_and_numbers(tmp_path, capsys,
                                                                            model, field):
@@ -879,6 +881,10 @@ def test_chaos_reads_its_fit_and_u_grid_before_it_computes(tmp_path, capsys, mon
     ({"bound": {"name": "gaussian", "params": {}}}, "missing config field 'gamma2'"),
     ({"bound": None, "p_list": [2.0, True]}, "moment order p must be a real number, got True"),
     ({"bound": None, "p_list": [0.5]}, "moment order p must be finite and >= 1, got 0.5"),
+    ({"bound": None, "p_list": []}, "moment orders need a nonempty p_list"),
+    ({"fit": [1]}, "fit must be a JSON object, got [1]"),
+    ({"bound": 3}, "bound must be a JSON object, got 3"),
+    ({"bound": {"name": "azuma", "params": [1]}}, "bound.params must be a JSON object, got [1]"),
 ])
 def test_simulate_reads_its_bound_and_grids_before_the_model_runs(tmp_path, capsys, monkeypatch,
                                                                   change, message):

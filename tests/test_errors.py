@@ -97,8 +97,6 @@ _ARRAY_SITES = {
     "supremum values": (lambda a: processes.SupremumSample(replications=2, seed=0, values=a),
                         np.ones(2), ModelError, "values"),
     "unitary U": (lambda a: rip.subsampled_instance(a, 1, 0), np.eye(2), DomainError, "U"),
-    "failure-curve U": (lambda a: rip.estimate_failure_probability(2, 1, 1, 0.5, 1, 0, U=a),
-                        np.eye(2), DomainError, "U"),
     "RIP matrix": (lambda a: rip.restricted_isometry_constant(a, 1), np.eye(2), DomainError, "A"),
     "subsample U": (lambda a: rip.subsample(a, [0], 1), np.eye(2), DomainError, "U"),
     "BOS rows": (lambda a: rip.check_bos(a, 2.0), _BOS_ROWS, DomainError, "rows"),
@@ -298,6 +296,12 @@ def test_symmetrization_check_takes_a_scalar_order_as_estimate_moments_does():
     assert report == listed
     with pytest.raises(DomainError, match="^moment order p must be a real number"):
         validation.check_symmetrization_decoupling([np.eye(2)], p_list="2")
+
+
+def test_symmetrization_check_refuses_an_empty_order_list():
+    # no order checks no row, so holds would be vacuously true
+    with pytest.raises(DomainError, match="^moment orders need a nonempty p_list$"):
+        validation.check_symmetrization_decoupling([np.eye(2)], p_list=[])
 
 
 # ------------------------------------------------------------ supremum samples

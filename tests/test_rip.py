@@ -70,7 +70,7 @@ def test_dft_past_the_table_budget_is_refused_before_it_is_built(monkeypatch, tm
                 "budget of 48") in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
     monkeypatch.setattr(rip, "build_dft", lambda *args: pytest.fail("built the matrix"))
-    monkeypatch.setattr(rip, "_grams", lambda *args: pytest.fail("built a Gram"))
+    monkeypatch.setattr(rip, "_gram", lambda *args: pytest.fail("built a Gram"))
     for s in ("1", "2"):  # 7 and max(2 C(6, 1), 2 7, 4 C(6, 1)) = 24 entries
         assert main(curve + ["--s", s]) == 0
 
@@ -324,12 +324,10 @@ def test_failure_probability_validation():
         estimate_failure_probability(N=8, m=4, s=2, delta=0.5, reps=0, seed=0)
 
 
-@pytest.mark.parametrize("N", [8, 32])
-def test_failure_probability_checks_n_against_a_supplied_unitary(N):
-    with pytest.raises(DomainError, match=rf"N = {N} .*order 16"):
-        estimate_failure_probability(N, 4, 2, 0.5, 10, 0, U=build_dft(16))
-    with pytest.raises(DomainError, match="N must be"):
-        estimate_failure_probability("junk", 4, 2, 0.5, 10, 0, U=build_dft(16))
+def test_failure_probability_is_the_subsampled_dft_only():
+    # the curve takes no matrix: a supplied U is an unknown argument
+    with pytest.raises(TypeError, match="'U'"):
+        estimate_failure_probability(8, 4, 2, 0.5, 10, 0, U=build_dft(8))
 
 
 # ---------------------------------------------------------------------------
@@ -440,44 +438,25 @@ def reference_delta(A, s, batch=4096):
     return best_delta, best_support
 
 
-def reference_replication_deltas(N, m, s, reps, seed, U=None):
-    """One exact constant per replication of the rescaled selected rows."""
-    U = build_dft(N) if U is None else U
+def reference_replication_deltas(N, m, s, reps, seed):
+    """One exact constant per replication of the DFT's rescaled selected rows."""
+    U = build_dft(N)
     draws = [sample_selectors(N, m, seed, rep) for rep in range(reps)]
     deltas = [reference_delta(subsample(U, I, m), s)[0] for I in draws]
     return np.array(deltas), sum(I.size for I in draws)
 
 
-def batched_replication_deltas(N, m, s, reps, seed, U=None):
-    U = build_dft(N) if U is None else U
-    keep = np.array([rip._selector_mask(rip.replication_rng(seed, rep), N, m)
-                     for rep in range(reps)])
-    A = math.sqrt(N / m) * U
-    supports = rip._supports(N, s)
-    rows = np.repeat(np.arange(reps), len(supports))
-    blocks = rip._block_deltas(rip._grams(keep, A, s), rows, np.tile(supports, (reps, 1)))
-    return blocks.reshape(reps, -1).max(axis=1)
-
-
-def assert_same_estimate(N, m, s, reps, seed, U=None):
-    ref, realized = reference_replication_deltas(N, m, s, reps, seed, U)
-    np.testing.assert_array_equal(batched_replication_deltas(N, m, s, reps, seed, U), ref)
+def assert_same_estimate(N, m, s, reps, seed):
+    ref, realized = reference_replication_deltas(N, m, s, reps, seed)
     # thresholds at every realized value, and one ulp either side of the
-    # first, make every tie count and land inside the screen's margin
+    # first, make every tie count and land inside the circulant margin
     first = float(ref[0])
     thresholds = {0.0, 0.5, float(np.median(ref)), np.nextafter(first, 0.0),
                   np.nextafter(first, np.inf), *map(float, ref)}
     for delta in sorted(thresholds):
-        got = estimate_failure_probability(N, m, s, delta, reps, seed, U=U)
+        got = estimate_failure_probability(N, m, s, delta, reps, seed)
         assert got["failures"] == int(np.count_nonzero(ref >= delta))
         assert got["mean_realized_rows"] == realized / reps
-
-
-def random_unitary(N, seed):
-    """A Haar unitary: the Q factor of a complex Gaussian matrix, phases fixed by R."""
-    rng = np.random.default_rng(seed)
-    q, r = np.linalg.qr(rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)))
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -485,42 +464,6 @@ def random_unitary(N, seed):
        st.integers(1, 6))
 def test_batched_monte_carlo_matches_per_replication_loop(N, s, m, seed, reps):
     assert_same_estimate(N, min(m, N), min(s, N), reps, seed)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(1, 12), st.integers(1, 4), st.integers(1, 12), st.integers(0, 2**32 - 1),
-       st.integers(1, 5))
-def test_screened_monte_carlo_matches_on_random_unitaries(N, s, m, seed, reps):
-    assert_same_estimate(N, min(m, N), min(s, N), reps, seed, U=random_unitary(N, seed))
-
-
-def assert_brackets_hold(grams, s):
-    """low <= the eigvalsh value <= high on every (replication, support) block."""
-    N = grams.shape[1]
-    supports = rip._supports(N, s)
-    low, high = rip._support_brackets(grams, supports)
-    R = grams.shape[0]
-    rows = np.repeat(np.arange(R), len(supports))
-    deltas = rip._block_deltas(grams, rows, np.tile(supports, (R, 1))).reshape(R, -1)
-    assert (low <= deltas).all() and (deltas <= high).all()
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10), st.integers(1, 9), st.integers(1, 4), st.integers(0, 2**32 - 1),
-       st.sampled_from([1e-3, 0.1, 0.5, 1.0, 3.0, 1e3]))
-def test_brackets_hold_on_random_matrices(rows, N, s, seed, scale):
-    rng = np.random.default_rng(seed)
-    A = scale * (rng.normal(size=(rows, N)) + 1j * rng.normal(size=(rows, N)))
-    assert_brackets_hold(rip._grams(np.ones((1, rows)), A, min(s, N)), min(s, N))
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 9), st.integers(1, 4), st.integers(1, 9), st.integers(0, 2**32 - 1))
-def test_brackets_hold_on_subsampled_unitaries(N, s, m, seed):
-    s, m = min(s, N), min(m, N)
-    keep = np.random.default_rng(seed).random((4, N)) < m / N
-    for U in (random_unitary(N, seed), build_dft(N)):
-        assert_brackets_hold(rip._grams(keep, math.sqrt(N / m) * U, s), s)
 
 
 @settings(max_examples=40, deadline=None)
@@ -562,11 +505,22 @@ def test_support_chunk_boundaries(monkeypatch, offset):
     assert estimate_failure_probability(16, 8, 2, 0.5, 200, 12345)["failures"] == 164
 
 
-@pytest.mark.parametrize("batch, reps", [(56, 1), (56, 2), (56, 3), (84, 5), (84, 6), (84, 7)])
+@pytest.mark.parametrize("batch, reps", [(56, 1), (56, 2), (56, 3), (56, 6), (56, 7), (56, 8),
+                                         (56, 15), (84, 5), (84, 6), (84, 7), (84, 9), (84, 10),
+                                         (84, 11)])
 def test_replication_chunk_boundaries(monkeypatch, batch, reps):
-    # _BATCH // 28 replications per chunk: 2 or 3, with reps around it
+    # _BATCH // max(N, C) replications per chunk, with N = 8 rows and C = 4
+    # classes of size-2 supports: 7 at batch 56 and 10 at batch 84, with
+    # reps on both sides of each
     monkeypatch.setattr(rip, "_BATCH", batch)
+    assert len(rip._classes(8, 2)) == 4
     assert_same_estimate(8, 3, 2, reps, 4)
+    chunks, failures = [], rip._circulant_failures
+    monkeypatch.setattr(rip, "_circulant_failures",
+                        lambda keep, *args: chunks.append(len(keep)) or failures(keep, *args))
+    estimate_failure_probability(8, 3, 2, 0.5, reps, 4)
+    per_chunk = batch // 8
+    assert chunks == [min(per_chunk, reps - lo) for lo in range(0, reps, per_chunk)]
 
 
 def test_failure_probability_rejects_before_any_draw(monkeypatch):
@@ -577,13 +531,7 @@ def test_failure_probability_rejects_before_any_draw(monkeypatch):
         estimate_failure_probability(N=30, m=10, s=15, delta=0.5, reps=3, seed=0)
     with pytest.raises(DomainError):
         estimate_failure_probability(N=8, m=4, s=9, delta=0.5, reps=3, seed=0)
-    # a supplied 8 x 8 Fourier matrix fits; the stack of 28 blocks of 2 x 2 does not
-    monkeypatch.setattr(errors, "_TABLE_BUDGET", 64)
-    with pytest.raises(CapacityError, match=r"^support enumeration refused: C\(8, 2\) supports "
-                                            r"of 2 indices, a table of 112 entries, above the "
-                                            r"budget of 64$"):
-        estimate_failure_probability(N=8, m=4, s=2, delta=0.5, reps=3, seed=0, U=build_dft(8))
-    # U = None: the stack of the C(7, 1) class blocks of 2 x 2 passes 27
+    # the stack of the C(7, 1) class blocks of 2 x 2 passes 27
     monkeypatch.setattr(errors, "_TABLE_BUDGET", 27)
     with pytest.raises(CapacityError, match=r"^support enumeration refused: C\(7, 1\) supports of "
                                             r"2 indices holding 0, a table of 28 entries, above "
@@ -630,42 +578,6 @@ def test_large_support_tables_are_not_kept_once_used():
     assert retained < 2**20
 
 
-def test_failure_probability_screens_each_chunk_once(monkeypatch):
-    # One bracket pass per chunk of _BATCH // C(N, s) replications, then one
-    # eigvalsh pass on exactly the blocks whose high reaches delta in the
-    # replications no low has already failed, each block once.
-    delta = 0.5
-    chunks, blocks = [], []
-    brackets, kernel = rip._support_brackets, rip._block_deltas
-
-    def bracket(grams, supports):
-        chunks.append((grams, brackets(grams, supports)))
-        return chunks[-1][1]
-
-    def deltas(grams, rows, supports):
-        blocks.append((len(chunks) - 1, rows, supports))
-        return kernel(grams, rows, supports)
-
-    monkeypatch.setattr(rip, "_support_brackets", bracket)
-    monkeypatch.setattr(rip, "_block_deltas", deltas)
-    # a supplied U takes the screened path; U = None goes through the circulant Gram
-    estimate_failure_probability(N=16, m=8, s=2, delta=delta, reps=200, seed=1, U=build_dft(16))
-    assert [len(grams) for grams, _ in chunks] == [34] * 5 + [30]
-    assert [k for k, _, _ in blocks] == list(range(6))
-    table = rip._supports(16, 2)
-    index = {tuple(S): c for c, S in enumerate(table.tolist())}
-    evaluated, open_blocks = [], set()
-    for k, rows, supports in blocks:
-        low, high = chunks[k][1]
-        open_rows = ~(low >= delta).any(axis=1)
-        evaluated += [(k, r, index[tuple(S)]) for r, S in zip(rows.tolist(), supports.tolist())]
-        open_blocks |= {(k, int(r), int(c)) for r, c in zip(*np.nonzero(high >= delta))
-                        if open_rows[r]}
-    assert len(evaluated) == len(set(evaluated))
-    assert set(evaluated) == open_blocks
-    assert len(evaluated) < 200 * len(table) // 50  # under 2% of the 24,000 blocks
-
-
 def test_batched_constant_matches_up_to_the_einsum_buffer():
     # 8192 rows, numpy's einsum buffer: the documented reach of bit-equality
     A = np.random.default_rng(8).normal(size=(8192, 6)) / 90.0
@@ -682,8 +594,6 @@ def test_non_finite_entries_are_rejected(bad):
         restricted_isometry_constant(A, 1)
     U = build_dft(4)
     U[0, 0] = bad
-    with pytest.raises(DomainError, match="finite"):
-        estimate_failure_probability(4, 2, 1, 0.5, 3, 0, U=U)
     with pytest.raises(DomainError, match="finite"):
         subsampled_instance(U, 2, 0)
 
@@ -722,7 +632,8 @@ def test_circulant_gram_equals_the_einsum_gram(N, m, seed):
     keep = np.random.default_rng(seed).random((3, N)) < m / N
     g = rip._circulant_rows(keep, m)
     lags = (np.arange(N)[None, :] - np.arange(N)[:, None]) % N  # G_kl = g[(l - k) mod N]
-    einsum = rip._grams(keep, math.sqrt(N / m) * build_dft(N), 2)
+    A = math.sqrt(N / m) * build_dft(N)
+    einsum = np.einsum("ri,ik,il->rkl", keep, A.conj(), A)  # each draw's kept rows' Gram
     # _circulant_margin takes the two Grams' entries to agree within
     # 32 N eps max |g|; 1e-13 floors that bound at small N
     scale = max(1.0, float(np.abs(g).max()))
@@ -759,11 +670,12 @@ def test_dft_constant_on_all_and_no_rows(s):
 @pytest.mark.parametrize("N, s", [(N, s) for N in (8, 12, 16, 24, 32, 48, 64) for s in (1, 2, 3)
                                   if s < 3 or N <= 32])
 def test_dft_failure_counts_are_the_enumerations(N, s):
-    U = build_dft(N)
     for m in sorted({max(1, N // 4), N // 2, 3 * N // 4, N}):
+        ref, realized = reference_replication_deltas(N, m, s, 40, N + m)
         for delta in (0.25, 0.5, 1.0):
             ours = estimate_failure_probability(N, m, s, delta, 40, N + m)
-            assert ours == estimate_failure_probability(N, m, s, delta, 40, N + m, U=U)
+            assert ours["failures"] == int(np.count_nonzero(ref >= delta))
+            assert ours["mean_realized_rows"] == realized / 40
 
 
 def test_dft_failure_counts_through_exact_ties():
@@ -775,13 +687,13 @@ def test_dft_failure_counts_through_exact_ties():
     top = rip._class_deltas(g, rip._classes(16, 2)).max(axis=1)
     assert np.count_nonzero(np.abs(top - 0.5) <= 1e-9) == 11
     assert np.count_nonzero(np.abs(top - 0.5) <= rip._circulant_margin(g, 2)) == 11
-    ours = estimate_failure_probability(16, 8, 2, 0.5, 200, 12345)
-    assert ours == estimate_failure_probability(16, 8, 2, 0.5, 200, 12345, U=build_dft(16))
-    assert ours["failures"] == 164
+    ref, _ = reference_replication_deltas(16, 8, 2, 200, 12345)
+    assert np.count_nonzero(ref >= 0.5) == 164
+    assert estimate_failure_probability(16, 8, 2, 0.5, 200, 12345)["failures"] == 164
 
 
 def test_the_dft_path_builds_no_n_by_n_table(monkeypatch):
-    for name in ("build_dft", "_grams", "_supports", "_as_unitary"):
+    for name in ("build_dft", "_gram", "_supports", "_as_unitary"):
         monkeypatch.setattr(rip, name, lambda *args, name=name: pytest.fail(f"called {name}"))
     assert estimate_failure_probability(64, 32, 3, 0.9, 20, 1)["reps"] == 20
     assert subsampled_instance(None, 16, 1, N=64).delta(3).s == 3

@@ -7,7 +7,6 @@ search is admitted.
 """
 
 import json
-import math
 import re
 import time
 from pathlib import Path
@@ -47,7 +46,7 @@ def _normal(*shape):
     return np.random.default_rng(sum(shape)).normal(size=shape)
 
 
-_SUPPORT_BUILDERS = [(rip, "_support_table"), (rip, "_cached_support_table"), (rip, "_grams"),
+_SUPPORT_BUILDERS = [(rip, "_support_table"), (rip, "_cached_support_table"), (rip, "_gram"),
                      (np.linalg, "eigvalsh")]
 _CLASS_BUILDERS = [(rip, "_class_table"), (rip, "_cached_class_table"), (np.fft, "fft"),
                    (np.linalg, "eigvalsh")]
@@ -88,8 +87,6 @@ _TABLES = {
     # eigvalsh stack of _BATCH 5 x 5 blocks
     "RIP constant": (lambda: restricted_isometry_constant(_normal(4, 22), 5), 26334 * 5,
                      _SUPPORT_BUILDERS),
-    "RIP curve": (lambda: estimate_failure_probability(22, 11, 5, 0.9, 1, 0, U=build_dft(22)),
-                  26334 * 5, _SUPPORT_BUILDERS + [(rip, "_replication_streams")]),
     # The DFT path: one eigvalsh stack of the C(21, 4) = 5985 class blocks, at
     # most _BATCH of them, of 5 x 5 each, more than the class table
     "RIP constant, DFT": (lambda: subsampled_instance(None, 11, 0, N=22).delta(5), 4096 * 25,
@@ -126,23 +123,19 @@ def _support_count(N, s):
 
 @pytest.mark.parametrize("N, s", [(7, 6), (8, 7), (9, 4), (12, 2), (40, 3)])
 def test_the_support_count_bounds_every_table_the_rip_kernel_builds(monkeypatch, N, s):
-    # A curve would fill each eigvalsh stack with the blocks of _BATCH // C(N, s)
-    # replications, one Gram each; where that passes the budget it stacks
-    # fewer, so with the budget at the count every table of the curve, like
-    # every table of the exact constant, fits it.
+    # With the budget at the count, the support table, the Gram and every
+    # eigvalsh stack of the exact constant fit it.
     built = []
-    grams, eigvalsh = rip._grams, np.linalg.eigvalsh
+    gram, eigvalsh = rip._gram, np.linalg.eigvalsh
 
     def record(array):
         built.append(array.size)
         return array
 
-    monkeypatch.setattr(rip, "_grams", lambda *args: record(grams(*args)))
+    monkeypatch.setattr(rip, "_gram", lambda *args: record(gram(*args)))
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh(record(a)))
     monkeypatch.setattr(errors, "_TABLE_BUDGET", _support_count(N, s))
     restricted_isometry_constant(_normal(N // 2, N), s)
-    estimate_failure_probability(N, N // 2, s, 0.6, rip._BATCH // math.comb(N, s) + 1, 1,
-                                 U=build_dft(N))
     assert built and max(built) <= errors._TABLE_BUDGET
 
 

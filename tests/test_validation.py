@@ -154,6 +154,12 @@ def test_estimate_moments_input_validation():
         estimate_moments(_sample([]), [2.0])
 
 
+def test_estimate_moments_refuses_an_empty_order_list():
+    # no order would stack no column: refused by name, as an empty u_grid is
+    with pytest.raises(DomainError, match="^moment orders need a nonempty p_list$"):
+        estimate_moments(_sample([1.0, 2.0]), [])
+
+
 def test_estimate_moments_high_order_does_not_overflow():
     # 20**400 overflows a double; the exact root comes from Decimal arithmetic.
     vals = np.linspace(0.4, 20.0, 50)
