@@ -324,6 +324,8 @@ def _call_with_params(fn, params: dict, reg: ConstantRegistry, /, **given):
 
 def _build_bound(name: str, params: dict, reg: ConstantRegistry):
     """Dispatch a bound name to its evaluator; returns the result object."""
+    if not isinstance(name, str):
+        raise DomainError(f"bound name must be a string, got {name!r}")
     if name in _DIRECT_BOUNDS:
         return _call_with_params(_DIRECT_BOUNDS[name], params, reg)
     if name == "union-constant":
@@ -468,6 +470,15 @@ def _record_validation(report, payload: dict) -> tuple[list, int]:
     return rows, int(report.verdict == "violated")
 
 
+def _checked_grid(bound: TailBound, u_grid) -> np.ndarray:
+    """u_grid typed and checked entry by entry against bound, in the order
+    validate_bound reads it, so that a faulty entry costs no simulation."""
+    grid = _u_grid(u_grid)
+    for u in grid:
+        bound.threshold(u)
+    return grid
+
+
 def _cmd_simulate(args) -> int:
     config = load_json(args.config)
     if not isinstance(config, dict):
@@ -477,8 +488,8 @@ def _cmd_simulate(args) -> int:
     reps = check_int("reps (config or --reps)", reps, 1)
     reg, fit = _registry(args, inline=_object("fit", config.get("fit", {})))
     spec = config["model"]
-    # The bound, its u_grid and the moment orders are read before the model
-    # runs, so a faulty one costs no simulation.
+    # The bound is built, and every u_grid entry checked against it, or the
+    # moment orders read, before the model runs: a faulty one costs no simulation.
     if "bound" in config:
         bound_spec = _object("bound", config["bound"])
         params = _object("bound.params", bound_spec.get("params", {}))
@@ -489,7 +500,7 @@ def _cmd_simulate(args) -> int:
         if isinstance(bound, TailBound):
             if u_grid is None:
                 raise DomainError("tail-bound validation needs a u_grid in the config")
-            u_grid = _u_grid(u_grid)
+            u_grid = _checked_grid(bound, u_grid)
     else:
         p_list = _moment_orders(config.get("p_list", [1.0]))
     sample = _run_model(spec, reps, seed)
@@ -592,6 +603,9 @@ def _cmd_chaos(args) -> int:
     reg, fit = _registry(args)
     u_grid = None if args.u_grid is None else _parse_float_list(args.u_grid, "--u-grid")
     radii = schatten_radii(mats, gamma_mode="auto")
+    if u_grid is not None:  # its fitted constants and every u entry, before the simulation
+        bound = chaos_supremum_bound(radii, xi.psi_norm(2), u=min(u_grid), registry=reg)
+        _checked_grid(bound, u_grid)
     sample = simulate_chaos(mats, xi, args.reps, seed, decoupled=args.decoupled)
     payload: dict = {
         "seed": seed,
@@ -612,7 +626,6 @@ def _cmd_chaos(args) -> int:
     rows = None
     code = 0
     if u_grid is not None:
-        bound = chaos_supremum_bound(radii, xi.psi_norm(2), u=min(u_grid), registry=reg)
         rows, code = _record_validation(validate_bound(sample, bound, u_grid=u_grid), payload)
     _emit(args, "chaos", _config(args, matrices=config_hash(contents), fit=fit), payload,
           rows=rows)

@@ -6,7 +6,8 @@ validators below are shared by every module: check_int, check_number and
 check_real for a count, a seed, an order or a scale, and check_array for
 every array a caller hands in (a coefficient matrix, a covariance, a matrix
 family, a row system, a sample), metric spaces excepted, whose checks name
-entries by their role; _check_indices reads an index list through it.
+entries by their role; _check_indices reads an index list through it, and
+check_labels reads the point labels of a metric space or a process model.
 """
 
 import math
@@ -149,6 +150,15 @@ def check_array(name: str, values, ndim: int | None, *, square: bool = False,
         rule = "finite and >= 0" if nonnegative else "finite"
         raise error(f"{name} must be {rule}, got {arr[tuple(index)]} at entry {index}")
     return arr
+
+
+def check_labels(labels, error: type[ChainboundsError]) -> tuple:
+    """labels as a tuple; error, naming labels, unless they are a list, a
+    tuple or a 1-D array (a string or a scalar is no list of labels)."""
+    if not (isinstance(labels, (list, tuple))
+            or (isinstance(labels, np.ndarray) and labels.ndim == 1)):
+        raise error(f"labels must be a list of point labels, got {labels!r}")
+    return tuple(labels)
 
 
 def _check_indices(name: str, values, size: int, out_of_range: str) -> np.ndarray:

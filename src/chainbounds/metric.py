@@ -37,6 +37,7 @@ from .errors import (
     DomainError,
     MetricValidationError,
     alpha_power,
+    check_labels,
     check_number,
     check_real,
 )
@@ -165,6 +166,13 @@ def _validated(d: np.ndarray, labels, certified: bool) -> FiniteMetricSpace:
     _check_capacity(n)
     if n == 0:
         raise MetricValidationError("metric space must contain at least one point")
+    # the labels before the O(n^2) checks, so that bad labels cost no distance pass
+    if labels is None:
+        labels = tuple(range(n))
+    else:
+        labels = check_labels(labels, MetricValidationError)
+        if len(labels) != n:
+            raise MetricValidationError(f"{len(labels)} labels for {n} points")
     if not np.all(np.isfinite(d)):
         bad = tuple(int(k) for k in np.argwhere(~np.isfinite(d))[0])
         raise MetricValidationError(f"non-finite distance at entry {bad}")
@@ -183,14 +191,6 @@ def _validated(d: np.ndarray, labels, certified: bool) -> FiniteMetricSpace:
         )
     if not certified:
         _check_triangle(d)
-    if labels is None:
-        labels = tuple(range(n))
-    else:
-        labels = tuple(labels)
-        if len(labels) != n:
-            raise MetricValidationError(
-                f"{len(labels)} labels for {n} points"
-            )
     d.flags.writeable = False
     return FiniteMetricSpace(labels=labels, dist=d)
 

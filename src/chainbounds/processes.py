@@ -23,8 +23,7 @@ canonical metrics exactly computable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from types import MappingProxyType
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +35,7 @@ from .errors import (
     _check_table_budget,
     check_array,
     check_int,
+    check_labels,
     check_real,
 )
 from .metric import _NORMS, FiniteMetricSpace, _pairwise, build_metric_space, space_from_points
@@ -115,31 +115,23 @@ def _replication_streams(seed: int):
     return at
 
 
-def _simulate(reps: int, seed: int, draw, stat, *, base_point=None, companions=()):
+def _simulate(reps: int, seed: int, draw, stat, *, base_point=None):
     """The SupremumSample of reps replications: checks reps and seed, draws by block.
 
     draw(rng) returns the BLOCK driver rows of a block, shape (BLOCK, dim).
-    stat maps them to one supremum value per row, or to a tuple of such
-    arrays, the supremum first and then one per name in companions.  The
-    final block keeps only the rows it needs.  Replication r is row
-    r mod BLOCK of block r // BLOCK, whose rows are drawn from
-    replication_rng(seed, block), so a shorter run is a prefix of a longer one.
+    stat maps them to one supremum value per row.  The final block keeps
+    only the rows it needs.  Replication r is row r mod BLOCK of block
+    r // BLOCK, whose rows are drawn from replication_rng(seed, block), so a
+    shorter run is a prefix of a longer one.
     """
     reps, seed = check_int("reps", reps, 1), check_int("seed", seed, 0, SEED_MAX)
     parts = []
     for b, start in enumerate(range(0, reps, BLOCK)):
         z = draw(replication_rng(seed, b))
-        parts.append(np.asarray(stat(z))[..., : reps - start])
-    rows = np.concatenate(parts, axis=-1)
-    rows.setflags(write=False)  # so that SupremumSample keeps its views without a copy
-    values, *rest = rows.reshape(1 + len(companions), reps)
-    return SupremumSample(
-        replications=reps,
-        seed=seed,
-        values=values,
-        base_point=base_point,
-        companions=dict(zip(companions, rest)),
-    )
+        parts.append(stat(z)[: reps - start])
+    values = np.concatenate(parts)
+    values.setflags(write=False)  # so that SupremumSample keeps it without a copy
+    return SupremumSample(replications=reps, seed=seed, values=values, base_point=base_point)
 
 
 @dataclass(frozen=True)
@@ -246,7 +238,13 @@ class ProcessModel:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise UnsupportedFamilyError(f"unknown process kind {self.kind!r}")
-        if len(self.labels) != len(set(self.labels)):
+        seen = set()
+        for t in self.labels:
+            try:
+                seen.add(t)
+            except TypeError:
+                raise ModelError(f"index labels must be hashable, got {t!r}") from None
+        if len(seen) != len(self.labels):
             raise ModelError("index labels must be distinct")
 
     @property
@@ -264,7 +262,8 @@ class ProcessModel:
 
 def _labels(labels, n: int, what: str) -> tuple:
     """labels as a tuple (t0, t1, ... by default); one per row of what."""
-    labels = tuple(f"t{i}" for i in range(n)) if labels is None else tuple(labels)
+    labels = (tuple(f"t{i}" for i in range(n)) if labels is None
+              else check_labels(labels, ModelError))
     if len(labels) != n:
         raise ModelError(f"label count must match {what}")
     return labels
@@ -419,7 +418,6 @@ class SupremumSample:
     seed: int
     values: np.ndarray
     base_point: object | None = None
-    companions: object = field(default_factory=dict)
 
     def __post_init__(self):
         vals = check_array("values", self.values, 1, nonnegative=True, empty_ok=True,
@@ -428,13 +426,6 @@ class SupremumSample:
             raise ModelError(f"values must have one entry per replication ({self.replications}), "
                              f"got {vals.shape[0]}")
         object.__setattr__(self, "values", _frozen(vals))
-        comp = {}
-        for name, arr in dict(self.companions).items():
-            arr = check_array(f"companion {name!r}", arr, None, empty_ok=True, error=ModelError)
-            if arr.shape != vals.shape:
-                raise ModelError(f"companion {name!r} must match the replication count")
-            comp[name] = _frozen(arr)
-        object.__setattr__(self, "companions", MappingProxyType(comp))
 
 
 def _require_kind(model: ProcessModel, kind: str):
@@ -520,29 +511,16 @@ def _empirical_sup(z: np.ndarray, mu: float, c: np.ndarray) -> np.ndarray:
 
 
 def simulate_squares(model: ProcessModel, m: int, reps: int, seed: int) -> SupremumSample:
-    """sup_t |(1/m) sum_i (X_{t_i}^2 - E X_{t_i}^2)| draws.
-
-    Also records, per replication, the companion "sup_l2_norm" =
-    sup_t ||X_t||_{L2(mu_m)} used to check the empirical-L2 radius bound.
-    """
+    """sup_t |(1/m) sum_i (X_{t_i}^2 - E X_{t_i}^2)| draws."""
     m = _summand_count(model, "squares", m)
     s2 = model.base.second_moment()
     c2 = model.coefficients**2
 
     def stat(z):
         sq_mean = (z**2) @ c2.T / m  # (BLOCK, points): sum_i c2[t, i] z_i^2 / m
-        return (
-            np.abs(sq_mean - s2 * c2.mean(axis=1)).max(axis=1),
-            np.sqrt(sq_mean.max(axis=1)),
-        )
+        return np.abs(sq_mean - s2 * c2.mean(axis=1)).max(axis=1)
 
-    return _simulate(
-        reps,
-        seed,
-        lambda rng: model.base.sample(rng, (BLOCK, m)),
-        stat,
-        companions=("sup_l2_norm",),
-    )
+    return _simulate(reps, seed, lambda rng: model.base.sample(rng, (BLOCK, m)), stat)
 
 
 def simulate_squares_increment(

@@ -23,6 +23,26 @@ __all__ = ["ConstantRegistry", "DEFAULT_REGISTRY"]
 _DEFAULT_C = {2.0: 86.0}
 _DEFAULT_D = {2.0: 9.0}
 _DEFAULT_UNION = 16.0
+# Every fitted name a lookup reads: these, and a chaining constant's C_a or
+# D_a, with a > 0 written as _chaining looks it up, f"{alpha:g}" (C_2, D_0.5).
+_FITTED_NAMES = frozenset(
+    ["union_c", "hanson_wright_c"]
+    + [f"{key}_{c}" for key in ("mixed", "empirical", "squares", "chaos") for c in "Cc"]
+)
+
+
+def _is_read(name) -> bool:
+    """Whether some lookup reads the fitted name (see _FITTED_NAMES)."""
+    if not isinstance(name, str):
+        return False
+    if name in _FITTED_NAMES:
+        return True
+    prefix, _, alpha = name.partition("_")
+    try:
+        a = float(alpha)
+    except ValueError:
+        return False
+    return prefix in ("C", "D") and 0 < a < math.inf and f"{a:g}" == alpha
 
 
 @dataclass(frozen=True)
@@ -30,7 +50,8 @@ class ConstantRegistry:
     """Immutable constant store.
 
     fitted maps constant names (e.g. "mixed_C", "hanson_wright_c", or
-    overrides "C_2", "D_2", "union_c") to user-supplied values.  Lookups
+    overrides "C_2", "D_2", "union_c") to user-supplied values; a name no
+    lookup reads is refused, so a misspelling cannot pass unused.  Lookups
     return (value, fitted_flag) pairs so evaluators can propagate the flag.
     """
 
@@ -38,6 +59,12 @@ class ConstantRegistry:
 
     def __post_init__(self):
         for name, v in self.fitted.items():
+            if not _is_read(name):
+                raise DomainError(
+                    f"unknown fitted constant {name!r}: no bound reads it; the names read are "
+                    f"{', '.join(sorted(_FITTED_NAMES))}, and C_a, D_a for alpha = a > 0 "
+                    "written as in '{alpha:g}' (C_2, D_0.5)"
+                )
             if isinstance(v, bool) or not isinstance(v, numbers.Real):
                 raise DomainError(f"fitted constant {name!r} must be a real number, got {v!r}")
             if not (math.isfinite(v) and v > 0):

@@ -386,6 +386,18 @@ def test_fitted_constants_must_be_finite_and_positive(tmp_path, value):
         ConstantRegistry.from_json(path)
 
 
+@pytest.mark.parametrize("name", ["C2", "D2", "C_2.0", "D_2.0", "C_02", "C_0", "C_-1", "C_nan",
+                                  "C_inf", "E_2", "chaos_k", "Chaos_C", "union_C", ""])
+def test_a_fitted_name_no_lookup_reads_is_refused_by_name(tmp_path, name):
+    message = f"^unknown fitted constant {re.escape(repr(name))}: no bound reads it"
+    with pytest.raises(DomainError, match=message):
+        DEFAULT_REGISTRY.with_fitted(**{name: 1.0})
+    path = tmp_path / "fit.json"
+    path.write_text(json.dumps({"C_2": 1.0, name: 1.0}))
+    with pytest.raises(DomainError, match=message):
+        ConstantRegistry.from_json(path)
+
+
 def test_fitted_constants_are_stored_as_floats():
     reg = DEFAULT_REGISTRY.with_fitted(chaos_C=3, chaos_c=np.float64(0.5), union_c=np.int64(2))
     assert reg.require("chaos_C") == (3.0, True) and reg.union_c() == (2.0, True)

@@ -9,7 +9,7 @@ import shutil
 import numpy as np
 import pytest
 
-from chainbounds import RowDistribution, cli, load_json, simulate_chaos
+from chainbounds import RowDistribution, cli, load_json, processes, simulate_chaos
 from chainbounds.cli import main
 
 
@@ -582,6 +582,10 @@ def test_simulate_grid_entries_that_are_no_numbers_exit_two(tmp_path, capsys, ke
      "coefficients must hold real numbers, got dtype <U"),
     ({"kind": "squares", "coefficients": [[1.0, 0.5], [0.5]]},
      "coefficients must be a rectangular array, not ragged"),
+    ({"kind": "gaussian", "covariance": [[1.0, 0.0], [0.0, 1.0]], "labels": 5},
+     "labels must be a list of point labels, got 5"),
+    ({"kind": "gaussian", "covariance": [[1.0, 0.0], [0.0, 1.0]], "labels": [[1], [2]]},
+     "index labels must be hashable, got [1]"),
 ])
 def test_simulate_model_arrays_are_checked_as_given(tmp_path, capsys, model, named):
     # the config's arrays reach the model builders unconverted, so booleans and
@@ -709,6 +713,17 @@ def test_inline_fit_must_hold_numbers(tmp_path, capsys, value):
     code, out, err = run(["simulate", "--config", str(sim), "--out", str(tmp_path)], capsys)
     assert (code, out) == (2, "")
     assert err == f"error: fitted constant 'C_2' must be a real number, got {value!r}\n"
+    assert not list(tmp_path.glob("simulate-*"))
+
+
+@pytest.mark.parametrize("fit", [{"C2": 1e-6, "D2": 1e-6}, {"C_2.0": 1e-6, "D_2.0": 1e-6}],
+                         ids=["no underscore", "alpha not as {alpha:g}"])
+def test_simulate_refuses_a_misspelled_fitted_constant(tmp_path, capsys, fit):
+    # with the stock constants this config is dominated; C_2 = D_2 = 1e-6 would be violated
+    sim = gaussian_sim_config(tmp_path, fit=fit)
+    code, out, err = run(["simulate", "--config", str(sim), "--out", str(tmp_path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: unknown fitted constant {next(iter(fit))!r}: no bound reads it")
     assert not list(tmp_path.glob("simulate-*"))
 
 
@@ -885,6 +900,10 @@ def test_chaos_reads_its_fit_and_u_grid_before_it_computes(tmp_path, capsys, mon
     ({"fit": [1]}, "fit must be a JSON object, got [1]"),
     ({"bound": 3}, "bound must be a JSON object, got 3"),
     ({"bound": {"name": "azuma", "params": [1]}}, "bound.params must be a JSON object, got [1]"),
+    ({"bound": {"name": [1]}}, "bound name must be a string, got [1]"),
+    ({"u_grid": [0.5, 2.0]}, "gaussian-supremum is valid for u >= 1.0, got 0.5"),
+    ({"u_grid": [1.0, math.nan]}, "gaussian-supremum is valid for u >= 1.0, got nan"),
+    ({"u_grid": [1.0, math.inf]}, "gaussian-supremum needs a finite u, got inf"),
 ])
 def test_simulate_reads_its_bound_and_grids_before_the_model_runs(tmp_path, capsys, monkeypatch,
                                                                   change, message):
@@ -900,6 +919,24 @@ def test_simulate_reads_its_bound_and_grids_before_the_model_runs(tmp_path, caps
     code, out, err = run(["simulate", "--config", str(path), "--out", str(tmp_path / "out")],
                          capsys)
     assert code == 2 and message in err and out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--u-grid", "1,2"], "constant 'chaos_C' has no derived value"),
+    (["--u-grid", "0.5,2", "--fit", "{fit}"], "chaos-supremum is valid for u >= 1.0, got 0.5"),
+    (["--u-grid", "1,nan,2", "--fit", "{fit}"], "chaos-supremum is valid for u >= 1.0, got nan"),
+], ids=["no chaos_C", "below u_min", "nan not first"])
+def test_chaos_builds_its_bound_and_checks_its_u_grid_before_the_simulation(
+        tmp_path, capsys, monkeypatch, flags, message):
+    monkeypatch.setattr(processes, "_simulate", _computes)
+    family, fit = tmp_path / "family.json", tmp_path / "fit.json"
+    family.write_text(json.dumps(_CHAOS_MATRICES))
+    fit.write_text(json.dumps({"chaos_C": 1.0, "chaos_c": 1.0}))
+    argv = ["chaos", "--matrices", str(family), "--reps", "10", "--seed", "1",
+            "--out", str(tmp_path / "out")] + [flag.format(fit=fit) for flag in flags]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "") and err.startswith(f"error: {message}")
     assert not (tmp_path / "out").exists()
 
 

@@ -788,8 +788,14 @@ def test_pairwise_kernel_wastes_at_most_n_ceil_n_over_8_half_pairs(n, shape):
      "empty space has no diameter"),
     (lambda: build_metric_space(np.zeros((2, 2))).min_positive_distance(),
      "space has no positive pairwise distance"),
+    (lambda: build_metric_space(np.zeros((2, 2)), labels=5),
+     "labels must be a list of point labels, got 5"),
+    (lambda: space_from_points([[0], [1]], labels="ab"),
+     "labels must be a list of point labels, got 'ab'"),
+    (lambda: build_metric_space([[0, math.nan], [math.nan, 0]], labels=("a",)),
+     "1 labels for 2 points"),  # before any pass over the distances
 ], ids=["non-finite distance", "3-D points", "unknown norm", "empty diameter",
-        "no positive distance"])
+        "no positive distance", "labels int", "labels string", "labels before distances"])
 def test_metric_refusals(call, message):
     with pytest.raises(MetricValidationError, match=f"^{re.escape(message)}$"):
         call()

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import os
 import re
@@ -218,3 +219,21 @@ def test_the_gamma_auto_rule_lives_in_chaining():
     for module in ("cli", "schatten"):
         source = (ROOT / "src" / "chainbounds" / f"{module}.py").read_text(encoding="utf-8")
         assert "_exact_entries" not in source and "_gamma_mode" not in source, module
+
+
+def test_every_function_the_benchmark_span_recorder_groups_is_one_it_wraps():
+    # The recorder (bench/spans.py) wraps the public functions of its layer
+    # modules and sums a group over the names it lists; a renamed or private
+    # function would leave its group at zero without an error.
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    layered = {m for modules in spans.LAYERS.values() for m in modules}
+    wrapped = {f"{m}.{name}" for m in layered
+               for name, _ in spans._public_functions(importlib.import_module(f"chainbounds.{m}"))}
+    tables = {"GROUPS": [n for members, _ in spans.GROUPS.values() for n in members],
+              "_SIMULATORS": spans._SIMULATORS, "_WRITES": spans._WRITES,
+              "_BUILDS": spans._BUILDS}
+    missing = {table: [n for n in names if n not in wrapped and n not in layered]
+               for table, names in tables.items()}
+    assert missing == dict.fromkeys(tables, [])

@@ -433,8 +433,6 @@ def test_simulate_squares_variance():
     s = simulate_squares(model, m, 100_000, 5)
     second = np.mean(s.values**2)
     assert second == pytest.approx(2.0 / m, rel=0.05)
-    assert "sup_l2_norm" in s.companions
-    assert s.companions["sup_l2_norm"].shape == s.values.shape
 
 
 def test_simulate_squares_increment_concentrates():
@@ -676,8 +674,7 @@ _C2 = _COEF**2
 
 def _sup_squares(z):
     sq = _C2 * (z**2)[None, :]
-    centered = np.abs(sq.mean(axis=1) - _GAUSS.second_moment() * _C2.mean(axis=1)).max()
-    return centered, math.sqrt(sq.mean(axis=1).max())
+    return np.abs(sq.mean(axis=1) - _GAUSS.second_moment() * _C2.mean(axis=1)).max()
 
 
 def _sup_decoupled(xy):
@@ -735,11 +732,6 @@ STREAM_CASES = {
 }
 
 
-def _columns(sample):
-    """The values plus every companion, one row each."""
-    return np.stack([sample.values, *(sample.companions[k] for k in sorted(sample.companions))])
-
-
 @pytest.mark.parametrize("name", sorted(STREAM_CASES))
 def test_simulator_matches_per_row_reference_on_block_draws(name):
     simulate, draw, reference = STREAM_CASES[name]
@@ -747,18 +739,18 @@ def test_simulator_matches_per_row_reference_on_block_draws(name):
     rows = np.concatenate(
         [draw(replication_rng(seed, b), min(BLOCK, reps - b * BLOCK)) for b in range(3)]
     )
-    expected = np.array([np.atleast_1d(reference(row)) for row in rows]).T
-    np.testing.assert_allclose(_columns(simulate(reps, seed)), expected, rtol=1e-12, atol=1e-12)
+    expected = np.array([reference(row) for row in rows])
+    np.testing.assert_allclose(simulate(reps, seed).values, expected, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("name", sorted(STREAM_CASES))
 def test_simulator_is_deterministic_and_prefix_stable(name):
     simulate = STREAM_CASES[name][0]
-    full = _columns(simulate(3 * BLOCK, 5))
-    np.testing.assert_array_equal(_columns(simulate(3 * BLOCK, 5)), full)
+    full = simulate(3 * BLOCK, 5).values
+    np.testing.assert_array_equal(simulate(3 * BLOCK, 5).values, full)
     for reps in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3):
-        np.testing.assert_array_equal(_columns(simulate(reps, 5)), full[:, :reps])
-    assert not np.array_equal(_columns(simulate(3 * BLOCK, 6)), full)
+        np.testing.assert_array_equal(simulate(reps, 5).values, full[:reps])
+    assert not np.array_equal(simulate(3 * BLOCK, 6).values, full)
 
 
 def test_block_draw_is_a_prefix_of_a_full_block():
@@ -828,10 +820,17 @@ _SIGNS = RowDistribution("rademacher")
      UnsupportedFamilyError, "expected a 'gaussian' model, got 'empirical'"),
     (lambda: simulate_gaussian(_NOT_PSD, 10, 0), ModelError,
      "covariance is not positive semidefinite (min eigenvalue -1.000e+00)"),
-    (lambda: SupremumSample(2, 0, np.ones(2), companions={"x": np.ones(3)}), ModelError,
-     "companion 'x' must match the replication count"),
+    (lambda: gaussian_model(np.eye(2), labels=5), ModelError,
+     "labels must be a list of point labels, got 5"),
+    (lambda: martingale_model(np.eye(2), labels="ab"), ModelError,
+     "labels must be a list of point labels, got 'ab'"),
+    (lambda: squares_model(np.eye(2), _SIGNS, labels=[["a"], ["b"]]), ModelError,
+     "index labels must be hashable, got ['a']"),
+    (lambda: ProcessModel(kind="gaussian", labels=("a", ("b", [1]))), ModelError,
+     "index labels must be hashable, got ('b', [1])"),
 ], ids=["label count", "step_bounds shape", "base", "xi", "second moment", "psi-norm matrix",
-        "mixed metrics", "simulator kind", "raw covariance not PSD", "companion length"])
+        "mixed metrics", "simulator kind", "raw covariance not PSD", "labels int",
+        "labels string", "unhashable label", "label holding a list"])
 def test_process_refusals(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
