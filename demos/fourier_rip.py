@@ -13,7 +13,7 @@ import chainbounds as cb
 N = 16
 print(f"DFT({N}): unitary, flat entries scaled by sqrt(N) -> K = 1")
 
-inst = cb.subsampled_instance(None, 6, seed=3, N=N)
+inst = cb.subsampled_instance(N, 6, seed=3)
 print(f"\none draw at m=6: kept rows {list(inst.I)} (realized {inst.realized_rows})")
 for s in (1, 2, 3):
     rep = inst.delta(s)

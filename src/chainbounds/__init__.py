@@ -4,8 +4,9 @@ The package computes gamma-type chaining functionals on finite metric
 spaces, psi_alpha Orlicz norms, explicit-constant conversions between
 moment and tail formulations, supremum bounds for several process
 families (sub-gaussian, martingale, mixed-tail, empirical, squares,
-second-order chaos), restricted-isometry diagnostics for subsampled
-unitary matrices, and seeded Monte Carlo validators for all of the above.
+second-order chaos), restricted-isometry diagnostics for the subsampled
+discrete Fourier transform, and seeded Monte Carlo validators for all of
+the above.
 
 Each module's ``__all__`` is its public interface; the package re-exports
 their union.

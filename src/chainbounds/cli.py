@@ -63,6 +63,8 @@ from .processes import (
 from .registry import DEFAULT_REGISTRY, ConstantRegistry
 from .results import MomentBound, TailBound
 from .rip import (
+    _class_count,
+    _instance_arguments,
     estimate_failure_probability,
     sample_complexity,
     subsampled_instance,
@@ -149,7 +151,10 @@ def _require_seed(seed) -> int:
 
 
 def _cmd_gamma(args) -> int:
-    # gamma_prime ignores p, but p enters the config hash of every report.
+    # gamma_prime has no order; p, 1 by default, still enters the config hash.
+    if args.functional == "gamma-prime" and math.isfinite(args.p) and args.p != 1.0:
+        raise DomainError(f"--p applies to --functional gamma only, got --p {args.p:g} "
+                          "with gamma-prime")
     check_real("order p", args.p, 1.0)
     contents = load_json(args.space)
     space = space_from_json(contents)
@@ -181,6 +186,8 @@ def _cmd_gamma(args) -> int:
 
 
 def _cmd_cover(args) -> int:
+    if args.radius is not None and not math.isfinite(args.radius):
+        raise DomainError(f"--radius must be finite, got {args.radius}")
     contents = load_json(args.space)
     space = space_from_json(contents)
     payload: dict = {"size": space.size, "diameter": space.diameter()}
@@ -539,7 +546,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_rip_exact(args) -> int:
     seed = _require_seed(args.seed)
-    inst = subsampled_instance(None, args.m, seed, N=args.N)
+    # s and its class table are refused before the draw and the N^2 flatness read
+    N, m, seed = _instance_arguments(args.N, args.m, seed)
+    _class_count(N, check_int("s", args.s, 1, N))
+    inst = subsampled_instance(N, m, seed)
     report = inst.delta(args.s)
     payload = {
         "seed": seed,

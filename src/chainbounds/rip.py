@@ -1,11 +1,11 @@
-"""Subsampled unitary / bounded-row systems and exact restricted isometries.
+"""The subsampled discrete Fourier transform and exact restricted isometries.
 
-The sampling model keeps each row of an N x N unitary independently with
-probability m/N and rescales by sqrt(N/m), so the expected row count is m
-and the expected Gram matrix is the identity.  Restricted isometry
-constants are computed exactly by enumerating size-s supports and taking
-extreme eigenvalues of the s x s Grams; sample-complexity thresholds invert
-the fitted sufficiency condition by integer bisection.
+The sampling model keeps each row of the N-point unitary DFT independently
+with probability m/N and rescales by sqrt(N/m), so the expected row count is
+m and the expected Gram matrix is the identity.  Restricted isometry
+constants of a supplied matrix are computed exactly by enumerating size-s
+supports and taking extreme eigenvalues of the s x s Grams; sample-complexity
+thresholds invert the fitted sufficiency condition by integer bisection.
 
 The exact constant forms the N x N Gram of its matrix once, gathers the
 s x s blocks of a table of supports from it, and runs LAPACK eigvalsh on
@@ -14,7 +14,7 @@ through errors._check_table_budget, comes before any table, Gram or
 eigvalsh call: an enumeration whose largest table would pass
 errors._TABLE_BUDGET entries is refused (see _supports).
 
-The discrete Fourier matrix, U = None, skips the N x N Gram: its Gram is
+The subsampled DFT skips the N x N Gram: its Gram is
 circulant, one FFT per draw gives it, and delta_S is constant on translation
 classes of supports.  The DFT's constant and its failure curve, the Monte
 Carlo over Bernoulli selectors, share one rerun routine, _kernel_reruns: the
@@ -42,7 +42,6 @@ from .errors import (
     ConvergenceError,
     DomainError,
     ModelError,
-    _check_indices,
     _check_table_budget,
     check_array,
     check_int,
@@ -58,7 +57,6 @@ __all__ = [
     "BosSystem",
     "build_dft",
     "sample_selectors",
-    "subsample",
     "subsampled_instance",
     "restricted_isometry_constant",
     "sample_complexity",
@@ -70,7 +68,6 @@ __all__ = [
 # four at most; larger ones are rebuilt on each call, so an enumeration over
 # more supports keeps nothing once it ends.
 _CACHED_ENTRIES = 1 << 16
-UNITARY_TOL = 1e-10
 WITNESS_TOL = 1e-9
 COMPLEXITY_CAP = 1 << 60
 _BATCH = 4096
@@ -111,14 +108,6 @@ def _dft_flatness(N: int) -> float:
     return math.sqrt(N) * top
 
 
-def _as_unitary(U) -> np.ndarray:
-    U = check_array("U", U, 2, square=True, complex_ok=True)
-    residual = np.abs(U.conj().T @ U - np.eye(U.shape[0])).max()
-    if residual > UNITARY_TOL:
-        raise DomainError(f"U is not unitary (max |U*U - I| = {residual:.3e})")
-    return U
-
-
 def sample_selectors(N: int, m: int, seed: int, rep: int = 0) -> np.ndarray:
     """Indices kept by independent Bernoulli(m/N) selectors (E|I| = m)."""
     N = check_int("N", N, 1)
@@ -130,15 +119,6 @@ def sample_selectors(N: int, m: int, seed: int, rep: int = 0) -> np.ndarray:
 def _selector_mask(rng: np.random.Generator, N: int, m: int) -> np.ndarray:
     """A replication's Bernoulli(m/N) keep mask over the N rows, drawn from its stream."""
     return rng.random(N) < m / N
-
-
-def subsample(U, I, m: int) -> np.ndarray:
-    """Row restriction to I rescaled by sqrt(N/m); empty I gives a 0 x N matrix."""
-    U = check_array("U", U, 2, complex_ok=True)
-    N = U.shape[0]
-    m = check_int("m", m, 1)
-    I = _check_indices("selector indices", I, N, f"selector indices must lie in [0, {N})")
-    return math.sqrt(N / m) * U[I]
 
 
 @dataclass(frozen=True)
@@ -275,10 +255,10 @@ def _class_table(N: int, s: int) -> np.ndarray:
 _cached_class_table = functools.lru_cache(maxsize=4)(_class_table)
 
 
-def _classes(N: int, s: int) -> np.ndarray:
-    """_class_table(N, s), kept across calls if it holds at most _CACHED_ENTRIES indices.
+def _class_count(N: int, s: int) -> int:
+    """C(N - 1, s - 1), the rows of _class_table(N, s), which is not built.
 
-    A CapacityError refuses it first, through errors._check_table_budget,
+    A CapacityError refuses the count, through errors._check_table_budget,
     when the largest table of the DFT path would pass the budget: the
     C(N - 1, s - 1) supports holding 0 that the classes are read off, the
     N translates (or reflections) of one class, which hold one
@@ -290,7 +270,12 @@ def _classes(N: int, s: int) -> np.ndarray:
         f"support enumeration refused: C({N - 1}, {s - 1}) supports of {s} indices holding 0, "
         f"a table",
         max(n_classes * s, N * s, min(n_classes, _BATCH) * s * s))
-    small = n_classes * s <= _CACHED_ENTRIES
+    return n_classes
+
+
+def _classes(N: int, s: int) -> np.ndarray:
+    """_class_table(N, s) once _class_count admits it, cached if it holds <= _CACHED_ENTRIES."""
+    small = _class_count(N, s) * s <= _CACHED_ENTRIES
     return (_cached_class_table if small else _class_table)(N, s)
 
 
@@ -478,18 +463,14 @@ def _rip_report(A: np.ndarray, s: int, best_delta: float, support) -> RipReport:
 
 @dataclass(frozen=True)
 class RipInstance:
-    """One realized subsampled-unitary draw plus its scaled row matrix.
-
-    U is None for the discrete Fourier matrix, whose delta goes through its
-    circulant Gram.
-    """
+    """One draw of the subsampled N-point DFT: the kept rows I, their read-only
+    rescaled entries U_I = sqrt(N/m) F[I], and the DFT's attained flatness K."""
 
     N: int
     m: int
     K: float
     selector_seed: int
     I: tuple
-    U: np.ndarray | None
     U_I: np.ndarray
 
     @property
@@ -497,52 +478,30 @@ class RipInstance:
         return len(self.I)
 
     def delta(self, s: int) -> RipReport:
-        """restricted_isometry_constant(U_I, s); for the DFT, the same report
-        through its circulant Gram (_dft_maximum), bit for bit."""
-        if self.U is not None:
-            return restricted_isometry_constant(self.U_I, s)
+        """restricted_isometry_constant(U_I, s) through the circulant Gram, bit for bit."""
         s = check_int("s", s, 1, self.N)
         return _rip_report(self.U_I, s, *_dft_maximum(self, s))
 
 
-def subsampled_instance(U, m: int, seed: int, K: float | None = None, rep: int = 0, *,
-                        N: int | None = None) -> RipInstance:
-    """Draw selectors for a unitary U and package the rescaled row matrix.
+def _instance_arguments(N, m, seed) -> tuple[int, int, int]:
+    """N, m and seed as subsampled_instance checks them, N as build_dft does."""
+    N = _check_dft_size(N)
+    return N, check_int("m", m, 1, N), check_int("seed", seed, 0, SEED_MAX)
 
-    U = None is the N x N discrete Fourier matrix (N is read only then): its
-    kept rows are computed as build_dft computes them, without the N x N
-    table, and the instance records U = None.  Its flatness K still reads all
-    N^2 entries, a row block at a time, so N is refused as build_dft refuses it.
-    K defaults to the attained sqrt(N) * max |U_kl|; an explicit K must be
-    finite and > 0, and a smaller one is rejected because the flatness
-    premise would be false.
+
+def subsampled_instance(N: int, m: int, seed: int) -> RipInstance:
+    """The kept rows of the N-point DFT under Bernoulli(m/N) selectors, rescaled by sqrt(N/m).
+
+    The rows are computed as build_dft computes them, without the N x N
+    table; the flatness K, the attained sqrt(N) max |F_kl|, reads all N^2
+    entries a row block at a time, so N is refused as build_dft refuses it.
     """
-    if U is None:
-        N = _check_dft_size(N)
-    else:
-        U = _as_unitary(U)
-        N = U.shape[0]
-    m = check_int("m", m, 1, N)
-    seed = check_int("seed", seed, 0, SEED_MAX)
-    attained = _dft_flatness(N) if U is None else math.sqrt(N) * float(np.abs(U).max())
-    if K is None:
-        K = attained
-    elif attained > check_real("K", K, 0.0, strict=True) + 1e-12:
-        raise DomainError(f"declared K = {K:g} is below the attained flatness {attained:g}")
-    I = sample_selectors(N, m, seed, rep)
-    if U is None:
-        U_I = math.sqrt(N / m) * _dft_entries(I, np.arange(N), N)  # as subsample() scales
-    else:
-        U_I = subsample(U, I, m)
-    return RipInstance(
-        N=N,
-        m=m,
-        K=float(K),
-        selector_seed=int(seed),
-        I=tuple(int(i) for i in I),
-        U=U,
-        U_I=U_I,
-    )
+    N, m, seed = _instance_arguments(N, m, seed)
+    K = _dft_flatness(N)
+    I = sample_selectors(N, m, seed)
+    U_I = math.sqrt(N / m) * _dft_entries(I, np.arange(N), N)
+    U_I.flags.writeable = False  # delta reads supports off I and columns off U_I
+    return RipInstance(N=N, m=m, K=K, selector_seed=seed, I=tuple(int(i) for i in I), U_I=U_I)
 
 
 def sample_complexity(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import sys
 from types import MappingProxyType
 
@@ -64,8 +65,33 @@ def jsonify(obj):
     raise DomainError(f"cannot serialize object of type {type(obj).__name__}")
 
 
+def _non_finite(obj, path: str = "$"):
+    """(JSON path, value) of the first NaN or infinity in jsonify's output, keys
+    in sorted order; None if every number is finite."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else (path, obj)
+    if isinstance(obj, dict):
+        children = ((f"{path}.{k}", obj[k]) for k in sorted(obj))
+    elif isinstance(obj, list):
+        children = ((f"{path}[{i}]", v) for i, v in enumerate(obj))
+    else:
+        return None
+    return next(filter(None, (_non_finite(v, p) for p, v in children)), None)
+
+
+def _dumps(data, **layout) -> str:
+    """json.dumps of jsonify(data) with sorted keys; a DomainError names the
+    path of a NaN or infinity, which JSON cannot hold."""
+    obj = jsonify(data)
+    try:
+        return json.dumps(obj, sort_keys=True, allow_nan=False, **layout)
+    except ValueError:  # searched for only on failure, so a finite encoding pays nothing
+        path, value = _non_finite(obj)
+        raise DomainError(f"{path} is {value}, and JSON holds only finite numbers") from None
+
+
 def canonical_json(data) -> str:
-    return json.dumps(jsonify(data), sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return _dumps(data, separators=(",", ":"))
 
 
 def config_hash(data) -> str:
@@ -74,8 +100,9 @@ def config_hash(data) -> str:
 
 
 def write_json(path, data) -> None:
+    text = _dumps(data, indent=2)  # before the file is opened, so a refusal writes nothing
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(jsonify(data), sort_keys=True, indent=2, allow_nan=False))
+        fh.write(text)
         fh.write("\n")
 
 

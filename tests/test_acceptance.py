@@ -260,7 +260,7 @@ def _grid_delta_two_sparse(A, n_theta=4001):
 
 def _build_rip_check():
     U = cb.build_dft(8)
-    inst = cb.subsampled_instance(U, 4, seed=12)
+    inst = cb.subsampled_instance(8, 4, seed=12)
     eig = inst.delta(2).delta_s
     grid = _grid_delta_two_sparse(inst.U_I)
     rng = np.random.default_rng(2718)
@@ -270,7 +270,7 @@ def _build_rip_check():
     full = cb.restricted_isometry_constant(U, 2).delta_s
     gap1 = 0.0
     for seed in range(5):
-        ins = cb.subsampled_instance(U, 4, seed=seed)
+        ins = cb.subsampled_instance(8, 4, seed=seed)
         d1 = cb.restricted_isometry_constant(ins.U_I, 1).delta_s if ins.realized_rows else 1.0
         gap1 = max(gap1, abs(d1 - abs(len(ins.I) / 4 - 1.0)))
     curve = [cb.estimate_failure_probability(16, m, 2, 0.5, 200, seed=101)

@@ -444,6 +444,35 @@ def test_rip_curve_over_the_enumeration_cap_draws_nothing(tmp_path, capsys, monk
     assert out == "" and draws == []
 
 
+@pytest.mark.parametrize("s, message", [
+    ("0", "s must be >= 1 and <= 2048, got 0"),
+    ("3000", "s must be >= 1 and <= 2048, got 3000"),
+    ("3", "support enumeration refused: C(2047, 2) supports of 3 indices holding 0, a table "
+          "of 6282243 entries, above the budget of 4194304"),
+])
+def test_rip_exact_refuses_s_before_the_draw_and_the_flatness(tmp_path, capsys, monkeypatch, s,
+                                                              message):
+    import chainbounds.rip as rip
+
+    for name in ("sample_selectors", "_dft_flatness"):
+        monkeypatch.setattr(rip, name, lambda *a, name=name: pytest.fail(f"called {name}"))
+    code, out, err = run(["rip", "exact", "--N", "2048", "--m", "1024", "--s", s, "--seed", "1",
+                          "--out", str(tmp_path)], capsys)
+    assert (code, out) == (2, "") and err == f"error: {message}\n"
+
+
+def test_rip_exact_builds_an_uncached_class_table_once(tmp_path, capsys, monkeypatch):
+    import chainbounds.rip as rip
+
+    # C(210, 2) classes of 3 indices pass _CACHED_ENTRIES, so each call rebuilds the table
+    assert math.comb(210, 2) * 3 > rip._CACHED_ENTRIES
+    built, table = [], rip._class_table
+    monkeypatch.setattr(rip, "_class_table", lambda N, s: built.append((N, s)) or table(N, s))
+    code, _, _ = run(["rip", "exact", "--N", "211", "--m", "105", "--s", "3", "--seed", "1",
+                      "--out", str(tmp_path)], capsys)
+    assert code == 0 and built == [(211, 3)]
+
+
 @pytest.mark.parametrize("flags", [["--profile"], ["--entropy-alpha", "2"],
                                    ["--profile", "--entropy-alpha", "2"]])
 @pytest.mark.parametrize("mode", ["exact", "greedy"])
@@ -532,6 +561,38 @@ def test_gamma_non_finite_order_or_alpha_exits_two(tmp_path, triangle, capsys, e
     code, _, err = run(argv, capsys)
     assert code == 2 and f"error: {named}" in err
     assert not list(tmp_path.glob("gamma-*.json"))
+
+
+@pytest.mark.parametrize("p", ["4", "2", "0.5"])
+def test_gamma_prime_refuses_an_order_p(tmp_path, triangle, capsys, p):
+    # gamma_prime has no order; only the default --p 1 goes through
+    argv = ["gamma", "--space", str(triangle), "--alpha", "2", "--functional", "gamma-prime",
+            "--out", str(tmp_path)]
+    code, out, err = run(argv + ["--p", p], capsys)
+    assert (code, out) == (2, "") and err.startswith("error: --p applies to --functional gamma")
+    assert not list(tmp_path.glob("gamma-*.json"))
+    assert run(argv + ["--p", "1"], capsys)[0] == 0
+
+
+@pytest.mark.parametrize("radius", ["inf", "nan"])
+def test_cover_refuses_a_non_finite_radius_by_name(tmp_path, triangle, capsys, radius):
+    code, out, err = run(["cover", "--space", str(triangle), "--radius", radius,
+                          "--out", str(tmp_path)], capsys)
+    assert (code, out, err) == (2, "", f"error: --radius must be finite, got {radius}\n")
+    assert not list(tmp_path.glob("cover-*"))
+
+
+@pytest.mark.parametrize("params, named", [
+    ({"alpha": 2.0, "u": math.inf, "p": 1.0}, "$.params.u is inf"),
+    ({"alpha": 2.0, "u": 2.0, "p": 1.0, "extra": math.nan}, "$.params.extra is nan"),
+], ids=["infinite u", "ignored NaN"])
+def test_a_non_finite_config_number_is_named_by_its_path(tmp_path, capsys, params, named):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(params))  # json writes Infinity and NaN, which json.load reads
+    code, _, err = run(["bound", "union-probability", "--params", str(path),
+                        "--out", str(tmp_path)], capsys)
+    assert code == 2 and err.startswith(f"error: {named}, and JSON holds only finite numbers")
+    assert not list(tmp_path.glob("bound-*"))
 
 
 @pytest.mark.parametrize("kind", ["empirical", "squares"])

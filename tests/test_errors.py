@@ -96,9 +96,7 @@ _ARRAY_SITES = {
                     ModelError, "step_bounds"),
     "supremum values": (lambda a: processes.SupremumSample(replications=2, seed=0, values=a),
                         np.ones(2), ModelError, "values"),
-    "unitary U": (lambda a: rip.subsampled_instance(a, 1, 0), np.eye(2), DomainError, "U"),
     "RIP matrix": (lambda a: rip.restricted_isometry_constant(a, 1), np.eye(2), DomainError, "A"),
-    "subsample U": (lambda a: rip.subsample(a, [0], 1), np.eye(2), DomainError, "U"),
     "BOS rows": (lambda a: rip.check_bos(a, 2.0), _BOS_ROWS, DomainError, "rows"),
     "BOS weights": (lambda a: rip.check_bos(_BOS_ROWS, 2.0, weights=a), np.full(2, 0.5),
                     DomainError, "weights"),
@@ -179,7 +177,6 @@ _SCALAR_SITES = {
         factor=1.0, const=v, sqrt_coeff=0.0, linear=1.0, envelope=_ENVELOPE), "const"),
     "decomposition term": (lambda v: results.MomentBound(p=2.0, decomposition=(("head", v),)),
                            "head"),
-    "RIP flatness": (lambda v: rip.subsampled_instance(None, 4, 0, K=v, N=8), "K"),
     "covering radius": (lambda v: metric.covering_number(
         space_from_points(np.arange(3.0)[:, None]), v), "radius"),
     "envelope threshold": (lambda v: orlicz.psi_tail_envelope(
@@ -233,9 +230,8 @@ def _line(n):
     return space_from_points(np.arange(float(n))[:, None])
 
 
-# site: call on an index list (3 points or rows)
+# site: call on an index list (3 points)
 _INDEX_SITES = {
-    "subsample": (lambda I: rip.subsample(np.eye(3), I, 1), "selector indices"),
     "admissible_sets": (lambda I: chaining.admissible_sets(_line(3), [[0], I]), "level 1"),
     "admissible_partitions": (lambda I: chaining.admissible_partitions(
         _line(3), [[[0, 1, 2]], [I, [0]]]), "level 1 cell 0"),
@@ -266,13 +262,10 @@ def test_integral_float_indices_are_taken_as_check_int_takes_them(site):
 
 
 def test_out_of_range_indices_keep_their_messages():
-    with pytest.raises(DomainError, match=r"^selector indices must lie in \[0, 3\)$"):
-        rip.subsample(np.eye(3), [3], 1)
     with pytest.raises(DomainError, match="^level 1 has an out-of-range point index$"):
         chaining.admissible_sets(_line(3), [[0], [-1]])
     with pytest.raises(DomainError, match="^level 1 has an out-of-range point index$"):
         chaining.admissible_partitions(_line(3), [[[0, 1, 2]], [[0, 1, 5], [2]]])
-    assert rip.subsample(np.eye(3), [], 1).shape == (0, 3)
 
 
 # ------------------------------------------------------------ matrix families

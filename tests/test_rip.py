@@ -23,7 +23,6 @@ from chainbounds import (
     restricted_isometry_constant,
     sample_complexity,
     sample_selectors,
-    subsample,
     subsampled_instance,
 )
 from chainbounds import errors, rip
@@ -189,8 +188,6 @@ def test_selectors_expected_count():
 def test_selectors_reject_a_bad_rep(rep):
     with pytest.raises(DomainError, match="rep must be"):
         sample_selectors(8, 3, 1, rep=rep)
-    with pytest.raises(DomainError, match="rep must be"):
-        subsampled_instance(build_dft(8), 3, 1, rep=rep)
 
 
 def test_selectors_deterministic_per_rep():
@@ -201,22 +198,14 @@ def test_selectors_deterministic_per_rep():
     assert a.size != c.size or not np.array_equal(a, c)
 
 
-def test_subsample_scaling():
-    U = build_dft(4)
-    A = subsample(U, [0, 2], m=2)
-    np.testing.assert_allclose(A, math.sqrt(2.0) * U[[0, 2]])
-    with pytest.raises(DomainError):
-        subsample(U, [0, 4], m=2)
-
-
 def test_subsampled_instance_fields():
     # [DERIVED] frozen draw: seed 3 keeps rows (1, 2, 5, 6, 7) of the 8-point
     # Fourier matrix and attains delta_2 on support (3, 5)
-    inst = subsampled_instance(build_dft(8), m=4, seed=3)
+    inst = subsampled_instance(8, m=4, seed=3)
     assert inst.I == (1, 2, 5, 6, 7)
     assert inst.realized_rows == 5
     assert inst.K == pytest.approx(1.0)
-    np.testing.assert_allclose(inst.U_I, subsample(inst.U, list(inst.I), 4))
+    np.testing.assert_allclose(inst.U_I, math.sqrt(8 / 4) * build_dft(8)[list(inst.I)])
     rep = inst.delta(2)
     assert rep.delta_s == pytest.approx(0.8090169943749479)
     assert rep.witness_support == (3, 5)
@@ -225,22 +214,9 @@ def test_subsampled_instance_fields():
 def test_subsampled_delta_one_closed_form():
     # every column of the rescaled row matrix has squared norm |I| / m
     for seed in (0, 1, 2, 3):
-        inst = subsampled_instance(build_dft(8), m=4, seed=seed)
+        inst = subsampled_instance(8, m=4, seed=seed)
         expected = abs(inst.realized_rows / 4 - 1.0)
         assert inst.delta(1).delta_s == pytest.approx(expected, abs=1e-12)
-
-
-def test_subsampled_instance_flatness_declaration():
-    U = build_dft(4)
-    with pytest.raises(DomainError):
-        subsampled_instance(U, m=2, seed=0, K=0.5)
-    inst = subsampled_instance(U, m=2, seed=0, K=2.0)
-    assert inst.K == 2.0
-
-
-def test_subsampled_instance_rejects_non_unitary():
-    with pytest.raises(DomainError):
-        subsampled_instance(np.ones((3, 3)), m=2, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +365,7 @@ def test_bos_sample_matrix():
 def test_subsampled_delta_bounded_by_gram_norm(seed, N, m):
     """delta_s never exceeds the worst full-Gram deviation ||A^H A - I||."""
     m = min(m, N)
-    inst = subsampled_instance(build_dft(N), m=m, seed=seed)
+    inst = subsampled_instance(N, m=m, seed=seed)
     full = float(np.abs(np.linalg.eigvalsh(inst.U_I.conj().T @ inst.U_I) - 1).max())
     s = min(2, N)
     assert inst.delta(s).delta_s <= full + 1e-10
@@ -401,7 +377,7 @@ def test_seeds_are_checked_like_the_simulators(seed):
     system = check_bos(math.sqrt(8) * U, K=1.0)
     calls = [
         lambda: sample_selectors(8, 4, seed),
-        lambda: subsampled_instance(U, 4, seed),
+        lambda: subsampled_instance(8, 4, seed),
         lambda: estimate_failure_probability(8, 4, 1, 0.5, 2, seed),
         lambda: system.sample_matrix(4, seed),
         lambda: check_bos(math.sqrt(8) * U, K=1.0, seed=seed),
@@ -442,7 +418,7 @@ def reference_replication_deltas(N, m, s, reps, seed):
     """One exact constant per replication of the DFT's rescaled selected rows."""
     U = build_dft(N)
     draws = [sample_selectors(N, m, seed, rep) for rep in range(reps)]
-    deltas = [reference_delta(subsample(U, I, m), s)[0] for I in draws]
+    deltas = [reference_delta(math.sqrt(N / m) * U[I], s)[0] for I in draws]
     return np.array(deltas), sum(I.size for I in draws)
 
 
@@ -592,10 +568,6 @@ def test_non_finite_entries_are_rejected(bad):
     A[1, 2] = bad
     with pytest.raises(DomainError, match="finite"):
         restricted_isometry_constant(A, 1)
-    U = build_dft(4)
-    U[0, 0] = bad
-    with pytest.raises(DomainError, match="finite"):
-        subsampled_instance(U, 2, 0)
 
 
 @pytest.mark.parametrize("N, m, seed", [(1, 1, 0), (8, 3, 4), (17, 16, 2**64 - 1), (64, 5, 12345),
@@ -642,11 +614,12 @@ def test_circulant_gram_equals_the_einsum_gram(N, m, seed):
 
 
 def assert_dft_instance_matches(N, m, s, seed):
-    """The DFT path's instance and constant are those of the supplied build_dft(N), bit for bit."""
-    ours, full = subsampled_instance(None, m, seed, N=N), subsampled_instance(build_dft(N), m, seed)
-    assert ours.U is None and (ours.I, ours.K) == (full.I, full.K)
-    assert ours.U_I.tobytes() == full.U_I.tobytes()
-    a, b = ours.delta(s), full.delta(s)
+    """The instance and its constant are those of the rescaled rows of build_dft(N), bit for bit."""
+    ours, I = subsampled_instance(N, m, seed), sample_selectors(N, m, seed)
+    A = math.sqrt(N / m) * build_dft(N)[I]
+    assert (ours.I, ours.K) == (tuple(I), math.sqrt(N) * float(np.abs(build_dft(N)).max()))
+    assert ours.U_I.tobytes() == A.tobytes()
+    a, b = ours.delta(s), restricted_isometry_constant(A, s)
     assert (a.delta_s, a.witness_support, a.witness_value) == (
         b.delta_s, b.witness_support, b.witness_value)
     assert a.witness_direction.tobytes() == b.witness_direction.tobytes()
@@ -693,13 +666,13 @@ def test_dft_failure_counts_through_exact_ties():
 
 
 def test_the_dft_path_builds_no_n_by_n_table(monkeypatch):
-    for name in ("build_dft", "_gram", "_supports", "_as_unitary"):
+    for name in ("build_dft", "_gram", "_supports"):
         monkeypatch.setattr(rip, name, lambda *args, name=name: pytest.fail(f"called {name}"))
     assert estimate_failure_probability(64, 32, 3, 0.9, 20, 1)["reps"] == 20
-    assert subsampled_instance(None, 16, 1, N=64).delta(3).s == 3
+    assert subsampled_instance(64, 16, 1).delta(3).s == 3
     # every row kept: every class ties within the margin, and s = 1 has one class
     for N, s in ((32, 2), (12, 2), (16, 1)):
-        assert subsampled_instance(None, N, 1, N=N).delta(s).s == s
+        assert subsampled_instance(N, N, 1).delta(s).s == s
     # past build_dft's N = 2048: one FFT per draw, and a 2 x 4095 class table
     assert estimate_failure_probability(4096, 2048, 2, 0.5, 5, 1)["failures"] == 0
 
@@ -708,7 +681,7 @@ def test_the_dft_path_builds_no_n_by_n_table(monkeypatch):
 def test_the_dft_constant_gathers_its_instance_columns(monkeypatch, N, m):
     # the instance holds U_I, so the kernel reruns read its columns and
     # compute no Fourier entry; every row kept reruns every class
-    inst = subsampled_instance(None, m, 1234567, N=N)
+    inst = subsampled_instance(N, m, 1234567)
     full = restricted_isometry_constant(inst.U_I, 3)
     monkeypatch.setattr(rip, "_dft_entries", lambda *args: pytest.fail("computed entries"))
     report = inst.delta(3)
@@ -721,6 +694,20 @@ def test_dft_instance_checks_its_size():
     with pytest.raises(DomainError, match="N must be"):
         subsampled_instance(None, 2, 0)
     with pytest.raises(CapacityError, match="discrete Fourier matrix refused: N = 2049"):
-        subsampled_instance(None, 2, 0, N=2049)
+        subsampled_instance(2049, 2, 0)
     with pytest.raises(DomainError, match="s must be"):
-        subsampled_instance(None, 2, 0, N=4).delta(5)
+        subsampled_instance(4, 2, 0).delta(5)
+    # the supplied-unitary call forms are gone, and fail loudly
+    with pytest.raises(TypeError):
+        subsampled_instance(None, 2, 0, N=8)
+    with pytest.raises(DomainError, match="^N must be an integer"):
+        subsampled_instance(build_dft(8), 2, 0)
+
+
+def test_instance_rows_are_read_only():
+    # delta reads its supports off I, so rows written in place would be
+    # reported under the old draw's supports
+    inst = subsampled_instance(32, 16, 1234567)
+    with pytest.raises(ValueError, match="read-only"):
+        inst.U_I *= 2
+    assert inst.delta(3).delta_s == restricted_isometry_constant(inst.U_I, 3).delta_s

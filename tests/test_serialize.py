@@ -62,6 +62,16 @@ def test_canonical_json_rejects_nan():
         canonical_json({"x": math.inf})
 
 
+def test_a_non_finite_number_is_named_by_its_path_and_writes_nothing(tmp_path):
+    data = {"b": [1.0, {"z": 2.0, "y": -math.inf}], "a": np.array([0.0, math.nan])}
+    with pytest.raises(DomainError, match=r"^\$\.a\[1\] is nan, and JSON holds only finite"):
+        config_hash(data)
+    del data["a"]
+    with pytest.raises(DomainError, match=r"^\$\.b\[1\]\.y is -inf, and JSON holds only finite"):
+        write_json(tmp_path / "out.json", data)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_hash_is_order_insensitive_and_sensitive_to_values():
     a = config_hash({"x": 1, "y": 2})
     b = config_hash({"y": 2, "x": 1})

@@ -89,7 +89,7 @@ _TABLES = {
                      _SUPPORT_BUILDERS),
     # The DFT path: one eigvalsh stack of the C(21, 4) = 5985 class blocks, at
     # most _BATCH of them, of 5 x 5 each, more than the class table
-    "RIP constant, DFT": (lambda: subsampled_instance(None, 11, 0, N=22).delta(5), 4096 * 25,
+    "RIP constant, DFT": (lambda: subsampled_instance(22, 11, 0).delta(5), 4096 * 25,
                           _CLASS_BUILDERS),
     "RIP curve, DFT": (lambda: estimate_failure_probability(22, 11, 5, 0.9, 1, 0), 4096 * 25,
                        _CLASS_BUILDERS + [(rip, "_replication_streams")]),
@@ -165,7 +165,7 @@ def test_the_class_count_bounds_every_table_the_dft_path_builds(monkeypatch, N, 
     monkeypatch.setattr(np, "einsum", lambda spec, *ops: record(einsum(spec, *map(record, ops))))
     monkeypatch.setattr(errors, "_TABLE_BUDGET", _class_count(N, s))
     for m in (1, N // 2, N):
-        subsampled_instance(None, m, 3, N=N).delta(s) if N * N <= errors._TABLE_BUDGET else None
+        subsampled_instance(N, m, 3).delta(s) if N * N <= errors._TABLE_BUDGET else None
         for delta in (0.0, 0.5):
             estimate_failure_probability(N, m, s, delta, 3 * errors._TABLE_BUDGET // N + 1, 1)
     assert built and max(built) <= errors._TABLE_BUDGET
