@@ -353,9 +353,10 @@ def squares_supremum_bound(
     rm = math.sqrt(m)
     return _fitted_bound(
         "squares", "squares-supremum", p, u, registry, gamma2p,
-        lambda C, g: (("chaining-squared", C * g**2 / m), ("chaining-radius", C * radius * g / rm),
+        lambda C, g: (("chaining-squared", C * (g * g) / m),
+                      ("chaining-radius", C * radius * g / rm),
                       ("sqrt-p", C * math.sqrt(p) * sigma / rm), ("linear-p", C * p * K / m)),
-        lambda C, c, g: (C * (g**2 / m + radius * g / rm), c * sigma / rm, c * K / m),
+        lambda C, c, g: (C * (g * g / m + radius * g / rm), c * sigma / rm, c * K / m),
         m=m,
     )
 
@@ -454,13 +455,13 @@ def chaos_supremum_bound(
         raise DomainError(f"xi_psi2 must be a psi_2 norm, got alpha = {xi_psi2.alpha:g}")
     gamma2 = _radii_gamma(radii)
     _pick_form(p, u)
-    scale = xi_psi2.value**2
+    scale = xi_psi2.value * xi_psi2.value
     return _fitted_bound(
         "chaos", "chaos-supremum", p, u, registry, gamma2,
-        lambda C, g: (("chaining-squared", C * scale * g**2),
+        lambda C, g: (("chaining-squared", C * scale * (g * g)),
                       ("chaining-radius", C * scale * radii.delta_2 * g),
                       ("sqrt-p", C * scale * math.sqrt(p) * radii.delta_4**2),
                       ("linear-p", C * scale * p * radii.delta_inf**2)),
-        lambda C, c, g: (C * scale * (g**2 + radii.delta_2 * g),
+        lambda C, c, g: (C * scale * (g * g + radii.delta_2 * g),
                          c * scale * radii.delta_4**2, c * scale * radii.delta_inf**2),
     )

@@ -6,12 +6,14 @@ its action first, and each action declares only the options it reads:
 [--reps] --seed`` and ``rip complexity --N --s --delta --eta --d1 --d2 [--K]``.
 Every stochastic command demands an explicit --seed (or config seed) and
 exits 2 without one; exit 1 is reserved for a "violated" validation verdict,
-exit 2 for usage/config errors.  Artifacts are JSON reports (plus plot-ready
-CSV for grids), named by a hash of the config with no timestamps, so
-re-running a config reproduces the files byte for byte.  The config is every
-option the command declares except --out, with each input file named by
-what was read from it (see _config); orlicz names its samples by their
-float64 values and simulate hashes its config file's contents.
+exit 2 for usage/config errors.  A command prints to stdout only once its
+artifacts are written (see _emit), so one that fails prints nothing there
+and stdout states only what an artifact records.  Artifacts are JSON reports
+(plus plot-ready CSV for grids), named by a hash of the config with no
+timestamps, so re-running a config reproduces the files byte for byte.  The
+config is every option the command declares except --out, with each input
+file named by what was read from it (see _config); orlicz names its samples
+by their float64 values and simulate hashes its config file's contents.
 """
 
 from __future__ import annotations
@@ -110,9 +112,14 @@ def _config(args, **read) -> dict:
     return {**options, **read}
 
 
-def _emit(args, stem: str, config: dict, payload: dict, rows=None):
+def _emit(args, stem: str, config: dict, payload: dict, lines: list, rows=None,
+          code: int = 0) -> int:
     """Write the JSON report (and optional CSV grid, whose columns are the keys
-    of its rows); returns the paths."""
+    of its rows), then print lines and the paths written; returns code.
+
+    The one place a command prints to stdout: a command that fails before its
+    report is written prints nothing, so stdout states only what an artifact records.
+    """
     h = config_hash(config)
     report = {
         "command": stem,
@@ -126,9 +133,9 @@ def _emit(args, stem: str, config: dict, payload: dict, rows=None):
     if rows is not None:
         paths.append(base + ".csv")
         write_csv(paths[1], rows[0].keys(), rows, header_comment=f"config_hash: {h}")
-    for p in paths:
-        print(f"wrote {p}")
-    return paths
+    for line in [*lines, *(f"wrote {p}" for p in paths)]:
+        print(line)
+    return code
 
 
 def _parse_float_list(text: str, name: str) -> list[float]:
@@ -174,12 +181,9 @@ def _cmd_gamma(args) -> int:
         "size": space.size,
         "witness": witness,
     }
-    print(
-        f"{args.functional} alpha={args.alpha:g} p={args.p:g} mode={est.mode}: "
-        f"value = {est.value:.12g}"
-    )
-    _emit(args, "gamma", _config(args, space=config_hash(contents)), payload)
-    return 0
+    line = (f"{args.functional} alpha={args.alpha:g} p={args.p:g} mode={est.mode}: "
+            f"value = {est.value:.12g}")
+    return _emit(args, "gamma", _config(args, space=config_hash(contents)), payload, [line])
 
 
 # ---------------------------------------------------------------- cover
@@ -192,6 +196,7 @@ def _cmd_cover(args) -> int:
     space = space_from_json(contents)
     payload: dict = {"size": space.size, "diameter": space.diameter()}
     rows = None
+    lines = []
     if args.radius is None and not args.profile and args.entropy_alpha is None:
         raise DomainError("cover needs --radius, --profile, or --entropy-alpha")
     if args.radius is not None:
@@ -202,21 +207,20 @@ def _cmd_cover(args) -> int:
             "centers": [space.labels[i] for i in res.centers],
             "mode": res.mode,
         }
-        print(f"N(T, d, {res.radius:g}) = {res.count} [{res.mode}]")
+        lines.append(f"N(T, d, {res.radius:g}) = {res.count} [{res.mode}]")
     if args.profile or args.entropy_alpha is not None:
         # memoised on the space: entropy_integral below reads this same profile
         prof = covering_profile(space, mode=args.mode)
     if args.profile:
         rows = [{"radius": r, "count": c} for r, c in zip(prof.radii, prof.counts)]
         payload["profile"] = {"radii": prof.radii, "counts": prof.counts, "mode": prof.mode}
-        for r, c in zip(prof.radii, prof.counts):
-            print(f"radius {r:.6g}: count {c}")
+        lines += [f"radius {r:.6g}: count {c}" for r, c in zip(prof.radii, prof.counts)]
     if args.entropy_alpha is not None:
         ent = entropy_integral(space, args.entropy_alpha, mode=args.mode)
         payload["entropy_integral"] = {"alpha": ent.alpha, "value": ent.value, "mode": ent.mode}
-        print(f"entropy integral (alpha={ent.alpha:g}) = {ent.value:.12g}")
-    _emit(args, "cover", _config(args, space=config_hash(contents)), payload, rows=rows)
-    return 0
+        lines.append(f"entropy integral (alpha={ent.alpha:g}) = {ent.value:.12g}")
+    return _emit(args, "cover", _config(args, space=config_hash(contents)), payload, lines,
+                 rows=rows)
 
 
 # ---------------------------------------------------------------- orlicz
@@ -240,9 +244,8 @@ def _cmd_orlicz(args) -> int:
         "source": norm.source,
         "sample_count": norm.sample_count,
     }
-    print(f"psi_{norm.alpha:g} norm = {norm.value:.12g} ({norm.source})")
-    _emit(args, "orlicz", config, payload)
-    return 0
+    line = f"psi_{norm.alpha:g} norm = {norm.value:.12g} ({norm.source})"
+    return _emit(args, "orlicz", config, payload, [line])
 
 
 # ---------------------------------------------------------------- bound
@@ -355,7 +358,8 @@ def _build_bound(name: str, params: dict, reg: ConstantRegistry):
     raise DomainError(f"unknown bound name {name!r}")
 
 
-def _bound_payload(result, params: dict, reg: ConstantRegistry) -> dict:
+def _bound_payload(result, params: dict, reg: ConstantRegistry) -> tuple[dict, str]:
+    """The bound report's payload and its stdout line."""
     payload: dict = {"registry": reg.snapshot()}
     if isinstance(result, TailBound):
         payload["bound"] = result.to_dict()
@@ -363,30 +367,26 @@ def _bound_payload(result, params: dict, reg: ConstantRegistry) -> dict:
         payload["fitted"] = result.fitted
         if params.get("u") is not None:
             u = check_real("u", params["u"], -math.inf)  # the bound checks its range
-            payload["at_u"] = {
-                "u": u,
-                "threshold": result.threshold(u),
-                "envelope": float(result.probability(u)),
-            }
-            print(
-                f"{result.name}: threshold(u={u:g}) = {result.threshold(u):.12g}, "
-                f"envelope = {float(result.probability(u)):.6g}, fitted = {result.fitted}"
-            )
+            at_u = {"u": u, "threshold": result.threshold(u),
+                    "envelope": float(result.probability(u))}
+            payload["at_u"] = at_u
+            line = (f"{result.name}: threshold(u={u:g}) = {at_u['threshold']:.12g}, "
+                    f"envelope = {at_u['envelope']:.6g}, fitted = {result.fitted}")
         else:
-            print(f"{result.name}: tail bound (fitted = {result.fitted})")
+            line = f"{result.name}: tail bound (fitted = {result.fitted})"
     elif isinstance(result, MomentBound):
         payload["bound"] = result.to_dict()
         payload["kind"] = "moment"
         payload["fitted"] = result.fitted
-        print(f"{result.name}: (E sup^p)^(1/p) <= {result.value:.12g} at p = {result.p:g}")
+        line = f"{result.name}: (E sup^p)^(1/p) <= {result.value:.12g} at p = {result.p:g}"
     else:
         payload["bound"] = dict(result)
         payload["kind"] = "scalar"
         payload["fitted"] = bool(result.get("fitted", False))
         shown = {k: v for k, v in result.items() if isinstance(v, (int, float))}
-        print(", ".join(f"{k} = {v}" if isinstance(v, bool) else f"{k} = {v:.10g}"
-                        for k, v in shown.items()))
-    return payload
+        line = ", ".join(f"{k} = {v}" if isinstance(v, bool) else f"{k} = {v:.10g}"
+                         for k, v in shown.items())
+    return payload, line
 
 
 def _cmd_bound(args) -> int:
@@ -394,10 +394,8 @@ def _cmd_bound(args) -> int:
     if not isinstance(params, dict):
         raise DomainError("--params file must hold a JSON object")
     reg, fit = _registry(args)
-    result = _build_bound(args.name, params, reg)
-    payload = _bound_payload(result, params, reg)
-    _emit(args, "bound", _config(args, params=params, fit=fit), payload)
-    return 0
+    payload, line = _bound_payload(_build_bound(args.name, params, reg), params, reg)
+    return _emit(args, "bound", _config(args, params=params, fit=fit), payload, [line])
 
 
 # ---------------------------------------------------------------- simulate
@@ -456,10 +454,9 @@ def _run_model(spec: dict, reps: int, seed: int):
     raise DomainError(f"unknown model kind {kind!r} in simulate config")
 
 
-def _record_validation(report, payload: dict) -> tuple[list, int]:
-    """Print a report's rows, record its verdict in payload, return (rows, exit code).
-
-    A moment row has no tail envelope; its rows entry carries None there.
+def _record_validation(report, payload: dict, lines: list) -> tuple[list, int]:
+    """Record a report's verdict in payload and its rows in lines; return (rows,
+    exit code).  A moment row has no tail envelope; its rows entry carries None there.
     """
     rows = [dict(r) for r in report.rows]
     for r in rows:
@@ -467,10 +464,8 @@ def _record_validation(report, payload: dict) -> tuple[list, int]:
             r["envelope"] = None
         point = f"u={r['u']:g}" if "u" in r else f"p={r['p']:g}"
         env = "" if r["envelope"] is None else f"envelope={r['envelope']:.6g} "
-        print(
-            f"{point} threshold={r['threshold']:.6g} {env}"
-            f"empirical={r['empirical']:.6g} ci_upper={r['ci_upper']:.6g} {r['verdict']}"
-        )
+        lines.append(f"{point} threshold={r['threshold']:.6g} {env}"
+                     f"empirical={r['empirical']:.6g} ci_upper={r['ci_upper']:.6g} {r['verdict']}")
     payload["bound"] = report.bound.to_dict()
     payload["verdict"] = report.verdict
     payload["paper_confirmed"] = report.paper_confirmed
@@ -523,8 +518,10 @@ def _cmd_simulate(args) -> int:
     }
     rows = None
     code = 0
+    lines: list = []
     if "bound" in config:
-        rows, code = _record_validation(validate_bound(sample, bound, u_grid=u_grid), payload)
+        rows, code = _record_validation(validate_bound(sample, bound, u_grid=u_grid), payload,
+                                        lines)
         payload["rows"] = rows
     else:
         ests = estimate_moments(sample, p_list)
@@ -532,13 +529,12 @@ def _cmd_simulate(args) -> int:
             {"p": e.p, "estimate": e.estimate, "ci_low": e.ci_low, "ci_high": e.ci_high}
             for e in ests
         ]
-        for e in ests:
-            print(f"p={e.p:g} estimate={e.estimate:.6g} ci=[{e.ci_low:.6g}, {e.ci_high:.6g}]")
+        lines += [f"p={e.p:g} estimate={e.estimate:.6g} ci=[{e.ci_low:.6g}, {e.ci_high:.6g}]"
+                  for e in ests]
     hashed = {**config, "seed": seed, "reps": reps}
     if fit is not None:
         hashed["fit"] = fit
-    _emit(args, "simulate", hashed, payload, rows=rows)
-    return code
+    return _emit(args, "simulate", hashed, payload, lines, rows=rows, code=code)
 
 
 # ---------------------------------------------------------------- rip
@@ -561,12 +557,9 @@ def _cmd_rip_exact(args) -> int:
         "witness_value": report.witness_value,
         "K": inst.K,
     }
-    print(
-        f"delta_{args.s} = {report.delta_s:.12g} (|I| = {inst.realized_rows}, "
-        f"support {report.witness_support})"
-    )
-    _emit(args, "rip-exact", _config(args), payload)
-    return 0
+    line = (f"delta_{args.s} = {report.delta_s:.12g} (|I| = {inst.realized_rows}, "
+            f"support {report.witness_support})")
+    return _emit(args, "rip-exact", _config(args), payload, [line])
 
 
 def _cmd_rip_curve(args) -> int:
@@ -581,13 +574,10 @@ def _cmd_rip_curve(args) -> int:
     for m in m_list:
         est = estimate_failure_probability(args.N, m, args.s, args.delta, args.reps, seed)
         rows.append({k: est[k] for k in CURVE_FIELDS})
-        print(
-            f"m={m}: P(delta_{args.s} >= {args.delta:g}) ~ {est['estimate']:.4f} "
-            f"[{est['ci_lower']:.4f}, {est['ci_upper']:.4f}]"
-        )
+    lines = [f"m={r['m']}: P(delta_{args.s} >= {args.delta:g}) ~ {r['estimate']:.4f} "
+             f"[{r['ci_lower']:.4f}, {r['ci_upper']:.4f}]" for r in rows]
     payload = {"seed": seed, "curve": rows}
-    _emit(args, "rip-curve", _config(args, m_list=m_list), payload, rows=rows)
-    return 0
+    return _emit(args, "rip-curve", _config(args, m_list=m_list), payload, lines, rows=rows)
 
 
 def _cmd_rip_complexity(args) -> int:
@@ -597,9 +587,8 @@ def _cmd_rip_complexity(args) -> int:
         "fitted": True,
         "log_convention": "natural logs; log^2(s) means (ln s)^2",
     }
-    print(f"minimal m = {m} (fitted d1={args.d1:g}, d2={args.d2:g})")
-    _emit(args, "rip-complexity", _config(args), payload)
-    return 0
+    line = f"minimal m = {m} (fitted d1={args.d1:g}, d2={args.d2:g})"
+    return _emit(args, "rip-complexity", _config(args), payload, [line])
 
 
 # ---------------------------------------------------------------- chaos
@@ -629,17 +618,15 @@ def _cmd_chaos(args) -> int:
         "registry": reg.snapshot(),
         "sample": {"mean": float(sample.values.mean()), "max": float(sample.values.max())},
     }
-    print(
-        f"radii: delta_2={radii.delta_2:.6g} delta_4={radii.delta_4:.6g} "
-        f"delta_inf={radii.delta_inf:.6g} gamma2={radii.gamma2_dinf.value:.6g}"
-    )
+    lines = [f"radii: delta_2={radii.delta_2:.6g} delta_4={radii.delta_4:.6g} "
+             f"delta_inf={radii.delta_inf:.6g} gamma2={radii.gamma2_dinf.value:.6g}"]
     rows = None
     code = 0
     if u_grid is not None:
-        rows, code = _record_validation(validate_bound(sample, bound, u_grid=u_grid), payload)
-    _emit(args, "chaos", _config(args, matrices=config_hash(contents), fit=fit), payload,
-          rows=rows)
-    return code
+        rows, code = _record_validation(validate_bound(sample, bound, u_grid=u_grid), payload,
+                                        lines)
+    return _emit(args, "chaos", _config(args, matrices=config_hash(contents), fit=fit),
+                 payload, lines, rows=rows, code=code)
 
 
 # ---------------------------------------------------------------- parser

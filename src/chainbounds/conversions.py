@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chaining import _doubly_exponential, truncation_level
-from .errors import DomainError, alpha_power, check_array, check_int, check_number, check_real
+from .errors import (DomainError, alpha_exp, alpha_power, check_array, check_int, check_number,
+                     check_real)
 from .registry import DEFAULT_REGISTRY, ConstantRegistry
 from .results import MomentBound, PowerEnvelope, TailBound
 
@@ -58,14 +59,8 @@ def moments_to_tails(a: float, b: float, alpha: float, u: float | None = None) -
 
 
 def _exp_factor(alpha: float) -> float:
-    """e^(1/alpha), the threshold factor of the exponential tail forms; a
-    DomainError names it where it leaves the float range."""
-    try:
-        return math.exp(1.0 / alpha)
-    except OverflowError:
-        raise DomainError(
-            f"threshold factor e^(1/alpha) is not finite at alpha = {alpha:g}"
-        ) from None
+    """e^(1/alpha), the threshold factor of the exponential tail forms."""
+    return alpha_exp(1.0 / alpha, "threshold factor e^(1/alpha)", alpha)
 
 
 def _tail(envelope, u_min: float, factor: float, const: float, sqrt_coeff: float,
@@ -117,7 +112,8 @@ def tails_to_moments(a: float, b: float, alpha: float, p: float) -> MomentBound:
     p = check_real("moment order p", p, 1.0)
     check_real("tail scale a", a, 0.0)
     check_real("tail prefactor b", b, 0.0)
-    inner = math.sqrt(2.0 * math.pi / alpha) * math.exp(alpha / 12.0) * b
+    inner = (math.sqrt(2.0 * math.pi / alpha)
+             * alpha_exp(alpha / 12.0, "Stirling factor e^(alpha/12)", alpha) * b)
     growth = alpha_power(p, 1.0 / alpha, "moment growth p^(1/alpha)", alpha)
     value = _STIRLING_PREF * a * inner ** (1.0 / p) * growth
     return MomentBound(
@@ -233,7 +229,10 @@ def union_bound_probability(
             f"union bound requires u >= 2^(1/alpha) = {u_min:.6g}, got {u}"
         )
     c, _ = registry.union_c()
-    return c * math.exp(-p * u**alpha / 4.0)
+    try:
+        return c * math.exp(-p * u**alpha / 4.0)
+    except OverflowError:  # u^alpha past the float range: the tail is 0, as at u = inf
+        return 0.0
 
 
 def lp_tail_integral_bound(alpha: float, p: float) -> float:

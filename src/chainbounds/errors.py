@@ -183,3 +183,12 @@ def alpha_power(base: float, exponent: float, what: str, alpha: float) -> float:
         return base ** exponent
     except OverflowError:
         raise DomainError(f"{what} is not finite at alpha = {alpha:g}") from None
+
+
+def alpha_exp(exponent: float, what: str, alpha: float) -> float:
+    """e^exponent, with exponent a function of alpha; a DomainError names what,
+    at this alpha, where the float exponential overflows."""
+    try:
+        return math.exp(exponent)
+    except OverflowError:
+        raise DomainError(f"{what} is not finite at alpha = {alpha:g}") from None

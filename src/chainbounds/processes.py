@@ -274,7 +274,7 @@ def gaussian_model(covariance, labels=None) -> ProcessModel:
     cov = check_array("covariance", covariance, 2, square=True, error=ModelError)
     if not np.allclose(cov, cov.T, rtol=1e-12, atol=1e-12):
         raise ModelError("covariance must be symmetric")
-    w = np.linalg.eigvalsh(0.5 * (cov + cov.T))
+    w = np.linalg.eigvalsh(0.5 * cov + 0.5 * cov.T)  # halves first: cov + cov.T can overflow
     if w.min() < -_EIG_TOL:
         raise ModelError(
             f"covariance is not positive semidefinite (min eigenvalue {w.min():.3e})"

@@ -10,6 +10,7 @@ those constants were fitted rather than derived.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,7 +122,12 @@ class TailBound:
 
     def threshold(self, u) -> float | np.ndarray:
         arr = self._valid_u(u)
-        out = self.factor * (self.const + self.sqrt_coeff * np.sqrt(arr) + self.linear * arr)
+        with np.errstate(over="ignore"):
+            out = self.factor * (self.const + self.sqrt_coeff * np.sqrt(arr) + self.linear * arr)
+        if not math.isfinite(np.max(out)):  # it grows with u: the largest u leaves first
+            raise DomainError(
+                f"{self.name or 'bound'} threshold is not finite at u = {arr.max():g}"
+            )
         return float(out) if arr.ndim == 0 else out
 
     def probability(self, u) -> float | np.ndarray:

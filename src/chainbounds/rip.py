@@ -519,7 +519,10 @@ def sample_complexity(
         check_real(name, v, 0.0, strict=True)
     if not 0.0 < check_number("eta", eta) <= 1.0:
         raise DomainError(f"eta must lie in (0, 1], got {eta}")
-    lead = s * K**2 / delta**2
+    square = delta * delta  # K * K saturates to inf where K**2 raised OverflowError
+    lead = s * (K * K) / square if square > 0.0 else math.inf
+    if not math.isfinite(lead):
+        raise DomainError(f"s K^2 / delta^2 is not finite (s={s}, K={K:g}, delta={delta:g})")
     log_term = d1_fit * math.log(s) ** 2 * math.log(N)
     tail_term = d2_fit * math.log(1.0 / eta)
 

@@ -243,9 +243,17 @@ def validate_bound(
     )
 
 
-def _lp_of_mean(powered: np.ndarray, weights: np.ndarray | None, p: float) -> float:
+def _lp_of_mean(values: np.ndarray, weights: np.ndarray | None, p: float) -> float:
+    """(E values^p)^(1/p), E the mean over the first axis, plain or under
+    weights, of the mean over the second axis where values has one.  As in
+    estimate_moments, powers of values / max stay in [0, 1], so a large p
+    cannot overflow; the root is scaled back by max."""
+    top = float(values.max()) or 1.0
+    powered = (values / top) ** p
+    if powered.ndim == 2:
+        powered = powered.mean(axis=1)
     mean = powered.mean() if weights is None else float(weights @ powered)
-    return mean ** (1.0 / p)
+    return top * mean ** (1.0 / p)
 
 
 def check_symmetrization_decoupling(
@@ -292,8 +300,8 @@ def check_symmetrization_decoupling(
     offdiag_sup = exact_chaos_distribution(square)
     decoupling = []
     for p in p_list:
-        lhs = _lp_of_mean(offdiag_sup**p, None, p)
-        rhs = 4.0 * _lp_of_mean(bilinear_sup**p, None, p)
+        lhs = _lp_of_mean(offdiag_sup, None, p)
+        rhs = 4.0 * _lp_of_mean(bilinear_sup, None, p)
         decoupling.append({"p": p, "lhs": lhs, "rhs": rhs, "holds": lhs <= rhs * (1 + 1e-12)})
 
     if table is None:
@@ -309,9 +317,8 @@ def check_symmetrization_decoupling(
     symmetrization = []
     signed = np.abs(np.einsum("ai,si,ki->ska", signs, selectors, v)).max(axis=1)
     for p in p_list:
-        lhs = _lp_of_mean(centered_sup**p, weights, p)
-        inner = (signed**p).mean(axis=1)
-        rhs = 2.0 * _lp_of_mean(inner, weights, p)
+        lhs = _lp_of_mean(centered_sup, weights, p)
+        rhs = 2.0 * _lp_of_mean(signed, weights, p)
         symmetrization.append({"p": p, "lhs": lhs, "rhs": rhs, "holds": lhs <= rhs * (1 + 1e-12)})
 
     holds = all(r["holds"] for r in decoupling) and all(r["holds"] for r in symmetrization)

@@ -455,3 +455,15 @@ def test_tail_forms_check_their_functional_before_the_fitted_rate(evaluate):
         evaluate(gamma(1.0, p=2.0), reg)
     with pytest.raises(MissingConstantError, match="_c' has no derived value"):
         evaluate(gamma(1.0), reg)
+
+
+def test_a_threshold_past_the_float_range_is_refused_by_bound_and_u():
+    # the product overflowed to inf with a RuntimeWarning
+    bound = squares_l2_increment_tail(1e300, 10)
+    message = "squares-l2-increment threshold is not finite at u = 1e+10"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        bound.threshold(1e10)
+    with pytest.raises(DomainError, match=re.escape(message)):
+        bound.threshold(np.array([1.0, 1e10]))
+    assert bound.threshold(1.0) == L2_INCREMENT_COEFF * 1e300
+

@@ -1052,3 +1052,73 @@ def test_a_report_config_is_every_declared_option_but_out(tmp_path, capsys, argv
     [report] = (tmp_path / "out").glob("*.json")
     command = argv[:2] if argv[0] == "rip" else argv[:1]
     assert set(load_json(report)["config"]) == _declared(*command)
+
+
+@pytest.mark.parametrize("argv, contents, named", [
+    (["bound", "union-probability"], {"alpha": 2.0, "u": math.inf, "p": 1.0}, "$.params.u is inf"),
+    (["bound", "union-constant"], {"extra": math.nan}, "$.params.extra is nan"),
+    (["simulate"], {"model": _GAUSSIAN, "reps": 10, "seed": 1, "note": math.nan},
+     "$.note is nan"),
+], ids=["union-probability u inf", "union-constant unread NaN", "simulate unread NaN"])
+def test_a_command_whose_report_cannot_be_written_prints_nothing(tmp_path, capsys, argv,
+                                                                 contents, named):
+    # the result used to be printed before the report was encoded
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(contents))  # json writes Infinity and NaN, which json.load reads
+    flag = "--config" if argv[0] == "simulate" else "--params"
+    code, out, err = run(argv + [flag, str(path), "--out", str(tmp_path / "out")], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {named}, and JSON holds only finite numbers")
+    assert not (tmp_path / "out").exists()
+
+
+_SQUARES = {"radius": 1.0, "m": 4, "sigma": 1.0, "K": 1.0}
+_OVERFLOWS = {
+    "squares moment": (["bound", "squares"], {**_SQUARES, "p": 2.0,
+                       "gamma2p": {"alpha": 2, "p": 2, "value": 1e200}},
+                       "decomposition term 'chaining-squared' must be finite"),
+    "squares tail": (["bound", "squares"], {**_SQUARES, "u": 2.0,
+                     "gamma2p": {"alpha": 2, "value": 1e200}},
+                     "threshold coefficient const must be finite"),
+    "chaos moment": (["bound", "chaos"], {"matrices": _CHAOS_MATRICES, "p": 2.0, "gamma_p": 2.0,
+                     "xi_psi2": {"value": 1e200}},
+                     "decomposition term 'chaining-squared' must be finite"),
+    "chaos tail": (["bound", "chaos"], {"matrices": _CHAOS_MATRICES, "u": 2.0,
+                   "xi_psi2": {"value": 1e200}}, "threshold coefficient const must be finite"),
+    "tails-to-moments": (["bound", "tails-to-moments"], {"a": 1.0, "b": 1.0, "alpha": 1e4, "p": 2},
+                         "Stirling factor e^(alpha/12) is not finite at alpha = 10000"),
+    "squares-l2": (["bound", "squares-l2"], {"psi2_distance": 1e300, "m": 10, "u": 1e10},
+                   "squares-l2-increment threshold is not finite at u = 1e+10"),
+    "rip K": (_RIP["complexity"] + ["--K", "1e200"], None, "s K^2 / delta^2 is not finite"),
+    "rip delta": (["rip", "complexity", "--N", "8", "--s", "2", "--delta", "1e-200", "--eta",
+                   "0.01", "--d1", "1", "--d2", "1"], None, "s K^2 / delta^2 is not finite"),
+}
+
+
+@pytest.mark.parametrize("argv, params, named", _OVERFLOWS.values(), ids=_OVERFLOWS)
+def test_a_float_overflow_exits_two_with_a_named_message(tmp_path, capsys, argv, params, named):
+    # each used to end in an OverflowError or ZeroDivisionError traceback with exit 1,
+    # or (squares-l2) in a RuntimeWarning and an unnamed refusal
+    fit = tmp_path / "fit.json"
+    fit.write_text(json.dumps({"squares_C": 1.0, "squares_c": 1.0, "chaos_C": 1.0, "chaos_c": 1.0}))
+    if params is not None:
+        (tmp_path / "p.json").write_text(json.dumps(params))
+        argv = argv + ["--params", str(tmp_path / "p.json"), "--fit", str(fit)]
+    code, out, err = run(argv + ["--out", str(tmp_path / "out")], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and named in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("params", [{"alpha": 2.0, "u": 1e200, "p": 1.0},
+                                    {"alpha": 1000.0, "u": 3.0, "p": 1.0}],
+                         ids=["large u", "large alpha"])
+def test_union_probability_past_the_float_range_is_zero(tmp_path, capsys, params):
+    # u^alpha used to raise OverflowError; the tail is 0 there, as at u = inf
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(params))
+    code, out, err = run(["bound", "union-probability", "--params", str(path),
+                          "--out", str(tmp_path)], capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "probability = 0, union_c = 16, fitted = False"
+    assert load_json(artifact(tmp_path, "bound"))["bound"]["probability"] == 0.0

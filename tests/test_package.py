@@ -213,6 +213,22 @@ def test_one_constructor_per_bound_form():
         "_fitted_bound", "hanson_wright_tail"]
 
 
+def test_only_emit_prints_to_stdout_in_the_cli():
+    # A command's stdout is printed by cli._emit once the report is written, so
+    # a command that fails prints nothing there; errors go to sys.stderr.
+    source = (ROOT / "src" / "chainbounds" / "cli.py").read_text(encoding="utf-8")
+    printers = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id == "print":
+                target = [ast.unparse(k.value) for k in node.keywords if k.arg == "file"]
+                if target != ["sys.stderr"]:
+                    printers.append(getattr(top, "name", "<module>"))
+    assert printers == ["_emit"]
+    assert "sys.stdout" not in source
+
+
 def test_the_gamma_auto_rule_lives_in_chaining():
     # chainbounds gamma and schatten_radii ask chaining._gamma_search which
     # search answers; neither resolves a mode itself.

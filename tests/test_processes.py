@@ -168,6 +168,14 @@ def test_gaussian_model_validation():
         gaussian_model(np.array([[1.0, 0.5], [0.4, 1.0]]))  # asymmetric
 
 
+def test_gaussian_model_checks_a_covariance_near_the_float_max():
+    # cov + cov.T overflowed: this indefinite matrix passed, and that diagonal
+    # one summed to inf
+    with pytest.raises(ModelError, match="not positive semidefinite"):
+        gaussian_model(np.array([[1e308, 1e308], [1e308, -1e308]]))
+    gaussian_model(np.array([[1.7e308, 0.0], [0.0, 1.7e308]]))
+
+
 def test_gaussian_canonical_metric():
     rho = 0.6
     model = gaussian_model(np.array([[1.0, rho], [rho, 1.0]]))

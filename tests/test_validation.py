@@ -1,8 +1,10 @@
 """Confidence machinery: exceedance intervals, bootstrap moments, verdicts."""
 
+import itertools
 import math
 import re
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -599,6 +601,25 @@ def test_decoupling_holds_on_random_families(seed):
     assert check_symmetrization_decoupling(mats)["holds"]
 
 
+def test_a_large_order_keeps_both_sides_finite():
+    # sup^p overflowed at p = 1000, and inf <= inf read as "holds".  For
+    # 3 I_2, B = 9 I: v = (9, 9) and q = 1/2, so each selector and sign pattern
+    # weighs 1/4, and the verdict is checked on exact rationals.
+    p = 1000
+    out = check_symmetrization_decoupling([3 * np.eye(2)], p_list=[float(p)])
+    [row] = out["symmetrization"]
+    assert math.isfinite(row["lhs"]) and math.isfinite(row["rhs"])
+    patterns = list(itertools.product((0, 1), repeat=2))
+    lhs_p = sum(abs(sum(9 * (t - Fraction(1, 2)) for t in theta)) ** p for theta in patterns) / 4
+    rhs_p = Fraction(2**p * sum(abs(sum(9 * e * t for e, t in zip(eps, theta))) ** p
+                                for theta in patterns
+                                for eps in itertools.product((-1, 1), repeat=2)), 16)
+    assert row["holds"] == (lhs_p <= rhs_p)
+    assert row["holds"] and out["holds"]
+    [row] = out["decoupling"]  # xi.B xi - tr B = 0, and |xi.B xi'| is 0 or 18
+    assert row["lhs"] == 0.0 and math.isfinite(row["rhs"])
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.booleans())
 def test_decoupling_rhs_is_the_exact_decoupled_chaos_law(seed, complex_entries):
@@ -612,6 +633,7 @@ def test_decoupling_rhs_is_the_exact_decoupled_chaos_law(seed, complex_entries):
     signs = sign_patterns(3)
     bilinear_sup = np.abs(np.einsum("ai,kij,bj->kab", signs, grams, signs)).max(axis=0).ravel()
     out = check_symmetrization_decoupling(mats)
+    top = float(bilinear_sup.max())  # powers of sup / top cannot overflow
     for row in out["decoupling"]:
         p = row["p"]
-        assert row["rhs"] == 4.0 * (bilinear_sup**p).mean() ** (1.0 / p)
+        assert row["rhs"] == 4.0 * top * ((bilinear_sup / top) ** p).mean() ** (1.0 / p)
