@@ -18,7 +18,8 @@ import numpy as np
 
 from .chaining import GammaEstimate
 from .conversions import _exp_factor, _exp_tail, _tail
-from .errors import DomainError, alpha_power, check_array, check_int, check_real
+from .errors import (DomainError, alpha_power, check_array, check_int, check_real, power_reduce,
+                     square)
 from .orlicz import OrliczNorm
 from .registry import DEFAULT_REGISTRY, ConstantRegistry
 from .results import DegenerateEnvelope, MinEnvelope, MomentBound, PowerEnvelope, TailBound
@@ -317,8 +318,9 @@ def squares_default_parameters(psi2_norms) -> tuple[float, float]:
     satisfy the factorial moment condition for the squared summands.
     """
     arr = check_array("psi2_norms", psi2_norms, 2, nonnegative=True)
-    sigma = float(np.sqrt(np.mean(arr**4, axis=1)).max())
-    K = float((arr**2).max())
+    sigma = float(power_reduce(lambda v: np.sqrt(np.mean(v**4, axis=1)), arr, degree=2).max())
+    with np.errstate(over="ignore"):  # inf only where the largest norm^2 passes the float range
+        K = float((arr**2).max())
     return sigma, K
 
 
@@ -424,9 +426,9 @@ def kmr_parameters(radii: SchattenRadii) -> dict:
     """
     g = _gamma_value(_radii_gamma(radii), 2.0, 1.0, "comparison parameters")
     return {
-        "E": g**2 + radii.delta_2 * g,
+        "E": square(g) + radii.delta_2 * g,
         "V": radii.delta_inf * (radii.delta_2 + g),
-        "U": radii.delta_inf**2,
+        "U": square(radii.delta_inf),
     }
 
 
@@ -456,12 +458,15 @@ def chaos_supremum_bound(
     gamma2 = _radii_gamma(radii)
     _pick_form(p, u)
     scale = xi_psi2.value * xi_psi2.value
+    if not math.isfinite(scale):  # inf times a zero gamma_2 would leave a NaN term
+        raise DomainError(f"xi_psi2.value^2 is not finite (xi_psi2.value = {xi_psi2.value:g})")
+    d4sq, dinfsq = square(radii.delta_4), square(radii.delta_inf)
     return _fitted_bound(
         "chaos", "chaos-supremum", p, u, registry, gamma2,
         lambda C, g: (("chaining-squared", C * scale * (g * g)),
                       ("chaining-radius", C * scale * radii.delta_2 * g),
-                      ("sqrt-p", C * scale * math.sqrt(p) * radii.delta_4**2),
-                      ("linear-p", C * scale * p * radii.delta_inf**2)),
+                      ("sqrt-p", C * scale * math.sqrt(p) * d4sq),
+                      ("linear-p", C * scale * p * dinfsq)),
         lambda C, c, g: (C * scale * (g * g + radii.delta_2 * g),
-                         c * scale * radii.delta_4**2, c * scale * radii.delta_inf**2),
+                         c * scale * d4sq, c * scale * dinfsq),
     )

@@ -16,7 +16,7 @@ import numpy as np
 
 from .chaining import _doubly_exponential, truncation_level
 from .errors import (DomainError, alpha_exp, alpha_power, check_array, check_int, check_number,
-                     check_real)
+                     check_real, power_reduce)
 from .registry import DEFAULT_REGISTRY, ConstantRegistry
 from .results import MomentBound, PowerEnvelope, TailBound
 
@@ -326,7 +326,7 @@ class BernsteinParams:
         arr = np.asarray(vals, dtype=float)
         if arr.size == 0:
             raise DomainError("at least one psi_1 norm is required")
-        nu = float(np.sqrt(np.mean(arr**2)))
+        nu = float(power_reduce(lambda v: np.sqrt(np.mean(v**2)), arr))
         kappa = float(arr.max())
         return cls(m=int(arr.size), sigma=sigma, K=K, nu=nu, kappa=kappa)
 

@@ -5,9 +5,9 @@ surface validation failures without re-deriving them.  The argument
 validators below are shared by every module: check_int, check_number and
 check_real for a count, a seed, an order or a scale, and check_array for
 every array a caller hands in (a coefficient matrix, a covariance, a matrix
-family, a row system, a sample), metric spaces excepted, whose checks name
-entries by their role; _check_indices reads an index list through it, and
-check_labels reads the point labels of a metric space or a process model.
+family, a sample), metric spaces excepted, whose checks name entries by
+their role; _check_indices reads an index list through it, and check_labels
+reads the point labels of a metric space or a process model.
 """
 
 import math
@@ -183,6 +183,38 @@ def alpha_power(base: float, exponent: float, what: str, alpha: float) -> float:
         return base ** exponent
     except OverflowError:
         raise DomainError(f"{what} is not finite at alpha = {alpha:g}") from None
+
+
+def square(x: float) -> float:
+    """x ** 2, bit for bit, or inf where that float power overflows (x * x
+    differs from x ** 2 in the last place on about 0.09% of floats)."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
+def power_reduce(reduce, values: np.ndarray, degree: int = 1):
+    """reduce(values), for a reduction over the last axis built from powers,
+    sums and roots that is homogeneous of the given degree: reduce(c x) =
+    c^degree reduce(x) for c > 0.
+
+    It is computed as written, so every finite result keeps its bits.  Where
+    a power or a sum inside overflows, the result is computed again from the
+    values divided by their largest modulus along the axis and multiplied
+    back by it degree times, so it is finite wherever the true value is.
+    Rescaling every result would move the last bits of some finite ones.
+    """
+    with np.errstate(over="ignore"):
+        out = reduce(values)
+        if np.isfinite(out).all():
+            return out
+        top = np.abs(values).max(axis=-1, keepdims=True)
+        top = np.where((top > 0) & np.isfinite(top), top, 1.0)
+        redo = reduce(values / top)
+        for _ in range(degree):
+            redo = top[..., 0] * redo
+        return np.where(np.isfinite(out), out, redo)
 
 
 def alpha_exp(exponent: float, what: str, alpha: float) -> float:

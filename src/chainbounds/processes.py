@@ -37,6 +37,8 @@ from .errors import (
     check_int,
     check_labels,
     check_real,
+    power_reduce,
+    square,
 )
 from .metric import _NORMS, FiniteMetricSpace, _pairwise, build_metric_space, space_from_points
 from .orlicz import OrliczNorm, psi_norm_analytic
@@ -168,9 +170,11 @@ class RowDistribution:
             raise ModelError(
                 "row second moment not attested; supply a distribution with mean_known=True"
             )
-        if self.name == "uniform":
-            return self.scale**2 / 3.0
-        return self.scale**2
+        second = square(self.scale)
+        if not math.isfinite(second):
+            raise DomainError(f"row second moment is not finite: scale^2 overflows at scale = "
+                              f"{self.scale:g}")
+        return second / 3.0 if self.name == "uniform" else second
 
     def sample(self, rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
         if self.name == "rademacher":
@@ -396,7 +400,7 @@ def empirical_parameters(model: ProcessModel) -> tuple[float, float]:
     returned pair is the sup over points of each.
     """
     norms = model.psi_norm_matrix(1)
-    sigma = float(np.sqrt((norms**2).mean(axis=1)).max())
+    sigma = float(power_reduce(lambda v: np.sqrt((v**2).mean(axis=1)), norms).max())
     K = float(norms.max())
     return sigma, K
 

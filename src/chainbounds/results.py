@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, check_real
+from .errors import DomainError, check_real, square
 
 __all__ = ["PowerEnvelope", "MinEnvelope", "DegenerateEnvelope", "TailBound", "MomentBound"]
 
@@ -65,7 +65,7 @@ class MinEnvelope:
 
     def probability(self, u) -> float | np.ndarray:
         arr = np.asarray(u, dtype=float)
-        expo = self.c * np.minimum(arr ** 2 / self.s2 ** 2, arr / self.sinf)
+        expo = self.c * np.minimum(arr ** 2 / square(self.s2), arr / self.sinf)
         out = np.clip(self.prefactor * np.exp(-expo), 0.0, 1.0)
         return float(out) if arr.ndim == 0 else out
 

@@ -41,7 +41,6 @@ from . import errors
 from .errors import (
     ConvergenceError,
     DomainError,
-    ModelError,
     _check_table_budget,
     check_array,
     check_int,
@@ -54,14 +53,12 @@ from .validation import exceedance_lower_bound, exceedance_upper_bound
 __all__ = [
     "RipInstance",
     "RipReport",
-    "BosSystem",
     "build_dft",
     "sample_selectors",
     "subsampled_instance",
     "restricted_isometry_constant",
     "sample_complexity",
     "estimate_failure_probability",
-    "check_bos",
 ]
 
 # Support tables of at most this many indices (512 KB) are kept across calls,
@@ -72,7 +69,6 @@ WITNESS_TOL = 1e-9
 COMPLEXITY_CAP = 1 << 60
 _BATCH = 4096
 _SCREEN_TOL = 1e-9
-_BOS_TEST_VECTORS = 8  # random unit vectors check_bos tries isotropy on
 
 
 def build_dft(N: int) -> np.ndarray:
@@ -594,60 +590,3 @@ def estimate_failure_probability(N: int, m: int, s: int, delta: float, reps: int
         "ci_upper": exceedance_upper_bound(failures, reps),
         "mean_realized_rows": realized / reps,
     }
-
-
-@dataclass(frozen=True)
-class BosSystem:
-    """A validated bounded orthonormal system given by finitely many rows."""
-
-    rows: np.ndarray
-    weights: np.ndarray
-    K: float
-
-    @property
-    def dimension(self) -> int:
-        return self.rows.shape[1]
-
-    def sample_matrix(self, m: int, seed: int, rep: int = 0) -> np.ndarray:
-        """m iid weighted row draws scaled by 1/sqrt(m)."""
-        m = check_int("m", m, 1)
-        rng = replication_rng(check_int("seed", seed, 0, SEED_MAX), rep)
-        idx = rng.choice(self.rows.shape[0], size=m, p=self.weights)
-        return self.rows[idx] / math.sqrt(m)
-
-
-def check_bos(rows, K: float, weights=None, seed: int = 0) -> BosSystem:
-    """Validate isotropy and flatness of a finite row system.
-
-    Isotropy requires sum_i w_i X_i X_i^H = I, checked entrywise (standard
-    basis) and on _BOS_TEST_VECTORS random unit vectors drawn from seed, to
-    1e-8; flatness requires every entry of every row to have modulus <= K.
-    Violations are rejected with the maximal residual.
-    """
-    rows = check_array("rows", rows, 2, complex_ok=True)
-    n, N = rows.shape
-    if weights is None:
-        weights = np.full(n, 1.0 / n)
-    else:
-        weights = check_array("weights", weights, 1, nonnegative=True)
-        if weights.shape != (n,) or abs(weights.sum() - 1.0) > 1e-12:
-            raise DomainError("weights must be a probability vector over the rows")
-    check_real("K", K, 0.0, strict=True)
-    seed = check_int("seed", seed, 0, SEED_MAX)
-    flat = float(np.abs(rows).max())
-    if flat > K + 1e-12:
-        raise ModelError(f"row sup-norm {flat:.12g} exceeds the declared bound K = {K:g}")
-    M = np.einsum("i,ia,ib->ab", weights, rows, rows.conj())
-    residual = float(np.abs(M - np.eye(N)).max())
-    if residual > 1e-8:
-        raise ModelError(f"row system is not isotropic (max residual {residual:.3e})")
-    rng = replication_rng(seed, 0)
-    for _ in range(_BOS_TEST_VECTORS):
-        x = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-        x /= np.linalg.norm(x)
-        second = float(weights @ (np.abs(rows.conj() @ x) ** 2))
-        if abs(second - 1.0) > 1e-8:
-            raise ModelError(
-                f"isotropy fails on a test vector (|E|<X,x>|^2 - 1| = {abs(second - 1.0):.3e})"
-            )
-    return BosSystem(rows=rows, weights=weights, K=float(K))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chaining import GammaEstimate, _gamma_search
-from .errors import DomainError, check_array, check_number, check_real
+from .errors import DomainError, check_array, check_number, check_real, power_reduce, square
 from .metric import FiniteMetricSpace, _pairwise, build_metric_space
 
 __all__ = ["schatten_norm", "SchattenRadii", "matrix_set_space", "schatten_radii"]
@@ -30,7 +30,7 @@ def schatten_norm(a, q: float) -> float:
         return float(s.max(initial=0.0))
     if not q >= 1:
         raise DomainError(f"Schatten exponent must be >= 1 or inf, got {q}")
-    return float(np.sum(s**q) ** (1.0 / q))
+    return float(power_reduce(lambda v: np.sum(v**q) ** (1.0 / q), s))
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ class SchattenRadii:
                 "radii must satisfy delta_inf <= delta_4 <= delta_2, got "
                 f"({self.delta_2}, {self.delta_4}, {self.delta_inf})"
             )
-        if self.delta_4**2 > self.delta_2 * self.delta_inf + slack * max(1.0, self.delta_2):
+        if square(self.delta_4) > self.delta_2 * self.delta_inf + slack * max(1.0, self.delta_2):
             raise DomainError(
                 "radii must satisfy the interpolation delta_4^2 <= delta_2 * delta_inf"
             )
@@ -98,8 +98,8 @@ def schatten_radii(matrices, gamma_mode: str = "auto", p: float = 1.0) -> Schatt
     """
     stack = _matrix_stack(matrices)
     svals = np.linalg.svd(stack, compute_uv=False)  # one row of singular values per matrix
-    d2 = float(np.sqrt((svals**2).sum(axis=1)).max())
-    d4 = float(((svals**4).sum(axis=1) ** 0.25).max())
+    d2 = float(power_reduce(lambda v: np.sqrt((v**2).sum(axis=1)), svals).max())
+    d4 = float(power_reduce(lambda v: (v**4).sum(axis=1) ** 0.25, svals).max())
     dinf = float(svals.max())
     if gamma_mode == "none":
         return SchattenRadii(delta_2=d2, delta_4=d4, delta_inf=dinf)

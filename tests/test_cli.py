@@ -1081,10 +1081,9 @@ _OVERFLOWS = {
                      "gamma2p": {"alpha": 2, "value": 1e200}},
                      "threshold coefficient const must be finite"),
     "chaos moment": (["bound", "chaos"], {"matrices": _CHAOS_MATRICES, "p": 2.0, "gamma_p": 2.0,
-                     "xi_psi2": {"value": 1e200}},
-                     "decomposition term 'chaining-squared' must be finite"),
+                     "xi_psi2": {"value": 1e200}}, "xi_psi2.value^2 is not finite"),
     "chaos tail": (["bound", "chaos"], {"matrices": _CHAOS_MATRICES, "u": 2.0,
-                   "xi_psi2": {"value": 1e200}}, "threshold coefficient const must be finite"),
+                   "xi_psi2": {"value": 1e200}}, "xi_psi2.value^2 is not finite"),
     "tails-to-moments": (["bound", "tails-to-moments"], {"a": 1.0, "b": 1.0, "alpha": 1e4, "p": 2},
                          "Stirling factor e^(alpha/12) is not finite at alpha = 10000"),
     "squares-l2": (["bound", "squares-l2"], {"psi2_distance": 1e300, "m": 10, "u": 1e10},
@@ -1122,3 +1121,57 @@ def test_union_probability_past_the_float_range_is_zero(tmp_path, capsys, params
     assert (code, err) == (0, "")
     assert out.splitlines()[0] == "probability = 0, union_c = 16, fitted = False"
     assert load_json(artifact(tmp_path, "bound"))["bound"]["probability"] == 0.0
+
+
+_TEN_REPS = {"seed": 1, "reps": 10}
+def _bound(kind):
+    return ["bound", kind, "--params", "{file}", "--fit", "{fit}"]
+
+
+# (argv, with {file} for a file of the contents and {fit} for a fit file; the contents; the
+# exit code; the message named on stderr, or for exit 0 the first line of stdout)
+_PAST_THE_FLOAT_RANGE = {
+    "chaos bound, one matrix": (_bound("chaos"),
+                                {"matrices": [_EYE], "xi_psi2": {"value": 1e200}, "u": 2},
+                                2, "xi_psi2.value^2 is not finite (xi_psi2.value = 1e+200)"),
+    "chaos bound, 1e200 family": (_bound("chaos"), {"matrices": [[[1e200, 0], [0, 1]], _EYE],
+                                                    "xi_psi2": {"value": 1}, "u": 2},
+                                  2, "threshold coefficient const must be finite"),
+    "simulate squares": (["simulate", "--config", "{file}"],
+                         {**_TEN_REPS, "model": {"kind": "squares",
+                                                 "coefficients": [[1, 0.5], [0.2, 1]],
+                                                 "base": {"name": "uniform", "scale": 1e200}}},
+                         2, "row second moment is not finite"),
+    "simulate chaos": (["simulate", "--config", "{file}"],
+                       {**_TEN_REPS, "model": {"kind": "chaos", "matrices": _CHAOS_MATRICES,
+                                               "xi": {"name": "gaussian", "scale": 1e200}}},
+                       2, "row second moment is not finite"),
+    "chaos scale": (_CHAOS[:2] + ["{file}"] + _CHAOS[3:] + ["--scale", "1e200"],
+                    _CHAOS_MATRICES, 2, "row second moment is not finite"),
+    "kmr, 1e100 family": (_bound("kmr"), {"matrices": [[[1e100, 0], [0, 1]], _EYE]},
+                          0, "E = 2e+200, V = 2e+200, U = 1e+200, fitted = False"),
+    "hanson-wright, 1e200 matrix": (_bound("hanson-wright"),
+                                    {"matrix": [[1e200, 0], [0, 1]], "u": 2}, 0,
+                                    "hanson-wright: threshold(u=2) = 2, envelope = 1, "
+                                    "fitted = True"),
+}
+
+
+@pytest.mark.parametrize("argv, contents, code, text", _PAST_THE_FLOAT_RANGE.values(),
+                         ids=_PAST_THE_FLOAT_RANGE)
+def test_a_value_past_the_float_range_is_refused_by_name_or_computed(tmp_path, capsys, argv,
+                                                                     contents, code, text):
+    # these used to exit 2 on a NaN term, end in an OverflowError traceback with exit 1, or
+    # (the matrices) overflow in a Schatten radius or norm with a RuntimeWarning
+    files = {"file": tmp_path / "in.json", "fit": tmp_path / "fit.json"}
+    files["file"].write_text(json.dumps(contents))
+    files["fit"].write_text(json.dumps({"chaos_C": 1.0, "chaos_c": 1.0, "hanson_wright_c": 1.0}))
+    outdir = tmp_path / "out"
+    result = run([a.format(**files) for a in argv] + ["--out", str(outdir)], capsys)
+    if code == 0:
+        assert (result[0], result[1].splitlines()[0], result[2]) == (0, text, "")
+        assert load_json(artifact(outdir, "bound"))["config_hash"]
+    else:
+        assert result[:2] == (2, "")
+        assert result[2].startswith("error: ") and text in result[2]
+        assert not outdir.exists()

@@ -81,7 +81,6 @@ def test_check_number_takes_every_real_number():
 # ------------------------------------------------------------ array intake
 
 _RADEMACHER = processes.RowDistribution("rademacher")
-_BOS_ROWS = math.sqrt(2.0) * np.eye(2)
 _ENVELOPE = results.PowerEnvelope(prefactor=1.0, rate=1.0, power=1.0)
 
 # site: (call on the array, a valid array, the error class, the name the message carries)
@@ -97,9 +96,6 @@ _ARRAY_SITES = {
     "supremum values": (lambda a: processes.SupremumSample(replications=2, seed=0, values=a),
                         np.ones(2), ModelError, "values"),
     "RIP matrix": (lambda a: rip.restricted_isometry_constant(a, 1), np.eye(2), DomainError, "A"),
-    "BOS rows": (lambda a: rip.check_bos(a, 2.0), _BOS_ROWS, DomainError, "rows"),
-    "BOS weights": (lambda a: rip.check_bos(_BOS_ROWS, 2.0, weights=a), np.full(2, 0.5),
-                    DomainError, "weights"),
     "schatten_norm": (lambda a: schatten.schatten_norm(a, 2), np.eye(2), DomainError, "a"),
     "schatten_radii": (lambda a: schatten.schatten_radii([a]), np.eye(2), DomainError,
                        "matrices[0]"),
@@ -322,3 +318,53 @@ def test_a_simulated_sample_keeps_its_rows_uncopied(monkeypatch):
         processes.squares_model(np.eye(2), _RADEMACHER), 2, 10, 0)
     assert any(a is sample.values for a in made)
     assert not sample.values.flags.writeable
+
+
+# ------------------------------------------------------------ power sums past the float range
+
+_HUGE_FAMILY = [np.diag([1e100, 1.0]), np.eye(2)]
+
+
+def test_schatten_radii_and_norms_are_finite_where_the_true_value_is():
+    # the 4th powers overflowed: the family was refused as "radius delta_4 ... got inf"
+    radii = schatten.schatten_radii(_HUGE_FAMILY)
+    assert (radii.delta_2, radii.delta_4, radii.delta_inf) == (1e100, 1e100, 1e100)
+    assert schatten.schatten_norm(_HUGE_FAMILY[0], 4) == 1e100
+    assert schatten.schatten_norm(np.diag([1e200, 1e200]), 2) == pytest.approx(2**0.5 * 1e200)
+    # radii past 1e154 square to inf in the interpolation check, and are accepted
+    assert schatten.schatten_radii([np.diag([1e200, 1.0])], gamma_mode="none").delta_4 == 1e200
+
+
+def test_power_sum_parameters_are_finite_where_the_true_value_is():
+    sigma, K = bounds.squares_default_parameters([[1e80, 1.0]])
+    assert (sigma, K) == (pytest.approx(1e160 / math.sqrt(2)), 1e160)
+    model = processes.empirical_model([[1e200, 1.0], [1.0, 1.0]], _RADEMACHER)
+    top = float(model.psi_norm_matrix(1).max())
+    assert processes.empirical_parameters(model) == (pytest.approx(top / math.sqrt(2)), top)
+    params = conversions.BernsteinParams.from_psi1_norms([1e200, 1.0])
+    assert (params.nu, params.kappa) == (pytest.approx(1e200 / math.sqrt(2)), 1e200)
+    # where the true value passes the float range the result is inf, with no warning
+    assert bounds.squares_default_parameters([[1e200, 1.0]]) == (math.inf, math.inf)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_finite_power_sums_keep_the_bits_of_the_unscaled_expressions(seed):
+    # the values are rescaled only where a sum overflows, so every finite
+    # result is the unscaled expression's, bit for bit
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((6, 3, 4)) * 10.0 ** rng.uniform(-30, 30, (6, 1, 1))
+    svals = np.linalg.svd(stack.astype(complex), compute_uv=False)  # matrices are read as complex
+    radii = schatten.schatten_radii(stack, gamma_mode="none")
+    assert radii.delta_2 == float(np.sqrt((svals**2).sum(axis=1)).max())
+    assert radii.delta_4 == float(((svals**4).sum(axis=1) ** 0.25).max())
+    for q in (1, 2, 2.5, 3, 4):
+        assert schatten.schatten_norm(stack[0], q) == float(np.sum(svals[0]**q) ** (1.0 / q))
+    arr = np.abs(stack[:, 0, :])
+    assert bounds.squares_default_parameters(arr) == (
+        float(np.sqrt(np.mean(arr**4, axis=1)).max()), float((arr**2).max()))
+    model = processes.empirical_model(stack[:, 0, :], _RADEMACHER)
+    norms = model.psi_norm_matrix(1)
+    assert processes.empirical_parameters(model) == (
+        float(np.sqrt((norms**2).mean(axis=1)).max()), float(norms.max()))
+    params = conversions.BernsteinParams.from_psi1_norms(arr[0])
+    assert params.nu == float(np.sqrt(np.mean(arr[0]**2)))

@@ -169,8 +169,8 @@ def _public_callables():
 
 
 # Settings that module constants fix: the confidence level, the resample
-# count, the Orlicz bisection's tolerance and budget, and check_bos's count of
-# test vectors.
+# count, the Orlicz bisection's tolerance and budget, and a count of random
+# test vectors, which no callable takes today.
 _FIXED_SETTINGS = {"n_small", "confidence", "resamples", "tol", "max_iter", "test_vectors"}
 # Result records that store such a setting as provenance, not take it.
 _RECORDED = {"MomentEstimate(resamples)"}

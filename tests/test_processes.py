@@ -64,6 +64,15 @@ def test_row_distribution_moments():
         RowDistribution("gaussian", mean_known=False).mean()
 
 
+@pytest.mark.parametrize("name", ["rademacher", "gaussian", "uniform", "constant"])
+def test_a_second_moment_past_the_float_range_is_refused_by_name(name):
+    # scale**2 raised OverflowError, which no caller names
+    with pytest.raises(DomainError, match="^row second moment is not finite: scale\\^2 overflows "
+                                          "at scale = -1e\\+200$"):
+        RowDistribution(name, scale=-1e200).second_moment()
+    assert RowDistribution(name, scale=1e154).second_moment() > 1e307
+
+
 def test_row_distribution_psi_norms_frozen():
     # Closed forms / root solves, recomputed independently with scipy:
     assert RowDistribution("rademacher").psi_norm(2).value == pytest.approx(

@@ -11,14 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainbounds import (
-    BosSystem,
     CapacityError,
     ConvergenceError,
     DomainError,
-    ModelError,
     RipReport,
     build_dft,
-    check_bos,
     estimate_failure_probability,
     restricted_isometry_constant,
     sample_complexity,
@@ -306,60 +303,6 @@ def test_failure_probability_is_the_subsampled_dft_only():
         estimate_failure_probability(8, 4, 2, 0.5, 10, 0, U=build_dft(8))
 
 
-# ---------------------------------------------------------------------------
-# bounded orthonormal systems
-
-
-def test_check_bos_accepts_scaled_fourier_rows():
-    N = 3
-    sys = check_bos(math.sqrt(N) * build_dft(N), K=1.0)
-    assert isinstance(sys, BosSystem)
-    assert sys.dimension == N
-    assert sys.K == 1.0
-    np.testing.assert_allclose(sys.weights, np.full(N, 1 / N))
-
-
-def test_check_bos_flatness_rejection():
-    with pytest.raises(ModelError):
-        check_bos(math.sqrt(2) * build_dft(2), K=0.5)
-
-
-def test_check_bos_isotropy_rejection():
-    rows = np.array([[1.0, 0.0], [1.0, 0.0]])
-    with pytest.raises(ModelError):
-        check_bos(rows, K=1.0)
-
-
-def test_check_bos_weight_validation():
-    rows = math.sqrt(2) * build_dft(2)
-    with pytest.raises(DomainError):
-        check_bos(rows, K=1.0, weights=[0.7, 0.7])
-    with pytest.raises(DomainError):
-        check_bos(rows, K=1.0, weights=[1.5, -0.5])
-    with pytest.raises(DomainError):
-        check_bos(rows, K=0.0)
-
-
-def test_check_bos_nonuniform_weights():
-    # rows (sqrt(2), 0) and (0, sqrt(2)) with weights 1/2 are isotropic
-    rows = math.sqrt(2.0) * np.eye(2)
-    sys = check_bos(rows, K=math.sqrt(2.0), weights=[0.5, 0.5])
-    assert sys.dimension == 2
-
-
-def test_bos_sample_matrix():
-    N = 3
-    sys = check_bos(math.sqrt(N) * build_dft(N), K=1.0)
-    M = sys.sample_matrix(4, seed=2)
-    assert M.shape == (4, N)
-    # each drawn row keeps squared norm N/m
-    np.testing.assert_allclose((np.abs(M) ** 2).sum(axis=1), N / 4.0)
-    np.testing.assert_allclose(M, sys.sample_matrix(4, seed=2))
-    assert not np.allclose(M, sys.sample_matrix(4, seed=3))
-    with pytest.raises(DomainError, match="rep must be"):
-        sys.sample_matrix(4, seed=2, rep=-1)
-
-
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(1, 8))
 def test_subsampled_delta_bounded_by_gram_norm(seed, N, m):
@@ -373,14 +316,10 @@ def test_subsampled_delta_bounded_by_gram_norm(seed, N, m):
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
 def test_seeds_are_checked_like_the_simulators(seed):
-    U = build_dft(8)
-    system = check_bos(math.sqrt(8) * U, K=1.0)
     calls = [
         lambda: sample_selectors(8, 4, seed),
         lambda: subsampled_instance(8, 4, seed),
         lambda: estimate_failure_probability(8, 4, 1, 0.5, 2, seed),
-        lambda: system.sample_matrix(4, seed),
-        lambda: check_bos(math.sqrt(8) * U, K=1.0, seed=seed),
     ]
     for call in calls:
         with pytest.raises(DomainError):
