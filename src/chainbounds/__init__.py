@@ -9,7 +9,10 @@ discrete Fourier transform, and seeded Monte Carlo validators for all of
 the above.
 
 Each module's ``__all__`` is its public interface; the package re-exports
-their union.
+their union.  That surface is what the package itself, the CLI, a demo or
+the benchmark reaches: a public name or method nothing reaches stays only with
+a reason in the allowlist of
+tests/test_package.py::test_the_public_surface_is_what_the_system_reaches.
 """
 
 from . import (

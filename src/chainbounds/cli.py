@@ -87,12 +87,6 @@ OUTPUT_DIR_ENV = "CHAINBOUNDS_OUTPUT_DIR"
 CURVE_FIELDS = ("m", "estimate", "ci_lower", "ci_upper", "failures", "reps", "mean_realized_rows")
 
 
-def _out_dir(args) -> str:
-    out = args.out or os.environ.get(OUTPUT_DIR_ENV) or "."
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 def _registry(args, inline=None) -> tuple[ConstantRegistry, dict | None]:
     """Default constants overridden by a --fit file, then by inline values;
     and the "fit" entry of the hashed config: the constants used when --fit is
@@ -127,7 +121,7 @@ def _emit(args, stem: str, config: dict, payload: dict, lines: list, rows=None,
         "config_hash": h,
         **payload,
     }
-    base = os.path.join(_out_dir(args), f"{stem}-{h[:12]}")
+    base = os.path.join(args.out or os.environ.get(OUTPUT_DIR_ENV) or ".", f"{stem}-{h[:12]}")
     paths = [base + ".json"]
     write_json(paths[0], report)
     if rows is not None:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .chaining import _doubly_exponential, truncation_level
 from .errors import (DomainError, alpha_exp, alpha_power, check_array, check_int, check_number,
-                     check_real, power_reduce)
+                     check_real)
 from .registry import DEFAULT_REGISTRY, ConstantRegistry
 from .results import MomentBound, PowerEnvelope, TailBound
 
@@ -312,23 +312,6 @@ class BernsteinParams:
             raise DomainError(
                 f"psi_1 quadratic mean nu = {self.nu} cannot exceed the max kappa = {self.kappa}"
             )
-
-    @classmethod
-    def from_psi1_norms(cls, norms, sigma: float | None = None, K: float | None = None):
-        """nu = quadratic mean, kappa = max of the summands' psi_1 norms."""
-        vals = []
-        for x in norms:
-            v = getattr(x, "value", x)
-            a = getattr(x, "alpha", None)
-            if a is not None and not math.isclose(a, 1.0):
-                raise DomainError(f"psi_1 norms required, got alpha = {a}")
-            vals.append(float(v))
-        arr = np.asarray(vals, dtype=float)
-        if arr.size == 0:
-            raise DomainError("at least one psi_1 norm is required")
-        nu = float(power_reduce(lambda v: np.sqrt(np.mean(v**2)), arr))
-        kappa = float(arr.max())
-        return cls(m=int(arr.size), sigma=sigma, K=K, nu=nu, kappa=kappa)
 
 
 def bernstein_tail(

@@ -11,6 +11,7 @@ reads the point labels of a metric space or a process model.
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -199,22 +200,24 @@ def power_reduce(reduce, values: np.ndarray, degree: int = 1):
     sums and roots that is homogeneous of the given degree: reduce(c x) =
     c^degree reduce(x) for c > 0.
 
-    It is computed as written, so every finite result keeps its bits.  Where
-    a power or a sum inside overflows, the result is computed again from the
-    values divided by their largest modulus along the axis and multiplied
-    back by it degree times, so it is finite wherever the true value is.
-    Rescaling every result would move the last bits of some finite ones.
+    It is computed as written, so every normal finite result keeps its bits.
+    Where a power or a sum inside overflows, or underflows to a result that
+    is 0 or subnormal, the result is computed again from the values divided
+    by their largest modulus along the axis and multiplied back by it degree
+    times, so it is finite and positive wherever the true value is.
+    Rescaling every result would move the last bits of some normal ones.
     """
     with np.errstate(over="ignore"):
         out = reduce(values)
-        if np.isfinite(out).all():
+        lost = ~(np.isfinite(out) & (np.abs(out) >= sys.float_info.min))  # past or below normal
+        if not lost.any():
             return out
         top = np.abs(values).max(axis=-1, keepdims=True)
-        top = np.where((top > 0) & np.isfinite(top), top, 1.0)
+        top = np.where((top > 0) & np.isfinite(top), top, 1.0)  # an all-zero row stays 0
         redo = reduce(values / top)
         for _ in range(degree):
             redo = top[..., 0] * redo
-        return np.where(np.isfinite(out), out, redo)
+        return np.where(lost, redo, out)
 
 
 def alpha_exp(exponent: float, what: str, alpha: float) -> float:

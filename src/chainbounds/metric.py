@@ -98,20 +98,11 @@ class FiniteMetricSpace:
         """Lowest-index point minimizing the eccentricity."""
         return int(np.argmin(self.eccentricities()))
 
-    def chebyshev_radius(self) -> float:
-        return float(self.eccentricities().min())
-
     def positive_distances(self) -> np.ndarray:
         """Sorted distinct positive pairwise distances."""
         iu = np.triu_indices(self.size, k=1)
         vals = np.unique(self.dist[iu])
         return vals[vals > 0.0]
-
-    def min_positive_distance(self) -> float:
-        vals = self.positive_distances()
-        if vals.size == 0:
-            raise MetricValidationError("space has no positive pairwise distance")
-        return float(vals[0])
 
     def subset_diameter(self, indices) -> float:
         idx = np.asarray(list(indices), dtype=int)

@@ -21,17 +21,14 @@ from .errors import (
     DomainError,
     UnsupportedFamilyError,
     check_array,
-    check_number,
     check_real,
 )
 
 __all__ = [
-    "psi_alpha",
     "OrliczNorm",
     "psi_norm_analytic",
     "psi_norm_empirical",
     "psi_product_bound",
-    "psi_tail_envelope",
 ]
 
 LOG2 = math.log(2.0)
@@ -39,19 +36,6 @@ LOG2 = math.log(2.0)
 # and the most halvings it takes to bracket the norm or to narrow the bracket.
 _BISECTION_TOL = 1e-6
 _BISECTION_MAX_ITER = 200
-
-
-def psi_alpha(x, alpha: float):
-    """exp(x^alpha) - 1 for x >= 0, with overflow saturating to inf."""
-    check_real("alpha", alpha, 0.0, strict=True)
-    arr = np.asarray(x, dtype=float)
-    if not np.all(arr >= 0):  # NaN fails too
-        raise DomainError("psi_alpha is defined for nonnegative arguments")
-    with np.errstate(over="ignore"):
-        out = np.expm1(arr ** alpha)
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(out)
-    return out
 
 
 @dataclass(frozen=True)
@@ -66,11 +50,6 @@ class OrliczNorm:
     def __post_init__(self):
         check_real("alpha", self.alpha, 0.0, strict=True)
         check_real("norm value", self.value, 0.0)
-
-    def scaled(self, factor: float) -> "OrliczNorm":
-        """Norm of factor * X (positive homogeneity)."""
-        factor = check_real("scaling factor", factor, 0.0)
-        return OrliczNorm(self.alpha, self.value * factor, self.source, self.sample_count)
 
 
 def psi_norm_analytic(family: str, parameter: float, alpha: float) -> OrliczNorm:
@@ -150,16 +129,3 @@ def psi_product_bound(x: OrliczNorm, y: OrliczNorm) -> OrliczNorm:
             f"product bound needs two psi_2 norms, got alpha {x.alpha} and {y.alpha}"
         )
     return OrliczNorm(1.0, x.value * y.value, "analytic")
-
-
-def psi_tail_envelope(norm: OrliczNorm, u: float) -> float:
-    """Markov tail P(|X| >= u) <= 2 exp(-(u/||X||)^alpha), clipped to [0, 1];
-    u = inf gives 0, and a NaN threshold is rejected."""
-    u = check_number("threshold", u)
-    if not u >= 0:
-        raise DomainError(f"threshold must be nonnegative, got {u}")
-    if norm.value == 0.0:
-        return 0.0 if u > 0 else 1.0
-    if u == 0.0:
-        return 1.0
-    return float(min(1.0, 2.0 * math.exp(-((u / norm.value) ** norm.alpha))))

@@ -364,14 +364,6 @@ class MixedTailMetrics:
         if self.d1.labels != self.d2.labels:
             raise DomainError("d1 and d2 must be defined on identical label sets")
 
-    @property
-    def diam1(self) -> float:
-        return self.d1.diameter()
-
-    @property
-    def diam2(self) -> float:
-        return self.d2.diameter()
-
 
 def mixed_metrics(model: ProcessModel) -> MixedTailMetrics:
     """Unscaled (d1, d2) psi_1 increment metrics of an empirical model.
@@ -558,7 +550,7 @@ def simulate_chaos(
         raise ModelError("chaos components must be mean-zero")
     n = stack.shape[2]
     if decoupled:
-        grams = np.einsum("kmi,kmj->kij", stack.conj(), stack)
+        grams = _grams(stack)
 
         def stat(xy):
             x, y = xy[:, :n], xy[:, n:]
@@ -571,6 +563,14 @@ def simulate_chaos(
                      lambda x: _chaos_sup(x, stack, s2))
 
 
+def _grams(stack: np.ndarray) -> np.ndarray:
+    """A^H A for each matrix A of the stack: the decoupled chaos statistic's
+    form.  A Gram matrix past the float range is refused by the index k of its matrix."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        grams = np.einsum("kmi,kmj->kij", stack.conj(), stack)
+    return check_array("chaos Gram matrices matrices[k]^H matrices[k]", grams, 3, complex_ok=True)
+
+
 def _chaos_sup(x: np.ndarray, stack: np.ndarray, s2: float) -> np.ndarray:
     """sup_A | ||A x||^2 - s2 ||A||_F^2 | for each row x: the plain chaos
     statistic, centred by E ||A xi||^2 for components of second moment s2.
@@ -578,14 +578,18 @@ def _chaos_sup(x: np.ndarray, stack: np.ndarray, s2: float) -> np.ndarray:
     The rows go through in chunks of at most errors._TABLE_BUDGET // (k m),
     and at least one, so the (rows, k, m) table of the products A x stays
     within the budget however tall the k matrices are.  einsum computes each row on its
-    own, so no value depends on the chunking.
+    own, so no value depends on the chunking.  A centring term past the float
+    range is refused by the index k of its matrix.
     """
     k, m = stack.shape[:2]
-    means = s2 * (np.abs(stack).reshape(k, -1) ** 2).sum(axis=1)
+    with np.errstate(over="ignore"):
+        means = s2 * (np.abs(stack).reshape(k, -1) ** 2).sum(axis=1)
+    means = check_array("chaos centring terms s2 ||matrices[k]||_F^2", means, 1)
     step = max(1, errors._TABLE_BUDGET // (k * m))
     out = np.empty(x.shape[0])
     for lo in range(0, x.shape[0], step):
-        q = (np.abs(np.einsum("kmn,rn->rkm", stack, x[lo:lo + step])) ** 2).sum(axis=2)
+        with np.errstate(over="ignore"):  # a row past the float range reads inf
+            q = (np.abs(np.einsum("kmn,rn->rkm", stack, x[lo:lo + step])) ** 2).sum(axis=2)
         out[lo:lo + step] = np.abs(q - means).max(axis=1)
     return out
 
@@ -639,7 +643,7 @@ def exact_chaos_distribution(matrices, decoupled: bool = False) -> np.ndarray:
     if decoupled:
         _check_table_budget(f"matrix count k = {k}, dimension n = {n}: a pair table", k * 4**n)
         signs = sign_patterns(n)
-        grams = np.einsum("kmi,kmj->kij", stack.conj(), stack)
+        grams = _grams(stack)
         bil = np.einsum("ai,kij,bj->kab", signs, grams, signs)
         return np.abs(bil).max(axis=0).ravel()
     _check_sign_law("exact chaos law", n, k * m)

@@ -12,6 +12,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import sys
 from types import MappingProxyType
 
@@ -27,9 +28,7 @@ __all__ = [
     "write_json",
     "load_json",
     "write_csv",
-    "matrix_to_json",
     "matrix_from_json",
-    "space_to_json",
     "space_from_json",
     "load_samples",
 ]
@@ -100,7 +99,9 @@ def config_hash(data) -> str:
 
 
 def write_json(path, data) -> None:
-    text = _dumps(data, indent=2)  # before the file is opened, so a refusal writes nothing
+    """data as indented canonical JSON, in a directory made if missing."""
+    text = _dumps(data, indent=2)  # first, so a refusal makes no directory and no file
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
         fh.write("\n")
@@ -120,16 +121,6 @@ def write_csv(path, fieldnames, rows, header_comment: str | None = None) -> None
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(fields)
         writer.writerows([row.get(k, "") for k in fields] for row in rows)
-
-
-def matrix_to_json(a) -> list:
-    """2-D array to nested lists; complex entries become [re, im] pairs."""
-    arr = np.asarray(a)
-    if arr.ndim != 2:
-        raise DomainError(f"expected a 2-D matrix, got shape {arr.shape}")
-    if np.iscomplexobj(arr) and np.any(arr.imag != 0):
-        return [[_complex_pair(complex(z)) for z in row] for row in arr.tolist()]
-    return np.real(arr).tolist()
 
 
 def matrix_from_json(rows) -> np.ndarray:
@@ -161,10 +152,6 @@ def matrix_from_json(rows) -> np.ndarray:
     if np.all(arr.imag == 0):
         return arr.real
     return arr
-
-
-def space_to_json(space: FiniteMetricSpace) -> dict:
-    return {"labels": list(space.labels), "dist": space.dist.tolist()}
 
 
 def space_from_json(obj) -> FiniteMetricSpace:

@@ -15,6 +15,7 @@ import pytest
 from scipy import integrate, special, stats
 
 import chainbounds as cb
+from decoupling import check_symmetrization_decoupling
 
 P_GRID = [1, 2, 4, 8, 16, 32]
 U_GRID = [1, 2, 3, 4, 5]
@@ -432,7 +433,7 @@ def _build_chaos_check():
               and r.delta_4**2 <= r.delta_2 * r.delta_inf + 1e-9
               and r.gamma2_dinf.value >= 0)
         ordering_violations += not ok
-    symdec = cb.check_symmetrization_decoupling([rng.normal(size=(3, 8)) for _ in range(2)])
+    symdec = check_symmetrization_decoupling([rng.normal(size=(3, 8)) for _ in range(2)])
 
     signs = cb.sign_patterns(8)
     hanson_wright = []

@@ -157,9 +157,9 @@ def test_mixed_tail_metrics_container():
     d1 = build_metric_space([[0, 1], [1, 0]], labels=("a", "b"))
     d2 = build_metric_space([[0, 2], [2, 0]], labels=("a", "b"))
     m = MixedTailMetrics(d1=d1, d2=d2)
-    assert m.diam1 == 1.0 and m.diam2 == 2.0
+    assert m.d1.diameter() == 1.0 and m.d2.diameter() == 2.0
     b = mixed_tail_supremum_bound(
-        gamma(1.0), gamma(1.0, alpha=1.0), diam2=m.diam2, diam1=m.diam1, u=1.0,
+        gamma(1.0), gamma(1.0, alpha=1.0), diam2=m.d2.diameter(), diam1=m.d1.diameter(), u=1.0,
         registry=FITTED,
     )
     assert b.threshold(1.0) == pytest.approx(2.0 + 2.0 + 1.0)

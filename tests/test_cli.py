@@ -1059,7 +1059,9 @@ def test_a_report_config_is_every_declared_option_but_out(tmp_path, capsys, argv
     (["bound", "union-constant"], {"extra": math.nan}, "$.params.extra is nan"),
     (["simulate"], {"model": _GAUSSIAN, "reps": 10, "seed": 1, "note": math.nan},
      "$.note is nan"),
-], ids=["union-probability u inf", "union-constant unread NaN", "simulate unread NaN"])
+    (["bound", "kmr"], {"matrices": [[[1e200, 0], [0, 1]], [[1, 0], [0, 1]]]}, "$.bound.E is inf"),
+], ids=["union-probability u inf", "union-constant unread NaN", "simulate unread NaN",
+        "kmr report E inf"])
 def test_a_command_whose_report_cannot_be_written_prints_nothing(tmp_path, capsys, argv,
                                                                  contents, named):
     # the result used to be printed before the report was encoded
@@ -1148,6 +1150,9 @@ _PAST_THE_FLOAT_RANGE = {
                        2, "row second moment is not finite"),
     "chaos scale": (_CHAOS[:2] + ["{file}"] + _CHAOS[3:] + ["--scale", "1e200"],
                     _CHAOS_MATRICES, 2, "row second moment is not finite"),
+    "chaos, 1e200 family": (_CHAOS[:2] + ["{file}"] + _CHAOS[3:], [[[1e200, 0], [0, 1]], _EYE], 2,
+                            "chaos centring terms s2 ||matrices[k]||_F^2 must be finite, "
+                            "got inf at entry [0]"),
     "kmr, 1e100 family": (_bound("kmr"), {"matrices": [[[1e100, 0], [0, 1]], _EYE]},
                           0, "E = 2e+200, V = 2e+200, U = 1e+200, fitted = False"),
     "hanson-wright, 1e200 matrix": (_bound("hanson-wright"),

@@ -16,7 +16,6 @@ from scipy import integrate, special, stats
 from chainbounds import (
     BernsteinParams,
     DomainError,
-    OrliczNorm,
     bernstein_tail,
     lp_from_tail,
     lp_tail_integral_bound,
@@ -218,13 +217,6 @@ def test_bernstein_psi1_form():
         bernstein_tail(params)  # moment-condition fields absent
 
 
-def test_bernstein_from_psi1_norms():
-    params = BernsteinParams.from_psi1_norms([1.0, 2.0, 2.0, 1.0])
-    assert params.m == 4
-    assert params.kappa == 2.0
-    assert params.nu == pytest.approx(math.sqrt(10.0 / 4.0))
-
-
 def test_bernstein_dominates_bounded_summands():
     # Average of m Rademacher signs: the factorial moment condition holds
     # with sigma = K = 1.  Compare against the exact binomial tail.
@@ -310,10 +302,7 @@ def test_powers_of_one_over_alpha_name_their_overflow():
 @pytest.mark.parametrize("call, message", [
     (lambda: BernsteinParams(m=2, nu=2.0, kappa=1.0),
      "psi_1 quadratic mean nu = 2.0 cannot exceed the max kappa = 1.0"),
-    (lambda: BernsteinParams.from_psi1_norms([OrliczNorm(2.0, 1.0, "supplied")]),
-     "psi_1 norms required, got alpha = 2.0"),
-    (lambda: BernsteinParams.from_psi1_norms([]), "at least one psi_1 norm is required"),
-], ids=["nu above kappa", "psi_2 norm", "no norms"])
+], ids=["nu above kappa"])
 def test_bernstein_parameter_refusals(call, message):
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         call()

@@ -19,7 +19,6 @@ from chainbounds import (
     rip,
     schatten,
     space_from_points,
-    validation,
 )
 from chainbounds.errors import check_array, check_int, check_number, check_real
 
@@ -111,8 +110,6 @@ _ARRAY_SITES = {
                    "psi2_norms"),
     "individual_bounds": (lambda a: conversions.small_set_moment_bound(a, 2.0), None,
                           DomainError, "individual_bounds"),
-    "symmetrization table": (lambda a: validation.check_symmetrization_decoupling(
-        [np.eye(2)], table=a), np.ones((1, 2)), DomainError, "table"),
     "orlicz samples": (lambda a: orlicz.psi_norm_empirical(a, 2.0), None, DomainError, "samples"),
 }
 
@@ -175,13 +172,11 @@ _SCALAR_SITES = {
                            "head"),
     "covering radius": (lambda v: metric.covering_number(
         space_from_points(np.arange(3.0)[:, None]), v), "radius"),
-    "envelope threshold": (lambda v: orlicz.psi_tail_envelope(
-        orlicz.OrliczNorm(2.0, 1.0, "analytic"), v), "threshold"),
     "Schatten exponent": (lambda v: schatten.schatten_norm(np.eye(2), v), "Schatten exponent"),
     "union threshold": (lambda v: conversions.union_bound_probability(1.0, v, 1.0), "u"),
 }
-# sites whose docstring takes inf: one ball, a zero tail, the operator norm, a zero probability
-_INF_SITES = {"covering radius", "envelope threshold", "Schatten exponent", "union threshold"}
+# sites whose docstring takes inf: one ball, the operator norm, a zero probability
+_INF_SITES = {"covering radius", "Schatten exponent", "union threshold"}
 
 
 @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf, True, "1"], ids=repr)
@@ -269,28 +264,12 @@ def test_out_of_range_indices_keep_their_messages():
 
 @pytest.mark.parametrize("call", [
     schatten.schatten_radii, schatten.matrix_set_space, processes.exact_chaos_distribution,
-    validation.check_symmetrization_decoupling,
     lambda family: processes.simulate_chaos(family, _RADEMACHER, 10, 0),
-], ids=["schatten_radii", "matrix_set_space", "exact_chaos_distribution",
-        "check_symmetrization_decoupling", "simulate_chaos"])
+], ids=["schatten_radii", "matrix_set_space", "exact_chaos_distribution", "simulate_chaos"])
 @pytest.mark.parametrize("family", [5, 2.5, None])
 def test_a_matrix_family_that_is_no_sequence_is_refused_by_name(call, family):
     with pytest.raises(DomainError, match="^matrices must be a family of matrices, got "):
         call(family)
-
-
-def test_symmetrization_check_takes_a_scalar_order_as_estimate_moments_does():
-    report = validation.check_symmetrization_decoupling([np.eye(2)], p_list=2.0)
-    listed = validation.check_symmetrization_decoupling([np.eye(2)], p_list=[2.0])
-    assert report == listed
-    with pytest.raises(DomainError, match="^moment order p must be a real number"):
-        validation.check_symmetrization_decoupling([np.eye(2)], p_list="2")
-
-
-def test_symmetrization_check_refuses_an_empty_order_list():
-    # no order checks no row, so holds would be vacuously true
-    with pytest.raises(DomainError, match="^moment orders need a nonempty p_list$"):
-        validation.check_symmetrization_decoupling([np.eye(2)], p_list=[])
 
 
 # ------------------------------------------------------------ supremum samples
@@ -341,10 +320,14 @@ def test_power_sum_parameters_are_finite_where_the_true_value_is():
     model = processes.empirical_model([[1e200, 1.0], [1.0, 1.0]], _RADEMACHER)
     top = float(model.psi_norm_matrix(1).max())
     assert processes.empirical_parameters(model) == (pytest.approx(top / math.sqrt(2)), top)
-    params = conversions.BernsteinParams.from_psi1_norms([1e200, 1.0])
-    assert (params.nu, params.kappa) == (pytest.approx(1e200 / math.sqrt(2)), 1e200)
     # where the true value passes the float range the result is inf, with no warning
     assert bounds.squares_default_parameters([[1e200, 1.0]]) == (math.inf, math.inf)
+
+
+@pytest.mark.parametrize("q", [1100, 2000])
+def test_a_power_sum_that_underflows_is_computed_from_the_rescaled_values(q):
+    # every s^q underflows, and the root of their sum read 0.0
+    assert schatten.schatten_norm(0.5 * np.eye(2), q) == pytest.approx(0.5 * 2 ** (1 / q), rel=1e-15)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -366,5 +349,3 @@ def test_finite_power_sums_keep_the_bits_of_the_unscaled_expressions(seed):
     norms = model.psi_norm_matrix(1)
     assert processes.empirical_parameters(model) == (
         float(np.sqrt((norms**2).mean(axis=1)).max()), float(norms.max()))
-    params = conversions.BernsteinParams.from_psi1_norms(arr[0])
-    assert params.nu == float(np.sqrt(np.mean(arr[0]**2)))

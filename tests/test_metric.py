@@ -91,8 +91,6 @@ def test_helper_geometry():
     sp = build_metric_space([[0, 2, 1], [2, 0, 1], [1, 1, 0]])
     assert sp.diameter() == 2.0
     assert sp.chebyshev_center() == 2
-    assert sp.chebyshev_radius() == 1.0
-    assert sp.min_positive_distance() == 1.0
     assert sp.subset_diameter([0, 1]) == 2.0
     np.testing.assert_allclose(sp.point_to_set([2]), [1, 1, 0])
 
@@ -171,7 +169,7 @@ def test_covering_profile_consistency():
     rng = np.random.default_rng(5)
     sp = random_point_space(rng, 9)
     prof = covering_profile(sp, mode="exact")
-    assert prof.counts[0] == sp.size or sp.min_positive_distance() > 0
+    assert prof.counts[0] == sp.size or sp.positive_distances()[0] > 0
     assert prof.counts[-1] == 1
     # profile radii are breakpoints: count at each radius matches a direct call
     for r, c in zip(prof.radii, prof.counts):
@@ -786,8 +784,6 @@ def test_pairwise_kernel_wastes_at_most_n_ceil_n_over_8_half_pairs(n, shape):
      "unknown norm 'l3' (expected l1, l2, or linf)"),
     (lambda: metric.FiniteMetricSpace(labels=(), dist=np.zeros((0, 0))).diameter(),
      "empty space has no diameter"),
-    (lambda: build_metric_space(np.zeros((2, 2))).min_positive_distance(),
-     "space has no positive pairwise distance"),
     (lambda: build_metric_space(np.zeros((2, 2)), labels=5),
      "labels must be a list of point labels, got 5"),
     (lambda: space_from_points([[0], [1]], labels="ab"),
@@ -795,7 +791,7 @@ def test_pairwise_kernel_wastes_at_most_n_ceil_n_over_8_half_pairs(n, shape):
     (lambda: build_metric_space([[0, math.nan], [math.nan, 0]], labels=("a",)),
      "1 labels for 2 points"),  # before any pass over the distances
 ], ids=["non-finite distance", "3-D points", "unknown norm", "empty diameter",
-        "no positive distance", "labels int", "labels string", "labels before distances"])
+        "labels int", "labels string", "labels before distances"])
 def test_metric_refusals(call, message):
     with pytest.raises(MetricValidationError, match=f"^{re.escape(message)}$"):
         call()

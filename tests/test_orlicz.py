@@ -1,4 +1,4 @@
-"""psi_alpha Orlicz norms: closed forms, the empirical solver, products, tails."""
+"""psi_alpha Orlicz norms: closed forms, the empirical solver, products."""
 
 import math
 
@@ -12,22 +12,13 @@ from chainbounds import (
     DomainError,
     OrliczNorm,
     UnsupportedFamilyError,
-    psi_alpha,
     psi_norm_analytic,
     psi_norm_empirical,
     psi_product_bound,
-    psi_tail_envelope,
 )
 from chainbounds import orlicz
 
 LOG2 = math.log(2.0)
-
-
-def test_psi_alpha_function():
-    assert psi_alpha(0.0, 2.0) == 0.0
-    # exp(1) - 1 at x = 1 for any alpha
-    assert psi_alpha(1.0, 1.0) == pytest.approx(math.e - 1.0)
-    assert psi_alpha(1.0, 3.0) == pytest.approx(math.e - 1.0)
 
 
 def test_analytic_constant_norm():
@@ -120,13 +111,6 @@ def test_empirical_homogeneity(scale, alpha):
     assert scaled == pytest.approx(scale * base, rel=1e-4)
 
 
-def test_scaled_method():
-    n = OrliczNorm(2.0, 1.5, "analytic")
-    assert n.scaled(2.0).value == 3.0
-    with pytest.raises(DomainError):
-        n.scaled(-1.0)
-
-
 def test_product_bound():
     x = OrliczNorm(2.0, 2.0, "analytic")
     y = OrliczNorm(2.0, 3.0, "analytic")
@@ -149,46 +133,8 @@ def test_product_bound_holds_empirically():
     assert np.mean(np.expm1(np.abs(x * y) / cap)) <= 1.0 + 1e-9
 
 
-def test_tail_envelope():
-    n = OrliczNorm(2.0, 1.0, "analytic")
-    assert psi_tail_envelope(n, 0.0) == 1.0
-    assert psi_tail_envelope(n, 2.0) == pytest.approx(
-        min(1.0, 2.0 * math.exp(-4.0))
-    )
-    # small u clips at 1
-    assert psi_tail_envelope(n, 0.1) == 1.0
-    zero = OrliczNorm(2.0, 0.0, "analytic")
-    assert psi_tail_envelope(zero, 1.0) == 0.0
-
-
-@pytest.mark.parametrize("u", [-1.0, float("nan")])
-def test_tail_envelope_rejects_a_negative_or_nan_threshold(u):
-    with pytest.raises(DomainError, match="threshold must be nonnegative"):
-        psi_tail_envelope(OrliczNorm(2.0, 1.0, "analytic"), u)
-
-
-@given(st.floats(0.0, 10.0), st.floats(0.1, 5.0))
-@settings(max_examples=60, deadline=None)
-def test_tail_envelope_nonincreasing(u, value):
-    n = OrliczNorm(2.0, value, "analytic")
-    assert psi_tail_envelope(n, u) >= psi_tail_envelope(n, u + 0.5) - 1e-15
-
-
-def test_tail_envelope_dominates_gaussian_tail():
-    # With the analytic gaussian norm, 2 exp(-(u/val)^2) must dominate the
-    # true two-sided tail 2(1 - Phi(u)).
-    from scipy.stats import norm as normal
-
-    n = psi_norm_analytic("gaussian", 1.0, 2.0)
-    for u in np.linspace(0.5, 6.0, 12):
-        truth = 2.0 * normal.sf(u)
-        assert psi_tail_envelope(n, float(u)) >= truth - 1e-15
-
-
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.0, -1.0])
 def test_non_positive_or_non_finite_alpha_rejected(alpha):
-    with pytest.raises(DomainError, match="alpha"):
-        psi_alpha(1.0, alpha)
     with pytest.raises(DomainError, match="alpha"):
         OrliczNorm(alpha, 1.0, "analytic")
     with pytest.raises(DomainError, match="alpha"):
@@ -206,16 +152,8 @@ def test_analytic_norm_names_a_factor_past_the_float_range(family, alpha):
     assert psi_norm_analytic(family, 1.0, 0.002).value == 1.0 / math.log(2.0) ** 500.0
 
 
-@pytest.mark.parametrize("x", [math.nan, np.array([1.0, math.nan])])
-def test_psi_alpha_rejects_nan(x):
-    with pytest.raises(DomainError, match="nonnegative arguments"):
-        psi_alpha(x, 2.0)
-
-
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
 def test_nan_and_infinite_factors_are_named(bad):
-    with pytest.raises(DomainError, match="scaling factor"):
-        OrliczNorm(2.0, 1.5, "analytic").scaled(bad)
     for family in ("constant", "symmetric-sign", "bounded", "gaussian"):
         with pytest.raises(DomainError, match="family parameter"):
             psi_norm_analytic(family, bad, 2.0)

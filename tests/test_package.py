@@ -253,3 +253,71 @@ def test_every_function_the_benchmark_span_recorder_groups_is_one_it_wraps():
     missing = {table: [n for n in names if n not in wrapped and n not in layered]
                for table, names in tables.items()}
     assert missing == dict.fromkeys(tables, [])
+
+
+# Public names that nothing in src/chainbounds/, demos/ or bench/ reads, each
+# with its reason to stay: the numbered ROADMAP item that will call it, or the
+# test that compares a package path against it.
+_UNREACHED = {
+    "admissible_sets": "ROADMAP item 9: checks a swap-descent witness sequence",
+    "functional_value": "ROADMAP item 9: the certified value of a swap-descent witness",
+    "merge_partitions": "ROADMAP item 3: builds a partition witness of exact γ′",
+    "lp_tail_integral_bound": "ROADMAP item 17: the derived chaining constants",
+    "build_dft": "reference: tests/test_rip.py::test_dft_constant_is_the_enumeration_bit_for_bit",
+}
+
+
+def _read_names(path: Path) -> set[str]:
+    """The names ("x") and attribute names (".x") a file reads, each outside
+    the body of a definition of the same name."""
+    read = set()
+
+    def visit(node, defining):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defining = defining | {node.name}
+        elif isinstance(node, ast.Name) and node.id not in defining:
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in defining:
+            read.add("." + node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, defining)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
+    return read
+
+
+def _public_surface():
+    """(key, token) for every chainbounds.__all__ name, read as a name or an
+    attribute, and for every public method or property an exported class
+    defines, read as an attribute."""
+    for name in cb.__all__:
+        yield name, name
+        obj = getattr(cb, name)
+        if inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                if not attr.startswith("_") and (inspect.isfunction(member) or isinstance(
+                        member, (property, classmethod, staticmethod))):
+                    yield f"{name}.{attr}", "." + attr
+
+
+def test_the_public_surface_is_what_the_system_reaches():
+    # A public name is read by the package outside its own definition, by a
+    # demo or by bench/, or it is allowlisted with its reason.  An allowlisted
+    # name that something reads fails too, so the list cannot go stale.
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    read = {"." + qualified.rsplit(".", 1)[-1]
+            for members, _ in spans.GROUPS.values() for qualified in members}
+    for folder in ("src/chainbounds", "demos", "bench"):
+        for path in sorted((ROOT / folder).glob("*.py")):
+            read |= _read_names(path)
+    unreached = [key for key, token in _public_surface()
+                 if token not in read and (token.startswith(".") or "." + token not in read)]
+    assert sorted(unreached) == sorted(_UNREACHED)
+    for reason in _UNREACHED.values():
+        item = re.fullmatch(r"ROADMAP item (\d+): .+", reason)
+        ref = re.fullmatch(r"reference: (tests/\w+\.py)::(\w+)", reason)
+        assert item or ref, reason
+        if ref:
+            assert f"def {ref[2]}(" in (ROOT / ref[1]).read_text(encoding="utf-8"), reason

@@ -466,6 +466,21 @@ def test_simulate_chaos_identity_is_degenerate():
     np.testing.assert_allclose(s.values, 0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("decoupled, term", [
+    (False, "chaos centring terms s2 ||matrices[k]||_F^2 must be finite, got inf at entry [0]"),
+    (True, "chaos Gram matrices matrices[k]^H matrices[k] must be finite, got (inf+0j) at "
+           "entry [0, 0, 0]"),
+], ids=["plain", "decoupled"])
+def test_a_chaos_term_past_the_float_range_is_refused_by_its_matrix(decoupled, term):
+    # ||A||_F^2 = 1e400 made inf - inf = NaN, with RuntimeWarnings, and the
+    # sample was refused as "values must be finite and >= 0, got nan at entry [0]"
+    family = [np.diag([1e200, 1.0]), np.eye(2)]
+    with pytest.raises(DomainError, match=f"^{re.escape(term)}$"):
+        simulate_chaos(family, RowDistribution("rademacher"), 10, 1, decoupled=decoupled)
+    with pytest.raises(DomainError, match=f"^{re.escape(term)}$"):
+        exact_chaos_distribution(family, decoupled=decoupled)
+
+
 @pytest.mark.parametrize("k, m, n", [(1, 20000, 8), (3, 700, 5), (2, 3, 4)])
 def test_chaos_statistic_in_row_chunks_is_bit_identical(monkeypatch, k, m, n):
     rng = np.random.default_rng(m)

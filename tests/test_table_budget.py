@@ -18,7 +18,6 @@ from chainbounds import (
     CapacityError,
     RowDistribution,
     build_dft,
-    check_symmetrization_decoupling,
     empirical_model,
     estimate_failure_probability,
     exact_chaos_distribution,
@@ -34,7 +33,7 @@ from chainbounds import (
     space_from_points,
     subsampled_instance,
 )
-from chainbounds import chaining, errors, processes, rip, validation
+from chainbounds import chaining, errors, processes, rip
 from chainbounds.cli import main
 
 
@@ -75,13 +74,6 @@ _TABLES = {
     # k 4^n: every pair of sign patterns, for each of k matrices
     "decoupled chaos law": (lambda: exact_chaos_distribution(list(_normal(3, 2, 3)), True),
                             3 * 4**3, [(processes, "sign_patterns")]),
-    "decoupling check, matrices": (lambda: check_symmetrization_decoupling(
-        list(_normal(2, 2, 3))), 2 * 4**3,
-        [(processes, "sign_patterns"), (validation, "sign_patterns")]),
-    # k 4^n for k table rows, when they outnumber the matrices
-    "decoupling check, table rows": (lambda: check_symmetrization_decoupling(
-        [np.eye(3)], table=np.abs(_normal(5, 3))), 5 * 4**3,
-        [(processes, "sign_patterns"), (validation, "sign_patterns")]),
     "build_dft": (lambda: build_dft(6), 6 * 6, [(np, "arange"), (np, "outer")]),
     # C(22, 5) supports of 5 indices: more than the 22 x 22 Gram and than one
     # eigvalsh stack of _BATCH 5 x 5 blocks

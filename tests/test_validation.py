@@ -25,7 +25,6 @@ from chainbounds import (
     ValidationReport,
     BernsteinParams,
     bernstein_tail,
-    check_symmetrization_decoupling,
     estimate_failure_probability,
     estimate_moments,
     exact_chaos_distribution,
@@ -39,6 +38,9 @@ from chainbounds import (
 )
 from chainbounds import errors, processes, validation
 from chainbounds.validation import _bootstrap_means, _bootstrap_rng, _verdict
+
+import decoupling
+from decoupling import check_symmetrization_decoupling
 
 
 def _sample(values, seed=0):
@@ -496,29 +498,6 @@ def test_symmetrization_custom_table():
     assert out["holds"]
 
 
-@pytest.mark.parametrize("prob", ["0.5", None, True, np.str_("0.5")], ids=repr)
-def test_selector_prob_is_checked_by_name(prob):
-    message = f"selector_prob must be a real number, got {re.escape(repr(prob))}$"
-    with pytest.raises(DomainError, match=message):
-        check_symmetrization_decoupling([np.eye(2)], selector_prob=prob)
-
-
-def test_decoupling_capacity_and_domain_checks():
-    mats = [np.eye(4)]
-    with pytest.raises(CapacityError):
-        check_symmetrization_decoupling([np.eye(9)] * 17)  # 17 4^9 > 2^22 entries
-    with pytest.raises(CapacityError):
-        check_symmetrization_decoupling([np.eye(20)])
-    with pytest.raises(DomainError):
-        check_symmetrization_decoupling(mats, selector_prob=1.0)
-    with pytest.raises(DomainError):
-        check_symmetrization_decoupling(mats, table=np.array([[1.0, -1.0, 0.0, 0.0]]))
-    with pytest.raises(DomainError):
-        check_symmetrization_decoupling(mats, table=np.array([1.0, 1.0]))
-    with pytest.raises(DomainError):
-        check_symmetrization_decoupling(mats, p_list=(0.5,))
-
-
 def test_decoupling_keeps_its_capacity_error_above_the_sign_cap(monkeypatch):
     # No sign cap: one matrix of dimension 11 needs 4^11 = 2^22 entries, the
     # budget itself, so it is admitted and stopped here at its first
@@ -562,7 +541,7 @@ def test_pair_tables_have_one_budget(monkeypatch, k, n):
     # the plain law holds 2^n entries per matrix and is not refused
     assert exact_chaos_distribution(mats).size == 2**n
     # nothing is enumerated before the refusal
-    monkeypatch.setattr(validation, "sign_patterns", lambda n: pytest.fail("enumerated"))
+    monkeypatch.setattr(decoupling, "sign_patterns", lambda n: pytest.fail("enumerated"))
     with pytest.raises(CapacityError, match=message):
         check_symmetrization_decoupling(mats)
 
@@ -584,13 +563,6 @@ def test_tall_matrices_are_checked_up_to_the_pair_table_budget(monkeypatch):
     monkeypatch.setattr(errors, "_TABLE_BUDGET", k * 4**n - 1)
     with pytest.raises(CapacityError, match=rf"matrix count k = {k}, dimension n = {n}: "):
         check_symmetrization_decoupling(mats)
-
-
-def test_a_large_symmetrization_table_is_refused_first(monkeypatch):
-    mats = _family(1, 3)
-    monkeypatch.setattr(validation, "sign_patterns", lambda n: pytest.fail("enumerated"))
-    with pytest.raises(CapacityError, match=r"table row count k = 65537, dimension n = 3"):
-        check_symmetrization_decoupling(mats, table=np.ones((65537, 3)))
 
 
 @settings(max_examples=20, deadline=None)
