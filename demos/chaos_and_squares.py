@@ -24,7 +24,8 @@ B = rng.choice([-1.0, 1.0], size=(8, 8))
 signs = cb.sign_patterns(8)
 quad = np.einsum("ai,ij,aj->a", signs, B, signs)
 vals = np.abs(quad - np.trace(B))
-bound = cb.hanson_wright_tail(B, u=0.0, c_fit=0.25)
+bound = cb.hanson_wright_tail(B, u=0.0,
+                              registry=cb.DEFAULT_REGISTRY.with_fitted(hanson_wright_c=0.25))
 print("\nquadratic tail on an 8x8 sign matrix (exhaustive 256-pattern law):")
 for u in (8.0, 16.0, 24.0):
     exact = float(np.mean(vals >= u))

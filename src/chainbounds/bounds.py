@@ -384,7 +384,6 @@ def squares_l2_increment_tail(
 def hanson_wright_tail(
     B,
     u: float | None = None,
-    c_fit: float | None = None,
     registry: ConstantRegistry = DEFAULT_REGISTRY,
 ) -> TailBound:
     """Quadratic-form deviation for independent mean-zero unit-psi_2 entries.
@@ -392,29 +391,19 @@ def hanson_wright_tail(
         P(|xi^* B xi - E xi^* B xi| >= u)
             <= 2 exp(-c min(u^2 / ||B||_{S2}^2, u / ||B||_{Sinf}))
 
-    with a fitted rate c (argument c_fit or registry "hanson_wright_c").
+    with the registry's fitted rate c, "hanson_wright_c".
     A zero matrix yields the degenerate envelope (probability 0 for u > 0).
     """
     B = check_array("B", B, 2, complex_ok=True)
     s2 = schatten_norm(B, 2)
     sinf = schatten_norm(B, math.inf)
-    if c_fit is not None:
-        c = check_real("fitted rate c", c_fit, 0.0, strict=True)
-    else:
-        c, _ = registry.require("hanson_wright_c")
+    c, _ = registry.require("hanson_wright_c")
     if s2 == 0.0:
         envelope = DegenerateEnvelope()
     else:
         envelope = MinEnvelope(prefactor=2.0, c=c, s2=s2, sinf=sinf)
     return _tail(envelope, 0.0, 1.0, 0.0, 0.0, 1.0,
                  {"hanson_wright_c": c, "s2": s2, "sinf": sinf}, True, "hanson-wright", u)
-
-
-def _radii_gamma(radii: SchattenRadii) -> GammaEstimate:
-    """The radii's gamma_2 functional under d_inf, which gamma_mode 'none' omits."""
-    if radii.gamma2_dinf is None:
-        raise DomainError("radii lack a gamma_2 estimate; recompute with gamma_mode != 'none'")
-    return radii.gamma2_dinf
 
 
 def kmr_parameters(radii: SchattenRadii) -> dict:
@@ -424,7 +413,7 @@ def kmr_parameters(radii: SchattenRadii) -> dict:
     U = delta_inf^2, all under the operator-norm metric.  Emitted as plain
     numbers; no envelope is asserted for them here.
     """
-    g = _gamma_value(_radii_gamma(radii), 2.0, 1.0, "comparison parameters")
+    g = _gamma_value(radii.gamma2_dinf, 2.0, 1.0, "comparison parameters")
     return {
         "E": square(g) + radii.delta_2 * g,
         "V": radii.delta_inf * (radii.delta_2 + g),
@@ -455,14 +444,13 @@ def chaos_supremum_bound(
     """
     if not math.isclose(xi_psi2.alpha, 2.0):
         raise DomainError(f"xi_psi2 must be a psi_2 norm, got alpha = {xi_psi2.alpha:g}")
-    gamma2 = _radii_gamma(radii)
     _pick_form(p, u)
     scale = xi_psi2.value * xi_psi2.value
     if not math.isfinite(scale):  # inf times a zero gamma_2 would leave a NaN term
         raise DomainError(f"xi_psi2.value^2 is not finite (xi_psi2.value = {xi_psi2.value:g})")
     d4sq, dinfsq = square(radii.delta_4), square(radii.delta_inf)
     return _fitted_bound(
-        "chaos", "chaos-supremum", p, u, registry, gamma2,
+        "chaos", "chaos-supremum", p, u, registry, radii.gamma2_dinf,
         lambda C, g: (("chaining-squared", C * scale * (g * g)),
                       ("chaining-radius", C * scale * radii.delta_2 * g),
                       ("sqrt-p", C * scale * math.sqrt(p) * d4sq),

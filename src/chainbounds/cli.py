@@ -50,8 +50,8 @@ from .errors import DomainError, check_int, check_real
 from .metric import covering_number, covering_profile, entropy_integral
 from .orlicz import OrliczNorm, psi_norm_analytic, psi_norm_empirical
 from .processes import (
-    SEED_MAX,
     RowDistribution,
+    _check_seed,
     empirical_model,
     gaussian_model,
     martingale_model,
@@ -62,7 +62,7 @@ from .processes import (
     simulate_squares,
     squares_model,
 )
-from .registry import DEFAULT_REGISTRY, ConstantRegistry
+from .registry import _DEFAULT_UNION, DEFAULT_REGISTRY, ConstantRegistry
 from .results import MomentBound, TailBound
 from .rip import (
     _class_count,
@@ -145,7 +145,15 @@ def _parse_float_list(text: str, name: str) -> list[float]:
 def _require_seed(seed) -> int:
     if seed is None:
         raise DomainError("a --seed (or config seed) is mandatory for stochastic commands")
-    return check_int("seed", seed, 0, SEED_MAX)
+    return _check_seed(seed)
+
+
+def _check_keys(what: str, obj: dict, readable) -> None:
+    """DomainError naming each key of obj that nothing reads, with those that are read."""
+    unread = sorted(set(obj) - set(readable))
+    if unread:
+        raise DomainError(f"{what} has unread key{'s' * (len(unread) > 1)} {str(unread)[1:-1]}; "
+                          f"it reads {str(sorted(readable))[1:-1] or 'none'}")
 
 
 # ---------------------------------------------------------------- gamma
@@ -276,12 +284,10 @@ def _matrices(values) -> list:
     return [matrix_from_json(m) for m in values]
 
 
-def _radii_param(params: dict):
-    return schatten_radii(
-        _matrices(params["matrices"]),
-        gamma_mode=params.get("gamma_mode", "auto"),
-        p=check_real("gamma_p", params.get("gamma_p", 1.0), 1.0),
-    )
+def _radii(matrices, gamma_mode: str = "auto", gamma_p: float = 1.0):
+    """The radii of the chaos and kmr bounds, from their params."""
+    return schatten_radii(_matrices(matrices), gamma_mode=gamma_mode,
+                          p=check_real("gamma_p", gamma_p, 1.0))
 
 
 # Bound names whose params are exactly their evaluator's keyword arguments.
@@ -304,13 +310,30 @@ _DIRECT_BOUNDS = {
 _DECODERS = {"GammaEstimate": _gamma_param, "OrliczNorm": _orlicz_param}
 
 
+def _params_of(fn, *given) -> set:
+    """The params keys _call_with_params reads for fn: its parameters but registry and given."""
+    return set(inspect.signature(fn).parameters) - {"registry", *given}
+
+
+# The params keys each bound name reads.
+_BOUND_KEYS = {
+    **{name: _params_of(fn) for name, fn in _DIRECT_BOUNDS.items()},
+    "union-constant": set(),
+    "union-probability": _params_of(conversions.union_bound_probability),
+    "bernstein": (_params_of(conversions.BernsteinParams)
+                  | _params_of(conversions.bernstein_tail, "params")),
+    "hanson-wright": {"matrix"} | _params_of(hanson_wright_tail, "B"),
+    "chaos": _params_of(_radii) | _params_of(chaos_supremum_bound, "radii"),
+    "kmr": _params_of(_radii),
+}
+
+
 def _call_with_params(fn, params: dict, reg: ConstantRegistry, /, **given):
     """fn(**given) plus every other keyword argument read from params by name.
 
     Arguments are read in signature order, so a config with two faults
     reports the first.  registry is reg; a functional or psi-norm is decoded
-    by its annotation; keys that are not parameters are ignored.  A missing
-    required argument raises KeyError(name).
+    by its annotation.  A missing required argument raises KeyError(name).
     """
     kwargs = dict(given)
     for name, par in inspect.signature(fn).parameters.items():
@@ -327,13 +350,16 @@ def _call_with_params(fn, params: dict, reg: ConstantRegistry, /, **given):
 
 
 def _build_bound(name: str, params: dict, reg: ConstantRegistry):
-    """Dispatch a bound name to its evaluator; returns the result object."""
+    """The result of a bound name's evaluator, once every params key is one it reads."""
     if not isinstance(name, str):
         raise DomainError(f"bound name must be a string, got {name!r}")
+    if name not in _BOUND_KEYS:
+        raise DomainError(f"unknown bound name {name!r}")
+    _check_keys(f"bound {name!r} params", params, _BOUND_KEYS[name])
     if name in _DIRECT_BOUNDS:
         return _call_with_params(_DIRECT_BOUNDS[name], params, reg)
     if name == "union-constant":
-        return {"value": conversions.union_bound_constant(), "cap": 16.0}
+        return {"value": conversions.union_bound_constant(), "cap": _DEFAULT_UNION}
     if name == "union-probability":
         prob = _call_with_params(conversions.union_bound_probability, params, reg)
         c, fitted = reg.union_c()
@@ -346,10 +372,9 @@ def _build_bound(name: str, params: dict, reg: ConstantRegistry):
             hanson_wright_tail, params, reg, B=matrix_from_json(params["matrix"])
         )
     if name == "chaos":
-        return _call_with_params(chaos_supremum_bound, params, reg, radii=_radii_param(params))
-    if name == "kmr":
-        return {**kmr_parameters(_radii_param(params)), "fitted": False}
-    raise DomainError(f"unknown bound name {name!r}")
+        radii = _call_with_params(_radii, params, reg)
+        return _call_with_params(chaos_supremum_bound, params, reg, radii=radii)
+    return {**kmr_parameters(_call_with_params(_radii, params, reg)), "fitted": False}  # kmr
 
 
 def _bound_payload(result, params: dict, reg: ConstantRegistry) -> tuple[dict, str]:
@@ -395,13 +420,6 @@ def _cmd_bound(args) -> int:
 # ---------------------------------------------------------------- simulate
 
 
-def _flag(name: str, value) -> bool:
-    """value, which must be a JSON boolean."""
-    if not isinstance(value, bool):
-        raise DomainError(f"{name} must be true or false, got {value!r}")
-    return value
-
-
 def _object(name: str, value) -> dict:
     """value, which must be a JSON object."""
     if not isinstance(value, dict):
@@ -409,41 +427,47 @@ def _object(name: str, value) -> dict:
     return value
 
 
+def _row(what: str, value) -> RowDistribution:
+    """The row distribution a model's base or xi object configures."""
+    spec = _object(what, value)
+    _check_keys(what, spec, ("name", "scale"))
+    return RowDistribution(name=spec.get("name", "rademacher"),
+                           scale=check_real(f"{what}.scale", spec.get("scale", 1.0), -math.inf))
+
+
 def _run_model(spec: dict, reps: int, seed: int):
-    """Build the configured model and simulate it."""
+    """Build the configured model, once every key is one its kind reads, and simulate it."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise DomainError('model config must be an object with a "kind"')
     kind = spec["kind"]
+    what = f"model {kind!r}"
     labels = spec.get("labels")
     if kind == "gaussian":
+        _check_keys(what, spec, ("kind", "labels", "covariance", "base_point"))
         model = gaussian_model(spec["covariance"], labels=labels)
         return simulate_gaussian(model, reps, seed, base_point=spec.get("base_point", 0))
     if kind == "martingale-family":
+        _check_keys(what, spec, ("kind", "labels", "coefficients", "step_bounds"))
         model = martingale_model(spec["coefficients"], labels=labels,
                                  step_bounds=spec.get("step_bounds"))
         return simulate_martingale_family(model, reps, seed)
     if kind in ("empirical", "squares"):
-        base_spec = _object("base", spec.get("base", {}))
-        base = RowDistribution(
-            name=base_spec.get("name", "rademacher"),
-            scale=check_real("base.scale", base_spec.get("scale", 1.0), -math.inf),
-            mean_known=_flag("base.mean_known", base_spec.get("mean_known", True)),
-        )
+        _check_keys(what, spec, ("kind", "labels", "coefficients", "base"))
+        base = _row("base", spec.get("base", {}))
         builder, simulate = (
             (empirical_model, simulate_empirical)
             if kind == "empirical"
             else (squares_model, simulate_squares)
         )
         model = builder(spec["coefficients"], base, labels=labels)
-        return simulate(model, spec.get("m", model.coefficients.shape[1]), reps, seed)
+        return simulate(model, model.coefficients.shape[1], reps, seed)
     if kind == "chaos":
+        _check_keys(what, spec, ("kind", "matrices", "xi", "decoupled"))
         mats = _matrices(spec["matrices"])
-        xi_spec = _object("xi", spec.get("xi", {}))
-        xi = RowDistribution(
-            name=xi_spec.get("name", "rademacher"),
-            scale=check_real("xi.scale", xi_spec.get("scale", 1.0), -math.inf),
-        )
-        decoupled = _flag("decoupled", spec.get("decoupled", False))
+        xi = _row("xi", spec.get("xi", {}))
+        decoupled = spec.get("decoupled", False)
+        if not isinstance(decoupled, bool):
+            raise DomainError(f"decoupled must be true or false, got {decoupled!r}")
         return simulate_chaos(mats, xi, reps, seed, decoupled=decoupled)
     raise DomainError(f"unknown model kind {kind!r} in simulate config")
 

@@ -288,50 +288,29 @@ def lp_from_tail(
 
 @dataclass(frozen=True)
 class BernsteinParams:
-    """Deviation parameters for an average of m independent summands.
+    """Deviation parameters of an average of m independent summands: sigma and
+    K of the moment condition (1/m) sum_i E|X_i|^q <= (q!/2) sigma^2 K^(q-2), q >= 2.
 
-    sigma/K come from the factorial moment condition
-    (1/m) sum_i E|X_i|^q <= (q!/2) sigma^2 K^(q-2); nu/kappa are the
-    psi_1 quadratic mean and max, usable whenever the summands are
-    subexponential.
+    Summands with psi_1 norms nu_i meet it with sigma = sqrt(2) times the
+    quadratic mean of the nu_i and K = max nu_i, since E|X|^q <= q! nu^q.
     """
 
     m: int
-    sigma: float | None = None
-    K: float | None = None
-    nu: float | None = None
-    kappa: float | None = None
+    sigma: float
+    K: float
 
     def __post_init__(self):
         check_int("sample count m", self.m, 1)
-        for label in ("sigma", "K", "nu", "kappa"):
-            v = getattr(self, label)
-            if v is not None:
-                check_real(f"parameter {label}", v, 0.0)
-        if self.nu is not None and self.kappa is not None and self.nu > self.kappa * (1 + 1e-12):
-            raise DomainError(
-                f"psi_1 quadratic mean nu = {self.nu} cannot exceed the max kappa = {self.kappa}"
-            )
+        check_real("parameter sigma", self.sigma, 0.0)
+        check_real("parameter K", self.K, 0.0)
 
 
-def bernstein_tail(
-    params: BernsteinParams, u: float | None = None, form: str = "moment-condition"
-) -> TailBound:
+def bernstein_tail(params: BernsteinParams, u: float | None = None) -> TailBound:
     """Deviation of the average of m independent centered summands.
 
-        P(|mean| >= (s/sqrt(m)) sqrt(2u) + (k/m) u) <= 2 exp(-u)   (u >= 0),
-
-    where (s, k) = (sigma, K) under the factorial moment condition or
-    (nu, kappa) in the psi_1 form.
+        P(|mean| >= (sigma/sqrt(m)) sqrt(2u) + (K/m) u) <= 2 exp(-u)   (u >= 0).
     """
-    if form == "moment-condition":
-        s, k = params.sigma, params.K
-    elif form == "psi1":
-        s, k = params.nu, params.kappa
-    else:
-        raise DomainError(f"unknown form {form!r}; use 'moment-condition' or 'psi1'")
-    if s is None or k is None:
-        raise DomainError(f"BernsteinParams lacks the parameters for form {form!r}")
     m = float(params.m)
     return _tail(PowerEnvelope(prefactor=2.0, rate=1.0, power=1.0), 0.0, 1.0, 0.0,
-                 s * math.sqrt(2.0) / math.sqrt(m), k / m, {"m": m}, False, f"bernstein-{form}", u)
+                 params.sigma * math.sqrt(2.0) / math.sqrt(m), params.K / m, {"m": m}, False,
+                 "bernstein-moment-condition", u)

@@ -220,6 +220,11 @@ def power_reduce(reduce, values: np.ndarray, degree: int = 1):
         return np.where(lost, redo, out)
 
 
+def nonfinite_columns(values: np.ndarray) -> np.ndarray:
+    """Indices of the columns of the 2-D array values holding an entry that is not finite."""
+    return np.flatnonzero(~np.isfinite(values).all(axis=0))
+
+
 def alpha_exp(exponent: float, what: str, alpha: float) -> float:
     """e^exponent, with exponent a function of alpha; a DomainError names what,
     at this alpha, where the float exponential overflows."""

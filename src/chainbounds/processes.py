@@ -96,6 +96,11 @@ def replication_rng(seed: int, rep: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, rep, 0]))
 
 
+def _check_seed(seed) -> int:
+    """seed as an int; DomainError unless it is an integer in [0, SEED_MAX]."""
+    return check_int("seed", seed, 0, SEED_MAX)
+
+
 def _replication_streams(seed: int):
     """rep -> a Generator drawing what replication_rng(seed, rep) draws.
 
@@ -126,7 +131,7 @@ def _simulate(reps: int, seed: int, draw, stat, *, base_point=None):
     r // BLOCK, whose rows are drawn from replication_rng(seed, block), so a
     shorter run is a prefix of a longer one.
     """
-    reps, seed = check_int("reps", reps, 1), check_int("seed", seed, 0, SEED_MAX)
+    reps, seed = check_int("reps", reps, 1), _check_seed(seed)
     parts = []
     for b, start in enumerate(range(0, reps, BLOCK)):
         z = draw(replication_rng(seed, b))
@@ -138,17 +143,14 @@ def _simulate(reps: int, seed: int, draw, stat, *, base_point=None):
 
 @dataclass(frozen=True)
 class RowDistribution:
-    """A scaled standardized driver with exactly known psi-norms.
+    """A scaled standardized driver with exactly known moments and psi-norms.
 
     scale multiplies the standardized variable; for "constant" the value is
-    the scale itself.  mean_known=False marks a row whose mean (and second
-    moment) the caller refuses to attest — simulators that must center by
-    the true mean reject such rows instead of guessing.
+    the scale itself, and its mean; every other family has mean 0.
     """
 
     name: str
     scale: float = 1.0
-    mean_known: bool = True
 
     def __post_init__(self):
         if self.name not in _ROW_FAMILIES:
@@ -158,18 +160,9 @@ class RowDistribution:
         check_real("scale", self.scale, -math.inf)
 
     def mean(self) -> float:
-        if not self.mean_known:
-            raise ModelError(
-                "row mean not attested; center the summands or supply a distribution "
-                "with mean_known=True"
-            )
         return self.scale if self.name == "constant" else 0.0
 
     def second_moment(self) -> float:
-        if not self.mean_known:
-            raise ModelError(
-                "row second moment not attested; supply a distribution with mean_known=True"
-            )
         second = square(self.scale)
         if not math.isfinite(second):
             raise DomainError(f"row second moment is not finite: scale^2 overflows at scale = "
@@ -578,20 +571,33 @@ def _chaos_sup(x: np.ndarray, stack: np.ndarray, s2: float) -> np.ndarray:
     The rows go through in chunks of at most errors._TABLE_BUDGET // (k m),
     and at least one, so the (rows, k, m) table of the products A x stays
     within the budget however tall the k matrices are.  einsum computes each row on its
-    own, so no value depends on the chunking.  A centring term past the float
-    range is refused by the index k of its matrix.
+    own, so no value depends on the chunking.  A matrix whose terms pass the
+    float range is computed again scaled by 2^-e, the power of two that brings
+    its largest modulus into [1/2, 1), and multiplied back by 2^(2e); a value
+    past the float range even so is refused by the index k of its matrix.
+    Every other value is computed as written, so it keeps its bits.
     """
     k, m = stack.shape[:2]
-    with np.errstate(over="ignore"):
-        means = s2 * (np.abs(stack).reshape(k, -1) ** 2).sum(axis=1)
-    means = check_array("chaos centring terms s2 ||matrices[k]||_F^2", means, 1)
     step = max(1, errors._TABLE_BUDGET // (k * m))
     out = np.empty(x.shape[0])
     for lo in range(0, x.shape[0], step):
-        with np.errstate(over="ignore"):  # a row past the float range reads inf
-            q = (np.abs(np.einsum("kmn,rn->rkm", stack, x[lo:lo + step])) ** 2).sum(axis=2)
-        out[lo:lo + step] = np.abs(q - means).max(axis=1)
+        rows = x[lo:lo + step]
+        dev = _chaos_deviations(rows, stack, s2)
+        for j in errors.nonfinite_columns(dev):
+            e = math.frexp(float(np.abs(stack[j]).max()))[1]
+            with np.errstate(over="ignore"):
+                col = np.ldexp(_chaos_deviations(rows, stack[j:j + 1] * 2.0**-e, s2)[:, 0], 2 * e)
+            dev[:, j] = check_array(f"chaos statistics of matrices[{j}] by row", col, 1)
+        out[lo:lo + step] = dev.max(axis=1)
     return out
+
+
+def _chaos_deviations(x: np.ndarray, stack: np.ndarray, s2: float) -> np.ndarray:
+    """| ||A x||^2 - s2 ||A||_F^2 | by row x and matrix A of stack; inf or NaN on overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = s2 * (np.abs(stack).reshape(stack.shape[0], -1) ** 2).sum(axis=1)
+        q = (np.abs(np.einsum("kmn,rn->rkm", stack, x)) ** 2).sum(axis=2)
+        return np.abs(q - means)
 
 
 def _check_sign_law(law: str, n: int, width: int) -> None:
@@ -627,7 +633,6 @@ def exact_empirical_distribution(model: ProcessModel) -> np.ndarray:
         raise UnsupportedFamilyError("exact enumeration needs a rademacher base")
     c = model.coefficients
     _check_sign_law("exact empirical law", c.shape[1], c.shape[0])
-    # Rademacher draws have mean 0; mean() is not read, so mean_known may be False.
     return _empirical_sup(model.base.scale * sign_patterns(c.shape[1]), 0.0, c)
 
 

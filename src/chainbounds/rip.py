@@ -47,7 +47,7 @@ from .errors import (
     check_number,
     check_real,
 )
-from .processes import SEED_MAX, _replication_streams, replication_rng
+from .processes import _check_seed, _replication_streams, replication_rng
 from .validation import exceedance_lower_bound, exceedance_upper_bound
 
 __all__ = [
@@ -108,7 +108,7 @@ def sample_selectors(N: int, m: int, seed: int, rep: int = 0) -> np.ndarray:
     """Indices kept by independent Bernoulli(m/N) selectors (E|I| = m)."""
     N = check_int("N", N, 1)
     m = check_int("m", m, 0, N)
-    seed = check_int("seed", seed, 0, SEED_MAX)
+    seed = _check_seed(seed)
     return np.flatnonzero(_selector_mask(replication_rng(seed, rep), N, m))
 
 
@@ -482,7 +482,7 @@ class RipInstance:
 def _instance_arguments(N, m, seed) -> tuple[int, int, int]:
     """N, m and seed as subsampled_instance checks them, N as build_dft does."""
     N = _check_dft_size(N)
-    return N, check_int("m", m, 1, N), check_int("seed", seed, 0, SEED_MAX)
+    return N, check_int("m", m, 1, N), _check_seed(seed)
 
 
 def subsampled_instance(N: int, m: int, seed: int) -> RipInstance:
@@ -563,7 +563,7 @@ def estimate_failure_probability(N: int, m: int, s: int, delta: float, reps: int
     N = check_int("N", N, 1)
     m = check_int("m", m, 1, N)
     reps = check_int("reps", reps, 1)
-    seed = check_int("seed", seed, 0, SEED_MAX)
+    seed = _check_seed(seed)
     check_real("delta", delta, 0.0)
     s = check_int("s", s, 1, N)
     # Replications go through in chunks whose circulant rows and class values

@@ -35,7 +35,8 @@ def schatten_norm(a, q: float) -> float:
 
 @dataclass(frozen=True)
 class SchattenRadii:
-    """Radii of a matrix set for q in {2, 4, inf}, plus a gamma_2 estimate.
+    """Radii of a matrix set for q in {2, 4, inf}, its gamma_2 estimate under
+    d_inf and the metric space under d_inf that the estimate was computed on.
 
     Per-matrix norm comparisons survive the supremum, so any honestly
     constructed instance satisfies delta_inf <= delta_4 <= delta_2 and the
@@ -45,8 +46,8 @@ class SchattenRadii:
     delta_2: float
     delta_4: float
     delta_inf: float
-    gamma2_dinf: GammaEstimate | None = None
-    space: FiniteMetricSpace | None = None
+    gamma2_dinf: GammaEstimate
+    space: FiniteMetricSpace
 
     def __post_init__(self):
         for label in ("delta_2", "delta_4", "delta_inf"):
@@ -93,16 +94,14 @@ def schatten_radii(matrices, gamma_mode: str = "auto", p: float = 1.0) -> Schatt
 
     gamma_mode picks the chaining estimator: "exact" enumerates admissible
     sequences (refused past the table budget), "greedy" uses farthest-point
-    sequences, "auto" is exact wherever that search is not refused and greedy
-    elsewhere, and "none" skips the estimate.
+    sequences, and "auto" is exact wherever that search is not refused and
+    greedy elsewhere; any other mode is refused.
     """
     stack = _matrix_stack(matrices)
     svals = np.linalg.svd(stack, compute_uv=False)  # one row of singular values per matrix
     d2 = float(power_reduce(lambda v: np.sqrt((v**2).sum(axis=1)), svals).max())
     d4 = float(power_reduce(lambda v: (v**4).sum(axis=1) ** 0.25, svals).max())
     dinf = float(svals.max())
-    if gamma_mode == "none":
-        return SchattenRadii(delta_2=d2, delta_4=d4, delta_inf=dinf)
     search = _gamma_search(gamma_mode, stack.shape[0], p)  # refuses an unknown mode first
     space = matrix_set_space(matrices)
     est = search(space, alpha=2.0, p=p)

@@ -112,11 +112,10 @@ def load_json(path):
         return json.load(fh)
 
 
-def write_csv(path, fieldnames, rows, header_comment: str | None = None) -> None:
-    """Deterministic CSV with an optional leading '#' metadata line."""
+def write_csv(path, fieldnames, rows, header_comment: str) -> None:
+    """Deterministic CSV whose first line is the '#' metadata line header_comment."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        if header_comment is not None:
-            fh.write(f"# {header_comment}\n")
+        fh.write(f"# {header_comment}\n")
         fields = list(fieldnames)
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(fields)

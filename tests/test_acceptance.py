@@ -444,7 +444,8 @@ def _build_chaos_check():
         atoms = np.unique(vals[vals > 0])
         largest = None
         for c in (1 / 2, 1 / 4, 1 / 8, 1 / 16):
-            bound = cb.hanson_wright_tail(B, u=0.0, c_fit=c)
+            bound = cb.hanson_wright_tail(
+                B, u=0.0, registry=cb.DEFAULT_REGISTRY.with_fitted(hanson_wright_c=c))
             if all(np.mean(vals >= a) <= bound.probability(a) for a in atoms):
                 largest = c
                 break

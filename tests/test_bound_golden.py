@@ -13,7 +13,7 @@ one case per name, the probes pin:
   negative sigma, an unregistered alpha);
 - missing fields, undecodable functionals and psi-norms, an unknown name;
 - keys that are not parameters (an extra key, a JSON "registry" and a JSON
-  "metrics"), which are ignored and only enter the hashed config.
+  "metrics"), which are refused by name with the keys the bound reads.
 
 Three things were recorded later.  The `fitted` flag of a scalar result
 (union-probability, kmr) prints as False, not 0.  A JSON null or object
@@ -27,6 +27,12 @@ last: an alpha whose threshold factor e^(1/alpha) overflows
 nothing.  So, recorded after them, do a union threshold 2^(1/alpha) and a
 moment growth p^(1/alpha) that overflow (union-probability-tiny-alpha,
 tails-to-moments-tiny-alpha).
+
+Six cases were recorded again once each value had one way in: the bernstein
+case without its psi_1 form keys, which now reports the moment-condition
+form; hanson-wright with its rate in a --fit file; missing-matrix without
+c_fit; and ignored-keys, bernstein-bad-form and kmr-no-gamma, which now
+exit 2 on their unread keys or their unknown gamma mode.
 
 The recorded data lives in bound_golden.json next to this file.
 """

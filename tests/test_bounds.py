@@ -1,5 +1,6 @@
 """Supremum bounds for the supported process families."""
 
+import dataclasses
 import json
 import math
 import re
@@ -19,7 +20,6 @@ from chainbounds import (
     MixedTailMetrics,
     MissingConstantError,
     OrliczNorm,
-    SchattenRadii,
     azuma_uniform_bound,
     build_metric_space,
     chaos_supremum_bound,
@@ -302,7 +302,7 @@ def test_chaos_requires_psi2_norm():
 
 
 def test_hanson_wright_envelope():
-    b = hanson_wright_tail(np.eye(4), c_fit=0.25)
+    b = hanson_wright_tail(np.eye(4), registry=FITTED)
     assert isinstance(b.envelope, MinEnvelope)
     assert b.envelope.s2 == pytest.approx(2.0)   # Frobenius norm of I_4
     assert b.envelope.sinf == pytest.approx(1.0)
@@ -323,7 +323,7 @@ def test_hanson_wright_needs_constant():
 
 
 def test_hanson_wright_zero_matrix():
-    b = hanson_wright_tail(np.zeros((3, 3)), c_fit=1.0)
+    b = hanson_wright_tail(np.zeros((3, 3)), registry=FITTED)
     assert b.probability(1.0) == 0.0
     assert b.probability(0.0) == 1.0
 
@@ -445,7 +445,8 @@ def test_bound_and_registry_refusals(tmp_path, call, message):
 @pytest.mark.parametrize("evaluate", [
     lambda g, reg: squares_supremum_bound(g, 1.0, 4, 1.0, 1.0, u=1.0, registry=reg),
     lambda g, reg: chaos_supremum_bound(
-        SchattenRadii(delta_2=3.0, delta_4=1.5, delta_inf=1.0, gamma2_dinf=g),
+        dataclasses.replace(identity_radii(), delta_2=3.0, delta_4=1.5, delta_inf=1.0,
+                            gamma2_dinf=g),
         OrliczNorm(2.0, 1.0, "supplied"), u=1.0, registry=reg),
 ], ids=["squares", "chaos"])
 def test_tail_forms_check_their_functional_before_the_fitted_rate(evaluate):

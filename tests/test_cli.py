@@ -99,7 +99,7 @@ def test_cover_entropy_integral(tmp_path, triangle, capsys):
 
 def test_bound_union_constant(tmp_path, capsys):
     params = tmp_path / "params.json"
-    params.write_text(json.dumps({"alpha": 2}))
+    params.write_text(json.dumps({}))
     code, out, _ = run(
         ["bound", "union-constant", "--params", str(params), "--out", str(tmp_path)], capsys
     )
@@ -584,8 +584,7 @@ def test_cover_refuses_a_non_finite_radius_by_name(tmp_path, triangle, capsys, r
 
 @pytest.mark.parametrize("params, named", [
     ({"alpha": 2.0, "u": math.inf, "p": 1.0}, "$.params.u is inf"),
-    ({"alpha": 2.0, "u": 2.0, "p": 1.0, "extra": math.nan}, "$.params.extra is nan"),
-], ids=["infinite u", "ignored NaN"])
+], ids=["infinite u"])
 def test_a_non_finite_config_number_is_named_by_its_path(tmp_path, capsys, params, named):
     path = tmp_path / "p.json"
     path.write_text(json.dumps(params))  # json writes Infinity and NaN, which json.load reads
@@ -593,21 +592,6 @@ def test_a_non_finite_config_number_is_named_by_its_path(tmp_path, capsys, param
                         "--out", str(tmp_path)], capsys)
     assert code == 2 and err.startswith(f"error: {named}, and JSON holds only finite numbers")
     assert not list(tmp_path.glob("bound-*"))
-
-
-@pytest.mark.parametrize("kind", ["empirical", "squares"])
-def test_simulate_non_integer_summand_count_exits_two(tmp_path, capsys, kind):
-    cfg = {"model": {"kind": kind, "coefficients": [[1.0, 0.5], [0.5, 1.0]], "m": 2.5},
-           "reps": 20, "seed": 3}
-    path = tmp_path / "m.json"
-    path.write_text(json.dumps(cfg))
-    code, _, err = run(["simulate", "--config", str(path), "--out", str(tmp_path)], capsys)
-    assert code == 2 and "error: m must be an integer" in err
-    assert not list(tmp_path.glob("simulate-*.json"))
-    cfg["model"]["m"] = 2.0  # an integral value is the summand count
-    path.write_text(json.dumps(cfg))
-    code, _, _ = run(["simulate", "--config", str(path), "--out", str(tmp_path)], capsys)
-    assert code == 0
 
 
 def test_simulate_empty_u_grid_exits_two(tmp_path, capsys):
@@ -760,7 +744,7 @@ def test_input_contents_not_input_paths_name_the_artifact(tmp_path, capsys):
 def test_runs_without_fit_hash_no_fit_entry(tmp_path, capsys):
     sim = gaussian_sim_config(tmp_path, fit={"C_2": 50.0})
     params = tmp_path / "params.json"
-    params.write_text(json.dumps({"alpha": 2}))
+    params.write_text(json.dumps({}))
     assert run(["simulate", "--config", str(sim), "--out", str(tmp_path)], capsys)[0] == 0
     assert load_json(artifact(tmp_path, "simulate"))["config"]["fit"] == {"C_2": 50.0}
     assert run(["bound", "union-constant", "--params", str(params), "--out", str(tmp_path)],
@@ -812,8 +796,8 @@ _COEFFICIENTS = [[1.0, 0.5], [0.5, 1.0]]
     ({"kind": "chaos", "matrices": _CHAOS_MATRICES, "decoupled": 0}, "decoupled"),
     ({"kind": "chaos", "matrices": _CHAOS_MATRICES, "xi": {"scale": "1.5"}}, "xi.scale"),
     ({"kind": "chaos", "matrices": _CHAOS_MATRICES, "xi": {"scale": True}}, "xi.scale"),
-    ({"kind": "empirical", "coefficients": _COEFFICIENTS, "base": {"mean_known": "false"}},
-     "base.mean_known"),
+    ({"kind": "empirical", "coefficients": _COEFFICIENTS, "base": {"scale": None}},
+     "base.scale"),
     ({"kind": "empirical", "coefficients": _COEFFICIENTS, "base": {"scale": "1.5"}},
      "base.scale"),
     ({"kind": "squares", "coefficients": _COEFFICIENTS, "base": {"scale": True}}, "base.scale"),
@@ -832,14 +816,60 @@ def test_simulate_model_flags_and_scales_must_be_json_booleans_and_numbers(tmp_p
 
 def test_simulate_model_takes_json_false_and_integer_scales(tmp_path, capsys):
     path = tmp_path / "m.json"
-    model = {"kind": "empirical", "coefficients": _COEFFICIENTS,
-             "base": {"scale": 2, "mean_known": False}}
+    model = {"kind": "empirical", "coefficients": _COEFFICIENTS, "base": {"scale": 2}}
     path.write_text(json.dumps({"model": model, "reps": 20, "seed": 3}))
-    code, _, err = run(["simulate", "--config", str(path), "--out", str(tmp_path)], capsys)
-    assert code == 2 and "row mean not attested" in err  # refused by the model, by name
+    assert run(["simulate", "--config", str(path), "--out", str(tmp_path)], capsys)[0] == 0
     model = {"kind": "chaos", "matrices": _CHAOS_MATRICES, "decoupled": False, "xi": {"scale": 2}}
     path.write_text(json.dumps({"model": model, "reps": 20, "seed": 3}))
     assert run(["simulate", "--config", str(path), "--out", str(tmp_path)], capsys)[0] == 0
+
+
+_BERNSTEIN = {"m": 50, "sigma": 1.0, "K": 1.0, "u": 2.0}
+
+
+@pytest.mark.parametrize("name, params, message", [
+    ("bernstein", {**_BERNSTEIN, "from": "psi1"},
+     "bound 'bernstein' params has unread key 'from'; it reads 'K', 'm', 'sigma', 'u'"),
+    ("bernstein", {"m": 50, "form": "psi1", "nu": 0.8, "kappa": 1.1, "u": 2.0},
+     "bound 'bernstein' params has unread keys 'form', 'kappa', 'nu'; it reads 'K', 'm', "
+     "'sigma', 'u'"),
+    ("hanson-wright", {"matrix": [[1.0, 0.5], [0.5, -1.0]], "u": 2.0, "c_fit": 0.3},
+     "bound 'hanson-wright' params has unread key 'c_fit'; it reads 'matrix', 'u'"),
+    ("union-constant", {"extra": math.nan},
+     "bound 'union-constant' params has unread key 'extra'; it reads none"),
+    ("union-probability", {"alpha": 2.0, "u": 2.0, "p": 1.0, "extra": math.nan},
+     "bound 'union-probability' params has unread key 'extra'; it reads 'alpha', 'p', 'u'"),
+], ids=["misspelt key", "psi1 form", "c_fit", "union-constant NaN", "union-probability NaN"])
+def test_bound_refuses_a_params_key_it_does_not_read(tmp_path, capsys, name, params, message):
+    # such a key was ignored: the bound was computed without it, or the report
+    # was refused for a NaN no computation read
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(params))
+    code, out, err = run(["bound", name, "--params", str(path), "--out", str(tmp_path / "out")],
+                         capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("model, message", [
+    ({"kind": "empirical", "coefficients": _COEFFICIENTS, "m": 2},
+     "model 'empirical' has unread key 'm'; it reads 'base', 'coefficients', 'kind', 'labels'"),
+    ({"kind": "squares", "coefficients": _COEFFICIENTS, "m": 2.5},
+     "model 'squares' has unread key 'm'; it reads 'base', 'coefficients', 'kind', 'labels'"),
+    ({"kind": "empirical", "coefficients": _COEFFICIENTS, "base": {"mean_known": False}},
+     "base has unread key 'mean_known'; it reads 'name', 'scale'"),
+    ({"kind": "chaos", "matrices": _CHAOS_MATRICES, "xi": {"mean_known": True}},
+     "xi has unread key 'mean_known'; it reads 'name', 'scale'"),
+    ({"kind": "chaos", "matrices": _CHAOS_MATRICES, "labels": ["a", "b"]},
+     "model 'chaos' has unread key 'labels'; it reads 'decoupled', 'kind', 'matrices', 'xi'"),
+], ids=["empirical m", "squares m", "base mean_known", "xi mean_known", "chaos labels"])
+def test_simulate_refuses_a_model_key_it_does_not_read(tmp_path, capsys, model, message):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"model": model, "reps": 20, "seed": 3}))
+    code, out, err = run(["simulate", "--config", str(path), "--out", str(tmp_path / "out")],
+                         capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("name, params, field", [
@@ -1056,11 +1086,10 @@ def test_a_report_config_is_every_declared_option_but_out(tmp_path, capsys, argv
 
 @pytest.mark.parametrize("argv, contents, named", [
     (["bound", "union-probability"], {"alpha": 2.0, "u": math.inf, "p": 1.0}, "$.params.u is inf"),
-    (["bound", "union-constant"], {"extra": math.nan}, "$.params.extra is nan"),
     (["simulate"], {"model": _GAUSSIAN, "reps": 10, "seed": 1, "note": math.nan},
      "$.note is nan"),
     (["bound", "kmr"], {"matrices": [[[1e200, 0], [0, 1]], [[1, 0], [0, 1]]]}, "$.bound.E is inf"),
-], ids=["union-probability u inf", "union-constant unread NaN", "simulate unread NaN",
+], ids=["union-probability u inf", "simulate unread NaN",
         "kmr report E inf"])
 def test_a_command_whose_report_cannot_be_written_prints_nothing(tmp_path, capsys, argv,
                                                                  contents, named):
@@ -1151,8 +1180,7 @@ _PAST_THE_FLOAT_RANGE = {
     "chaos scale": (_CHAOS[:2] + ["{file}"] + _CHAOS[3:] + ["--scale", "1e200"],
                     _CHAOS_MATRICES, 2, "row second moment is not finite"),
     "chaos, 1e200 family": (_CHAOS[:2] + ["{file}"] + _CHAOS[3:], [[[1e200, 0], [0, 1]], _EYE], 2,
-                            "chaos centring terms s2 ||matrices[k]||_F^2 must be finite, "
-                            "got inf at entry [0]"),
+                            "$.comparison_parameters.E is inf"),
     "kmr, 1e100 family": (_bound("kmr"), {"matrices": [[[1e100, 0], [0, 1]], _EYE]},
                           0, "E = 2e+200, V = 2e+200, U = 1e+200, fitted = False"),
     "hanson-wright, 1e200 matrix": (_bound("hanson-wright"),

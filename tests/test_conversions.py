@@ -5,7 +5,6 @@ Frozen expected values below were recomputed independently with scipy
 """
 
 import math
-import re
 
 import numpy as np
 import pytest
@@ -207,16 +206,6 @@ def test_bernstein_frozen_value():
     assert b.u_min == 0.0
 
 
-def test_bernstein_psi1_form():
-    params = BernsteinParams(m=4, nu=2.0, kappa=3.0)
-    b = bernstein_tail(params, form="psi1")
-    assert b.threshold(1.0) == pytest.approx(2.0 / 2.0 * math.sqrt(2.0) + 3.0 / 4.0)
-    with pytest.raises(DomainError):
-        bernstein_tail(params, form="nope")
-    with pytest.raises(DomainError):
-        bernstein_tail(params)  # moment-condition fields absent
-
-
 def test_bernstein_dominates_bounded_summands():
     # Average of m Rademacher signs: the factorial moment condition holds
     # with sigma = K = 1.  Compare against the exact binomial tail.
@@ -297,12 +286,3 @@ def test_powers_of_one_over_alpha_name_their_overflow():
         tails_to_moments(1.0, 1.0, 0.0005, 2.0)
     # p = 1 has growth 1 at any alpha
     assert tails_to_moments(1.0, 1.0, 0.0005, 1.0).value > 0
-
-
-@pytest.mark.parametrize("call, message", [
-    (lambda: BernsteinParams(m=2, nu=2.0, kappa=1.0),
-     "psi_1 quadratic mean nu = 2.0 cannot exceed the max kappa = 1.0"),
-], ids=["nu above kappa"])
-def test_bernstein_parameter_refusals(call, message):
-    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
-        call()

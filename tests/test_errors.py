@@ -1,5 +1,6 @@
 """The shared argument validators, and every array and scalar intake that uses them."""
 
+import dataclasses
 import math
 import re
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from chainbounds import (
+    DEFAULT_REGISTRY,
     DomainError,
     ModelError,
     bounds,
@@ -81,6 +83,8 @@ def test_check_number_takes_every_real_number():
 
 _RADEMACHER = processes.RowDistribution("rademacher")
 _ENVELOPE = results.PowerEnvelope(prefactor=1.0, rate=1.0, power=1.0)
+_HW_FITTED = DEFAULT_REGISTRY.with_fitted(hanson_wright_c=1.0)
+_ZERO_RADII = schatten.schatten_radii([np.zeros((2, 2))])
 
 # site: (call on the array, a valid array, the error class, the name the message carries)
 _ARRAY_SITES = {
@@ -104,7 +108,7 @@ _ARRAY_SITES = {
                        DomainError, "matrices[0]"),
     "exact_chaos_distribution": (lambda a: processes.exact_chaos_distribution([a]), np.eye(2),
                                  DomainError, "matrices[0]"),
-    "hanson_wright_tail": (lambda a: bounds.hanson_wright_tail(a, c_fit=1.0), np.eye(2),
+    "hanson_wright_tail": (lambda a: bounds.hanson_wright_tail(a, registry=_HW_FITTED), np.eye(2),
                            DomainError, "B"),
     "psi2_norms": (bounds.squares_default_parameters, np.ones((2, 2)), DomainError,
                    "psi2_norms"),
@@ -163,8 +167,7 @@ def test_an_empty_matrix_family_is_refused_by_name(call):
 
 _SCALAR_SITES = {
     "row scale": (lambda v: processes.RowDistribution("gaussian", scale=v), "scale"),
-    "schatten radius": (lambda v: schatten.SchattenRadii(delta_2=v, delta_4=0.0, delta_inf=0.0),
-                        "delta_2"),
+    "schatten radius": (lambda v: dataclasses.replace(_ZERO_RADII, delta_2=v), "delta_2"),
     "orlicz value": (lambda v: orlicz.OrliczNorm(2.0, v, "empirical"), "norm value"),
     "threshold coefficient": (lambda v: results.TailBound(
         factor=1.0, const=v, sqrt_coeff=0.0, linear=1.0, envelope=_ENVELOPE), "const"),
@@ -311,7 +314,7 @@ def test_schatten_radii_and_norms_are_finite_where_the_true_value_is():
     assert schatten.schatten_norm(_HUGE_FAMILY[0], 4) == 1e100
     assert schatten.schatten_norm(np.diag([1e200, 1e200]), 2) == pytest.approx(2**0.5 * 1e200)
     # radii past 1e154 square to inf in the interpolation check, and are accepted
-    assert schatten.schatten_radii([np.diag([1e200, 1.0])], gamma_mode="none").delta_4 == 1e200
+    assert schatten.schatten_radii([np.diag([1e200, 1.0])]).delta_4 == 1e200
 
 
 def test_power_sum_parameters_are_finite_where_the_true_value_is():
@@ -337,7 +340,7 @@ def test_finite_power_sums_keep_the_bits_of_the_unscaled_expressions(seed):
     rng = np.random.default_rng(seed)
     stack = rng.standard_normal((6, 3, 4)) * 10.0 ** rng.uniform(-30, 30, (6, 1, 1))
     svals = np.linalg.svd(stack.astype(complex), compute_uv=False)  # matrices are read as complex
-    radii = schatten.schatten_radii(stack, gamma_mode="none")
+    radii = schatten.schatten_radii(stack)
     assert radii.delta_2 == float(np.sqrt((svals**2).sum(axis=1)).max())
     assert radii.delta_4 == float(((svals**4).sum(axis=1) ** 0.25).max())
     for q in (1, 2, 2.5, 3, 4):

@@ -1,6 +1,7 @@
 """The package surface, the demos, and the caps the README states."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -198,10 +199,28 @@ def _functions_calling(module: str, call: str) -> list[str]:
             if isinstance(node, ast.FunctionDef) and call in ast.get_source_segment(source, node)]
 
 
+def test_each_value_has_one_way_in():
+    # A value that repeats another input, has one legal value or only leads to
+    # a refusal is not settable: the registry sets the Hanson-Wright rate, the
+    # psi_1 form of Bernstein was sigma and K renamed, radii carry their gamma_2
+    # estimate and space, every row family's mean is known, and a CSV always
+    # carries its config hash.
+    assert "c_fit" not in inspect.signature(cb.hanson_wright_tail).parameters
+    assert "form" not in inspect.signature(cb.bernstein_tail).parameters
+    assert [f.name for f in dataclasses.fields(cb.BernsteinParams)] == ["m", "sigma", "K"]
+    assert [f.name for f in dataclasses.fields(cb.RowDistribution)] == ["name", "scale"]
+    radii = inspect.signature(cb.SchattenRadii).parameters
+    assert [radii[n].default for n in ("gamma2_dinf", "space")] == [inspect.Parameter.empty] * 2
+    with pytest.raises(cb.DomainError, match="unknown mode 'none'"):
+        cb.schatten_radii([[[1.0]]], gamma_mode="none")
+    header = inspect.signature(importlib.import_module("chainbounds.serialize").write_csv)
+    assert header.parameters["header_comment"].default is inspect.Parameter.empty
+
+
 def test_one_constructor_per_bound_form():
     # Every TailBound is built, and a given u checked, by conversions._tail;
     # in bounds.py only the fitted-family helper and hanson_wright_tail (whose
-    # rate may come from c_fit instead) look up a constant with no derived value.
+    # envelope is not exp(-u)) look up a constant with no derived value.
     built = {}
     for path in sorted((ROOT / "src" / "chainbounds").glob("*.py")):
         count = path.read_text(encoding="utf-8").count("TailBound(")

@@ -2,7 +2,9 @@
 
 import math
 import re
+import sys
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -60,8 +62,6 @@ def test_row_distribution_moments():
     assert RowDistribution("gaussian", scale=2.0).second_moment() == pytest.approx(4.0)
     # uniform on [-s, s]: E X^2 = s^2/3
     assert RowDistribution("uniform", scale=3.0).second_moment() == pytest.approx(3.0)
-    with pytest.raises(ModelError):
-        RowDistribution("gaussian", mean_known=False).mean()
 
 
 @pytest.mark.parametrize("name", ["rademacher", "gaussian", "uniform", "constant"])
@@ -435,13 +435,6 @@ def test_simulate_empirical_m_mismatch():
         simulate_empirical(model, 2, 10, 0)
 
 
-def test_simulate_empirical_unknown_mean():
-    base = RowDistribution("gaussian", mean_known=False)
-    model = empirical_model(np.eye(2), base)
-    with pytest.raises(ModelError):
-        simulate_empirical(model, 2, 10, 0)
-
-
 def test_simulate_squares_variance():
     # Single point, all-ones coefficients, standard normal base:
     # A_t = mean(g_i^2 - 1) has variance 2/m.
@@ -466,19 +459,74 @@ def test_simulate_chaos_identity_is_degenerate():
     np.testing.assert_allclose(s.values, 0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("decoupled, term", [
-    (False, "chaos centring terms s2 ||matrices[k]||_F^2 must be finite, got inf at entry [0]"),
-    (True, "chaos Gram matrices matrices[k]^H matrices[k] must be finite, got (inf+0j) at "
-           "entry [0, 0, 0]"),
+@pytest.mark.parametrize("decoupled, family, term", [
+    (False, [np.eye(2), [[1e200, 1e200], [0.0, 0.0]]],
+     "chaos statistics of matrices[1] by row must be finite, got inf at entry [0]"),
+    (True, [np.diag([1e200, 1.0]), np.eye(2)],
+     "chaos Gram matrices matrices[k]^H matrices[k] must be finite, got (inf+0j) at "
+     "entry [0, 0, 0]"),
 ], ids=["plain", "decoupled"])
-def test_a_chaos_term_past_the_float_range_is_refused_by_its_matrix(decoupled, term):
-    # ||A||_F^2 = 1e400 made inf - inf = NaN, with RuntimeWarnings, and the
-    # sample was refused as "values must be finite and >= 0, got nan at entry [0]"
-    family = [np.diag([1e200, 1.0]), np.eye(2)]
+def test_a_chaos_term_past_the_float_range_is_refused_by_its_matrix(decoupled, family, term):
+    # such terms made inf - inf = NaN, with RuntimeWarnings, and the sample was
+    # refused as "values must be finite and >= 0, got nan at entry [0]"; the
+    # plain statistic of [[a, a], [0, 0]] is 2 a^2 = 2e400 at equal signs
     with pytest.raises(DomainError, match=f"^{re.escape(term)}$"):
         simulate_chaos(family, RowDistribution("rademacher"), 10, 1, decoupled=decoupled)
     with pytest.raises(DomainError, match=f"^{re.escape(term)}$"):
         exact_chaos_distribution(family, decoupled=decoupled)
+
+
+@pytest.mark.parametrize("family, value", [
+    ([np.diag([1e200, 1.0]), np.eye(2)], 0.0),  # ||A x||^2 = ||A||_F^2 = 1e400 + 1 at every x
+    ([[[8e153, 8e153]]], 1.28e308),  # |4 a^2 - 2 a^2| or |0 - 2 a^2|: the products overflowed
+])
+def test_a_plain_chaos_statistic_within_the_float_range_is_computed(family, value):
+    # the centring term or the products overflowed, and the family was refused
+    law = exact_chaos_distribution(family)
+    sample = simulate_chaos(family, RowDistribution("rademacher"), 10, 1).values
+    for values in (law, sample):
+        np.testing.assert_allclose(values, value, rtol=1e-15)
+
+
+def _exact_chaos(x, a, s2):
+    """| ||a x||^2 - s2 ||a||_F^2 | for each row x, in exact rational arithmetic."""
+    a = [[Fraction(float(v)) for v in row] for row in a]
+    frob = s2 * sum(v * v for row in a for v in row)
+    return [abs(sum(sum(v * Fraction(float(t)) for v, t in zip(row, r)) ** 2 for row in a)
+                - frob) for r in x]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_only_a_chaos_matrix_past_the_float_range_is_rescaled(seed):
+    # a matrix whose terms the formula computes finite keeps its bits; one whose
+    # terms overflow is computed again, close to the exact value, or refused by
+    # its index where that value passes the float range
+    rng = np.random.default_rng(seed)
+    k, m, n = (int(v) for v in rng.integers(1, [4, 4, 5]))
+    stack = rng.standard_normal((k, m, n)) * 10.0 ** rng.uniform(0, 250, (k, 1, 1))
+    diagonal = rng.random(k) < 0.5  # statistic 0 under signs, whatever its terms
+    stack[diagonal] *= np.eye(m, n)
+    scale = 2.0 ** int(rng.integers(-3, 4))
+    x, s2 = scale * sign_patterns(n), scale**2
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = s2 * (np.abs(stack).reshape(k, -1) ** 2).sum(axis=1)
+        q = (np.abs(np.einsum("kmn,rn->rkm", stack, x)) ** 2).sum(axis=2)
+        formula = np.abs(q - means)  # the statistic as written, matrix by matrix
+    for j, a in enumerate(stack):
+        if np.isfinite(formula[:, j]).all():
+            assert processes._chaos_sup(x, a[None], s2).tobytes() == formula[:, j].tobytes()
+            continue
+        exact = _exact_chaos(x, a, Fraction(s2))
+        if max(exact) > sys.float_info.max:
+            with pytest.raises(DomainError, match=r"^chaos statistics of matrices\[0\]"):
+                processes._chaos_sup(x, a[None], s2)
+            continue
+        # the float error is relative to the two terms, which may cancel:
+        # ||(|a| |x|)||^2 + s2 ||a||_F^2 bounds their sum
+        terms = _exact_chaos(np.abs(x), np.abs(a), -Fraction(s2))
+        got = processes._chaos_sup(x, a[None], s2)
+        tol = Fraction(1, 10**13)
+        assert all(abs(Fraction(float(g)) - e) <= tol * t for g, e, t in zip(got, exact, terms))
 
 
 @pytest.mark.parametrize("k, m, n", [(1, 20000, 8), (3, 700, 5), (2, 3, 4)])
@@ -633,9 +681,7 @@ def test_exact_laws_and_simulators_keep_their_formulas(seed, n, rows, log_scale,
     assert np.array_equal(simulate_martingale_family(model, reps, seed).values,
                           _martingale_formula(eps, c)[:reps])
 
-    # the exact law never reads the base's mean, so an unattested one is fine
-    law = exact_empirical_distribution(empirical_model(c, RowDistribution("rademacher", rad,
-                                                                          mean_known=False)))
+    law = exact_empirical_distribution(empirical_model(c, RowDistribution("rademacher", rad)))
     assert np.array_equal(law, _empirical_formula(rad * _signs(n), 0.0, c))
     base = RowDistribution(family, rad)
     z = block(lambda g: base.sample(g, (BLOCK, n)))
@@ -842,8 +888,6 @@ _SIGNS = RowDistribution("rademacher")
      "base must be a RowDistribution"),
     (lambda: simulate_chaos([np.eye(2)], "rademacher", 10, 0), ModelError,
      "xi must be a RowDistribution"),
-    (lambda: RowDistribution("gaussian", mean_known=False).second_moment(), ModelError,
-     "row second moment not attested; supply a distribution with mean_known=True"),
     (lambda: gaussian_model(np.eye(2)).psi_norm_matrix(2), UnsupportedFamilyError,
      "psi-norm matrices apply to empirical/squares models, not 'gaussian'"),
     (lambda: mixed_metrics(squares_model(np.eye(2), _SIGNS)), UnsupportedFamilyError,
@@ -860,7 +904,7 @@ _SIGNS = RowDistribution("rademacher")
      "index labels must be hashable, got ['a']"),
     (lambda: ProcessModel(kind="gaussian", labels=("a", ("b", [1]))), ModelError,
      "index labels must be hashable, got ('b', [1])"),
-], ids=["label count", "step_bounds shape", "base", "xi", "second moment", "psi-norm matrix",
+], ids=["label count", "step_bounds shape", "base", "xi", "psi-norm matrix",
         "mixed metrics", "simulator kind", "raw covariance not PSD", "labels int",
         "labels string", "unhashable label", "label holding a list"])
 def test_process_refusals(call, error, message):

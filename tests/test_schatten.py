@@ -141,19 +141,20 @@ def test_radii_gamma_modes():
     mats = [rng.normal(size=(3, 3)) for _ in range(4)]
     exact = schatten_radii(mats, gamma_mode="exact")
     greedy = schatten_radii(mats, gamma_mode="greedy")
-    skipped = schatten_radii(mats, gamma_mode="none")
     assert greedy.gamma2_dinf.value >= exact.gamma2_dinf.value - 1e-12
-    assert skipped.gamma2_dinf is None
-    with pytest.raises(DomainError, match="unknown mode 'bogus'; expected exact, greedy or auto"):
-        schatten_radii(mats, gamma_mode="bogus")
+    for mode in ("bogus", "none"):
+        with pytest.raises(DomainError,
+                           match=f"unknown mode '{mode}'; expected exact, greedy or auto"):
+            schatten_radii(mats, gamma_mode=mode)
 
 
 def test_radii_container_enforces_ordering():
+    radii = schatten_radii([np.eye(2)])
     with pytest.raises(DomainError):
-        SchattenRadii(delta_2=1.0, delta_4=2.0, delta_inf=0.5)
+        SchattenRadii(1.0, 2.0, 0.5, radii.gamma2_dinf, radii.space)
     with pytest.raises(DomainError):
         # ordering fine but interpolation violated: 1.9^2 > 2 * 1
-        SchattenRadii(delta_2=2.0, delta_4=1.9, delta_inf=1.0)
+        SchattenRadii(2.0, 1.9, 1.0, radii.gamma2_dinf, radii.space)
 
 
 @given(st.integers(0, 10_000))
@@ -161,7 +162,7 @@ def test_radii_container_enforces_ordering():
 def test_radii_random_sets_consistent(seed):
     rng = np.random.default_rng(seed)
     mats = [rng.normal(size=(3, 3)) for _ in range(rng.integers(1, 5))]
-    r = schatten_radii(mats, gamma_mode="none")
+    r = schatten_radii(mats)
     assert r.delta_inf <= r.delta_4 <= r.delta_2 + 1e-12
     assert r.delta_4**2 <= r.delta_2 * r.delta_inf + 1e-9
     # radii are the maxima of the per-matrix norms

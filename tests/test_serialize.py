@@ -119,17 +119,10 @@ def test_write_csv_layout(tmp_path):
     assert p.read_bytes() == first
 
 
-def test_write_csv_without_comment(tmp_path):
-    p = tmp_path / "plain.csv"
-    write_csv(p, ["a"], [{"a": 1}])
-    assert p.read_text() == "a\n1\n"
-
-
-def dictwriter_csv(path, fieldnames, rows, header_comment=None):
+def dictwriter_csv(path, fieldnames, rows, header_comment):
     """The csv.DictWriter form write_csv took before writing plain rows."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        if header_comment is not None:
-            fh.write(f"# {header_comment}\n")
+        fh.write(f"# {header_comment}\n")
         writer = csv.DictWriter(fh, fieldnames=list(fieldnames), lineterminator="\n")
         writer.writeheader()
         for row in rows:
@@ -144,10 +137,9 @@ def test_write_csv_bytes_equal_the_dictwriter_form(tmp_path):
         {"u": math.inf, "note": 'quote " and\nnewline'},
         {},
     ] * 50
-    for comment in (None, "config_hash: abc"):
-        write_csv(tmp_path / "new.csv", fields, rows, header_comment=comment)
-        dictwriter_csv(tmp_path / "old.csv", fields, rows, header_comment=comment)
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    write_csv(tmp_path / "new.csv", fields, rows, header_comment="config_hash: abc")
+    dictwriter_csv(tmp_path / "old.csv", fields, rows, header_comment="config_hash: abc")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------
