@@ -175,7 +175,7 @@ class GammaEstimate:
     p: float
     l: int
     value: float
-    mode: str  # "exact" | "greedy" | "supplied" (the CLI's default for a value read from a file)
+    mode: str  # "exact" | "greedy" | "supplied" (a value the CLI read from a file)
     sequence: AdmissibleSequence | None = None
 
 

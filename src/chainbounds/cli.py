@@ -46,7 +46,7 @@ from .chaining import (
     gamma_prime,
     truncation_level,
 )
-from .errors import DomainError, check_int, check_real
+from .errors import DomainError, check_int, check_real, power_reduce
 from .metric import covering_number, covering_profile, entropy_integral
 from .orlicz import OrliczNorm, psi_norm_analytic, psi_norm_empirical
 from .processes import (
@@ -256,13 +256,14 @@ def _cmd_orlicz(args) -> int:
 def _gamma_param(obj, what: str) -> GammaEstimate:
     if not isinstance(obj, dict) or "value" not in obj or "alpha" not in obj:
         raise DomainError(f'{what} must be an object with "alpha", "value", optional "p"')
+    _check_keys(what, obj, ("alpha", "value", "p"))
     p = check_real(f"{what}.p", obj.get("p", 1.0), 1.0)
     return GammaEstimate(
         alpha=check_real(f"{what}.alpha", obj["alpha"], 0.0, strict=True),
         p=p,
         l=truncation_level(p),
         value=check_real(f"{what}.value", obj["value"], 0.0),
-        mode=str(obj.get("mode", "supplied")),
+        mode="supplied",
         sequence=None,
     )
 
@@ -270,10 +271,11 @@ def _gamma_param(obj, what: str) -> GammaEstimate:
 def _orlicz_param(obj, what: str) -> OrliczNorm:
     if not isinstance(obj, dict) or "value" not in obj:
         raise DomainError(f'{what} must be an object with "value" and optional "alpha"')
+    _check_keys(what, obj, ("alpha", "value"))
     return OrliczNorm(
         alpha=check_real(f"{what}.alpha", obj.get("alpha", 2.0), 0.0, strict=True),
         value=check_real(f"{what}.value", obj["value"], 0.0),
-        source=str(obj.get("source", "supplied")),
+        source="supplied",
     )
 
 
@@ -499,10 +501,18 @@ def _checked_grid(bound: TailBound, u_grid) -> np.ndarray:
     return grid
 
 
+def _sample_summary(sample) -> dict:
+    """The mean and max of a sample's values; the mean is finite wherever every value is."""
+    return {"mean": float(power_reduce(lambda v: v.mean(axis=-1), sample.values)),
+            "max": float(sample.values.max())}
+
+
 def _cmd_simulate(args) -> int:
     config = load_json(args.config)
     if not isinstance(config, dict):
         raise DomainError("simulate config must be a JSON object")
+    _check_keys("simulate config", config,
+                ("model", "reps", "seed", "fit", "bound", "u_grid", "p_list"))
     seed = _require_seed(args.seed if args.seed is not None else config.get("seed"))
     reps = args.reps if args.reps is not None else config.get("reps", 0)
     reps = check_int("reps (config or --reps)", reps, 1)
@@ -512,6 +522,7 @@ def _cmd_simulate(args) -> int:
     # moment orders read, before the model runs: a faulty one costs no simulation.
     if "bound" in config:
         bound_spec = _object("bound", config["bound"])
+        _check_keys("bound", bound_spec, ("name", "params"))
         params = _object("bound.params", bound_spec.get("params", {}))
         bound = _build_bound(bound_spec["name"], params, reg)
         if not isinstance(bound, (TailBound, MomentBound)):
@@ -528,11 +539,7 @@ def _cmd_simulate(args) -> int:
         "seed": seed,
         "reps": reps,
         "registry": reg.snapshot(),
-        "sample": {
-            "mean": float(sample.values.mean()),
-            "max": float(sample.values.max()),
-            "base_point": sample.base_point,
-        },
+        "sample": {**_sample_summary(sample), "base_point": sample.base_point},
     }
     rows = None
     code = 0
@@ -634,7 +641,7 @@ def _cmd_chaos(args) -> int:
         },
         "comparison_parameters": kmr_parameters(radii),
         "registry": reg.snapshot(),
-        "sample": {"mean": float(sample.values.mean()), "max": float(sample.values.max())},
+        "sample": _sample_summary(sample),
     }
     lines = [f"radii: delta_2={radii.delta_2:.6g} delta_4={radii.delta_4:.6g} "
              f"delta_inf={radii.delta_inf:.6g} gamma2={radii.gamma2_dinf.value:.6g}"]

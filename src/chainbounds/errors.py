@@ -48,9 +48,17 @@ class CapacityError(ChainboundsError):
 # enumeration and rip.build_dft.  It admits gamma_exact on up to 16 points and
 # on 17 at a lone free level 2, gamma_prime on up to 12 points, sign_patterns
 # on up to 17, supports of 2 indices among up to 2048 and of 3 among up to
-# 204, and build_dft up to N = 2048.  The chaos simulator evaluates its
-# statistic on as many rows at a time as the budget holds.
+# 204, and build_dft up to N = 2048.
 _TABLE_BUDGET = 1 << 22
+# The most entries one block of a blocked loop, or a table kept across calls,
+# holds (float64: 256 KB, the fastest block of metric's triangle certificate).
+_BLOCK_ENTRIES = 1 << 15
+
+
+def block_step(per_item: int) -> int:
+    """Items per block of a blocked loop whose items hold per_item entries each:
+    as many as _BLOCK_ENTRIES (or a smaller budget) holds, and at least one."""
+    return max(1, min(_BLOCK_ENTRIES, _TABLE_BUDGET) // per_item)
 
 
 def _check_table_budget(what: str, entries: int) -> None:

@@ -37,6 +37,7 @@ from .errors import (
     DomainError,
     MetricValidationError,
     alpha_power,
+    block_step,
     check_labels,
     check_number,
     check_real,
@@ -200,11 +201,6 @@ def _check_triangle(d: np.ndarray) -> None:
         _full_triangle_pass(d, tol)
 
 
-# Suspect pairs tested at once, times n: 256 KB blocks were fastest, and the
-# check beat the full pass even with 99% of pairs suspect (BENCH_user_dist.json).
-_PAIR_BLOCK_ELEMENTS = 1 << 15
-
-
 def _neighbours_certify_triangle(d: np.ndarray, tol: float) -> bool:
     """True when no triple fails the full pass's test.
 
@@ -214,7 +210,8 @@ def _neighbours_certify_triangle(d: np.ndarray, tol: float) -> bool:
     ch. 2), so fl(d_ik - fl(m_i + m_k)) <= tol settles pair (i, k) for every
     such j.  For j in {i, k} the test is exactly 0, as the diagonal is zero.
     The suspect pairs left over (i < k only: d is exactly symmetric) get the
-    pass's own test against every j, a block of pairs at a time.
+    pass's own test against every j, a block of pairs at a time; it beat the
+    full pass even with 99% of pairs suspect (BENCH_user_dist.json).
     """
     n = d.shape[0]
     # sums past the float range round to inf, and then the test reads -inf
@@ -225,7 +222,7 @@ def _neighbours_certify_triangle(d: np.ndarray, tol: float) -> bool:
         np.add(m[:, None], m[None, :], out=slack)
         np.subtract(d, slack, out=slack)
         suspect_i, suspect_k = np.nonzero(np.triu(slack > tol, 1))
-        rows = max(1, _PAIR_BLOCK_ELEMENTS // n)
+        rows = block_step(n)
         viol = np.empty((rows, n))  # reused: no allocation per block
         for start in range(0, suspect_i.size, rows):
             i, k = suspect_i[start:start + rows], suspect_k[start:start + rows]
@@ -278,20 +275,16 @@ def _norm_certifies_triangle(dim: int, max_dist: float) -> bool:
     return slack <= _TRIANGLE_RTOL * max(1.0, max_dist)
 
 
-# Coordinate differences held at once: bounds the (rows, cols, ...) temporary.
-_BLOCK_ELEMENTS = 1 << 18
-
-
 def _pairwise(points, reduce) -> np.ndarray:
     """The symmetric (n, n) matrix of reduce(points[i] - points[j]), zero diagonal.
 
     reduce maps a (rows, cols, ...) block of differences to (rows, cols).  The
     point cap is checked first.  Pairs i < j are kept and mirrored, in blocks
-    of at most ceil(n/8) rows, and of columns when one row of differences
-    exceeds _BLOCK_ELEMENTS.  A block starts right of its first row, so the
-    pairs i >= j it computes and drops number at most n * ceil(n/8) / 2 in
-    all (n = 60: 1972 differences for 1770 pairs).  Values past the float
-    range become inf without a warning.  It builds every distance matrix of
+    (errors.block_step) of at most ceil(n/8) rows, and of columns when one
+    row of differences passes a block.  A block starts right of its first
+    row, so the pairs i >= j it computes and drops number at most n *
+    ceil(n/8) / 2 in all (n = 60: 1972 differences for 1770 pairs).  Values
+    past the float range become inf without a warning.  It builds every distance matrix of
     the package: space_from_points, processes.canonical_metric,
     processes.mixed_metrics and schatten.matrix_set_space.
     """
@@ -299,8 +292,8 @@ def _pairwise(points, reduce) -> np.ndarray:
     _check_capacity(n)
     d = np.zeros((n, n))
     per_pair = max(1, math.prod(points.shape[1:]))
-    cols = max(1, min(n, _BLOCK_ELEMENTS // per_pair))
-    rows = max(1, min(_BLOCK_ELEMENTS // (per_pair * cols), -(-n // 8)))
+    cols = min(n, block_step(per_pair))
+    rows = min(block_step(per_pair * cols), -(-n // 8))
     with np.errstate(over="ignore"):
         for r0 in range(0, n - 1, rows):
             r1 = min(r0 + rows, n)

@@ -44,7 +44,7 @@ class OrliczNorm:
 
     alpha: float
     value: float
-    source: str  # "analytic" | "empirical"
+    source: str  # "analytic" | "empirical" | "supplied" (a value the CLI read from a file)
     sample_count: int | None = None
 
     def __post_init__(self):

@@ -568,17 +568,17 @@ def _chaos_sup(x: np.ndarray, stack: np.ndarray, s2: float) -> np.ndarray:
     """sup_A | ||A x||^2 - s2 ||A||_F^2 | for each row x: the plain chaos
     statistic, centred by E ||A xi||^2 for components of second moment s2.
 
-    The rows go through in chunks of at most errors._TABLE_BUDGET // (k m),
-    and at least one, so the (rows, k, m) table of the products A x stays
-    within the budget however tall the k matrices are.  einsum computes each row on its
-    own, so no value depends on the chunking.  A matrix whose terms pass the
+    The rows go through in chunks of errors.block_step(k m), so the (rows,
+    k, m) table of the products A x stays within one block, or one row,
+    however tall the k matrices are.  einsum computes each row on its own,
+    so no value depends on the chunking.  A matrix whose terms pass the
     float range is computed again scaled by 2^-e, the power of two that brings
     its largest modulus into [1/2, 1), and multiplied back by 2^(2e); a value
     past the float range even so is refused by the index k of its matrix.
     Every other value is computed as written, so it keeps its bits.
     """
     k, m = stack.shape[:2]
-    step = max(1, errors._TABLE_BUDGET // (k * m))
+    step = errors.block_step(k * m)
     out = np.empty(x.shape[0])
     for lo in range(0, x.shape[0], step):
         rows = x[lo:lo + step]

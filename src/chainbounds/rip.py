@@ -8,21 +8,20 @@ supports and taking extreme eigenvalues of the s x s Grams; sample-complexity
 thresholds invert the fitted sufficiency condition by integer bisection.
 
 The exact constant forms the N x N Gram of its matrix once, gathers the
-s x s blocks of a table of supports from it, and runs LAPACK eigvalsh on
-stacks of at most _BATCH of them (see _stacked_deltas).  The refusal,
-through errors._check_table_budget, comes before any table, Gram or
-eigvalsh call: an enumeration whose largest table would pass
-errors._TABLE_BUDGET entries is refused (see _supports).
+s x s blocks of a table of supports from it, and runs LAPACK eigvalsh on a
+block of them at a time (errors.block_step; see _stacked_deltas).  An
+enumeration whose larger table would pass errors._TABLE_BUDGET is refused
+before any table, Gram or eigvalsh call (see _supports).
 
-The subsampled DFT skips the N x N Gram: its Gram is
-circulant, one FFT per draw gives it, and delta_S is constant on translation
-classes of supports.  The DFT's constant and its failure curve, the Monte
-Carlo over Bernoulli selectors, share one rerun routine, _kernel_reruns: the
-kernel above runs, on the kept rows' columns, only on the supports whose
-circulant value lies within a certified margin of the decision, so the DFT's
-constants, witnesses and failure counts are those of the kernel on the
-rescaled kept rows, bit for bit (see _dft_maximum and _circulant_failures,
-refused through _classes, before any selector draw).  The kernel's sums are
+The subsampled DFT skips the N x N Gram: its Gram is circulant, one FFT per
+draw gives it, and delta_S is constant on translation classes of supports.
+The DFT's constant and its failure curve, the Monte Carlo over Bernoulli
+selectors, share one rerun routine, _kernel_reruns: the kernel above runs,
+on the kept rows' columns, only on the supports whose circulant value lies
+within a certified margin of the decision, so the DFT's constants,
+witnesses and failure counts are those of the kernel on the rescaled kept
+rows, bit for bit (see _dft_maximum and _circulant_failures, refused
+through _classes, before any selector draw).  The kernel's sums are
 the einsum with unit row weights; up to 8192 rows, numpy's einsum buffer,
 they are the sequential sums over the rows, and beyond it numpy sums in
 buffer-sized pieces laid out by operand shape, so the last bits may differ.
@@ -61,13 +60,8 @@ __all__ = [
     "estimate_failure_probability",
 ]
 
-# Support tables of at most this many indices (512 KB) are kept across calls,
-# four at most; larger ones are rebuilt on each call, so an enumeration over
-# more supports keeps nothing once it ends.
-_CACHED_ENTRIES = 1 << 16
 WITNESS_TOL = 1e-9
 COMPLEXITY_CAP = 1 << 60
-_BATCH = 4096
 _SCREEN_TOL = 1e-9
 
 
@@ -94,11 +88,11 @@ def _dft_flatness(N: int) -> float:
     """sqrt(N) max |build_dft(N)[k, l]|, the attained K, from blocks of rows.
 
     An entry depends on k and l only through the product kl, so the rows'
-    entries on and right of the diagonal hold every value; no block holds
-    more than _CACHED_ENTRIES of them.
+    entries on and right of the diagonal hold every value, read a block of
+    rows at a time.
     """
     k = np.arange(N)
-    step = max(1, _CACHED_ENTRIES // N)
+    step = errors.block_step(N)
     top = max(float(np.abs(_dft_entries(k[lo:lo + step], k[lo:], N)).max())
               for lo in range(0, N, step))
     return math.sqrt(N) * top
@@ -146,23 +140,23 @@ def _support_table(N: int, s: int) -> np.ndarray:
     return table
 
 
+# Tables of at most _BLOCK_ENTRIES indices are kept, four at most; larger ones are rebuilt.
 _cached_support_table = functools.lru_cache(maxsize=4)(_support_table)
 
 
 def _supports(N: int, s: int) -> np.ndarray:
-    """_support_table(N, s), kept across calls if it holds at most _CACHED_ENTRIES indices.
+    """_support_table(N, s), kept across calls if it holds at most _BLOCK_ENTRIES indices.
 
     A CapacityError refuses it first, through errors._check_table_budget,
-    when the largest table of the enumeration would pass the budget: the
-    C(N, s) x s support table, the N x N Gram (for s >= 2; size-1 supports
-    read squared column norms), or one eigvalsh stack of s x s blocks, at
-    most _BATCH of them.
+    when the larger table of the enumeration would pass the budget: the
+    C(N, s) x s support table or the N x N Gram (for s >= 2; size-1 supports
+    read squared column norms).
     """
     n_supports = math.comb(N, s)
     _check_table_budget(
         f"support enumeration refused: C({N}, {s}) supports of {s} indices, a table",
-        max(n_supports * s, N * N if s > 1 else 0, min(n_supports, _BATCH) * s * s))
-    small = n_supports * s <= _CACHED_ENTRIES
+        max(n_supports * s, N * N if s > 1 else 0))
+    small = n_supports * s <= errors._BLOCK_ENTRIES
     return (_cached_support_table if small else _support_table)(N, s)
 
 
@@ -192,13 +186,11 @@ def _stacked_deltas(count: int, per_block: int, blocks) -> np.ndarray:
     """max(lambda_max - 1, 1 - lambda_min), by eigvalsh, of the count Hermitian
     blocks that blocks(lo, hi) gathers, blocks lo to hi - 1 at a time.
 
-    With per_block entries gathered for each block, a stack holds at most
-    min(_BATCH, min(_CACHED_ENTRIES, budget) // per_block) blocks, and one
-    at least, so it stays bounded whatever the count.  LAPACK handles every
-    block of a stack on its own, so a block's value does not depend on which
-    other blocks share its call.
+    A stack holds errors.block_step(per_block) blocks of per_block gathered
+    entries each.  LAPACK handles every block of a stack on its own, so a
+    block's value does not depend on which other blocks share its call.
     """
-    step = max(1, min(_BATCH, min(_CACHED_ENTRIES, errors._TABLE_BUDGET) // per_block))
+    step = errors.block_step(per_block)
     out = np.empty(count)
     for lo in range(0, count, step):
         hi = min(lo + step, count)
@@ -255,23 +247,22 @@ def _class_count(N: int, s: int) -> int:
     """C(N - 1, s - 1), the rows of _class_table(N, s), which is not built.
 
     A CapacityError refuses the count, through errors._check_table_budget,
-    when the largest table of the DFT path would pass the budget: the
-    C(N - 1, s - 1) supports holding 0 that the classes are read off, the
-    N translates (or reflections) of one class, which hold one
-    replication's length-N circulant row, or one eigvalsh stack of at most
-    _BATCH class blocks.  The circulant path builds no N x N table.
+    when the larger table of the DFT path would pass the budget: the
+    C(N - 1, s - 1) supports holding 0 that the classes are read off, or
+    the N translates (or reflections) of one class, which hold one
+    replication's length-N circulant row.  The circulant path builds no
+    N x N table.
     """
     n_classes = math.comb(N - 1, s - 1)
     _check_table_budget(
         f"support enumeration refused: C({N - 1}, {s - 1}) supports of {s} indices holding 0, "
-        f"a table",
-        max(n_classes * s, N * s, min(n_classes, _BATCH) * s * s))
+        f"a table", max(n_classes * s, N * s))
     return n_classes
 
 
 def _classes(N: int, s: int) -> np.ndarray:
-    """_class_table(N, s) once _class_count admits it, cached if it holds <= _CACHED_ENTRIES."""
-    small = _class_count(N, s) * s <= _CACHED_ENTRIES
+    """_class_table(N, s) once _class_count admits it, cached if it holds <= _BLOCK_ENTRIES."""
+    small = _class_count(N, s) * s <= errors._BLOCK_ENTRIES
     return (_cached_class_table if small else _class_table)(N, s)
 
 
@@ -336,22 +327,22 @@ def _circulant_values(keep: np.ndarray, m: int,
 def _kernel_reruns(columns, rows: int, N: int, classes: np.ndarray):
     """(supports, the kernel's delta_S on each) over the N translates (S + c) mod N
     and the N reflections (c - S) mod N, each sorted, of the given classes, in
-    groups of at most max(N, min(C, _BATCH)) supports.  A symmetric or
-    periodic class repeats supports.
+    groups of errors.block_step(N s) classes.  A symmetric or periodic class
+    repeats supports.
 
     columns(cols) gives the kept rows' columns sqrt(N/m) F[I][:, cols], rows
     by len(cols), as subsampled_instance computes them: gathered from an
     instance's U_I, or computed for each stack where |I| x N is too large to
     hold.  Each s x s block is the einsum Gram of its columns with unit row
     weights, the same sum of the same products as _gram's entries, so the
-    value is bit for bit the one the kernel reads off that Gram.  A block
-    gathers |I| s entries of columns, which fits the budget _classes checked
-    (|I| <= N).
+    value is bit for bit the one the kernel reads off that Gram.  One block
+    gathers |I| s <= N s entries of columns, which fits the budget _classes
+    checked.
     """
     s = classes.shape[1]
     ones = np.ones(rows)
     shifts = np.arange(N)[:, None]
-    step = max(1, min(classes.shape[0], _BATCH) // N)
+    step = errors.block_step(N * s)
     for c in range(0, classes.shape[0], step):
         S = classes[c:c + step, None, :]
         for moved in (S + shifts, shifts - S):
@@ -567,9 +558,9 @@ def estimate_failure_probability(N: int, m: int, s: int, delta: float, reps: int
     check_real("delta", delta, 0.0)
     s = check_int("s", s, 1, N)
     # Replications go through in chunks whose circulant rows and class values
-    # fit the budget, and at least one, so memory does not grow with reps.
+    # fit one block, and at least one, so memory does not grow with reps.
     classes = _classes(N, s)
-    chunk = max(1, min(_BATCH, errors._TABLE_BUDGET) // max(N, classes.shape[0]))
+    chunk = errors.block_step(max(N, classes.shape[0]))
     streams = _replication_streams(seed)
     failures = 0
     realized = 0

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_int, check_number, check_real
+from .errors import DomainError, block_step, check_int, check_number, check_real
 from .processes import SupremumSample
 from .results import MomentBound, TailBound
 
@@ -31,7 +31,6 @@ __all__ = [
 # percentile bootstrap of BOOTSTRAP_RESAMPLES resamples on each moment.
 BOOTSTRAP_RESAMPLES = 1000
 CONFIDENCE = 0.99
-_RESAMPLE_BLOCK = 1 << 15  # indices per bootstrap draw, once n is below it
 
 
 def _bootstrap_rng(seed: int) -> np.random.Generator:
@@ -43,14 +42,14 @@ def _bootstrap_rng(seed: int) -> np.random.Generator:
 def _bootstrap_means(columns: np.ndarray, rng: np.random.Generator, resamples: int) -> np.ndarray:
     """(resamples, P) means of each row of the (P, n) columns over resampled indices.
 
-    Resamples are drawn k = _RESAMPLE_BLOCK // n at a time: one (k, n) draw is
-    the stream of k successive n-draws, and every row is still reduced along
-    the contiguous axis, so each mean is bit for bit the one-resample-per-draw
-    value.  At n >= _RESAMPLE_BLOCK this is one resample per draw.
+    Resamples are drawn k = block_step(n) at a time: one (k, n) draw
+    is the stream of k successive n-draws, and every row is still reduced
+    along the contiguous axis, so each mean is bit for bit the
+    one-resample-per-draw value.
     """
     n = columns.shape[1]
     boot = np.empty((resamples, columns.shape[0]))
-    k = max(1, _RESAMPLE_BLOCK // n)
+    k = block_step(n)
     for b in range(0, resamples, k):
         idx = rng.integers(0, n, (min(k, resamples - b), n))
         boot[b:b + idx.shape[0]] = columns.take(idx, axis=1).mean(axis=2).T

@@ -9,7 +9,7 @@ import shutil
 import numpy as np
 import pytest
 
-from chainbounds import RowDistribution, cli, load_json, processes, simulate_chaos
+from chainbounds import RowDistribution, cli, errors, load_json, processes, simulate_chaos
 from chainbounds.cli import main
 
 
@@ -464,8 +464,8 @@ def test_rip_exact_refuses_s_before_the_draw_and_the_flatness(tmp_path, capsys, 
 def test_rip_exact_builds_an_uncached_class_table_once(tmp_path, capsys, monkeypatch):
     import chainbounds.rip as rip
 
-    # C(210, 2) classes of 3 indices pass _CACHED_ENTRIES, so each call rebuilds the table
-    assert math.comb(210, 2) * 3 > rip._CACHED_ENTRIES
+    # C(210, 2) classes of 3 indices pass _BLOCK_ENTRIES, so each call rebuilds the table
+    assert math.comb(210, 2) * 3 > errors._BLOCK_ENTRIES
     built, table = [], rip._class_table
     monkeypatch.setattr(rip, "_class_table", lambda N, s: built.append((N, s)) or table(N, s))
     code, _, _ = run(["rip", "exact", "--N", "211", "--m", "105", "--s", "3", "--seed", "1",
@@ -839,7 +839,15 @@ _BERNSTEIN = {"m": 50, "sigma": 1.0, "K": 1.0, "u": 2.0}
      "bound 'union-constant' params has unread key 'extra'; it reads none"),
     ("union-probability", {"alpha": 2.0, "u": 2.0, "p": 1.0, "extra": math.nan},
      "bound 'union-probability' params has unread key 'extra'; it reads 'alpha', 'p', 'u'"),
-], ids=["misspelt key", "psi1 form", "c_fit", "union-constant NaN", "union-probability NaN"])
+    ("psi-alpha", {"gamma": {"alpha": 2, "value": 1, "P": 4}, "diam": 2.0, "u": 2.0},
+     "gamma has unread key 'P'; it reads 'alpha', 'p', 'value'"),
+    ("gaussian", {"gamma2": {"alpha": 2, "value": 1, "mode": "exact"}, "sigma": 1.0, "u": 2.0},
+     "gamma2 has unread key 'mode'; it reads 'alpha', 'p', 'value'"),
+    ("chaos", {"matrices": _CHAOS_MATRICES, "u": 2.0,
+               "xi_psi2": {"value": 1.2, "source": "analytic"}},
+     "xi_psi2 has unread key 'source'; it reads 'alpha', 'value'"),
+], ids=["misspelt key", "psi1 form", "c_fit", "union-constant NaN", "union-probability NaN",
+        "gamma P", "gamma2 mode", "xi_psi2 source"])
 def test_bound_refuses_a_params_key_it_does_not_read(tmp_path, capsys, name, params, message):
     # such a key was ignored: the bound was computed without it, or the report
     # was refused for a NaN no computation read
@@ -1084,23 +1092,67 @@ def test_a_report_config_is_every_declared_option_but_out(tmp_path, capsys, argv
     assert set(load_json(report)["config"]) == _declared(*command)
 
 
-@pytest.mark.parametrize("argv, contents, named", [
-    (["bound", "union-probability"], {"alpha": 2.0, "u": math.inf, "p": 1.0}, "$.params.u is inf"),
+_FINITE_JSON = ", and JSON holds only finite numbers"
+
+
+@pytest.mark.parametrize("argv, contents, error", [
+    (["bound", "union-probability"], {"alpha": 2.0, "u": math.inf, "p": 1.0},
+     "$.params.u is inf" + _FINITE_JSON),
     (["simulate"], {"model": _GAUSSIAN, "reps": 10, "seed": 1, "note": math.nan},
-     "$.note is nan"),
-    (["bound", "kmr"], {"matrices": [[[1e200, 0], [0, 1]], [[1, 0], [0, 1]]]}, "$.bound.E is inf"),
+     "simulate config has unread key 'note'; it reads 'bound', 'fit', 'model', 'p_list', "
+     "'reps', 'seed', 'u_grid'\n"),
+    (["bound", "kmr"], {"matrices": [[[1e200, 0], [0, 1]], [[1, 0], [0, 1]]]},
+     "$.bound.E is inf" + _FINITE_JSON),
 ], ids=["union-probability u inf", "simulate unread NaN",
         "kmr report E inf"])
 def test_a_command_whose_report_cannot_be_written_prints_nothing(tmp_path, capsys, argv,
-                                                                 contents, named):
-    # the result used to be printed before the report was encoded
+                                                                 contents, error):
+    # the result used to be printed before the report was encoded; an unread
+    # NaN is refused as an unread key before anything runs
     path = tmp_path / "in.json"
     path.write_text(json.dumps(contents))  # json writes Infinity and NaN, which json.load reads
     flag = "--config" if argv[0] == "simulate" else "--params"
     code, out, err = run(argv + [flag, str(path), "--out", str(tmp_path / "out")], capsys)
     assert (code, out) == (2, "")
-    assert err.startswith(f"error: {named}, and JSON holds only finite numbers")
+    assert err.startswith(f"error: {error}")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"model": _GAUSSIAN, "reps": 20, "seed": 3, "p-list": [2.0, 4.0]},
+     "simulate config has unread key 'p-list'; it reads 'bound', 'fit', 'model', 'p_list', "
+     "'reps', 'seed', 'u_grid'"),
+    ({"model": _GAUSSIAN, "reps": 20, "seed": 3, "u_grid": [1.0],
+      "bound": {"name": "gaussian", "prams": {"gamma2": {"alpha": 2, "value": 1}}}},
+     "bound has unread key 'prams'; it reads 'name', 'params'"),
+], ids=["p-list", "bound prams"])
+def test_simulate_refuses_a_config_key_it_does_not_read(tmp_path, capsys, config, message):
+    # such a key was ignored: the moments were estimated at p = 1, or the
+    # bound was built from no params
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run(["simulate", "--config", str(path), "--out", str(tmp_path / "out")],
+                         capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["chaos", "simulate"])
+def test_a_sample_whose_sum_passes_the_float_range_reports_its_mean(tmp_path, capsys, command):
+    # every value is 1.28e308; their sum overflowed, and the report was refused
+    path = tmp_path / "in.json"
+    family = [[[8e153, 8e153]]]
+    if command == "chaos":
+        path.write_text(json.dumps(family))
+        argv = ["chaos", "--matrices", str(path), "--reps", "10", "--seed", "1"]
+    else:
+        path.write_text(json.dumps({"model": {"kind": "chaos", "matrices": family}, "reps": 10,
+                                    "seed": 1}))
+        argv = ["simulate", "--config", str(path)]
+    code, _, err = run(argv + ["--out", str(tmp_path)], capsys)
+    assert (code, err) == (0, "")
+    sample = load_json(artifact(tmp_path, command))["sample"]
+    assert (sample["mean"], sample["max"]) == (1.28e308, 1.28e308)
 
 
 _SQUARES = {"radius": 1.0, "m": 4, "sigma": 1.0, "K": 1.0}

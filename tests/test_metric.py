@@ -24,7 +24,7 @@ from chainbounds import (
     space_from_json,
     space_from_points,
 )
-from chainbounds import metric
+from chainbounds import errors, metric
 
 TRI = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
 
@@ -388,7 +388,7 @@ def point_clouds(draw):
 @settings(max_examples=200, deadline=None)
 def test_norm_spaces_are_bitwise_and_pass_the_full_triangle_pass(pts, norm, block):
     # small blocks make construction run over many row blocks
-    with mock.patch.object(metric, "_BLOCK_ELEMENTS", block):
+    with mock.patch.object(errors, "_BLOCK_ENTRIES", block):
         space = space_from_points(pts, norm=norm)
     ref = unchunked_distances(pts, norm)
     assert np.array_equal(space.dist.view(np.int64), ref.view(np.int64))
@@ -703,7 +703,7 @@ def spectral(diff):
 
 def assert_kernel_equals_the_broadcast(pts, reduce, block):
     # a budget below one row of differences forces column blocks as well
-    with mock.patch.object(metric, "_BLOCK_ELEMENTS", block):
+    with mock.patch.object(errors, "_BLOCK_ENTRIES", block):
         d = metric._pairwise(pts, reduce)
     ref = broadcast_pairwise(pts, reduce)
     assert d.dtype == np.float64 and ref.dtype == np.float64
@@ -730,12 +730,12 @@ def test_pairwise_kernel_blocks_rows_and_columns(monkeypatch):
         return np.abs(diff).max(axis=-1)
 
     pts = np.arange(30.0).reshape(10, 3)
-    monkeypatch.setattr(metric, "_BLOCK_ELEMENTS", 12)  # 4 columns of 3 coordinates
+    monkeypatch.setattr(errors, "_BLOCK_ENTRIES", 12)  # 4 columns of 3 coordinates
     d = metric._pairwise(pts, reduce)
     assert max(r * c for r, c in seen) * 3 <= 12
     assert sum(r * c for r, c in seen) < 10 * 10  # the pairs below the diagonal are skipped
     np.testing.assert_array_equal(d, 3.0 * np.abs(np.arange(10)[:, None] - np.arange(10)))
-    monkeypatch.setattr(metric, "_BLOCK_ELEMENTS", 60)  # whole rows, two at a time
+    monkeypatch.setattr(errors, "_BLOCK_ENTRIES", 60)  # whole rows, two at a time
     seen.clear()
     metric._pairwise(pts, reduce)
     assert seen == [(2, 9), (2, 7), (2, 5), (2, 3), (2, 1)]

@@ -83,11 +83,9 @@ _README_CAPS = {
     ("metric", "MAX_POINTS"): rf"`MAX_POINTS` = {_NUMBER} points",
     ("metric", "EXACT_COVER_CAP"): rf"up to `EXACT_COVER_CAP` = {_NUMBER} points",
     ("errors", "_TABLE_BUDGET"): rf"`_TABLE_BUDGET` = {_NUMBER} entries",
+    ("errors", "_BLOCK_ENTRIES"): rf"`_BLOCK_ENTRIES` = {_NUMBER} entries",
     ("chaining", "_CACHED_POINTS"): rf"tables on at most {_NUMBER} points stay cached",
-    ("rip", "_CACHED_ENTRIES"): rf"tables of at most {_NUMBER} indices stay cached",
     ("processes", "BLOCK"): rf"`BLOCK` = {_NUMBER} replications",
-    ("rip", "_BATCH"): rf"at most `_BATCH` = {_NUMBER} blocks",
-    ("validation", "_RESAMPLE_BLOCK"): rf"`_RESAMPLE_BLOCK` = {_NUMBER},",
     ("validation", "BOOTSTRAP_RESAMPLES"): rf"`BOOTSTRAP_RESAMPLES` = {_NUMBER} resamples",
 }
 

@@ -285,7 +285,7 @@ def same_bits(a, b):
 def test_kernel_metrics_equal_the_broadcasts(cb, block):
     c, base = cb
     # small budgets run the kernel over row blocks and column blocks
-    with mock.patch.object(metric, "_BLOCK_ELEMENTS", block):
+    with mock.patch.object(errors, "_BLOCK_ENTRIES", block):
         spaces = [canonical_metric(martingale_model(c)), canonical_metric(squares_model(c, base))]
         mixed = mixed_metrics(empirical_model(c, base))
     refs = [broadcast_canonical_metric(martingale_model(c)),
@@ -538,20 +538,20 @@ def test_chaos_statistic_in_row_chunks_is_bit_identical(monkeypatch, k, m, n):
     q = (np.abs(np.einsum("kmn,rn->rkm", stack, x)) ** 2).sum(axis=2)
     one_shot = np.abs(q - means).max(axis=1)
     for rows in (1, 7, 50):  # 50, 8 and 1 chunks
-        monkeypatch.setattr(errors, "_TABLE_BUDGET", rows * k * m)
+        monkeypatch.setattr(errors, "_BLOCK_ENTRIES", rows * k * m)
         assert processes._chaos_sup(x, stack, 1.0).tobytes() == one_shot.tobytes()
-    monkeypatch.setattr(errors, "_TABLE_BUDGET", k * m - 1)  # still one row at a time
+    monkeypatch.setattr(errors, "_BLOCK_ENTRIES", k * m - 1)  # still one row at a time
     assert processes._chaos_sup(x, stack, 1.0).tobytes() == one_shot.tobytes()
 
 
 def test_simulate_chaos_on_a_tall_matrix_stays_within_the_budget(monkeypatch):
     # One block of 1024 replications against a 20000 x 8 matrix held a
-    # (1024, 1, 20000) complex table, 328 MB; chunks of budget // 20000 rows
-    # keep it at the budget.
+    # (1024, 1, 20000) complex table, 328 MB; a 20000-entry row passes
+    # _BLOCK_ENTRIES // 2, so the rows go through one at a time.
     tall = np.random.default_rng(3).normal(size=(20000, 8))
+    assert 20000 > errors._BLOCK_ENTRIES // 2
     xi = RowDistribution("rademacher")
     simulate_chaos([tall[:4]], xi, 10, 1)  # warm up imports and caches
-    monkeypatch.setattr(errors, "_TABLE_BUDGET", 1 << 17)
     tracemalloc.start()
     try:
         sample = simulate_chaos([tall], xi, 10, 1)
@@ -560,8 +560,8 @@ def test_simulate_chaos_on_a_tall_matrix_stays_within_the_budget(monkeypatch):
         tracemalloc.stop()
     assert peak < 16 * 2**20 and sample.replications == 10
     family = list(tall[:2100].reshape(3, 700, 8))
-    chunked = simulate_chaos(family, xi, 1500, 2).values
-    monkeypatch.undo()
+    chunked = simulate_chaos(family, xi, 1500, 2).values  # 15 rows of 2100 entries at a time
+    monkeypatch.setattr(errors, "_BLOCK_ENTRIES", errors._TABLE_BUDGET)  # a whole block of rows
     assert chunked.tobytes() == simulate_chaos(family, xi, 1500, 2).values.tobytes()
 
 

@@ -49,12 +49,12 @@ def test_dft_rejects_bad_size():
 def test_dft_past_the_table_budget_is_refused_before_it_is_built(monkeypatch, tmp_path, capsys):
     # N^2 > _TABLE_BUDGET: build_dft, and rip exact, whose flatness K reads all
     # N^2 entries, stop at once.  rip curve builds no N x N table: its largest
-    # is the class table, the N s translates of one class or one eigvalsh
-    # stack of class blocks, here 135 entries for C(6, 2) classes of 3 at N = 7.
-    monkeypatch.setattr(errors, "_TABLE_BUDGET", 48)
+    # is the class table or the N s translates of one class, here the class
+    # table of 45 entries for C(6, 2) classes of 3 at N = 7.
+    monkeypatch.setattr(errors, "_TABLE_BUDGET", 44)
     with monkeypatch.context() as patched:
         patched.setattr(np, "outer", lambda *args: pytest.fail("built the matrix"))
-        with pytest.raises(CapacityError, match=r"N = 7, an N\^2 table of 49 entries, .* 48$"):
+        with pytest.raises(CapacityError, match=r"N = 7, an N\^2 table of 49 entries, .* 44$"):
             build_dft(7)
         assert main(["rip", "exact", "--N", "7", "--m", "3", "--s", "1", "--seed", "0",
                      "--out", str(tmp_path)]) == 2
@@ -62,12 +62,12 @@ def test_dft_past_the_table_budget_is_refused_before_it_is_built(monkeypatch, tm
         curve = ["rip", "curve", "--N", "7", "--delta", "0.5", "--m-list", "3", "--seed", "0",
                  "--out", str(tmp_path)]
         assert main(curve + ["--s", "3"]) == 2
-        assert ("C(6, 2) supports of 3 indices holding 0, a table of 135 entries, above the "
-                "budget of 48") in capsys.readouterr().err
+        assert ("C(6, 2) supports of 3 indices holding 0, a table of 45 entries, above the "
+                "budget of 44") in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
     monkeypatch.setattr(rip, "build_dft", lambda *args: pytest.fail("built the matrix"))
     monkeypatch.setattr(rip, "_gram", lambda *args: pytest.fail("built a Gram"))
-    for s in ("1", "2"):  # 7 and max(2 C(6, 1), 2 7, 4 C(6, 1)) = 24 entries
+    for s in ("1", "2"):  # 7 and max(2 C(6, 1), 2 7) = 14 entries
         assert main(curve + ["--s", s]) == 0
 
 
@@ -408,33 +408,33 @@ def test_s1_ties_count_like_the_loop(N, m, seed):
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_support_chunk_boundaries(monkeypatch, offset):
-    # C(8, 2) = 28 supports; _BATCH one below, at and above the table size
-    monkeypatch.setattr(rip, "_BATCH", 28 + offset)
+    # C(8, 2) = 28 supports of 2 x 2 blocks; stacks one below, at and above the table size
+    monkeypatch.setattr(errors, "_BLOCK_ENTRIES", 4 * (28 + offset))
     A = np.random.default_rng(5).normal(size=(6, 8))
     assert restricted_isometry_constant(A, 2).witness_support == reference_delta(A, 2)[1]
     assert restricted_isometry_constant(A, 2).delta_s == reference_delta(A, 2)[0]
     assert_same_estimate(8, 4, 2, 5, 11)
-    # the DFT path's class and column stacks: N = 32 translates per class pass _BATCH
+    # the DFT path's class and column stacks: N = 32 translates per class pass a block
     for s in (3, 4):
         assert_dft_instance_matches(32, 16, s, 7)
     assert estimate_failure_probability(16, 8, 2, 0.5, 200, 12345)["failures"] == 164
 
 
-@pytest.mark.parametrize("batch, reps", [(56, 1), (56, 2), (56, 3), (56, 6), (56, 7), (56, 8),
+@pytest.mark.parametrize("block, reps", [(56, 1), (56, 2), (56, 3), (56, 6), (56, 7), (56, 8),
                                          (56, 15), (84, 5), (84, 6), (84, 7), (84, 9), (84, 10),
                                          (84, 11)])
-def test_replication_chunk_boundaries(monkeypatch, batch, reps):
-    # _BATCH // max(N, C) replications per chunk, with N = 8 rows and C = 4
-    # classes of size-2 supports: 7 at batch 56 and 10 at batch 84, with
+def test_replication_chunk_boundaries(monkeypatch, block, reps):
+    # block // max(N, C) replications per chunk, with N = 8 rows and C = 4
+    # classes of size-2 supports: 7 at block 56 and 10 at block 84, with
     # reps on both sides of each
-    monkeypatch.setattr(rip, "_BATCH", batch)
+    monkeypatch.setattr(errors, "_BLOCK_ENTRIES", block)
     assert len(rip._classes(8, 2)) == 4
     assert_same_estimate(8, 3, 2, reps, 4)
     chunks, failures = [], rip._circulant_failures
     monkeypatch.setattr(rip, "_circulant_failures",
                         lambda keep, *args: chunks.append(len(keep)) or failures(keep, *args))
     estimate_failure_probability(8, 3, 2, 0.5, reps, 4)
-    per_chunk = batch // 8
+    per_chunk = block // 8
     assert chunks == [min(per_chunk, reps - lo) for lo in range(0, reps, per_chunk)]
 
 
@@ -446,11 +446,11 @@ def test_failure_probability_rejects_before_any_draw(monkeypatch):
         estimate_failure_probability(N=30, m=10, s=15, delta=0.5, reps=3, seed=0)
     with pytest.raises(DomainError):
         estimate_failure_probability(N=8, m=4, s=9, delta=0.5, reps=3, seed=0)
-    # the stack of the C(7, 1) class blocks of 2 x 2 passes 27
-    monkeypatch.setattr(errors, "_TABLE_BUDGET", 27)
+    # the N s = 16 translates of one class of 2 pass 15
+    monkeypatch.setattr(errors, "_TABLE_BUDGET", 15)
     with pytest.raises(CapacityError, match=r"^support enumeration refused: C\(7, 1\) supports of "
-                                            r"2 indices holding 0, a table of 28 entries, above "
-                                            r"the budget of 27$"):
+                                            r"2 indices holding 0, a table of 16 entries, above "
+                                            r"the budget of 15$"):
         estimate_failure_probability(N=8, m=4, s=2, delta=0.5, reps=3, seed=0)
     assert draws == []
 
@@ -471,9 +471,9 @@ def test_only_small_support_tables_stay_cached(monkeypatch):
     for N, s in ((32, 3), (16, 2)):
         assert rip._classes(N, s) is rip._classes(N, s)
         assert rip._supports(N, s) is rip._supports(N, s)
-    monkeypatch.setattr(rip, "_CACHED_ENTRIES", math.comb(7, 3) * 3)
+    monkeypatch.setattr(errors, "_BLOCK_ENTRIES", math.comb(7, 3) * 3)
     assert rip._supports(7, 3) is rip._supports(7, 3)
-    monkeypatch.setattr(rip, "_CACHED_ENTRIES", math.comb(7, 3) * 3 - 1)
+    monkeypatch.setattr(errors, "_BLOCK_ENTRIES", math.comb(7, 3) * 3 - 1)
     table = rip._supports(7, 3)
     assert rip._supports(7, 3) is not table
     assert np.array_equal(rip._supports(7, 3), table) and not table.flags.writeable

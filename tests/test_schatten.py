@@ -13,6 +13,7 @@ from chainbounds import (
     CapacityError,
     DomainError,
     matrix_set_space,
+    errors,
     metric,
     schatten_norm,
     schatten_radii,
@@ -103,7 +104,7 @@ def matrix_families(draw):
 @settings(max_examples=150, deadline=None)
 def test_matrix_set_space_equals_the_per_pair_loop(mats, block):
     # small budgets run the kernel over row blocks and column blocks
-    with mock.patch.object(metric, "_BLOCK_ELEMENTS", block):
+    with mock.patch.object(errors, "_BLOCK_ENTRIES", block):
         space = matrix_set_space(mats)
     ref = per_pair_operator_distances(mats)
     assert np.array_equal(space.dist.view(np.int64), ref.view(np.int64))

@@ -1,9 +1,10 @@
-"""One size rule, errors._TABLE_BUDGET, for every exhaustive table.
+"""One size rule, errors._TABLE_BUDGET, for every exhaustive table, and one
+block rule, errors.block_step, for every blocked loop.
 
 Each table below is admitted when the budget equals its entry count, and
 refused one entry below it, at once and before the table is built.  The
 gamma searches' auto mode reads the same count: exact exactly where the
-search is admitted.
+search is admitted.  No blocked loop's output depends on its block.
 """
 
 import json
@@ -17,9 +18,11 @@ import pytest
 from chainbounds import (
     CapacityError,
     RowDistribution,
+    SupremumSample,
     build_dft,
     empirical_model,
     estimate_failure_probability,
+    estimate_moments,
     exact_chaos_distribution,
     exact_empirical_distribution,
     exact_martingale_distribution,
@@ -27,13 +30,15 @@ from chainbounds import (
     gamma_greedy,
     gamma_prime,
     martingale_model,
+    matrix_set_space,
     restricted_isometry_constant,
     schatten_radii,
     sign_patterns,
+    simulate_chaos,
     space_from_points,
     subsampled_instance,
 )
-from chainbounds import chaining, errors, processes, rip
+from chainbounds import chaining, errors, metric, processes, rip
 from chainbounds.cli import main
 
 
@@ -75,15 +80,14 @@ _TABLES = {
     "decoupled chaos law": (lambda: exact_chaos_distribution(list(_normal(3, 2, 3)), True),
                             3 * 4**3, [(processes, "sign_patterns")]),
     "build_dft": (lambda: build_dft(6), 6 * 6, [(np, "arange"), (np, "outer")]),
-    # C(22, 5) supports of 5 indices: more than the 22 x 22 Gram and than one
-    # eigvalsh stack of _BATCH 5 x 5 blocks
+    # C(22, 5) supports of 5 indices: more than the 22 x 22 Gram
     "RIP constant": (lambda: restricted_isometry_constant(_normal(4, 22), 5), 26334 * 5,
                      _SUPPORT_BUILDERS),
-    # The DFT path: one eigvalsh stack of the C(21, 4) = 5985 class blocks, at
-    # most _BATCH of them, of 5 x 5 each, more than the class table
-    "RIP constant, DFT": (lambda: subsampled_instance(22, 11, 0).delta(5), 4096 * 25,
+    # The DFT path: the table of the C(21, 4) = 5985 classes of 5, more than
+    # the 22 x 5 translates of one class
+    "RIP constant, DFT": (lambda: subsampled_instance(22, 11, 0).delta(5), 5985 * 5,
                           _CLASS_BUILDERS),
-    "RIP curve, DFT": (lambda: estimate_failure_probability(22, 11, 5, 0.9, 1, 0), 4096 * 25,
+    "RIP curve, DFT": (lambda: estimate_failure_probability(22, 11, 5, 0.9, 1, 0), 5985 * 5,
                        _CLASS_BUILDERS + [(rip, "_replication_streams")]),
 }
 
@@ -161,6 +165,40 @@ def test_the_class_count_bounds_every_table_the_dft_path_builds(monkeypatch, N, 
         for delta in (0.0, 0.5):
             estimate_failure_probability(N, m, s, delta, 3 * errors._TABLE_BUDGET // N + 1, 1)
     assert built and max(built) <= errors._TABLE_BUDGET
+
+
+def _blocked_loop_outputs() -> list:
+    """What each blocked loop computes, as bytes or exact reprs."""
+    rng = np.random.default_rng(11)
+    points = rng.normal(size=(9, 2))
+    mats = list(rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2)))
+    d = space_from_points(points, "l1").dist
+    bad = d.copy()
+    bad[0, 1] = bad[1, 0] = 3.0 * d.max()  # a triangle violation
+    chaos = simulate_chaos([rng.normal(size=(3, 4))], RowDistribution("rademacher"), 40, 5)
+    small = SupremumSample(replications=3, seed=4, values=np.array([0.5, 2.0, 1.25]))
+    supplied = restricted_isometry_constant(rng.normal(size=(5, 8)), 3)
+    inst = subsampled_instance(12, 6, 3)
+    dft = inst.delta(3)
+    return [
+        chaos.values.tobytes(),  # _chaos_sup
+        space_from_points(points).dist.tobytes(), matrix_set_space(mats).dist.tobytes(),
+        [metric._neighbours_certify_triangle(x, 1e-12) for x in (d, bad)],
+        repr(estimate_moments(chaos, [1.0, 3.0])), repr(estimate_moments(small, [2.0])),
+        repr((supplied.delta_s, supplied.witness_support)),  # _stacked_deltas
+        supplied.witness_direction.tobytes(),
+        repr((inst.K, dft.delta_s, dft.witness_support)),  # _dft_flatness, _kernel_reruns
+        repr(estimate_failure_probability(12, 6, 3, dft.delta_s, 20, 3)),
+        repr(estimate_failure_probability(12, 6, 2, 0.5, 20, 3)),
+    ]
+
+
+def test_every_blocked_loop_gives_the_same_bytes_whatever_its_block(monkeypatch):
+    outputs = []
+    for block in (1, 7, errors._BLOCK_ENTRIES):
+        monkeypatch.setattr(errors, "_BLOCK_ENTRIES", block)
+        outputs.append(_blocked_loop_outputs())
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def _auto_gamma(capsys, space_file, out, p, prime):

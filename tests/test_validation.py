@@ -223,7 +223,7 @@ def test_block_bootstrap_equals_the_per_resample_loop(monkeypatch, n, resamples)
 @pytest.mark.parametrize("block", [5, 6, 7, 64])
 def test_block_bootstrap_boundaries(monkeypatch, block):
     # 6-point samples: 0, 1, 1 and 10 resamples per draw, 37 resamples in all
-    monkeypatch.setattr(validation, "_RESAMPLE_BLOCK", block)
+    monkeypatch.setattr(errors, "_BLOCK_ENTRIES", block)
     monkeypatch.setattr(validation, "BOOTSTRAP_RESAMPLES", 37)
     sample = _sample([0.5, 1.0, 1.5, 2.0, 4.0, 0.25], seed=9)
     columns, boot, estimates = reference_bootstrap(sample, [1.0, 3.0], 37)
