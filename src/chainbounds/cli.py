@@ -46,7 +46,7 @@ from .chaining import (
     gamma_prime,
     truncation_level,
 )
-from .errors import DomainError, check_int, check_real, power_reduce
+from .errors import DomainError, check_int, check_keys, check_real, power_reduce
 from .metric import covering_number, covering_profile, entropy_integral
 from .orlicz import OrliczNorm, psi_norm_analytic, psi_norm_empirical
 from .processes import (
@@ -146,14 +146,6 @@ def _require_seed(seed) -> int:
     if seed is None:
         raise DomainError("a --seed (or config seed) is mandatory for stochastic commands")
     return _check_seed(seed)
-
-
-def _check_keys(what: str, obj: dict, readable) -> None:
-    """DomainError naming each key of obj that nothing reads, with those that are read."""
-    unread = sorted(set(obj) - set(readable))
-    if unread:
-        raise DomainError(f"{what} has unread key{'s' * (len(unread) > 1)} {str(unread)[1:-1]}; "
-                          f"it reads {str(sorted(readable))[1:-1] or 'none'}")
 
 
 # ---------------------------------------------------------------- gamma
@@ -256,7 +248,7 @@ def _cmd_orlicz(args) -> int:
 def _gamma_param(obj, what: str) -> GammaEstimate:
     if not isinstance(obj, dict) or "value" not in obj or "alpha" not in obj:
         raise DomainError(f'{what} must be an object with "alpha", "value", optional "p"')
-    _check_keys(what, obj, ("alpha", "value", "p"))
+    check_keys(what, obj, ("alpha", "value", "p"))
     p = check_real(f"{what}.p", obj.get("p", 1.0), 1.0)
     return GammaEstimate(
         alpha=check_real(f"{what}.alpha", obj["alpha"], 0.0, strict=True),
@@ -271,7 +263,7 @@ def _gamma_param(obj, what: str) -> GammaEstimate:
 def _orlicz_param(obj, what: str) -> OrliczNorm:
     if not isinstance(obj, dict) or "value" not in obj:
         raise DomainError(f'{what} must be an object with "value" and optional "alpha"')
-    _check_keys(what, obj, ("alpha", "value"))
+    check_keys(what, obj, ("alpha", "value"))
     return OrliczNorm(
         alpha=check_real(f"{what}.alpha", obj.get("alpha", 2.0), 0.0, strict=True),
         value=check_real(f"{what}.value", obj["value"], 0.0),
@@ -357,7 +349,7 @@ def _build_bound(name: str, params: dict, reg: ConstantRegistry):
         raise DomainError(f"bound name must be a string, got {name!r}")
     if name not in _BOUND_KEYS:
         raise DomainError(f"unknown bound name {name!r}")
-    _check_keys(f"bound {name!r} params", params, _BOUND_KEYS[name])
+    check_keys(f"bound {name!r} params", params, _BOUND_KEYS[name])
     if name in _DIRECT_BOUNDS:
         return _call_with_params(_DIRECT_BOUNDS[name], params, reg)
     if name == "union-constant":
@@ -432,7 +424,7 @@ def _object(name: str, value) -> dict:
 def _row(what: str, value) -> RowDistribution:
     """The row distribution a model's base or xi object configures."""
     spec = _object(what, value)
-    _check_keys(what, spec, ("name", "scale"))
+    check_keys(what, spec, ("name", "scale"))
     return RowDistribution(name=spec.get("name", "rademacher"),
                            scale=check_real(f"{what}.scale", spec.get("scale", 1.0), -math.inf))
 
@@ -445,16 +437,16 @@ def _run_model(spec: dict, reps: int, seed: int):
     what = f"model {kind!r}"
     labels = spec.get("labels")
     if kind == "gaussian":
-        _check_keys(what, spec, ("kind", "labels", "covariance", "base_point"))
+        check_keys(what, spec, ("kind", "labels", "covariance", "base_point"))
         model = gaussian_model(spec["covariance"], labels=labels)
         return simulate_gaussian(model, reps, seed, base_point=spec.get("base_point", 0))
     if kind == "martingale-family":
-        _check_keys(what, spec, ("kind", "labels", "coefficients", "step_bounds"))
+        check_keys(what, spec, ("kind", "labels", "coefficients", "step_bounds"))
         model = martingale_model(spec["coefficients"], labels=labels,
                                  step_bounds=spec.get("step_bounds"))
         return simulate_martingale_family(model, reps, seed)
     if kind in ("empirical", "squares"):
-        _check_keys(what, spec, ("kind", "labels", "coefficients", "base"))
+        check_keys(what, spec, ("kind", "labels", "coefficients", "base"))
         base = _row("base", spec.get("base", {}))
         builder, simulate = (
             (empirical_model, simulate_empirical)
@@ -464,7 +456,7 @@ def _run_model(spec: dict, reps: int, seed: int):
         model = builder(spec["coefficients"], base, labels=labels)
         return simulate(model, model.coefficients.shape[1], reps, seed)
     if kind == "chaos":
-        _check_keys(what, spec, ("kind", "matrices", "xi", "decoupled"))
+        check_keys(what, spec, ("kind", "matrices", "xi", "decoupled"))
         mats = _matrices(spec["matrices"])
         xi = _row("xi", spec.get("xi", {}))
         decoupled = spec.get("decoupled", False)
@@ -507,32 +499,41 @@ def _sample_summary(sample) -> dict:
             "max": float(sample.values.max())}
 
 
+_SIMULATE_KEYS = ("model", "reps", "seed", "fit")  # the keys every simulate config may hold
+
+
 def _cmd_simulate(args) -> int:
     config = load_json(args.config)
     if not isinstance(config, dict):
         raise DomainError("simulate config must be a JSON object")
-    _check_keys("simulate config", config,
-                ("model", "reps", "seed", "fit", "bound", "u_grid", "p_list"))
+    check_keys("simulate config", config, (*_SIMULATE_KEYS, "bound", "u_grid", "p_list"))
     seed = _require_seed(args.seed if args.seed is not None else config.get("seed"))
     reps = args.reps if args.reps is not None else config.get("reps", 0)
     reps = check_int("reps (config or --reps)", reps, 1)
     reg, fit = _registry(args, inline=_object("fit", config.get("fit", {})))
     spec = config["model"]
     # The bound is built, and every u_grid entry checked against it, or the
-    # moment orders read, before the model runs: a faulty one costs no simulation.
+    # moment orders read, before the model runs: a faulty one costs no
+    # simulation.  u_grid is read only with a tail bound and p_list only
+    # without a bound; either key elsewhere is refused, since it enters the hash.
+    u_grid = None
     if "bound" in config:
         bound_spec = _object("bound", config["bound"])
-        _check_keys("bound", bound_spec, ("name", "params"))
+        check_keys("bound", bound_spec, ("name", "params"))
         params = _object("bound.params", bound_spec.get("params", {}))
         bound = _build_bound(bound_spec["name"], params, reg)
         if not isinstance(bound, (TailBound, MomentBound)):
             raise DomainError(f"bound {bound_spec['name']!r} is not validatable")
-        u_grid = config.get("u_grid")
         if isinstance(bound, TailBound):
-            if u_grid is None:
+            check_keys("simulate config with a tail bound", config,
+                       (*_SIMULATE_KEYS, "bound", "u_grid"))
+            if "u_grid" not in config:
                 raise DomainError("tail-bound validation needs a u_grid in the config")
-            u_grid = _checked_grid(bound, u_grid)
+            u_grid = _checked_grid(bound, config["u_grid"])
+        else:
+            check_keys("simulate config with a moment bound", config, (*_SIMULATE_KEYS, "bound"))
     else:
+        check_keys("simulate config without a bound", config, (*_SIMULATE_KEYS, "p_list"))
         p_list = _moment_orders(config.get("p_list", [1.0]))
     sample = _run_model(spec, reps, seed)
     payload: dict = {
@@ -551,7 +552,8 @@ def _cmd_simulate(args) -> int:
     else:
         ests = estimate_moments(sample, p_list)
         payload["moments"] = [
-            {"p": e.p, "estimate": e.estimate, "ci_low": e.ci_low, "ci_high": e.ci_high}
+            {"p": e.p, "estimate": e.estimate, "ci_low": e.ci_low, "ci_high": e.ci_high,
+             "method": e.method}
             for e in ests
         ]
         lines += [f"p={e.p:g} estimate={e.estimate:.6g} ci=[{e.ci_low:.6g}, {e.ci_high:.6g}]"

@@ -6,8 +6,9 @@ validators below are shared by every module: check_int, check_number and
 check_real for a count, a seed, an order or a scale, and check_array for
 every array a caller hands in (a coefficient matrix, a covariance, a matrix
 family, a sample), metric spaces excepted, whose checks name entries by
-their role; _check_indices reads an index list through it, and check_labels
-reads the point labels of a metric space or a process model.
+their role; _check_indices reads an index list through it, check_labels
+reads the point labels of a metric space or a process model, and check_keys
+refuses a key of a JSON input that nothing reads.
 """
 
 import math
@@ -159,6 +160,15 @@ def check_array(name: str, values, ndim: int | None, *, square: bool = False,
         rule = "finite and >= 0" if nonnegative else "finite"
         raise error(f"{name} must be {rule}, got {arr[tuple(index)]} at entry {index}")
     return arr
+
+
+def check_keys(what: str, obj: dict, readable) -> None:
+    """DomainError naming each key of the JSON object obj, described by what,
+    that nothing reads, with the keys that are read."""
+    unread = sorted(set(obj) - set(readable))
+    if unread:
+        raise DomainError(f"{what} has unread key{'s' * (len(unread) > 1)} {str(unread)[1:-1]}; "
+                          f"it reads {str(sorted(readable))[1:-1] or 'none'}")
 
 
 def check_labels(labels, error: type[ChainboundsError]) -> tuple:

@@ -83,6 +83,10 @@ UNIFORM_PSI1_R = 1.2564312086261697
 UNIFORM_PSI2_R = 1.294150272770753
 SEED_MAX = 2**64 - 1  # Philox keys are 64-bit
 BLOCK = 1024  # replications per stream; bounds the size of each block's temporaries
+# A simulated value may pass its model's bound by this much, relative to the
+# size of the terms its statistic sums: far above the rounding of any sum of
+# fewer than 10^6 terms, far below any error in the bound itself.
+_BOUND_SLACK = 1e-9
 
 
 def replication_rng(seed: int, rep: int) -> np.random.Generator:
@@ -122,14 +126,15 @@ def _replication_streams(seed: int):
     return at
 
 
-def _simulate(reps: int, seed: int, draw, stat, *, base_point=None):
+def _simulate(reps: int, seed: int, draw, stat, *, base_point=None, value_bound=None):
     """The SupremumSample of reps replications: checks reps and seed, draws by block.
 
     draw(rng) returns the BLOCK driver rows of a block, shape (BLOCK, dim).
     stat maps them to one supremum value per row.  The final block keeps
     only the rows it needs.  Replication r is row r mod BLOCK of block
     r // BLOCK, whose rows are drawn from replication_rng(seed, block), so a
-    shorter run is a prefix of a longer one.
+    shorter run is a prefix of a longer one.  value_bound is the model's
+    almost-sure bound on every value (see _value_bound), or None.
     """
     reps, seed = check_int("reps", reps, 1), _check_seed(seed)
     parts = []
@@ -138,7 +143,31 @@ def _simulate(reps: int, seed: int, draw, stat, *, base_point=None):
         parts.append(stat(z)[: reps - start])
     values = np.concatenate(parts)
     values.setflags(write=False)  # so that SupremumSample keeps it without a copy
-    return SupremumSample(replications=reps, seed=seed, values=values, base_point=base_point)
+    return SupremumSample(replications=reps, seed=seed, values=values, base_point=base_point,
+                          value_bound=value_bound)
+
+
+def _value_bound(bound: float, size: float | None = None) -> float | None:
+    """A model's almost-sure bound on its supremum statistic, as a sample declares it.
+
+    bound is the bound in exact arithmetic.  The float statistic may pass it
+    by its rounding, so the declared bound adds _BOUND_SLACK times size, the
+    magnitude of the terms the statistic sums (bound itself by default).  A
+    bound past the float range declares none.
+    """
+    declared = bound + _BOUND_SLACK * (bound if size is None else size)
+    return declared if math.isfinite(declared) else None
+
+
+def _driver_bound(base: RowDistribution) -> float | None:
+    """max |z| over the draws of base: |scale|, or None for the unbounded Gaussian."""
+    return None if base.name == "gaussian" else abs(base.scale)
+
+
+def _largest_row_sum(a: np.ndarray) -> float:
+    """max over rows of the sum of the row's entries (>= 0); inf past the float range."""
+    with np.errstate(over="ignore"):
+        return float(a.sum(axis=1).max())
 
 
 @dataclass(frozen=True)
@@ -401,12 +430,18 @@ def _resolve_point(labels: tuple, point) -> int:
 
 @dataclass(frozen=True)
 class SupremumSample:
-    """Per-replication supremum draws from one seeded simulation."""
+    """Per-replication supremum draws from one seeded simulation.
+
+    value_bound, when not None, is an almost-sure upper bound on every value
+    that the simulator derived from its model, rounding slack included; a
+    value above it is refused, so a wrong bound fails loudly.
+    """
 
     replications: int
     seed: int
     values: np.ndarray
     base_point: object | None = None
+    value_bound: float | None = None
 
     def __post_init__(self):
         vals = check_array("values", self.values, 1, nonnegative=True, empty_ok=True,
@@ -414,6 +449,13 @@ class SupremumSample:
         if vals.shape[0] != self.replications:
             raise ModelError(f"values must have one entry per replication ({self.replications}), "
                              f"got {vals.shape[0]}")
+        if self.value_bound is not None:
+            bound = check_real("value_bound", self.value_bound, 0.0)
+            if vals.size and vals.max() > bound:
+                i = int(np.argmax(vals))
+                raise ModelError(f"values must be <= the model's bound {bound!r}, "
+                                 f"got {float(vals[i])!r} at entry [{i}]")
+            object.__setattr__(self, "value_bound", bound)
         object.__setattr__(self, "values", _frozen(vals))
 
 
@@ -464,6 +506,7 @@ def simulate_martingale_family(model: ProcessModel, reps: int, seed: int) -> Sup
         seed,
         lambda rng: 2.0 * rng.integers(0, 2, (BLOCK, n_steps)) - 1.0,
         lambda eps: _martingale_sup(eps, c),
+        value_bound=_value_bound(_largest_row_sum(np.abs(c))),  # max_t sum_k |c_tk|
     )
 
 
@@ -486,11 +529,14 @@ def simulate_empirical(model: ProcessModel, m: int, reps: int, seed: int) -> Sup
     """sup_t |(1/m) sum_i (X_{t_i} - E X_{t_i})| draws."""
     m = _summand_count(model, "empirical", m)
     mu = model.base.mean()
+    a = _driver_bound(model.base)  # |z - mu| <= |scale|: a constant base has z - mu = 0
     return _simulate(
         reps,
         seed,
         lambda rng: model.base.sample(rng, (BLOCK, m)),
         lambda z: _empirical_sup(z, mu, model.coefficients),
+        value_bound=None if a is None else _value_bound(
+            a * _largest_row_sum(np.abs(model.coefficients)) / m),
     )
 
 
@@ -509,7 +555,17 @@ def simulate_squares(model: ProcessModel, m: int, reps: int, seed: int) -> Supre
         sq_mean = (z**2) @ c2.T / m  # (BLOCK, points): sum_i c2[t, i] z_i^2 / m
         return np.abs(sq_mean - s2 * c2.mean(axis=1)).max(axis=1)
 
-    return _simulate(reps, seed, lambda rng: model.base.sample(rng, (BLOCK, m)), stat)
+    bound = None
+    a = _driver_bound(model.base)
+    if a is not None:
+        # z^2 lies in [0, a^2] (uniform) or is a^2 (signs, constants), so
+        # |z^2 - s2| <= max(a^2 - s2, s2 - min z^2); 0 for signs and constants.
+        a2 = square(a)
+        spread = max(a2 - s2, s2 - (0.0 if model.base.name == "uniform" else a2))
+        weight = _largest_row_sum(c2) / m  # max_t (1/m) sum_i c_ti^2
+        bound = _value_bound(weight * spread, weight * (a2 + s2))
+    return _simulate(reps, seed, lambda rng: model.base.sample(rng, (BLOCK, m)), stat,
+                     value_bound=bound)
 
 
 def simulate_squares_increment(
@@ -519,12 +575,15 @@ def simulate_squares_increment(
     m = _summand_count(model, "squares", m)
     i, j = _resolve_point(model.labels, s), _resolve_point(model.labels, t)
     dc = model.coefficients[j] - model.coefficients[i]
+    a = _driver_bound(model.base)  # the draws are at most a * (mean_i dc_i^2)^(1/2)
     return _simulate(
         reps,
         seed,
         lambda rng: model.base.sample(rng, (BLOCK, m)),
         lambda z: np.sqrt(((dc * z) ** 2).mean(axis=1)),
         base_point=model.labels[i],
+        value_bound=None if a is None else _value_bound(
+            a * float(power_reduce(lambda v: np.sqrt((v**2).mean(axis=-1)), dc))),
     )
 
 
@@ -542,6 +601,7 @@ def simulate_chaos(
     if xi.mean() != 0.0:
         raise ModelError("chaos components must be mean-zero")
     n = stack.shape[2]
+    bound = _chaos_bound(stack, xi)
     if decoupled:
         grams = _grams(stack)
 
@@ -550,10 +610,27 @@ def simulate_chaos(
             # (x @ grams)[k, r, j] = sum_i x_ri G_kij
             return np.abs(((x @ grams) * y).sum(axis=2)).max(axis=0)
 
-        return _simulate(reps, seed, lambda rng: xi.sample(rng, (BLOCK, 2 * n)), stat)
+        return _simulate(reps, seed, lambda rng: xi.sample(rng, (BLOCK, 2 * n)), stat,
+                         value_bound=bound)
     s2 = xi.second_moment()
     return _simulate(reps, seed, lambda rng: xi.sample(rng, (BLOCK, n)),
-                     lambda x: _chaos_sup(x, stack, s2))
+                     lambda x: _chaos_sup(x, stack, s2), value_bound=bound)
+
+
+def _chaos_bound(stack: np.ndarray, xi: RowDistribution) -> float | None:
+    """n a^2 max_A ||A||_op^2 for components |xi_i| <= a: an almost-sure
+    bound on both chaos statistics, or None for Gaussian components.
+
+    Plain: ||A x||^2 <= ||A||_op^2 ||x||^2 <= n a^2 ||A||_op^2 and the
+    centring term s2 ||A||_F^2 <= a^2 rank(A) ||A||_op^2 both lie in
+    [0, n a^2 ||A||_op^2], and so does the modulus of their difference.
+    Decoupled: |x . (A^H A) y| <= ||A x|| ||A y|| <= n a^2 ||A||_op^2.
+    """
+    a = _driver_bound(xi)
+    if a is None:
+        return None
+    op = float(np.linalg.svd(stack, compute_uv=False).max())
+    return _value_bound(stack.shape[2] * square(a) * square(op))
 
 
 def _grams(stack: np.ndarray) -> np.ndarray:

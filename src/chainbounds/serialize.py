@@ -18,7 +18,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_keys
 from .metric import FiniteMetricSpace, build_metric_space, space_from_points
 
 __all__ = [
@@ -154,12 +154,16 @@ def matrix_from_json(rows) -> np.ndarray:
 
 
 def space_from_json(obj) -> FiniteMetricSpace:
-    """{"labels", "dist"} or {"points", "norm"} to a validated space."""
+    """{"dist", "labels"} or {"points", "norm", "labels"} to a validated space;
+    a key the form does not read (a misspelt "norm", or "points" beside
+    "dist") is refused by name."""
     if not isinstance(obj, dict):
         raise DomainError("metric space JSON must be an object")
     if "dist" in obj:
+        check_keys('metric space JSON with a "dist" matrix', obj, ("dist", "labels"))
         return build_metric_space(obj["dist"], labels=obj.get("labels"))
     if "points" in obj:
+        check_keys('metric space JSON with "points"', obj, ("points", "norm", "labels"))
         return space_from_points(
             obj["points"], norm=obj.get("norm", "l2"), labels=obj.get("labels")
         )

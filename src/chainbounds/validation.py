@@ -1,14 +1,25 @@
 """Empirical validation of tail/moment bounds against simulation samples.
 
-Exceedance frequencies get one-sided Clopper-Pearson confidence bounds;
-moment estimates get percentile-bootstrap intervals.  A bound is reported
-"dominated" only when the confidence bound itself clears the envelope, and
-a fitted bound can never be labelled paper-confirmed no matter how well it
-dominates.
+Exceedance frequencies get one-sided Clopper-Pearson confidence bounds.
+Moment estimates (E sup^p)^(1/p) get one of two intervals, and each
+estimate, and each moment row, names its method:
+
+- "dkw" where the sample declares an almost-sure bound B on its values
+  (SupremumSample.value_bound, set by the simulator from its model): each
+  end integrates the one-sided DKW band of the sorted sample, with
+  Massart's constant, against d(y^p) (Anderson, 1969).  It holds at its
+  level for every sample size and takes one sort, no resampling;
+- "bootstrap" otherwise (Gaussian drivers): a percentile bootstrap, which
+  holds only asymptotically.
+
+A bound is reported "dominated" only when the confidence bound itself
+clears the envelope, and a fitted bound can never be labelled
+paper-confirmed no matter how well it dominates.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +38,12 @@ __all__ = [
 ]
 
 # The one statistical rule behind every verdict, read at call time: one-sided
-# Clopper-Pearson bounds at level CONFIDENCE on each exceedance, and a
-# percentile bootstrap of BOOTSTRAP_RESAMPLES resamples on each moment.
+# Clopper-Pearson bounds at level CONFIDENCE on each exceedance, and on each
+# moment a DKW interval whose ends are one-sided at level CONFIDENCE, or a
+# percentile bootstrap of BOOTSTRAP_RESAMPLES resamples where no bound is declared.
 BOOTSTRAP_RESAMPLES = 1000
 CONFIDENCE = 0.99
+_METHODS = ("dkw", "bootstrap")
 
 
 def _bootstrap_rng(seed: int) -> np.random.Generator:
@@ -58,15 +71,21 @@ def _bootstrap_means(columns: np.ndarray, rng: np.random.Generator, resamples: i
 
 @dataclass(frozen=True)
 class MomentEstimate:
+    """(E sup^p)^(1/p) with its interval; resamples is 0 for method "dkw"."""
+
     p: float
     estimate: float
     ci_low: float
     ci_high: float
     resamples: int
+    method: str
 
     def __post_init__(self):
+        if self.method not in _METHODS:
+            raise DomainError(f"unknown moment method {self.method!r}; expected one of "
+                              f"{_METHODS}")
         if not self.ci_low <= self.estimate <= self.ci_high:
-            raise DomainError("bootstrap interval must contain the point estimate")
+            raise DomainError("moment interval must contain the point estimate")
 
 
 def _entries(values) -> list:
@@ -93,8 +112,55 @@ def _u_grid(u_grid) -> np.ndarray:
     return grid
 
 
+def _dkw_ends(values: np.ndarray, bound: float, p_list: list) -> list[tuple[float, float]]:
+    """(lower, upper) end of (E Y^p)^(1/p) for each p, from a sample of Y in [0, bound].
+
+    E Y^p is the integral of P(Y > y) d(y^p) over [0, bound].  With
+    probability at least CONFIDENCE each, P(Y > y) <= S_n(y) + eps for
+    every y, and P(Y > y) >= S_n(y) - eps for every y, where S_n is the
+    sample's survival function and eps = sqrt(ln(1/(1 - CONFIDENCE)) / (2n))
+    (the one-sided DKW inequality with Massart's constant).  Each end
+    integrates its side of the band, clipped to [0, 1].  On the sorted
+    sample y_1 <= ... <= y_n the band is a step function, so each integral
+    is a weighted sum of the y_i^p plus, for the upper end, eps bound^p.
+    The upper end is computed on values / bound and the lower end on
+    values / max, so every power lies in [0, 1] and a large p cannot overflow.
+    """
+    y = np.sort(values)
+    n = y.size
+    eps = math.sqrt(math.log(1.0 / (1.0 - CONFIDENCE)) / (2.0 * n))
+    survival = (n - np.arange(n + 1)) / n  # S_n on [y_i, y_{i+1}), i = 0..n, y_0 = 0
+    high = np.minimum(1.0, survival + eps)
+    low = np.maximum(0.0, survival - eps)  # 0 past y_n, so the lower end never reads bound
+    top = float(y[-1]) or 1.0
+    end = bound or 1.0
+    ends = []
+    for p in p_list:
+        upper = (high[:-1] - high[1:]) @ (y / end) ** p + high[-1] * (bound / end) ** p
+        lower = (low[:-1] - low[1:]) @ (y / top) ** p
+        ends.append((top * float(lower) ** (1.0 / p), end * float(upper) ** (1.0 / p)))
+    return ends
+
+
+def _bootstrap_ends(columns: np.ndarray, top: float, seed: int, p_list: list):
+    """(lower, upper) percentile-bootstrap end of (E Y^p)^(1/p) for each p,
+    from the rows (values / top)^p of columns."""
+    boot = _bootstrap_means(columns, _bootstrap_rng(seed), BOOTSTRAP_RESAMPLES)
+    lo, hi = 100.0 * (1.0 - CONFIDENCE), 100.0 * CONFIDENCE
+    roots = [top * boot[:, j] ** (1.0 / p) for j, p in enumerate(p_list)]
+    return [(float(np.percentile(r, lo)), float(np.percentile(r, hi))) for r in roots]
+
+
 def estimate_moments(sample: SupremumSample, p_list) -> list[MomentEstimate]:
-    """(E sup^p)^(1/p) point estimates with percentile-bootstrap intervals."""
+    """(E sup^p)^(1/p) point estimates, each with an interval whose ends are
+    one-sided at level CONFIDENCE.
+
+    Where the sample declares a bound (sample.value_bound, which only the
+    simulators set, from their model), the interval comes from the DKW band
+    of the sorted sample, method "dkw"; otherwise from a percentile bootstrap
+    of BOOTSTRAP_RESAMPLES resamples, method "bootstrap".  Either interval
+    is widened, where rounding leaves it short, to hold the point estimate.
+    """
     values = sample.values
     if values.size == 0:
         raise DomainError("cannot estimate moments from an empty sample")
@@ -103,15 +169,16 @@ def estimate_moments(sample: SupremumSample, p_list) -> list[MomentEstimate]:
     # [0, 1], so a large p cannot overflow; the roots are scaled back by max.
     top = float(values.max()) or 1.0
     columns = np.stack([(values / top) ** p for p in p_list])  # one contiguous row per p
-    boot = _bootstrap_means(columns, _bootstrap_rng(sample.seed), BOOTSTRAP_RESAMPLES)
-    lo, hi = 100.0 * (1.0 - CONFIDENCE), 100.0 * CONFIDENCE
+    if sample.value_bound is None:
+        method, resamples = "bootstrap", BOOTSTRAP_RESAMPLES
+        ends = _bootstrap_ends(columns, top, sample.seed, p_list)
+    else:
+        method, resamples = "dkw", 0
+        ends = _dkw_ends(values, sample.value_bound, p_list)
     out = []
-    for j, p in enumerate(p_list):
-        root = top * boot[:, j] ** (1.0 / p)
-        est = top * float(columns[j].mean()) ** (1.0 / p)
-        ci_low = min(float(np.percentile(root, lo)), est)
-        ci_high = max(float(np.percentile(root, hi)), est)
-        out.append(MomentEstimate(p, est, ci_low, ci_high, BOOTSTRAP_RESAMPLES))
+    for p, row, (low, high) in zip(p_list, columns, ends):
+        est = top * float(row.mean()) ** (1.0 / p)
+        out.append(MomentEstimate(p, est, min(low, est), max(high, est), resamples, method))
     return out
 
 
@@ -187,7 +254,8 @@ def validate_bound(
     empirical frequency, one-sided upper confidence bound, verdict), with
     verdict "dominated" iff the upper confidence bound is <= the envelope
     and "violated" iff even the lower confidence bound exceeds it.  Moment
-    bounds are checked at their own order p against the bootstrap interval.
+    bounds are checked at their own order p against estimate_moments'
+    interval, and each moment row names its method.
     """
     values = sample.values
     n = values.size
@@ -220,6 +288,7 @@ def validate_bound(
                 "empirical": est.estimate,
                 "ci_upper": est.ci_high,
                 "verdict": _verdict(est.ci_low, est.ci_high, bound.value),
+                "method": est.method,
             }
         ]
     else:

@@ -930,10 +930,14 @@ _CHAOS_MODEL = {"kind": "chaos", "matrices": 5}
      "matrices must be a JSON list of matrices, got int"),
     (["simulate", "--config", "{chaos_model}"],
      "matrices must be a JSON list of matrices, got int"),
+    (["cover", "--space", "{misspelt_norm}", "--radius", "1"],
+     """metric space JSON with "points" has unread key 'nrom'; it reads 'labels', 'norm', """
+     "'points'"),
 ], ids=["m-list entry", "empty m-list", "u-grid entry", "empty u-grid", "cover nothing asked",
         "orlicz both", "orlicz neither", "params list", "simulate list", "simulate no kind",
         "simulate unknown kind", "simulate scalar bound", "simulate no u_grid",
-        "chaos family not a list", "bound family not a list", "simulate family not a list"])
+        "chaos family not a list", "bound family not a list", "simulate family not a list",
+        "space misspelt norm"])
 def test_config_shape_refusals_exit_two(tmp_path, capsys, argv, message):
     files = {
         "family": [_EYE],
@@ -950,6 +954,7 @@ def test_config_shape_refusals_exit_two(tmp_path, capsys, argv, message):
                         "gamma2": {"alpha": 2, "value": 1.0}, "sigma": 1.0, "u": 1.0}}},
         "chaos_params": {"matrices": 5, "xi_psi2": {"value": 1.0}, "u": 1.0},
         "chaos_model": {"model": _CHAOS_MODEL, "seed": 1, "reps": 10},
+        "misspelt_norm": {"points": [[0, 0], [1, 1], [2, 0]], "nrom": "l1"},
     }
     paths = {}
     for name, contents in files.items():
@@ -993,9 +998,12 @@ def test_chaos_reads_its_fit_and_u_grid_before_it_computes(tmp_path, capsys, mon
     ({"u_grid": []}, "tail-bound validation needs a nonempty u_grid"),
     ({"u_grid": [1.0, "2"]}, "u_grid entry must be a real number, got '2'"),
     ({"bound": {"name": "gaussian", "params": {}}}, "missing config field 'gamma2'"),
-    ({"bound": None, "p_list": [2.0, True]}, "moment order p must be a real number, got True"),
-    ({"bound": None, "p_list": [0.5]}, "moment order p must be finite and >= 1, got 0.5"),
-    ({"bound": None, "p_list": []}, "moment orders need a nonempty p_list"),
+    ({"bound": None, "u_grid": None, "p_list": [2.0, True]},
+     "moment order p must be a real number, got True"),
+    ({"bound": None, "u_grid": None, "p_list": [0.5]},
+     "moment order p must be finite and >= 1, got 0.5"),
+    ({"bound": None, "u_grid": None, "p_list": []},
+     "moment orders need a nonempty p_list"),
     ({"fit": [1]}, "fit must be a JSON object, got [1]"),
     ({"bound": 3}, "bound must be a JSON object, got 3"),
     ({"bound": {"name": "azuma", "params": [1]}}, "bound.params must be a JSON object, got [1]"),
@@ -1118,6 +1126,9 @@ def test_a_command_whose_report_cannot_be_written_prints_nothing(tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
+_GAUSSIAN_PARAMS = {"gamma2": {"alpha": 2, "value": 1.0}, "sigma": 1.0, "u": 1.0}
+
+
 @pytest.mark.parametrize("config, message", [
     ({"model": _GAUSSIAN, "reps": 20, "seed": 3, "p-list": [2.0, 4.0]},
      "simulate config has unread key 'p-list'; it reads 'bound', 'fit', 'model', 'p_list', "
@@ -1125,10 +1136,26 @@ def test_a_command_whose_report_cannot_be_written_prints_nothing(tmp_path, capsy
     ({"model": _GAUSSIAN, "reps": 20, "seed": 3, "u_grid": [1.0],
       "bound": {"name": "gaussian", "prams": {"gamma2": {"alpha": 2, "value": 1}}}},
      "bound has unread key 'prams'; it reads 'name', 'params'"),
-], ids=["p-list", "bound prams"])
-def test_simulate_refuses_a_config_key_it_does_not_read(tmp_path, capsys, config, message):
-    # such a key was ignored: the moments were estimated at p = 1, or the
-    # bound was built from no params
+    ({"model": _GAUSSIAN, "reps": 20, "seed": 3, "u_grid": [1.0], "p_list": [2.0],
+      "bound": {"name": "gaussian", "params": _GAUSSIAN_PARAMS}},
+     "simulate config with a tail bound has unread key 'p_list'; it reads 'bound', 'fit', "
+     "'model', 'reps', 'seed', 'u_grid'"),
+    ({"model": _GAUSSIAN, "reps": 20, "seed": 3, "u_grid": [1.0], "p_list": [2.0],
+      "bound": {"name": "small-set", "params": {"set_size": 2, "p": 2.0,
+                                               "individual_bounds": [2.0, 2.0]}}},
+     "simulate config with a moment bound has unread keys 'p_list', 'u_grid'; it reads "
+     "'bound', 'fit', 'model', 'reps', 'seed'"),
+    ({"model": _GAUSSIAN, "reps": 20, "seed": 3, "u_grid": [1.0], "p_list": [2.0]},
+     "simulate config without a bound has unread key 'u_grid'; it reads 'fit', 'model', "
+     "'p_list', 'reps', 'seed'"),
+], ids=["p-list", "bound prams", "p_list beside a tail bound", "grids beside a moment bound",
+        "u_grid without a bound"])
+def test_simulate_refuses_a_config_key_it_does_not_read(tmp_path, capsys, monkeypatch, config,
+                                                        message):
+    # such a key was ignored: the moments were estimated at p = 1, the
+    # bound was built from no params, or a grid the branch does not read
+    # entered the config hash; each is refused before the model runs
+    monkeypatch.setattr(cli, "_run_model", _computes)
     path = tmp_path / "c.json"
     path.write_text(json.dumps(config))
     code, out, err = run(["simulate", "--config", str(path), "--out", str(tmp_path / "out")],

@@ -577,6 +577,91 @@ def test_supremum_sample_validation():
         SupremumSample(replications=2, seed=0, values=np.array([1.0, -2.0]))
 
 
+# ---------------------------------------------------------- declared bounds
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_each_declared_bound_covers_its_models_exact_law(seed):
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=(5, 7))
+    scale = float(rng.uniform(0.5, 2.0))
+    # max_t sum |c_tk| is attained by the signs of row t, so the two sums
+    # over signs meet their bound to rounding
+    mart = martingale_model(c)
+    law = exact_martingale_distribution(mart)
+    bound = simulate_martingale_family(mart, 1, seed).value_bound
+    assert law.max() <= bound <= law.max() * (1 + 1e-8)
+    signs = empirical_model(c, RowDistribution("rademacher", scale))
+    law = exact_empirical_distribution(signs)
+    bound = simulate_empirical(signs, 7, 1, seed).value_bound
+    assert law.max() <= bound <= law.max() * (1 + 1e-8)
+    # over the cube [-scale, scale]^m the convex |sum_i c_ti z_i| peaks at a sign vertex
+    cube = empirical_model(c, RowDistribution("uniform", scale))
+    assert simulate_empirical(cube, 7, 1, seed).value_bound == bound
+    mats = list(rng.normal(size=(3, 4, 5)))
+    for decoupled in (False, True):
+        law = exact_chaos_distribution(mats, decoupled=decoupled)
+        sample = simulate_chaos(mats, RowDistribution("rademacher"), 1, seed, decoupled=decoupled)
+        assert law.max() <= sample.value_bound
+
+
+def test_the_squares_bound_is_the_statistic_at_a_vertex():
+    c = np.random.default_rng(2).normal(size=(4, 6))
+    c2 = c**2
+    # uniform z: the statistic peaks where every |z_i| = scale, at max_t mean_i c_ti^2 (2/3) scale^2
+    model = squares_model(c, RowDistribution("uniform", 1.5))
+    peak = float((c2.mean(axis=1) * (2.25 - 0.75)).max())
+    bound = simulate_squares(model, 6, 50, 1).value_bound
+    assert peak <= bound <= peak * (1 + 1e-8)
+    # signs and constants: z^2 is the second moment, so the statistic is 0 up to rounding
+    for name in ("rademacher", "constant"):
+        sample = simulate_squares(squares_model(c, RowDistribution(name, 1.5)), 6, 50, 1)
+        assert sample.value_bound <= 1e-8 * float(c2.mean(axis=1).max())
+
+
+def test_the_increment_bound_is_attained_at_a_vertex():
+    c = np.random.default_rng(4).normal(size=(3, 6))
+    # every |z_i| = scale gives the largest L2(mu_m) norm, scale (mean_i dc_i^2)^(1/2)
+    for name in ("rademacher", "uniform"):
+        model = squares_model(c, RowDistribution(name, 2.0))
+        peak = 2.0 * float(np.sqrt(((c[2] - c[0]) ** 2).mean()))
+        bound = simulate_squares_increment(model, 0, 2, 6, 50, 1).value_bound
+        assert peak <= bound <= peak * (1 + 1e-8)
+
+
+def test_gaussian_drivers_declare_no_bound():
+    c = np.random.default_rng(3).normal(size=(3, 4))
+    g = RowDistribution("gaussian")
+    mats = [np.eye(2), np.ones((2, 2))]
+    samples = [
+        simulate_gaussian(gaussian_model(np.eye(3)), 10, 1),
+        simulate_empirical(empirical_model(c, g), 4, 10, 1),
+        simulate_squares(squares_model(c, g), 4, 10, 1),
+        simulate_squares_increment(squares_model(c, g), 0, 1, 4, 10, 1),
+        simulate_chaos(mats, g, 10, 1),
+        simulate_chaos(mats, g, 10, 1, decoupled=True),
+    ]
+    assert [s.value_bound for s in samples] == [None] * len(samples)
+
+
+def test_a_bound_past_the_float_range_is_not_declared():
+    # ||A||_op^2 n a^2 = 2.56e308: the chaos sample keeps its values and declares no bound
+    sample = simulate_chaos([[[8e153, 8e153]]], RowDistribution("rademacher"), 10, 1)
+    assert sample.values.max() == 1.28e308 and sample.value_bound is None
+
+
+def test_a_wrong_bound_fails_loudly(monkeypatch):
+    with pytest.raises(ModelError, match=r"values must be <= the model's bound 1\.5, got 2\.0 "
+                                         r"at entry \[1\]"):
+        SupremumSample(replications=3, seed=0, values=np.array([1.0, 2.0, 0.5]), value_bound=1.5)
+    with pytest.raises(DomainError, match="value_bound must be finite and >= 0"):
+        SupremumSample(replications=1, seed=0, values=np.array([0.0]), value_bound=math.nan)
+    # a simulator whose bound undercuts its statistic by more than the slack
+    monkeypatch.setattr(processes, "_largest_row_sum", lambda a: 0.5 * float(a.sum(axis=1).max()))
+    with pytest.raises(ModelError, match="values must be <= the model's bound"):
+        simulate_martingale_family(martingale_model([[1.0, 1.0, 1.0]]), 50, 1)
+
+
 # ---------------------------------------------------------- exact laws
 
 

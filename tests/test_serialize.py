@@ -230,6 +230,22 @@ def test_space_json_validation():
         space_from_json({"nothing": 1})
 
 
+@pytest.mark.parametrize("obj, message", [
+    # a misspelt norm ran under l2
+    ({"points": [[0, 0], [1, 1], [2, 0]], "nrom": "l1"},
+     """metric space JSON with "points" has unread key 'nrom'; it reads 'labels', 'norm', """
+     "'points'"),
+    # points beside dist were dropped
+    ({"dist": [[0, 1], [1, 0]], "points": [[0], [5]], "labels": ["a", "b"]},
+     """metric space JSON with a "dist" matrix has unread key 'points'; it reads 'dist', """
+     "'labels'"),
+])
+def test_space_json_refuses_a_key_its_form_does_not_read(obj, message):
+    with pytest.raises(DomainError) as info:
+        space_from_json(obj)
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # sample loading
 

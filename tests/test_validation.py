@@ -234,7 +234,8 @@ def test_block_bootstrap_boundaries(monkeypatch, block):
 
 def test_moment_estimate_interval_must_contain_estimate():
     with pytest.raises(DomainError):
-        MomentEstimate(p=2.0, estimate=1.0, ci_low=1.2, ci_high=1.4, resamples=10)
+        MomentEstimate(p=2.0, estimate=1.0, ci_low=1.2, ci_high=1.4, resamples=10,
+                       method="bootstrap")
 
 
 def test_confidence_inside_half_to_one_is_accepted(monkeypatch):
@@ -268,6 +269,144 @@ def test_one_confidence_level_behind_every_interval(monkeypatch):
         assert curve["ci_upper"] == float(stats.beta.ppf(level, f + 1, 40 - f))
         seen.append((row["ci_upper"], est.ci_low, est.ci_high, curve["ci_upper"]))
     assert all(a != b for a, b in zip(*seen))
+
+
+# ---------------------------------------------------------------------------
+# DKW moment intervals on samples that declare a bound
+
+
+def reference_dkw(values, bound, p, level):
+    """The DKW ends as the integrals they are: over each interval between
+    consecutive order statistics (0 below the first, bound past the last),
+    the band's clipped survival level times the increment of y^p."""
+    y = np.concatenate([[0.0], np.sort(values), [bound]])
+    n = len(values)
+    eps = math.sqrt(math.log(1.0 / (1.0 - level)) / (2.0 * n))
+    upper = lower = 0.0
+    for i in range(n + 1):  # S_n = (n - i) / n on [y_i, y_{i+1})
+        step = y[i + 1] ** p - y[i] ** p
+        upper += min(1.0, (n - i) / n + eps) * step
+        lower += max(0.0, (n - i) / n - eps) * step
+    return lower ** (1.0 / p), upper ** (1.0 / p)
+
+
+@pytest.mark.parametrize("level", [0.9, 0.99])
+@pytest.mark.parametrize("n, bound", [(1, 3.0), (2, 2.5), (5, 2.0), (200, 2.0), (200, 7.5)])
+def test_dkw_ends_are_the_band_integrals(monkeypatch, level, n, bound):
+    monkeypatch.setattr(validation, "CONFIDENCE", level)
+    values = np.random.default_rng(n).uniform(0.0, 2.0, n)
+    sample = SupremumSample(replications=n, seed=0, values=values, value_bound=bound)
+    orders = [1.0, 2.5, 8.0]
+    for est, p in zip(estimate_moments(sample, orders), orders):
+        low, high = reference_dkw(values, bound, p, level)
+        exact = float(np.mean(values ** p) ** (1.0 / p))
+        assert (est.method, est.resamples, est.p) == ("dkw", 0, p)
+        assert est.estimate == pytest.approx(exact, rel=1e-13)
+        assert est.ci_low == pytest.approx(min(low, exact), rel=1e-12)
+        assert est.ci_high == pytest.approx(max(high, exact), rel=1e-12)
+
+
+def test_dkw_ends_stay_finite_at_a_large_order():
+    # (2 / 1.5)^2000 overflows a double: each end is computed on values / bound
+    # (upper) or values / max (lower), whose powers stay in [0, 1]
+    values = np.linspace(0.5, 1.5, 100)
+    sample = SupremumSample(replications=100, seed=0, values=values, value_bound=2.0)
+    (est,) = estimate_moments(sample, [2000.0])
+    assert 0.0 < est.ci_low <= est.estimate <= 1.5 < est.ci_high <= 2.0
+
+
+def test_dkw_on_an_all_zero_sample_bounded_by_zero():
+    sample = SupremumSample(replications=5, seed=0, values=np.zeros(5), value_bound=0.0)
+    (est,) = estimate_moments(sample, [3.0])
+    assert (est.estimate, est.ci_low, est.ci_high, est.method) == (0.0, 0.0, 0.0, "dkw")
+
+
+_ORDERS = [1.0, 2.0, 4.0, 8.0]
+
+
+def _coverage_model(kind: str):
+    """(a seeded simulation of n replications, the exact law) of one small bounded model."""
+    if kind == "martingale":
+        model = processes.martingale_model(np.random.default_rng(0).normal(size=(16, 12)))
+        return (lambda n, seed: processes.simulate_martingale_family(model, n, seed),
+                processes.exact_martingale_distribution(model))
+    model = processes.empirical_model(np.random.default_rng(1).normal(size=(8, 12)),
+                                      processes.RowDistribution("rademacher"))
+    return (lambda n, seed: processes.simulate_empirical(model, 12, n, seed),
+            processes.exact_empirical_distribution(model))
+
+
+def _missed_ends(kind: str, seeds, declared: bool = True) -> list[tuple]:
+    """(p, end) of each interval end that misses the exact (E sup^p)^(1/p),
+    once per seed, at n = 200; without declared, the sample drops its bound,
+    so the bootstrap computes the interval."""
+    simulate, law = _coverage_model(kind)
+    exact = [float(np.mean(law ** p) ** (1.0 / p)) for p in _ORDERS]
+    missed = []
+    for seed in seeds:
+        sample = simulate(200, seed)
+        if not declared:
+            sample = _sample(sample.values, seed=seed)
+        for est, truth in zip(estimate_moments(sample, _ORDERS), exact):
+            missed += [(est.p, "high")] * (est.ci_high < truth)
+            missed += [(est.p, "low")] * (est.ci_low > truth)
+    return missed
+
+
+def _cells_missing_too_often(missed: list, trials: int) -> list:
+    """(p, end) cells whose miss count rejects a miss rate of at most 1 - CONFIDENCE
+    in a one-sided binomial test at level 1%."""
+    cells = [(p, end) for p in _ORDERS for end in ("high", "low")]
+    return [cell for cell in cells
+            if stats.binomtest(missed.count(cell), trials, 1.0 - validation.CONFIDENCE,
+                               alternative="greater").pvalue < 0.01]
+
+
+@pytest.mark.parametrize("kind", ["martingale", "rademacher empirical"])
+def test_dkw_ends_cover_the_exact_moments_at_their_level(kind):
+    seeds = range(1000, 1400)
+    assert _cells_missing_too_often(_missed_ends(kind, seeds), len(seeds)) == []
+
+
+def test_the_coverage_harness_fails_the_bootstrap():
+    # the same harness on the same samples with their bound dropped: the
+    # percentile bootstrap's upper end falls below the exact moment at p = 8
+    # in 20 of the 400 seeds (1% would be 4)
+    seeds = range(1000, 1400)
+    missed = _missed_ends("martingale", seeds, declared=False)
+    assert missed.count((8.0, "high")) == 20
+    assert (8.0, "high") in _cells_missing_too_often(missed, len(seeds))
+
+
+def test_a_bound_between_the_bootstrap_end_and_the_truth_is_not_dominated_under_dkw():
+    simulate, law = _coverage_model("martingale")
+    truth = float(np.mean(law ** 8.0) ** 0.125)
+    for seed in range(1000, 1400):  # the first seed whose bootstrap end misses
+        sample = simulate(200, seed)
+        (boot,) = estimate_moments(_sample(sample.values, seed=seed), [8.0])
+        if boot.ci_high < truth:
+            break
+    else:
+        pytest.fail("no seed's bootstrap end misses the exact moment")
+    planted = MomentBound(p=8.0, decomposition=(("planted", 0.5 * (boot.ci_high + truth)),))
+    assert validate_bound(_sample(sample.values, seed=seed), planted).verdict == "dominated"
+    report = validate_bound(sample, planted)
+    assert report.rows[0]["method"] == "dkw"
+    assert report.rows[0]["ci_upper"] > truth
+    assert report.verdict != "dominated"
+
+
+def test_an_unbounded_sample_keeps_the_bootstrap_bit_for_bit():
+    model = processes.gaussian_model([[1.0, 0.5], [0.5, 1.0]])
+    sample = processes.simulate_gaussian(model, 300, 13, base_point=None)
+    assert sample.value_bound is None
+    p_list = [1.0, 3.0, 8.0]
+    _, _, estimates = reference_bootstrap(sample, p_list, validation.BOOTSTRAP_RESAMPLES)
+    ests = estimate_moments(sample, p_list)
+    assert [(e.method, e.resamples) for e in ests] == [("bootstrap", 1000)] * 3
+    assert [(e.estimate, e.ci_low, e.ci_high) for e in ests] == estimates
+    (row,) = validate_bound(sample, MomentBound(p=3.0, decomposition=(("all", 9.0),))).rows
+    assert (row["method"], row["ci_upper"]) == ("bootstrap", estimates[1][2])
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +473,9 @@ def test_validate_moment_paths():
     assert report.verdict == "dominated"
     assert report.paper_confirmed
     row = report.rows[0]
-    assert set(row) == {"p", "threshold", "envelope", "empirical", "ci_upper", "verdict"}
+    assert set(row) == {"p", "threshold", "envelope", "empirical", "ci_upper", "verdict",
+                        "method"}
+    assert row["method"] == "bootstrap"  # a sample with no declared bound
     assert row["threshold"] == 2.0
     assert math.isnan(row["envelope"])
     assert row["empirical"] == pytest.approx(1.0)

@@ -17,8 +17,13 @@ path it was read from, the simulate cases' config, config hash, "wrote"
 lines and CSV header were recorded again; nothing else in them moved.
 
 The three moment cases (p_list at 200, 1000 and 2000 replications, no bound,
-so no CSV) were recorded before the bootstrap drew its resamples in blocks;
-their intervals must not move by a bit.
+so no CSV) were recorded before the bootstrap drew its resamples in blocks.
+Since each moment row names its method, every moment row carries "method":
+the moment-bound case's row and CSV grid gained it, and nothing else in that
+case moved.  The Gaussian case (2000) declares no bound and keeps its bootstrap
+intervals bit for bit.  The martingale (200) and uniform empirical (1000)
+cases declare their model's bound, so their intervals are the DKW ends and
+were recorded again; their estimates did not move.
 """
 
 import json
@@ -210,6 +215,7 @@ GOLDEN = json.loads(r"""
      "ci_upper": 1.559489406652195,
      "empirical": 1.4263674589728996,
      "envelope": null,
+     "method": "bootstrap",
      "p": 2.0,
      "threshold": 4.0,
      "verdict": "dominated"
@@ -221,8 +227,8 @@ GOLDEN = json.loads(r"""
   },
   "csv": [
    "# config_hash: 735a55058993bd55c71b2ef96fad9d3b53b7d8df5d67a7154c6fd7654e6d134b",
-   "p,threshold,envelope,empirical,ci_upper,verdict",
-   "2.0,4.0,,1.4263674589728996,1.559489406652195,dominated"
+   "p,threshold,envelope,empirical,ci_upper,verdict,method",
+   "2.0,4.0,,1.4263674589728996,1.559489406652195,dominated,bootstrap"
   ]
  },
  {
@@ -423,9 +429,9 @@ GOLDEN = json.loads(r"""
   "argv": ["simulate", "--config", "m.json"],
   "code": 0,
   "stdout": [
-   "p=1 estimate=1.54375 ci=[1.43624, 1.65125]",
-   "p=2 estimate=1.67435 ci=[1.56275, 1.77993]",
-   "p=4 estimate=1.87998 ci=[1.77875, 1.97207]",
+   "p=1 estimate=1.54375 ci=[1.2755, 1.73152]",
+   "p=2 estimate=1.67435 ci=[1.46042, 1.84762]",
+   "p=4 estimate=1.87998 ci=[1.69735, 2.01997]",
    "wrote out/simulate-055728bce15d.json"
   ],
   "report": {
@@ -442,21 +448,24 @@ GOLDEN = json.loads(r"""
    "config_hash": "055728bce15dcfb868c0f9ba08b1d0730a2cc103082c4cf3afe4eb754b04b87f",
    "moments": [
     {
-     "ci_high": 1.6512499999999999,
-     "ci_low": 1.4362375,
+     "ci_high": 1.7315220275685637,
+     "ci_low": 1.2755042467138318,
      "estimate": 1.5437500000000002,
+     "method": "dkw",
      "p": 1.0
     },
     {
-     "ci_high": 1.7799253844792156,
-     "ci_low": 1.5627459801311603,
+     "ci_high": 1.8476191680287533,
+     "ci_low": 1.4604188155404527,
      "estimate": 1.6743468875952796,
+     "method": "dkw",
      "p": 2.0
     },
     {
-     "ci_high": 1.9720662777778317,
-     "ci_low": 1.7787463499670582,
+     "ci_high": 2.0199730843136265,
+     "ci_low": 1.6973450399167063,
      "estimate": 1.879977551490255,
+     "method": "dkw",
      "p": 4.0
     }
    ],
@@ -490,8 +499,8 @@ GOLDEN = json.loads(r"""
   "argv": ["simulate", "--config", "m.json"],
   "code": 0,
   "stdout": [
-   "p=1 estimate=0.392667 ci=[0.381613, 0.402971]",
-   "p=2 estimate=0.420887 ci=[0.410214, 0.430068]",
+   "p=1 estimate=0.392667 ci=[0.360328, 0.424519]",
+   "p=2 estimate=0.420887 ci=[0.39411, 0.451382]",
    "wrote out/simulate-fdede654cb1a.json"
   ],
   "report": {
@@ -509,15 +518,17 @@ GOLDEN = json.loads(r"""
    "config_hash": "fdede654cb1a62a40116ea0118962039dc11a76604f6ce15086acce72ec32437",
    "moments": [
     {
-     "ci_high": 0.4029712543351627,
-     "ci_low": 0.3816128205179419,
+     "ci_high": 0.42451916073741697,
+     "ci_low": 0.36032803429370747,
      "estimate": 0.3926665410178566,
+     "method": "dkw",
      "p": 1.0
     },
     {
-     "ci_high": 0.4300676082213192,
-     "ci_low": 0.41021424989059946,
+     "ci_high": 0.45138247999660897,
+     "ci_low": 0.3941101563810655,
      "estimate": 0.42088748719885294,
+     "method": "dkw",
      "p": 2.0
     }
    ],
@@ -574,18 +585,21 @@ GOLDEN = json.loads(r"""
      "ci_high": 1.1221635520345679,
      "ci_low": 1.0598069229432614,
      "estimate": 1.089633375112654,
+     "method": "bootstrap",
      "p": 1.0
     },
     {
      "ci_high": 1.4337520602403848,
      "ci_low": 1.3490546444426061,
      "estimate": 1.3889525454385687,
+     "method": "bootstrap",
      "p": 3.0
     },
     {
      "ci_high": 2.1690789951404734,
      "ci_low": 1.824511586522803,
      "estimate": 1.9888201386911064,
+     "method": "bootstrap",
      "p": 8.0
     }
    ],
