@@ -46,8 +46,9 @@ coeffs = rng.normal(size=(5, 4))
 model = cb.squares_model(coeffs, cb.RowDistribution("gaussian"))
 sample = cb.simulate_squares(model, 4, 50_000, seed=77)
 est = cb.estimate_moments(sample, [2.0])[0]
+# each end is one-sided at 99%, so the two together hold at 98%
 print(f"\nsquared-average supremum, second moment: {est.estimate:.3f} "
-      f"(99% CI [{est.ci_low:.3f}, {est.ci_high:.3f}])")
+      f"(98% interval [{est.ci_low:.3f}, {est.ci_high:.3f}], method {est.method})")
 
 # increment lemma: empirical L2 distance of one pair against its envelope
 scale = cb.psi_norm_analytic("gaussian", 1.0, 2.0).value

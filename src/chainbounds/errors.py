@@ -238,6 +238,16 @@ def power_reduce(reduce, values: np.ndarray, degree: int = 1):
         return np.where(lost, redo, out)
 
 
+def sum_last(values: np.ndarray) -> np.ndarray:
+    """The sum of values along the last axis, by numpy's pairwise add.reduce.
+
+    A dot product is sum_last(a * b).  Unlike a BLAS dot or matrix product,
+    which OpenBLAS splits across threads from about 10^4 terms, its bits do
+    not depend on the BLAS thread count.
+    """
+    return np.add.reduce(values, axis=-1)
+
+
 def nonfinite_columns(values: np.ndarray) -> np.ndarray:
     """Indices of the columns of the 2-D array values holding an entry that is not finite."""
     return np.flatnonzero(~np.isfinite(values).all(axis=0))

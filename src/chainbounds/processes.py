@@ -126,17 +126,22 @@ def _replication_streams(seed: int):
     return at
 
 
-def _simulate(reps: int, seed: int, draw, stat, *, base_point=None, value_bound=None):
+def _simulate(reps: int, seed: int, draw, stat, *, base_point=None, value_bound=None,
+              tail_envelope=None):
     """The SupremumSample of reps replications: checks reps and seed, draws by block.
 
     draw(rng) returns the BLOCK driver rows of a block, shape (BLOCK, dim).
     stat maps them to one supremum value per row.  The final block keeps
     only the rows it needs.  Replication r is row r mod BLOCK of block
     r // BLOCK, whose rows are drawn from replication_rng(seed, block), so a
-    shorter run is a prefix of a longer one.  value_bound is the model's
-    almost-sure bound on every value (see _value_bound), or None.
+    shorter run is a prefix of a longer one.  The values are one kept table,
+    so reps above the table budget is refused before the first draw.
+    value_bound is the model's almost-sure bound on every value (see
+    _value_bound), and tail_envelope its tail envelope (see _TailEnvelope);
+    a simulator passes one of them, or neither past the float range.
     """
     reps, seed = check_int("reps", reps, 1), _check_seed(seed)
+    _check_table_budget("reps: a values table", reps)
     parts = []
     for b, start in enumerate(range(0, reps, BLOCK)):
         z = draw(replication_rng(seed, b))
@@ -144,7 +149,7 @@ def _simulate(reps: int, seed: int, draw, stat, *, base_point=None, value_bound=
     values = np.concatenate(parts)
     values.setflags(write=False)  # so that SupremumSample keeps it without a copy
     return SupremumSample(replications=reps, seed=seed, values=values, base_point=base_point,
-                          value_bound=value_bound)
+                          value_bound=value_bound, tail_envelope=tail_envelope)
 
 
 def _value_bound(bound: float, size: float | None = None) -> float | None:
@@ -168,6 +173,81 @@ def _largest_row_sum(a: np.ndarray) -> float:
     """max over rows of the sum of the row's entries (>= 0); inf past the float range."""
     with np.errstate(over="ignore"):
         return float(a.sum(axis=1).max())
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of a, finite wherever the true norm is."""
+    return power_reduce(lambda v: np.sqrt((v**2).sum(axis=-1)), a)
+
+
+@dataclass(frozen=True)
+class _TailEnvelope:
+    """tau(y) >= P(sup > y) for a sample whose driver is Gaussian, declared by
+    its simulator from the model: by the union bound over the index set, a
+    sum of one exact tail per term (an index point, or the real or the
+    imaginary part of one).  Term j bounds P(Z_j > r) at the level
+    r = y^power / split - shift, where Z_j is
+
+    - |N(0, l2_j^2)| when linf is None, and the term is erfc(r / (l2_j sqrt 2));
+    - otherwise a chi-square form sum_i a_i (g_i^2 - 1) with ||a||_2 = l2_j and
+      max_i |a_i| = linf_j, and the term is sides e^-x, where
+      2 l2_j sqrt(x) + 2 linf_j x = r (Laurent & Massart, Ann. Statist. 28,
+      2000, Lemma 1; e^-x bounds each tail, for weights a_i of either sign):
+      sides = 2 bounds |Z_j|, sides = 1 its upper tail, and r <= 0 gives sides.
+
+    A term whose variable is 0 adds 0 and is not stored.
+    """
+
+    l2: np.ndarray
+    linf: np.ndarray | None = None
+    sides: int = 2
+    power: int = 1
+    split: float = 1.0
+    shift: float = 0.0
+
+    def log_tail(self, y: np.ndarray) -> np.ndarray:
+        """log of each term at each y >= 0 of the 1-D array y: shape (y.size, terms).
+
+        Logs, so that a term below the float range (a large order p reads
+        tau far past the data) keeps its value.
+        """
+        with np.errstate(over="ignore", divide="ignore"):  # inf and 0 give their limits
+            r = y[:, None] ** self.power / self.split - self.shift
+            if self.linf is None:
+                from scipy.special import log_ndtr  # here: importing the package loads no scipy
+
+                return math.log(2.0) + log_ndtr(-r / self.l2)  # erfc(u) = 2 Phi(-u sqrt 2)
+            r = np.sqrt(np.maximum(r, 0.0))
+            root = r / (self.l2 / r + np.sqrt((self.l2 / r) ** 2 + 2.0 * self.linf))  # sqrt(x)
+            return math.log(self.sides) - root**2
+
+    def decay(self) -> tuple[np.ndarray, float, np.ndarray]:
+        """(log K, k, beta): term j <= K_j exp(-y^k / beta_j) at every y >= 0.
+
+        erfc(u) <= e^(-u^2) for u >= 0.  The chi-square level solves
+        r <= l2^2 / linf + 3 linf x, since 2 l2 sqrt(x) <= l2^2 / linf + linf x.
+        """
+        if self.linf is None:
+            return np.zeros(self.l2.size), 2.0, 2.0 * self.l2**2
+        log_k = math.log(self.sides) + (self.l2 / self.linf) ** 2 / 3.0 + self.shift / (
+            3.0 * self.linf)
+        return log_k, float(self.power), 3.0 * self.linf * self.split
+
+
+def _envelope(l2: np.ndarray, linf: np.ndarray | None = None, **form) -> _TailEnvelope | None:
+    """The envelope of the terms with these scales (see _TailEnvelope), without
+    its zero terms; None where a scale is past the float range."""
+    scales = np.concatenate([l2, [] if linf is None else linf, [form.get("shift", 0.0)]])
+    if not math.isfinite(float(scales.max())):  # NaN included
+        return None
+    keep = l2 > 0
+    return _TailEnvelope(_freeze(l2[keep]), None if linf is None else _freeze(linf[keep]), **form)
+
+
+def _chi2_envelope(a: np.ndarray, **form) -> _TailEnvelope | None:
+    """The envelope of the chi-square forms sum_i a_i (g_i^2 - 1), one row of a per term."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _envelope(_row_norms(a), np.abs(a).max(axis=1), **form)
 
 
 @dataclass(frozen=True)
@@ -434,7 +514,9 @@ class SupremumSample:
 
     value_bound, when not None, is an almost-sure upper bound on every value
     that the simulator derived from its model, rounding slack included; a
-    value above it is refused, so a wrong bound fails loudly.
+    value above it is refused, so a wrong bound fails loudly.  tail_envelope,
+    when not None, is the tail envelope a Gaussian-driven simulator derived
+    from its model (see _TailEnvelope).  A sample declares at most one.
     """
 
     replications: int
@@ -442,6 +524,7 @@ class SupremumSample:
     values: np.ndarray
     base_point: object | None = None
     value_bound: float | None = None
+    tail_envelope: _TailEnvelope | None = None
 
     def __post_init__(self):
         vals = check_array("values", self.values, 1, nonnegative=True, empty_ok=True,
@@ -456,6 +539,12 @@ class SupremumSample:
                 raise ModelError(f"values must be <= the model's bound {bound!r}, "
                                  f"got {float(vals[i])!r} at entry [{i}]")
             object.__setattr__(self, "value_bound", bound)
+        if self.tail_envelope is not None:
+            if self.value_bound is not None:
+                raise ModelError("a sample declares a value_bound or a tail_envelope, not both")
+            if not isinstance(self.tail_envelope, _TailEnvelope):
+                raise ModelError(f"tail_envelope must be a _TailEnvelope, got "
+                                 f"{type(self.tail_envelope).__name__}")
         object.__setattr__(self, "values", _frozen(vals))
 
 
@@ -480,12 +569,15 @@ def simulate_gaussian(model: ProcessModel, reps: int, seed: int, base_point=0) -
         x = z @ L.T
         return np.abs(x if idx is None else x - x[:, idx, None]).max(axis=1)
 
+    # X_t (or X_t - X_t0) has the standard deviation of row t of L (or of L_t - L_t0)
+    sigma = _row_norms(L if idx is None else L - L[idx])
     return _simulate(
         reps,
         seed,
         lambda rng: rng.standard_normal((BLOCK, n)),
         stat,
         base_point=None if idx is None else model.labels[idx],
+        tail_envelope=_envelope(sigma),
     )
 
 
@@ -530,13 +622,18 @@ def simulate_empirical(model: ProcessModel, m: int, reps: int, seed: int) -> Sup
     m = _summand_count(model, "empirical", m)
     mu = model.base.mean()
     a = _driver_bound(model.base)  # |z - mu| <= |scale|: a constant base has z - mu = 0
+    if a is None:  # term t is N(0, scale^2 ||c_t||^2 / m^2)
+        declared = {"tail_envelope": _envelope(abs(model.base.scale)
+                                               * _row_norms(model.coefficients) / m)}
+    else:
+        declared = {"value_bound": _value_bound(
+            a * _largest_row_sum(np.abs(model.coefficients)) / m)}
     return _simulate(
         reps,
         seed,
         lambda rng: model.base.sample(rng, (BLOCK, m)),
         lambda z: _empirical_sup(z, mu, model.coefficients),
-        value_bound=None if a is None else _value_bound(
-            a * _largest_row_sum(np.abs(model.coefficients)) / m),
+        **declared,
     )
 
 
@@ -555,17 +652,19 @@ def simulate_squares(model: ProcessModel, m: int, reps: int, seed: int) -> Supre
         sq_mean = (z**2) @ c2.T / m  # (BLOCK, points): sum_i c2[t, i] z_i^2 / m
         return np.abs(sq_mean - s2 * c2.mean(axis=1)).max(axis=1)
 
-    bound = None
     a = _driver_bound(model.base)
-    if a is not None:
+    if a is None:  # term t is sum_i a_ti (g_i^2 - 1) with a_ti = scale^2 c_ti^2 / m
+        with np.errstate(over="ignore"):
+            declared = {"tail_envelope": _chi2_envelope(s2 * c2 / m)}
+    else:
         # z^2 lies in [0, a^2] (uniform) or is a^2 (signs, constants), so
         # |z^2 - s2| <= max(a^2 - s2, s2 - min z^2); 0 for signs and constants.
         a2 = square(a)
         spread = max(a2 - s2, s2 - (0.0 if model.base.name == "uniform" else a2))
         weight = _largest_row_sum(c2) / m  # max_t (1/m) sum_i c_ti^2
-        bound = _value_bound(weight * spread, weight * (a2 + s2))
+        declared = {"value_bound": _value_bound(weight * spread, weight * (a2 + s2))}
     return _simulate(reps, seed, lambda rng: model.base.sample(rng, (BLOCK, m)), stat,
-                     value_bound=bound)
+                     **declared)
 
 
 def simulate_squares_increment(
@@ -576,14 +675,23 @@ def simulate_squares_increment(
     i, j = _resolve_point(model.labels, s), _resolve_point(model.labels, t)
     dc = model.coefficients[j] - model.coefficients[i]
     a = _driver_bound(model.base)  # the draws are at most a * (mean_i dc_i^2)^(1/2)
+    if a is None:
+        # the squared draw is sum_i a_i g_i^2 with a_i = scale^2 dc_i^2 / m: above y^2 when
+        # sum_i a_i (g_i^2 - 1) passes y^2 - sum_i a_i
+        with np.errstate(over="ignore"):
+            weights = square(model.base.scale) * dc**2 / m
+        declared = {"tail_envelope": _chi2_envelope(
+            weights[None], sides=1, power=2, shift=float(power_reduce(np.sum, weights)))}
+    else:
+        declared = {"value_bound": _value_bound(
+            a * float(power_reduce(lambda v: np.sqrt((v**2).mean(axis=-1)), dc)))}
     return _simulate(
         reps,
         seed,
         lambda rng: model.base.sample(rng, (BLOCK, m)),
         lambda z: np.sqrt(((dc * z) ** 2).mean(axis=1)),
         base_point=model.labels[i],
-        value_bound=None if a is None else _value_bound(
-            a * float(power_reduce(lambda v: np.sqrt((v**2).mean(axis=-1)), dc))),
+        **declared,
     )
 
 
@@ -601,9 +709,9 @@ def simulate_chaos(
     if xi.mean() != 0.0:
         raise ModelError("chaos components must be mean-zero")
     n = stack.shape[2]
-    bound = _chaos_bound(stack, xi)
     if decoupled:
         grams = _grams(stack)
+        declared = _chaos_declared(stack, xi, grams)
 
         def stat(xy):
             x, y = xy[:, :n], xy[:, n:]
@@ -611,26 +719,45 @@ def simulate_chaos(
             return np.abs(((x @ grams) * y).sum(axis=2)).max(axis=0)
 
         return _simulate(reps, seed, lambda rng: xi.sample(rng, (BLOCK, 2 * n)), stat,
-                         value_bound=bound)
+                         **declared)
     s2 = xi.second_moment()
     return _simulate(reps, seed, lambda rng: xi.sample(rng, (BLOCK, n)),
-                     lambda x: _chaos_sup(x, stack, s2), value_bound=bound)
+                     lambda x: _chaos_sup(x, stack, s2), **_chaos_declared(stack, xi))
 
 
-def _chaos_bound(stack: np.ndarray, xi: RowDistribution) -> float | None:
-    """n a^2 max_A ||A||_op^2 for components |xi_i| <= a: an almost-sure
-    bound on both chaos statistics, or None for Gaussian components.
+def _chaos_declared(stack: np.ndarray, xi: RowDistribution, grams=None) -> dict:
+    """What a chaos sample declares: its value_bound for bounded components,
+    its tail_envelope for Gaussian ones; grams is given for the decoupled form.
 
+    Bounded, |xi_i| <= a: n a^2 max_A ||A||_op^2 bounds both statistics.
     Plain: ||A x||^2 <= ||A||_op^2 ||x||^2 <= n a^2 ||A||_op^2 and the
     centring term s2 ||A||_F^2 <= a^2 rank(A) ||A||_op^2 both lie in
     [0, n a^2 ||A||_op^2], and so does the modulus of their difference.
     Decoupled: |x . (A^H A) y| <= ||A x|| ||A y|| <= n a^2 ||A||_op^2.
+
+    Gaussian, xi = scale g: the plain statistic of A is
+    |sum_i a_i (h_i^2 - 1)| with a = scale^2 times the eigenvalues of
+    Re(A^H A) = B^T B + C^T C (A = B + iC), the squared singular values of
+    [B; C].  The decoupled one is scale^2 |g . G h| for G = A^H A; for a real
+    matrix M, g . M h is the chi-square form in (g, h) of the symmetric
+    matrix [[0, M/2], [M^T/2, 0]], whose eigenvalues are +-1/2 the singular
+    values of M.  A complex G has |g . G h| > y only where its real or its
+    imaginary part passes y / sqrt 2.
     """
     a = _driver_bound(xi)
-    if a is None:
-        return None
-    op = float(np.linalg.svd(stack, compute_uv=False).max())
-    return _value_bound(stack.shape[2] * square(a) * square(op))
+    if a is not None:
+        op = float(np.linalg.svd(stack, compute_uv=False).max())
+        return {"value_bound": _value_bound(stack.shape[2] * square(a) * square(op))}
+    s2 = square(xi.scale)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if grams is None:
+            parts = np.concatenate([stack.real, stack.imag], axis=1)
+            return {"tail_envelope": _chi2_envelope(
+                s2 * np.linalg.svd(parts, compute_uv=False) ** 2)}
+        forms = [grams.real] + ([grams.imag] if grams.imag.any() else [])
+        half = s2 * np.concatenate([np.linalg.svd(f, compute_uv=False) for f in forms]) / 2.0
+        return {"tail_envelope": _chi2_envelope(np.concatenate([half, -half], axis=1),
+                                                split=math.sqrt(len(forms)))}
 
 
 def _grams(stack: np.ndarray) -> np.ndarray:

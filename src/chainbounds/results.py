@@ -36,7 +36,8 @@ class PowerEnvelope:
 
     def probability(self, u) -> float | np.ndarray:
         arr = np.asarray(u, dtype=float)
-        out = np.clip(self.prefactor * np.exp(-self.rate * arr ** self.power), 0.0, 1.0)
+        with np.errstate(over="ignore"):  # a power past the float range gives exp(-inf) = 0
+            out = np.clip(self.prefactor * np.exp(-self.rate * arr ** self.power), 0.0, 1.0)
         return float(out) if arr.ndim == 0 else out
 
     def to_dict(self) -> dict:
@@ -65,7 +66,8 @@ class MinEnvelope:
 
     def probability(self, u) -> float | np.ndarray:
         arr = np.asarray(u, dtype=float)
-        expo = self.c * np.minimum(arr ** 2 / square(self.s2), arr / self.sinf)
+        with np.errstate(over="ignore"):  # as in PowerEnvelope.probability
+            expo = self.c * np.minimum(arr ** 2 / square(self.s2), arr / self.sinf)
         out = np.clip(self.prefactor * np.exp(-expo), 0.0, 1.0)
         return float(out) if arr.ndim == 0 else out
 

@@ -1,16 +1,24 @@
 """Empirical validation of tail/moment bounds against simulation samples.
 
 Exceedance frequencies get one-sided Clopper-Pearson confidence bounds.
-Moment estimates (E sup^p)^(1/p) get one of two intervals, and each
-estimate, and each moment row, names its method:
+Moment estimates (E sup^p)^(1/p) get their interval from one sort of the
+sample and the one-sided DKW band with Massart's constant: with
+probability at least CONFIDENCE each, P(sup > y) <= S_n(y) + eps for every
+y, and P(sup > y) >= S_n(y) - eps for every y, where S_n is the sample's
+survival function.  Each end integrates its side of the band against
+d(y^p) (Anderson, 1969), so it holds at its level for every sample size.
+Past the data the band alone bounds nothing, so the upper end also needs
+what the simulator declared from its model, and each estimate, and each
+moment row, names its method:
 
 - "dkw" where the sample declares an almost-sure bound B on its values
-  (SupremumSample.value_bound, set by the simulator from its model): each
-  end integrates the one-sided DKW band of the sorted sample, with
-  Massart's constant, against d(y^p) (Anderson, 1969).  It holds at its
-  level for every sample size and takes one sort, no resampling;
-- "bootstrap" otherwise (Gaussian drivers): a percentile bootstrap, which
-  holds only asymptotically.
+  (SupremumSample.value_bound, bounded drivers): the upper end integrates
+  the band up to B;
+- "dkw-envelope" where it declares a tail envelope tau(y) >= P(sup > y)
+  (SupremumSample.tail_envelope, Gaussian drivers): the upper end
+  integrates min(1, S_n + eps, tau) over [0, inf), tau read at the left end
+  of each step and a closed-form bound on tau beyond the last, so the end
+  stays a certified bound.
 
 A bound is reported "dominated" only when the confidence bound itself
 clears the envelope, and a fitted bound can never be labelled
@@ -20,11 +28,12 @@ paper-confirmed no matter how well it dominates.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, block_step, check_int, check_number, check_real
+from .errors import DomainError, block_step, check_int, check_number, check_real, sum_last
 from .processes import SupremumSample
 from .results import MomentBound, TailBound
 
@@ -39,39 +48,23 @@ __all__ = [
 
 # The one statistical rule behind every verdict, read at call time: one-sided
 # Clopper-Pearson bounds at level CONFIDENCE on each exceedance, and on each
-# moment a DKW interval whose ends are one-sided at level CONFIDENCE, or a
-# percentile bootstrap of BOOTSTRAP_RESAMPLES resamples where no bound is declared.
-BOOTSTRAP_RESAMPLES = 1000
+# moment a DKW interval whose ends are one-sided at level CONFIDENCE.
 CONFIDENCE = 0.99
-_METHODS = ("dkw", "bootstrap")
-
-
-def _bootstrap_rng(seed: int) -> np.random.Generator:
-    # Counter word 3 keeps this stream disjoint from the simulators' block
-    # streams, which use counter word 2.
-    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, 1]))
-
-
-def _bootstrap_means(columns: np.ndarray, rng: np.random.Generator, resamples: int) -> np.ndarray:
-    """(resamples, P) means of each row of the (P, n) columns over resampled indices.
-
-    Resamples are drawn k = block_step(n) at a time: one (k, n) draw
-    is the stream of k successive n-draws, and every row is still reduced
-    along the contiguous axis, so each mean is bit for bit the
-    one-resample-per-draw value.
-    """
-    n = columns.shape[1]
-    boot = np.empty((resamples, columns.shape[0]))
-    k = block_step(n)
-    for b in range(0, resamples, k):
-        idx = rng.integers(0, n, (min(k, resamples - b), n))
-        boot[b:b + idx.shape[0]] = columns.take(idx, axis=1).mean(axis=2).T
-    return boot
+_METHODS = ("dkw", "dkw-envelope")
+# Steps of the grid past the sample maximum on which a tail envelope is read,
+# and the most its closed-form rest beyond the grid may add, relative to the
+# part of the upper end's integral over the data.
+_TAIL_STEPS = 1024
+_TAIL_SLACK = 2.0**-20
 
 
 @dataclass(frozen=True)
 class MomentEstimate:
-    """(E sup^p)^(1/p) with its interval; resamples is 0 for method "dkw"."""
+    """(E sup^p)^(1/p) with its interval.
+
+    resamples is always 0: no interval resamples.  The field stays while the
+    benchmark's span recorder reads it.
+    """
 
     p: float
     estimate: float
@@ -112,73 +105,161 @@ def _u_grid(u_grid) -> np.ndarray:
     return grid
 
 
-def _dkw_ends(values: np.ndarray, bound: float, p_list: list) -> list[tuple[float, float]]:
-    """(lower, upper) end of (E Y^p)^(1/p) for each p, from a sample of Y in [0, bound].
+def _log_sum_exp(logs: np.ndarray) -> np.ndarray:
+    """log sum_last(exp(logs)) without overflow; -inf for an empty or all -inf last axis."""
+    top = np.max(logs, axis=-1, initial=-math.inf)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out = top + np.log(sum_last(np.exp(logs - np.expand_dims(top, -1))))
+    return np.where(top == -math.inf, -math.inf, out)
 
-    E Y^p is the integral of P(Y > y) d(y^p) over [0, bound].  With
-    probability at least CONFIDENCE each, P(Y > y) <= S_n(y) + eps for
-    every y, and P(Y > y) >= S_n(y) - eps for every y, where S_n is the
-    sample's survival function and eps = sqrt(ln(1/(1 - CONFIDENCE)) / (2n))
-    (the one-sided DKW inequality with Massart's constant).  Each end
-    integrates its side of the band, clipped to [0, 1].  On the sorted
-    sample y_1 <= ... <= y_n the band is a step function, so each integral
-    is a weighted sum of the y_i^p plus, for the upper end, eps bound^p.
-    The upper end is computed on values / bound and the lower end on
-    values / max, so every power lies in [0, 1] and a large p cannot overflow.
+
+def _log_steps(left: np.ndarray, right: np.ndarray, p: float) -> np.ndarray:
+    """log(right^p - left^p) for 0 <= left <= right; -inf where they are equal.
+    1 - (left/right)^p is formed from right - left, so near steps keep their digits."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        steps = p * np.log(right) + np.log(-np.expm1(p * np.log1p((left - right) / right)))
+    return np.where(right > left, steps, -math.inf)
+
+
+def _capped_log_envelope(envelope, points: np.ndarray, log_level: np.ndarray) -> np.ndarray:
+    """min(log_level, log tau) at each of the ascending points, with every level <= 1.
+
+    tau is summed over its terms a block of points at a time, from the top
+    down; tau decreases, so once it reaches 1 every lower point keeps its level.
     """
-    y = np.sort(values)
+    capped = log_level.copy()
+    step = block_step(max(1, envelope.l2.size))
+    for hi in range(points.size, 0, -step):
+        lo = max(0, hi - step)
+        log_tau = _log_sum_exp(envelope.log_tail(points[lo:hi]))
+        capped[lo:hi] = np.minimum(log_level[lo:hi], log_tau)
+        if log_tau[0] >= 0.0:
+            break
+    return capped
+
+
+def _log_rest(decay, end: float, p: float) -> float:
+    """log of a bound on the integral of tau d(y^p) over [end, inf).
+
+    Term j is at most K e^(-y^k / beta) (envelope.decay()), whose integral
+    is K a beta^a Gamma(a, z), a = p / k, z = end^k / beta.  For
+    z > max(a - 1, 0), Gamma(a, z) <= z^(a-1) e^-z z / (z - max(a - 1, 0)),
+    so the term is at most end^p K a e^-z / (z - max(a - 1, 0)); inf where
+    some z is not that large.
+    """
+    log_k, k, beta = decay
+    a = p / k
+    with np.errstate(over="ignore"):
+        z = np.float64(end) ** k / beta
+    room = z - max(a - 1.0, 0.0)
+    if not (room > 0).all():
+        return math.inf
+    return p * math.log(end) + float(_log_sum_exp(log_k + math.log(a) - z - np.log(room)))
+
+
+def _log_envelope_integral(envelope, y: np.ndarray, log_caps: np.ndarray, log_level: float,
+                           p: float) -> float:
+    """log of the integral of min(1, S_n + eps, tau) d(y^p) over [0, inf).
+
+    log_caps are the band's levels capped by tau at the left end of each
+    step [y_{i-1}, y_i) of the sorted sample y (y_0 = 0).  Past y_n the
+    band is log_level; the grid runs in _TAIL_STEPS equal steps from y_n to
+    an end chosen so that the closed-form rest beyond it (_log_rest) adds at
+    most _TAIL_SLACK of the data part, and tau is read at each step's left
+    end.  No choice of end makes the sum less of a bound, only a looser one.
+    Every sum is of logs, so a tau or a power past the float range keeps its
+    share.
+    """
+    data = float(_log_sum_exp(log_caps + _log_steps(np.concatenate([[0.0], y[:-1]]), y, p)))
+    start = float(y[-1])
+    if envelope.l2.size == 0:  # tau = 0: nothing past the data
+        return data
+    decay = envelope.decay()
+    _, k, beta = decay
+    with np.errstate(over="ignore"):
+        end = max(start, float(np.max((beta * (p / k + 1.0)) ** (1.0 / k))))  # every z >= a + 1
+    target = math.log(_TAIL_SLACK) + (data if data > -math.inf else math.log(5e-324))
+    while True:
+        if not math.isfinite(end):
+            raise DomainError(f"the upper moment end at p = {p:g} is past the float range")
+        rest = _log_rest(decay, end, p)
+        if rest <= target:
+            break
+        end *= 1.25
+    grid = np.linspace(start, end, _TAIL_STEPS + 1)
+    caps = _capped_log_envelope(envelope, grid[:-1], np.full(_TAIL_STEPS, log_level))
+    past = _log_sum_exp(caps + _log_steps(grid[:-1], grid[1:], p))
+    return float(_log_sum_exp(np.array([data, past, rest])))
+
+
+def _moment_ends(sample: SupremumSample, p_list: list) -> list[tuple[float, float]]:
+    """(lower, upper) end of (E Y^p)^(1/p) for each p, each one-sided at level CONFIDENCE.
+
+    E Y^p is the integral of P(Y > y) d(y^p).  On the sorted sample
+    y_1 <= ... <= y_n the DKW band, eps = sqrt(ln(1/(1 - CONFIDENCE)) / (2n)),
+    is a step function, clipped to [0, 1].  The lower end integrates
+    S_n - eps, which is 0 past y_n: sum_i (l_i - l_{i+1}) y_i^p, computed on
+    values / max so that every power lies in [0, 1].  The upper end
+    integrates a cap on P(Y > y).  Under a declared bound B, the envelope
+    1{y < B}, the cap is min(1, S_n + eps) up to B: the sum
+    sum_i (h_i - h_{i+1}) y_i^p + h_n B^p, computed on values / B.  Under a
+    tail envelope tau it is min(1, S_n + eps, tau), summed in logs
+    (_log_envelope_integral).  Every sum is errors.sum_last, so no bit
+    depends on the BLAS thread count.
+    """
+    y = np.sort(sample.values)
     n = y.size
     eps = math.sqrt(math.log(1.0 / (1.0 - CONFIDENCE)) / (2.0 * n))
     survival = (n - np.arange(n + 1)) / n  # S_n on [y_i, y_{i+1}), i = 0..n, y_0 = 0
     high = np.minimum(1.0, survival + eps)
-    low = np.maximum(0.0, survival - eps)  # 0 past y_n, so the lower end never reads bound
+    low = np.maximum(0.0, survival - eps)  # 0 past y_n, so the lower end never reads past it
     top = float(y[-1]) or 1.0
-    end = bound or 1.0
+    envelope = sample.tail_envelope
+    if envelope is not None:
+        log_high = np.log(high)  # high >= eps > 0
+        log_caps = _capped_log_envelope(envelope, np.concatenate([[0.0], y[:-1]]), log_high[:-1])
     ends = []
     for p in p_list:
-        upper = (high[:-1] - high[1:]) @ (y / end) ** p + high[-1] * (bound / end) ** p
-        lower = (low[:-1] - low[1:]) @ (y / top) ** p
-        ends.append((top * float(lower) ** (1.0 / p), end * float(upper) ** (1.0 / p)))
+        lower = top * float(sum_last((low[:-1] - low[1:]) * (y / top) ** p)) ** (1.0 / p)
+        if envelope is None:
+            end = sample.value_bound or 1.0
+            scaled = (np.append(y, sample.value_bound) / end) ** p
+            upper = end * float(sum_last((high[:-1] - high[1:]) * scaled[:-1])
+                                + high[-1] * scaled[-1]) ** (1.0 / p)
+        else:
+            root = _log_envelope_integral(envelope, y, log_caps, float(log_high[-1]), p) / p
+            if root > math.log(sys.float_info.max):
+                raise DomainError(f"the upper moment end at p = {p:g} is past the float range")
+            upper = math.exp(root)
+        ends.append((lower, upper))
     return ends
-
-
-def _bootstrap_ends(columns: np.ndarray, top: float, seed: int, p_list: list):
-    """(lower, upper) percentile-bootstrap end of (E Y^p)^(1/p) for each p,
-    from the rows (values / top)^p of columns."""
-    boot = _bootstrap_means(columns, _bootstrap_rng(seed), BOOTSTRAP_RESAMPLES)
-    lo, hi = 100.0 * (1.0 - CONFIDENCE), 100.0 * CONFIDENCE
-    roots = [top * boot[:, j] ** (1.0 / p) for j, p in enumerate(p_list)]
-    return [(float(np.percentile(r, lo)), float(np.percentile(r, hi))) for r in roots]
 
 
 def estimate_moments(sample: SupremumSample, p_list) -> list[MomentEstimate]:
     """(E sup^p)^(1/p) point estimates, each with an interval whose ends are
-    one-sided at level CONFIDENCE.
+    one-sided at level CONFIDENCE, from one sort of the sample and the DKW band.
 
-    Where the sample declares a bound (sample.value_bound, which only the
-    simulators set, from their model), the interval comes from the DKW band
-    of the sorted sample, method "dkw"; otherwise from a percentile bootstrap
-    of BOOTSTRAP_RESAMPLES resamples, method "bootstrap".  Either interval
-    is widened, where rounding leaves it short, to hold the point estimate.
+    The upper end needs what the sample's simulator declared from its model:
+    an almost-sure bound (sample.value_bound, method "dkw") or a tail
+    envelope (sample.tail_envelope, method "dkw-envelope"); a sample that
+    declares neither is refused.  The interval is widened, where rounding
+    leaves it short, to hold the point estimate.
     """
     values = sample.values
     if values.size == 0:
         raise DomainError("cannot estimate moments from an empty sample")
     p_list = _moment_orders(p_list)
+    if sample.value_bound is None and sample.tail_envelope is None:
+        raise DomainError("moment intervals need a sample that declares a value_bound or a "
+                          "tail_envelope from its model; this sample declares neither")
+    method = "dkw" if sample.tail_envelope is None else "dkw-envelope"
     # Powers of values / max (max taken as 1 for an all-zero sample) stay in
     # [0, 1], so a large p cannot overflow; the roots are scaled back by max.
     top = float(values.max()) or 1.0
-    columns = np.stack([(values / top) ** p for p in p_list])  # one contiguous row per p
-    if sample.value_bound is None:
-        method, resamples = "bootstrap", BOOTSTRAP_RESAMPLES
-        ends = _bootstrap_ends(columns, top, sample.seed, p_list)
-    else:
-        method, resamples = "dkw", 0
-        ends = _dkw_ends(values, sample.value_bound, p_list)
     out = []
-    for p, row, (low, high) in zip(p_list, columns, ends):
-        est = top * float(row.mean()) ** (1.0 / p)
-        out.append(MomentEstimate(p, est, min(low, est), max(high, est), resamples, method))
+    for p, (low, high) in zip(p_list, _moment_ends(sample, p_list)):
+        est = top * float(((values / top) ** p).mean()) ** (1.0 / p)
+        out.append(MomentEstimate(p, est, min(low, est), max(high, est), 0, method))
     return out
 
 

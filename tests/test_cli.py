@@ -4,13 +4,21 @@ import argparse
 import inspect
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from chainbounds import RowDistribution, cli, errors, load_json, processes, simulate_chaos
+from chainbounds import (MinEnvelope, RowDistribution, cli, errors, load_json, processes,
+                         simulate_chaos)
 from chainbounds.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(args, capsys):
@@ -1166,9 +1174,11 @@ def test_simulate_refuses_a_config_key_it_does_not_read(tmp_path, capsys, monkey
 
 @pytest.mark.parametrize("command", ["chaos", "simulate"])
 def test_a_sample_whose_sum_passes_the_float_range_reports_its_mean(tmp_path, capsys, command):
-    # every value is 1.28e308; their sum overflowed, and the report was refused
+    # every value is 2 (6e153)^2, about 7.2e307; their sum overflowed, and the
+    # report was refused.  The family's declared bound, 4 (6e153)^2, is
+    # finite, so simulate can also estimate the sample's moments.
     path = tmp_path / "in.json"
-    family = [[[8e153, 8e153]]]
+    family = [[[6e153, 6e153]]]
     if command == "chaos":
         path.write_text(json.dumps(family))
         argv = ["chaos", "--matrices", str(path), "--reps", "10", "--seed", "1"]
@@ -1179,7 +1189,21 @@ def test_a_sample_whose_sum_passes_the_float_range_reports_its_mean(tmp_path, ca
     code, _, err = run(argv + ["--out", str(tmp_path)], capsys)
     assert (code, err) == (0, "")
     sample = load_json(artifact(tmp_path, command))["sample"]
-    assert (sample["mean"], sample["max"]) == (1.28e308, 1.28e308)
+    value = 2 * 6e153**2
+    assert (sample["mean"], sample["max"]) == (value, value)
+
+
+def test_simulate_refuses_moments_of_a_sample_that_declares_neither(tmp_path, capsys):
+    # values 1.28e308 under a bound 2.56e308 past the float range: no bound is
+    # declared, so no upper moment end exists, and simulate says so by name
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"model": {"kind": "chaos", "matrices": [[[8e153, 8e153]]]},
+                                "reps": 10, "seed": 1}))
+    code, out, err = run(["simulate", "--config", str(path), "--out", str(tmp_path / "out")],
+                         capsys)
+    assert (code, out) == (2, "")
+    assert err.endswith("this sample declares neither\n")
+    assert not (tmp_path / "out").exists()
 
 
 _SQUARES = {"radius": 1.0, "m": 4, "sigma": 1.0, "K": 1.0}
@@ -1287,3 +1311,81 @@ def test_a_value_past_the_float_range_is_refused_by_name_or_computed(tmp_path, c
         assert result[:2] == (2, "")
         assert result[2].startswith("error: ") and text in result[2]
         assert not outdir.exists()
+
+
+@pytest.mark.parametrize("command, reps", [("chaos", errors._TABLE_BUDGET + 1),
+                                           ("simulate", errors._TABLE_BUDGET + 1),
+                                           ("simulate", 1e308)])
+def test_reps_past_the_table_budget_exit_two_before_the_first_draw(tmp_path, capsys, monkeypatch,
+                                                                   command, reps):
+    # "reps": 1e308 was accepted as an integral float and drew for minutes
+    monkeypatch.setattr(processes, "replication_rng", lambda *args: pytest.fail("drew"))
+    mats = tmp_path / "mats.json"
+    mats.write_text(json.dumps([[[1.0, 0.0], [0.0, 1.0]]]))
+    if command == "chaos":
+        argv = ["chaos", "--matrices", str(mats), "--reps", str(reps), "--seed", "1"]
+    else:
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps({"model": {"kind": "martingale-family",
+                                                "coefficients": [[1.0, 2.0]]},
+                                      "reps": reps, "seed": 1}))
+        argv = ["simulate", "--config", str(config)]
+    code, out, err = run(argv + ["--out", str(tmp_path / "out")], capsys)
+    count = reps if reps < 1e15 else "at least 10^308"
+    assert (code, out) == (2, "")
+    assert err == (f"error: reps: a values table of {count} entries, above the budget of "
+                   f"{errors._TABLE_BUDGET}\n")
+
+
+def test_a_tail_row_at_a_huge_u_reads_envelope_zero_without_a_warning(tmp_path, capsys):
+    # u^2 overflows in the envelope's power; exp(-inf) = 0 is the right value,
+    # and no RuntimeWarning leaks to the user
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps({
+        "model": {"kind": "gaussian", "covariance": [[1.0, 0.5], [0.5, 1.0]], "base_point": 0},
+        "reps": 50, "seed": 7, "u_grid": [1.0, 1e300],
+        "bound": {"name": "gaussian", "params": {"gamma2": {"alpha": 2, "value": 1.0},
+                                                 "sigma": 1.0, "u": 1.0}}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(["simulate", "--config", str(config), "--out", str(tmp_path)],
+                             capsys)
+        envelope = MinEnvelope(prefactor=2.0, c=1.0, s2=1.0, sinf=1.0)
+        assert envelope.probability(1e300) == 0.0
+    assert (code, err) == (0, "")
+    rows = load_json(artifact(tmp_path, "simulate"))["rows"]
+    assert [row["envelope"] for row in rows][1] == 0.0
+
+
+_THREADED = """
+import sys
+from chainbounds.cli import main
+for name in ("martingale", "gaussian"):
+    assert main(["simulate", "--config", name + ".json", "--out", sys.argv[1]]) == 0
+"""
+
+
+def test_moment_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # OpenBLAS splits a 1-D dot across threads from about 10^4 terms, and the
+    # moment ends were such dots; every sum of the ends is now numpy's
+    # pairwise add.reduce.  Two threads is as many as the test asks for.
+    rng = np.random.default_rng(7)
+    (tmp_path / "martingale.json").write_text(json.dumps({
+        "model": {"kind": "martingale-family",
+                  "coefficients": (rng.normal(size=(16, 8)) / math.sqrt(8)).tolist()},
+        "reps": 20000, "seed": 3, "p_list": [1.0, 2.0, 4.0, 8.0]}))
+    pts = rng.normal(size=(12, 4))
+    (tmp_path / "gaussian.json").write_text(json.dumps({
+        "model": {"kind": "gaussian", "covariance": (pts @ pts.T / 4).tolist(), "base_point": 0},
+        "reps": 20000, "seed": 4, "p_list": [1.0, 2.0, 4.0, 8.0]}))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    reports = []
+    for threads in ("1", "2"):
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = threads
+        subprocess.run([sys.executable, "-c", _THREADED, f"out-{threads}"], cwd=tmp_path, env=env,
+                       check=True, capture_output=True, timeout=60)
+        reports.append({p.name: p.read_bytes() for p in (tmp_path / f"out-{threads}").iterdir()})
+    assert len(reports[0]) == 2
+    assert reports[0] == reports[1]

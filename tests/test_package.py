@@ -86,7 +86,9 @@ _README_CAPS = {
     ("errors", "_BLOCK_ENTRIES"): rf"`_BLOCK_ENTRIES` = {_NUMBER} entries",
     ("chaining", "_CACHED_POINTS"): rf"tables on at most {_NUMBER} points stay cached",
     ("processes", "BLOCK"): rf"`BLOCK` = {_NUMBER} replications",
-    ("validation", "BOOTSTRAP_RESAMPLES"): rf"`BOOTSTRAP_RESAMPLES` = {_NUMBER} resamples",
+    # the simulators read the budget through errors at call time
+    ("processes", "errors._TABLE_BUDGET"): rf"`reps` above `_TABLE_BUDGET` = {_NUMBER} "
+                                           rf"replications",
 }
 
 
@@ -97,7 +99,10 @@ def test_readme_caps_match_the_code(module, constant):
     assert match, f"README no longer states {constant}"
     base, power = match.group(1), match.group(2).translate(_SUPERSCRIPTS)
     stated = int(base) ** int(power) if power else int(base)
-    assert stated == getattr(importlib.import_module(f"chainbounds.{module}"), constant)
+    value = importlib.import_module(f"chainbounds.{module}")
+    for name in constant.split("."):
+        value = getattr(value, name)
+    assert stated == value
 
 
 def _circulant_admits(N: int, s: int) -> bool:
@@ -167,11 +172,12 @@ def _public_callables():
             yield name, obj
 
 
-# Settings that module constants fix: the confidence level, the resample
-# count, the Orlicz bisection's tolerance and budget, and a count of random
-# test vectors, which no callable takes today.
+# Settings that module constants fix: the confidence level, a resample count
+# (no interval resamples), the Orlicz bisection's tolerance and budget, and a
+# count of random test vectors, which no callable takes today.
 _FIXED_SETTINGS = {"n_small", "confidence", "resamples", "tol", "max_iter", "test_vectors"}
-# Result records that store such a setting as provenance, not take it.
+# Result records that store such a setting, not take it: MomentEstimate's
+# resamples, always 0, stays while the benchmark's span recorder reads it.
 _RECORDED = {"MomentEstimate(resamples)"}
 
 

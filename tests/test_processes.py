@@ -39,7 +39,7 @@ from chainbounds import (
     simulate_squares_increment,
     squares_model,
 )
-from chainbounds import errors, metric, processes
+from chainbounds import errors, metric, processes, validation
 from chainbounds.processes import BLOCK, SEED_MAX, SupremumSample
 
 LOG2 = math.log(2.0)
@@ -642,6 +642,8 @@ def test_gaussian_drivers_declare_no_bound():
         simulate_chaos(mats, g, 10, 1, decoupled=True),
     ]
     assert [s.value_bound for s in samples] == [None] * len(samples)
+    # each declares its tail envelope instead
+    assert all(isinstance(s.tail_envelope, processes._TailEnvelope) for s in samples)
 
 
 def test_a_bound_past_the_float_range_is_not_declared():
@@ -660,6 +662,99 @@ def test_a_wrong_bound_fails_loudly(monkeypatch):
     monkeypatch.setattr(processes, "_largest_row_sum", lambda a: 0.5 * float(a.sum(axis=1).max()))
     with pytest.raises(ModelError, match="values must be <= the model's bound"):
         simulate_martingale_family(martingale_model([[1.0, 1.0, 1.0]]), 50, 1)
+
+
+# name -> simulate(reps, seed) of a Gaussian-driven model (fixtures below)
+_ENVELOPE_CASES = {
+    "gaussian": lambda r, s: simulate_gaussian(gaussian_model(_COV), r, s, base_point=2),
+    "gaussian-raw": lambda r, s: simulate_gaussian(gaussian_model(_COV), r, s, base_point=None),
+    "gaussian-point": lambda r, s: simulate_gaussian(gaussian_model([[4.0]]), r, s,
+                                                     base_point=None),
+    "empirical": lambda r, s: simulate_empirical(empirical_model(_COEF, _GAUSS), 6, r, s),
+    "squares": lambda r, s: simulate_squares(squares_model(_COEF, _GAUSS), 6, r, s),
+    "squares-increment": lambda r, s: simulate_squares_increment(
+        squares_model(_COEF, _GAUSS), 1, 3, 6, r, s),
+    "chaos": lambda r, s: simulate_chaos(_MATS, _GAUSS, r, s),
+    "chaos-decoupled": lambda r, s: simulate_chaos(_MATS, _GAUSS, r, s, decoupled=True),
+    "chaos-decoupled-real": lambda r, s: simulate_chaos([a.real for a in _MATS], _GAUSS, r, s,
+                                                        decoupled=True),
+}
+_QUANTILES = (0.5, 0.9, 0.99, 0.999, 0.9999)
+
+
+def _envelope_at(sample, y: float) -> float:
+    return float(np.exp(validation._log_sum_exp(sample.tail_envelope.log_tail(np.array([y])))[0]))
+
+
+def _dominated_quantiles(sample) -> list[bool]:
+    """At each sample quantile y: whether tau(y) is at least the one-sided
+    Clopper-Pearson lower bound on P(sup > y), so not refuted by the sample."""
+    n = sample.values.size
+    return [validation.exceedance_lower_bound(int(np.count_nonzero(sample.values > y)), n)
+            <= _envelope_at(sample, y) for y in np.quantile(sample.values, _QUANTILES)]
+
+
+@pytest.mark.parametrize("name", sorted(_ENVELOPE_CASES))
+def test_each_declared_envelope_dominates_its_empirical_tail(name):
+    sample = _ENVELOPE_CASES[name](10**6, 2024)
+    assert sample.value_bound is None
+    assert _dominated_quantiles(sample) == [True] * len(_QUANTILES)
+
+
+def test_the_gaussian_envelope_is_the_exact_tail_on_one_point():
+    # P(|N(0, 4)| > y) = erfc(y / (2 sqrt 2)), so half of it is refuted at every quantile
+    sample = _ENVELOPE_CASES["gaussian-point"](10**6, 2024)
+    for y in (0.0, 1.0, 3.0, 8.0):
+        assert _envelope_at(sample, y) == pytest.approx(math.erfc(y / (2.0 * math.sqrt(2.0))),
+                                                        rel=1e-14)
+    half = processes._TailEnvelope(sample.tail_envelope.l2 / 2.0)  # a narrower law: a smaller tail
+    wrong = SupremumSample(replications=sample.replications, seed=2024, values=sample.values,
+                           tail_envelope=half)
+    assert _dominated_quantiles(wrong) == [False] * len(_QUANTILES)
+
+
+def test_envelope_terms_match_their_closed_forms():
+    # decoupled real chaos: singular values of A^T A at +-1/2; complex: real and
+    # imaginary parts, each at y / sqrt 2
+    mats = [a.real for a in _MATS]
+    env = simulate_chaos(mats, _GAUSS, 1, 1, decoupled=True).tail_envelope
+    s2 = _GAUSS.second_moment()
+    sv = np.linalg.svd(np.stack([a.T @ a for a in mats]), compute_uv=False)
+    np.testing.assert_allclose(env.l2, s2 * np.sqrt((sv**2).sum(axis=1) / 2.0), rtol=1e-13)
+    np.testing.assert_allclose(env.linf, s2 * sv.max(axis=1) / 2.0, rtol=1e-13)
+    assert (env.split, env.sides, env.power) == (1.0, 2, 1)
+    env = simulate_chaos(_MATS, _GAUSS, 1, 1, decoupled=True).tail_envelope
+    assert env.l2.size == 3 and env.split == math.sqrt(2.0)  # the real matrix has no imaginary term
+    # plain chaos: the eigenvalues of Re(A^H A)
+    env = simulate_chaos(_MATS, _GAUSS, 1, 1).tail_envelope
+    eig = [np.clip(np.linalg.eigvalsh(g.real), 0.0, None) for g in _GRAMS]
+    np.testing.assert_allclose(env.l2, [s2 * np.sqrt((e**2).sum()) for e in eig], rtol=1e-12)
+    np.testing.assert_allclose(env.linf, [s2 * e.max() for e in eig], rtol=1e-12)
+    # the increment: one upper tail of sum_i a_i g_i^2 - sum_i a_i, read at y^2
+    env = simulate_squares_increment(squares_model(_COEF, _GAUSS), 1, 3, 6, 1, 1).tail_envelope
+    a = s2 * (_COEF[3] - _COEF[1]) ** 2 / 6
+    assert (env.sides, env.power, env.shift) == (1, 2, pytest.approx(a.sum(), rel=1e-15))
+    assert env.l2 == pytest.approx([np.sqrt((a**2).sum())], rel=1e-15)
+    # every envelope term holds a nonzero variable
+    zero = simulate_gaussian(gaussian_model(np.zeros((2, 2))), 3, 1).tail_envelope
+    assert zero.l2.size == 0
+
+
+def test_an_envelope_past_the_float_range_is_not_declared():
+    # as with a bound, a sample then declares neither, and its moments are refused
+    assert processes._envelope(np.array([1.0, np.inf])) is None
+    assert processes._chi2_envelope(np.array([[1.0, 2.0], [np.inf, 0.0]])) is None
+    assert processes._chi2_envelope(np.array([[1.0]]), sides=1, power=2, shift=np.inf) is None
+    assert processes._chi2_envelope(np.array([[1.0, 0.0], [0.0, 0.0]])).l2.size == 1
+
+
+def test_a_sample_declares_a_bound_or_an_envelope_not_both():
+    env = simulate_gaussian(gaussian_model([[1.0]]), 3, 1).tail_envelope
+    with pytest.raises(ModelError, match="a value_bound or a tail_envelope, not both"):
+        SupremumSample(replications=1, seed=0, values=np.array([1.0]), value_bound=2.0,
+                       tail_envelope=env)
+    with pytest.raises(ModelError, match="tail_envelope must be a _TailEnvelope, got float"):
+        SupremumSample(replications=1, seed=0, values=np.array([1.0]), tail_envelope=2.0)
 
 
 # ---------------------------------------------------------- exact laws
@@ -941,6 +1036,26 @@ def test_simulator_rejects_reps_and_seed_before_any_draw(monkeypatch, name, reps
     assert calls == []
     simulate(BLOCK + 1, 1)  # the counter sees the draws of a valid call
     assert calls == [0, 1]
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_CASES))
+def test_reps_above_the_table_budget_are_refused_before_the_first_draw(monkeypatch, name):
+    # the values are one kept table: reps at _TABLE_BUDGET reach the first
+    # draw, and one more (or 1e308, an integral float) is refused before it
+    class Drew(Exception):
+        pass
+
+    def drew(seed, block):
+        raise Drew
+
+    monkeypatch.setattr(processes, "replication_rng", drew)
+    simulate, cap = STREAM_CASES[name][0], errors._TABLE_BUDGET
+    with pytest.raises(Drew):
+        simulate(cap, 1)
+    for reps, count in ((cap + 1, cap + 1), (1e308, "at least 10^308")):
+        message = f"reps: a values table of {count} entries, above the budget of {cap}"
+        with pytest.raises(CapacityError, match=f"^{re.escape(message)}$"):
+            simulate(reps, 1)
 
 
 def test_a_bad_model_is_reported_before_a_bad_replication_count():

@@ -176,15 +176,18 @@ def _blocked_loop_outputs() -> list:
     bad = d.copy()
     bad[0, 1] = bad[1, 0] = 3.0 * d.max()  # a triangle violation
     chaos = simulate_chaos([rng.normal(size=(3, 4))], RowDistribution("rademacher"), 40, 5)
-    small = SupremumSample(replications=3, seed=4, values=np.array([0.5, 2.0, 1.25]))
+    small = SupremumSample(replications=3, seed=4, values=np.array([0.5, 2.0, 1.25]),
+                           value_bound=2.0)
     supplied = restricted_isometry_constant(rng.normal(size=(5, 8)), 3)
     inst = subsampled_instance(12, 6, 3)
     dft = inst.delta(3)
+    gauss = simulate_chaos([rng.normal(size=(3, 4))], RowDistribution("gaussian"), 300, 6)
     return [
         chaos.values.tobytes(),  # _chaos_sup
         space_from_points(points).dist.tobytes(), matrix_set_space(mats).dist.tobytes(),
         [metric._neighbours_certify_triangle(x, 1e-12) for x in (d, bad)],
         repr(estimate_moments(chaos, [1.0, 3.0])), repr(estimate_moments(small, [2.0])),
+        repr(estimate_moments(gauss, [1.0, 3.0])),  # validation._capped_log_envelope
         repr((supplied.delta_s, supplied.witness_support)),  # _stacked_deltas
         supplied.witness_direction.tobytes(),
         repr((inst.K, dft.delta_s, dft.witness_support)),  # _dft_flatness, _kernel_reruns

@@ -1,4 +1,4 @@
-"""Confidence machinery: exceedance intervals, bootstrap moments, verdicts."""
+"""Confidence machinery: exceedance intervals, DKW moment intervals, verdicts."""
 
 import itertools
 import math
@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import integrate, stats
+from scipy.special import gammaln
 
 from chainbounds import (
     CapacityError,
@@ -37,15 +38,22 @@ from chainbounds import (
     validate_bound,
 )
 from chainbounds import errors, processes, validation
-from chainbounds.validation import _bootstrap_means, _bootstrap_rng, _verdict
+from chainbounds.validation import _verdict
 
 import decoupling
 from decoupling import check_symmetrization_decoupling
 
 
-def _sample(values, seed=0):
+def _sample(values, seed=0, bound=None):
     values = np.asarray(values, dtype=float)
-    return SupremumSample(replications=values.size, seed=seed, values=values)
+    return SupremumSample(replications=values.size, seed=seed, values=values, value_bound=bound)
+
+
+def _bounded(values, seed=0):
+    """A sample that declares its largest value as its bound, so that its
+    moments can be estimated."""
+    values = np.asarray(values, dtype=float)
+    return _sample(values, seed, float(values.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -113,20 +121,21 @@ def test_exceedance_upper_monotone_in_k(k1, k2):
 
 
 # ---------------------------------------------------------------------------
-# bootstrap moment estimates
+# moment estimates
 
 
 def test_estimate_moments_constant_sample():
-    est, = estimate_moments(_sample(np.full(64, 3.0)), [2.0])
+    est, = estimate_moments(_bounded(np.full(64, 3.0)), [2.0])
+    eps = math.sqrt(math.log(100.0) / 128.0)  # the DKW band's width at n = 64
     assert est.estimate == pytest.approx(3.0)
-    assert est.ci_low == pytest.approx(3.0)
+    assert est.ci_low == pytest.approx(3.0 * math.sqrt(1.0 - eps))
     assert est.ci_high == pytest.approx(3.0)
-    assert est.resamples == 1000
+    assert (est.resamples, est.method) == (0, "dkw")
 
 
 def test_estimate_moments_monotone_in_p():
     rng = np.random.default_rng(5)
-    sample = _sample(rng.exponential(size=500))
+    sample = _bounded(rng.exponential(size=500))
     ests = estimate_moments(sample, [1.0, 2.0, 4.0, 8.0])
     vals = [e.estimate for e in ests]
     assert vals == sorted(vals)  # Lyapunov: L^p norms grow with p
@@ -135,18 +144,10 @@ def test_estimate_moments_monotone_in_p():
 
 
 def test_estimate_moments_deterministic():
-    sample = _sample(np.linspace(0.1, 2.0, 200), seed=11)
+    sample = _bounded(np.linspace(0.1, 2.0, 200), seed=11)
     a = estimate_moments(sample, [3.0])[0]
     b = estimate_moments(sample, [3.0])[0]
     assert (a.estimate, a.ci_low, a.ci_high) == (b.estimate, b.ci_low, b.ci_high)
-
-
-def test_estimate_moments_ci_tracks_seed():
-    vals = np.linspace(0.1, 2.0, 200)
-    a = estimate_moments(_sample(vals, seed=1), [2.0])[0]
-    b = estimate_moments(_sample(vals, seed=2), [2.0])[0]
-    assert a.estimate == b.estimate  # point estimate ignores the bootstrap
-    assert (a.ci_low, a.ci_high) != (b.ci_low, b.ci_high)
 
 
 def test_estimate_moments_input_validation():
@@ -164,32 +165,52 @@ def test_estimate_moments_refuses_an_empty_order_list():
         estimate_moments(_sample([1.0, 2.0]), [])
 
 
+def test_a_sample_that_declares_neither_a_bound_nor_an_envelope_is_refused():
+    # past the data only a declared bound or envelope bounds the upper end
+    message = ("declares a value_bound or a tail_envelope from its model; "
+               "this sample declares neither")
+    for values in ([1.0, 2.0], np.random.default_rng(2).exponential(size=300)):
+        with pytest.raises(DomainError, match=message):
+            estimate_moments(_sample(values), [1.0])
+        with pytest.raises(DomainError, match=message):
+            validate_bound(_sample(values), MomentBound(p=2.0, decomposition=(("all", 9.0),)))
+
+
 def test_estimate_moments_high_order_does_not_overflow():
     # 20**400 overflows a double; the exact root comes from Decimal arithmetic.
     vals = np.linspace(0.4, 20.0, 50)
-    est, = estimate_moments(_sample(vals, seed=3), [400.0])
+    est, = estimate_moments(_bounded(vals, seed=3), [400.0])
     exact = (sum(Decimal(float(v)) ** 400 for v in vals) / 50) ** (Decimal(1) / 400)
     assert est.estimate == pytest.approx(float(exact), rel=1e-12)
     assert est.ci_low <= est.estimate <= est.ci_high <= 20.0
 
 
-def test_bootstrap_stream_differs_from_block_streams():
-    draws = _bootstrap_rng(5).integers(0, 2**63, 8)
-    for b in range(3):
-        assert not np.array_equal(draws, replication_rng(5, b).integers(0, 2**63, 8))
+# A reference percentile bootstrap, which estimate_moments no longer runs:
+# the coverage harness below is shown to fail it.  Its resamples are drawn
+# a block of errors.block_step(n) at a time, for speed, and the tests next
+# to it check that each draw is the one-resample-per-draw loop's.
 
 
-def reference_bootstrap(sample, p_list, resamples):
-    """The one-resample-per-draw loop that the block draws replaced."""
-    values = sample.values
-    rng = _bootstrap_rng(sample.seed)
-    n = values.size
-    top = float(values.max()) or 1.0
-    columns = np.stack([(values / top) ** p for p in p_list])
-    boot = np.empty((resamples, len(p_list)))
-    for b in range(resamples):
-        idx = rng.integers(0, n, n)
-        boot[b] = columns.take(idx, axis=1).mean(axis=1)
+def _bootstrap_rng(seed: int) -> np.random.Generator:
+    # Counter word 3 keeps this stream disjoint from the simulators' block
+    # streams, which use counter word 2.
+    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, 1]))
+
+
+def block_bootstrap_means(columns, rng, resamples):
+    """(resamples, P) means of each row of the (P, n) columns over resampled
+    indices, k = block_step(n) resamples per draw; one (k, n) draw is the
+    stream of k successive n-draws."""
+    n = columns.shape[1]
+    boot = np.empty((resamples, columns.shape[0]))
+    k = errors.block_step(n)
+    for b in range(0, resamples, k):
+        idx = rng.integers(0, n, (min(k, resamples - b), n))
+        boot[b:b + idx.shape[0]] = columns.take(idx, axis=1).mean(axis=2).T
+    return boot
+
+
+def _percentile_ends(columns, boot, top, p_list):
     lo, hi = 100.0 * (1.0 - 0.99), 100.0 * 0.99
     estimates = []
     for j, p in enumerate(p_list):
@@ -197,7 +218,37 @@ def reference_bootstrap(sample, p_list, resamples):
         est = top * float(columns[j].mean()) ** (1.0 / p)
         estimates.append((est, min(float(np.percentile(root, lo)), est),
                           max(float(np.percentile(root, hi)), est)))
-    return columns, boot, estimates
+    return estimates
+
+
+def _columns(sample, p_list):
+    top = float(sample.values.max()) or 1.0
+    return np.stack([(sample.values / top) ** p for p in p_list]), top
+
+
+def bootstrap_estimates(sample, p_list, resamples=1000):
+    """(estimate, lower, upper) of the percentile bootstrap for each p, from block draws."""
+    columns, top = _columns(sample, p_list)
+    boot = block_bootstrap_means(columns, _bootstrap_rng(sample.seed), resamples)
+    return _percentile_ends(columns, boot, top, p_list)
+
+
+def reference_bootstrap(sample, p_list, resamples):
+    """The one-resample-per-draw loop that the block draws replace."""
+    rng = _bootstrap_rng(sample.seed)
+    columns, top = _columns(sample, p_list)
+    n = sample.values.size
+    boot = np.empty((resamples, len(p_list)))
+    for b in range(resamples):
+        idx = rng.integers(0, n, n)
+        boot[b] = columns.take(idx, axis=1).mean(axis=1)
+    return columns, boot, _percentile_ends(columns, boot, top, p_list)
+
+
+def test_bootstrap_stream_differs_from_block_streams():
+    draws = _bootstrap_rng(5).integers(0, 2**63, 8)
+    for b in range(3):
+        assert not np.array_equal(draws, replication_rng(5, b).integers(0, 2**63, 8))
 
 
 # (n, resamples): k = 2^15 // n resamples per draw, and no count below is a
@@ -207,34 +258,31 @@ BLOCK_CASES = [(1, 1), (1, 1000), (2, 3), (2, 1000), (200, 164), (200, 1000),
 
 
 @pytest.mark.parametrize("n, resamples", BLOCK_CASES)
-def test_block_bootstrap_equals_the_per_resample_loop(monkeypatch, n, resamples):
-    monkeypatch.setattr(validation, "BOOTSTRAP_RESAMPLES", resamples)
+def test_block_bootstrap_equals_the_per_resample_loop(n, resamples):
     sample = _sample(np.random.default_rng(n).exponential(size=n), seed=n % 7)
     p_list = [1.0, 2.5, 8.0]
     columns, boot, estimates = reference_bootstrap(sample, p_list, resamples)
-    got = _bootstrap_means(columns, _bootstrap_rng(sample.seed), resamples)
+    got = block_bootstrap_means(columns, _bootstrap_rng(sample.seed), resamples)
     assert got.shape == boot.shape
     assert (got == boot).all()
-    ests = estimate_moments(sample, p_list)
-    assert [e.resamples for e in ests] == [resamples] * len(p_list)
-    assert [(e.estimate, e.ci_low, e.ci_high) for e in ests] == estimates
+    assert bootstrap_estimates(sample, p_list, resamples) == estimates
 
 
 @pytest.mark.parametrize("block", [5, 6, 7, 64])
 def test_block_bootstrap_boundaries(monkeypatch, block):
     # 6-point samples: 0, 1, 1 and 10 resamples per draw, 37 resamples in all
     monkeypatch.setattr(errors, "_BLOCK_ENTRIES", block)
-    monkeypatch.setattr(validation, "BOOTSTRAP_RESAMPLES", 37)
     sample = _sample([0.5, 1.0, 1.5, 2.0, 4.0, 0.25], seed=9)
     columns, boot, estimates = reference_bootstrap(sample, [1.0, 3.0], 37)
-    assert (_bootstrap_means(columns, _bootstrap_rng(9), 37) == boot).all()
-    ests = estimate_moments(sample, [1.0, 3.0])
-    assert [(e.estimate, e.ci_low, e.ci_high) for e in ests] == estimates
+    assert (block_bootstrap_means(columns, _bootstrap_rng(9), 37) == boot).all()
+    assert bootstrap_estimates(sample, [1.0, 3.0], 37) == estimates
 
 
 def test_moment_estimate_interval_must_contain_estimate():
-    with pytest.raises(DomainError):
-        MomentEstimate(p=2.0, estimate=1.0, ci_low=1.2, ci_high=1.4, resamples=10,
+    with pytest.raises(DomainError, match="must contain the point estimate"):
+        MomentEstimate(p=2.0, estimate=1.0, ci_low=1.2, ci_high=1.4, resamples=0, method="dkw")
+    with pytest.raises(DomainError, match="unknown moment method 'bootstrap'"):
+        MomentEstimate(p=2.0, estimate=1.3, ci_low=1.2, ci_high=1.4, resamples=0,
                        method="bootstrap")
 
 
@@ -250,10 +298,10 @@ def test_confidence_inside_half_to_one_is_accepted(monkeypatch):
 
 def test_one_confidence_level_behind_every_interval(monkeypatch):
     # validation.CONFIDENCE, read at call time, sets the tail rows' bound, the
-    # bootstrap percentiles of the moment rows and the RIP curves' bounds.
+    # DKW band of the moment rows and the RIP curves' bounds.
     bound = bernstein_tail(BernsteinParams(sigma=1.0, K=1.0, m=1))
     moment = MomentBound(p=2.0, decomposition=(("all", 2.0),))
-    sample = _sample(np.random.default_rng(4).exponential(size=300), seed=4)
+    sample = _bounded(np.random.default_rng(4).exponential(size=300), seed=4)
     seen = []
     for level in (0.9, 0.99):
         monkeypatch.setattr(validation, "CONFIDENCE", level)
@@ -322,34 +370,86 @@ def test_dkw_on_an_all_zero_sample_bounded_by_zero():
 
 
 _ORDERS = [1.0, 2.0, 4.0, 8.0]
+_GAUSSIAN = processes.RowDistribution("gaussian")
+
+
+def _absolute_gaussian(p: float) -> float:
+    """(E |g|^p)^(1/p) for a standard normal g: (2^(p/2) Gamma((p+1)/2) / sqrt(pi))^(1/p)."""
+    return math.exp((0.5 * p * math.log(2.0) + gammaln(0.5 * (p + 1.0))
+                     - 0.5 * math.log(math.pi)) / p)
+
+
+def _centred_chi2(p: float) -> float:
+    """(E |g^2 - 1|^p)^(1/p), by quadrature over the chi-square density with one degree of
+    freedom, split at the kink x = 1."""
+    def f(x):
+        return abs(x - 1.0) ** p * stats.chi2.pdf(x, 1)
+
+    return (integrate.quad(f, 0.0, 1.0)[0] + integrate.quad(f, 1.0, math.inf)[0]) ** (1.0 / p)
+
+
+# Gaussian-driven models on one index point, whose moments are closed forms:
+# (a seeded simulation of n replications, (E sup^p)^(1/p) as a function of p).
+_POINT_MODELS = {
+    "gaussian": (lambda n, seed: processes.simulate_gaussian(
+        processes.gaussian_model([[2.25]]), n, seed, base_point=None),
+        lambda p: 1.5 * _absolute_gaussian(p)),
+    "gaussian empirical": (lambda n, seed: processes.simulate_empirical(
+        processes.empirical_model([[3.0]], processes.RowDistribution("gaussian", 0.5)), 1, n,
+        seed), lambda p: 1.5 * _absolute_gaussian(p)),
+    "gaussian squares": (lambda n, seed: processes.simulate_squares(
+        processes.squares_model([[1.5]], _GAUSSIAN), 1, n, seed),
+        lambda p: 2.25 * _centred_chi2(p)),
+    "gaussian increment": (lambda n, seed: processes.simulate_squares_increment(
+        processes.squares_model([[0.0], [1.5]], _GAUSSIAN), 0, 1, 1, n, seed),
+        lambda p: 1.5 * _absolute_gaussian(p)),
+    "gaussian chaos": (lambda n, seed: processes.simulate_chaos([[[1.5]]], _GAUSSIAN, n, seed),
+                       lambda p: 2.25 * _centred_chi2(p)),
+    "gaussian decoupled chaos": (lambda n, seed: processes.simulate_chaos(
+        [[[1.5]]], _GAUSSIAN, n, seed, decoupled=True),
+        lambda p: 2.25 * _absolute_gaussian(p) ** 2),
+}
 
 
 def _coverage_model(kind: str):
-    """(a seeded simulation of n replications, the exact law) of one small bounded model."""
+    """(a seeded simulation of n replications, the exact (E sup^p)^(1/p) at each of
+    _ORDERS) of one small model: bounded, with its exact law, or on one point."""
+    if kind in _POINT_MODELS:
+        simulate, moment = _POINT_MODELS[kind]
+        return simulate, [moment(p) for p in _ORDERS]
     if kind == "martingale":
         model = processes.martingale_model(np.random.default_rng(0).normal(size=(16, 12)))
-        return (lambda n, seed: processes.simulate_martingale_family(model, n, seed),
-                processes.exact_martingale_distribution(model))
-    model = processes.empirical_model(np.random.default_rng(1).normal(size=(8, 12)),
-                                      processes.RowDistribution("rademacher"))
-    return (lambda n, seed: processes.simulate_empirical(model, 12, n, seed),
-            processes.exact_empirical_distribution(model))
+        law = processes.exact_martingale_distribution(model)
+
+        def simulate(n, seed):
+            return processes.simulate_martingale_family(model, n, seed)
+    else:
+        model = processes.empirical_model(np.random.default_rng(1).normal(size=(8, 12)),
+                                          processes.RowDistribution("rademacher"))
+        law = processes.exact_empirical_distribution(model)
+
+        def simulate(n, seed):
+            return processes.simulate_empirical(model, 12, n, seed)
+    return simulate, [float(np.mean(law ** p) ** (1.0 / p)) for p in _ORDERS]
 
 
-def _missed_ends(kind: str, seeds, declared: bool = True) -> list[tuple]:
+def _package_ends(sample, orders):
+    return [(e.ci_low, e.ci_high) for e in estimate_moments(sample, orders)]
+
+
+def _reference_bootstrap_ends(sample, orders):
+    return [(low, high) for _, low, high in bootstrap_estimates(sample, orders)]
+
+
+def _missed_ends(kind: str, seeds, ends=_package_ends) -> list[tuple]:
     """(p, end) of each interval end that misses the exact (E sup^p)^(1/p),
-    once per seed, at n = 200; without declared, the sample drops its bound,
-    so the bootstrap computes the interval."""
-    simulate, law = _coverage_model(kind)
-    exact = [float(np.mean(law ** p) ** (1.0 / p)) for p in _ORDERS]
+    once per seed, at n = 200; ends(sample, orders) gives the intervals."""
+    simulate, exact = _coverage_model(kind)
     missed = []
     for seed in seeds:
-        sample = simulate(200, seed)
-        if not declared:
-            sample = _sample(sample.values, seed=seed)
-        for est, truth in zip(estimate_moments(sample, _ORDERS), exact):
-            missed += [(est.p, "high")] * (est.ci_high < truth)
-            missed += [(est.p, "low")] * (est.ci_low > truth)
+        for p, (low, high), truth in zip(_ORDERS, ends(simulate(200, seed), _ORDERS), exact):
+            missed += [(p, "high")] * (high < truth)
+            missed += [(p, "low")] * (low > truth)
     return missed
 
 
@@ -368,45 +468,97 @@ def test_dkw_ends_cover_the_exact_moments_at_their_level(kind):
     assert _cells_missing_too_often(_missed_ends(kind, seeds), len(seeds)) == []
 
 
-def test_the_coverage_harness_fails_the_bootstrap():
-    # the same harness on the same samples with their bound dropped: the
-    # percentile bootstrap's upper end falls below the exact moment at p = 8
-    # in 20 of the 400 seeds (1% would be 4)
+@pytest.mark.parametrize("kind", _POINT_MODELS)
+def test_envelope_ends_cover_the_exact_moments_at_their_level(kind):
+    simulate, _ = _coverage_model(kind)
+    assert {e.method for e in estimate_moments(simulate(200, 1), _ORDERS)} == {"dkw-envelope"}
     seeds = range(1000, 1400)
-    missed = _missed_ends("martingale", seeds, declared=False)
+    assert _cells_missing_too_often(_missed_ends(kind, seeds), len(seeds)) == []
+
+
+def test_the_coverage_harness_fails_the_bootstrap():
+    # the same harness on the same samples, with the reference percentile
+    # bootstrap's interval: its upper end falls below the exact moment at
+    # p = 8 in 20 of the 400 seeds (1% would be 4)
+    seeds = range(1000, 1400)
+    missed = _missed_ends("martingale", seeds, _reference_bootstrap_ends)
     assert missed.count((8.0, "high")) == 20
     assert (8.0, "high") in _cells_missing_too_often(missed, len(seeds))
 
 
+def test_the_coverage_harness_fails_the_bootstrap_on_a_gaussian_point():
+    # on one Gaussian point the bootstrap's upper end misses at every order,
+    # and at p = 8 in 85 of the 400 seeds, where the envelope ends miss in none
+    seeds = range(1000, 1400)
+    missed = _missed_ends("gaussian", seeds, _reference_bootstrap_ends)
+    assert [missed.count((p, "high")) for p in _ORDERS] == [4, 10, 20, 85]
+    assert _cells_missing_too_often(missed, len(seeds)) == [(2.0, "high"), (4.0, "high"),
+                                                            (8.0, "high")]
+
+
+def test_a_planted_half_envelope_fails_the_coverage_test(monkeypatch):
+    # the Gaussian point's envelope is its exact tail; half of it undercuts
+    # P(sup > y), and the upper ends miss far more often than 1%
+    log_tail, decay = processes._TailEnvelope.log_tail, processes._TailEnvelope.decay
+    monkeypatch.setattr(processes._TailEnvelope, "log_tail",
+                        lambda self, y: log_tail(self, y) - math.log(2.0))
+    monkeypatch.setattr(processes._TailEnvelope, "decay",
+                        lambda self: (decay(self)[0] - math.log(2.0), *decay(self)[1:]))
+    seeds = range(1000, 1400)
+    missed = _missed_ends("gaussian", seeds)
+    assert _cells_missing_too_often(missed, len(seeds)) == [(p, "high") for p in _ORDERS]
+
+
 def test_a_bound_between_the_bootstrap_end_and_the_truth_is_not_dominated_under_dkw():
-    simulate, law = _coverage_model("martingale")
-    truth = float(np.mean(law ** 8.0) ** 0.125)
+    simulate, (*_, truth) = _coverage_model("martingale")
     for seed in range(1000, 1400):  # the first seed whose bootstrap end misses
         sample = simulate(200, seed)
-        (boot,) = estimate_moments(_sample(sample.values, seed=seed), [8.0])
-        if boot.ci_high < truth:
+        ((_, _, boot_high),) = bootstrap_estimates(sample, [8.0])
+        if boot_high < truth:
             break
     else:
         pytest.fail("no seed's bootstrap end misses the exact moment")
-    planted = MomentBound(p=8.0, decomposition=(("planted", 0.5 * (boot.ci_high + truth)),))
-    assert validate_bound(_sample(sample.values, seed=seed), planted).verdict == "dominated"
+    # the bootstrap would call the planted bound dominated; the DKW end does not
+    planted = MomentBound(p=8.0, decomposition=(("planted", 0.5 * (boot_high + truth)),))
+    assert boot_high <= planted.value < truth
     report = validate_bound(sample, planted)
     assert report.rows[0]["method"] == "dkw"
     assert report.rows[0]["ci_upper"] > truth
     assert report.verdict != "dominated"
 
 
-def test_an_unbounded_sample_keeps_the_bootstrap_bit_for_bit():
-    model = processes.gaussian_model([[1.0, 0.5], [0.5, 1.0]])
-    sample = processes.simulate_gaussian(model, 300, 13, base_point=None)
-    assert sample.value_bound is None
-    p_list = [1.0, 3.0, 8.0]
-    _, _, estimates = reference_bootstrap(sample, p_list, validation.BOOTSTRAP_RESAMPLES)
-    ests = estimate_moments(sample, p_list)
-    assert [(e.method, e.resamples) for e in ests] == [("bootstrap", 1000)] * 3
-    assert [(e.estimate, e.ci_low, e.ci_high) for e in ests] == estimates
-    (row,) = validate_bound(sample, MomentBound(p=3.0, decomposition=(("all", 9.0),))).rows
-    assert (row["method"], row["ci_upper"]) == ("bootstrap", estimates[1][2])
+def _dot_dkw_ends(values, bound, p):
+    """The bounded ends as they were first written, each sum a BLAS dot."""
+    y = np.sort(values)
+    n = y.size
+    eps = math.sqrt(math.log(1.0 / (1.0 - validation.CONFIDENCE)) / (2.0 * n))
+    survival = (n - np.arange(n + 1)) / n
+    high = np.minimum(1.0, survival + eps)
+    low = np.maximum(0.0, survival - eps)
+    top, end = float(y[-1]) or 1.0, bound or 1.0
+    upper = (high[:-1] - high[1:]) @ (y / end) ** p + high[-1] * (bound / end) ** p
+    lower = (low[:-1] - low[1:]) @ (y / top) ** p
+    return top * float(lower) ** (1.0 / p), end * float(upper) ** (1.0 / p)
+
+
+@pytest.mark.parametrize("n", [1, 7, 200, 20000])
+def test_bounded_ends_keep_their_values_up_to_the_sum(n):
+    # a bound is the envelope 1{y < B}: past the data the band alone, up to B
+    values = np.random.default_rng(n).uniform(0.0, 2.0, n)
+    sample = SupremumSample(replications=n, seed=0, values=values, value_bound=2.5)
+    for est, p in zip(estimate_moments(sample, _ORDERS), _ORDERS):
+        low, high = _dot_dkw_ends(values, 2.5, p)
+        assert est.method == "dkw"
+        assert est.ci_low == pytest.approx(min(low, est.estimate), rel=4e-16, abs=0)
+        assert est.ci_high == pytest.approx(max(high, est.estimate), rel=4e-16, abs=0)
+
+
+def test_envelope_ends_are_finite_at_a_large_order():
+    # the grid and its rest are computed over the grid's end, so no power overflows
+    sample = _POINT_MODELS["gaussian"][0](200, 3)
+    (est,) = estimate_moments(sample, [2000.0])
+    exact = 1.5 * _absolute_gaussian(2000.0)
+    assert est.ci_low <= est.estimate < exact <= est.ci_high < 1.2 * exact
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +619,7 @@ def test_validate_tail_requires_grid():
 
 
 def test_validate_moment_paths():
-    sample = _sample(np.full(200, 1.0))
+    sample = _bounded(np.full(200, 1.0))
     dominated = MomentBound(p=2.0, decomposition=(("all", 2.0),))
     report = validate_bound(sample, dominated)
     assert report.verdict == "dominated"
@@ -475,7 +627,7 @@ def test_validate_moment_paths():
     row = report.rows[0]
     assert set(row) == {"p", "threshold", "envelope", "empirical", "ci_upper", "verdict",
                         "method"}
-    assert row["method"] == "bootstrap"  # a sample with no declared bound
+    assert row["method"] == "dkw"  # a sample with a declared bound
     assert row["threshold"] == 2.0
     assert math.isnan(row["envelope"])
     assert row["empirical"] == pytest.approx(1.0)
@@ -485,7 +637,7 @@ def test_validate_moment_paths():
 
 
 def test_validate_moment_fitted_never_paper_confirmed():
-    sample = _sample(np.full(50, 1.0))
+    sample = _bounded(np.full(50, 1.0))
     bound = MomentBound(p=1.0, decomposition=(("all", 2.0),), fitted=True)
     report = validate_bound(sample, bound)
     assert report.verdict == "dominated"
@@ -599,7 +751,7 @@ def test_ragged_grids_are_refused_by_entry():
 def test_numeric_grids_keep_their_values():
     # integers, numpy scalars and arrays are real numbers, read as before
     bound = bernstein_tail(BernsteinParams(sigma=1.0, K=1.0, m=1))
-    sample = _sample(np.linspace(0.0, 4.0, 100), seed=2)
+    sample = _bounded(np.linspace(0.0, 4.0, 100), seed=2)
     rows = validate_bound(sample, bound, u_grid=[1.0, 2.0]).rows
     for grid in ([1, 2], np.array([1.0, 2.0]), [np.float32(1.0), np.int64(2)], (1.0, 2.0)):
         assert validate_bound(sample, bound, u_grid=grid).rows == rows

@@ -20,10 +20,15 @@ The three moment cases (p_list at 200, 1000 and 2000 replications, no bound,
 so no CSV) were recorded before the bootstrap drew its resamples in blocks.
 Since each moment row names its method, every moment row carries "method":
 the moment-bound case's row and CSV grid gained it, and nothing else in that
-case moved.  The Gaussian case (2000) declares no bound and keeps its bootstrap
-intervals bit for bit.  The martingale (200) and uniform empirical (1000)
-cases declare their model's bound, so their intervals are the DKW ends and
-were recorded again; their estimates did not move.
+case moved.  The martingale (200) and uniform empirical (1000) cases declare
+their model's bound, so their intervals are the DKW ends and were recorded
+again; their estimates did not move.  Since every sum of those ends is
+numpy's pairwise add.reduce in place of a BLAS dot, the 1000 case's p = 1
+ends were recorded again (each moved in its last bit).  Since Gaussian
+drivers declare a tail envelope in place of the percentile bootstrap, the
+Gaussian cases (2000, and the moment-bound case) carry the envelope's DKW
+ends and "method": "dkw-envelope"; their estimates, samples and verdicts did
+not move.
 """
 
 import json
@@ -165,7 +170,7 @@ GOLDEN = json.loads(r"""
   "argv": ["simulate", "--config", "m.json"],
   "code": 0,
   "stdout": [
-   "p=2 threshold=4 empirical=1.42637 ci_upper=1.55949 dominated",
+   "p=2 threshold=4 empirical=1.42637 ci_upper=1.43539 dominated",
    "wrote out/simulate-735a55058993.json",
    "wrote out/simulate-735a55058993.csv"
   ],
@@ -212,10 +217,10 @@ GOLDEN = json.loads(r"""
    "reps": 200,
    "rows": [
     {
-     "ci_upper": 1.559489406652195,
+     "ci_upper": 1.435394323671995,
      "empirical": 1.4263674589728996,
      "envelope": null,
-     "method": "bootstrap",
+     "method": "dkw-envelope",
      "p": 2.0,
      "threshold": 4.0,
      "verdict": "dominated"
@@ -228,7 +233,7 @@ GOLDEN = json.loads(r"""
   "csv": [
    "# config_hash: 735a55058993bd55c71b2ef96fad9d3b53b7d8df5d67a7154c6fd7654e6d134b",
    "p,threshold,envelope,empirical,ci_upper,verdict,method",
-   "2.0,4.0,,1.4263674589728996,1.559489406652195,dominated,bootstrap"
+   "2.0,4.0,,1.4263674589728996,1.435394323671995,dominated,dkw-envelope"
   ]
  },
  {
@@ -518,8 +523,8 @@ GOLDEN = json.loads(r"""
    "config_hash": "fdede654cb1a62a40116ea0118962039dc11a76604f6ce15086acce72ec32437",
    "moments": [
     {
-     "ci_high": 0.42451916073741697,
-     "ci_low": 0.36032803429370747,
+     "ci_high": 0.424519160737417,
+     "ci_low": 0.3603280342937074,
      "estimate": 0.3926665410178566,
      "method": "dkw",
      "p": 1.0
@@ -562,9 +567,9 @@ GOLDEN = json.loads(r"""
   "argv": ["simulate", "--config", "m.json"],
   "code": 0,
   "stdout": [
-   "p=1 estimate=1.08963 ci=[1.05981, 1.12216]",
-   "p=3 estimate=1.38895 ci=[1.34905, 1.43375]",
-   "p=8 estimate=1.98882 ci=[1.82451, 2.16908]",
+   "p=1 estimate=1.08963 ci=[0.998227, 1.14674]",
+   "p=3 estimate=1.38895 ci=[1.2555, 1.4305]",
+   "p=8 estimate=1.98882 ci=[1.59558, 2.00626]",
    "wrote out/simulate-270d424ec4de.json"
   ],
   "report": {
@@ -582,24 +587,24 @@ GOLDEN = json.loads(r"""
    "config_hash": "270d424ec4de8e70484804b0b60271019460c64a2d6578da9ae55d70f59ac27e",
    "moments": [
     {
-     "ci_high": 1.1221635520345679,
-     "ci_low": 1.0598069229432614,
+     "ci_high": 1.1467394253051952,
+     "ci_low": 0.9982265716609066,
      "estimate": 1.089633375112654,
-     "method": "bootstrap",
+     "method": "dkw-envelope",
      "p": 1.0
     },
     {
-     "ci_high": 1.4337520602403848,
-     "ci_low": 1.3490546444426061,
+     "ci_high": 1.4305017433379315,
+     "ci_low": 1.255500180554203,
      "estimate": 1.3889525454385687,
-     "method": "bootstrap",
+     "method": "dkw-envelope",
      "p": 3.0
     },
     {
-     "ci_high": 2.1690789951404734,
-     "ci_low": 1.824511586522803,
+     "ci_high": 2.0062580259682448,
+     "ci_low": 1.5955847094457059,
      "estimate": 1.9888201386911064,
-     "method": "bootstrap",
+     "method": "dkw-envelope",
      "p": 8.0
     }
    ],
